@@ -9,7 +9,7 @@ Verbs:
 
 Run directories are content-addressed by config hash and seed; an existing
 directory is refused unless --force is given. Exit codes: 0 success,
-2 invalid config or usage, 3 non-finite training loss.
+2 invalid config or usage, 3 training diverged.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -29,16 +30,11 @@ from .metrics import (EvalReport, evaluate, write_embedding_dump, write_eval_csv
                       write_eval_json)
 from .net import load_checkpoint, save_checkpoint
 from .prototypes import PrototypeSet
+from .sna import LOSS_COMBOS
 from .synthdata import generate, write_manifest, write_split_csv
 from .trainer import TrainingDiverged, train
 
 SWEEP_AXES = ("eta_id", "r_u", "loss_combo", "lambda_sna")
-LOSS_COMBOS = {
-    "none": {"lambda_usna": 0.0, "lambda_ia": 0.0, "lambda_pa": 0.0},
-    "ia_pa": {"lambda_usna": 0.0, "lambda_ia": 1.0, "lambda_pa": 1.0},
-    "usna": {"lambda_usna": 1.0, "lambda_ia": 0.0, "lambda_pa": 0.0},
-    "all": {"lambda_usna": 1.0, "lambda_ia": 1.0, "lambda_pa": 1.0},
-}
 
 
 def _load_raw(path) -> dict:
@@ -76,8 +72,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: Path, force: bool = False,
     if run_dir.exists():
         if not force:
             raise FileExistsError(f"run directory already exists: {run_dir} (use --force)")
-        for stale in run_dir.iterdir():
-            stale.unlink()
+        shutil.rmtree(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.time()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -50,9 +51,11 @@ class ExperimentConfig:
 
 def _build_section(cls, data: dict, path: str):
     allowed = {f.name for f in dataclasses.fields(cls)}
-    for key in data:
+    for key, value in data.items():
         if key not in allowed:
             raise ConfigError(f"{path}.{key}", "unknown field")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{path}.{key}", "must be finite")
     try:
         return cls(**data)
     except (TypeError, ValueError) as err:

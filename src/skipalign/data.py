@@ -1,8 +1,8 @@
-"""Shared record types: embedding batches and per-batch loss reports."""
+"""Shared record type: a batch of embeddings with optional per-row metadata."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,28 +41,3 @@ class EmbeddingBatch:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-
-@dataclass
-class LossReport:
-    """Named scalar loss terms, their weights, and the weighted total."""
-
-    terms: dict[str, float]
-    weights: dict[str, float]
-    total: float
-    extras: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name, value in self.terms.items():
-            if not np.isfinite(value):
-                raise ValueError(f"non-finite loss term '{name}'")
-        if not np.isfinite(self.total):
-            raise ValueError("non-finite loss total")
-
-    def to_dict(self) -> dict:
-        return {
-            "terms": dict(self.terms),
-            "weights": dict(self.weights),
-            "total": self.total,
-            "extras": dict(self.extras),
-        }

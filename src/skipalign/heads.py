@@ -1,4 +1,4 @@
-"""Classifier and one-vs-all detector losses, plus the total objective.
+"""Classifier and one-vs-all detector losses, and the objective's composition.
 
 The closed-set side is supervised cross-entropy plus FixMatch-style hard
 pseudo-label consistency. The detector side trains K binary sub-classifiers
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LossReport
 from .linalg import as_matrix
 
 # Probabilities are floored before every log; exact zeros occur in
@@ -78,21 +77,6 @@ class HeadWeights:
             raise ValueError("tau_pl must lie in [0, 1]")
         if not 0.0 < self.eta_neg < 1.0:
             raise ValueError("eta_neg must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class CcTerms:
-    x: float
-    u: float
-    accepted: int = 0
-
-
-@dataclass(frozen=True)
-class OdTerms:
-    ova: float
-    em: float
-    socr: float
-    neg: float
 
 
 def _check_labels(labels, num_classes: int) -> np.ndarray:
@@ -162,18 +146,9 @@ def em_loss(out: OvaOutput) -> float:
     return float(ent.sum(axis=1).mean())
 
 
-def socr_loss(out_w: OvaOutput, out_w2: OvaOutput, on: str = "logits") -> float:
-    """Squared disagreement of the detector's ID outputs across two weak views.
-
-    Operates on raw ID logits by default; 'probs' switches to the two-way
-    softmax probabilities.
-    """
-    if on == "logits":
-        a, b = out_w.id_logits, out_w2.id_logits
-    elif on == "probs":
-        a, b = out_w.id_probs, out_w2.id_probs
-    else:
-        raise ValueError(f"unknown socr mode '{on}'")
+def socr_loss(out_w: OvaOutput, out_w2: OvaOutput) -> float:
+    """Squared disagreement of the detector's raw ID logits across two weak views."""
+    a, b = out_w.id_logits, out_w2.id_logits
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(((a - b) ** 2).sum(axis=1).mean())
@@ -198,39 +173,17 @@ def neg_loss(out: OvaOutput, eta_neg: float) -> float:
     return float(per_sample.mean())
 
 
-def negatives_count(out: OvaOutput, eta_neg: float) -> int:
-    """Number of samples with at least one class selected as pseudo-negative."""
-    return int(((out.id_probs < eta_neg).sum(axis=1) > 0).sum())
+def compose(terms: dict, weights: dict) -> dict:
+    """The composites sna, cc and od and the weighted total, from the nine leaves.
 
-
-def total_loss(cc: CcTerms, od: OdTerms, sna: LossReport, w: HeadWeights) -> LossReport:
-    """Weighted combination of the classifier, detector, and alignment losses.
-
-    The report itemizes all seven leaf terms alongside the three composites.
+    Works on floats (log audits) and on tape tensors (training) alike. The
+    expression shapes fix the order in which backward sums gradients.
     """
-    leaves = {"x": cc.x, "u": cc.u, "ova": od.ova, "em": od.em,
-              "socr": od.socr, "neg": od.neg, "sna": sna.total}
-    for name, value in leaves.items():
-        if not np.isfinite(value):
-            raise ValueError(f"non-finite loss term '{name}'")
-    cc_total = cc.x + w.lambda_u * cc.u
-    od_total = od.ova + w.lambda_em * od.em + w.lambda_socr * od.socr + w.lambda_neg * od.neg
-    total = w.lambda_cc * cc_total + w.lambda_od * od_total + w.lambda_sna * sna.total
-    terms = dict(leaves)
-    terms.update({"cc": cc_total, "od": od_total})
-    weights = {"lambda_u": w.lambda_u, "lambda_em": w.lambda_em,
-               "lambda_socr": w.lambda_socr, "lambda_neg": w.lambda_neg,
-               "lambda_cc": w.lambda_cc, "lambda_od": w.lambda_od,
-               "lambda_sna": w.lambda_sna}
-    return LossReport(terms=terms, weights=weights, total=float(total),
-                      extras={"pl_accepted": float(cc.accepted)})
-
-
-def compose_total(terms: dict, weights: dict) -> float:
-    """Rebuild the weighted total from leaf terms; used by log audits."""
-    cc_total = terms["x"] + weights["lambda_u"] * terms["u"]
-    od_total = (terms["ova"] + weights["lambda_em"] * terms["em"]
-                + weights["lambda_socr"] * terms["socr"]
-                + weights["lambda_neg"] * terms["neg"])
-    return (weights["lambda_cc"] * cc_total + weights["lambda_od"] * od_total
-            + weights["lambda_sna"] * terms["sna"])
+    w = weights
+    sna = (w["lambda_usna"] * terms["usna"] + w["lambda_ia"] * terms["ia"]
+           + w["lambda_pa"] * terms["pa"])
+    cc = terms["x"] + w["lambda_u"] * terms["u"]
+    od = (terms["ova"] + w["lambda_em"] * terms["em"] + w["lambda_socr"] * terms["socr"]
+          + w["lambda_neg"] * terms["neg"])
+    total = w["lambda_cc"] * cc + w["lambda_od"] * od + w["lambda_sna"] * sna
+    return {"sna": sna, "cc": cc, "od": od, "total": total}

@@ -55,15 +55,6 @@ def unit_rows(m: np.ndarray) -> np.ndarray:
     return m / norms[:, None]
 
 
-def cosine_sim(a, b) -> float:
-    """Cosine similarity of two nonzero vectors, in [-1, 1]."""
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.dot(unit(a), unit(b)))
-
-
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     """Max-shifted softmax of a vector of logits at the given temperature."""
     if temperature <= 0:
@@ -88,16 +79,6 @@ def logsumexp_rows(x: np.ndarray) -> np.ndarray:
     """Stable row-wise log-sum-exp with a detached max shift."""
     m = np.max(x, axis=1, keepdims=True)
     return (m + np.log(np.sum(np.exp(x - m), axis=1, keepdims=True)))[:, 0]
-
-
-def tangential_project(z, v) -> np.ndarray:
-    """(I - zz^T/||z||^2) v: remove the component of v radial to z."""
-    z = as_vector(z)
-    v = as_vector(v)
-    if z.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {z.shape[0]} vs {v.shape[0]}")
-    zh = unit(z)
-    return v - np.dot(zh, v) * zh
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, step: float = 1e-6) -> np.ndarray:

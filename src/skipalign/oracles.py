@@ -2,7 +2,8 @@
 
 Three checks, mirroring what the test suite enforces:
   1. the analytic angular gradient of the unlabeled alignment loss,
-  2. the tape gradient of the full weighted objective through the network,
+  2. the tape gradient of the training objective through the network, at
+     each loss_combo setting of the alignment weights,
   3. the closed-form feature gradient of cross-entropy under a linear head.
 Discrete decisions are frozen at the base point for check 2, so the finite
 differences probe a smooth function.
@@ -10,16 +11,19 @@ differences probe a smooth function.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import tensor_losses as tl
 from .autodiff import constant, parameter
 from .heads import HeadWeights, ce_loss
 from .linalg import finite_diff_grad, softmax_rows
-from .net import NetSpec, ParamState, forward, forward_tensors, init_params, param_count
+from .net import NetSpec, ParamState, forward_tensors, init_params, param_count
 from .net import backward as net_backward
 from .prototypes import PrototypeSet
-from .sna import SnaWeights, dual_gate, usna_grad, usna_loss
+from .sna import LOSS_COMBOS, SnaWeights, usna_grad, usna_loss
+from .trainer import TrainConfig, freeze_decisions, objective
 
 
 def usna_gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-6) -> float:
@@ -45,40 +49,13 @@ def usna_gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-6)
     return worst
 
 
-def _frozen_objective_closure(head: HeadWeights, sna_w: SnaWeights, labels, frozen,
-                              unit_protos):
-    """The full training objective with every discrete decision pinned."""
-
-    def closure(outputs):
-        xw, uw, uw2, us = outputs["x_w"], outputs["u_w"], outputs["u_w2"], outputs["u_s"]
-        loss_x = tl.ce_graph(xw.cc_logits, labels)
-        loss_u = tl.consistency_graph(us.cc_logits, frozen["pseudo"], frozen["accept"])
-        loss_ova = tl.ova_graph(xw.id_logits, xw.ood_logits, labels)
-        loss_em = tl.em_graph(uw.id_logits, uw.ood_logits)
-        loss_socr = tl.socr_graph(uw.id_logits, uw2.id_logits)
-        loss_neg = (tl.neg_graph(uw.id_logits, uw.ood_logits, head.eta_neg,
-                                 selected=frozen["neg_w"])
-                    + tl.neg_graph(us.id_logits, us.ood_logits, head.eta_neg,
-                                   selected=frozen["neg_s"]))
-        loss_usna = tl.usna_graph(uw.embeddings, unit_protos, frozen["phi"],
-                                  frozen["pred"], sna_w.temperature)
-        loss_ia = tl.ia_graph(xw.embeddings, labels, sna_w.temperature)
-        loss_pa = tl.pa_graph(xw.embeddings, unit_protos, labels, sna_w.temperature)
-        loss_sna = (sna_w.lambda_usna * loss_usna + sna_w.lambda_ia * loss_ia
-                    + sna_w.lambda_pa * loss_pa)
-        loss_cc = loss_x + head.lambda_u * loss_u
-        loss_od = (loss_ova + head.lambda_em * loss_em + head.lambda_socr * loss_socr
-                   + head.lambda_neg * loss_neg)
-        return head.lambda_cc * loss_cc + head.lambda_od * loss_od + head.lambda_sna * loss_sna
-
-    return closure
-
-
 def full_model_gradient_check(seed: int = 0, step: float = 1e-5) -> tuple[float, int]:
-    """Tape gradient of the full objective vs central differences.
+    """Tape gradient of the training objective vs central differences.
 
-    Returns (relative error, parameter count); the network stays under 500
-    parameters.
+    The objective is the trainer's own, with its decisions frozen once at the
+    base point; it is checked at each loss_combo setting of the alignment
+    weights, so the zero-weight skips are covered. Returns (worst relative
+    error, parameter count); the network stays under 500 parameters.
     """
     spec = NetSpec(input_dim=3, backbone_widths=(4,), feature_dim=3, proj_hidden=3,
                    embed_dim=2, num_classes=2, proj_nonlinear=True, seed=seed)
@@ -91,37 +68,35 @@ def full_model_gradient_check(seed: int = 0, step: float = 1e-5) -> tuple[float,
         "u_w2": rng.standard_normal((6, spec.input_dim)),
         "u_s": rng.standard_normal((6, spec.input_dim)),
     }
-    protos = PrototypeSet.from_means(rng.standard_normal((spec.num_classes, spec.embed_dim)))
+    unit_protos = PrototypeSet.from_means(
+        rng.standard_normal((spec.num_classes, spec.embed_dim))).unit_directions()
     head = HeadWeights(lambda_u=1.0, lambda_em=0.3, lambda_socr=0.5, lambda_neg=0.7,
                        lambda_cc=1.0, lambda_od=0.9, lambda_sna=0.4,
                        tau_pl=0.4, eta_neg=0.5)
     sna_w = SnaWeights(lambda_usna=1.0, lambda_ia=0.8, lambda_pa=0.6, temperature=0.7)
+    base_cfg = TrainConfig(head=head, sna=sna_w, tau_id=0.4, eta_id=0.3,
+                           gate_temperature=1.0)
 
-    base_uw = forward(params, inputs["u_w"])
-    base_us = forward(params, inputs["u_s"])
-    gate_probs = softmax_rows(base_uw.cc_logits, 1.0)
-    gate = dual_gate(gate_probs, base_uw.ova.id_probs, tau_id=0.4, eta_id=0.3)
-    pseudo = np.argmax(gate_probs, axis=1)
-    accept = gate_probs[np.arange(pseudo.size), pseudo] > head.tau_pl
-    frozen = {
-        "phi": gate.phi, "pred": gate.pred_class,
-        "pseudo": pseudo, "accept": accept,
-        "neg_w": (base_uw.ova.id_probs < head.eta_neg).astype(np.float64),
-        "neg_s": (base_us.ova.id_probs < head.eta_neg).astype(np.float64),
-    }
-    closure = _frozen_objective_closure(head, sna_w, labels, frozen,
-                                        protos.unit_directions())
-    analytic = net_backward(params, inputs, closure)
-
-    def value(flat: np.ndarray) -> float:
+    def outputs_at(flat: np.ndarray) -> dict:
         state = ParamState(spec=spec, flat=flat)
         tensors = {name: constant(state.view(name)) for name in state.names()}
-        outputs = {name: forward_tensors(spec, tensors, x) for name, x in inputs.items()}
-        return closure(outputs).item()
+        return {name: forward_tensors(spec, tensors, x) for name, x in inputs.items()}
 
-    numeric = finite_diff_grad(value, params.flat, step)
-    rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
-    return rel, param_count(spec)
+    base = outputs_at(params.flat)
+    decisions = freeze_decisions(base["u_w"], base["u_s"], base_cfg)
+    worst = 0.0
+    for combo in LOSS_COMBOS.values():
+        cfg = replace(base_cfg, sna=replace(sna_w, **combo))
+
+        def loss(outputs):
+            return objective(outputs, labels, unit_protos, decisions, cfg)[0]["total"]
+
+        analytic = net_backward(params, inputs, loss)
+        numeric = finite_diff_grad(lambda flat: loss(outputs_at(flat)).item(),
+                                   params.flat, step)
+        rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
+        worst = max(worst, rel)
+    return worst, param_count(spec)
 
 
 def ce_feature_gradient_check(n_configs: int = 20, seed: int = 0) -> tuple[float, float]:
@@ -164,8 +139,9 @@ def run_gradcheck_suite(verbose: bool = False) -> list[tuple[str, bool, str]]:
                     rel <= 1e-6, f"max rel err {rel:.3e} (tol 1e-6)"))
 
     rel, n_params = full_model_gradient_check()
-    results.append((f"full objective backward vs central differences ({n_params} params)",
-                    rel <= 1e-5, f"rel err {rel:.3e} (tol 1e-5)"))
+    results.append((f"full objective backward vs central differences ({n_params} params, "
+                    f"{len(LOSS_COMBOS)} loss combos)",
+                    rel <= 1e-5, f"max rel err {rel:.3e} (tol 1e-5)"))
 
     tape_dev, fd_rel = ce_feature_gradient_check()
     results.append(("cross-entropy feature gradient identity (linear head)",

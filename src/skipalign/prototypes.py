@@ -110,4 +110,6 @@ def initial_prototypes(labeled: EmbeddingBatch, gamma: float,
 
 def proto_similarity_profile(batch: EmbeddingBatch, protos: PrototypeSet) -> np.ndarray:
     """(B, K) cosine similarity of every embedding against every prototype."""
+    if batch.dim != protos.mu.shape[1]:
+        raise ValueError(f"dimension mismatch: {batch.dim} vs {protos.mu.shape[1]}")
     return unit_rows(batch.vectors) @ protos.unit_directions().T

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingBatch, LossReport
+from .data import EmbeddingBatch
 from .linalg import as_matrix, as_vector, logsumexp_rows, softmax, unit, unit_rows
 from .prototypes import PrototypeSet
 
@@ -51,6 +51,15 @@ class SnaWeights:
         for name in ("lambda_usna", "lambda_ia", "lambda_pa"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+
+
+# The loss_combo sweep's settings of the three alignment weights.
+LOSS_COMBOS = {
+    "none": {"lambda_usna": 0.0, "lambda_ia": 0.0, "lambda_pa": 0.0},
+    "ia_pa": {"lambda_usna": 0.0, "lambda_ia": 1.0, "lambda_pa": 1.0},
+    "usna": {"lambda_usna": 1.0, "lambda_ia": 0.0, "lambda_pa": 0.0},
+    "all": {"lambda_usna": 1.0, "lambda_ia": 1.0, "lambda_pa": 1.0},
+}
 
 
 def dual_gate(cc_probs, od_id_probs, tau_id: float, eta_id: float) -> GateMask:
@@ -148,31 +157,3 @@ def ia_loss(batch: EmbeddingBatch, temperature: float) -> tuple[float, int]:
 def pa_loss(z, protos: PrototypeSet, y: int, temperature: float) -> float:
     """Prototype alignment for a labeled embedding: the always-pulled case."""
     return usna_loss(z, protos, phi=1, k_hat=y, temperature=temperature)
-
-
-def sna_total(labeled: EmbeddingBatch, unlabeled: EmbeddingBatch,
-              protos: PrototypeSet, mask: GateMask, w: SnaWeights) -> LossReport:
-    """Combine the unlabeled and labeled alignment objectives for one batch."""
-    if mask.phi.shape[0] != unlabeled.size:
-        raise ValueError("gate mask does not match the unlabeled batch")
-    if unlabeled.size > 0:
-        usna_terms = [
-            usna_loss(unlabeled.vectors[i], protos, int(mask.phi[i]),
-                      int(mask.pred_class[i]), w.temperature)
-            for i in range(unlabeled.size)
-        ]
-        usna = float(np.mean(usna_terms))
-    else:
-        usna = 0.0
-    ia, n_anchors = ia_loss(labeled, w.temperature)
-    if labeled.labels is None:
-        raise ValueError("prototype alignment requires labels")
-    pa = float(np.mean([
-        pa_loss(labeled.vectors[i], protos, int(labeled.labels[i]), w.temperature)
-        for i in range(labeled.size)
-    ]))
-    terms = {"usna": usna, "ia": ia, "pa": pa}
-    weights = {"lambda_usna": w.lambda_usna, "lambda_ia": w.lambda_ia, "lambda_pa": w.lambda_pa}
-    total = w.lambda_usna * usna + w.lambda_ia * ia + w.lambda_pa * pa
-    return LossReport(terms=terms, weights=weights, total=total,
-                      extras={"ia_anchors": float(n_anchors), "pulled": float(mask.accepted)})

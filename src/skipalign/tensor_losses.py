@@ -80,25 +80,20 @@ def socr_graph(a: Tensor, b: Tensor) -> Tensor:
     return ((a - b) ** 2).sum(axis=1).mean()
 
 
-def socr_probs_graph(id_logits_a: Tensor, ood_logits_a: Tensor,
-                     id_logits_b: Tensor, ood_logits_b: Tensor) -> Tensor:
-    p_a = _two_way_log_probs(id_logits_a, ood_logits_a)[0].exp()
-    p_b = _two_way_log_probs(id_logits_b, ood_logits_b)[0].exp()
-    return socr_graph(p_a, p_b)
+def negatives(id_logits: np.ndarray, ood_logits: np.ndarray, eta_neg: float) -> np.ndarray:
+    """Pseudo-negative mask: 1.0 where the two-way ID probability is below eta_neg.
 
-
-def neg_graph(id_logits: Tensor, ood_logits: Tensor, eta_neg: float,
-              selected: np.ndarray | None = None) -> Tensor:
-    """Pseudo-negative loss; the selection mask is frozen from the values.
-
-    Pass `selected` explicitly to pin the mask (the gradient oracle does, so
-    finite differences never step across a selection boundary).
+    Compares log-probabilities computed with the operations of
+    `_two_way_log_probs`, so the mask agrees bitwise with the loss's values.
     """
-    log_p_id, log_p_ood = _two_way_log_probs(id_logits, ood_logits)
-    if selected is None:
-        selected = (log_p_id.data < np.log(eta_neg)).astype(np.float64)
-    else:
-        selected = np.asarray(selected, dtype=np.float64)
+    shift = np.maximum(id_logits, ood_logits)
+    log_z = np.log(np.exp(id_logits - shift) + np.exp(ood_logits - shift)) + shift
+    return (id_logits - log_z < np.log(eta_neg)).astype(np.float64)
+
+
+def neg_graph(id_logits: Tensor, ood_logits: Tensor, selected: np.ndarray) -> Tensor:
+    """Pseudo-negative loss over a frozen selection mask (see `negatives`)."""
+    log_p_ood = _two_way_log_probs(id_logits, ood_logits)[1]
     counts = selected.sum(axis=1)
     scale = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
     per_sample = -(log_p_ood * selected).sum(axis=1) * scale

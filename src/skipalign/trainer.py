@@ -19,8 +19,8 @@ import numpy as np
 
 from . import net as net_mod
 from . import tensor_losses as tl
-from .data import EmbeddingBatch, LossReport
-from .heads import HeadWeights, OvaOutput, compose_total, negatives_count
+from .data import EmbeddingBatch
+from .heads import HeadWeights, OvaOutput, compose
 from .linalg import softmax_rows
 from .metrics import evaluate
 from .net import NetSpec, ParamState, forward, init_params, sgd_step
@@ -54,7 +54,6 @@ class TrainConfig:
     tau_proto: float | None = None  # defaults to tau_id
     eta_proto: float | None = None  # defaults to eta_id
     r_u: float = 0.5
-    socr_on: str = "logits"
     score_rule: str = "ova_id_at_cc_argmax"
     eval_every: int = 0  # epochs between metric snapshots; 0 = final only
     log_gate_details: bool = True
@@ -76,8 +75,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.gate_temperature <= 0:
             raise ValueError("gate_temperature must be positive")
-        if self.socr_on not in ("logits", "probs"):
-            raise ValueError("socr_on must be 'logits' or 'probs'")
         u = self.gamma * self.batch_size
         if abs(u - round(u)) > 1e-9:
             raise ValueError("gamma * batch_size must be an integer")
@@ -189,11 +186,10 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
             closure = _make_closure(cfg, yb, protos, info)
             try:
                 grads = net_mod.backward(params, inputs, closure)
+                params, velocity = sgd_step(params, grads, lr=lr, momentum=cfg.momentum,
+                                            weight_decay=cfg.weight_decay, velocity=velocity)
             except ValueError as err:
-                last = runlog.iterations[-1] if runlog.iterations else None
-                raise TrainingDiverged(str(err), last_report=last) from err
-            params, velocity = sgd_step(params, grads, lr=lr, momentum=cfg.momentum,
-                                        weight_decay=cfg.weight_decay, velocity=velocity)
+                raise _diverged(err, runlog) from err
 
             record = {
                 "step": step, "epoch": epoch, "lr": lr,
@@ -208,7 +204,10 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
                 proto_rows.append(info["proto_rows"])
                 proto_pred.append(info["proto_pred"])
 
-        protos = _refresh_prototypes(params, split, cfg, netspec, proto_rows, proto_pred)
+        try:
+            protos = _refresh_prototypes(params, split, cfg, netspec, proto_rows, proto_pred)
+        except ValueError as err:
+            raise _diverged(err, runlog) from err
         runlog.final_prototypes = protos
         epoch_record = {
             "epoch": epoch,
@@ -227,6 +226,12 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
     return params, runlog
 
 
+def _diverged(err: ValueError, runlog: RunLog) -> TrainingDiverged:
+    """A non-finite value in a step or a refresh, with the last logged report."""
+    last = runlog.iterations[-1] if runlog.iterations else None
+    return TrainingDiverged(str(err), last_report=last)
+
+
 def _refresh_prototypes(params, split, cfg, netspec, proto_rows, proto_pred) -> PrototypeSet:
     labeled = _clean_labeled_embeddings(params, split)
     if proto_rows:
@@ -243,75 +248,94 @@ def _refresh_prototypes(params, split, cfg, netspec, proto_rows, proto_pred) -> 
                    num_classes=netspec.num_classes)
 
 
+@dataclass(frozen=True)
+class Decisions:
+    """One step's discrete choices, frozen from forward values.
+
+    Gradients never flow through gates, pseudo-labels or negative masks.
+    """
+
+    gate: GateMask          # dual gate on the weak unlabeled view
+    proto_gate: GateMask    # the same gate at the prototype-refresh thresholds
+    pseudo: np.ndarray      # hard pseudo-labels from the weak view
+    pl_accept: np.ndarray   # pseudo-labels whose confidence clears tau_pl
+    neg_w: np.ndarray       # pseudo-negative masks, weak and strong view
+    neg_s: np.ndarray
+
+
+def freeze_decisions(uw, us, cfg: TrainConfig) -> Decisions:
+    """Every frozen per-step choice, from the weak and strong unlabeled views."""
+    cc_logits = uw.cc_logits.data
+    gate_probs = softmax_rows(cc_logits, cfg.gate_temperature)
+    id_probs = OvaOutput.from_logits(uw.id_logits.data, uw.ood_logits.data).id_probs
+    pl_probs = softmax_rows(cc_logits)
+    pseudo = np.argmax(pl_probs, axis=1)
+    eta_neg = cfg.head.eta_neg
+    return Decisions(
+        gate=dual_gate(gate_probs, id_probs, cfg.tau_id, cfg.eta_id),
+        proto_gate=dual_gate(gate_probs, id_probs, cfg.proto_tau, cfg.proto_eta),
+        pseudo=pseudo,
+        pl_accept=pl_probs[np.arange(pseudo.size), pseudo] > cfg.head.tau_pl,
+        neg_w=tl.negatives(uw.id_logits.data, uw.ood_logits.data, eta_neg),
+        neg_s=tl.negatives(us.id_logits.data, us.ood_logits.data, eta_neg),
+    )
+
+
+def objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
+              decisions: Decisions, cfg: TrainConfig) -> tuple[dict, dict]:
+    """The training objective on the tape, as (terms, weights).
+
+    `terms` holds the nine leaf graphs, then the composites sna, cc, od and
+    the total from `compose`. A leaf whose weight is zero is not built and
+    enters as the constant 0.0.
+    """
+    head, sna_w = cfg.head, cfg.sna
+    xw, uw, uw2, us = outputs["x_w"], outputs["u_w"], outputs["u_w2"], outputs["u_s"]
+    zero = tl.constant(0.0)
+    terms = {
+        "x": tl.ce_graph(xw.cc_logits, labels),
+        "u": (tl.consistency_graph(us.cc_logits, decisions.pseudo, decisions.pl_accept)
+              if head.lambda_u > 0 else zero),
+        "ova": tl.ova_graph(xw.id_logits, xw.ood_logits, labels),
+        "em": tl.em_graph(uw.id_logits, uw.ood_logits) if head.lambda_em > 0 else zero,
+        "socr": tl.socr_graph(uw.id_logits, uw2.id_logits) if head.lambda_socr > 0 else zero,
+        # Negatives are mined on both the weak and the strong view.
+        "neg": (tl.neg_graph(uw.id_logits, uw.ood_logits, decisions.neg_w)
+                + tl.neg_graph(us.id_logits, us.ood_logits, decisions.neg_s)
+                if head.lambda_neg > 0 else zero),
+        "usna": (tl.usna_graph(uw.embeddings, unit_protos, decisions.gate.phi,
+                               decisions.gate.pred_class, sna_w.temperature)
+                 if sna_w.lambda_usna > 0 else zero),
+        "ia": (tl.ia_graph(xw.embeddings, labels, sna_w.temperature)
+               if sna_w.lambda_ia > 0 else zero),
+        "pa": (tl.pa_graph(xw.embeddings, unit_protos, labels, sna_w.temperature)
+               if sna_w.lambda_pa > 0 else zero),
+    }
+    weights = {"lambda_u": head.lambda_u, "lambda_em": head.lambda_em,
+               "lambda_socr": head.lambda_socr, "lambda_neg": head.lambda_neg,
+               "lambda_cc": head.lambda_cc, "lambda_od": head.lambda_od,
+               "lambda_sna": head.lambda_sna, "lambda_usna": sna_w.lambda_usna,
+               "lambda_ia": sna_w.lambda_ia, "lambda_pa": sna_w.lambda_pa}
+    terms.update(compose(terms, weights))
+    return terms, weights
+
+
 def _make_closure(cfg: TrainConfig, labels: np.ndarray, protos: PrototypeSet, info: dict):
-    head = cfg.head
-    sna_w = cfg.sna
     unit_protos = protos.unit_directions()
 
     def closure(outputs):
-        xw, uw, uw2, us = outputs["x_w"], outputs["u_w"], outputs["u_w2"], outputs["u_s"]
-
-        # Frozen decisions: gradients never flow through gates or pseudo-labels.
-        gate_probs = softmax_rows(uw.cc_logits.data, cfg.gate_temperature)
-        ova_uw = OvaOutput.from_logits(uw.id_logits.data, uw.ood_logits.data)
-        gate = dual_gate(gate_probs, ova_uw.id_probs, cfg.tau_id, cfg.eta_id)
-        proto_gate = dual_gate(gate_probs, ova_uw.id_probs, cfg.proto_tau, cfg.proto_eta)
-        pl_probs = softmax_rows(uw.cc_logits.data)
-        pseudo = np.argmax(pl_probs, axis=1)
-        pl_accept = pl_probs[np.arange(pseudo.size), pseudo] > head.tau_pl
-
-        zero = tl.constant(0.0)
-        loss_x = tl.ce_graph(xw.cc_logits, labels)
-        loss_u = (tl.consistency_graph(us.cc_logits, pseudo, pl_accept)
-                  if head.lambda_u > 0 else zero)
-        loss_ova = tl.ova_graph(xw.id_logits, xw.ood_logits, labels)
-        loss_em = tl.em_graph(uw.id_logits, uw.ood_logits) if head.lambda_em > 0 else zero
-        if head.lambda_socr > 0:
-            if cfg.socr_on == "logits":
-                loss_socr = tl.socr_graph(uw.id_logits, uw2.id_logits)
-            else:
-                loss_socr = tl.socr_probs_graph(uw.id_logits, uw.ood_logits,
-                                                uw2.id_logits, uw2.ood_logits)
-        else:
-            loss_socr = zero
-        if head.lambda_neg > 0:
-            # Negatives are mined on both the weak and the strong view.
-            loss_neg = (tl.neg_graph(uw.id_logits, uw.ood_logits, head.eta_neg)
-                        + tl.neg_graph(us.id_logits, us.ood_logits, head.eta_neg))
-        else:
-            loss_neg = zero
-        loss_usna = (tl.usna_graph(uw.embeddings, unit_protos, gate.phi,
-                                   gate.pred_class, sna_w.temperature)
-                     if sna_w.lambda_usna > 0 else zero)
-        loss_ia = (tl.ia_graph(xw.embeddings, labels, sna_w.temperature)
-                   if sna_w.lambda_ia > 0 else zero)
-        loss_pa = (tl.pa_graph(xw.embeddings, unit_protos, labels, sna_w.temperature)
-                   if sna_w.lambda_pa > 0 else zero)
-
-        loss_sna = (sna_w.lambda_usna * loss_usna + sna_w.lambda_ia * loss_ia
-                    + sna_w.lambda_pa * loss_pa)
-        loss_cc = loss_x + head.lambda_u * loss_u
-        loss_od = (loss_ova + head.lambda_em * loss_em + head.lambda_socr * loss_socr
-                   + head.lambda_neg * loss_neg)
-        total = head.lambda_cc * loss_cc + head.lambda_od * loss_od + head.lambda_sna * loss_sna
-
-        terms = {"x": loss_x.item(), "u": loss_u.item(), "ova": loss_ova.item(),
-                 "em": loss_em.item(), "socr": loss_socr.item(), "neg": loss_neg.item(),
-                 "usna": loss_usna.item(), "ia": loss_ia.item(), "pa": loss_pa.item(),
-                 "sna": loss_sna.item(), "cc": loss_cc.item(), "od": loss_od.item()}
-        weights = {"lambda_u": head.lambda_u, "lambda_em": head.lambda_em,
-                   "lambda_socr": head.lambda_socr, "lambda_neg": head.lambda_neg,
-                   "lambda_cc": head.lambda_cc, "lambda_od": head.lambda_od,
-                   "lambda_sna": head.lambda_sna, "lambda_usna": sna_w.lambda_usna,
-                   "lambda_ia": sna_w.lambda_ia, "lambda_pa": sna_w.lambda_pa}
-        info["terms"] = terms
+        decisions = freeze_decisions(outputs["u_w"], outputs["u_s"], cfg)
+        terms, weights = objective(outputs, labels, unit_protos, decisions, cfg)
+        total = terms.pop("total")
+        gate, proto_gate = decisions.gate, decisions.proto_gate
+        info["terms"] = {name: term.item() for name, term in terms.items()}
         info["weights"] = weights
         info["total"] = total.item()
         info["gate_stats"] = {
             "accepted": gate.accepted,
             "proto_accepted": proto_gate.accepted,
-            "negatives": negatives_count(ova_uw, head.eta_neg),
-            "pl_accepted": int(pl_accept.sum()),
+            "negatives": int((decisions.neg_w.sum(axis=1) > 0).sum()),
+            "pl_accepted": int(decisions.pl_accept.sum()),
         }
         info["gate_detail"] = {
             "phi": gate.phi.tolist(),
@@ -321,17 +345,11 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, protos: PrototypeSet, in
             "tau_id": gate.tau_id, "eta_id": gate.eta_id,
         }
         selected = proto_gate.phi == 1
-        info["proto_rows"] = uw.embeddings.data[selected].copy()
+        info["proto_rows"] = outputs["u_w"].embeddings.data[selected].copy()
         info["proto_pred"] = proto_gate.pred_class[selected].copy()
         return total
 
     return closure
-
-
-def loss_report_from_record(record: dict) -> LossReport:
-    """Rebuild a LossReport from a logged iteration."""
-    return LossReport(terms=dict(record["terms"]), weights=dict(record["weights"]),
-                      total=record["total"])
 
 
 def audit_gate_flow(runlog: RunLog) -> None:
@@ -349,11 +367,12 @@ def audit_gate_flow(runlog: RunLog) -> None:
 
 
 def audit_loss_composition(runlog: RunLog, tol: float = 1e-12) -> float:
-    """Max deviation between logged totals and their recomposed values."""
+    """Max deviation between logged composites and their recomposed values."""
     worst = 0.0
     for record in runlog.iterations:
-        recomposed = compose_total(record["terms"], record["weights"])
-        worst = max(worst, abs(recomposed - record["total"]))
+        logged = {**record["terms"], "total": record["total"]}
+        for name, value in compose(record["terms"], record["weights"]).items():
+            worst = max(worst, abs(value - logged[name]))
         if worst > tol:
             raise AssertionError(f"loss composition off by {worst} at step {record['step']}")
     return worst

@@ -88,6 +88,21 @@ class TestConfigResolution:
         assert cfg.train.lr0 == 0.025
         assert cfg.train.head.lambda_sna == 0.04
 
+    @pytest.mark.parametrize("raw, env, field", [
+        ({"seed": 0}, {"SKIPALIGN_TRAIN__LR0": "nan"}, "train.lr0"),
+        ({"seed": 0, "train": {"sna": {"temperature": float("nan")}}}, {},
+         "train.sna.temperature"),
+        ({"seed": 0}, {"SKIPALIGN_SCENARIO__ID_SCALE": "inf"}, "scenario.id_scale"),
+    ], ids=["env-nan", "json-nan", "env-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, monkeypatch, capsys, raw, env, field):
+        path = write_config(tmp_path, raw)  # json writes a float NaN as the literal NaN
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with pytest.raises(ConfigError, match=f"{field}: must be finite"):
+            load_config(path)
+        assert main(["run", "--config", path, "--dry-run"]) == 2
+        assert field in capsys.readouterr().err
+
     def test_env_override_disabled(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, {"seed": 0})
         monkeypatch.setenv("SKIPALIGN_TRAIN__LR0", "0.025")
@@ -151,14 +166,26 @@ class TestCliRun:
         assert any(d.endswith("-s0") for d in dirs) and any(d.endswith("-s7") for d in dirs)
 
     def test_divergent_training_exits_3(self, tmp_path, capsys):
-        raw = json.loads(json.dumps(TINY_RAW))
-        raw["train"]["lr0"] = 1e6
-        raw["train"]["epochs"] = 3
-        path = write_config(tmp_path, raw)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["run", "--config", path, "--out", str(tmp_path / "runs")])
-        assert code == 3
-        assert "diverged" in capsys.readouterr().err
+        # 3 x 5 fails in a step's forward; 1 x 3 in the epoch-end prototype refresh.
+        for epochs, iters in ((3, 5), (1, 3)):
+            raw = json.loads(json.dumps(TINY_RAW))
+            raw["train"].update(lr0=1e6, epochs=epochs, iters_per_epoch=iters)
+            path = write_config(tmp_path, raw)
+            with np.errstate(over="ignore", invalid="ignore"):
+                code = main(["run", "--config", path, "--out", str(tmp_path / "runs")])
+            assert code == 3
+            assert "diverged" in capsys.readouterr().err
+
+    def test_force_replaces_run_dir_with_subdirectory(self, tmp_path):
+        path = write_config(tmp_path, TINY_RAW)
+        out_dir = tmp_path / "runs"
+        assert main(["run", "--config", path, "--out", str(out_dir)]) == 0
+        run_dir = next(out_dir.iterdir())
+        (run_dir / "plots").mkdir()
+        (run_dir / "plots" / "loss.png").write_bytes(b"")
+        assert main(["run", "--config", path, "--out", str(out_dir), "--force"]) == 0
+        assert not (run_dir / "plots").exists()
+        assert (run_dir / "metrics.csv").exists()
 
 
 class TestCliEval:

@@ -5,11 +5,11 @@ import pytest
 
 import skipalign.tensor_losses as tl
 from skipalign.autodiff import constant, parameter
-from skipalign.data import LossReport
-from skipalign.heads import (CcTerms, HeadWeights, OdTerms, OvaOutput, ce_loss,
-                             consistency_loss, em_loss, neg_loss, ova_loss,
-                             socr_loss, total_loss)
+from skipalign.heads import (OvaOutput, ce_loss, compose, consistency_loss, em_loss,
+                             neg_loss, ova_loss, socr_loss)
 from skipalign.linalg import finite_diff_grad, softmax_rows
+from skipalign.net import ForwardTensors
+from skipalign.trainer import TrainConfig, freeze_decisions, objective
 
 RNG = np.random.default_rng(0)
 
@@ -154,16 +154,6 @@ class TestSocrLoss:
         b = OvaOutput.from_logits([[0.0, 0.5]], [[0.0, 0.0]])
         assert socr_loss(a, b) == pytest.approx(0.5, abs=1e-12)
 
-    def test_probability_mode(self):
-        a = OvaOutput.from_probs(np.array([[0.8]]))
-        b = OvaOutput.from_probs(np.array([[0.6]]))
-        assert socr_loss(a, b, on="probs") == pytest.approx(0.2 ** 2, abs=1e-12)
-
-    def test_unknown_mode(self):
-        out = random_ova(np.random.default_rng(5))
-        with pytest.raises(ValueError):
-            socr_loss(out, out, on="sigmoids")
-
 
 class TestNegLoss:
     def test_empty_selection(self):
@@ -189,44 +179,53 @@ class TestNegLoss:
             assert neg_loss(random_ova(rng), 0.3) >= 0
 
 
+WEIGHT_NAMES = ("lambda_u", "lambda_em", "lambda_socr", "lambda_neg", "lambda_cc",
+                "lambda_od", "lambda_sna", "lambda_usna", "lambda_ia", "lambda_pa")
+
+
+def weights(**nonzero) -> dict:
+    return {name: nonzero.get(name, 0.0) for name in WEIGHT_NAMES}
+
+
+def leaves(x=1.0, u=2.0, ova=3.0, em=4.0, socr=5.0, neg=6.0, usna=7.0, ia=0.0, pa=0.0):
+    return {"x": x, "u": u, "ova": ova, "em": em, "socr": socr, "neg": neg,
+            "usna": usna, "ia": ia, "pa": pa}
+
+
 class TestTotalLoss:
-    def _sna_report(self, total: float) -> LossReport:
-        return LossReport(terms={"usna": total, "ia": 0.0, "pa": 0.0},
-                          weights={"lambda_usna": 1.0, "lambda_ia": 1.0, "lambda_pa": 1.0},
-                          total=total)
+    """The weighted total as `compose` forms it from the leaf terms."""
 
     def test_all_zero_weights(self):
-        w = HeadWeights(lambda_u=0, lambda_em=0, lambda_socr=0, lambda_neg=0,
-                        lambda_cc=0, lambda_od=0, lambda_sna=0)
-        report = total_loss(CcTerms(1.0, 2.0), OdTerms(3.0, 4.0, 5.0, 6.0),
-                            self._sna_report(7.0), w)
-        assert report.total == 0.0
+        assert compose(leaves(), weights())["total"] == 0.0
 
     def test_reduces_to_ce(self):
-        w = HeadWeights(lambda_u=0, lambda_em=0, lambda_socr=0, lambda_neg=0,
-                        lambda_cc=1, lambda_od=0, lambda_sna=0)
-        report = total_loss(CcTerms(0.42, 9.0), OdTerms(1, 1, 1, 1),
-                            self._sna_report(3.0), w)
-        assert report.total == pytest.approx(0.42)
+        w = weights(lambda_cc=1, lambda_usna=1)
+        assert compose(leaves(x=0.42, u=9.0), w)["total"] == pytest.approx(0.42)
 
     def test_weighted_sum_arithmetic(self):
         # composite terms (1, 2, 3) weighted (0.5, 0.25, 0.01)
-        w = HeadWeights(lambda_u=0, lambda_em=0, lambda_socr=0, lambda_neg=0,
-                        lambda_cc=0.5, lambda_od=0.25, lambda_sna=0.01)
-        report = total_loss(CcTerms(1.0, 0.0), OdTerms(2.0, 0.0, 0.0, 0.0),
-                            self._sna_report(3.0), w)
-        assert report.total == pytest.approx(1.03, abs=1e-12)
+        w = weights(lambda_cc=0.5, lambda_od=0.25, lambda_sna=0.01, lambda_usna=1)
+        out = compose(leaves(x=1.0, u=0.0, ova=2.0, em=0.0, socr=0.0, neg=0.0, usna=3.0), w)
+        assert (out["cc"], out["od"], out["sna"]) == (1.0, 2.0, 3.0)
+        assert out["total"] == pytest.approx(1.03, abs=1e-12)
 
     def test_itemizes_seven_leaves(self):
-        report = total_loss(CcTerms(1, 2), OdTerms(3, 4, 5, 6),
-                            self._sna_report(7), HeadWeights())
-        for leaf in ("x", "u", "ova", "em", "socr", "neg", "sna"):
-            assert leaf in report.terms
+        # The training objective itemizes every leaf beside the composites.
+        rng = np.random.default_rng(7)
 
-    def test_non_finite_named(self):
-        with pytest.raises(ValueError, match="'em'"):
-            total_loss(CcTerms(1, 2), OdTerms(3, float("nan"), 5, 6),
-                       self._sna_report(7), HeadWeights())
+        def view(rows):
+            return ForwardTensors(*(constant(rng.standard_normal((rows, 2)))
+                                    for _ in range(5)))
+
+        outputs = {"x_w": view(4), "u_w": view(6), "u_w2": view(6), "u_s": view(6)}
+        cfg = TrainConfig(tau_id=0.4, eta_id=0.3)
+        decisions = freeze_decisions(outputs["u_w"], outputs["u_s"], cfg)
+        terms, w = objective(outputs, np.array([0, 0, 1, 1]), np.eye(2), decisions, cfg)
+        assert list(terms) == ["x", "u", "ova", "em", "socr", "neg", "usna", "ia", "pa",
+                               "sna", "cc", "od", "total"]
+        values = {name: term.item() for name, term in terms.items()}
+        assert compose(values, w) == {name: values[name]
+                                      for name in ("sna", "cc", "od", "total")}
 
 
 class TestLogitGradientsAgainstOracle:
@@ -278,7 +277,7 @@ class TestLogitGradientsAgainstOracle:
         ood = constant(rng.standard_normal((3, 4)))
         frozen = rng.integers(0, 2, size=(3, 4)).astype(np.float64)
         frozen[0] = 1.0  # at least one selected row
-        self._check(lambda t: tl.neg_graph(t, ood, 0.5, selected=frozen), (3, 4), seed=30)
+        self._check(lambda t: tl.neg_graph(t, ood, frozen), (3, 4), seed=30)
 
 
 class TestNumpyTapeParity:
@@ -314,13 +313,16 @@ class TestNumpyTapeParity:
         out2 = OvaOutput.from_logits(s_id2, s_ood2)
         labels = rng.integers(0, 3, size=5)
         ti, to = constant(s_id), constant(s_ood)
-        ti2, to2 = constant(s_id2), constant(s_ood2)
+        ti2 = constant(s_id2)
         assert tl.ova_graph(ti, to, labels).item() == pytest.approx(
             ova_loss(out, labels), abs=1e-12)
         assert tl.em_graph(ti, to).item() == pytest.approx(em_loss(out), abs=1e-12)
         assert tl.socr_graph(ti, ti2).item() == pytest.approx(
             socr_loss(out, out2), abs=1e-12)
-        assert tl.socr_probs_graph(ti, to, ti2, to2).item() == pytest.approx(
-            socr_loss(out, out2, on="probs"), abs=1e-12)
-        assert tl.neg_graph(ti, to, 0.4).item() == pytest.approx(
+        selected = tl.negatives(s_id, s_ood, 0.4)
+        np.testing.assert_array_equal(selected, out.id_probs < 0.4)
+        # the mask is taken from the same log-probabilities the loss builds
+        log_p_id = tl._two_way_log_probs(ti, to)[0].data
+        np.testing.assert_array_equal(selected, log_p_id < np.log(0.4))
+        assert tl.neg_graph(ti, to, selected).item() == pytest.approx(
             neg_loss(out, 0.4), abs=1e-12)

@@ -3,8 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from skipalign.linalg import (cosine_sim, finite_diff_grad, softmax, softmax_rows,
-                              tangential_project)
+from skipalign.data import EmbeddingBatch
+from skipalign.linalg import finite_diff_grad, softmax, softmax_rows
+from skipalign.prototypes import PrototypeSet, proto_similarity_profile
+from skipalign.sna import usna_grad
+
+
+def cosine_sim(a, b) -> float:
+    """Cosine similarity as the prototype similarity profile computes it."""
+    batch = EmbeddingBatch(np.asarray([a], dtype=np.float64))
+    protos = PrototypeSet.from_means(np.asarray([b], dtype=np.float64))
+    return float(proto_similarity_profile(batch, protos)[0, 0])
+
+
+def tangential_project(z, v) -> np.ndarray:
+    """(I - zz^T/||z||^2) v, as the usna gradient applies it.
+
+    With one prototype along v and the gate closed, the usna gradient is
+    v/||v|| projected off z, divided by ||z||.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    protos = PrototypeSet.from_means(v[None, :])
+    grad = usna_grad(z, protos, phi=0, k_hat=0, temperature=1.0)
+    return grad * np.linalg.norm(z) * np.linalg.norm(v)
 
 
 class TestCosineSim:
@@ -123,7 +145,7 @@ class TestFiniteDiffGrad:
 
     def test_cosine_sim_gradient(self):
         # d/dz cos(z, e1) at z=(1,1): tangential part of e1, scaled by 1/||z||.
-        g = finite_diff_grad(lambda x: cosine_sim(x, [1, 0]), [1.0, 1.0])
+        g = finite_diff_grad(lambda x: x[0] / np.linalg.norm(x), [1.0, 1.0])
         expected = 0.5 / math.sqrt(2)
         np.testing.assert_allclose(g, [expected, -expected], atol=1e-8)
 

@@ -6,8 +6,8 @@ import pytest
 from skipalign.data import EmbeddingBatch
 from skipalign.linalg import finite_diff_grad
 from skipalign.prototypes import PrototypeSet
-from skipalign.sna import (GateMask, SnaWeights, dual_gate, ia_loss, pa_loss,
-                           sna_total, usna_grad, usna_loss)
+from skipalign.heads import compose
+from skipalign.sna import SnaWeights, dual_gate, ia_loss, pa_loss, usna_grad, usna_loss
 
 
 def orthonormal_protos(k: int, dim: int, seed: int = 0) -> PrototypeSet:
@@ -236,46 +236,47 @@ class TestPaLoss:
 
 
 class TestSnaTotal:
-    def _setup(self):
-        labeled = EmbeddingBatch(np.array([[1.0, 0.0], [1.0, 0.0]]), labels=[0, 0])
-        unlabeled = EmbeddingBatch(np.array([[1.0, 0.0]]))
-        mask = GateMask(phi=np.array([1]), cc_conf=np.array([1.0]),
-                        od_conf=np.array([1.0]), pred_class=np.array([0]),
-                        tau_id=0.99, eta_id=0.5)
-        return labeled, unlabeled, mask
+    """The alignment composite as `compose` forms it from hand-valued leaves."""
+
+    LABELED = EmbeddingBatch(np.array([[1.0, 0.0], [1.0, 0.0]]), labels=[0, 0])
+
+    def _sna(self, lambda_usna, lambda_ia, lambda_pa, usna, ia, pa) -> float:
+        terms = {"x": 0.0, "u": 0.0, "ova": 0.0, "em": 0.0, "socr": 0.0, "neg": 0.0,
+                 "usna": usna, "ia": ia, "pa": pa}
+        weights = {"lambda_u": 0.0, "lambda_em": 0.0, "lambda_socr": 0.0, "lambda_neg": 0.0,
+                   "lambda_cc": 0.0, "lambda_od": 0.0, "lambda_sna": 1.0,
+                   "lambda_usna": lambda_usna, "lambda_ia": lambda_ia, "lambda_pa": lambda_pa}
+        out = compose(terms, weights)
+        assert out["total"] == out["sna"]
+        return out["sna"]
+
+    def _leaves(self):
+        # One gated unlabeled sample aligned with prototype 0, and a labeled
+        # identical pair of class 0.
+        usna = usna_loss([1.0, 0.0], TWO_PROTOS, 1, 0, 1.0)
+        ia, anchors = ia_loss(self.LABELED, 1.0)
+        pa = float(np.mean([pa_loss(z, TWO_PROTOS, 0, 1.0) for z in self.LABELED.vectors]))
+        return usna, ia, pa, anchors
 
     def test_all_zero_weights(self):
-        labeled, unlabeled, mask = self._setup()
-        w = SnaWeights(0.0, 0.0, 0.0, temperature=1.0)
-        report = sna_total(labeled, unlabeled, TWO_PROTOS, mask, w)
-        assert report.total == 0.0
+        usna, ia, pa, _ = self._leaves()
+        assert self._sna(0.0, 0.0, 0.0, usna, ia, pa) == 0.0
 
     def test_single_unlabeled_reduction(self):
-        labeled, unlabeled, mask = self._setup()
-        w = SnaWeights(1.0, 0.0, 0.0, temperature=1.0)
-        report = sna_total(labeled, unlabeled, TWO_PROTOS, mask, w)
-        assert report.total == pytest.approx(
+        usna, ia, pa, _ = self._leaves()
+        assert self._sna(1.0, 0.0, 0.0, usna, ia, pa) == pytest.approx(
             usna_loss([1, 0], TWO_PROTOS, 1, 0, 1.0), abs=1e-14)
 
     def test_composition_of_hand_values(self):
-        labeled, unlabeled, mask = self._setup()
-        w = SnaWeights(1.0, 1.0, 1.0, temperature=1.0)
-        report = sna_total(labeled, unlabeled, TWO_PROTOS, mask, w)
+        usna, ia, pa, anchors = self._leaves()
         term = -1 + math.log(math.e + 1)
         # usna: one gated aligned sample; ia: identical pair -> 0; pa: both
         # labeled samples aligned with their prototype.
-        assert report.terms["usna"] == pytest.approx(term, abs=1e-12)
-        assert report.terms["ia"] == pytest.approx(0.0, abs=1e-12)
-        assert report.terms["pa"] == pytest.approx(term, abs=1e-12)
-        assert report.total == pytest.approx(2 * term, abs=1e-12)
-        assert report.extras["ia_anchors"] == 2
-
-    def test_gate_mask_must_match(self):
-        labeled, unlabeled, _ = self._setup()
-        bad = GateMask(phi=np.array([1, 0]), cc_conf=np.ones(2), od_conf=np.ones(2),
-                       pred_class=np.zeros(2, dtype=np.int64), tau_id=0.9, eta_id=0.5)
-        with pytest.raises(ValueError):
-            sna_total(labeled, unlabeled, TWO_PROTOS, bad, SnaWeights())
+        assert usna == pytest.approx(term, abs=1e-12)
+        assert ia == pytest.approx(0.0, abs=1e-12)
+        assert pa == pytest.approx(term, abs=1e-12)
+        assert self._sna(1.0, 1.0, 1.0, usna, ia, pa) == pytest.approx(2 * term, abs=1e-12)
+        assert anchors == 2
 
 
 class TestSnaWeights:

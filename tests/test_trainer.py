@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from skipalign.config import resolve_config
-from skipalign.heads import HeadWeights, compose_total
+from skipalign.heads import HeadWeights, compose
 from skipalign.net import init_params
 from skipalign.synthdata import generate
-from skipalign.trainer import (RunLog, TrainConfig, audit_gate_flow,
+from skipalign.trainer import (RunLog, TrainConfig, TrainingDiverged, audit_gate_flow,
                                audit_loss_composition, lr_at, train)
 
 
@@ -103,6 +103,12 @@ class TestTrainLoop:
         _, runlog = train(split, cfg.net, cfg.train)
         worst = audit_loss_composition(runlog, tol=1e-12)
         assert worst <= 1e-12
+        # every composite is audited, not just the total
+        for composite in ("sna", "cc", "od"):
+            bad = RunLog(iterations=[json.loads(json.dumps(runlog.iterations[-1]))])
+            bad.iterations[0]["terms"][composite] += 1e-6
+            with pytest.raises(AssertionError):
+                audit_loss_composition(bad)
 
     def test_gate_flow_audit(self):
         cfg = tiny_config()
@@ -142,7 +148,7 @@ class TestTrainLoop:
         split = generate(cfg.scenario)
         _, runlog = train(split, cfg.net, cfg.train)
         record = runlog.iterations[-1]
-        recomposed = compose_total(record["terms"], record["weights"])
+        recomposed = compose(record["terms"], record["weights"])["total"]
         assert record["total"] == pytest.approx(recomposed, abs=1e-12)
 
 
@@ -192,11 +198,20 @@ class TestReducedConfigurations:
 
 class TestDivergenceHandling:
     def test_huge_learning_rate_aborts_with_report(self):
-        from skipalign.trainer import TrainingDiverged
-        cfg = tiny_config(lr0=1e6, epochs=3, iters_per_epoch=10)
+        # 3 x 10 fails in a step's forward; 1 x 3 in the epoch-end prototype refresh.
+        for epochs, iters in ((3, 10), (1, 3)):
+            cfg = tiny_config(lr0=1e6, epochs=epochs, iters_per_epoch=iters)
+            split = generate(cfg.scenario)
+            with np.errstate(over="ignore", invalid="ignore"):  # divergence is the point
+                with pytest.raises(TrainingDiverged) as excinfo:
+                    train(split, cfg.net, cfg.train)
+            assert excinfo.value.last_report is not None
+            assert "terms" in excinfo.value.last_report
+
+    def test_non_finite_step_aborts(self):
+        # A NaN learning rate passes the loss checks and fails in the SGD step.
+        cfg = tiny_config()
         split = generate(cfg.scenario)
-        with np.errstate(over="ignore", invalid="ignore"):  # divergence is the point
-            with pytest.raises(TrainingDiverged) as excinfo:
-                train(split, cfg.net, cfg.train)
-        assert excinfo.value.last_report is not None
-        assert "terms" in excinfo.value.last_report
+        tr = dataclasses.replace(cfg.train, lr0=float("nan"))
+        with pytest.raises(TrainingDiverged, match="non-finite"):
+            train(split, cfg.net, tr)
