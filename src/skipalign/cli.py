@@ -7,9 +7,11 @@ Verbs:
   gradcheck execute the gradient-oracle suite
   golden    compare against (or regenerate, with --write) the golden files
 
-Run directories are content-addressed by config hash and seed; an existing
-directory is refused unless --force is given. Exit codes: 0 success,
-2 invalid config or usage, 3 training diverged.
+Config files are read through `config.read_raw`; only `run` applies
+SKIPALIGN_* environment overrides, while `sweep`, `eval` and `golden` use
+the files exactly as written. Run directories are content-addressed by
+config hash and seed; an existing directory is refused unless --force is
+given. Exit codes: 0 success, 2 invalid config or usage, 3 training diverged.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, config_hash, load_config, resolve_config
-from .metrics import (EvalReport, evaluate, write_embedding_dump, write_eval_csv,
+from .config import (ConfigError, ExperimentConfig, config_hash, default_config, load_config,
+                     read_raw, resolve_config)
+from .metrics import (SCORE_RULES, EvalReport, evaluate, write_embedding_dump, write_eval_csv,
                       write_eval_json)
 from .net import load_checkpoint, save_checkpoint
 from .prototypes import PrototypeSet
@@ -35,14 +38,6 @@ from .synthdata import generate, write_manifest, write_split_csv
 from .trainer import TrainingDiverged, train
 
 SWEEP_AXES = ("eta_id", "r_u", "loss_combo", "lambda_sna")
-
-
-def _load_raw(path) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and "config" in data:
-        data = data["config"]
-    return data
 
 
 def apply_axis(raw: dict, axis: str, value) -> dict:
@@ -163,13 +158,23 @@ def _cmd_run(args) -> int:
 
 def sweep(base_raw: dict, axis: str, values: list, out_root: Path,
           seed_override: int | None = None, force: bool = False) -> list[dict]:
-    """One run per value, shared seed; returns the result table rows."""
+    """One run per value, shared seed; returns the result table rows.
+
+    The base and every value's config are resolved before the first run, so
+    bad input fails before any training.
+    """
     if axis not in SWEEP_AXES:
         raise ConfigError("axis", f"unknown sweep axis '{axis}'")
+    if axis != "loss_combo":
+        try:
+            values = [float(value) for value in values]
+        except ValueError as err:
+            raise ConfigError("values", str(err)) from None
+    resolve_config(base_raw, seed_override=seed_override)
+    cfgs = [resolve_config(apply_axis(base_raw, axis, value), seed_override=seed_override)
+            for value in values]
     rows = []
-    for value in values:
-        raw = apply_axis(base_raw, axis, value)
-        cfg = resolve_config(raw, seed_override=seed_override)
+    for value, cfg in zip(values, cfgs):
         run_dir, report = run_experiment(
             cfg, out_root, force=force,
             extra_manifest={"sweep": {"axis": axis, "value": value}})
@@ -194,19 +199,12 @@ def write_sweep_csv(rows: list[dict], axis: str, path) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    base_raw = _load_raw(args.config)
-    if args.axis not in SWEEP_AXES:
-        print(f"config error: axis: unknown sweep axis '{args.axis}'", file=sys.stderr)
-        return 2
-    values: list = []
-    if args.values.strip():
-        for token in args.values.split(","):
-            token = token.strip()
-            values.append(token if args.axis == "loss_combo" else float(token))
+    base_raw = read_raw(args.config)
+    values = [token.strip() for token in args.values.split(",")] if args.values.strip() else []
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
     rows = sweep(base_raw, args.axis, values, out_root,
                  seed_override=args.seed, force=args.force)
+    out_root.mkdir(parents=True, exist_ok=True)
     table_path = out_root / f"sweep_{args.axis}.csv"
     write_sweep_csv(rows, args.axis, table_path)
     print(f"sweep table: {table_path}")
@@ -219,7 +217,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
-    cfg = load_config(run_dir / "manifest.json", seed_override=None)
+    cfg = load_config(run_dir / "manifest.json", use_env=False)
     params = load_checkpoint(run_dir / "checkpoint.json")
     protos = _load_prototypes(run_dir / "prototypes.json")
     split = generate(cfg.scenario)
@@ -241,7 +239,7 @@ def _cmd_golden(args) -> int:
     import tempfile
 
     golden_path = Path(args.golden_path)
-    cfg = load_config(args.config) if args.config else _default_golden_config()
+    cfg = load_config(args.config, use_env=False) if args.config else default_config()
     with tempfile.TemporaryDirectory() as tmp:
         run_dir, _ = run_experiment(cfg, Path(tmp))
         fresh = (run_dir / "metrics.csv").read_bytes()
@@ -258,10 +256,6 @@ def _cmd_golden(args) -> int:
         return 0
     print("golden check FAILED: metrics differ from the committed file", file=sys.stderr)
     return 1
-
-
-def _default_golden_config() -> ExperimentConfig:
-    return resolve_config({"seed": 0})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="re-score a finished run")
     p_eval.add_argument("--run-dir", required=True)
-    p_eval.add_argument("--score-rule", default=None)
+    p_eval.add_argument("--score-rule", default=None, choices=SCORE_RULES)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_grad = sub.add_parser("gradcheck", help="run the gradient-oracle suite")

@@ -1,10 +1,11 @@
 """Experiment configuration: one JSON file, full defaults, field-level errors.
 
-The only required key is the top-level seed; everything else defaults. The
-sub-seeds for scenario, network, and trainer derive from the top seed
-unless set explicitly. Scalar fields can be overridden via environment
-variables with the SKIPALIGN_ prefix and double-underscore paths, e.g.
-SKIPALIGN_TRAIN__LR0=0.02 or SKIPALIGN_TRAIN__HEAD__LAMBDA_SNA=0.05.
+This is the only module that opens a config file. The only required key is
+the top-level seed; everything else defaults. The sub-seeds for scenario,
+network, and trainer derive from the top seed unless set explicitly.
+`load_config` applies scalar overrides from environment variables with the
+SKIPALIGN_ prefix and double-underscore paths, e.g. SKIPALIGN_TRAIN__LR0=0.02
+or SKIPALIGN_TRAIN__HEAD__LAMBDA_SNA=0.05, unless use_env is False.
 """
 
 from __future__ import annotations
@@ -140,19 +141,11 @@ def resolve_config(data: dict, seed_override: int | None = None,
     train = _build_section(TrainConfig, train_data, "train")
     if abs(train.gamma - scenario.gamma) > 1e-12:
         raise ConfigError("train.gamma", "must match scenario.gamma")
-    # Materialize the prototype-gate defaults so the manifest is standalone.
-    if train.tau_proto is None or train.eta_proto is None:
-        train = dataclasses.replace(
-            train,
-            tau_proto=train.tau_id if train.tau_proto is None else train.tau_proto,
-            eta_proto=train.eta_id if train.eta_proto is None else train.eta_proto,
-        )
     return ExperimentConfig(seed=seed, scenario=scenario, net=net, train=train)
 
 
-def load_config(path, seed_override: int | None = None,
-                use_env: bool = True) -> ExperimentConfig:
-    """Load a config file or a run manifest (its 'config' key)."""
+def read_raw(path):
+    """The raw JSON of a config file or of a run manifest (its 'config' key)."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -160,7 +153,13 @@ def load_config(path, seed_override: int | None = None,
         raise ConfigError("<file>", f"invalid JSON: {err}") from err
     if isinstance(data, dict) and "config" in data:
         data = data["config"]  # run manifests embed the resolved config
-    return resolve_config(data, seed_override=seed_override,
+    return data
+
+
+def load_config(path, seed_override: int | None = None,
+                use_env: bool = True) -> ExperimentConfig:
+    """Resolve a config file or run manifest; SKIPALIGN_* overrides apply if use_env."""
+    return resolve_config(read_raw(path), seed_override=seed_override,
                           environ=os.environ if use_env else None)
 
 

@@ -1,4 +1,4 @@
-"""Shared record type: a batch of embeddings with optional per-row metadata."""
+"""Shared record type: a batch of embeddings with optional per-row labels."""
 
 from __future__ import annotations
 
@@ -9,12 +9,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class EmbeddingBatch:
-    """A (B, d) block of embeddings with optional per-row metadata."""
+    """A (B, d) block of embeddings with optional per-row labels."""
 
     vectors: np.ndarray
     labels: np.ndarray | None = None
-    ids: np.ndarray | None = None
-    split: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=np.float64)
@@ -28,11 +26,6 @@ class EmbeddingBatch:
             if y.shape != (v.shape[0],):
                 raise ValueError("labels length does not match batch size")
             object.__setattr__(self, "labels", y)
-        if self.ids is not None:
-            ids = np.asarray(self.ids, dtype=np.int64)
-            if ids.shape != (v.shape[0],):
-                raise ValueError("ids length does not match batch size")
-            object.__setattr__(self, "ids", ids)
 
     @property
     def size(self) -> int:

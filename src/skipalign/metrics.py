@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -104,18 +104,7 @@ class EvalReport:
     missing_categories: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "score_rule": self.score_rule,
-            "auroc_per_source": dict(self.auroc_per_source),
-            "seen_auc": self.seen_auc,
-            "unseen_auc": self.unseen_auc,
-            "overall_auc": self.overall_auc,
-            "norm_by_category": dict(self.norm_by_category),
-            "cosine_by_category": dict(self.cosine_by_category),
-            "counts": dict(self.counts),
-            "missing_categories": list(self.missing_categories),
-        }
+        return asdict(self)
 
     def csv_rows(self) -> list[tuple[str, str]]:
         """Flat (key, value) rows with round-trippable float formatting."""

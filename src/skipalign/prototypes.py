@@ -11,15 +11,11 @@ convex-combination structure visible to tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import EmbeddingBatch
 from .linalg import as_matrix, unit_rows
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .sna import GateMask
 
 
 @dataclass(frozen=True)
@@ -51,16 +47,17 @@ class PrototypeSet:
 
 
 def refresh(labeled: EmbeddingBatch, unlabeled: EmbeddingBatch | None,
-            mask: "GateMask | None", gamma: float, r_u: float,
-            num_classes: int | None = None) -> PrototypeSet:
-    """Recompute prototypes from a labeled pool and gated unlabeled embeddings.
+            gamma: float, r_u: float, num_classes: int | None = None) -> PrototypeSet:
+    """Recompute prototypes from a labeled pool and gate-accepted unlabeled embeddings.
 
-    Unlabeled contributors are exactly the rows with an open gate, grouped
-    by their predicted class. A class with no labeled samples is an error;
-    a class with no unlabeled contributors keeps its labeled mean exactly.
+    `unlabeled` holds only the rows the gate accepted, each labeled with its
+    predicted class. A class with no labeled samples is an error; a class
+    with no unlabeled contributors keeps its labeled mean exactly.
     """
     if labeled.labels is None:
         raise ValueError("prototype refresh requires labeled data")
+    if unlabeled is not None and unlabeled.labels is None:
+        raise ValueError("unlabeled rows need their predicted classes as labels")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if not 0.0 <= r_u <= 1.0:
@@ -80,11 +77,9 @@ def refresh(labeled: EmbeddingBatch, unlabeled: EmbeddingBatch | None,
 
     mu_u = np.zeros((num_classes, dim))
     n_u = np.zeros(num_classes, dtype=np.int64)
-    if unlabeled is not None and unlabeled.size > 0:
-        if mask is None or mask.phi.shape[0] != unlabeled.size:
-            raise ValueError("gate mask does not match the unlabeled batch")
+    if unlabeled is not None:
         for k in range(num_classes):
-            selected = (mask.phi == 1) & (mask.pred_class == k)
+            selected = unlabeled.labels == k
             if selected.any():
                 mu_u[k] = unlabeled.vectors[selected].mean(axis=0)
                 n_u[k] = int(selected.sum())
@@ -105,7 +100,7 @@ def refresh(labeled: EmbeddingBatch, unlabeled: EmbeddingBatch | None,
 def initial_prototypes(labeled: EmbeddingBatch, gamma: float,
                        num_classes: int | None = None) -> PrototypeSet:
     """Labeled means only; the gate is not trustworthy before training."""
-    return refresh(labeled, None, None, gamma=gamma, r_u=0.0, num_classes=num_classes)
+    return refresh(labeled, None, gamma=gamma, r_u=0.0, num_classes=num_classes)
 
 
 def proto_similarity_profile(batch: EmbeddingBatch, protos: PrototypeSet) -> np.ndarray:

@@ -22,7 +22,7 @@ from . import tensor_losses as tl
 from .data import EmbeddingBatch
 from .heads import HeadWeights, OvaOutput, compose
 from .linalg import softmax_rows
-from .metrics import evaluate
+from .metrics import SCORE_RULES, evaluate
 from .net import NetSpec, ParamState, forward, init_params, sgd_step
 from .prototypes import PrototypeSet, initial_prototypes, refresh
 from .sna import GateMask, SnaWeights, dual_gate
@@ -51,8 +51,8 @@ class TrainConfig:
     tau_id: float = 0.99
     eta_id: float = 0.5
     gate_temperature: float = 0.5
-    tau_proto: float | None = None  # defaults to tau_id
-    eta_proto: float | None = None  # defaults to eta_id
+    tau_proto: float | None = None  # None: set to tau_id on construction
+    eta_proto: float | None = None  # None: set to eta_id on construction
     r_u: float = 0.5
     score_rule: str = "ova_id_at_cc_argmax"
     eval_every: int = 0  # epochs between metric snapshots; 0 = final only
@@ -66,13 +66,15 @@ class TrainConfig:
             raise ValueError("gamma must be positive")
         if self.lr0 < 0 or self.momentum < 0 or self.weight_decay < 0:
             raise ValueError("lr0, momentum, weight_decay must be non-negative")
-        for name in ("tau_id", "eta_id", "r_u"):
+        if self.tau_proto is None:
+            object.__setattr__(self, "tau_proto", self.tau_id)
+        if self.eta_proto is None:
+            object.__setattr__(self, "eta_proto", self.eta_id)
+        for name in ("tau_id", "eta_id", "tau_proto", "eta_proto", "r_u"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        for name in ("tau_proto", "eta_proto"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+        if self.score_rule not in SCORE_RULES:
+            raise ValueError(f"score_rule must be one of {', '.join(SCORE_RULES)}")
         if self.gate_temperature <= 0:
             raise ValueError("gate_temperature must be positive")
         u = self.gamma * self.batch_size
@@ -82,14 +84,6 @@ class TrainConfig:
     @property
     def unlabeled_batch(self) -> int:
         return int(round(self.gamma * self.batch_size))
-
-    @property
-    def proto_tau(self) -> float:
-        return self.tau_id if self.tau_proto is None else self.tau_proto
-
-    @property
-    def proto_eta(self) -> float:
-        return self.eta_id if self.eta_proto is None else self.eta_proto
 
 
 @dataclass
@@ -233,18 +227,11 @@ def _diverged(err: ValueError, runlog: RunLog) -> TrainingDiverged:
 
 
 def _refresh_prototypes(params, split, cfg, netspec, proto_rows, proto_pred) -> PrototypeSet:
+    """Refresh from the rows the prototype gate accepted, labeled by predicted class."""
     labeled = _clean_labeled_embeddings(params, split)
-    if proto_rows:
-        vectors = np.vstack(proto_rows)
-        pred = np.concatenate(proto_pred)
-        mask = GateMask(phi=np.ones(pred.size, dtype=np.int64),
-                        cc_conf=np.ones(pred.size), od_conf=np.ones(pred.size),
-                        pred_class=pred, tau_id=cfg.proto_tau, eta_id=cfg.proto_eta)
-        unlabeled = EmbeddingBatch(vectors)
-    else:
-        mask = None
-        unlabeled = None
-    return refresh(labeled, unlabeled, mask, gamma=cfg.gamma, r_u=cfg.r_u,
+    unlabeled = (EmbeddingBatch(np.vstack(proto_rows), labels=np.concatenate(proto_pred))
+                 if proto_rows else None)
+    return refresh(labeled, unlabeled, gamma=cfg.gamma, r_u=cfg.r_u,
                    num_classes=netspec.num_classes)
 
 
@@ -273,7 +260,7 @@ def freeze_decisions(uw, us, cfg: TrainConfig) -> Decisions:
     eta_neg = cfg.head.eta_neg
     return Decisions(
         gate=dual_gate(gate_probs, id_probs, cfg.tau_id, cfg.eta_id),
-        proto_gate=dual_gate(gate_probs, id_probs, cfg.proto_tau, cfg.proto_eta),
+        proto_gate=dual_gate(gate_probs, id_probs, cfg.tau_proto, cfg.eta_proto),
         pseudo=pseudo,
         pl_accept=pl_probs[np.arange(pseudo.size), pseudo] > cfg.head.tau_pl,
         neg_w=tl.negatives(uw.id_logits.data, uw.ood_logits.data, eta_neg),

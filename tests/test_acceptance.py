@@ -17,7 +17,7 @@ from skipalign.oracles import (ce_feature_gradient_check, full_model_gradient_ch
                                usna_gradient_check)
 from skipalign.prototypes import PrototypeSet, refresh
 from skipalign.data import EmbeddingBatch
-from skipalign.sna import GateMask, usna_grad, usna_loss
+from skipalign.sna import usna_grad, usna_loss
 from skipalign.synthdata import generate
 from skipalign.trainer import train
 
@@ -110,28 +110,24 @@ def test_criterion_03_ce_feature_gradient_identity():
 
 def test_criterion_04_prototype_algebra():
     labeled = EmbeddingBatch(np.tile([[1.0, 0.0]], (4, 1)), labels=np.zeros(4, dtype=int))
-    unlabeled = EmbeddingBatch(np.tile([[0.0, 1.0]], (8, 1)))
-    mask = GateMask(phi=np.ones(8, dtype=np.int64), cc_conf=np.ones(8),
-                    od_conf=np.ones(8), pred_class=np.zeros(8, dtype=np.int64),
-                    tau_id=0.99, eta_id=0.5)
-    protos = refresh(labeled, unlabeled, mask, gamma=2.0, r_u=0.5)
+    unlabeled = EmbeddingBatch(np.tile([[0.0, 1.0]], (8, 1)),
+                               labels=np.zeros(8, dtype=np.int64))
+    protos = refresh(labeled, unlabeled, gamma=2.0, r_u=0.5)
     np.testing.assert_array_equal(protos.mu[0], [2 / 3, 1 / 3])
 
     rng = np.random.default_rng(3)
     vecs = rng.standard_normal((12, 5))
     labels = np.repeat([0, 1, 2], 4)
     lab = EmbeddingBatch(vecs, labels=labels)
-    unl = EmbeddingBatch(rng.standard_normal((9, 5)))
-    m = GateMask(phi=np.ones(9, dtype=np.int64), cc_conf=np.ones(9), od_conf=np.ones(9),
-                 pred_class=rng.integers(0, 3, 9), tau_id=0.99, eta_id=0.5)
-    zero_r = refresh(lab, unl, m, gamma=2.0, r_u=0.0)
+    unl = EmbeddingBatch(rng.standard_normal((9, 5)), labels=rng.integers(0, 3, 9))
+    zero_r = refresh(lab, unl, gamma=2.0, r_u=0.0)
     assert np.array_equal(zero_r.mu, zero_r.mu_labeled)
-    no_unl = refresh(lab, None, None, gamma=2.0, r_u=0.5)
+    no_unl = refresh(lab, None, gamma=2.0, r_u=0.5)
     assert np.array_equal(no_unl.mu, no_unl.mu_labeled)
 
     fractions = []
     for r_u in np.linspace(0.0, 1.0, 21):
-        p = refresh(lab, unl, m, gamma=2.0, r_u=float(r_u))
+        p = refresh(lab, unl, gamma=2.0, r_u=float(r_u))
         d2 = p.mu_unlabeled[0] - p.mu_labeled[0]
         fractions.append(np.dot(p.mu[0] - p.mu_labeled[0], d2) / np.dot(d2, d2))
     assert all(b > a for a, b in zip(fractions, fractions[1:]))

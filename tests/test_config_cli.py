@@ -126,6 +126,11 @@ class TestCliRun:
         assert main(["run", "--config", path, "--dry-run"]) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_unknown_score_rule_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"seed": 0, "train": {"score_rule": "bogus"}})
+        assert main(["run", "--config", path, "--dry-run"]) == 2
+        assert "train: score_rule must be one of" in capsys.readouterr().err
+
     def test_run_writes_all_artifacts(self, tmp_path):
         path = write_config(tmp_path, TINY_RAW)
         out_dir = tmp_path / "runs"
@@ -189,7 +194,7 @@ class TestCliRun:
 
 
 class TestCliEval:
-    def test_rescore_matches_original(self, tmp_path):
+    def test_rescore_matches_original(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, TINY_RAW)
         out_dir = tmp_path / "runs"
         assert main(["run", "--config", path, "--out", str(out_dir)]) == 0
@@ -198,6 +203,11 @@ class TestCliEval:
         original = json.loads((run_dir / "eval_report.json").read_text())
         rescored = json.loads((run_dir / "rescore_ova_id_at_cc_argmax.json").read_text())
         assert rescored == original
+        # eval re-scores the manifest as written; overrides apply to run only
+        monkeypatch.setenv("SKIPALIGN_SCENARIO__TEST_ID_PER_CLASS", "40")
+        assert main(["eval", "--run-dir", str(run_dir)]) == 0
+        assert ((run_dir / "rescore_ova_id_at_cc_argmax.json").read_bytes()
+                == (run_dir / "eval_report.json").read_bytes())
 
     def test_rescore_with_alternative_rule(self, tmp_path):
         path = write_config(tmp_path, TINY_RAW)
@@ -208,13 +218,29 @@ class TestCliEval:
                      "--score-rule", "max_cc_softmax"]) == 0
         rescored = json.loads((run_dir / "rescore_max_cc_softmax.json").read_text())
         assert rescored["score_rule"] == "max_cc_softmax"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--run-dir", str(run_dir), "--score-rule", "bogus"])
+        assert exc.value.code == 2
+        assert not (run_dir / "rescore_bogus.json").exists()
 
 
 class TestCliSweep:
-    def test_unknown_axis_exits_2(self, tmp_path):
-        path = write_config(tmp_path, TINY_RAW)
-        assert main(["sweep", "--config", path, "--axis", "bogus",
-                     "--values", "1", "--out", str(tmp_path / "s")]) == 2
+    @pytest.mark.parametrize("text, axis, values, field", [
+        (json.dumps(TINY_RAW), "bogus", "1", "axis"),
+        ("{not json", "eta_id", "0.5", "<file>"),
+        ("[1, 2]", "eta_id", "0.5", "<root>"),
+        (json.dumps(TINY_RAW), "eta_id", "0.5,high", "values"),
+        (json.dumps({**TINY_RAW, "optimizer": {}}), "eta_id", "", "optimizer"),
+    ], ids=["unknown-axis", "invalid-json", "non-object", "non-numeric-value",
+            "invalid-base-empty-values"])
+    def test_unknown_axis_exits_2(self, tmp_path, capsys, text, axis, values, field):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(path), "--axis", axis,
+                     "--values", values, "--out", str(out)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_values_emit_empty_table(self, tmp_path):
         path = write_config(tmp_path, TINY_RAW)

@@ -6,14 +6,13 @@ import pytest
 from skipalign.data import EmbeddingBatch
 from skipalign.prototypes import (PrototypeSet, initial_prototypes,
                                   proto_similarity_profile, refresh)
-from skipalign.sna import GateMask
 
 
-def make_mask(pred, phi=None):
+def accepted(vectors, pred, phi=None):
+    """The rows a gate with mask phi (default: all open) passes to refresh."""
     pred = np.asarray(pred, dtype=np.int64)
-    phi = np.ones_like(pred) if phi is None else np.asarray(phi, dtype=np.int64)
-    return GateMask(phi=phi, cc_conf=np.ones(pred.size), od_conf=np.ones(pred.size),
-                    pred_class=pred, tau_id=0.99, eta_id=0.5)
+    keep = np.ones(pred.size, dtype=bool) if phi is None else np.asarray(phi) == 1
+    return EmbeddingBatch(np.asarray(vectors)[keep], labels=pred[keep])
 
 
 def labeled_batch(rng, per_class=4, k=2, dim=3):
@@ -26,50 +25,53 @@ class TestRefreshWeights:
     def test_hand_evaluated_weighting(self):
         # gamma=2, n_l=4, r_u=0.5, n_u=8: weights 8 and 4, i.e. (2/3, 1/3).
         labeled = EmbeddingBatch(np.tile([[1.0, 0.0]], (4, 1)), labels=np.zeros(4, dtype=int))
-        unlabeled = EmbeddingBatch(np.tile([[0.0, 1.0]], (8, 1)))
-        protos = refresh(labeled, unlabeled, make_mask(np.zeros(8, dtype=int)),
-                         gamma=2.0, r_u=0.5)
+        unlabeled = accepted(np.tile([[0.0, 1.0]], (8, 1)), np.zeros(8, dtype=int))
+        protos = refresh(labeled, unlabeled, gamma=2.0, r_u=0.5)
         np.testing.assert_allclose(protos.mu[0], [2 / 3, 1 / 3], atol=1e-15)
         assert protos.n_labeled[0] == 4 and protos.n_unlabeled[0] == 8
 
     def test_r_u_zero_reduces_to_labeled_means_bitwise(self):
         rng = np.random.default_rng(1)
         labeled = labeled_batch(rng)
-        unlabeled = EmbeddingBatch(rng.standard_normal((6, 3)))
-        protos = refresh(labeled, unlabeled, make_mask(rng.integers(0, 2, 6)),
-                         gamma=2.0, r_u=0.0)
+        unlabeled = accepted(rng.standard_normal((6, 3)), rng.integers(0, 2, 6))
+        protos = refresh(labeled, unlabeled, gamma=2.0, r_u=0.0)
         assert np.array_equal(protos.mu, protos.mu_labeled)
 
     def test_empty_unlabeled_class_keeps_labeled_mean_bitwise(self):
         rng = np.random.default_rng(2)
         labeled = labeled_batch(rng)
-        unlabeled = EmbeddingBatch(rng.standard_normal((5, 3)))
         # all contributors predicted as class 0; class 1 has none
-        protos = refresh(labeled, unlabeled, make_mask(np.zeros(5, dtype=int)),
-                         gamma=1.0, r_u=0.5)
+        unlabeled = accepted(rng.standard_normal((5, 3)), np.zeros(5, dtype=int))
+        protos = refresh(labeled, unlabeled, gamma=1.0, r_u=0.5)
         assert np.array_equal(protos.mu[1], protos.mu_labeled[1])
         assert not np.array_equal(protos.mu[0], protos.mu_labeled[0])
 
     def test_gated_out_rows_do_not_contribute(self):
         rng = np.random.default_rng(3)
         labeled = labeled_batch(rng)
-        unlabeled = EmbeddingBatch(rng.standard_normal((6, 3)))
-        all_closed = refresh(labeled, unlabeled,
-                             make_mask(np.zeros(6, dtype=int), phi=np.zeros(6, dtype=int)),
-                             gamma=2.0, r_u=0.7)
-        labeled_only = refresh(labeled, None, None, gamma=2.0, r_u=0.0)
+        # a closed gate accepts no rows
+        none_accepted = accepted(rng.standard_normal((6, 3)), np.zeros(6, dtype=int),
+                                 phi=np.zeros(6, dtype=int))
+        assert none_accepted.size == 0
+        all_closed = refresh(labeled, none_accepted, gamma=2.0, r_u=0.7)
+        labeled_only = refresh(labeled, None, gamma=2.0, r_u=0.0)
         assert np.array_equal(all_closed.mu, labeled_only.mu)
 
     def test_missing_labeled_class_is_error(self):
         vectors = np.ones((3, 2))
         labels = np.array([0, 0, 2])  # class 1 absent
         with pytest.raises(ValueError, match="prototype undefined"):
-            refresh(EmbeddingBatch(vectors, labels=labels), None, None, 1.0, 0.0)
+            refresh(EmbeddingBatch(vectors, labels=labels), None, 1.0, 0.0)
 
     def test_num_classes_parameter_detects_missing_tail_class(self):
         batch = EmbeddingBatch(np.ones((2, 2)), labels=np.array([0, 0]))
         with pytest.raises(ValueError, match="prototype undefined"):
-            refresh(batch, None, None, 1.0, 0.0, num_classes=2)
+            refresh(batch, None, 1.0, 0.0, num_classes=2)
+
+    def test_unlabeled_rows_need_predicted_classes(self):
+        labeled = labeled_batch(np.random.default_rng(8))
+        with pytest.raises(ValueError, match="predicted classes"):
+            refresh(labeled, EmbeddingBatch(np.ones((2, 3))), 1.0, 0.5)
 
 
 class TestInvariants:
@@ -77,8 +79,8 @@ class TestInvariants:
         rng = np.random.default_rng(4)
         for _ in range(50):
             labeled = labeled_batch(rng, per_class=3, k=3, dim=4)
-            unlabeled = EmbeddingBatch(rng.standard_normal((9, 4)))
-            protos = refresh(labeled, unlabeled, make_mask(rng.integers(0, 3, 9)),
+            unlabeled = accepted(rng.standard_normal((9, 4)), rng.integers(0, 3, 9))
+            protos = refresh(labeled, unlabeled,
                              gamma=rng.uniform(0.5, 4), r_u=rng.uniform(0, 1))
             for k in range(3):
                 hi = max(np.linalg.norm(protos.mu_labeled[k]),
@@ -94,12 +96,11 @@ class TestInvariants:
     def test_monotone_influence_of_r_u(self):
         rng = np.random.default_rng(5)
         labeled = labeled_batch(rng, per_class=4, k=2, dim=3)
-        unlabeled = EmbeddingBatch(rng.standard_normal((10, 3)) + 2.0)
-        mask = make_mask(rng.integers(0, 2, 10))
+        unlabeled = accepted(rng.standard_normal((10, 3)) + 2.0, rng.integers(0, 2, 10))
         grid = np.linspace(0.0, 1.0, 11)
         prev_weight = -1.0
         for r_u in grid:
-            protos = refresh(labeled, unlabeled, mask, gamma=2.0, r_u=float(r_u))
+            protos = refresh(labeled, unlabeled, gamma=2.0, r_u=float(r_u))
             for k in range(2):
                 if protos.n_unlabeled[k] == 0:
                     continue
@@ -117,10 +118,12 @@ class TestInvariants:
     def test_all_zero_mask_equals_r_u_zero(self):
         rng = np.random.default_rng(6)
         labeled = labeled_batch(rng)
-        unlabeled = EmbeddingBatch(rng.standard_normal((7, 3)))
-        zero_mask = make_mask(np.zeros(7, dtype=int), phi=np.zeros(7, dtype=int))
-        a = refresh(labeled, unlabeled, zero_mask, gamma=1.5, r_u=0.8)
-        b = refresh(labeled, unlabeled, make_mask(np.zeros(7, dtype=int)), gamma=1.5, r_u=0.0)
+        vectors = rng.standard_normal((7, 3))
+        pred = np.zeros(7, dtype=int)
+        # a closed gate accepts no rows
+        a = refresh(labeled, accepted(vectors, pred, phi=np.zeros(7, dtype=int)),
+                    gamma=1.5, r_u=0.8)
+        b = refresh(labeled, accepted(vectors, pred), gamma=1.5, r_u=0.0)
         assert np.array_equal(a.mu, b.mu)
 
 

@@ -51,9 +51,9 @@ class TestTrainConfig:
 
     def test_proto_thresholds_default_to_gate(self):
         cfg = TrainConfig(tau_id=0.7, eta_id=0.2)
-        assert cfg.proto_tau == 0.7 and cfg.proto_eta == 0.2
+        assert cfg.tau_proto == 0.7 and cfg.eta_proto == 0.2
         cfg = TrainConfig(tau_id=0.7, eta_id=0.2, tau_proto=0.9, eta_proto=0.4)
-        assert cfg.proto_tau == 0.9 and cfg.proto_eta == 0.4
+        assert cfg.tau_proto == 0.9 and cfg.eta_proto == 0.4
 
     def test_threshold_bounds(self):
         with pytest.raises(ValueError):
