@@ -11,7 +11,9 @@ Config files are read through `config.read_raw`; only `run` applies
 SKIPALIGN_* environment overrides, while `sweep`, `eval` and `golden` use
 the files exactly as written. Run directories are content-addressed by
 config hash and seed; an existing directory is refused unless --force is
-given. Exit codes: 0 success, 2 invalid config or usage, 3 training diverged.
+given. A run's manifest is written first with status "running" and ends
+"complete", "diverged" or "error"; a failed run keeps its directory. Exit
+codes: 0 success, 2 invalid config or usage, 3 training diverged.
 """
 
 from __future__ import annotations
@@ -87,27 +89,35 @@ def run_experiment(cfg: ExperimentConfig, out_root: Path, force: bool = False,
             "split": "split.csv",
             "scenario_manifest": "scenario_manifest.json",
         },
+        "status": "running",
         "wall_clock_s": None,
     }
     if extra_manifest:
         manifest.update(extra_manifest)
     _write_manifest(manifest, run_dir / "manifest.json")
 
-    split = generate(cfg.scenario)
-    write_manifest(split, run_dir / "scenario_manifest.json")
-    write_split_csv(split, run_dir / "split.csv")
+    try:
+        split = generate(cfg.scenario)
+        write_manifest(split, run_dir / "scenario_manifest.json")
+        write_split_csv(split, run_dir / "split.csv")
 
-    params, runlog = train(split, cfg.net, cfg.train)
-    runlog.write_jsonl(run_dir / "runlog.jsonl")
-    save_checkpoint(params, run_dir / "checkpoint.json")
-    _write_prototypes(runlog.final_prototypes, run_dir / "prototypes.json")
+        params, runlog = train(split, cfg.net, cfg.train)
+        runlog.write_jsonl(run_dir / "runlog.jsonl")
+        save_checkpoint(params, run_dir / "checkpoint.json")
+        _write_prototypes(runlog.final_prototypes, run_dir / "prototypes.json")
 
-    report = evaluate(params, split, runlog.final_prototypes,
-                      score_rule=cfg.train.score_rule)
-    write_eval_json(report, run_dir / "eval_report.json")
-    write_eval_csv(report, run_dir / "metrics.csv")
-    write_embedding_dump(params, split, run_dir / "embeddings.csv")
+        report = evaluate(params, split, runlog.final_prototypes,
+                          score_rule=cfg.train.score_rule)
+        write_eval_json(report, run_dir / "eval_report.json")
+        write_eval_csv(report, run_dir / "metrics.csv")
+        write_embedding_dump(params, split, run_dir / "embeddings.csv")
+    except BaseException as err:
+        # The run directory stays, marked as failed, for inspection.
+        manifest["status"] = "diverged" if isinstance(err, TrainingDiverged) else "error"
+        _write_manifest(manifest, run_dir / "manifest.json")
+        raise
 
+    manifest["status"] = "complete"
     manifest["wall_clock_s"] = time.time() - started
     _write_manifest(manifest, run_dir / "manifest.json")
     return run_dir, report
@@ -161,7 +171,8 @@ def sweep(base_raw: dict, axis: str, values: list, out_root: Path,
     """One run per value, shared seed; returns the result table rows.
 
     The base and every value's config are resolved before the first run, so
-    bad input fails before any training.
+    bad input, or two values giving the same config, fails before any
+    training.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError("axis", f"unknown sweep axis '{axis}'")
@@ -173,6 +184,12 @@ def sweep(base_raw: dict, axis: str, values: list, out_root: Path,
     resolve_config(base_raw, seed_override=seed_override)
     cfgs = [resolve_config(apply_axis(base_raw, axis, value), seed_override=seed_override)
             for value in values]
+    seen = {}
+    for value, cfg in zip(values, cfgs):
+        key = config_hash(cfg)
+        if key in seen:
+            raise ConfigError("values", f"{value!r} gives the same config as {seen[key]!r}")
+        seen[key] = value
     rows = []
     for value, cfg in zip(values, cfgs):
         run_dir, report = run_experiment(

@@ -4,6 +4,12 @@ The closed-set side is supervised cross-entropy plus FixMatch-style hard
 pseudo-label consistency. The detector side trains K binary sub-classifiers
 whose per-class (ID, OOD) pair comes from a two-way softmax, with entropy
 sharpening, cross-view consistency, and a pseudo-negative term on top.
+
+Every loss returns its value with its closed-form gradient with respect to
+the head outputs it reads: softmax minus one-hot for the classifier terms
+(FixMatch, arXiv 2001.07685), the two-way softmax gradient for the detector
+terms (OpenMatch, arXiv 2105.14148). Their tape twins in `tensor_losses`
+are the oracle the tests compare them with.
 """
 
 from __future__ import annotations
@@ -13,10 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix
-
-# Probabilities are floored before every log; exact zeros occur in
-# hand-built test inputs.
-PROB_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -40,20 +42,6 @@ class OvaOutput:
         z = e_id + e_ood
         return cls(id_logits=s_id, ood_logits=s_ood,
                    id_probs=e_id / z, ood_probs=e_ood / z)
-
-    @classmethod
-    def from_probs(cls, id_probs) -> "OvaOutput":
-        """Build directly from ID probabilities (logits implied via logit fn)."""
-        p = as_matrix(id_probs)
-        if np.any(p <= 0) or np.any(p >= 1):
-            raise ValueError("id probabilities must lie strictly inside (0, 1)")
-        logit = np.log(p) - np.log1p(-p)
-        return cls(id_logits=logit, ood_logits=np.zeros_like(p),
-                   id_probs=p, ood_probs=1.0 - p)
-
-    @property
-    def num_classes(self) -> int:
-        return self.id_logits.shape[1]
 
 
 @dataclass(frozen=True)
@@ -79,105 +67,130 @@ class HeadWeights:
             raise ValueError("eta_neg must lie in (0, 1)")
 
 
-def _check_labels(labels, num_classes: int) -> np.ndarray:
+def one_hot(labels, num_classes: int) -> np.ndarray:
     y = np.asarray(labels, dtype=np.int64)
-    if y.ndim != 1:
-        raise ValueError("labels must be 1-D")
+    out = np.zeros((y.size, num_classes))
+    out[np.arange(y.size), y] = 1.0
+    return out
+
+
+def check_labels(labels, num_classes: int, batch: int) -> np.ndarray:
+    """Integer labels, one per row of a batch, each in [0, num_classes)."""
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape != (batch,):
+        raise ValueError(f"expected {batch} labels, got shape {y.shape}")
     if y.size and (y.min() < 0 or y.max() >= num_classes):
         raise ValueError(f"label out of range [0, {num_classes})")
     return y
 
 
-def ce_loss(probs, labels) -> float:
-    """Mean negative log-probability of the true class."""
-    p = as_matrix(probs)
-    y = _check_labels(labels, p.shape[1])
-    if y.size != p.shape[0]:
-        raise ValueError("labels length does not match batch size")
-    picked = p[np.arange(p.shape[0]), y]
-    return float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
+def two_way_log_probs(id_logits: np.ndarray, ood_logits: np.ndarray):
+    """Log-probabilities of the per-class (ID, OOD) softmax, straight from the
+    logits, so they stay finite when a probability underflows to zero."""
+    shift = np.maximum(id_logits, ood_logits)
+    log_z = np.log(np.exp(id_logits - shift) + np.exp(ood_logits - shift)) + shift
+    return id_logits - log_z, ood_logits - log_z
 
 
-def consistency_loss(weak_probs, strong_probs, tau_pl: float) -> tuple[float, int]:
-    """Hard pseudo-label consistency between two views of unlabeled data.
+def ce(logits, labels) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of softmax(logits) against integer labels.
 
-    Samples whose weak-view confidence clears tau_pl are pseudo-labeled with
-    the weak argmax; the strong view is scored against that label. The mean
-    runs over the full batch, so rejected samples contribute zero.
+    Returns (value, gradient w.r.t. the logits): (softmax - onehot) / B.
     """
-    w = as_matrix(weak_probs)
-    s = as_matrix(strong_probs)
-    if w.shape != s.shape:
-        raise ValueError(f"shape mismatch: {w.shape} vs {s.shape}")
-    pseudo = np.argmax(w, axis=1)
-    conf = w[np.arange(w.shape[0]), pseudo]
-    accept = conf > tau_pl
-    accepted = int(accept.sum())
-    if accepted == 0:
-        return 0.0, 0
-    picked = s[np.arange(s.shape[0]), pseudo]
-    losses = -np.log(np.maximum(picked, PROB_FLOOR)) * accept
-    return float(losses.sum() / w.shape[0]), accepted
+    return consistency(logits, labels, np.ones(len(logits)))
 
 
-def ova_loss(out: OvaOutput, labels) -> float:
+def consistency(strong_logits, pseudo, accept) -> tuple[float, np.ndarray]:
+    """Hard pseudo-label consistency: cross-entropy of the strong view against
+    frozen weak-view pseudo-labels, counted only where `accept` is set.
+
+    The mean runs over the full batch, so rejected samples contribute zero.
+    Returns (value, gradient w.r.t. the strong logits).
+    """
+    n, k = strong_logits.shape
+    kept = np.asarray(accept, dtype=np.float64)[:, None]
+    y = one_hot(check_labels(pseudo, k, n), k) * kept
+    shift = np.max(strong_logits, axis=1, keepdims=True)
+    log_p = strong_logits - (np.log(np.exp(strong_logits - shift).sum(axis=1, keepdims=True))
+                             + shift)
+    value = -(log_p * y).sum(axis=1).sum() * (1.0 / n)
+    return float(value), (np.exp(log_p) * kept - y) * (1.0 / n)
+
+
+def ova(id_logits, ood_logits, labels) -> tuple[float, np.ndarray, np.ndarray]:
     """Binary cross-entropy over the K one-vs-all pairs, per labeled sample.
 
     The true class is trained toward ID, every other class toward OOD;
-    normalized by batch size.
+    normalized by batch size. Returns (value, grad ID logits, grad OOD logits).
     """
-    y = _check_labels(labels, out.num_classes)
-    if y.size != out.id_probs.shape[0]:
-        raise ValueError("labels length does not match batch size")
-    one_hot = np.zeros_like(out.id_probs)
-    one_hot[np.arange(y.size), y] = 1.0
-    log_id = np.log(np.maximum(out.id_probs, PROB_FLOOR))
-    log_ood = np.log(np.maximum(out.ood_probs, PROB_FLOOR))
-    per_sample = -(one_hot * log_id + (1.0 - one_hot) * log_ood).sum(axis=1)
-    return float(per_sample.mean())
+    n, k = id_logits.shape
+    y = one_hot(check_labels(labels, k, n), k)
+    log_p_id, log_p_ood = two_way_log_probs(id_logits, ood_logits)
+    value = -(log_p_id * y + log_p_ood * (1.0 - y)).sum(axis=1).sum() * (1.0 / n)
+    g_id = (np.exp(log_p_id) - y) * (1.0 / n)
+    return float(value), g_id, -g_id
 
 
-def em_loss(out: OvaOutput) -> float:
-    """Mean binary entropy of the per-class (ID, OOD) pairs; 0*log(0) is 0."""
-    p_id = out.id_probs
-    p_ood = out.ood_probs
-    ent = -(p_id * np.log(np.maximum(p_id, PROB_FLOOR))
-            + p_ood * np.log(np.maximum(p_ood, PROB_FLOOR)))
-    return float(ent.sum(axis=1).mean())
+def em(id_logits, ood_logits) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean binary entropy of the per-class (ID, OOD) pairs; 0*log(0) is 0.
+
+    Returns (value, grad ID logits, grad OOD logits).
+    """
+    n = id_logits.shape[0]
+    log_p_id, log_p_ood = two_way_log_probs(id_logits, ood_logits)
+    p_id, p_ood = np.exp(log_p_id), np.exp(log_p_ood)
+    value = (-(p_id * log_p_id + p_ood * log_p_ood)).sum(axis=1).sum() * (1.0 / n)
+    g_id = -(p_id * p_ood * (log_p_id - log_p_ood)) * (1.0 / n)
+    return float(value), g_id, -g_id
 
 
-def socr_loss(out_w: OvaOutput, out_w2: OvaOutput) -> float:
-    """Squared disagreement of the detector's raw ID logits across two weak views."""
-    a, b = out_w.id_logits, out_w2.id_logits
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(((a - b) ** 2).sum(axis=1).mean())
+def socr(id_logits, id_logits2) -> tuple[float, np.ndarray, np.ndarray]:
+    """Squared disagreement of the detector's raw ID logits across two weak views.
+
+    Returns (value, grad first view, grad second view).
+    """
+    if id_logits.shape != id_logits2.shape:
+        raise ValueError(f"shape mismatch: {id_logits.shape} vs {id_logits2.shape}")
+    n = id_logits.shape[0]
+    diff = id_logits - id_logits2
+    value = (diff * diff).sum(axis=1).sum() * (1.0 / n)
+    g = diff * (2.0 / n)
+    return float(value), g, -g
 
 
-def neg_loss(out: OvaOutput, eta_neg: float) -> float:
-    """Push confidently-OOD classes further toward OOD.
+def negatives(id_logits, ood_logits, eta_neg: float) -> np.ndarray:
+    """Pseudo-negative mask: 1.0 where the two-way ID probability is below eta_neg.
 
-    For each sample, averages -log(OOD probability) over the classes whose
-    ID probability sits below eta_neg; samples with no qualifying class
-    contribute zero. The OOD probability is the exact complement of the ID
-    probability under the two-way softmax.
+    Compares the log-probabilities `neg` uses, so the mask agrees bitwise
+    with the loss's values.
     """
     if not 0.0 < eta_neg < 1.0:
         raise ValueError("eta_neg must lie in (0, 1)")
-    selected = out.id_probs < eta_neg
+    log_p_id = two_way_log_probs(id_logits, ood_logits)[0]
+    return (log_p_id < np.log(eta_neg)).astype(np.float64)
+
+
+def neg(id_logits, ood_logits, selected) -> tuple[float, np.ndarray, np.ndarray]:
+    """Push confidently-OOD classes further toward OOD.
+
+    For each sample, averages -log(OOD probability) over the classes the
+    frozen mask `selected` marks (see `negatives`); samples with no selected
+    class contribute zero. Returns (value, grad ID logits, grad OOD logits).
+    """
+    n = id_logits.shape[0]
+    log_p_id, log_p_ood = two_way_log_probs(id_logits, ood_logits)
     counts = selected.sum(axis=1)
-    log_ood = np.log(np.maximum(out.ood_probs, PROB_FLOOR))
-    per_sample = np.where(counts > 0,
-                          -(selected * log_ood).sum(axis=1) / np.maximum(counts, 1),
-                          0.0)
-    return float(per_sample.mean())
+    scale = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
+    value = (-(log_p_ood * selected).sum(axis=1) * scale).sum() * (1.0 / n)
+    g_id = selected * (scale * (1.0 / n))[:, None] * np.exp(log_p_id)
+    return float(value), g_id, -g_id
 
 
 def compose(terms: dict, weights: dict) -> dict:
     """The composites sna, cc and od and the weighted total, from the nine leaves.
 
-    Works on floats (log audits) and on tape tensors (training) alike. The
-    expression shapes fix the order in which backward sums gradients.
+    Works on floats (training and log audits) and on tape tensors (the
+    gradient oracle) alike.
     """
     w = weights
     sna = (w["lambda_usna"] * terms["usna"] + w["lambda_ia"] * terms["ia"]

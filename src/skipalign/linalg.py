@@ -36,15 +36,6 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
-def unit(v: np.ndarray) -> np.ndarray:
-    """v / ||v||, rejecting degenerate vectors."""
-    v = as_vector(v)
-    n = float(np.linalg.norm(v))
-    if n < MIN_NORM:
-        raise ValueError("degenerate vector: norm below 1e-30")
-    return v / n
-
-
 def unit_rows(m: np.ndarray) -> np.ndarray:
     """Row-normalized copy of a matrix; any near-zero row is an error."""
     m = as_matrix(m)
@@ -55,16 +46,6 @@ def unit_rows(m: np.ndarray) -> np.ndarray:
     return m / norms[:, None]
 
 
-def softmax(logits, temperature: float = 1.0) -> np.ndarray:
-    """Max-shifted softmax of a vector of logits at the given temperature."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    x = as_vector(logits) / temperature
-    x = x - np.max(x)
-    e = np.exp(x)
-    return e / np.sum(e)
-
-
 def softmax_rows(logits, temperature: float = 1.0) -> np.ndarray:
     """Row-wise max-shifted softmax of a matrix of logits."""
     if temperature <= 0:
@@ -73,12 +54,6 @@ def softmax_rows(logits, temperature: float = 1.0) -> np.ndarray:
     x = x - np.max(x, axis=1, keepdims=True)
     e = np.exp(x)
     return e / np.sum(e, axis=1, keepdims=True)
-
-
-def logsumexp_rows(x: np.ndarray) -> np.ndarray:
-    """Stable row-wise log-sum-exp with a detached max shift."""
-    m = np.max(x, axis=1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(x - m), axis=1, keepdims=True)))[:, 0]
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, step: float = 1e-6) -> np.ndarray:

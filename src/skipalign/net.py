@@ -1,21 +1,25 @@
-"""A tiny fully-connected network with exact reverse-mode gradients.
+"""A tiny fully-connected network with an exact hand-written backward.
 
 Shared MLP backbone -> feature f; three heads on top of f: a projection
 head producing the alignment embedding z (one hidden rectified layer, or a
 single linear map), a linear K-way classifier, and a linear one-vs-all
-detector emitting K (ID, OOD) logit pairs. Plain momentum SGD; checkpoints
-round-trip bitwise via hex-encoded float64.
+detector emitting K (ID, OOD) logit pairs. `backward` forwards every view
+of a step as one stacked batch and propagates the head gradients the loss
+returns back through the layout in closed form; `forward_tensors` builds
+the same network on the autodiff tape, the oracle the tests check it with.
+Plain momentum SGD; checkpoints round-trip bitwise via hex-encoded float64.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .autodiff import Tensor, constant, parameter
+from .autodiff import Tensor, constant
 from .heads import OvaOutput
 
 CHECKPOINT_VERSION = 1
@@ -63,7 +67,7 @@ def layout(spec: NetSpec) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def param_count(spec: NetSpec) -> int:
-    return sum(int(np.prod(shape)) for _, shape in layout(spec))
+    return sum(math.prod(shape) for _, shape in layout(spec))
 
 
 @dataclass
@@ -74,22 +78,20 @@ class ParamState:
     _offsets: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        expected = param_count(self.spec)
-        if self.flat.shape != (expected,):
-            raise ValueError(f"parameter vector has {self.flat.shape[0]} entries, expected {expected}")
+        offsets = {}
+        end = 0
+        for name, shape in layout(self.spec):
+            offsets[name] = (end, end + math.prod(shape), shape)
+            end += math.prod(shape)
+        if self.flat.shape != (end,):
+            raise ValueError(f"parameter vector has {self.flat.shape[0]} entries, expected {end}")
         if not np.all(np.isfinite(self.flat)):
             raise ValueError("parameters have non-finite entries")
-        offset = 0
-        offsets = {}
-        for name, shape in layout(self.spec):
-            size = int(np.prod(shape))
-            offsets[name] = (offset, shape)
-            offset += size
         self._offsets = offsets
 
     def view(self, name: str) -> np.ndarray:
-        offset, shape = self._offsets[name]
-        return self.flat[offset:offset + int(np.prod(shape))].reshape(shape)
+        start, end, shape = self._offsets[name]
+        return self.flat[start:end].reshape(shape)
 
     def names(self) -> list[str]:
         return [name for name, _ in layout(self.spec)]
@@ -119,24 +121,51 @@ class ForwardResult:
     ova: OvaOutput
     feature_norms: np.ndarray  # (B,) per-sample ||f||, for geometry statistics
 
+    def rows(self, index) -> "ForwardResult":
+        """The outputs of a subset of the batch's rows."""
+        o = self.ova
+        return ForwardResult(self.features[index], self.embeddings[index],
+                             self.cc_logits[index],
+                             OvaOutput(o.id_logits[index], o.ood_logits[index],
+                                       o.id_probs[index], o.ood_probs[index]),
+                             self.feature_norms[index])
 
-def _forward_core(spec: NetSpec, get: Callable[[str], object], x, relu: Callable):
-    """Architecture shared by the numpy and autodiff paths."""
+
+def _forward_core(spec: NetSpec, get: Callable[[str], object], x, relu: Callable,
+                  layer_inputs: dict | None = None):
+    """Architecture shared by the numpy paths and the autodiff oracle.
+
+    Returns f, z, cc, od; `layer_inputs`, if given, receives the input each
+    linear layer read, by layer name, for the hand-written backward.
+    """
+    def linear(name, a):
+        if layer_inputs is not None:
+            layer_inputs[name] = a
+        return a @ get(f"{name}.W") + get(f"{name}.b")
+
     h = x
     n_backbone = len(spec.backbone_widths) + 1
     for i in range(n_backbone):
-        h = h @ get(f"backbone{i}.W") + get(f"backbone{i}.b")
+        h = linear(f"backbone{i}", h)
         if i < n_backbone - 1:  # feature output stays linear
             h = relu(h)
     f = h
     if spec.proj_nonlinear:
-        p = relu(f @ get("proj0.W") + get("proj0.b"))
-        z = p @ get("proj1.W") + get("proj1.b")
+        z = linear("proj1", relu(linear("proj0", f)))
     else:
-        z = f @ get("proj0.W") + get("proj0.b")
-    cc = f @ get("cc.W") + get("cc.b")
-    od = f @ get("od.W") + get("od.b")
-    return f, z, cc, od
+        z = linear("proj0", f)
+    return f, z, linear("cc", f), linear("od", f)
+
+
+def _relu(v: np.ndarray) -> np.ndarray:
+    return np.maximum(v, 0.0)
+
+
+def _result(spec: NetSpec, f, z, cc, od) -> ForwardResult:
+    k = spec.num_classes
+    return ForwardResult(features=f, embeddings=z, cc_logits=cc,
+                         ova=OvaOutput.from_logits(od[:, :k], od[:, k:]),
+                         feature_norms=np.linalg.norm(f, axis=1))
 
 
 def forward(params: ParamState, x) -> ForwardResult:
@@ -144,12 +173,8 @@ def forward(params: ParamState, x) -> ForwardResult:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.spec.input_dim:
         raise ValueError(f"expected (B, {params.spec.input_dim}) inputs, got {x.shape}")
-    f, z, cc, od = _forward_core(params.spec, params.view, x,
-                                 relu=lambda v: np.maximum(v, 0.0))
-    k = params.spec.num_classes
-    ova = OvaOutput.from_logits(od[:, :k], od[:, k:])
-    return ForwardResult(features=f, embeddings=z, cc_logits=cc, ova=ova,
-                         feature_norms=np.linalg.norm(f, axis=1))
+    f, z, cc, od = _forward_core(params.spec, params.view, x, relu=_relu)
+    return _result(params.spec, f, z, cc, od)
 
 
 @dataclass(frozen=True)
@@ -163,44 +188,69 @@ class ForwardTensors:
 
 def forward_tensors(spec: NetSpec, params: Mapping[str, Tensor], x) -> ForwardTensors:
     """Forward pass on the autodiff tape; validates every layer output."""
-    def get(name: str) -> Tensor:
-        return params[name]
-
-    def checked_relu(v: Tensor) -> Tensor:
-        return v.relu()
-
     xt = constant(np.asarray(x, dtype=np.float64))
-    f, z, cc, od = _forward_core(spec, get, xt, relu=checked_relu)
-    for name, t in (("backbone", f), ("projection", z), ("classifier", cc), ("detector", od)):
-        if not np.all(np.isfinite(t.data)):
-            raise ValueError(f"non-finite activation in layer '{name}'")
+    f, z, cc, od = _forward_core(spec, params.__getitem__, xt, relu=Tensor.relu)
+    _check_finite(f.data, z.data, cc.data, od.data)
     k = spec.num_classes
     return ForwardTensors(features=f, embeddings=z, cc_logits=cc,
                           id_logits=od[:, :k], ood_logits=od[:, k:])
 
 
-def param_tensors(params: ParamState) -> dict[str, Tensor]:
-    return {name: parameter(params.view(name)) for name in params.names()}
+def _check_finite(f, z, cc, od) -> None:
+    for name, value in (("backbone", f), ("projection", z), ("classifier", cc), ("detector", od)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"non-finite activation in layer '{name}'")
 
 
 def backward(params: ParamState, inputs: Mapping[str, np.ndarray],
-             loss_closure: Callable[[Mapping[str, ForwardTensors]], Tensor]) -> np.ndarray:
-    """Exact gradient of a scalar loss with respect to all parameters.
+             closure: Callable[[Mapping[str, ForwardResult]], tuple[float, dict]]) -> np.ndarray:
+    """Exact gradient of a scalar objective with respect to all parameters.
 
-    `inputs` maps batch names to (B, d_in) arrays; the closure receives the
-    corresponding forward outputs and returns the scalar loss node.
+    `inputs` maps view names to (B, d_in) arrays. The views are stacked
+    into one batch and forwarded once; the closure receives each view's
+    ForwardResult and returns (loss, grads), where grads[view][head] is the
+    loss gradient w.r.t. that view's "embeddings", "cc_logits", "id_logits"
+    or "ood_logits" (a missing entry is zero). The gradient then flows back
+    by hand through the layout: heads, projection, backbone.
     """
-    tensors = param_tensors(params)
-    outputs = {name: forward_tensors(params.spec, tensors, x) for name, x in inputs.items()}
-    loss = loss_closure(outputs)
-    if not np.isfinite(loss.data):
+    spec = params.spec
+    x = np.concatenate([inputs[view] for view in inputs])
+    layer_inputs = {}
+    f, z, cc, od = _forward_core(spec, params.view, x, relu=_relu, layer_inputs=layer_inputs)
+    _check_finite(f, z, cc, od)
+    stacked = _result(spec, f, z, cc, od)
+    ends = np.cumsum([len(rows) for rows in inputs.values()])
+    spans = {view: slice(end - len(inputs[view]), end) for view, end in zip(inputs, ends)}
+    loss, head_grads = closure({view: stacked.rows(rows) for view, rows in spans.items()})
+    if not np.isfinite(loss):
         raise ValueError("non-finite loss")
-    loss.backward()
-    grads = []
-    for name in params.names():
-        g = tensors[name].grad
-        grads.append(np.zeros(tensors[name].data.size) if g is None else g.ravel())
-    return np.concatenate(grads)
+
+    k = spec.num_classes
+    g_z, g_cc, g_od = np.zeros_like(z), np.zeros_like(cc), np.zeros_like(od)
+    targets = {"embeddings": g_z, "cc_logits": g_cc,
+               "id_logits": g_od[:, :k], "ood_logits": g_od[:, k:]}
+    for view, by_head in head_grads.items():
+        for head, g in by_head.items():
+            targets[head][spans[view]] = g
+
+    grads = {}
+
+    def through(name: str, g: np.ndarray) -> np.ndarray:
+        """Record a linear layer's weight gradients; return its input's gradient."""
+        grads[f"{name}.W"] = layer_inputs[name].T @ g
+        grads[f"{name}.b"] = g.sum(axis=0)
+        return g @ params.view(f"{name}.W").T
+
+    g = through("cc", g_cc) + through("od", g_od)  # the features' gradient
+    if spec.proj_nonlinear:
+        g += through("proj0", through("proj1", g_z) * (layer_inputs["proj1"] > 0))
+    else:
+        g += through("proj0", g_z)
+    for i in reversed(range(len(spec.backbone_widths) + 1)):
+        g = through(f"backbone{i}", g)
+        if i > 0:
+            g *= layer_inputs[f"backbone{i}"] > 0
+    return np.concatenate([grads[name].ravel() for name in params.names()])
 
 
 def sgd_step(params: ParamState, grads: np.ndarray, lr: float, momentum: float = 0.0,

@@ -5,7 +5,9 @@ when the dual gate fires; everything else receives a softmax-weighted
 angular repulsion from all prototypes. Labeled embeddings get supervised
 instance-wise and prototype alignment. All similarities are cosine on
 unit-normalized copies, so every loss here depends on an embedding only
-through its direction.
+through its direction, and each returns its value with its angular
+gradient w.r.t. the embeddings. Their tape twins in `tensor_losses` are
+the oracle the tests compare them with.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingBatch
-from .linalg import as_matrix, as_vector, logsumexp_rows, softmax, unit, unit_rows
-from .prototypes import PrototypeSet
+from .heads import check_labels, one_hot
+from .linalg import MIN_NORM, as_matrix
 
 # Additive mask that removes an entry from a log-sum-exp exactly.
 _NEG_INF = -1e30
@@ -84,76 +85,80 @@ def dual_gate(cc_probs, od_id_probs, tau_id: float, eta_id: float) -> GateMask:
                     tau_id=tau_id, eta_id=eta_id)
 
 
-def _proto_sims(z: np.ndarray, protos: PrototypeSet) -> np.ndarray:
-    zh = unit(as_vector(z))
-    return protos.unit_directions() @ zh
+def _unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows and the (B, 1) norms they were divided by."""
+    norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
+    if np.any(norms < MIN_NORM):
+        raise ValueError("degenerate vector: cannot normalize a zero row")
+    return z / norms, norms
 
 
-def usna_loss(z, protos: PrototypeSet, phi: int, k_hat: int, temperature: float) -> float:
-    """Unlabeled selective non-alignment loss for one embedding."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    sims = _proto_sims(z, protos)
-    if not 0 <= k_hat < sims.size:
-        raise ValueError(f"class index {k_hat} out of range for {sims.size} prototypes")
-    scaled = sims / temperature
-    m = np.max(scaled)
-    lse = m + np.log(np.sum(np.exp(scaled - m)))
-    return float(-phi * scaled[k_hat] + lse)
+def _tangential(grad_unit: np.ndarray, unit_rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. z from the gradient w.r.t. z/||z||: the radial part is
+    projected out, so the result is orthogonal to each row of z."""
+    radial = (grad_unit * unit_rows).sum(axis=1, keepdims=True)
+    return (grad_unit - radial * unit_rows) / norms
 
 
-def usna_grad(z, protos: PrototypeSet, phi: int, k_hat: int, temperature: float) -> np.ndarray:
-    """Analytic gradient of usna_loss with respect to the embedding.
+def usna(z, unit_protos, phi, pred_class, temperature: float) -> tuple[float, np.ndarray]:
+    """Batch-mean unlabeled selective non-alignment loss and its angular gradient.
 
-    Purely angular by construction: the radial component is projected out,
-    so the result is orthogonal to z up to rounding.
+    Row i is pulled toward prototype pred_class[i] when phi[i] is 1; every
+    row is repelled from all prototypes by the softmax over their scaled
+    cosines. Returns (value, gradient w.r.t. z); each gradient row is
+    orthogonal to its embedding.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    z = as_vector(z)
-    norm = float(np.linalg.norm(z))
-    if norm < 1e-30:
-        raise ValueError("degenerate vector: norm below 1e-30")
-    mu_hat = protos.unit_directions()
-    if not 0 <= k_hat < mu_hat.shape[0]:
-        raise ValueError(f"class index {k_hat} out of range for {mu_hat.shape[0]} prototypes")
-    zh = z / norm
-    sims = mu_hat @ zh
-    alpha = softmax(sims, temperature)
-    direction = alpha @ mu_hat - phi * mu_hat[k_hat]
-    tangential = direction - np.dot(zh, direction) * zh
-    return tangential / (temperature * norm)
+    n = z.shape[0]
+    k = unit_protos.shape[0]
+    pull = one_hot(check_labels(pred_class, k, n), k) * np.asarray(phi, dtype=np.float64)[:, None]
+    zh, norms = _unit_rows(z)
+    scaled = (zh @ unit_protos.T) * (1.0 / temperature)
+    shift = np.max(scaled, axis=1, keepdims=True)
+    e = np.exp(scaled - shift)
+    total = e.sum(axis=1, keepdims=True)
+    lse = (np.log(total) + shift).reshape(-1)
+    value = (lse - (scaled * pull).sum(axis=1)).sum() * (1.0 / n)
+    grad_unit = ((e / total - pull) @ unit_protos) * (1.0 / (temperature * n))
+    return float(value), _tangential(grad_unit, zh, norms)
 
 
-def ia_loss(batch: EmbeddingBatch, temperature: float) -> tuple[float, int]:
-    """Instance-wise alignment over a labeled batch.
+def pa(z, unit_protos, labels, temperature: float) -> tuple[float, np.ndarray]:
+    """Prototype alignment: `usna` with the gate always open for labeled samples."""
+    return usna(z, unit_protos, np.ones(z.shape[0]), labels, temperature)
 
-    Returns (loss, contributing_anchors). Anchors with no same-class
-    partner are skipped; a batch with all-distinct labels yields (0.0, 0).
+
+def ia(z, labels, temperature: float) -> tuple[float, np.ndarray]:
+    """Instance-wise alignment over a labeled batch, and its gradient w.r.t. z.
+
+    Cosine similarities on unit rows, the anchor itself masked out of the
+    denominator, anchors without a same-class partner excluded from the
+    mean; with no such anchor the loss is (0.0, zeros).
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    if batch.labels is None:
-        raise ValueError("instance-wise alignment requires labels")
-    if batch.size < 2:
-        raise ValueError("instance-wise alignment requires a batch of at least 2")
-    zh = unit_rows(batch.vectors)
-    sims = zh @ zh.T / temperature
-    off_diag = np.full_like(sims, 0.0)
-    np.fill_diagonal(off_diag, _NEG_INF)
-    lse = logsumexp_rows(sims + off_diag)
-    positives = (batch.labels[:, None] == batch.labels[None, :])
-    np.fill_diagonal(positives, False)
+    n = z.shape[0]
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape != (n,):
+        raise ValueError(f"expected {n} labels, got shape {y.shape}")
+    zh, norms = _unit_rows(z)
+    positives = (y[:, None] == y[None, :]).astype(np.float64)
+    np.fill_diagonal(positives, 0.0)
     counts = positives.sum(axis=1)
     contributing = counts > 0
     n_anchors = int(contributing.sum())
     if n_anchors == 0:
-        return 0.0, 0
-    log_prob = sims - lse[:, None]
-    per_anchor = -(positives * log_prob).sum(axis=1)[contributing] / counts[contributing]
-    return float(per_anchor.mean()), n_anchors
-
-
-def pa_loss(z, protos: PrototypeSet, y: int, temperature: float) -> float:
-    """Prototype alignment for a labeled embedding: the always-pulled case."""
-    return usna_loss(z, protos, phi=1, k_hat=y, temperature=temperature)
+        return 0.0, np.zeros_like(z)
+    sims = (zh @ zh.T) * (1.0 / temperature)
+    masked = sims + np.diag(np.full(n, _NEG_INF))
+    shift = np.max(masked, axis=1, keepdims=True)
+    e = np.exp(masked - shift)
+    total = e.sum(axis=1, keepdims=True)
+    log_prob = sims - (np.log(total) + shift)
+    weights = np.where(contributing, 1.0 / np.maximum(counts, 1.0), 0.0)
+    value = (-(log_prob * positives).sum(axis=1) * weights).sum() * (1.0 / n_anchors)
+    grad_sims = (contributing[:, None] * (e / total) - weights[:, None] * positives) \
+        * (1.0 / n_anchors)
+    grad_unit = ((grad_sims + grad_sims.T) @ zh) * (1.0 / temperature)
+    return float(value), _tangential(grad_unit, zh, norms)

@@ -274,34 +274,6 @@ def write_split_csv(split: Split, path) -> None:
                             + [repr(float(v)) for v in split.test_x[i]])
 
 
-def load_split_csv(path, scenario: ScenarioSpec | None = None) -> Split:
-    """Inverse of write_split_csv; the manifest is not recoverable from CSV."""
-    rows = {"labeled": [], "unlabeled": [], "test": []}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 4
-        for row in reader:
-            rows[row[0]].append(row)
-
-    def unpack(items, with_label: bool):
-        x = np.array([[float(v) for v in r[4:]] for r in items]) if items else np.zeros((0, dim))
-        ids = np.array([int(r[1]) for r in items], dtype=np.int64)
-        cats = [r[2] for r in items]
-        if with_label:
-            y = np.array([int(r[3]) for r in items], dtype=np.int64)
-            return x, ids, cats, y
-        return x, ids, cats
-
-    lx, lids, _, ly = unpack(rows["labeled"], with_label=True)
-    ux, uids, ucat = unpack(rows["unlabeled"], with_label=False)
-    tx, tids, tcat = unpack(rows["test"], with_label=False)
-    return Split(labeled_x=lx, labeled_y=ly, labeled_ids=lids,
-                 unlabeled_x=ux, unlabeled_ids=uids, unlabeled_category=ucat,
-                 test_x=tx, test_ids=tids, test_category=tcat,
-                 manifest={}, scenario=scenario)
-
-
 def write_manifest(split: Split, path) -> None:
     with open(path, "w") as fh:
         json.dump(split.manifest, fh, indent=2)

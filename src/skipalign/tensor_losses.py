@@ -1,10 +1,11 @@
-"""Differentiable twins of the loss functions, built on the autodiff tape.
+"""Tape twins of the closed-form losses in `heads` and `sna`: the gradient oracle.
 
-Each builder mirrors its numpy counterpart operation for operation (same
-log-sum-exp shifts, same reductions) so the scalar values agree to float
-rounding; the tests assert that parity. Discrete decisions (gates, pseudo-
-labels, negative selections) enter as constants: gradients never flow
-through threshold comparisons or argmaxes.
+Each builder computes its loss operation for operation as the closed form
+does (same log-sum-exp shifts, same reductions), so values agree to float
+rounding, and reverse mode derives the gradient the closed form writes
+down; the tests assert both. Discrete decisions (gates, pseudo-labels,
+negative selections) enter as constants: gradients never flow through
+threshold comparisons or argmaxes.
 """
 
 from __future__ import annotations
@@ -12,20 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, constant, logsumexp, normalize_rows
+from .heads import one_hot
 
 _NEG_INF = -1e30
-
-
-def _one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((indices.size, num_classes))
-    out[np.arange(indices.size), indices] = 1.0
-    return out
 
 
 def ce_graph(cc_logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of softmax(logits) against integer labels."""
     log_probs = cc_logits - logsumexp(cc_logits, axis=1)
-    y = _one_hot(np.asarray(labels, dtype=np.int64), cc_logits.shape[1])
+    y = one_hot(labels, cc_logits.shape[1])
     return -(log_probs * y).sum(axis=1).mean()
 
 
@@ -37,7 +33,7 @@ def consistency_graph(strong_logits: Tensor, pseudo_labels: np.ndarray,
     runs over the full batch.
     """
     log_probs = strong_logits - logsumexp(strong_logits, axis=1)
-    y = _one_hot(np.asarray(pseudo_labels, dtype=np.int64), strong_logits.shape[1])
+    y = one_hot(pseudo_labels, strong_logits.shape[1])
     weights = y * np.asarray(accept, dtype=np.float64)[:, None]
     batch = strong_logits.shape[0]
     return -(log_probs * weights).sum() * (1.0 / batch)
@@ -61,7 +57,7 @@ def _two_way_log_probs(id_logits: Tensor, ood_logits: Tensor):
 def ova_graph(id_logits: Tensor, ood_logits: Tensor, labels: np.ndarray) -> Tensor:
     """One-vs-all binary cross-entropy for labeled samples."""
     log_p_id, log_p_ood = _two_way_log_probs(id_logits, ood_logits)
-    y = _one_hot(np.asarray(labels, dtype=np.int64), id_logits.shape[1])
+    y = one_hot(labels, id_logits.shape[1])
     per_sample = -(log_p_id * y + log_p_ood * (1.0 - y)).sum(axis=1)
     return per_sample.mean()
 
@@ -80,19 +76,8 @@ def socr_graph(a: Tensor, b: Tensor) -> Tensor:
     return ((a - b) ** 2).sum(axis=1).mean()
 
 
-def negatives(id_logits: np.ndarray, ood_logits: np.ndarray, eta_neg: float) -> np.ndarray:
-    """Pseudo-negative mask: 1.0 where the two-way ID probability is below eta_neg.
-
-    Compares log-probabilities computed with the operations of
-    `_two_way_log_probs`, so the mask agrees bitwise with the loss's values.
-    """
-    shift = np.maximum(id_logits, ood_logits)
-    log_z = np.log(np.exp(id_logits - shift) + np.exp(ood_logits - shift)) + shift
-    return (id_logits - log_z < np.log(eta_neg)).astype(np.float64)
-
-
 def neg_graph(id_logits: Tensor, ood_logits: Tensor, selected: np.ndarray) -> Tensor:
-    """Pseudo-negative loss over a frozen selection mask (see `negatives`)."""
+    """Pseudo-negative loss over a frozen selection mask (see `heads.negatives`)."""
     log_p_ood = _two_way_log_probs(id_logits, ood_logits)[1]
     counts = selected.sum(axis=1)
     scale = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
@@ -109,7 +94,7 @@ def usna_graph(embeddings: Tensor, unit_protos: np.ndarray, phi: np.ndarray,
     """
     sims = normalize_rows(embeddings) @ constant(unit_protos.T)
     scaled = sims * (1.0 / temperature)
-    pull_pick = _one_hot(np.asarray(pred_class, dtype=np.int64), unit_protos.shape[0])
+    pull_pick = one_hot(pred_class, unit_protos.shape[0])
     pull_pick *= np.asarray(phi, dtype=np.float64)[:, None]
     pulled = (scaled * pull_pick).sum(axis=1)
     lse = logsumexp(scaled, axis=1).reshape(-1)

@@ -2,8 +2,10 @@
 momentum SGD under a cosine schedule, and per-epoch prototype refresh.
 
 Per iteration: sample a labeled batch and gamma-times-larger unlabeled
-batch, draw augmented views, forward them, freeze the gate/pseudo-label
-decisions from the weak unlabeled view, backprop the weighted total, and
+batch, draw augmented views, forward them as one stacked batch, freeze the
+gate/pseudo-label decisions from the weak unlabeled view, evaluate every
+loss term with its closed-form gradient w.r.t. the head outputs, backprop
+the weighted total by hand through the network (`net.backward`), and
 step. Gate-accepted unlabeled embeddings accumulate across the epoch and
 feed the prototype refresh at the epoch boundary; the labeled side of the
 refresh is a clean (unaugmented) pass over the full labeled set.
@@ -18,14 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import net as net_mod
-from . import tensor_losses as tl
 from .data import EmbeddingBatch
-from .heads import HeadWeights, OvaOutput, compose
+from .heads import HeadWeights, ce, compose, consistency, em, neg, negatives, ova, socr
 from .linalg import softmax_rows
 from .metrics import SCORE_RULES, evaluate
-from .net import NetSpec, ParamState, forward, init_params, sgd_step
+from .net import ForwardResult, NetSpec, ParamState, forward, init_params, sgd_step
 from .prototypes import PrototypeSet, initial_prototypes, refresh
-from .sna import GateMask, SnaWeights, dual_gate
+from .sna import GateMask, SnaWeights, dual_gate, ia, pa, usna
 from .synthdata import Split, augment_views
 
 
@@ -177,8 +178,8 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
                       "u_w2": u_views["weak2"], "u_s": u_views["strong"]}
 
             info: dict = {}
-            closure = _make_closure(cfg, yb, protos, info)
             try:
+                closure = _make_closure(cfg, yb, protos, info)
                 grads = net_mod.backward(params, inputs, closure)
                 params, velocity = sgd_step(params, grads, lr=lr, momentum=cfg.momentum,
                                             weight_decay=cfg.weight_decay, velocity=velocity)
@@ -235,6 +236,10 @@ def _refresh_prototypes(params, split, cfg, netspec, proto_rows, proto_pred) -> 
                    num_classes=netspec.num_classes)
 
 
+# The objective's leaf terms, in the order they are logged.
+LEAVES = ("x", "u", "ova", "em", "socr", "neg", "usna", "ia", "pa")
+
+
 @dataclass(frozen=True)
 class Decisions:
     """One step's discrete choices, frozen from forward values.
@@ -250,12 +255,11 @@ class Decisions:
     neg_s: np.ndarray
 
 
-def freeze_decisions(uw, us, cfg: TrainConfig) -> Decisions:
+def freeze_decisions(uw: ForwardResult, us: ForwardResult, cfg: TrainConfig) -> Decisions:
     """Every frozen per-step choice, from the weak and strong unlabeled views."""
-    cc_logits = uw.cc_logits.data
-    gate_probs = softmax_rows(cc_logits, cfg.gate_temperature)
-    id_probs = OvaOutput.from_logits(uw.id_logits.data, uw.ood_logits.data).id_probs
-    pl_probs = softmax_rows(cc_logits)
+    gate_probs = softmax_rows(uw.cc_logits, cfg.gate_temperature)
+    id_probs = uw.ova.id_probs
+    pl_probs = softmax_rows(uw.cc_logits)
     pseudo = np.argmax(pl_probs, axis=1)
     eta_neg = cfg.head.eta_neg
     return Decisions(
@@ -263,48 +267,70 @@ def freeze_decisions(uw, us, cfg: TrainConfig) -> Decisions:
         proto_gate=dual_gate(gate_probs, id_probs, cfg.tau_proto, cfg.eta_proto),
         pseudo=pseudo,
         pl_accept=pl_probs[np.arange(pseudo.size), pseudo] > cfg.head.tau_pl,
-        neg_w=tl.negatives(uw.id_logits.data, uw.ood_logits.data, eta_neg),
-        neg_s=tl.negatives(us.id_logits.data, us.ood_logits.data, eta_neg),
+        neg_w=negatives(uw.ova.id_logits, uw.ova.ood_logits, eta_neg),
+        neg_s=negatives(us.ova.id_logits, us.ova.ood_logits, eta_neg),
     )
 
 
-def objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
-              decisions: Decisions, cfg: TrainConfig) -> tuple[dict, dict]:
-    """The training objective on the tape, as (terms, weights).
+def loss_weights(cfg: TrainConfig) -> dict:
+    """Every lambda of the head and alignment weights, in field order."""
+    fields = {**vars(cfg.head), **vars(cfg.sna)}
+    return {name: value for name, value in fields.items() if name.startswith("lambda_")}
 
-    `terms` holds the nine leaf graphs, then the composites sna, cc, od and
-    the total from `compose`. A leaf whose weight is zero is not built and
-    enters as the constant 0.0.
+
+def objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
+              decisions: Decisions, cfg: TrainConfig) -> tuple[dict, dict, dict]:
+    """The training objective in closed form, as (terms, weights, grads).
+
+    `terms` holds the nine leaf values, then the composites sna, cc, od and
+    the total from `compose`. A leaf whose weight is zero is not evaluated
+    and enters as 0.0. grads[view][head] is the total's gradient w.r.t. one
+    view's head output, the form `net.backward` takes.
     """
     head, sna_w = cfg.head, cfg.sna
     xw, uw, uw2, us = outputs["x_w"], outputs["u_w"], outputs["u_w2"], outputs["u_s"]
-    zero = tl.constant(0.0)
-    terms = {
-        "x": tl.ce_graph(xw.cc_logits, labels),
-        "u": (tl.consistency_graph(us.cc_logits, decisions.pseudo, decisions.pl_accept)
-              if head.lambda_u > 0 else zero),
-        "ova": tl.ova_graph(xw.id_logits, xw.ood_logits, labels),
-        "em": tl.em_graph(uw.id_logits, uw.ood_logits) if head.lambda_em > 0 else zero,
-        "socr": tl.socr_graph(uw.id_logits, uw2.id_logits) if head.lambda_socr > 0 else zero,
+    weights = loss_weights(cfg)
+    terms = dict.fromkeys(LEAVES, 0.0)
+    grads: dict = {view: {} for view in outputs}
+
+    def term(leaf, value_and_grads, targets):
+        # compose is linear in the leaves: its total at a one-hot leaf vector
+        # is the leaf's slope.
+        slope = compose({name: float(name == leaf) for name in LEAVES}, weights)["total"]
+        terms[leaf] = value_and_grads[0]
+        for (view, name), g in zip(targets, value_and_grads[1:]):
+            by_head = grads[view]
+            by_head[name] = by_head[name] + slope * g if name in by_head else slope * g
+
+    term("x", ce(xw.cc_logits, labels), [("x_w", "cc_logits")])
+    if head.lambda_u > 0:
+        term("u", consistency(us.cc_logits, decisions.pseudo, decisions.pl_accept),
+             [("u_s", "cc_logits")])
+    term("ova", ova(xw.ova.id_logits, xw.ova.ood_logits, labels),
+         [("x_w", "id_logits"), ("x_w", "ood_logits")])
+    if head.lambda_em > 0:
+        term("em", em(uw.ova.id_logits, uw.ova.ood_logits),
+             [("u_w", "id_logits"), ("u_w", "ood_logits")])
+    if head.lambda_socr > 0:
+        term("socr", socr(uw.ova.id_logits, uw2.ova.id_logits),
+             [("u_w", "id_logits"), ("u_w2", "id_logits")])
+    if head.lambda_neg > 0:
         # Negatives are mined on both the weak and the strong view.
-        "neg": (tl.neg_graph(uw.id_logits, uw.ood_logits, decisions.neg_w)
-                + tl.neg_graph(us.id_logits, us.ood_logits, decisions.neg_s)
-                if head.lambda_neg > 0 else zero),
-        "usna": (tl.usna_graph(uw.embeddings, unit_protos, decisions.gate.phi,
-                               decisions.gate.pred_class, sna_w.temperature)
-                 if sna_w.lambda_usna > 0 else zero),
-        "ia": (tl.ia_graph(xw.embeddings, labels, sna_w.temperature)
-               if sna_w.lambda_ia > 0 else zero),
-        "pa": (tl.pa_graph(xw.embeddings, unit_protos, labels, sna_w.temperature)
-               if sna_w.lambda_pa > 0 else zero),
-    }
-    weights = {"lambda_u": head.lambda_u, "lambda_em": head.lambda_em,
-               "lambda_socr": head.lambda_socr, "lambda_neg": head.lambda_neg,
-               "lambda_cc": head.lambda_cc, "lambda_od": head.lambda_od,
-               "lambda_sna": head.lambda_sna, "lambda_usna": sna_w.lambda_usna,
-               "lambda_ia": sna_w.lambda_ia, "lambda_pa": sna_w.lambda_pa}
+        weak = neg(uw.ova.id_logits, uw.ova.ood_logits, decisions.neg_w)
+        strong = neg(us.ova.id_logits, us.ova.ood_logits, decisions.neg_s)
+        term("neg", (weak[0] + strong[0], *weak[1:], *strong[1:]),
+             [("u_w", "id_logits"), ("u_w", "ood_logits"),
+              ("u_s", "id_logits"), ("u_s", "ood_logits")])
+    t = sna_w.temperature
+    if sna_w.lambda_usna > 0:
+        term("usna", usna(uw.embeddings, unit_protos, decisions.gate.phi,
+                          decisions.gate.pred_class, t), [("u_w", "embeddings")])
+    if sna_w.lambda_ia > 0:
+        term("ia", ia(xw.embeddings, labels, t), [("x_w", "embeddings")])
+    if sna_w.lambda_pa > 0:
+        term("pa", pa(xw.embeddings, unit_protos, labels, t), [("x_w", "embeddings")])
     terms.update(compose(terms, weights))
-    return terms, weights
+    return terms, weights, grads
 
 
 def _make_closure(cfg: TrainConfig, labels: np.ndarray, protos: PrototypeSet, info: dict):
@@ -312,12 +338,12 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, protos: PrototypeSet, in
 
     def closure(outputs):
         decisions = freeze_decisions(outputs["u_w"], outputs["u_s"], cfg)
-        terms, weights = objective(outputs, labels, unit_protos, decisions, cfg)
+        terms, weights, grads = objective(outputs, labels, unit_protos, decisions, cfg)
         total = terms.pop("total")
         gate, proto_gate = decisions.gate, decisions.proto_gate
-        info["terms"] = {name: term.item() for name, term in terms.items()}
+        info["terms"] = terms
         info["weights"] = weights
-        info["total"] = total.item()
+        info["total"] = total
         info["gate_stats"] = {
             "accepted": gate.accepted,
             "proto_accepted": proto_gate.accepted,
@@ -332,9 +358,9 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, protos: PrototypeSet, in
             "tau_id": gate.tau_id, "eta_id": gate.eta_id,
         }
         selected = proto_gate.phi == 1
-        info["proto_rows"] = outputs["u_w"].embeddings.data[selected].copy()
-        info["proto_pred"] = proto_gate.pred_class[selected].copy()
-        return total
+        info["proto_rows"] = outputs["u_w"].embeddings[selected]
+        info["proto_pred"] = proto_gate.pred_class[selected]
+        return total, grads
 
     return closure
 

@@ -17,7 +17,7 @@ from skipalign.oracles import (ce_feature_gradient_check, full_model_gradient_ch
                                usna_gradient_check)
 from skipalign.prototypes import PrototypeSet, refresh
 from skipalign.data import EmbeddingBatch
-from skipalign.sna import usna_grad, usna_loss
+from skipalign.sna import usna
 from skipalign.synthdata import generate
 from skipalign.trainer import train
 
@@ -60,13 +60,15 @@ def test_criterion_01_gradient_oracle_suite():
     started = time.monotonic()
     rel_usna = usna_gradient_check(n_configs=100, seed=0)
     assert rel_usna <= 1e-6
-    rel_model, n_params = full_model_gradient_check(seed=0)
+    rel_fd, rel_tape, n_params = full_model_gradient_check(seed=0)
     assert n_params <= 500
-    assert rel_model <= 1e-5
+    assert rel_fd <= 1e-5
+    assert rel_tape <= 1e-12
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
-    print(f"[PASS] criterion 1: usna grad rel {rel_usna:.2e} <= 1e-6 (100 configs); "
-          f"full-model rel {rel_model:.2e} <= 1e-5 ({n_params} params); {elapsed:.1f}s < 30s")
+    print(f"[PASS] criterion 1: usna grad rel {rel_usna:.2e} <= 1e-6 (100 batches); "
+          f"training gradient rel {rel_fd:.2e} <= 1e-5 vs central differences and "
+          f"{rel_tape:.2e} <= 1e-12 vs the tape ({n_params} params); {elapsed:.1f}s < 30s")
 
 
 def test_criterion_02_angular_purity_and_scale_invariance():
@@ -77,19 +79,23 @@ def test_criterion_02_angular_purity_and_scale_invariance():
     for case in range(1000):
         dim = int(rng.integers(2, 13))
         k = int(rng.integers(2, 7))
-        protos = PrototypeSet.from_means(rng.standard_normal((k, dim)))
+        unit_protos = PrototypeSet.from_means(rng.standard_normal((k, dim))).unit_directions()
         z = rng.standard_normal(dim) * rng.uniform(0.2, 4.0)
         k_hat = int(rng.integers(0, k))
         t = rng.uniform(0.1, 2.0)
         phi = case % 2
-        g = usna_grad(z, protos, phi, k_hat, t)
+
+        def loss(v):
+            return usna(v[None, :], unit_protos, [phi], [k_hat], t)
+
+        base, g = loss(z)
+        g = g[0]
         zh = z / np.linalg.norm(z)
         gnorm = np.linalg.norm(g)
         if gnorm > 0:
             worst_radial = max(worst_radial, abs(np.dot(zh, g)) / gnorm)
-        base = usna_loss(z, protos, phi, k_hat, t)
         for c in (1e-3, 1.0, 1e3):
-            worst_scale = max(worst_scale, abs(usna_loss(c * z, protos, phi, k_hat, t) - base))
+            worst_scale = max(worst_scale, abs(loss(c * z)[0] - base))
     assert worst_radial <= 1e-12
     assert worst_scale <= 1e-10
     elapsed = time.monotonic() - started

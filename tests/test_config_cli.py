@@ -7,6 +7,7 @@ import pytest
 from skipalign.cli import apply_axis, main, run_experiment, sweep
 from skipalign.config import (ConfigError, config_hash, default_config, load_config,
                               resolve_config)
+from skipalign.trainer import TrainingDiverged
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -142,6 +143,7 @@ class TestCliRun:
             assert (run_dir / name).exists(), name
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 0
+        assert manifest["status"] == "complete"
         assert manifest["wall_clock_s"] is not None
 
     def test_existing_run_dir_refused(self, tmp_path, capsys):
@@ -180,6 +182,42 @@ class TestCliRun:
                 code = main(["run", "--config", path, "--out", str(tmp_path / "runs")])
             assert code == 3
             assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault, message", [
+        ("nan-activation", "non-finite activation in layer 'backbone'"),
+        ("zero-embedding-row", "degenerate vector"),
+        ("zero-prototypes", "degenerate vector"),
+    ])
+    def test_degenerate_step_exits_3(self, tmp_path, capsys, monkeypatch, fault, message):
+        import skipalign.trainer as trainer_mod
+        real_augment, real_init = trainer_mod.augment_views, trainer_mod.init_params
+
+        def augment_views(x, kinds, rng, scenario):
+            views = real_augment(x, kinds, rng, scenario)
+            if "strong" in kinds:  # the unlabeled views
+                if fault == "nan-activation":
+                    views["strong"][0, 0] = np.nan
+                elif fault == "zero-embedding-row":
+                    views["weak"][0] = 0.0  # with zero biases its embedding is zero
+            return views
+
+        def init_params(spec):
+            params = real_init(spec)
+            for name in params.names():
+                if name.endswith(".b") or (fault == "zero-prototypes"
+                                           and name.startswith("proj")):
+                    params.view(name)[:] = 0.0
+            return params
+
+        monkeypatch.setattr(trainer_mod, "augment_views", augment_views)
+        monkeypatch.setattr(trainer_mod, "init_params", init_params)
+        path = write_config(tmp_path, TINY_RAW)
+        out_dir = tmp_path / "runs"
+        assert main(["run", "--config", path, "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "training diverged" in err and message in err
+        manifest = json.loads((next(out_dir.iterdir()) / "manifest.json").read_text())
+        assert manifest["status"] == "diverged"
 
     def test_force_replaces_run_dir_with_subdirectory(self, tmp_path):
         path = write_config(tmp_path, TINY_RAW)
@@ -231,8 +269,9 @@ class TestCliSweep:
         ("[1, 2]", "eta_id", "0.5", "<root>"),
         (json.dumps(TINY_RAW), "eta_id", "0.5,high", "values"),
         (json.dumps({**TINY_RAW, "optimizer": {}}), "eta_id", "", "optimizer"),
+        (json.dumps(TINY_RAW), "eta_id", "0.5,0.50", "values"),
     ], ids=["unknown-axis", "invalid-json", "non-object", "non-numeric-value",
-            "invalid-base-empty-values"])
+            "invalid-base-empty-values", "repeated-value"])
     def test_unknown_axis_exits_2(self, tmp_path, capsys, text, axis, values, field):
         path = tmp_path / "config.json"
         path.write_text(text)
@@ -320,6 +359,35 @@ class TestCliGradcheckAndGolden:
 
 
 class TestRunExperimentApi:
+    @pytest.mark.parametrize("outcome", ["complete", "diverged", "error"])
+    def test_manifest_status(self, tmp_path, monkeypatch, outcome):
+        raw = json.loads(json.dumps(TINY_RAW))
+        seen_while_running = []
+        if outcome == "diverged":
+            raw["train"].update(lr0=1e6, epochs=3, iters_per_epoch=5)
+        if outcome == "error":
+            def write_embedding_dump(params, split, path):
+                manifest = json.loads((path.parent / "manifest.json").read_text())
+                seen_while_running.append(manifest["status"])
+                raise OSError("disk full")
+
+            monkeypatch.setattr("skipalign.cli.write_embedding_dump", write_embedding_dump)
+        failure = {"complete": None, "diverged": TrainingDiverged, "error": OSError}[outcome]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if failure is None:
+                run_experiment(resolve_config(raw), tmp_path / "runs")
+            else:
+                with pytest.raises(failure):
+                    run_experiment(resolve_config(raw), tmp_path / "runs")
+        run_dir = next((tmp_path / "runs").iterdir())
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == outcome
+        assert (manifest["wall_clock_s"] is None) == (outcome != "complete")
+        assert seen_while_running == (["running"] if outcome == "error" else [])
+        if outcome == "complete":
+            # eval reads a manifest that carries the status key
+            assert main(["eval", "--run-dir", str(run_dir)]) == 0
+
     def test_returns_report_and_dir(self, tmp_path):
         cfg = resolve_config(TINY_RAW)
         run_dir, report = run_experiment(cfg, tmp_path / "runs")

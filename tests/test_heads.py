@@ -5,10 +5,10 @@ import pytest
 
 import skipalign.tensor_losses as tl
 from skipalign.autodiff import constant, parameter
-from skipalign.heads import (OvaOutput, ce_loss, compose, consistency_loss, em_loss,
-                             neg_loss, ova_loss, socr_loss)
-from skipalign.linalg import finite_diff_grad, softmax_rows
-from skipalign.net import ForwardTensors
+from skipalign.heads import (HeadWeights, OvaOutput, ce, compose, consistency, em, neg,
+                             negatives, ova, socr)
+from skipalign.linalg import finite_diff_grad
+from skipalign.net import ForwardResult
 from skipalign.trainer import TrainConfig, freeze_decisions, objective
 
 RNG = np.random.default_rng(0)
@@ -17,6 +17,39 @@ RNG = np.random.default_rng(0)
 def random_ova(rng, shape=(3, 4)) -> OvaOutput:
     return OvaOutput.from_logits(rng.standard_normal(shape) * 2,
                                  rng.standard_normal(shape) * 2)
+
+
+def ova_from_probs(id_probs) -> OvaOutput:
+    """Detector outputs with the given ID probabilities: logit ID, zero OOD logits."""
+    p = np.asarray(id_probs, dtype=np.float64)
+    return OvaOutput.from_logits(np.log(p) - np.log1p(-p), np.zeros_like(p))
+
+
+def view(cc_logits, id_logits=None, ood_logits=None, embeddings=None) -> ForwardResult:
+    """One view's network outputs, built by hand."""
+    cc_logits = np.asarray(cc_logits, dtype=np.float64)
+    zeros = np.zeros_like(cc_logits)
+    return ForwardResult(
+        features=zeros, embeddings=zeros if embeddings is None else embeddings,
+        cc_logits=cc_logits,
+        ova=OvaOutput.from_logits(zeros if id_logits is None else id_logits,
+                                  zeros if ood_logits is None else ood_logits),
+        feature_norms=np.zeros(len(cc_logits)))
+
+
+def fixmatch(weak_probs, strong_probs, tau_pl: float) -> tuple[float, int]:
+    """Consistency as training applies it: hard pseudo-labels frozen from the
+    weak view; returns (value, accepted count)."""
+    cfg = TrainConfig(head=HeadWeights(tau_pl=tau_pl))
+    strong = np.log(np.asarray(strong_probs, dtype=np.float64))
+    decisions = freeze_decisions(view(np.log(weak_probs)), view(strong), cfg)
+    value, _ = consistency(strong, decisions.pseudo, decisions.pl_accept)
+    return value, int(decisions.pl_accept.sum())
+
+
+def neg_value(out: OvaOutput, eta_neg: float) -> float:
+    selected = negatives(out.id_logits, out.ood_logits, eta_neg)
+    return neg(out.id_logits, out.ood_logits, selected)[0]
 
 
 class TestOvaOutput:
@@ -31,7 +64,7 @@ class TestOvaOutput:
 
     def test_from_probs_round_trip(self):
         p = np.array([[0.9, 0.2], [0.5, 0.7]])
-        out = OvaOutput.from_probs(p)
+        out = ova_from_probs(p)
         np.testing.assert_allclose(out.id_probs, p, atol=1e-12)
         np.testing.assert_allclose(out.ood_probs, 1 - p, atol=1e-12)
 
@@ -42,141 +75,140 @@ class TestOvaOutput:
 
 class TestCeLoss:
     def test_perfect_prediction(self):
-        assert ce_loss([[1.0, 0.0, 0.0]], [0]) == pytest.approx(0.0, abs=1e-12)
+        assert ce(np.array([[0.0, -1000.0, -1000.0]]), [0])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_binary(self):
-        assert ce_loss([[0.5, 0.5]], [0]) == pytest.approx(math.log(2), abs=1e-12)
+        assert ce(np.array([[0.0, 0.0]]), [0])[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_wrong_side_hand_value(self):
-        e = math.e
-        p = [[e / (e + 1), 1 / (e + 1)]]
-        assert ce_loss(p, [1]) == pytest.approx(math.log(1 + e), abs=1e-5)
+        # probabilities (e, 1) / (e + 1)
+        assert ce(np.array([[1.0, 0.0]]), [1])[0] == pytest.approx(math.log(1 + math.e),
+                                                                   abs=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label out of range"):
-            ce_loss([[0.5, 0.5]], [2])
+            ce(np.array([[0.0, 0.0]]), [2])
 
     def test_zero_probability_floored(self):
-        loss = ce_loss([[0.0, 1.0]], [0])
-        assert np.isfinite(loss)
+        # the true class's probability underflows to zero; log-space keeps it finite
+        loss = ce(np.array([[-1000.0, 0.0]]), [0])[0]
+        assert loss == pytest.approx(1000.0, abs=1e-9)
 
 
 class TestConsistencyLoss:
     def test_nothing_accepted(self):
-        loss, accepted = consistency_loss([[0.6, 0.4]], [[0.9, 0.1]], tau_pl=0.95)
+        loss, accepted = fixmatch([[0.6, 0.4]], [[0.9, 0.1]], tau_pl=0.95)
         assert loss == 0.0 and accepted == 0
 
     def test_agreeing_views(self):
-        loss, accepted = consistency_loss([[0.99, 0.01]], [[0.99, 0.01]], tau_pl=0.95)
+        loss, accepted = fixmatch([[0.99, 0.01]], [[0.99, 0.01]], tau_pl=0.95)
         assert accepted == 1
         assert loss == pytest.approx(-math.log(0.99), abs=1e-12)
 
     def test_disagreeing_strong_view(self):
-        loss, accepted = consistency_loss([[0.99, 0.01]], [[0.5, 0.5]], tau_pl=0.95)
+        loss, accepted = fixmatch([[0.99, 0.01]], [[0.5, 0.5]], tau_pl=0.95)
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_mean_over_full_batch(self):
         weak = [[0.99, 0.01], [0.6, 0.4]]
         strong = [[0.5, 0.5], [0.5, 0.5]]
-        loss, accepted = consistency_loss(weak, strong, tau_pl=0.95)
+        loss, accepted = fixmatch(weak, strong, tau_pl=0.95)
         assert accepted == 1
         assert loss == pytest.approx(math.log(2) / 2, abs=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            consistency_loss([[0.9, 0.1]], [[0.9, 0.1, 0.0]], 0.5)
+        # pseudo-labels for two weak-view rows against one strong-view row
+        with pytest.raises(ValueError, match="expected 1 labels"):
+            consistency(np.zeros((1, 2)), np.array([0, 1]), np.array([True, True]))
 
 
 class TestOvaLoss:
     def test_perfect_detector(self):
-        out = OvaOutput.from_probs(np.array([[1 - 1e-12, 1e-12]]))
-        assert ova_loss(out, [0]) == pytest.approx(0.0, abs=1e-9)
+        out = ova_from_probs([[1 - 1e-12, 1e-12]])
+        assert ova(out.id_logits, out.ood_logits, [0])[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_single_class_uniform(self):
-        out = OvaOutput.from_probs(np.array([[0.5]]))
-        assert ova_loss(out, [0]) == pytest.approx(math.log(2), abs=1e-12)
+        out = ova_from_probs([[0.5]])
+        assert ova(out.id_logits, out.ood_logits, [0])[0] == pytest.approx(math.log(2),
+                                                                           abs=1e-12)
 
     def test_two_class_hand_value(self):
-        out = OvaOutput.from_probs(np.array([[0.9, 0.2]]))
+        out = ova_from_probs([[0.9, 0.2]])
         expected = -math.log(0.9) - math.log(0.8)
-        assert ova_loss(out, [0]) == pytest.approx(expected, abs=1e-12)
+        assert ova(out.id_logits, out.ood_logits, [0])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             out = random_ova(rng)
             labels = rng.integers(0, 4, size=3)
-            assert ova_loss(out, labels) >= 0
+            assert ova(out.id_logits, out.ood_logits, labels)[0] >= 0
 
 
 class TestEmLoss:
     def test_zero_entropy_at_vertices(self):
-        out = OvaOutput.from_probs(np.array([[1 - 1e-15, 1e-15]]))
-        assert em_loss(out) == pytest.approx(0.0, abs=1e-12)
+        out = ova_from_probs([[1 - 1e-15, 1e-15]])
+        assert em(out.id_logits, out.ood_logits)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_max_entropy_pair(self):
-        out = OvaOutput.from_probs(np.array([[0.5]]))
-        assert em_loss(out) == pytest.approx(math.log(2), abs=1e-12)
+        out = ova_from_probs([[0.5]])
+        assert em(out.id_logits, out.ood_logits)[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_hand_value(self):
-        out = OvaOutput.from_probs(np.array([[0.9]]))
+        out = ova_from_probs([[0.9]])
         expected = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
-        assert em_loss(out) == pytest.approx(expected, abs=1e-12)
+        assert em(out.id_logits, out.ood_logits)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_maximized_at_half(self):
-        values = [em_loss(OvaOutput.from_probs(np.array([[p]])))
-                  for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        values = [em(out.id_logits, out.ood_logits)[0]
+                  for out in (ova_from_probs([[p]]) for p in (0.1, 0.3, 0.5, 0.7, 0.9))]
         assert np.argmax(values) == 2
 
     def test_exact_zero_probability_contributes_zero(self):
         out = OvaOutput.from_logits([[1000.0]], [[-1000.0]])
         assert out.ood_probs[0, 0] == 0.0
-        assert em_loss(out) == pytest.approx(0.0, abs=1e-12)
+        assert em(out.id_logits, out.ood_logits)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            assert em_loss(random_ova(rng)) >= 0
+            out = random_ova(rng)
+            assert em(out.id_logits, out.ood_logits)[0] >= 0
 
 
 class TestSocrLoss:
     def test_identical_views(self):
         out = random_ova(np.random.default_rng(4))
-        assert socr_loss(out, out) == 0.0
+        assert socr(out.id_logits, out.id_logits)[0] == 0.0
 
     def test_unit_difference(self):
-        a = OvaOutput.from_logits([[1.0]], [[0.0]])
-        b = OvaOutput.from_logits([[0.0]], [[0.0]])
-        assert socr_loss(a, b) == pytest.approx(1.0, abs=1e-12)
+        assert socr(np.array([[1.0]]), np.array([[0.0]]))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_value_two_classes(self):
-        a = OvaOutput.from_logits([[0.5, 0.0]], [[0.0, 0.0]])
-        b = OvaOutput.from_logits([[0.0, 0.5]], [[0.0, 0.0]])
-        assert socr_loss(a, b) == pytest.approx(0.5, abs=1e-12)
+        assert socr(np.array([[0.5, 0.0]]), np.array([[0.0, 0.5]]))[0] == pytest.approx(
+            0.5, abs=1e-12)
 
 
 class TestNegLoss:
     def test_empty_selection(self):
-        out = OvaOutput.from_probs(np.array([[0.7, 0.9]]))
-        assert neg_loss(out, eta_neg=0.5) == 0.0
+        assert neg_value(ova_from_probs([[0.7, 0.9]]), eta_neg=0.5) == 0.0
 
     def test_single_class_hand_value(self):
-        out = OvaOutput.from_probs(np.array([[0.5]]))
-        assert neg_loss(out, eta_neg=0.6) == pytest.approx(math.log(2), abs=1e-12)
+        assert neg_value(ova_from_probs([[0.5]]), eta_neg=0.6) == pytest.approx(
+            math.log(2), abs=1e-12)
 
     def test_selects_only_low_classes(self):
-        out = OvaOutput.from_probs(np.array([[0.1, 0.9]]))
-        assert neg_loss(out, eta_neg=0.5) == pytest.approx(-math.log(0.9), abs=1e-12)
+        assert neg_value(ova_from_probs([[0.1, 0.9]]), eta_neg=0.5) == pytest.approx(
+            -math.log(0.9), abs=1e-12)
 
     def test_eta_validated(self):
-        out = OvaOutput.from_probs(np.array([[0.5]]))
         with pytest.raises(ValueError):
-            neg_loss(out, eta_neg=0.0)
+            neg_value(ova_from_probs([[0.5]]), eta_neg=0.0)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            assert neg_loss(random_ova(rng), 0.3) >= 0
+            assert neg_value(random_ova(rng), 0.3) >= 0
 
 
 WEIGHT_NAMES = ("lambda_u", "lambda_em", "lambda_socr", "lambda_neg", "lambda_cc",
@@ -213,19 +245,17 @@ class TestTotalLoss:
         # The training objective itemizes every leaf beside the composites.
         rng = np.random.default_rng(7)
 
-        def view(rows):
-            return ForwardTensors(*(constant(rng.standard_normal((rows, 2)))
-                                    for _ in range(5)))
+        def random_view(rows):
+            return view(*(rng.standard_normal((rows, 2)) for _ in range(4)))
 
-        outputs = {"x_w": view(4), "u_w": view(6), "u_w2": view(6), "u_s": view(6)}
+        outputs = {"x_w": random_view(4), "u_w": random_view(6), "u_w2": random_view(6),
+                   "u_s": random_view(6)}
         cfg = TrainConfig(tau_id=0.4, eta_id=0.3)
         decisions = freeze_decisions(outputs["u_w"], outputs["u_s"], cfg)
-        terms, w = objective(outputs, np.array([0, 0, 1, 1]), np.eye(2), decisions, cfg)
+        terms, w, _ = objective(outputs, np.array([0, 0, 1, 1]), np.eye(2), decisions, cfg)
         assert list(terms) == ["x", "u", "ova", "em", "socr", "neg", "usna", "ia", "pa",
                                "sna", "cc", "od", "total"]
-        values = {name: term.item() for name, term in terms.items()}
-        assert compose(values, w) == {name: values[name]
-                                      for name in ("sna", "cc", "od", "total")}
+        assert compose(terms, w) == {name: terms[name] for name in ("sna", "cc", "od", "total")}
 
 
 class TestLogitGradientsAgainstOracle:
@@ -280,49 +310,62 @@ class TestLogitGradientsAgainstOracle:
         self._check(lambda t: tl.neg_graph(t, ood, frozen), (3, 4), seed=30)
 
 
+def tape_value_and_grads(build, *arrays):
+    """A tape loss's value and its gradient w.r.t. each input array."""
+    leaves = [parameter(np.array(a, dtype=np.float64)) for a in arrays]
+    loss = build(*leaves)
+    loss.backward()
+    return loss.item(), [leaf.grad for leaf in leaves]
+
+
+def assert_matches_tape(closed_form, tape):
+    """Value and every head gradient agree with the tape to 1e-12 relative."""
+    value, *grads = closed_form
+    tape_value, tape_grads = tape
+    assert abs(value - tape_value) <= 1e-12 * abs(tape_value)
+    assert len(grads) == len(tape_grads)
+    for got, want in zip(grads, tape_grads):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestNumpyTapeParity:
-    """The tape builders must reproduce the reference loss values."""
+    """Each closed-form loss against its tape twin: value and head gradients."""
 
     def test_ce_parity(self):
         rng = np.random.default_rng(31)
         logits = rng.standard_normal((6, 4)) * 3
         labels = rng.integers(0, 4, size=6)
-        reference = ce_loss(softmax_rows(logits), labels)
-        assert tl.ce_graph(constant(logits), labels).item() == pytest.approx(
-            reference, abs=1e-12)
+        assert_matches_tape(ce(logits, labels),
+                            tape_value_and_grads(lambda t: tl.ce_graph(t, labels), logits))
 
     def test_consistency_parity(self):
         rng = np.random.default_rng(32)
         weak = rng.standard_normal((6, 4))
         strong = rng.standard_normal((6, 4))
-        weak_probs = softmax_rows(weak)
-        reference, accepted = consistency_loss(weak_probs, softmax_rows(strong), 0.3)
-        pseudo = np.argmax(weak_probs, axis=1)
-        accept = weak_probs[np.arange(6), pseudo] > 0.3
-        assert int(accept.sum()) == accepted
-        assert tl.consistency_graph(constant(strong), pseudo, accept).item() == \
-            pytest.approx(reference, abs=1e-12)
+        decisions = freeze_decisions(view(weak), view(strong),
+                                     TrainConfig(head=HeadWeights(tau_pl=0.5)))
+        pseudo, accept = decisions.pseudo, decisions.pl_accept
+        assert 0 < accept.sum() < 6
+        assert_matches_tape(
+            consistency(strong, pseudo, accept),
+            tape_value_and_grads(lambda t: tl.consistency_graph(t, pseudo, accept), strong))
 
     def test_ova_em_socr_neg_parity(self):
         rng = np.random.default_rng(33)
         s_id = rng.standard_normal((5, 3)) * 2
         s_ood = rng.standard_normal((5, 3)) * 2
         s_id2 = rng.standard_normal((5, 3)) * 2
-        s_ood2 = rng.standard_normal((5, 3)) * 2
         out = OvaOutput.from_logits(s_id, s_ood)
-        out2 = OvaOutput.from_logits(s_id2, s_ood2)
         labels = rng.integers(0, 3, size=5)
-        ti, to = constant(s_id), constant(s_ood)
-        ti2 = constant(s_id2)
-        assert tl.ova_graph(ti, to, labels).item() == pytest.approx(
-            ova_loss(out, labels), abs=1e-12)
-        assert tl.em_graph(ti, to).item() == pytest.approx(em_loss(out), abs=1e-12)
-        assert tl.socr_graph(ti, ti2).item() == pytest.approx(
-            socr_loss(out, out2), abs=1e-12)
-        selected = tl.negatives(s_id, s_ood, 0.4)
+        assert_matches_tape(ova(s_id, s_ood, labels), tape_value_and_grads(
+            lambda a, b: tl.ova_graph(a, b, labels), s_id, s_ood))
+        assert_matches_tape(em(s_id, s_ood), tape_value_and_grads(tl.em_graph, s_id, s_ood))
+        assert_matches_tape(socr(s_id, s_id2), tape_value_and_grads(tl.socr_graph, s_id, s_id2))
+        selected = negatives(s_id, s_ood, 0.4)
         np.testing.assert_array_equal(selected, out.id_probs < 0.4)
         # the mask is taken from the same log-probabilities the loss builds
-        log_p_id = tl._two_way_log_probs(ti, to)[0].data
+        log_p_id = tl._two_way_log_probs(constant(s_id), constant(s_ood))[0].data
         np.testing.assert_array_equal(selected, log_p_id < np.log(0.4))
-        assert tl.neg_graph(ti, to, selected).item() == pytest.approx(
-            neg_loss(out, 0.4), abs=1e-12)
+        assert 0 < selected.sum() < selected.size
+        assert_matches_tape(neg(s_id, s_ood, selected), tape_value_and_grads(
+            lambda a, b: tl.neg_graph(a, b, selected), s_id, s_ood))

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from skipalign.data import EmbeddingBatch
-from skipalign.linalg import finite_diff_grad, softmax, softmax_rows
+from skipalign.linalg import finite_diff_grad, softmax_rows
 from skipalign.prototypes import PrototypeSet, proto_similarity_profile
-from skipalign.sna import usna_grad
+from skipalign.sna import usna
+
+
+def softmax(logits, temperature: float = 1.0) -> np.ndarray:
+    """`softmax_rows` on a single row of logits."""
+    return softmax_rows(np.asarray([logits], dtype=np.float64), temperature)[0]
 
 
 def cosine_sim(a, b) -> float:
@@ -24,8 +29,8 @@ def tangential_project(z, v) -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    protos = PrototypeSet.from_means(v[None, :])
-    grad = usna_grad(z, protos, phi=0, k_hat=0, temperature=1.0)
+    unit_protos = PrototypeSet.from_means(v[None, :]).unit_directions()
+    grad = usna(z[None, :], unit_protos, [0], [0], temperature=1.0)[1][0]
     return grad * np.linalg.norm(z) * np.linalg.norm(v)
 
 

@@ -87,6 +87,12 @@ class TestAuroc:
             assert auroc(a, b) == pytest.approx(rank_based_auroc(a, b), abs=1e-12)
 
 
+def ova_from_probs(id_probs) -> OvaOutput:
+    """Detector outputs with the given ID probabilities: logit ID, zero OOD logits."""
+    p = np.asarray(id_probs, dtype=np.float64)
+    return OvaOutput.from_logits(np.log(p) - np.log1p(-p), np.zeros_like(p))
+
+
 class TestOodScore:
     def test_all_one_id_probs(self):
         out = OvaOutput.from_logits(np.full((2, 3), 50.0), np.full((2, 3), -50.0))
@@ -94,19 +100,19 @@ class TestOodScore:
         np.testing.assert_allclose(ood_score(out, cc), 1.0, atol=1e-12)
 
     def test_pass_through_at_argmax(self):
-        out = OvaOutput.from_probs(np.array([[0.5, 0.9]]))
+        out = ova_from_probs(np.array([[0.5, 0.9]]))
         cc = np.array([[0.8, 0.2]])
         assert ood_score(out, cc)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_reads_per_sample_argmax_columns(self):
-        out = OvaOutput.from_probs(np.array([[0.9, 0.1], [0.2, 0.7]]))
+        out = ova_from_probs(np.array([[0.9, 0.1], [0.2, 0.7]]))
         cc = np.array([[0.9, 0.1], [0.3, 0.7]])
         scores = ood_score(out, cc)
         assert scores[0] == pytest.approx(0.9, abs=1e-12)
         assert scores[1] == pytest.approx(0.7, abs=1e-12)
 
     def test_alternative_rules(self):
-        out = OvaOutput.from_probs(np.array([[0.4, 0.8]]))
+        out = ova_from_probs(np.array([[0.4, 0.8]]))
         cc = np.array([[0.6, 0.4]])
         assert ood_score(out, cc, rule="max_cc_softmax")[0] == pytest.approx(0.6)
         assert ood_score(out, cc, rule="max_ova_id")[0] == pytest.approx(0.8)
@@ -114,12 +120,12 @@ class TestOodScore:
         assert ood_score(out, cc, rule="feature_norm", feature_norms=norms)[0] == 2.5
 
     def test_feature_norm_requires_norms(self):
-        out = OvaOutput.from_probs(np.array([[0.4]]))
+        out = ova_from_probs(np.array([[0.4]]))
         with pytest.raises(ValueError):
             ood_score(out, np.array([[1.0]]), rule="feature_norm")
 
     def test_unknown_rule(self):
-        out = OvaOutput.from_probs(np.array([[0.4]]))
+        out = ova_from_probs(np.array([[0.4]]))
         with pytest.raises(ValueError):
             ood_score(out, np.array([[1.0]]), rule="entropy")
 

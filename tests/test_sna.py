@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from skipalign.data import EmbeddingBatch
 from skipalign.linalg import finite_diff_grad
 from skipalign.prototypes import PrototypeSet
 from skipalign.heads import compose
-from skipalign.sna import SnaWeights, dual_gate, ia_loss, pa_loss, usna_grad, usna_loss
+from skipalign.sna import SnaWeights, dual_gate, ia, pa, usna
 
 
 def orthonormal_protos(k: int, dim: int, seed: int = 0) -> PrototypeSet:
@@ -17,6 +16,23 @@ def orthonormal_protos(k: int, dim: int, seed: int = 0) -> PrototypeSet:
 
 
 TWO_PROTOS = PrototypeSet.from_means(np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+
+def usna_loss(z, protos: PrototypeSet, phi: int, k_hat: int, temperature: float) -> float:
+    """`usna` on a single embedding: its value."""
+    z = np.asarray(z, dtype=np.float64)[None, :]
+    return usna(z, protos.unit_directions(), [phi], [k_hat], temperature)[0]
+
+
+def usna_grad(z, protos: PrototypeSet, phi: int, k_hat: int, temperature: float):
+    """`usna` on a single embedding: its gradient row."""
+    z = np.asarray(z, dtype=np.float64)[None, :]
+    return usna(z, protos.unit_directions(), [phi], [k_hat], temperature)[1][0]
+
+
+def pa_loss(z, protos: PrototypeSet, y: int, temperature: float) -> float:
+    z = np.asarray(z, dtype=np.float64)[None, :]
+    return pa(z, protos.unit_directions(), [y], temperature)[0]
 
 
 class TestDualGate:
@@ -182,38 +198,33 @@ class TestUsnaGrad:
 
 class TestIaLoss:
     def test_identical_pair_is_zero(self):
-        batch = EmbeddingBatch(np.array([[1.0, 0.0], [1.0, 0.0]]), labels=[0, 0])
-        loss, anchors = ia_loss(batch, temperature=1.0)
+        loss, grad = ia(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([0, 0]), temperature=1.0)
         assert loss == pytest.approx(0.0, abs=1e-12)
-        assert anchors == 2
+        np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_orthogonal_same_class_pair_is_zero(self):
-        batch = EmbeddingBatch(np.array([[1.0, 0.0], [0.0, 1.0]]), labels=[0, 0])
-        loss, anchors = ia_loss(batch, temperature=1.0)
+        loss, _ = ia(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]), temperature=1.0)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_three_sample_hand_value(self):
         # Anchors 0 and 1 (same class, identical); sample 2 orthogonal, other
         # class. Each contributing anchor: -log(e / (e + 1)).
-        batch = EmbeddingBatch(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                               labels=[0, 0, 1])
-        loss, anchors = ia_loss(batch, temperature=1.0)
+        z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        loss, _ = ia(z, np.array([0, 0, 1]), temperature=1.0)
         expected = -math.log(math.e / (math.e + 1))
-        assert anchors == 2
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_all_distinct_labels_flagged(self):
-        batch = EmbeddingBatch(np.array([[1.0, 0.0], [0.0, 1.0]]), labels=[0, 1])
-        loss, anchors = ia_loss(batch, temperature=1.0)
-        assert loss == 0.0 and anchors == 0
+        loss, grad = ia(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), 1.0)
+        assert loss == 0.0 and not grad.any()
 
-    def test_requires_two_samples(self):
-        with pytest.raises(ValueError):
-            ia_loss(EmbeddingBatch(np.array([[1.0, 0.0]]), labels=[0]), 1.0)
+    def test_single_sample_has_no_pairs(self):
+        loss, grad = ia(np.array([[1.0, 0.0]]), np.array([0]), 1.0)
+        assert loss == 0.0 and not grad.any()
 
     def test_requires_labels(self):
-        with pytest.raises(ValueError):
-            ia_loss(EmbeddingBatch(np.array([[1.0, 0.0], [0.0, 1.0]])), 1.0)
+        with pytest.raises(ValueError, match="labels"):
+            ia(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0]), 1.0)
 
 
 class TestPaLoss:
@@ -238,11 +249,11 @@ class TestPaLoss:
 class TestSnaTotal:
     """The alignment composite as `compose` forms it from hand-valued leaves."""
 
-    LABELED = EmbeddingBatch(np.array([[1.0, 0.0], [1.0, 0.0]]), labels=[0, 0])
+    LABELED = np.array([[1.0, 0.0], [1.0, 0.0]])
 
-    def _sna(self, lambda_usna, lambda_ia, lambda_pa, usna, ia, pa) -> float:
+    def _sna(self, lambda_usna, lambda_ia, lambda_pa, usna_value, ia_value, pa_value) -> float:
         terms = {"x": 0.0, "u": 0.0, "ova": 0.0, "em": 0.0, "socr": 0.0, "neg": 0.0,
-                 "usna": usna, "ia": ia, "pa": pa}
+                 "usna": usna_value, "ia": ia_value, "pa": pa_value}
         weights = {"lambda_u": 0.0, "lambda_em": 0.0, "lambda_socr": 0.0, "lambda_neg": 0.0,
                    "lambda_cc": 0.0, "lambda_od": 0.0, "lambda_sna": 1.0,
                    "lambda_usna": lambda_usna, "lambda_ia": lambda_ia, "lambda_pa": lambda_pa}
@@ -253,30 +264,28 @@ class TestSnaTotal:
     def _leaves(self):
         # One gated unlabeled sample aligned with prototype 0, and a labeled
         # identical pair of class 0.
-        usna = usna_loss([1.0, 0.0], TWO_PROTOS, 1, 0, 1.0)
-        ia, anchors = ia_loss(self.LABELED, 1.0)
-        pa = float(np.mean([pa_loss(z, TWO_PROTOS, 0, 1.0) for z in self.LABELED.vectors]))
-        return usna, ia, pa, anchors
+        labels = np.array([0, 0])
+        return (usna_loss([1.0, 0.0], TWO_PROTOS, 1, 0, 1.0),
+                ia(self.LABELED, labels, 1.0)[0],
+                pa(self.LABELED, TWO_PROTOS.unit_directions(), labels, 1.0)[0])
 
     def test_all_zero_weights(self):
-        usna, ia, pa, _ = self._leaves()
-        assert self._sna(0.0, 0.0, 0.0, usna, ia, pa) == 0.0
+        assert self._sna(0.0, 0.0, 0.0, *self._leaves()) == 0.0
 
     def test_single_unlabeled_reduction(self):
-        usna, ia, pa, _ = self._leaves()
-        assert self._sna(1.0, 0.0, 0.0, usna, ia, pa) == pytest.approx(
+        assert self._sna(1.0, 0.0, 0.0, *self._leaves()) == pytest.approx(
             usna_loss([1, 0], TWO_PROTOS, 1, 0, 1.0), abs=1e-14)
 
     def test_composition_of_hand_values(self):
-        usna, ia, pa, anchors = self._leaves()
+        usna_value, ia_value, pa_value = self._leaves()
         term = -1 + math.log(math.e + 1)
         # usna: one gated aligned sample; ia: identical pair -> 0; pa: both
         # labeled samples aligned with their prototype.
-        assert usna == pytest.approx(term, abs=1e-12)
-        assert ia == pytest.approx(0.0, abs=1e-12)
-        assert pa == pytest.approx(term, abs=1e-12)
-        assert self._sna(1.0, 1.0, 1.0, usna, ia, pa) == pytest.approx(2 * term, abs=1e-12)
-        assert anchors == 2
+        assert usna_value == pytest.approx(term, abs=1e-12)
+        assert ia_value == pytest.approx(0.0, abs=1e-12)
+        assert pa_value == pytest.approx(term, abs=1e-12)
+        assert self._sna(1.0, 1.0, 1.0, usna_value, ia_value, pa_value) == pytest.approx(
+            2 * term, abs=1e-12)
 
 
 class TestSnaWeights:

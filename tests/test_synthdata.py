@@ -1,10 +1,11 @@
+import csv
 import dataclasses
 
 import numpy as np
 import pytest
 
 from skipalign.synthdata import (ScenarioSpec, audit_no_leakage, augment, generate,
-                                 load_split_csv, write_split_csv)
+                                 write_split_csv)
 
 SMALL = ScenarioSpec(input_dim=6, num_classes=3, labels_per_class=5,
                      unlabeled_id_per_class=8, unlabeled_seen_per_cluster=6,
@@ -142,13 +143,25 @@ class TestSerialization:
         split = generate(SMALL)
         path = tmp_path / "split.csv"
         write_split_csv(split, path)
-        loaded = load_split_csv(path, scenario=SMALL)
-        np.testing.assert_allclose(loaded.labeled_x, split.labeled_x, atol=0)
-        np.testing.assert_allclose(loaded.unlabeled_x, split.unlabeled_x, atol=0)
-        np.testing.assert_allclose(loaded.test_x, split.test_x, atol=0)
-        assert np.array_equal(loaded.labeled_y, split.labeled_y)
-        assert loaded.test_category == split.test_category
-        assert np.array_equal(loaded.unlabeled_ids, split.unlabeled_ids)
+        rows = {"labeled": [], "unlabeled": [], "test": []}
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            for row in reader:
+                rows[row[0]].append(row)
+
+        def column(part, index, kind):
+            return np.array([kind(r[index]) for r in rows[part]])
+
+        def features(part):
+            return np.array([[float(v) for v in r[4:]] for r in rows[part]])
+
+        assert np.array_equal(features("labeled"), split.labeled_x)
+        assert np.array_equal(features("unlabeled"), split.unlabeled_x)
+        assert np.array_equal(features("test"), split.test_x)
+        assert np.array_equal(column("labeled", 3, int), split.labeled_y)
+        assert [r[2] for r in rows["test"]] == split.test_category
+        assert np.array_equal(column("unlabeled", 1, int), split.unlabeled_ids)
 
     def test_csv_header(self, tmp_path):
         split = generate(SMALL)
