@@ -193,7 +193,7 @@ class Tensor:
 
     def relu(self):
         mask = self.data > 0
-        out = self._node(np.where(mask, self.data, 0.0), (self,))
+        out = self._node(np.maximum(self.data, 0.0), (self,))  # NaN stays NaN
 
         def backward(g):
             if self.requires_grad:

@@ -106,8 +106,10 @@ def run_experiment(cfg: ExperimentConfig, out_root: Path, force: bool = False,
         save_checkpoint(params, run_dir / "checkpoint.json")
         _write_prototypes(runlog.final_prototypes, run_dir / "prototypes.json")
 
-        report = evaluate(params, split, runlog.final_prototypes,
-                          score_rule=cfg.train.score_rule)
+        report = runlog.final_report
+        if report is None:  # no epoch ran, so training evaluated nothing
+            report = evaluate(params, split, runlog.final_prototypes,
+                              score_rule=cfg.train.score_rule)
         write_eval_json(report, run_dir / "eval_report.json")
         write_eval_csv(report, run_dir / "metrics.csv")
         write_embedding_dump(params, split, run_dir / "embeddings.csv")

@@ -2,8 +2,10 @@
 
 The OOD scoring rule is deliberately a tagged choice (the detector's ID
 probability at the classifier's argmax class by default) and the report
-names the rule it used. AUROC is the Mann-Whitney statistic computed by
-exact pair counting, with ties worth one half.
+names the rule it used. AUROC is the Mann-Whitney statistic, ties worth one
+half, counted exactly from one sort of the OOD scores. Test rows are grouped
+by their distinct category names, so no step is quadratic in the test split
+and no Python runs per test row.
 """
 
 from __future__ import annotations
@@ -41,17 +43,28 @@ def ood_score(out: OvaOutput, cc_probs: np.ndarray, rule: str = "ova_id_at_cc_ar
     raise ValueError(f"unknown score rule '{rule}'")
 
 
+def _score_vector(name: str, scores) -> np.ndarray:
+    v = np.asarray(scores, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D array, got shape {v.shape}")
+    return v
+
+
 def auroc(id_scores, ood_scores) -> float:
     """Probability that a random ID sample outscores a random OOD sample.
 
-    Exact pair counting: wins count 1, ties 0.5, over all n_id * n_ood pairs.
+    The Mann-Whitney count over all n_id * n_ood pairs, wins 1 and ties 0.5,
+    from one sort of the OOD scores: for each ID score, the OOD scores
+    strictly below it are its wins and those equal to it its ties. Both are
+    integer counts, so the value is the exact pair count's. NaN on either
+    side neither wins nor ties, as under pair comparison.
     """
-    a = np.asarray(id_scores, dtype=np.float64)
-    b = np.asarray(ood_scores, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("auroc requires non-empty score sets")
-    wins = (a[:, None] > b[None, :]).sum()
-    ties = (a[:, None] == b[None, :]).sum()
+    a = _score_vector("id_scores", id_scores)
+    b = np.sort(_score_vector("ood_scores", ood_scores))  # NaN sorts last
+    comparable = a[~np.isnan(a)]
+    below = np.searchsorted(b, comparable, side="left")
+    wins = below.sum()
+    ties = (np.searchsorted(b, comparable, side="right") - below).sum()
     return float((wins + 0.5 * ties) / (a.size * b.size))
 
 
@@ -63,31 +76,28 @@ class CategoryGeometry:
 
 
 def geometry_stats(f_batch: np.ndarray, z_batch: np.ndarray, protos: PrototypeSet,
-                   categories: list[str]) -> tuple[dict[str, CategoryGeometry], list[str], np.ndarray]:
+                   categories) -> tuple[dict[str, CategoryGeometry], np.ndarray]:
     """Per-category mean feature norm and mean best prototype cosine.
 
-    Returns (stats, missing_categories, per_sample) where per_sample rows
-    are (feature_norm, max_cosine) for external plotting.
+    Returns (stats, per_sample): stats holds the categories in order of
+    first appearance, and per_sample rows are (feature_norm, max_cosine)
+    for external plotting.
     """
     f = np.asarray(f_batch, dtype=np.float64)
     z = np.asarray(z_batch, dtype=np.float64)
-    cats = np.asarray(categories)
+    names, first, row_name = np.unique(np.asarray(categories), return_index=True,
+                                       return_inverse=True)
     norms = np.linalg.norm(f, axis=1)
     sims = proto_similarity_profile(EmbeddingBatch(z), protos)
     max_cos = sims.max(axis=1)
     stats: dict[str, CategoryGeometry] = {}
-    missing: list[str] = []
-    for cat in dict.fromkeys(categories):  # stable insertion order
-        rows = cats == cat
-        n = int(rows.sum())
-        if n == 0:
-            missing.append(cat)
-            continue
-        stats[cat] = CategoryGeometry(mean_feature_norm=float(norms[rows].mean()),
-                                      mean_max_cosine=float(max_cos[rows].mean()),
-                                      count=n)
+    for k in np.argsort(first):
+        rows = row_name == k
+        stats[str(names[k])] = CategoryGeometry(mean_feature_norm=float(norms[rows].mean()),
+                                                mean_max_cosine=float(max_cos[rows].mean()),
+                                                count=int(rows.sum()))
     per_sample = np.column_stack([norms, max_cos])
-    return stats, missing, per_sample
+    return stats, per_sample
 
 
 @dataclass
@@ -123,6 +133,10 @@ class EvalReport:
         return rows
 
 
+# Every test row falls in one of these, by the prefix of its category name.
+COARSE_CATEGORIES = ("id", "seen_ood", "unseen_ood")
+
+
 def _coarse_category(cat: str) -> str:
     if cat.startswith("id:"):
         return "id"
@@ -138,11 +152,14 @@ def evaluate(params: ParamState, split: Split, protos: PrototypeSet,
         raise ValueError("test split is empty")
     out = forward(params, split.test_x)
     cc_probs = softmax_rows(out.cc_logits)
-    cats = np.asarray(split.test_category)
 
-    id_rows = np.array([c.startswith("id:") for c in split.test_category])
-    true_class = np.array([int(c.split(":")[1]) if c.startswith("id:") else -1
-                           for c in split.test_category])
+    # Each distinct category name is parsed once; its rows index it.
+    names, row_name = np.unique(np.asarray(split.test_category), return_inverse=True)
+    names = names.tolist()
+    coarse = np.array([_coarse_category(name) for name in names])
+    id_rows = (coarse == "id")[row_name]
+    true_class = np.array([int(name.split(":")[1]) if kind == "id" else -1
+                           for name, kind in zip(names, coarse)])[row_name]
     pred = np.argmax(cc_probs, axis=1)
     if not id_rows.any():
         raise ValueError("test split has no in-distribution rows")
@@ -151,29 +168,27 @@ def evaluate(params: ParamState, split: Split, protos: PrototypeSet,
     scores = ood_score(out.ova, cc_probs, rule=score_rule, feature_norms=out.feature_norms)
     id_scores = scores[id_rows]
     sources: dict[str, float] = {}
-    seen_rows = np.array([c.startswith("seen:") for c in split.test_category])
+    seen_rows = (coarse == "seen_ood")[row_name]
     if seen_rows.any():
         sources["seen"] = auroc(id_scores, scores[seen_rows])
-    unseen_names = sorted({c for c in split.test_category if c.startswith("unseen:")},
-                          key=lambda c: int(c.split(":")[1]))
-    for name in unseen_names:
-        rows = cats == name
-        sources[f"unseen_{name.split(':')[1]}"] = auroc(id_scores, scores[rows])
+    unseen = sorted((k for k, name in enumerate(names) if name.startswith("unseen:")),
+                    key=lambda k: int(names[k].split(":")[1]))
+    for k in unseen:
+        sources[f"unseen_{names[k].split(':')[1]}"] = auroc(id_scores, scores[row_name == k])
 
     unseen_values = [v for k, v in sources.items() if k.startswith("unseen_")]
     unseen_auc = float(np.mean(unseen_values)) if unseen_values else float("nan")
     seen_auc = sources.get("seen", float("nan"))
     overall = float(np.mean(list(sources.values()))) if sources else float("nan")
 
-    coarse = [_coarse_category(c) for c in split.test_category]
-    geo, missing, _ = geometry_stats(out.features, out.embeddings, protos, coarse)
-    counts = {cat: g.count for cat, g in geo.items()}
+    geo, _ = geometry_stats(out.features, out.embeddings, protos, coarse[row_name])
     return EvalReport(
         accuracy=accuracy, score_rule=score_rule, auroc_per_source=sources,
         seen_auc=seen_auc, unseen_auc=unseen_auc, overall_auc=overall,
         norm_by_category={c: g.mean_feature_norm for c, g in geo.items()},
         cosine_by_category={c: g.mean_max_cosine for c, g in geo.items()},
-        counts=counts, missing_categories=missing,
+        counts={c: g.count for c, g in geo.items()},
+        missing_categories=[c for c in COARSE_CATEGORIES if c not in geo],
     )
 
 

@@ -23,7 +23,7 @@ from . import net as net_mod
 from .data import EmbeddingBatch
 from .heads import HeadWeights, ce, compose, consistency, em, neg, negatives, ova, socr
 from .linalg import softmax_rows
-from .metrics import SCORE_RULES, evaluate
+from .metrics import SCORE_RULES, EvalReport, evaluate
 from .net import ForwardResult, NetSpec, ParamState, forward, init_params, sgd_step
 from .prototypes import PrototypeSet, initial_prototypes, refresh
 from .sna import GateMask, SnaWeights, dual_gate, ia, pa, usna
@@ -94,6 +94,7 @@ class RunLog:
     iterations: list[dict] = field(default_factory=list)
     epochs: list[dict] = field(default_factory=list)
     final_prototypes: PrototypeSet | None = None
+    final_report: EvalReport | None = None  # the last epoch's evaluation
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -216,6 +217,8 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
         if last_epoch or (cfg.eval_every > 0 and (epoch + 1) % cfg.eval_every == 0):
             report = evaluate(params, split, protos, score_rule=cfg.score_rule)
             epoch_record["eval"] = report.to_dict()
+            if last_epoch:
+                runlog.final_report = report
         runlog.epochs.append(epoch_record)
 
     return params, runlog

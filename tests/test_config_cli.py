@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from skipalign import metrics
 from skipalign.cli import apply_axis, main, run_experiment, sweep
 from skipalign.config import (ConfigError, config_hash, default_config, load_config,
                               resolve_config)
@@ -387,6 +388,26 @@ class TestRunExperimentApi:
         if outcome == "complete":
             # eval reads a manifest that carries the status key
             assert main(["eval", "--run-dir", str(run_dir)]) == 0
+
+    @pytest.mark.parametrize("epochs", [0, 1, 2])
+    def test_one_evaluation_per_run(self, tmp_path, monkeypatch, epochs):
+        calls = []
+
+        def evaluate(*args, **kwargs):
+            calls.append(args[2])
+            return metrics.evaluate(*args, **kwargs)
+
+        monkeypatch.setattr("skipalign.trainer.evaluate", evaluate)
+        monkeypatch.setattr("skipalign.cli.evaluate", evaluate)
+        raw = json.loads(json.dumps(TINY_RAW))
+        raw["train"]["epochs"] = epochs
+        run_dir, report = run_experiment(resolve_config(raw), tmp_path / "runs")
+        assert len(calls) == 1
+        # The report written is the one evaluated at the final prototypes.
+        written = json.loads((run_dir / "eval_report.json").read_text())
+        assert written == json.loads(json.dumps(report.to_dict()))
+        protos = json.loads((run_dir / "prototypes.json").read_text())
+        np.testing.assert_array_equal(calls[0].mu, protos["mu"])
 
     def test_returns_report_and_dir(self, tmp_path):
         cfg = resolve_config(TINY_RAW)

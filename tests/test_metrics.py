@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import rankdata
@@ -6,7 +9,8 @@ from skipalign.config import default_config
 from skipalign.heads import OvaOutput
 from skipalign.metrics import (CategoryGeometry, auroc, evaluate, geometry_stats,
                                ood_score, write_embedding_dump, write_eval_csv)
-from skipalign.net import init_params
+from skipalign.linalg import softmax_rows
+from skipalign.net import forward, init_params
 from skipalign.prototypes import PrototypeSet
 from skipalign.synthdata import generate
 
@@ -43,8 +47,38 @@ class TestAuroc:
         assert auroc([0.9, 0.4], [0.5, 0.1]) == 0.75
 
     def test_empty_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="id_scores"):
             auroc([], [0.5])
+
+    @pytest.mark.parametrize("id_scores, ood_scores, name", [
+        ([0.5], [], "ood_scores"),
+        ([0.5], [[0.1, 0.2], [0.3, 0.4]], "ood_scores"),
+        ([[0.5, 0.6]], [0.1], "id_scores"),
+        (0.5, [0.1], "id_scores"),
+    ], ids=["empty-ood", "2d-ood", "2d-id", "scalar-id"])
+    def test_rejects_empty_or_non_1d_input(self, id_scores, ood_scores, name):
+        with pytest.raises(ValueError, match=name):
+            auroc(id_scores, ood_scores)
+
+    @pytest.mark.parametrize("a, b", [
+        ([np.nan, 0.5, 0.2], [0.3, 0.1]),
+        ([0.5, 0.2], [np.nan, 0.3, np.nan]),
+        ([np.nan, 0.4], [np.nan, 0.4]),
+        ([np.nan], [np.nan]),
+        ([np.inf, -np.inf, 1.0], [np.inf, -np.inf, 0.0]),
+        ([np.inf, np.nan], [np.inf, -np.inf, np.nan]),
+        ([-0.0, 0.0, 1.0], [0.0, -0.0, -1.0]),
+        ([0.0, 0.0], [-0.0]),
+        ([0.7] * 5, [0.7] * 3),
+        ([0.3], [0.3]),
+        ([0.3], [0.2]),
+        ([0.2], [0.3, 0.2, 0.1]),
+        ([0.1, 0.9, 0.5], [0.5]),
+    ], ids=["nan-id", "nan-ood", "nan-both", "only-nan", "inf", "inf-nan", "signed-zero",
+            "signed-zero-tie", "all-tied", "single-tie", "single-win", "single-id",
+            "single-ood"])
+    def test_edge_values_match_brute_force(self, a, b):
+        assert auroc(a, b) == brute_force_auroc(a, b)
 
     def test_matches_brute_force_exactly(self):
         rng = np.random.default_rng(0)
@@ -85,6 +119,25 @@ class TestAuroc:
             a = np.round(rng.uniform(0, 1, int(rng.integers(2, 1000))), 2)
             b = np.round(rng.uniform(0, 1, int(rng.integers(2, 1000))), 2)
             assert auroc(a, b) == pytest.approx(rank_based_auroc(a, b), abs=1e-12)
+
+    def test_equals_rank_based_implementation_at_scale(self):
+        # Midranks are half-integers, so the scipy route is exact here too.
+        rng = np.random.default_rng(5)
+        a = np.round(rng.normal(0.3, 1.0, 20_000), 3)
+        b = np.round(rng.normal(0.0, 1.0, 10_000), 3)
+        assert auroc(a, b) == rank_based_auroc(a, b)
+
+    def test_memory_is_linear_in_the_score_sets(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal(4_000)
+        b = rng.standard_normal(2_500)
+        tracemalloc.start()
+        try:
+            auroc(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def ova_from_probs(id_probs) -> OvaOutput:
@@ -135,15 +188,14 @@ class TestGeometryStats:
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
         f = np.tile([[3.0, 4.0]], (4, 1))
         z = np.tile([[1.0, 1.0]], (4, 1))
-        stats, missing, _ = geometry_stats(f, z, protos, ["a", "a", "b", "b"])
+        stats, _ = geometry_stats(f, z, protos, ["a", "a", "b", "b"])
         assert stats["a"].mean_feature_norm == stats["b"].mean_feature_norm == 5.0
-        assert missing == []
 
     def test_hand_built_two_category_norms(self):
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
         f = np.array([[3.0, 4.0], [0.0, 1.0]])
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
-        stats, _, per_sample = geometry_stats(f, z, protos, ["id", "ood"])
+        stats, per_sample = geometry_stats(f, z, protos, ["id", "ood"])
         assert stats["id"].mean_feature_norm == 5.0
         assert stats["ood"].mean_feature_norm == 1.0
         np.testing.assert_allclose(per_sample[:, 0], [5.0, 1.0])
@@ -152,27 +204,37 @@ class TestGeometryStats:
         protos = PrototypeSet.from_means(np.array([[2.0, 0.0], [0.0, 2.0]]))
         z = np.array([[5.0, 0.0], [3.0, 0.0]])
         f = z.copy()
-        stats, _, _ = geometry_stats(f, z, protos, ["id", "id"])
+        stats, _ = geometry_stats(f, z, protos, ["id", "id"])
         assert stats["id"].mean_max_cosine == pytest.approx(1.0, abs=1e-12)
 
     def test_counts(self):
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
         f = np.ones((3, 2))
-        stats, _, _ = geometry_stats(f, f, protos, ["a", "a", "b"])
+        stats, _ = geometry_stats(f, f, protos, ["a", "a", "b"])
         assert stats["a"].count == 2 and stats["b"].count == 1
         assert isinstance(stats["a"], CategoryGeometry)
+
+    def test_categories_keep_first_appearance_order(self):
+        protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
+        f = np.arange(1.0, 9.0).reshape(4, 2)
+        stats, _ = geometry_stats(f, f, protos, ["seen", "id", "seen", "unseen"])
+        assert list(stats) == ["seen", "id", "unseen"]
+        assert stats["seen"].count == 2
+        assert stats["seen"].mean_feature_norm == np.linalg.norm(f[[0, 2]], axis=1).mean()
+
+
+def small_scenario(**counts):
+    cfg = default_config(seed=3)
+    sizes = dict(labels_per_class=5, unlabeled_id_per_class=5,
+                 unlabeled_seen_per_cluster=5, test_id_per_class=6,
+                 test_seen_per_cluster=6, test_unseen_per_cluster=6)
+    return dataclasses.replace(cfg.scenario, **{**sizes, **counts})
 
 
 @pytest.fixture(scope="module")
 def setup():
-    import dataclasses
     cfg = default_config(seed=3)
-    scenario = dataclasses.replace(cfg.scenario, labels_per_class=5,
-                                   unlabeled_id_per_class=5,
-                                   unlabeled_seen_per_cluster=5,
-                                   test_id_per_class=6, test_seen_per_cluster=6,
-                                   test_unseen_per_cluster=6)
-    split = generate(scenario)
+    split = generate(small_scenario())
     params = init_params(cfg.net)
     protos = PrototypeSet.from_means(
         np.random.default_rng(0).standard_normal((cfg.net.num_classes,
@@ -206,3 +268,46 @@ class TestEvaluate:
         rows = (tmp_path / "emb.csv").read_text().splitlines()
         assert len(rows) == split.test_x.shape[0] + 1
         assert rows[0].startswith("id,category,feature_norm,z_0")
+
+    def test_matches_per_row_masks_on_permuted_rows(self, setup):
+        params, split, protos = setup
+        order = np.random.default_rng(7).permutation(split.test_x.shape[0])
+        cats = [split.test_category[i] for i in order]
+        permuted = dataclasses.replace(split, test_x=split.test_x[order],
+                                       test_ids=split.test_ids[order], test_category=cats)
+        report = evaluate(params, permuted, protos)
+
+        out = forward(params, permuted.test_x)
+        cc_probs = softmax_rows(out.cc_logits)
+        scores = ood_score(out.ova, cc_probs)
+        is_id = np.array([c.startswith("id:") for c in cats])
+        true_class = np.array([int(c[3:]) if c.startswith("id:") else -1 for c in cats])
+        pred = np.argmax(cc_probs, axis=1)
+        assert report.accuracy == float((pred[is_id] == true_class[is_id]).mean())
+        expected = {"seen": brute_force_auroc(
+            scores[is_id], scores[[c.startswith("seen:") for c in cats]])}
+        for u in range(3):
+            expected[f"unseen_{u}"] = brute_force_auroc(
+                scores[is_id], scores[[c == f"unseen:{u}" for c in cats]])
+        assert list(report.auroc_per_source.items()) == list(expected.items())
+
+        coarse = ["id" if c.startswith("id:") else "seen_ood" if c.startswith("seen:")
+                  else "unseen_ood" for c in cats]
+        first_seen = list(dict.fromkeys(coarse))
+        assert first_seen != ["id", "seen_ood", "unseen_ood"]  # the order is exercised
+        assert list(report.norm_by_category) == first_seen
+        assert list(report.cosine_by_category) == first_seen
+        assert list(report.counts) == first_seen
+        for name in first_seen:
+            rows = np.array([c == name for c in coarse])
+            assert report.counts[name] == rows.sum()
+            assert report.norm_by_category[name] == out.feature_norms[rows].mean()
+        assert report.missing_categories == []
+
+    def test_reports_categories_without_test_rows(self, setup):
+        params, _, protos = setup
+        split = generate(small_scenario(test_seen_per_cluster=0))
+        report = evaluate(params, split, protos)
+        assert report.missing_categories == ["seen_ood"]
+        assert "seen" not in report.auroc_per_source
+        assert list(report.counts) == ["id", "unseen_ood"]

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from skipalign.autodiff import constant
 from skipalign.heads import ce
 from skipalign.linalg import softmax_rows
-from skipalign.net import (NetSpec, ParamState, backward, forward, init_params,
-                           layout, load_checkpoint, param_count, save_checkpoint,
-                           sgd_step)
+from skipalign.net import (NetSpec, ParamState, backward, forward, forward_tensors,
+                           init_params, layout, load_checkpoint, param_count,
+                           save_checkpoint, sgd_step)
 from skipalign.sna import usna
 
 TINY = NetSpec(input_dim=3, backbone_widths=(4,), feature_dim=3, proj_hidden=3,
@@ -124,6 +125,17 @@ class TestBackward:
         x = np.zeros((2, 3))
         with pytest.raises(ValueError, match="non-finite"):
             backward(params, {"x": x}, lambda outs: (float("nan"), {}))
+
+    def test_nan_input_flagged_by_the_tape_forward_too(self):
+        # The oracle's ReLU must propagate NaN as the training forward does.
+        params = init_params(TINY)
+        x = np.array([[np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        tensors = {name: constant(params.view(name)) for name in params.names()}
+        match = "non-finite activation in layer 'backbone'"
+        with pytest.raises(ValueError, match=match):
+            backward(params, {"x": x}, lambda outs: (0.0, {}))
+        with pytest.raises(ValueError, match=match):
+            forward_tensors(TINY, tensors, x)
 
 
 class TestSgdStep:
