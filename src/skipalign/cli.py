@@ -36,7 +36,7 @@ from .metrics import (SCORE_RULES, EvalReport, evaluate, write_embedding_dump, w
 from .net import load_checkpoint, save_checkpoint
 from .prototypes import PrototypeSet
 from .sna import LOSS_COMBOS
-from .synthdata import generate, write_manifest, write_split_csv
+from .synthdata import PlacementError, generate, write_manifest, write_split_csv
 from .trainer import TrainingDiverged, train
 
 SWEEP_AXES = ("eta_id", "r_u", "loss_combo", "lambda_sna")
@@ -66,13 +66,17 @@ def run_experiment(cfg: ExperimentConfig, out_root: Path, force: bool = False,
     """Full pipeline: generate, train, evaluate, persist artifacts."""
     out_root = Path(out_root)
     run_dir = out_root / f"{config_hash(cfg)[:12]}-s{cfg.seed}"
+    if run_dir.exists() and not force:
+        raise FileExistsError(f"run directory already exists: {run_dir} (use --force)")
+    started = time.time()
+    try:  # before the run directory is touched, like every other config error
+        split = generate(cfg.scenario)
+    except PlacementError as err:
+        raise ConfigError("scenario.min_separation", str(err)) from err
     if run_dir.exists():
-        if not force:
-            raise FileExistsError(f"run directory already exists: {run_dir} (use --force)")
         shutil.rmtree(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    started = time.time()
     manifest = {
         "format_version": 1,
         "package_version": __version__,
@@ -97,7 +101,6 @@ def run_experiment(cfg: ExperimentConfig, out_root: Path, force: bool = False,
     _write_manifest(manifest, run_dir / "manifest.json")
 
     try:
-        split = generate(cfg.scenario)
         write_manifest(split, run_dir / "scenario_manifest.json")
         write_split_csv(split, run_dir / "split.csv")
 
@@ -154,6 +157,14 @@ def _load_prototypes(path: Path) -> PrototypeSet:
         n_unlabeled=np.array(payload["n_unlabeled"], dtype=np.int64),
         gamma=payload["gamma"], r_u=payload["r_u"],
     )
+
+
+def _load_artifact(load, path: Path):
+    """load(path), with a file that does not parse reported as usage error naming it."""
+    try:
+        return load(path)
+    except (ValueError, KeyError, TypeError) as err:  # JSONDecodeError is a ValueError
+        raise ConfigError(str(path), f"damaged run artifact: {type(err).__name__}: {err}") from err
 
 
 def _cmd_run(args) -> int:
@@ -237,8 +248,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
     cfg = load_config(run_dir / "manifest.json", use_env=False)
-    params = load_checkpoint(run_dir / "checkpoint.json")
-    protos = _load_prototypes(run_dir / "prototypes.json")
+    params = _load_artifact(load_checkpoint, run_dir / "checkpoint.json")
+    protos = _load_artifact(_load_prototypes, run_dir / "prototypes.json")
     split = generate(cfg.scenario)
     rule = args.score_rule or cfg.train.score_rule
     report = evaluate(params, split, protos, score_rule=rule)

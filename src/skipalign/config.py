@@ -50,17 +50,43 @@ class ExperimentConfig:
         return out
 
 
+def _has_default_type(value, default) -> bool:
+    """Whether a JSON value fits a field with this default: an integer also fills
+    a float field, a bool only a bool field, a list of integers a tuple field."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_has_default_type(v, 0) for v in value)
+    if isinstance(default, float) or default is None:
+        return isinstance(value, (int, float)) or value is default
+    if isinstance(default, (int, str)):
+        return isinstance(value, type(default))
+    return True  # a nested section, built and checked on its own
+
+
 def _build_section(cls, data: dict, path: str):
-    allowed = {f.name for f in dataclasses.fields(cls)}
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     for key, value in data.items():
-        if key not in allowed:
+        if key not in defaults:
             raise ConfigError(f"{path}.{key}", "unknown field")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{path}.{key}", "must be finite")
+        if not _has_default_type(value, defaults[key]):
+            raise ConfigError(f"{path}.{key}", f"wrong type {type(value).__name__} "
+                                               f"(the default is {defaults[key]!r})")
+        if key == "seed" and value < 0:
+            raise ConfigError(f"{path}.seed", "must be non-negative")
     try:
         return cls(**data)
     except (TypeError, ValueError) as err:
         raise ConfigError(path, str(err)) from err
+
+
+def _section(data: dict, key: str, path: str) -> dict:
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(path, "must be an object")
+    return dict(value)
 
 
 def _apply_env_overrides(data: dict, environ) -> dict:
@@ -111,33 +137,37 @@ def resolve_config(data: dict, seed_override: int | None = None,
             data.setdefault(section, {}).pop("seed", None)
     if "seed" not in data:
         raise ConfigError("seed", "missing required field")
-    if not isinstance(data["seed"], int) or isinstance(data["seed"], bool):
-        raise ConfigError("seed", "must be an integer")
+    if not _has_default_type(data["seed"], 0) or data["seed"] < 0:
+        raise ConfigError("seed", "must be a non-negative integer")
     seed = data["seed"]
 
-    scenario_data = dict(data.get("scenario", {}))
+    scenario_data = _section(data, "scenario", "scenario")
     scenario_data.setdefault("seed", seed)
     scenario = _build_section(ScenarioSpec, scenario_data, "scenario")
+    if scenario.unlabeled_rows == 0:
+        raise ConfigError("scenario.unlabeled_id_per_class", "with unlabeled_seen_per_cluster, "
+                          "leaves the unlabeled pool that training needs empty")
+    if scenario.test_id_per_class == 0:
+        raise ConfigError("scenario.test_id_per_class",
+                          "must be >= 1: evaluation needs in-distribution test rows")
 
-    net_data = dict(data.get("net", {}))
+    net_data = _section(data, "net", "net")
     net_data.setdefault("seed", seed + 1)
     net_data.setdefault("input_dim", scenario.input_dim)
     net_data.setdefault("num_classes", scenario.num_classes)
-    if "backbone_widths" in net_data:
-        net_data["backbone_widths"] = tuple(net_data["backbone_widths"])
     net = _build_section(NetSpec, net_data, "net")
     if net.input_dim != scenario.input_dim:
         raise ConfigError("net.input_dim", "must match scenario.input_dim")
     if net.num_classes != scenario.num_classes:
         raise ConfigError("net.num_classes", "must match scenario.num_classes")
 
-    train_data = dict(data.get("train", {}))
+    train_data = _section(data, "train", "train")
     train_data.setdefault("seed", seed + 2)
     train_data.setdefault("gamma", scenario.gamma)
-    if "head" in train_data:
-        train_data["head"] = _build_section(HeadWeights, dict(train_data["head"]), "train.head")
-    if "sna" in train_data:
-        train_data["sna"] = _build_section(SnaWeights, dict(train_data["sna"]), "train.sna")
+    for name, cls in (("head", HeadWeights), ("sna", SnaWeights)):
+        if name in train_data:
+            path = f"train.{name}"
+            train_data[name] = _build_section(cls, _section(train_data, name, path), path)
     train = _build_section(TrainConfig, train_data, "train")
     if abs(train.gamma - scenario.gamma) > 1e-12:
         raise ConfigError("train.gamma", "must match scenario.gamma")
@@ -150,7 +180,7 @@ def read_raw(path):
         with open(path) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as err:
-        raise ConfigError("<file>", f"invalid JSON: {err}") from err
+        raise ConfigError("<file>", f"invalid JSON in {path}: {err}") from err
     if isinstance(data, dict) and "config" in data:
         data = data["config"]  # run manifests embed the resolved config
     return data

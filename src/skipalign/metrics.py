@@ -21,7 +21,7 @@ from .heads import OvaOutput
 from .linalg import softmax_rows
 from .net import ParamState, forward
 from .prototypes import PrototypeSet, proto_similarity_profile
-from .synthdata import Split
+from .synthdata import Split, write_float_rows
 
 SCORE_RULES = ("ova_id_at_cc_argmax", "max_cc_softmax", "max_ova_id", "feature_norm")
 
@@ -207,11 +207,6 @@ def write_eval_csv(report: EvalReport, path) -> None:
 def write_embedding_dump(params: ParamState, split: Split, path) -> None:
     """Per-test-sample rows (id, category, feature_norm, z_0..z_{d-1})."""
     out = forward(params, split.test_x)
-    dim = out.embeddings.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "category", "feature_norm"] + [f"z_{j}" for j in range(dim)])
-        for i in range(split.test_x.shape[0]):
-            writer.writerow([int(split.test_ids[i]), split.test_category[i],
-                             repr(float(out.feature_norms[i]))]
-                            + [repr(float(v)) for v in out.embeddings[i]])
+    rows = zip(map(int, split.test_ids), split.test_category, map(float, out.feature_norms))
+    write_float_rows(path, ["id", "category", "feature_norm"], "z",
+                     [((f"{i},{c},{n!r}" for i, c, n in rows), out.embeddings)])

@@ -10,11 +10,12 @@ Augmentations are additive-noise operators over the raw vectors.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+
+CHUNK_ROWS = 256  # rows write_float_rows turns into Python floats at once: bounds its memory
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,15 @@ class ScenarioSpec:
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
 
+    @property
+    def unlabeled_rows(self) -> int:
+        return (self.num_classes * self.unlabeled_id_per_class
+                + self.seen_ood_clusters * self.unlabeled_seen_per_cluster)
+
+
+class PlacementError(ValueError):
+    """No placement of the cluster means keeps them min_separation apart."""
+
 
 @dataclass
 class Split:
@@ -105,8 +115,8 @@ def _place_means(spec: ScenarioSpec, rng: np.random.Generator) -> dict:
             if all(np.linalg.norm(candidate - q) >= spec.min_separation for q in placed):
                 placed.append(candidate)
                 return candidate
-        raise ValueError("cluster separation constraint unsatisfiable after "
-                         f"{spec.max_placement_tries} tries")
+        raise PlacementError("cluster separation constraint unsatisfiable after "
+                             f"{spec.max_placement_tries} tries")
 
     id_means = [place(spec.id_mean_radius) for _ in range(spec.num_classes)]
     if spec.seen_placement == "between" and spec.num_classes >= 2:
@@ -204,8 +214,7 @@ def generate(spec: ScenarioSpec) -> Split:
         ),
         "counts": {
             "labeled": spec.num_classes * spec.labels_per_class,
-            "unlabeled": (spec.num_classes * spec.unlabeled_id_per_class
-                          + spec.seen_ood_clusters * spec.unlabeled_seen_per_cluster),
+            "unlabeled": spec.unlabeled_rows,
             "test": (spec.num_classes * spec.test_id_per_class
                      + spec.seen_ood_clusters * spec.test_seen_per_cluster
                      + spec.unseen_ood_clusters * spec.test_unseen_per_cluster),
@@ -255,23 +264,27 @@ def audit_no_leakage(split: Split) -> None:
         raise AssertionError("unseen-OOD category found in the unlabeled pool")
 
 
+def write_float_rows(path, columns: list[str], name: str, parts) -> None:
+    """Write a CSV with one line per block row: its prefix string, then its floats' repr
+    (columns name_0, ...). parts pairs an iterable of prefixes with each block. The bytes
+    are csv.writer's as long as no field needs quoting."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns + [f"{name}_{j}" for j in range(parts[0][1].shape[1])]) + "\r\n")
+        for prefixes, block in parts:  # both lazy, so no whole-file Python objects
+            rows = (row for start in range(0, len(block), CHUNK_ROWS)
+                    for row in block[start:start + CHUNK_ROWS].tolist())
+            fh.writelines(f"{p},{','.join(map(repr, row))}\r\n" for p, row in zip(prefixes, rows))
+
+
 def write_split_csv(split: Split, path) -> None:
     """One row per sample: (split, id, category, label-or-blank, x_0..x_{d-1})."""
-    dim = split.labeled_x.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["split", "id", "category", "label"] + [f"x_{j}" for j in range(dim)])
-        for i in range(split.labeled_x.shape[0]):
-            writer.writerow(["labeled", int(split.labeled_ids[i]),
-                             f"id:{int(split.labeled_y[i])}", int(split.labeled_y[i])]
-                            + [repr(float(v)) for v in split.labeled_x[i]])
-        for i in range(split.unlabeled_x.shape[0]):
-            writer.writerow(["unlabeled", int(split.unlabeled_ids[i]),
-                             split.unlabeled_category[i], ""]
-                            + [repr(float(v)) for v in split.unlabeled_x[i]])
-        for i in range(split.test_x.shape[0]):
-            writer.writerow(["test", int(split.test_ids[i]), split.test_category[i], ""]
-                            + [repr(float(v)) for v in split.test_x[i]])
+    labeled = zip(map(int, split.labeled_ids), map(int, split.labeled_y))
+    unlabeled = zip(map(int, split.unlabeled_ids), split.unlabeled_category)
+    test = zip(map(int, split.test_ids), split.test_category)
+    write_float_rows(path, ["split", "id", "category", "label"], "x", [
+        ((f"labeled,{i},id:{y},{y}" for i, y in labeled), split.labeled_x),
+        ((f"unlabeled,{i},{c}," for i, c in unlabeled), split.unlabeled_x),
+        ((f"test,{i},{c}," for i, c in test), split.test_x)])
 
 
 def write_manifest(split: Split, path) -> None:

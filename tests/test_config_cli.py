@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -329,6 +330,81 @@ class TestCliSweep:
     def test_apply_axis_rejects_unknown_combo(self):
         with pytest.raises(ConfigError):
             apply_axis(TINY_RAW, "loss_combo", "everything")
+
+
+# Small runs for the exit-code table: one epoch of three steps.
+EDGE_RAW = {**TINY_RAW, "train": {"epochs": 1, "iters_per_epoch": 3, "batch_size": 8}}
+
+
+def append_bytes(path):
+    path.write_bytes(path.read_bytes() + b"}")
+
+
+def drop_mu(path):
+    payload = json.loads(path.read_text())
+    del payload["mu"]
+    path.write_text(json.dumps(payload))
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    run_dir, _ = run_experiment(resolve_config(EDGE_RAW), tmp_path_factory.mktemp("finished"))
+    return run_dir
+
+
+class TestExitCodes:
+    """The exit-code contract at the edges: 0 success, 2 invalid config or
+    usage (naming the field or file), 3 divergence."""
+
+    @pytest.mark.parametrize("verb, change, code, named", [
+        ("run", {"seed": 0, "scenario": {"seed": 0}, "net": {"seed": 0},
+                 "train": {"seed": 0}}, 0, None),
+        ("run", {"seed": -1}, 2, "seed"),
+        ("run", {"scenario": {"seed": -1}}, 2, "scenario.seed"),
+        ("run", {"net": {"seed": -1}}, 2, "net.seed"),
+        ("run", {"train": {"seed": -1}}, 2, "train.seed"),
+        ("run", {"scenario": {"unlabeled_id_per_class": 0}}, 0, None),
+        ("run", {"scenario": {"unlabeled_id_per_class": 0, "unlabeled_seen_per_cluster": 0}},
+         2, "scenario.unlabeled_id_per_class"),
+        ("run", {"scenario": {"test_id_per_class": 0}}, 2, "scenario.test_id_per_class"),
+        ("run", {"scenario": {"min_separation": 1e6}}, 2, "scenario.min_separation"),
+        ("run", {"train": {"epochs": "3"}}, 2, "train.epochs"),
+        ("run", {"scenario": {"input_dim": 16.5}}, 2, "scenario.input_dim"),
+        ("run", {"net": {"proj_nonlinear": "no"}}, 2, "net.proj_nonlinear"),
+        ("run", {"net": {"backbone_widths": 32}}, 2, "net.backbone_widths"),
+        ("run", {"train": {"head": {"lambda_sna": "0.1"}}}, 2, "train.head.lambda_sna"),
+        ("run", {"train": {"sna": [1.0]}}, 2, "train.sna"),
+        ("run", {"train": {"lr0": 1e6}}, 3, None),
+        ("eval", ("checkpoint.json", append_bytes), 2, "checkpoint.json"),
+        ("eval", ("prototypes.json", append_bytes), 2, "prototypes.json"),
+        ("eval", ("manifest.json", append_bytes), 2, "manifest.json"),
+        ("eval", ("prototypes.json", drop_mu), 2, "prototypes.json"),
+        ("eval", ("prototypes.json", os.remove), 2, "prototypes.json"),
+    ], ids=["zero-seeds", "negative-seed", "negative-scenario-seed", "negative-net-seed",
+            "negative-train-seed", "seen-only-pool", "empty-pool", "no-id-test-rows",
+            "unsatisfiable-separation", "string-epochs", "fractional-input-dim",
+            "string-flag", "scalar-widths", "string-head-weight", "list-section", "diverging",
+            "checkpoint-appended", "prototypes-appended", "manifest-appended",
+            "prototypes-key-missing", "prototypes-missing"])
+    def test_exit_code(self, tmp_path, capsys, finished_run, verb, change, code, named):
+        if verb == "run":
+            raw = json.loads(json.dumps(EDGE_RAW))
+            for section, value in change.items():
+                if isinstance(value, dict):
+                    raw.setdefault(section, {}).update(value)
+                else:
+                    raw[section] = value
+            argv = ["run", "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "runs")]
+        else:
+            run_dir = tmp_path / "run"
+            shutil.copytree(finished_run, run_dir)
+            name, damage = change
+            damage(run_dir / name)
+            argv = ["eval", "--run-dir", str(run_dir)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == code
+        if code == 2:
+            assert named in capsys.readouterr().err
 
 
 class TestCliGradcheckAndGolden:

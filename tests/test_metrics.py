@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from skipalign.metrics import (CategoryGeometry, auroc, evaluate, geometry_stats
 from skipalign.linalg import softmax_rows
 from skipalign.net import forward, init_params
 from skipalign.prototypes import PrototypeSet
-from skipalign.synthdata import generate
+from skipalign.synthdata import CHUNK_ROWS, generate
 
 
 def brute_force_auroc(id_scores, ood_scores) -> float:
@@ -231,6 +233,18 @@ def small_scenario(**counts):
     return dataclasses.replace(cfg.scenario, **{**sizes, **counts})
 
 
+def reference_embedding_dump(out, split, path):
+    """The csv.writer loop the dump writer replaced: the bytes it must keep."""
+    dim = out.embeddings.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "category", "feature_norm"] + [f"z_{j}" for j in range(dim)])
+        for i in range(split.test_x.shape[0]):
+            writer.writerow([int(split.test_ids[i]), split.test_category[i],
+                             repr(float(out.feature_norms[i]))]
+                            + [repr(float(v)) for v in out.embeddings[i]])
+
+
 @pytest.fixture(scope="module")
 def setup():
     cfg = default_config(seed=3)
@@ -257,7 +271,7 @@ class TestEvaluate:
             np.mean(list(report.auroc_per_source.values())), abs=1e-12)
         assert set(report.norm_by_category) == {"id", "seen_ood", "unseen_ood"}
 
-    def test_csv_and_dump(self, setup, tmp_path):
+    def test_csv_and_dump(self, setup, tmp_path, monkeypatch):
         params, split, protos = setup
         report = evaluate(params, split, protos)
         write_eval_csv(report, tmp_path / "metrics.csv")
@@ -268,6 +282,25 @@ class TestEvaluate:
         rows = (tmp_path / "emb.csv").read_text().splitlines()
         assert len(rows) == split.test_x.shape[0] + 1
         assert rows[0].startswith("id,category,feature_norm,z_0")
+
+        # The dump's bytes are the csv.writer loop's: on this split, on a split
+        # longer than one writer chunk, and on edge floats in both columns.
+        large = generate(small_scenario(test_id_per_class=80))
+        assert large.test_x.shape[0] > CHUNK_ROWS
+        out = forward(params, split.test_x)
+        edges = [-0.0, 5e-324, 1e-05, 1e16, -1.5e-300]
+        z = out.embeddings.copy()
+        z.flat[:len(edges)] = edges
+        edge_out = SimpleNamespace(feature_norms=np.resize(edges, split.test_x.shape[0]),
+                                   embeddings=z)
+        for case_split, fake_out in ((split, None), (large, None), (split, edge_out)):
+            if fake_out is not None:
+                monkeypatch.setattr("skipalign.metrics.forward", lambda p, x: fake_out)
+            write_embedding_dump(params, case_split, tmp_path / "emb.csv")
+            reference_embedding_dump(fake_out or forward(params, case_split.test_x),
+                                     case_split, tmp_path / "reference.csv")
+            assert ((tmp_path / "emb.csv").read_bytes()
+                    == (tmp_path / "reference.csv").read_bytes())
 
     def test_matches_per_row_masks_on_permuted_rows(self, setup):
         params, split, protos = setup

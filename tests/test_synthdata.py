@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from skipalign.synthdata import (ScenarioSpec, audit_no_leakage, augment, generate,
+from skipalign.synthdata import (CHUNK_ROWS, ScenarioSpec, audit_no_leakage, augment, generate,
                                  write_split_csv)
 
 SMALL = ScenarioSpec(input_dim=6, num_classes=3, labels_per_class=5,
@@ -138,7 +138,51 @@ class TestAugment:
                     sigma_weak=0.1, sigma_strong=0.5, strong_dropout=0.1)
 
 
+# Floats whose repr is easy to get wrong: a signed zero, the smallest
+# subnormal, and exponents at and beyond repr's switch to scientific notation.
+EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, -1.5e-300]
+
+
+def reference_split_csv(split, path):
+    """The csv.writer loop the split writer replaced: the bytes it must keep."""
+    dim = split.labeled_x.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["split", "id", "category", "label"] + [f"x_{j}" for j in range(dim)])
+        for i in range(split.labeled_x.shape[0]):
+            writer.writerow(["labeled", int(split.labeled_ids[i]),
+                             f"id:{int(split.labeled_y[i])}", int(split.labeled_y[i])]
+                            + [repr(float(v)) for v in split.labeled_x[i]])
+        for i in range(split.unlabeled_x.shape[0]):
+            writer.writerow(["unlabeled", int(split.unlabeled_ids[i]),
+                             split.unlabeled_category[i], ""]
+                            + [repr(float(v)) for v in split.unlabeled_x[i]])
+        for i in range(split.test_x.shape[0]):
+            writer.writerow(["test", int(split.test_ids[i]), split.test_category[i], ""]
+                            + [repr(float(v)) for v in split.test_x[i]])
+
+
+def with_edge_floats(split):
+    """The split with EDGE_FLOATS written over the first values of each part."""
+    parts = {}
+    for name in ("labeled_x", "unlabeled_x", "test_x"):
+        x = getattr(split, name).copy()
+        x.flat[:len(EDGE_FLOATS)] = EDGE_FLOATS
+        parts[name] = x
+    return dataclasses.replace(split, **parts)
+
+
 class TestSerialization:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        default = generate(ScenarioSpec())
+        assert default.labeled_x.shape[0] > 0
+        assert min(default.unlabeled_x.shape[0], default.test_x.shape[0]) > CHUNK_ROWS
+        for split in (default, with_edge_floats(generate(SMALL))):
+            write_split_csv(split, tmp_path / "split.csv")
+            reference_split_csv(split, tmp_path / "reference.csv")
+            assert ((tmp_path / "split.csv").read_bytes()
+                    == (tmp_path / "reference.csv").read_bytes())
+
     def test_csv_round_trip(self, tmp_path):
         split = generate(SMALL)
         path = tmp_path / "split.csv"
