@@ -33,7 +33,8 @@ from .config import (ConfigError, ExperimentConfig, config_hash, default_config,
                      read_raw, resolve_config)
 from .metrics import (SCORE_RULES, EvalReport, evaluate, write_embedding_dump, write_eval_csv,
                       write_eval_json)
-from .net import load_checkpoint, save_checkpoint
+from .linalg import unit_rows
+from .net import NetSpec, load_checkpoint, save_checkpoint
 from .prototypes import PrototypeSet
 from .sna import LOSS_COMBOS
 from .synthdata import PlacementError, generate, write_manifest, write_split_csv
@@ -147,11 +148,18 @@ def _write_prototypes(protos: PrototypeSet, path: Path) -> None:
         json.dump(payload, fh)
 
 
-def _load_prototypes(path: Path) -> PrototypeSet:
+def _load_prototypes(path: Path, spec: NetSpec) -> PrototypeSet:
+    """The saved prototypes; mu must be a finite (num_classes, embed_dim) matrix of
+    the checkpoint's spec, with no zero row."""
     with open(path) as fh:
         payload = json.load(fh)
+    mu = np.array(payload["mu"], dtype=np.float64)
+    if mu.shape != (spec.num_classes, spec.embed_dim):
+        raise ValueError(f"mu has shape {mu.shape}, the checkpoint needs "
+                         f"({spec.num_classes}, {spec.embed_dim})")
+    unit_rows(mu)  # finite, and no degenerate row
     return PrototypeSet(
-        mu=np.array(payload["mu"]), mu_labeled=np.array(payload["mu_labeled"]),
+        mu=mu, mu_labeled=np.array(payload["mu_labeled"]),
         mu_unlabeled=np.array(payload["mu_unlabeled"]),
         n_labeled=np.array(payload["n_labeled"], dtype=np.int64),
         n_unlabeled=np.array(payload["n_unlabeled"], dtype=np.int64),
@@ -159,10 +167,11 @@ def _load_prototypes(path: Path) -> PrototypeSet:
     )
 
 
-def _load_artifact(load, path: Path):
-    """load(path), with a file that does not parse reported as usage error naming it."""
+def _load_artifact(load, path: Path, *args):
+    """load(path, *args), with a file that does not parse or holds bad values reported
+    as usage error naming it."""
     try:
-        return load(path)
+        return load(path, *args)
     except (ValueError, KeyError, TypeError) as err:  # JSONDecodeError is a ValueError
         raise ConfigError(str(path), f"damaged run artifact: {type(err).__name__}: {err}") from err
 
@@ -249,7 +258,7 @@ def _cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
     cfg = load_config(run_dir / "manifest.json", use_env=False)
     params = _load_artifact(load_checkpoint, run_dir / "checkpoint.json")
-    protos = _load_artifact(_load_prototypes, run_dir / "prototypes.json")
+    protos = _load_artifact(_load_prototypes, run_dir / "prototypes.json", params.spec)
     split = generate(cfg.scenario)
     rule = args.score_rule or cfg.train.score_rule
     report = evaluate(params, split, protos, score_rule=rule)

@@ -57,8 +57,8 @@ def _has_default_type(value, default) -> bool:
         return isinstance(default, bool) and isinstance(value, bool)
     if isinstance(default, tuple):
         return isinstance(value, (list, tuple)) and all(_has_default_type(v, 0) for v in value)
-    if isinstance(default, float) or default is None:
-        return isinstance(value, (int, float)) or value is default
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
     if isinstance(default, (int, str)):
         return isinstance(value, type(default))
     return True  # a nested section, built and checked on its own
@@ -163,14 +163,11 @@ def resolve_config(data: dict, seed_override: int | None = None,
 
     train_data = _section(data, "train", "train")
     train_data.setdefault("seed", seed + 2)
-    train_data.setdefault("gamma", scenario.gamma)
     for name, cls in (("head", HeadWeights), ("sna", SnaWeights)):
         if name in train_data:
             path = f"train.{name}"
             train_data[name] = _build_section(cls, _section(train_data, name, path), path)
     train = _build_section(TrainConfig, train_data, "train")
-    if abs(train.gamma - scenario.gamma) > 1e-12:
-        raise ConfigError("train.gamma", "must match scenario.gamma")
     return ExperimentConfig(seed=seed, scenario=scenario, net=net, train=train)
 
 

@@ -44,7 +44,6 @@ class ScenarioSpec:
     between_hull_scale: float = 1.6
     min_separation: float = 4.0
     max_placement_tries: int = 500
-    gamma: float = 2.0             # intended unlabeled:labeled batch ratio
     sigma_weak: float = 0.15
     sigma_strong: float = 0.8
     strong_dropout: float = 0.2
@@ -68,8 +67,6 @@ class ScenarioSpec:
             raise ValueError("seen_placement must be 'between' or 'radial'")
         if not 0.0 <= self.strong_dropout <= 1.0:
             raise ValueError("strong_dropout must lie in [0, 1]")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
 
     @property
     def unlabeled_rows(self) -> int:

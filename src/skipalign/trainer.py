@@ -52,12 +52,8 @@ class TrainConfig:
     tau_id: float = 0.99
     eta_id: float = 0.5
     gate_temperature: float = 0.5
-    tau_proto: float | None = None  # None: set to tau_id on construction
-    eta_proto: float | None = None  # None: set to eta_id on construction
     r_u: float = 0.5
     score_rule: str = "ova_id_at_cc_argmax"
-    eval_every: int = 0  # epochs between metric snapshots; 0 = final only
-    log_gate_details: bool = True
     seed: int = 2
 
     def __post_init__(self):
@@ -67,11 +63,7 @@ class TrainConfig:
             raise ValueError("gamma must be positive")
         if self.lr0 < 0 or self.momentum < 0 or self.weight_decay < 0:
             raise ValueError("lr0, momentum, weight_decay must be non-negative")
-        if self.tau_proto is None:
-            object.__setattr__(self, "tau_proto", self.tau_id)
-        if self.eta_proto is None:
-            object.__setattr__(self, "eta_proto", self.eta_id)
-        for name in ("tau_id", "eta_id", "tau_proto", "eta_proto", "r_u"):
+        for name in ("tau_id", "eta_id", "r_u"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.score_rule not in SCORE_RULES:
@@ -191,10 +183,8 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
                 "step": step, "epoch": epoch, "lr": lr,
                 "terms": info["terms"], "weights": info["weights"], "total": info["total"],
                 "batch_labeled": int(len(li)), "batch_unlabeled": int(len(ui)),
-                "gate": info["gate_stats"],
+                "gate": info["gate_stats"], "gate_detail": info["gate_detail"],
             }
-            if cfg.log_gate_details:
-                record["gate_detail"] = info["gate_detail"]
             runlog.iterations.append(record)
             if info["proto_rows"].shape[0] > 0:
                 proto_rows.append(info["proto_rows"])
@@ -213,12 +203,9 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
                 "gamma": protos.gamma, "r_u": protos.r_u,
             },
         }
-        last_epoch = epoch == cfg.epochs - 1
-        if last_epoch or (cfg.eval_every > 0 and (epoch + 1) % cfg.eval_every == 0):
-            report = evaluate(params, split, protos, score_rule=cfg.score_rule)
-            epoch_record["eval"] = report.to_dict()
-            if last_epoch:
-                runlog.final_report = report
+        if epoch == cfg.epochs - 1:
+            runlog.final_report = evaluate(params, split, protos, score_rule=cfg.score_rule)
+            epoch_record["eval"] = runlog.final_report.to_dict()
         runlog.epochs.append(epoch_record)
 
     return params, runlog
@@ -231,7 +218,7 @@ def _diverged(err: ValueError, runlog: RunLog) -> TrainingDiverged:
 
 
 def _refresh_prototypes(params, split, cfg, netspec, proto_rows, proto_pred) -> PrototypeSet:
-    """Refresh from the rows the prototype gate accepted, labeled by predicted class."""
+    """Refresh from the rows the dual gate accepted, labeled by predicted class."""
     labeled = _clean_labeled_embeddings(params, split)
     unlabeled = (EmbeddingBatch(np.vstack(proto_rows), labels=np.concatenate(proto_pred))
                  if proto_rows else None)
@@ -250,8 +237,7 @@ class Decisions:
     Gradients never flow through gates, pseudo-labels or negative masks.
     """
 
-    gate: GateMask          # dual gate on the weak unlabeled view
-    proto_gate: GateMask    # the same gate at the prototype-refresh thresholds
+    gate: GateMask          # dual gate on the weak unlabeled view; also picks refresh rows
     pseudo: np.ndarray      # hard pseudo-labels from the weak view
     pl_accept: np.ndarray   # pseudo-labels whose confidence clears tau_pl
     neg_w: np.ndarray       # pseudo-negative masks, weak and strong view
@@ -261,13 +247,11 @@ class Decisions:
 def freeze_decisions(uw: ForwardResult, us: ForwardResult, cfg: TrainConfig) -> Decisions:
     """Every frozen per-step choice, from the weak and strong unlabeled views."""
     gate_probs = softmax_rows(uw.cc_logits, cfg.gate_temperature)
-    id_probs = uw.ova.id_probs
     pl_probs = softmax_rows(uw.cc_logits)
     pseudo = np.argmax(pl_probs, axis=1)
     eta_neg = cfg.head.eta_neg
     return Decisions(
-        gate=dual_gate(gate_probs, id_probs, cfg.tau_id, cfg.eta_id),
-        proto_gate=dual_gate(gate_probs, id_probs, cfg.tau_proto, cfg.eta_proto),
+        gate=dual_gate(gate_probs, uw.ova.id_probs, cfg.tau_id, cfg.eta_id),
         pseudo=pseudo,
         pl_accept=pl_probs[np.arange(pseudo.size), pseudo] > cfg.head.tau_pl,
         neg_w=negatives(uw.ova.id_logits, uw.ova.ood_logits, eta_neg),
@@ -343,13 +327,12 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, protos: PrototypeSet, in
         decisions = freeze_decisions(outputs["u_w"], outputs["u_s"], cfg)
         terms, weights, grads = objective(outputs, labels, unit_protos, decisions, cfg)
         total = terms.pop("total")
-        gate, proto_gate = decisions.gate, decisions.proto_gate
+        gate = decisions.gate
         info["terms"] = terms
         info["weights"] = weights
         info["total"] = total
         info["gate_stats"] = {
             "accepted": gate.accepted,
-            "proto_accepted": proto_gate.accepted,
             "negatives": int((decisions.neg_w.sum(axis=1) > 0).sum()),
             "pl_accepted": int(decisions.pl_accept.sum()),
         }
@@ -360,9 +343,9 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, protos: PrototypeSet, in
             "pred_class": gate.pred_class.tolist(),
             "tau_id": gate.tau_id, "eta_id": gate.eta_id,
         }
-        selected = proto_gate.phi == 1
+        selected = gate.phi == 1
         info["proto_rows"] = outputs["u_w"].embeddings[selected]
-        info["proto_pred"] = proto_gate.pred_class[selected]
+        info["proto_pred"] = gate.pred_class[selected]
         return total, grads
 
     return closure
@@ -371,9 +354,7 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, protos: PrototypeSet, in
 def audit_gate_flow(runlog: RunLog) -> None:
     """Check every logged pull decision against the gate rule it claims."""
     for record in runlog.iterations:
-        detail = record.get("gate_detail")
-        if detail is None:
-            continue
+        detail = record["gate_detail"]
         cc = np.asarray(detail["cc_conf"])
         od = np.asarray(detail["od_conf"])
         phi = np.asarray(detail["phi"])

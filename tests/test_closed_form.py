@@ -79,10 +79,9 @@ def test_network_variants(spec):
 
 
 def test_every_gate_closed():
-    cfg = replace(CFG, tau_id=1.0, tau_proto=1.0,
-                  head=replace(CFG.head, tau_pl=1.0, eta_neg=1e-12))
+    cfg = replace(CFG, tau_id=1.0, head=replace(CFG.head, tau_pl=1.0, eta_neg=1e-12))
     decisions = assert_matches_tape(cfg=cfg)
-    assert decisions.gate.accepted == decisions.proto_gate.accepted == 0
+    assert decisions.gate.accepted == 0
     assert not decisions.pl_accept.any()
     assert not decisions.neg_w.any() and not decisions.neg_s.any()
 

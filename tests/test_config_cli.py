@@ -28,6 +28,42 @@ TINY_RAW = {
     "train": {"epochs": 2, "iters_per_epoch": 5, "batch_size": 8},
 }
 
+# Every settable value of the resolved config, as flatten names it.
+SETTABLE_VALUES = [
+    "net.backbone_widths", "net.embed_dim", "net.feature_dim", "net.input_dim",
+    "net.num_classes", "net.proj_hidden", "net.proj_nonlinear", "net.seed",
+    "scenario.between_hull_scale", "scenario.id_mean_radius", "scenario.id_scale",
+    "scenario.input_dim", "scenario.labels_per_class", "scenario.max_placement_tries",
+    "scenario.min_separation", "scenario.num_classes", "scenario.seed",
+    "scenario.seen_ood_clusters", "scenario.seen_ood_mean_radius", "scenario.seen_ood_scale",
+    "scenario.seen_placement", "scenario.sigma_strong", "scenario.sigma_weak",
+    "scenario.strong_dropout", "scenario.test_id_per_class", "scenario.test_seen_per_cluster",
+    "scenario.test_unseen_per_cluster", "scenario.unlabeled_id_per_class",
+    "scenario.unlabeled_seen_per_cluster", "scenario.unseen_between_hull",
+    "scenario.unseen_ood_clusters", "scenario.unseen_ood_mean_radius",
+    "scenario.unseen_ood_scale",
+    "seed",
+    "train.batch_size", "train.epochs", "train.eta_id", "train.gamma", "train.gate_temperature",
+    "train.head.eta_neg", "train.head.lambda_cc", "train.head.lambda_em", "train.head.lambda_neg",
+    "train.head.lambda_od", "train.head.lambda_sna", "train.head.lambda_socr",
+    "train.head.lambda_u", "train.head.tau_pl", "train.iters_per_epoch", "train.lr0",
+    "train.momentum", "train.r_u", "train.score_rule", "train.seed", "train.sna.lambda_ia",
+    "train.sna.lambda_pa", "train.sna.lambda_usna", "train.sna.temperature", "train.tau_id",
+    "train.weight_decay",
+]
+
+
+def flatten(d: dict, prefix: str = "") -> dict:
+    """A nested config as {"section.field": its JSON text}."""
+    out = {}
+    for k, v in d.items():
+        key = f"{prefix}{k}"
+        if isinstance(v, dict):
+            out.update(flatten(v, key + "."))
+        else:
+            out[key] = json.dumps(v)
+    return out
+
 
 class TestConfigResolution:
     def test_seed_is_required(self):
@@ -70,12 +106,27 @@ class TestConfigResolution:
             resolve_config({"seed": 0, "net": {"input_dim": 7}})
 
     def test_gamma_must_agree(self):
-        with pytest.raises(ConfigError, match="train.gamma"):
-            resolve_config({"seed": 0, "train": {"gamma": 3.0, "batch_size": 2}})
+        # gamma lives in train alone, so there is no second copy to disagree
+        with pytest.raises(ConfigError, match="scenario.gamma"):
+            resolve_config({"seed": 0, "scenario": {"gamma": 3.0}})
+        cfg = resolve_config({"seed": 0, "train": {"gamma": 3.0, "batch_size": 2}})
+        assert cfg.train.gamma == 3.0 and cfg.train.unlabeled_batch == 6
 
-    def test_proto_gate_defaults_materialized(self):
-        cfg = resolve_config({"seed": 0, "train": {"eta_id": 0.3}})
-        assert cfg.train.eta_proto == 0.3 and cfg.train.tau_proto == cfg.train.tau_id
+    @pytest.mark.parametrize("field", ["train.tau_proto", "train.eta_proto", "train.eval_every",
+                                       "train.log_gate_details", "scenario.gamma"])
+    def test_removed_field_unknown(self, tmp_path, capsys, field):
+        # Fields that only copied another one or that nothing set: a manifest
+        # that still carries one, at its old default, is refused, naming it.
+        old_defaults = {"tau_proto": 0.99, "eta_proto": 0.5, "eval_every": 0,
+                        "log_gate_details": True, "gamma": 2.0}
+        section, name = field.split(".")
+        raw = {"seed": 0, section: {name: old_defaults[name]}}
+        assert main(["run", "--config", write_config(tmp_path, raw), "--dry-run"]) == 2
+        assert f"{field}: unknown field" in capsys.readouterr().err
+
+    def test_settable_values_pinned(self):
+        # A new option shows up here as a reviewed diff.
+        assert sorted(flatten(default_config().resolved_dict())) == SETTABLE_VALUES
 
     def test_resolved_dict_round_trips(self):
         cfg = default_config(seed=4)
@@ -311,21 +362,11 @@ class TestCliSweep:
             with open(os.path.join(row["run_dir"], "manifest.json")) as fh:
                 manifests.append(json.load(fh)["config"])
 
-        def flatten(d, prefix=""):
-            out = {}
-            for k, v in d.items():
-                key = f"{prefix}{k}"
-                if isinstance(v, dict):
-                    out.update(flatten(v, key + "."))
-                else:
-                    out[key] = json.dumps(v)
-            return out
-
         a, b = (flatten(m) for m in manifests)
         assert a.keys() == b.keys()
         changed = {k for k in a if a[k] != b[k]}
-        # eta_proto follows eta_id by derivation; nothing else may move
-        assert changed == {"train.eta_id", "train.eta_proto"}
+        # the swept value is the only one that moves
+        assert changed == {"train.eta_id"}
 
     def test_apply_axis_rejects_unknown_combo(self):
         with pytest.raises(ConfigError):
@@ -344,6 +385,15 @@ def drop_mu(path):
     payload = json.loads(path.read_text())
     del payload["mu"]
     path.write_text(json.dumps(payload))
+
+
+def set_mu(change):
+    """A damage that replaces prototypes.json's mu by change(mu): it still parses."""
+    def damage(path):
+        payload = json.loads(path.read_text())
+        payload["mu"] = change(payload["mu"])
+        path.write_text(json.dumps(payload))
+    return damage
 
 
 @pytest.fixture(scope="module")
@@ -380,12 +430,18 @@ class TestExitCodes:
         ("eval", ("manifest.json", append_bytes), 2, "manifest.json"),
         ("eval", ("prototypes.json", drop_mu), 2, "prototypes.json"),
         ("eval", ("prototypes.json", os.remove), 2, "prototypes.json"),
+        ("eval", ("prototypes.json", set_mu(lambda mu: [row[:-1] for row in mu])), 2,
+         "prototypes.json"),
+        ("eval", ("prototypes.json", set_mu(lambda mu: [[0.0] * len(row) for row in mu])), 2,
+         "prototypes.json"),
+        ("eval", ("prototypes.json", set_mu(lambda mu: "mu")), 2, "prototypes.json"),
     ], ids=["zero-seeds", "negative-seed", "negative-scenario-seed", "negative-net-seed",
             "negative-train-seed", "seen-only-pool", "empty-pool", "no-id-test-rows",
             "unsatisfiable-separation", "string-epochs", "fractional-input-dim",
             "string-flag", "scalar-widths", "string-head-weight", "list-section", "diverging",
             "checkpoint-appended", "prototypes-appended", "manifest-appended",
-            "prototypes-key-missing", "prototypes-missing"])
+            "prototypes-key-missing", "prototypes-missing", "prototypes-mu-column-dropped",
+            "prototypes-mu-zero-rows", "prototypes-mu-string"])
     def test_exit_code(self, tmp_path, capsys, finished_run, verb, change, code, named):
         if verb == "run":
             raw = json.loads(json.dumps(EDGE_RAW))

@@ -50,10 +50,14 @@ class TestTrainConfig:
             TrainConfig(batch_size=3, gamma=0.5)
 
     def test_proto_thresholds_default_to_gate(self):
-        cfg = TrainConfig(tau_id=0.7, eta_id=0.2)
-        assert cfg.tau_proto == 0.7 and cfg.eta_proto == 0.2
-        cfg = TrainConfig(tau_id=0.7, eta_id=0.2, tau_proto=0.9, eta_proto=0.4)
-        assert cfg.tau_proto == 0.9 and cfg.eta_proto == 0.4
+        # The refresh takes exactly the rows the dual gate accepted, each epoch.
+        cfg = tiny_config(tau_id=0.3, eta_id=0.0)
+        _, runlog = train(generate(cfg.scenario), cfg.net, cfg.train)
+        for record in runlog.epochs:
+            steps = [it for it in runlog.iterations if it["epoch"] == record["epoch"]]
+            accepted = sum(it["gate"]["accepted"] for it in steps)
+            assert 0 < accepted < sum(it["batch_unlabeled"] for it in steps)
+            assert sum(record["prototypes"]["n_unlabeled"]) == accepted
 
     def test_threshold_bounds(self):
         with pytest.raises(ValueError):
