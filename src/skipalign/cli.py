@@ -258,6 +258,9 @@ def _cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
     cfg = load_config(run_dir / "manifest.json", use_env=False)
     params = _load_artifact(load_checkpoint, run_dir / "checkpoint.json")
+    if cfg.net != params.spec:
+        raise ConfigError(str(run_dir / "manifest.json"),
+                          "net does not match the spec in checkpoint.json")
     protos = _load_artifact(_load_prototypes, run_dir / "prototypes.json", params.spec)
     split = generate(cfg.scenario)
     rule = args.score_rule or cfg.train.score_rule

@@ -1,9 +1,9 @@
 """Dense float64 kernels shared by every other module.
 
-Vectors are 1-D numpy arrays, matrices 2-D row-major numpy arrays. All
-exported operations validate finiteness and reject degenerate inputs
-instead of clamping them; silent clamping would hide upstream bugs the
-test suite is meant to catch.
+Vectors are 1-D numpy arrays, matrices 2-D row-major numpy arrays.
+`as_vector`/`as_matrix` check the shape and finiteness of outside input. The
+kernels a training step runs check only for faults: `unit_rows` rejects a
+zero row rather than clamp it, which would hide an upstream bug.
 """
 
 from __future__ import annotations
@@ -48,9 +48,7 @@ def unit_rows(m: np.ndarray) -> np.ndarray:
 
 def softmax_rows(logits, temperature: float = 1.0) -> np.ndarray:
     """Row-wise max-shifted softmax of a matrix of logits."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    x = as_matrix(logits) / temperature
+    x = logits / temperature
     x = x - np.max(x, axis=1, keepdims=True)
     e = np.exp(x)
     return e / np.sum(e, axis=1, keepdims=True)

@@ -257,8 +257,6 @@ def sgd_step(params: ParamState, grads: np.ndarray, lr: float, momentum: float =
              weight_decay: float = 0.0, velocity: np.ndarray | None = None
              ) -> tuple[ParamState, np.ndarray]:
     """Classic momentum SGD; weight decay is added to the gradient."""
-    if grads.shape != params.flat.shape:
-        raise ValueError("gradient length does not match parameter count")
     if velocity is None:
         velocity = np.zeros_like(params.flat)
     effective = grads + weight_decay * params.flat

@@ -54,14 +54,6 @@ def refresh(labeled: EmbeddingBatch, unlabeled: EmbeddingBatch | None,
     predicted class. A class with no labeled samples is an error; a class
     with no unlabeled contributors keeps its labeled mean exactly.
     """
-    if labeled.labels is None:
-        raise ValueError("prototype refresh requires labeled data")
-    if unlabeled is not None and unlabeled.labels is None:
-        raise ValueError("unlabeled rows need their predicted classes as labels")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if not 0.0 <= r_u <= 1.0:
-        raise ValueError("r_u must lie in [0, 1]")
     if num_classes is None:
         num_classes = int(labeled.labels.max()) + 1
     dim = labeled.dim

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heads import check_labels, one_hot
-from .linalg import MIN_NORM, as_matrix
+from .heads import one_hot
+from .linalg import MIN_NORM
 
 # Additive mask that removes an entry from a log-sum-exp exactly.
 _NEG_INF = -1e30
@@ -70,12 +70,8 @@ def dual_gate(cc_probs, od_id_probs, tau_id: float, eta_id: float) -> GateMask:
     the one-vs-all ID probability at the predicted class exceeds eta_id.
     Argmax ties break to the lowest class index.
     """
-    cc = as_matrix(cc_probs)
-    od = as_matrix(od_id_probs)
-    if cc.shape != od.shape:
-        raise ValueError(f"shape mismatch: {cc.shape} vs {od.shape}")
-    if not (0.0 <= tau_id <= 1.0 and 0.0 <= eta_id <= 1.0):
-        raise ValueError("thresholds must lie in [0, 1]")
+    cc = np.asarray(cc_probs)
+    od = np.asarray(od_id_probs)
     pred = np.argmax(cc, axis=1)
     rows = np.arange(cc.shape[0])
     cc_conf = cc[rows, pred]
@@ -108,11 +104,8 @@ def usna(z, unit_protos, phi, pred_class, temperature: float) -> tuple[float, np
     cosines. Returns (value, gradient w.r.t. z); each gradient row is
     orthogonal to its embedding.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     n = z.shape[0]
-    k = unit_protos.shape[0]
-    pull = one_hot(check_labels(pred_class, k, n), k) * np.asarray(phi, dtype=np.float64)[:, None]
+    pull = one_hot(pred_class, unit_protos.shape[0]) * np.asarray(phi, dtype=np.float64)[:, None]
     zh, norms = _unit_rows(z)
     scaled = (zh @ unit_protos.T) * (1.0 / temperature)
     shift = np.max(scaled, axis=1, keepdims=True)
@@ -136,12 +129,8 @@ def ia(z, labels, temperature: float) -> tuple[float, np.ndarray]:
     denominator, anchors without a same-class partner excluded from the
     mean; with no such anchor the loss is (0.0, zeros).
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     n = z.shape[0]
     y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (n,):
-        raise ValueError(f"expected {n} labels, got shape {y.shape}")
     zh, norms = _unit_rows(z)
     positives = (y[:, None] == y[None, :]).astype(np.float64)
     np.fill_diagonal(positives, 0.0)

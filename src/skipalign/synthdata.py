@@ -93,7 +93,7 @@ class Split:
     test_ids: np.ndarray
     test_category: list[str]
     manifest: dict
-    scenario: ScenarioSpec | None = field(repr=False, default=None)
+    scenario: ScenarioSpec = field(repr=False)
 
 
 def _place_means(spec: ScenarioSpec, rng: np.random.Generator) -> dict:

@@ -13,6 +13,7 @@ refresh is a clean (unaugmented) pass over the full labeled set.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -78,6 +79,22 @@ class TrainConfig:
     def unlabeled_batch(self) -> int:
         return int(round(self.gamma * self.batch_size))
 
+    @functools.cached_property
+    def weights_and_slopes(self) -> tuple[dict, dict]:
+        """The loss weights, and each leaf's slope in the composed total.
+
+        Derived once per config object rather than per step, and cached on the
+        object rather than by equality: equal configs can still write a weight
+        as 1 or as 1.0, and the runlog records the weights as written.
+        """
+        fields = {**vars(self.head), **vars(self.sna)}
+        weights = {name: value for name, value in fields.items() if name.startswith("lambda_")}
+        # compose is linear in the leaves: its total at a one-hot leaf vector
+        # is the leaf's slope.
+        slopes = {leaf: compose({name: float(name == leaf) for name in LEAVES}, weights)["total"]
+                  for leaf in LEAVES}
+        return weights, slopes
+
 
 @dataclass
 class RunLog:
@@ -98,8 +115,6 @@ class RunLog:
 
 def lr_at(step: int, total_steps: int, lr0: float) -> float:
     """Plain half-cosine decay from lr0 to zero."""
-    if not 0 <= step <= total_steps:
-        raise ValueError("step must lie in [0, total_steps]")
     if total_steps == 0:
         return lr0
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
@@ -109,8 +124,6 @@ class _CyclingSampler:
     """Exact-size batches drawn from reshuffled permutations of a pool."""
 
     def __init__(self, pool_size: int, batch: int, rng: np.random.Generator):
-        if pool_size < 1:
-            raise ValueError("cannot sample from an empty pool")
         self.pool_size = pool_size
         self.batch = batch
         self.rng = rng
@@ -131,15 +144,6 @@ def _clean_labeled_embeddings(params: ParamState, split: Split) -> EmbeddingBatc
 
 def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState, RunLog]:
     """Run the full loop; deterministic given (split, netspec, cfg)."""
-    if split.labeled_x.shape[1] != netspec.input_dim:
-        raise ValueError("network input_dim does not match the scenario")
-    if int(split.labeled_y.max()) + 1 > netspec.num_classes:
-        raise ValueError("network num_classes is smaller than the label range")
-    if split.unlabeled_x.shape[0] == 0:
-        raise ValueError("training requires an unlabeled pool")
-    if split.scenario is None:
-        raise ValueError("split carries no scenario; augmentation scales are unknown")
-
     params = init_params(netspec)
     runlog = RunLog()
     protos = initial_prototypes(_clean_labeled_embeddings(params, split),
@@ -261,8 +265,7 @@ def freeze_decisions(uw: ForwardResult, us: ForwardResult, cfg: TrainConfig) -> 
 
 def loss_weights(cfg: TrainConfig) -> dict:
     """Every lambda of the head and alignment weights, in field order."""
-    fields = {**vars(cfg.head), **vars(cfg.sna)}
-    return {name: value for name, value in fields.items() if name.startswith("lambda_")}
+    return dict(cfg.weights_and_slopes[0])
 
 
 def objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
@@ -277,13 +280,12 @@ def objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
     head, sna_w = cfg.head, cfg.sna
     xw, uw, uw2, us = outputs["x_w"], outputs["u_w"], outputs["u_w2"], outputs["u_s"]
     weights = loss_weights(cfg)
+    slopes = cfg.weights_and_slopes[1]
     terms = dict.fromkeys(LEAVES, 0.0)
     grads: dict = {view: {} for view in outputs}
 
     def term(leaf, value_and_grads, targets):
-        # compose is linear in the leaves: its total at a one-hot leaf vector
-        # is the leaf's slope.
-        slope = compose({name: float(name == leaf) for name in LEAVES}, weights)["total"]
+        slope = slopes[leaf]
         terms[leaf] = value_and_grads[0]
         for (view, name), g in zip(targets, value_and_grads[1:]):
             by_head = grads[view]

@@ -396,6 +396,17 @@ def set_mu(change):
     return damage
 
 
+def set_both(key, value):
+    """A damage that sets one key in both the scenario and net sections of
+    manifest.json's config: the manifest still resolves, against another network."""
+    def damage(path):
+        payload = json.loads(path.read_text())
+        for section in ("scenario", "net"):
+            payload["config"][section][key] = value
+        path.write_text(json.dumps(payload))
+    return damage
+
+
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
     run_dir, _ = run_experiment(resolve_config(EDGE_RAW), tmp_path_factory.mktemp("finished"))
@@ -435,13 +446,16 @@ class TestExitCodes:
         ("eval", ("prototypes.json", set_mu(lambda mu: [[0.0] * len(row) for row in mu])), 2,
          "prototypes.json"),
         ("eval", ("prototypes.json", set_mu(lambda mu: "mu")), 2, "prototypes.json"),
+        ("eval", ("manifest.json", set_both("input_dim", 12)), 2, "manifest.json"),
+        ("eval", ("manifest.json", set_both("num_classes", 3)), 2, "manifest.json"),
     ], ids=["zero-seeds", "negative-seed", "negative-scenario-seed", "negative-net-seed",
             "negative-train-seed", "seen-only-pool", "empty-pool", "no-id-test-rows",
             "unsatisfiable-separation", "string-epochs", "fractional-input-dim",
             "string-flag", "scalar-widths", "string-head-weight", "list-section", "diverging",
             "checkpoint-appended", "prototypes-appended", "manifest-appended",
             "prototypes-key-missing", "prototypes-missing", "prototypes-mu-column-dropped",
-            "prototypes-mu-zero-rows", "prototypes-mu-string"])
+            "prototypes-mu-zero-rows", "prototypes-mu-string", "manifest-input-dim",
+            "manifest-num-classes"])
     def test_exit_code(self, tmp_path, capsys, finished_run, verb, change, code, named):
         if verb == "run":
             raw = json.loads(json.dumps(EDGE_RAW))

