@@ -7,13 +7,14 @@ Verbs:
   gradcheck execute the gradient-oracle suite
   golden    compare against (or regenerate, with --write) the golden files
 
-Config files are read through `config.read_raw`; only `run` applies
-SKIPALIGN_* environment overrides, while `sweep`, `eval` and `golden` use
-the files exactly as written. Run directories are content-addressed by
-config hash and seed; an existing directory is refused unless --force is
-given. A run's manifest is written first with status "running" and ends
-"complete", "diverged" or "error"; a failed run keeps its directory. Exit
-codes: 0 success, 2 invalid config or usage, 3 training diverged.
+Every verb reads its config file through `config.read_raw`, exactly as
+written; the file and `--seed` are a run's only inputs. Run directories are
+content-addressed by config hash and seed; an existing directory is refused
+unless --force is given. A run's manifest is written first with status
+"running" and ends "complete", "diverged" or "error"; a failed run keeps its
+directory. Exit codes: 0 success, 1 a `golden` or `gradcheck` check failed,
+2 invalid config or usage (a missing, unreadable or misplaced path
+included), 3 training diverged.
 """
 
 from __future__ import annotations
@@ -111,9 +112,6 @@ def run_experiment(cfg: ExperimentConfig, out_root: Path, force: bool = False,
         _write_prototypes(runlog.final_prototypes, run_dir / "prototypes.json")
 
         report = runlog.final_report
-        if report is None:  # no epoch ran, so training evaluated nothing
-            report = evaluate(params, split, runlog.final_prototypes,
-                              score_rule=cfg.train.score_rule)
         write_eval_json(report, run_dir / "eval_report.json")
         write_eval_csv(report, run_dir / "metrics.csv")
         write_embedding_dump(params, split, run_dir / "embeddings.csv")
@@ -256,7 +254,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
-    cfg = load_config(run_dir / "manifest.json", use_env=False)
+    cfg = load_config(run_dir / "manifest.json")
     params = _load_artifact(load_checkpoint, run_dir / "checkpoint.json")
     if cfg.net != params.spec:
         raise ConfigError(str(run_dir / "manifest.json"),
@@ -281,7 +279,7 @@ def _cmd_golden(args) -> int:
     import tempfile
 
     golden_path = Path(args.golden_path)
-    cfg = load_config(args.config, use_env=False) if args.config else default_config()
+    cfg = load_config(args.config) if args.config else default_config()
     with tempfile.TemporaryDirectory() as tmp:
         run_dir, _ = run_experiment(cfg, Path(tmp))
         fresh = (run_dir / "metrics.csv").read_bytes()
@@ -348,10 +346,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except FileExistsError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as err:
         print(str(err), file=sys.stderr)
         return 2
     except TrainingDiverged as err:

@@ -2,10 +2,9 @@
 
 This is the only module that opens a config file. The only required key is
 the top-level seed; everything else defaults. The sub-seeds for scenario,
-network, and trainer derive from the top seed unless set explicitly.
-`load_config` applies scalar overrides from environment variables with the
-SKIPALIGN_ prefix and double-underscore paths, e.g. SKIPALIGN_TRAIN__LR0=0.02
-or SKIPALIGN_TRAIN__HEAD__LAMBDA_SNA=0.05, unless use_env is False.
+network, and trainer derive from the top seed unless set explicitly. A
+run's settings come from its file alone, plus the `--seed` flag: every verb
+reads a file the same way.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 
 from .heads import HeadWeights
@@ -22,8 +20,6 @@ from .net import NetSpec
 from .sna import SnaWeights
 from .synthdata import ScenarioSpec
 from .trainer import TrainConfig
-
-ENV_PREFIX = "SKIPALIGN_"
 
 
 class ConfigError(ValueError):
@@ -52,9 +48,9 @@ class ExperimentConfig:
 
 def _has_default_type(value, default) -> bool:
     """Whether a JSON value fits a field with this default: an integer also fills
-    a float field, a bool only a bool field, a list of integers a tuple field."""
-    if isinstance(default, bool) or isinstance(value, bool):
-        return isinstance(default, bool) and isinstance(value, bool)
+    a float field, a list of integers a tuple field, and a bool no field."""
+    if isinstance(value, bool):
+        return False
     if isinstance(default, tuple):
         return isinstance(value, (list, tuple)) and all(_has_default_type(v, 0) for v in value)
     if isinstance(default, float):
@@ -89,42 +85,11 @@ def _section(data: dict, key: str, path: str) -> dict:
     return dict(value)
 
 
-def _apply_env_overrides(data: dict, environ) -> dict:
-    for name, raw in sorted(environ.items()):
-        if not name.startswith(ENV_PREFIX):
-            continue
-        path = name[len(ENV_PREFIX):].lower().split("__")
-        node = data
-        for part in path[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(".".join(path), "environment override path is not a section")
-        node[path[-1]] = _parse_scalar(raw)
-    return data
-
-
-def _parse_scalar(raw: str):
-    lowered = raw.strip().lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
-
-
-def resolve_config(data: dict, seed_override: int | None = None,
-                   environ=None) -> ExperimentConfig:
+def resolve_config(data: dict, seed_override: int | None = None) -> ExperimentConfig:
     """Validate a raw config dict and materialize every default."""
     if not isinstance(data, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     data = json.loads(json.dumps(data))  # deep copy, JSON types only
-    if environ is not None:
-        data = _apply_env_overrides(data, environ)
 
     known = {"seed", "scenario", "net", "train"}
     for key in data:
@@ -174,20 +139,18 @@ def resolve_config(data: dict, seed_override: int | None = None,
 def read_raw(path):
     """The raw JSON of a config file or of a run manifest (its 'config' key)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError("<file>", f"invalid JSON in {path}: {err}") from err
     if isinstance(data, dict) and "config" in data:
         data = data["config"]  # run manifests embed the resolved config
     return data
 
 
-def load_config(path, seed_override: int | None = None,
-                use_env: bool = True) -> ExperimentConfig:
-    """Resolve a config file or run manifest; SKIPALIGN_* overrides apply if use_env."""
-    return resolve_config(read_raw(path), seed_override=seed_override,
-                          environ=os.environ if use_env else None)
+def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
+    """Resolve a config file or run manifest."""
+    return resolve_config(read_raw(path), seed_override=seed_override)
 
 
 def default_config(seed: int = 0) -> ExperimentConfig:

@@ -21,12 +21,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class OvaOutput:
-    """Per-class (ID, OOD) logits and their two-way softmax probabilities."""
+    """Per-class (ID, OOD) logits and the two-way softmax probability of ID."""
 
     id_logits: np.ndarray   # (B, K)
     ood_logits: np.ndarray  # (B, K)
     id_probs: np.ndarray
-    ood_probs: np.ndarray
 
     @classmethod
     def from_logits(cls, id_logits, ood_logits) -> "OvaOutput":
@@ -35,9 +34,7 @@ class OvaOutput:
         shift = np.maximum(s_id, s_ood)
         e_id = np.exp(s_id - shift)
         e_ood = np.exp(s_ood - shift)
-        z = e_id + e_ood
-        return cls(id_logits=s_id, ood_logits=s_ood,
-                   id_probs=e_id / z, ood_probs=e_ood / z)
+        return cls(id_logits=s_id, ood_logits=s_ood, id_probs=e_id / (e_id + e_ood))
 
 
 @dataclass(frozen=True)

@@ -76,13 +76,9 @@ class CategoryGeometry:
 
 
 def geometry_stats(f_batch: np.ndarray, z_batch: np.ndarray, protos: PrototypeSet,
-                   categories) -> tuple[dict[str, CategoryGeometry], np.ndarray]:
-    """Per-category mean feature norm and mean best prototype cosine.
-
-    Returns (stats, per_sample): stats holds the categories in order of
-    first appearance, and per_sample rows are (feature_norm, max_cosine)
-    for external plotting.
-    """
+                   categories) -> dict[str, CategoryGeometry]:
+    """Per-category mean feature norm and mean best prototype cosine, with the
+    categories in order of first appearance."""
     f = np.asarray(f_batch, dtype=np.float64)
     z = np.asarray(z_batch, dtype=np.float64)
     names, first, row_name = np.unique(np.asarray(categories), return_index=True,
@@ -96,8 +92,7 @@ def geometry_stats(f_batch: np.ndarray, z_batch: np.ndarray, protos: PrototypeSe
         stats[str(names[k])] = CategoryGeometry(mean_feature_norm=float(norms[rows].mean()),
                                                 mean_max_cosine=float(max_cos[rows].mean()),
                                                 count=int(rows.sum()))
-    per_sample = np.column_stack([norms, max_cos])
-    return stats, per_sample
+    return stats
 
 
 @dataclass
@@ -181,7 +176,7 @@ def evaluate(params: ParamState, split: Split, protos: PrototypeSet,
     seen_auc = sources.get("seen", float("nan"))
     overall = float(np.mean(list(sources.values()))) if sources else float("nan")
 
-    geo, _ = geometry_stats(out.features, out.embeddings, protos, coarse[row_name])
+    geo = geometry_stats(out.features, out.embeddings, protos, coarse[row_name])
     return EvalReport(
         accuracy=accuracy, score_rule=score_rule, auroc_per_source=sources,
         seen_auc=seen_auc, unseen_auc=unseen_auc, overall_auc=overall,

@@ -1,12 +1,13 @@
 """A tiny fully-connected network with an exact hand-written backward.
 
 Shared MLP backbone -> feature f; three heads on top of f: a projection
-head producing the alignment embedding z (one hidden rectified layer, or a
-single linear map), a linear K-way classifier, and a linear one-vs-all
-detector emitting K (ID, OOD) logit pairs. `backward` forwards every view
-of a step as one stacked batch and propagates the head gradients the loss
-returns back through the layout in closed form; `forward_tensors` builds
-the same network on the autodiff tape, the oracle the tests check it with.
+head producing the alignment embedding z (one hidden rectified layer, the
+nonlinear head of SimCLR, arXiv 2002.05709), a linear K-way classifier, and
+a linear one-vs-all detector emitting K (ID, OOD) logit pairs. `backward`
+forwards every view of a step as one stacked batch and propagates the head
+gradients the loss returns back through the layout in closed form;
+`forward_tensors` builds the same network on the autodiff tape, the oracle
+the tests check it with.
 Plain momentum SGD; checkpoints round-trip bitwise via hex-encoded float64.
 """
 
@@ -33,7 +34,6 @@ class NetSpec:
     proj_hidden: int = 16
     embed_dim: int = 8
     num_classes: int = 4
-    proj_nonlinear: bool = True
     seed: int = 1
 
     def __post_init__(self):
@@ -51,14 +51,10 @@ def layout(spec: NetSpec) -> list[tuple[str, tuple[int, ...]]]:
     for i in range(len(dims) - 1):
         entries.append((f"backbone{i}.W", (dims[i], dims[i + 1])))
         entries.append((f"backbone{i}.b", (dims[i + 1],)))
-    if spec.proj_nonlinear:
-        entries.append(("proj0.W", (spec.feature_dim, spec.proj_hidden)))
-        entries.append(("proj0.b", (spec.proj_hidden,)))
-        entries.append(("proj1.W", (spec.proj_hidden, spec.embed_dim)))
-        entries.append(("proj1.b", (spec.embed_dim,)))
-    else:
-        entries.append(("proj0.W", (spec.feature_dim, spec.embed_dim)))
-        entries.append(("proj0.b", (spec.embed_dim,)))
+    entries.append(("proj0.W", (spec.feature_dim, spec.proj_hidden)))
+    entries.append(("proj0.b", (spec.proj_hidden,)))
+    entries.append(("proj1.W", (spec.proj_hidden, spec.embed_dim)))
+    entries.append(("proj1.b", (spec.embed_dim,)))
     entries.append(("cc.W", (spec.feature_dim, spec.num_classes)))
     entries.append(("cc.b", (spec.num_classes,)))
     entries.append(("od.W", (spec.feature_dim, 2 * spec.num_classes)))
@@ -127,7 +123,7 @@ class ForwardResult:
         return ForwardResult(self.features[index], self.embeddings[index],
                              self.cc_logits[index],
                              OvaOutput(o.id_logits[index], o.ood_logits[index],
-                                       o.id_probs[index], o.ood_probs[index]),
+                                       o.id_probs[index]),
                              self.feature_norms[index])
 
 
@@ -150,10 +146,7 @@ def _forward_core(spec: NetSpec, get: Callable[[str], object], x, relu: Callable
         if i < n_backbone - 1:  # feature output stays linear
             h = relu(h)
     f = h
-    if spec.proj_nonlinear:
-        z = linear("proj1", relu(linear("proj0", f)))
-    else:
-        z = linear("proj0", f)
+    z = linear("proj1", relu(linear("proj0", f)))
     return f, z, linear("cc", f), linear("od", f)
 
 
@@ -242,10 +235,7 @@ def backward(params: ParamState, inputs: Mapping[str, np.ndarray],
         return g @ params.view(f"{name}.W").T
 
     g = through("cc", g_cc) + through("od", g_od)  # the features' gradient
-    if spec.proj_nonlinear:
-        g += through("proj0", through("proj1", g_z) * (layer_inputs["proj1"] > 0))
-    else:
-        g += through("proj0", g_z)
+    g += through("proj0", through("proj1", g_z) * (layer_inputs["proj1"] > 0))
     for i in reversed(range(len(spec.backbone_widths) + 1)):
         g = through(f"backbone{i}", g)
         if i > 0:

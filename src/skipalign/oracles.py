@@ -120,7 +120,7 @@ def full_model_gradient_check(seed: int = 0, step: float = 1e-5) -> tuple[float,
     parameter count); the network stays under 500 parameters.
     """
     spec = NetSpec(input_dim=3, backbone_widths=(4,), feature_dim=3, proj_hidden=3,
-                   embed_dim=2, num_classes=2, proj_nonlinear=True, seed=seed)
+                   embed_dim=2, num_classes=2, seed=seed)
     params = init_params(spec)
     rng = np.random.default_rng(seed + 1)
     labels = np.array([0, 0, 1, 1])

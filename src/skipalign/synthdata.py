@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 CHUNK_ROWS = 256  # rows write_float_rows turns into Python floats at once: bounds its memory
+MAX_PLACEMENT_TRIES = 500  # random directions tried per cluster mean before PlacementError
 
 
 @dataclass(frozen=True)
@@ -33,17 +34,12 @@ class ScenarioSpec:
     unseen_between_hull: int = 1   # how many unseen clusters sit inside the ID hull
     id_mean_radius: float = 5.0
     id_scale: float = 0.7
-    # 'between' parks each seen cluster on the midpoint direction of a pair of
-    # galaxies (void placement, ambiguous for the classifier); 'radial' draws
-    # an independent direction like the galaxies themselves.
-    seen_placement: str = "between"
     seen_ood_mean_radius: float = 5.0
     seen_ood_scale: float = 0.9
     unseen_ood_mean_radius: float = 6.5
     unseen_ood_scale: float = 0.9
     between_hull_scale: float = 1.6
     min_separation: float = 4.0
-    max_placement_tries: int = 500
     sigma_weak: float = 0.15
     sigma_strong: float = 0.8
     strong_dropout: float = 0.2
@@ -63,8 +59,6 @@ class ScenarioSpec:
             raise ValueError("unseen_between_hull exceeds unseen_ood_clusters")
         if self.sigma_weak >= self.sigma_strong:
             raise ValueError("sigma_weak must be below sigma_strong")
-        if self.seen_placement not in ("between", "radial"):
-            raise ValueError("seen_placement must be 'between' or 'radial'")
         if not 0.0 <= self.strong_dropout <= 1.0:
             raise ValueError("strong_dropout must lie in [0, 1]")
 
@@ -99,13 +93,16 @@ class Split:
 def _place_means(spec: ScenarioSpec, rng: np.random.Generator) -> dict:
     """Rejection-sample cluster means with a pairwise minimum distance.
 
-    The between-hull unseen clusters are exempt: they sit at the mean of
-    the galaxy centers on purpose.
+    Each seen cluster sits on the midpoint direction of a pair of galaxies
+    (void placement, ambiguous for the classifier), exempt from the
+    constraint; a single galaxy makes no pair, so then the seen clusters are
+    placed like the galaxies. The between-hull unseen clusters are exempt as
+    well: they sit at the mean of the galaxy centers on purpose.
     """
     placed: list[np.ndarray] = []
 
     def place(radius: float) -> np.ndarray:
-        for _ in range(spec.max_placement_tries):
+        for _ in range(MAX_PLACEMENT_TRIES):
             direction = rng.standard_normal(spec.input_dim)
             direction /= np.linalg.norm(direction)
             candidate = radius * direction
@@ -113,11 +110,10 @@ def _place_means(spec: ScenarioSpec, rng: np.random.Generator) -> dict:
                 placed.append(candidate)
                 return candidate
         raise PlacementError("cluster separation constraint unsatisfiable after "
-                             f"{spec.max_placement_tries} tries")
+                             f"{MAX_PLACEMENT_TRIES} tries")
 
     id_means = [place(spec.id_mean_radius) for _ in range(spec.num_classes)]
-    if spec.seen_placement == "between" and spec.num_classes >= 2:
-        # Deliberately ambiguous: exempt from the separation constraint.
+    if spec.num_classes >= 2:
         seen_means = []
         for s in range(spec.seen_ood_clusters):
             a = id_means[s % spec.num_classes]

@@ -58,8 +58,8 @@ class TrainConfig:
     seed: int = 2
 
     def __post_init__(self):
-        if self.epochs < 0 or self.iters_per_epoch < 1 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0; iteration and batch counts >= 1")
+        if self.epochs < 1 or self.iters_per_epoch < 1 or self.batch_size < 1:
+            raise ValueError("epochs, iters_per_epoch and batch_size must be >= 1")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.lr0 < 0 or self.momentum < 0 or self.weight_decay < 0:
@@ -115,8 +115,6 @@ class RunLog:
 
 def lr_at(step: int, total_steps: int, lr0: float) -> float:
     """Plain half-cosine decay from lr0 to zero."""
-    if total_steps == 0:
-        return lr0
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
@@ -148,9 +146,6 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
     runlog = RunLog()
     protos = initial_prototypes(_clean_labeled_embeddings(params, split),
                                 gamma=cfg.gamma, num_classes=netspec.num_classes)
-    runlog.final_prototypes = protos
-    if cfg.epochs == 0:
-        return params, runlog
 
     rng = np.random.default_rng(cfg.seed)
     labeled_sampler = _CyclingSampler(split.labeled_x.shape[0], cfg.batch_size, rng)

@@ -72,8 +72,7 @@ def test_each_loss_combo(combo):
 @pytest.mark.parametrize("spec", [
     replace(SPEC, backbone_widths=()),
     replace(SPEC, backbone_widths=(7, 6)),
-    replace(SPEC, proj_nonlinear=False),
-], ids=["linear-backbone", "two-hidden-layers", "linear-projection"])
+], ids=["linear-backbone", "two-hidden-layers"])
 def test_network_variants(spec):
     assert_matches_tape(spec=spec)
 

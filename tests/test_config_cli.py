@@ -31,17 +31,16 @@ TINY_RAW = {
 # Every settable value of the resolved config, as flatten names it.
 SETTABLE_VALUES = [
     "net.backbone_widths", "net.embed_dim", "net.feature_dim", "net.input_dim",
-    "net.num_classes", "net.proj_hidden", "net.proj_nonlinear", "net.seed",
+    "net.num_classes", "net.proj_hidden", "net.seed",
     "scenario.between_hull_scale", "scenario.id_mean_radius", "scenario.id_scale",
-    "scenario.input_dim", "scenario.labels_per_class", "scenario.max_placement_tries",
-    "scenario.min_separation", "scenario.num_classes", "scenario.seed",
-    "scenario.seen_ood_clusters", "scenario.seen_ood_mean_radius", "scenario.seen_ood_scale",
-    "scenario.seen_placement", "scenario.sigma_strong", "scenario.sigma_weak",
-    "scenario.strong_dropout", "scenario.test_id_per_class", "scenario.test_seen_per_cluster",
-    "scenario.test_unseen_per_cluster", "scenario.unlabeled_id_per_class",
-    "scenario.unlabeled_seen_per_cluster", "scenario.unseen_between_hull",
-    "scenario.unseen_ood_clusters", "scenario.unseen_ood_mean_radius",
-    "scenario.unseen_ood_scale",
+    "scenario.input_dim", "scenario.labels_per_class", "scenario.min_separation",
+    "scenario.num_classes", "scenario.seed", "scenario.seen_ood_clusters",
+    "scenario.seen_ood_mean_radius", "scenario.seen_ood_scale", "scenario.sigma_strong",
+    "scenario.sigma_weak", "scenario.strong_dropout", "scenario.test_id_per_class",
+    "scenario.test_seen_per_cluster", "scenario.test_unseen_per_cluster",
+    "scenario.unlabeled_id_per_class", "scenario.unlabeled_seen_per_cluster",
+    "scenario.unseen_between_hull", "scenario.unseen_ood_clusters",
+    "scenario.unseen_ood_mean_radius", "scenario.unseen_ood_scale",
     "seed",
     "train.batch_size", "train.epochs", "train.eta_id", "train.gamma", "train.gate_temperature",
     "train.head.eta_neg", "train.head.lambda_cc", "train.head.lambda_em", "train.head.lambda_neg",
@@ -113,12 +112,16 @@ class TestConfigResolution:
         assert cfg.train.gamma == 3.0 and cfg.train.unlabeled_batch == 6
 
     @pytest.mark.parametrize("field", ["train.tau_proto", "train.eta_proto", "train.eval_every",
-                                       "train.log_gate_details", "scenario.gamma"])
+                                       "train.log_gate_details", "scenario.gamma",
+                                       "net.proj_nonlinear", "scenario.seen_placement",
+                                       "scenario.max_placement_tries"])
     def test_removed_field_unknown(self, tmp_path, capsys, field):
-        # Fields that only copied another one or that nothing set: a manifest
-        # that still carries one, at its old default, is refused, naming it.
+        # Fields that only copied another one, that nothing set, or that chose a
+        # path no run took: a manifest that still carries one, at its old
+        # default, is refused, naming it.
         old_defaults = {"tau_proto": 0.99, "eta_proto": 0.5, "eval_every": 0,
-                        "log_gate_details": True, "gamma": 2.0}
+                        "log_gate_details": True, "gamma": 2.0, "proj_nonlinear": True,
+                        "seen_placement": "between", "max_placement_tries": 500}
         section, name = field.split(".")
         raw = {"seed": 0, section: {name: old_defaults[name]}}
         assert main(["run", "--config", write_config(tmp_path, raw), "--dry-run"]) == 2
@@ -134,34 +137,22 @@ class TestConfigResolution:
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, {"seed": 0})
+    def test_environment_is_not_an_input(self, tmp_path, monkeypatch, capsys):
+        # The file and --seed are a run's only inputs.
+        path = write_config(tmp_path, {"seed": 0, "train": {"lr0": 0.02}})
         monkeypatch.setenv("SKIPALIGN_TRAIN__LR0", "0.025")
-        monkeypatch.setenv("SKIPALIGN_TRAIN__HEAD__LAMBDA_SNA", "0.04")
-        cfg = load_config(path)
-        assert cfg.train.lr0 == 0.025
-        assert cfg.train.head.lambda_sna == 0.04
+        assert main(["run", "--config", path, "--dry-run"]) == 0
+        assert json.loads(capsys.readouterr().out)["train"]["lr0"] == 0.02
 
-    @pytest.mark.parametrize("raw, env, field", [
-        ({"seed": 0}, {"SKIPALIGN_TRAIN__LR0": "nan"}, "train.lr0"),
-        ({"seed": 0, "train": {"sna": {"temperature": float("nan")}}}, {},
-         "train.sna.temperature"),
-        ({"seed": 0}, {"SKIPALIGN_SCENARIO__ID_SCALE": "inf"}, "scenario.id_scale"),
-    ], ids=["env-nan", "json-nan", "env-inf"])
-    def test_non_finite_value_rejected(self, tmp_path, monkeypatch, capsys, raw, env, field):
+    @pytest.mark.parametrize("raw, field", [
+        ({"seed": 0, "train": {"sna": {"temperature": float("nan")}}}, "train.sna.temperature"),
+    ], ids=["json-nan"])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, raw, field):
         path = write_config(tmp_path, raw)  # json writes a float NaN as the literal NaN
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
         with pytest.raises(ConfigError, match=f"{field}: must be finite"):
             load_config(path)
         assert main(["run", "--config", path, "--dry-run"]) == 2
         assert field in capsys.readouterr().err
-
-    def test_env_override_disabled(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, {"seed": 0})
-        monkeypatch.setenv("SKIPALIGN_TRAIN__LR0", "0.025")
-        cfg = load_config(path, use_env=False)
-        assert cfg.train.lr0 == 0.01
 
 
 class TestCliRun:
@@ -285,17 +276,11 @@ class TestCliRun:
 
 
 class TestCliEval:
-    def test_rescore_matches_original(self, tmp_path, monkeypatch):
+    def test_rescore_matches_original(self, tmp_path):
         path = write_config(tmp_path, TINY_RAW)
         out_dir = tmp_path / "runs"
         assert main(["run", "--config", path, "--out", str(out_dir)]) == 0
         run_dir = next(out_dir.iterdir())
-        assert main(["eval", "--run-dir", str(run_dir)]) == 0
-        original = json.loads((run_dir / "eval_report.json").read_text())
-        rescored = json.loads((run_dir / "rescore_ova_id_at_cc_argmax.json").read_text())
-        assert rescored == original
-        # eval re-scores the manifest as written; overrides apply to run only
-        monkeypatch.setenv("SKIPALIGN_SCENARIO__TEST_ID_PER_CLASS", "40")
         assert main(["eval", "--run-dir", str(run_dir)]) == 0
         assert ((run_dir / "rescore_ova_id_at_cc_argmax.json").read_bytes()
                 == (run_dir / "eval_report.json").read_bytes())
@@ -396,6 +381,16 @@ def set_mu(change):
     return damage
 
 
+def add_spec_key(key, value):
+    """A damage that adds one key to checkpoint.json's network spec, as a checkpoint
+    written before that field was removed still carries it."""
+    def damage(path):
+        payload = json.loads(path.read_text())
+        payload["spec"][key] = value
+        path.write_text(json.dumps(payload))
+    return damage
+
+
 def set_both(key, value):
     """A damage that sets one key in both the scenario and net sections of
     manifest.json's config: the manifest still resolves, against another network."""
@@ -430,6 +425,8 @@ class TestExitCodes:
         ("run", {"scenario": {"test_id_per_class": 0}}, 2, "scenario.test_id_per_class"),
         ("run", {"scenario": {"min_separation": 1e6}}, 2, "scenario.min_separation"),
         ("run", {"train": {"epochs": "3"}}, 2, "train.epochs"),
+        ("run", {"train": {"epochs": True}}, 2, "train.epochs"),
+        ("run", {"train": {"epochs": 0}}, 2, "train"),
         ("run", {"scenario": {"input_dim": 16.5}}, 2, "scenario.input_dim"),
         ("run", {"net": {"proj_nonlinear": "no"}}, 2, "net.proj_nonlinear"),
         ("run", {"net": {"backbone_widths": 32}}, 2, "net.backbone_widths"),
@@ -448,14 +445,17 @@ class TestExitCodes:
         ("eval", ("prototypes.json", set_mu(lambda mu: "mu")), 2, "prototypes.json"),
         ("eval", ("manifest.json", set_both("input_dim", 12)), 2, "manifest.json"),
         ("eval", ("manifest.json", set_both("num_classes", 3)), 2, "manifest.json"),
+        ("eval", ("checkpoint.json", add_spec_key("proj_nonlinear", True)), 2,
+         "checkpoint.json"),
     ], ids=["zero-seeds", "negative-seed", "negative-scenario-seed", "negative-net-seed",
             "negative-train-seed", "seen-only-pool", "empty-pool", "no-id-test-rows",
-            "unsatisfiable-separation", "string-epochs", "fractional-input-dim",
+            "unsatisfiable-separation", "string-epochs", "bool-epochs", "zero-epochs",
+            "fractional-input-dim",
             "string-flag", "scalar-widths", "string-head-weight", "list-section", "diverging",
             "checkpoint-appended", "prototypes-appended", "manifest-appended",
             "prototypes-key-missing", "prototypes-missing", "prototypes-mu-column-dropped",
             "prototypes-mu-zero-rows", "prototypes-mu-string", "manifest-input-dim",
-            "manifest-num-classes"])
+            "manifest-num-classes", "checkpoint-spec-removed-key"])
     def test_exit_code(self, tmp_path, capsys, finished_run, verb, change, code, named):
         if verb == "run":
             raw = json.loads(json.dumps(EDGE_RAW))
@@ -475,6 +475,44 @@ class TestExitCodes:
             assert main(argv) == code
         if code == 2:
             assert named in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("case", [
+        "run-config-dir", "sweep-config-dir", "golden-config-dir", "config-not-utf8",
+        "out-under-file", "force-onto-file", "eval-run-dir-file"])
+    def test_path_exit_code(self, tmp_path, capsys, finished_run, case):
+        # A path that is a directory, a file, or unreadable text is a usage
+        # error: exit 2, naming the path, with no traceback.
+        config = write_config(tmp_path, EDGE_RAW)
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        named = tmp_path
+        if case == "run-config-dir":
+            argv = ["run", "--config", str(tmp_path)]
+        elif case == "sweep-config-dir":
+            argv = ["sweep", "--config", str(tmp_path), "--axis", "eta_id", "--values", "0.5",
+                    "--out", str(tmp_path / "runs")]
+        elif case == "golden-config-dir":
+            argv = ["golden", "--config", str(tmp_path),
+                    "--golden-path", str(tmp_path / "metrics.csv")]
+        elif case == "config-not-utf8":
+            named = tmp_path / "latin1.json"
+            named.write_bytes(b'{"seed": 0, "note": "caf\xe9"}')
+            argv = ["run", "--config", str(named), "--dry-run"]
+        elif case == "out-under-file":
+            named = a_file
+            argv = ["run", "--config", config, "--out", str(a_file / "runs")]
+        elif case == "force-onto-file":
+            out = tmp_path / "runs"
+            out.mkdir()
+            named = out / finished_run.name  # the run path EDGE_RAW resolves to
+            named.write_text("")
+            argv = ["run", "--config", config, "--out", str(out), "--force"]
+        else:
+            named = a_file
+            argv = ["eval", "--run-dir", str(a_file)]
+        assert main(argv) == 2
+        assert str(named) in capsys.readouterr().err
 
 
 class TestCliGradcheckAndGolden:
@@ -535,7 +573,7 @@ class TestRunExperimentApi:
             # eval reads a manifest that carries the status key
             assert main(["eval", "--run-dir", str(run_dir)]) == 0
 
-    @pytest.mark.parametrize("epochs", [0, 1, 2])
+    @pytest.mark.parametrize("epochs", [1, 2])
     def test_one_evaluation_per_run(self, tmp_path, monkeypatch, epochs):
         calls = []
 

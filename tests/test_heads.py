@@ -56,8 +56,9 @@ def neg_value(out: OvaOutput, eta_neg: float) -> float:
 class TestOvaOutput:
     def test_probs_are_complementary(self):
         out = random_ova(np.random.default_rng(1), (10, 5))
-        np.testing.assert_allclose(out.id_probs + out.ood_probs, 1.0, atol=1e-12)
-        assert np.all(out.id_probs > 0) and np.all(out.ood_probs > 0)
+        np.testing.assert_allclose(out.id_probs, 1 / (1 + np.exp(out.ood_logits - out.id_logits)),
+                                   atol=1e-12)
+        assert np.all(out.id_probs > 0) and np.all(out.id_probs < 1)
 
     def test_extreme_logits_stable(self):
         out = OvaOutput.from_logits([[1000.0, -1000.0]], [[0.0, 0.0]])
@@ -67,7 +68,7 @@ class TestOvaOutput:
         p = np.array([[0.9, 0.2], [0.5, 0.7]])
         out = ova_from_probs(p)
         np.testing.assert_allclose(out.id_probs, p, atol=1e-12)
-        np.testing.assert_allclose(out.ood_probs, 1 - p, atol=1e-12)
+        np.testing.assert_allclose(out.ood_logits, 0.0)
 
 
 class TestCeLoss:
@@ -159,7 +160,7 @@ class TestEmLoss:
 
     def test_exact_zero_probability_contributes_zero(self):
         out = OvaOutput.from_logits([[1000.0]], [[-1000.0]])
-        assert out.ood_probs[0, 0] == 0.0
+        assert out.id_probs[0, 0] == 1.0  # the OOD probability is exactly zero
         assert em(out.id_logits, out.ood_logits)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative(self):

@@ -190,36 +190,37 @@ class TestGeometryStats:
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
         f = np.tile([[3.0, 4.0]], (4, 1))
         z = np.tile([[1.0, 1.0]], (4, 1))
-        stats, _ = geometry_stats(f, z, protos, ["a", "a", "b", "b"])
+        stats = geometry_stats(f, z, protos, ["a", "a", "b", "b"])
         assert stats["a"].mean_feature_norm == stats["b"].mean_feature_norm == 5.0
 
     def test_hand_built_two_category_norms(self):
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
         f = np.array([[3.0, 4.0], [0.0, 1.0]])
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
-        stats, per_sample = geometry_stats(f, z, protos, ["id", "ood"])
+        stats = geometry_stats(f, z, protos, ["id", "ood"])
         assert stats["id"].mean_feature_norm == 5.0
         assert stats["ood"].mean_feature_norm == 1.0
-        np.testing.assert_allclose(per_sample[:, 0], [5.0, 1.0])
+        assert stats["id"].mean_max_cosine == pytest.approx(1.0, abs=1e-12)
+        assert stats["ood"].mean_max_cosine == pytest.approx(0.0, abs=1e-12)
 
     def test_aligned_category_max_cosine_one(self):
         protos = PrototypeSet.from_means(np.array([[2.0, 0.0], [0.0, 2.0]]))
         z = np.array([[5.0, 0.0], [3.0, 0.0]])
         f = z.copy()
-        stats, _ = geometry_stats(f, z, protos, ["id", "id"])
+        stats = geometry_stats(f, z, protos, ["id", "id"])
         assert stats["id"].mean_max_cosine == pytest.approx(1.0, abs=1e-12)
 
     def test_counts(self):
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
         f = np.ones((3, 2))
-        stats, _ = geometry_stats(f, f, protos, ["a", "a", "b"])
+        stats = geometry_stats(f, f, protos, ["a", "a", "b"])
         assert stats["a"].count == 2 and stats["b"].count == 1
         assert isinstance(stats["a"], CategoryGeometry)
 
     def test_categories_keep_first_appearance_order(self):
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
         f = np.arange(1.0, 9.0).reshape(4, 2)
-        stats, _ = geometry_stats(f, f, protos, ["seen", "id", "seen", "unseen"])
+        stats = geometry_stats(f, f, protos, ["seen", "id", "seen", "unseen"])
         assert list(stats) == ["seen", "id", "unseen"]
         assert stats["seen"].count == 2
         assert stats["seen"].mean_feature_norm == np.linalg.norm(f[[0, 2]], axis=1).mean()

@@ -7,10 +7,9 @@ from skipalign.linalg import softmax_rows
 from skipalign.net import (NetSpec, ParamState, backward, forward, forward_tensors,
                            init_params, layout, load_checkpoint, param_count,
                            save_checkpoint, sgd_step)
-from skipalign.sna import usna
 
 TINY = NetSpec(input_dim=3, backbone_widths=(4,), feature_dim=3, proj_hidden=3,
-               embed_dim=2, num_classes=2, proj_nonlinear=True, seed=0)
+               embed_dim=2, num_classes=2, seed=0)
 
 
 class TestSpecAndInit:
@@ -25,12 +24,6 @@ class TestSpecAndInit:
         assert np.array_equal(a.flat, b.flat)
         c = init_params(NetSpec(**{**TINY.__dict__, "seed": 1}))
         assert not np.array_equal(a.flat, c.flat)
-
-    def test_linear_projection_layout(self):
-        spec = NetSpec(input_dim=3, backbone_widths=(4,), feature_dim=3, proj_hidden=3,
-                       embed_dim=2, num_classes=2, proj_nonlinear=False, seed=0)
-        names = [n for n, _ in layout(spec)]
-        assert "proj1.W" not in names and "proj0.W" in names
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
@@ -50,13 +43,15 @@ class TestForward:
         np.testing.assert_allclose(out.ova.id_probs, 0.5, atol=1e-15)
 
     def test_hand_built_single_layer_products(self):
-        # No hidden widths: the backbone is one 2x2 linear map.
+        # No hidden widths: the backbone is one 2x2 linear map. The projection's
+        # two layers are identities, and its ReLU passes the positive features.
         spec = NetSpec(input_dim=2, backbone_widths=(), feature_dim=2, proj_hidden=2,
-                       embed_dim=2, num_classes=2, proj_nonlinear=False, seed=0)
+                       embed_dim=2, num_classes=2, seed=0)
         params = ParamState(spec=spec, flat=np.zeros(param_count(spec)))
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
         params.view("backbone0.W")[:] = w
         params.view("proj0.W")[:] = np.eye(2)
+        params.view("proj1.W")[:] = np.eye(2)
         params.view("cc.W")[:] = np.eye(2)
         x = np.array([[1.0, 1.0]])
         out = forward(params, x)
@@ -96,30 +91,6 @@ class TestBackward:
         assert n_params <= 500
         assert rel_fd <= 1e-5 and rel_tape <= 1e-12
 
-    def test_projection_nonlinearity_changes_alignment_gradient(self):
-        # Pure unlabeled-alignment loss; toggling the projection nonlinearity
-        # must change how the gradient reaches shared parameters.
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((6, 3))
-        protos = rng.standard_normal((2, 2))
-        protos /= np.linalg.norm(protos, axis=1, keepdims=True)
-        phi = np.ones(6, dtype=np.int64)
-        pred = rng.integers(0, 2, size=6)
-
-        def closure(outs):
-            value, grad = usna(outs["u"].embeddings, protos, phi, pred, 0.5)
-            return value, {"u": {"embeddings": grad}}
-
-        norms = {}
-        for flag in (True, False):
-            spec = NetSpec(input_dim=3, backbone_widths=(4,), feature_dim=3,
-                           proj_hidden=3, embed_dim=2, num_classes=2,
-                           proj_nonlinear=flag, seed=0)
-            params = init_params(spec)
-            grads = backward(params, {"u": x}, closure)
-            norms[flag] = np.linalg.norm(grads[:3 * 4 + 4])  # first backbone layer
-        assert norms[True] != pytest.approx(norms[False], rel=1e-6)
-
     def test_non_finite_loss_rejected(self):
         params = init_params(TINY)
         x = np.zeros((2, 3))
@@ -148,7 +119,7 @@ class TestSgdStep:
 
     def test_plain_step_arithmetic(self):
         spec = NetSpec(input_dim=1, backbone_widths=(), feature_dim=1, proj_hidden=1,
-                       embed_dim=1, num_classes=1, proj_nonlinear=False, seed=0)
+                       embed_dim=1, num_classes=1, seed=0)
         params = ParamState(spec=spec, flat=np.ones(param_count(spec)))
         grads = np.full_like(params.flat, 2.0)
         new, _ = sgd_step(params, grads, lr=0.1, momentum=0.0, weight_decay=0.0)
@@ -156,7 +127,7 @@ class TestSgdStep:
 
     def test_momentum_recursion_hand_values(self):
         spec = NetSpec(input_dim=1, backbone_widths=(), feature_dim=1, proj_hidden=1,
-                       embed_dim=1, num_classes=1, proj_nonlinear=False, seed=0)
+                       embed_dim=1, num_classes=1, seed=0)
         params = ParamState(spec=spec, flat=np.zeros(param_count(spec)))
         grads = np.ones_like(params.flat)
         p1, v = sgd_step(params, grads, lr=0.1, momentum=0.9)
@@ -166,7 +137,7 @@ class TestSgdStep:
 
     def test_weight_decay_added_to_gradient(self):
         spec = NetSpec(input_dim=1, backbone_widths=(), feature_dim=1, proj_hidden=1,
-                       embed_dim=1, num_classes=1, proj_nonlinear=False, seed=0)
+                       embed_dim=1, num_classes=1, seed=0)
         params = ParamState(spec=spec, flat=np.full(param_count(spec), 2.0))
         new, _ = sgd_step(params, np.zeros_like(params.flat), lr=0.1, weight_decay=0.5)
         np.testing.assert_allclose(new.flat, 2.0 - 0.1 * (0.5 * 2.0), atol=1e-15)

@@ -62,8 +62,7 @@ class TestGenerate:
     def test_separation_constraint_error(self):
         # A radius too small to fit many separated clusters must fail loudly.
         spec = dataclasses.replace(SMALL, input_dim=2, num_classes=6,
-                                   id_mean_radius=1.0, min_separation=3.0,
-                                   max_placement_tries=20)
+                                   id_mean_radius=1.0, min_separation=3.0)
         with pytest.raises(ValueError, match="separation"):
             generate(spec)
 
@@ -99,10 +98,6 @@ class TestSpecValidation:
     def test_between_count_bounded(self):
         with pytest.raises(ValueError):
             dataclasses.replace(SMALL, unseen_between_hull=5)
-
-    def test_placement_mode_validated(self):
-        with pytest.raises(ValueError):
-            dataclasses.replace(SMALL, seen_placement="cosmic")
 
 
 class TestAugment:

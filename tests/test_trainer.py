@@ -61,16 +61,6 @@ class TestTrainConfig:
 
 
 class TestTrainLoop:
-    def test_zero_epochs_returns_initial_state(self):
-        cfg = tiny_config()
-        split = generate(cfg.scenario)
-        tr = dataclasses.replace(cfg.train, epochs=0)
-        params, runlog = train(split, cfg.net, tr)
-        assert np.array_equal(params.flat, init_params(cfg.net).flat)
-        assert params.step == 0
-        assert runlog.iterations == [] and runlog.epochs == []
-        assert runlog.final_prototypes is not None
-
     def test_batch_composition_every_iteration(self):
         cfg = tiny_config()
         split = generate(cfg.scenario)
