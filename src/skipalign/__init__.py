@@ -8,7 +8,7 @@ and an experiment runner with sweeps and golden-file regression.
 __version__ = "0.1.0"
 
 from .data import EmbeddingBatch
-from .heads import HeadWeights, OvaOutput
+from .heads import HeadWeights
 from .net import NetSpec, ParamState
 from .prototypes import PrototypeSet
 from .sna import GateMask, SnaWeights
@@ -16,7 +16,7 @@ from .synthdata import ScenarioSpec, Split
 from .trainer import RunLog, TrainConfig
 
 __all__ = [
-    "EmbeddingBatch", "HeadWeights", "OvaOutput", "NetSpec", "ParamState",
+    "EmbeddingBatch", "HeadWeights", "NetSpec", "ParamState",
     "PrototypeSet", "GateMask", "SnaWeights", "ScenarioSpec", "Split", "RunLog",
     "TrainConfig", "__version__",
 ]

@@ -202,20 +202,6 @@ class Tensor:
         out._backward = backward
         return out
 
-    def sigmoid(self):
-        # Stable in both tails.
-        s = np.where(self.data >= 0,
-                     1.0 / (1.0 + np.exp(-np.abs(self.data))),
-                     np.exp(-np.abs(self.data)) / (1.0 + np.exp(-np.abs(self.data))))
-        out = self._node(s, (self,))
-
-        def backward(g):
-            if self.requires_grad:
-                self.grad += g * s * (1.0 - s)
-
-        out._backward = backward
-        return out
-
     # -- reductions and reshaping -----------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):

@@ -4,6 +4,8 @@ The closed-set side is supervised cross-entropy plus FixMatch-style hard
 pseudo-label consistency. The detector side trains K binary sub-classifiers
 whose per-class (ID, OOD) pair comes from a two-way softmax, with entropy
 sharpening, cross-view consistency, and a pseudo-negative term on top.
+`id_probs` turns a pair of logit matrices into that softmax's ID
+probability, where it is read: the dual gate and evaluation.
 
 Every loss returns its value with its closed-form gradient with respect to
 the head outputs it reads: softmax minus one-hot for the classifier terms
@@ -19,22 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class OvaOutput:
-    """Per-class (ID, OOD) logits and the two-way softmax probability of ID."""
-
-    id_logits: np.ndarray   # (B, K)
-    ood_logits: np.ndarray  # (B, K)
-    id_probs: np.ndarray
-
-    @classmethod
-    def from_logits(cls, id_logits, ood_logits) -> "OvaOutput":
-        s_id = np.asarray(id_logits, dtype=np.float64)
-        s_ood = np.asarray(ood_logits, dtype=np.float64)
-        shift = np.maximum(s_id, s_ood)
-        e_id = np.exp(s_id - shift)
-        e_ood = np.exp(s_ood - shift)
-        return cls(id_logits=s_id, ood_logits=s_ood, id_probs=e_id / (e_id + e_ood))
+def id_probs(id_logits: np.ndarray, ood_logits: np.ndarray) -> np.ndarray:
+    """The two-way softmax probability of ID for each per-class (ID, OOD) logit pair."""
+    shift = np.maximum(id_logits, ood_logits)
+    e_id = np.exp(id_logits - shift)
+    e_ood = np.exp(ood_logits - shift)
+    return e_id / (e_id + e_ood)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ The OOD scoring rule is deliberately a tagged choice (the detector's ID
 probability at the classifier's argmax class by default) and the report
 names the rule it used. AUROC is the Mann-Whitney statistic, ties worth one
 half, counted exactly from one sort of the OOD scores. Test rows are grouped
-by their distinct category names, so no step is quadratic in the test split
-and no Python runs per test row.
+once, by their distinct category names, and every per-category figure reads
+that grouping, so no step is quadratic in the test split and no Python runs
+per test row. Feature norms and the detector's ID probabilities are
+computed here, from the features and logits of the forward.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import EmbeddingBatch
-from .heads import OvaOutput
+from .heads import id_probs
 from .linalg import softmax_rows
 from .net import ParamState, forward
 from .prototypes import PrototypeSet, proto_similarity_profile
@@ -26,16 +28,19 @@ from .synthdata import Split, write_float_rows
 SCORE_RULES = ("ova_id_at_cc_argmax", "max_cc_softmax", "max_ova_id", "feature_norm")
 
 
-def ood_score(out: OvaOutput, cc_probs: np.ndarray, rule: str = "ova_id_at_cc_argmax",
+def ood_score(ova_probs: np.ndarray, cc_probs: np.ndarray, rule: str = "ova_id_at_cc_argmax",
               feature_norms: np.ndarray | None = None) -> np.ndarray:
-    """Per-sample ID-ness score; higher means more in-distribution."""
+    """Per-sample ID-ness score; higher means more in-distribution.
+
+    `ova_probs` is the detector's (B, K) ID probability per class.
+    """
     if rule == "ova_id_at_cc_argmax":
         pred = np.argmax(cc_probs, axis=1)
-        return out.id_probs[np.arange(pred.size), pred]
+        return ova_probs[np.arange(pred.size), pred]
     if rule == "max_cc_softmax":
         return np.max(cc_probs, axis=1)
     if rule == "max_ova_id":
-        return np.max(out.id_probs, axis=1)
+        return np.max(ova_probs, axis=1)
     if rule == "feature_norm":
         if feature_norms is None:
             raise ValueError("feature_norm scoring requires feature_norms")
@@ -66,33 +71,6 @@ def auroc(id_scores, ood_scores) -> float:
     wins = below.sum()
     ties = (np.searchsorted(b, comparable, side="right") - below).sum()
     return float((wins + 0.5 * ties) / (a.size * b.size))
-
-
-@dataclass(frozen=True)
-class CategoryGeometry:
-    mean_feature_norm: float
-    mean_max_cosine: float
-    count: int
-
-
-def geometry_stats(f_batch: np.ndarray, z_batch: np.ndarray, protos: PrototypeSet,
-                   categories) -> dict[str, CategoryGeometry]:
-    """Per-category mean feature norm and mean best prototype cosine, with the
-    categories in order of first appearance."""
-    f = np.asarray(f_batch, dtype=np.float64)
-    z = np.asarray(z_batch, dtype=np.float64)
-    names, first, row_name = np.unique(np.asarray(categories), return_index=True,
-                                       return_inverse=True)
-    norms = np.linalg.norm(f, axis=1)
-    sims = proto_similarity_profile(EmbeddingBatch(z), protos)
-    max_cos = sims.max(axis=1)
-    stats: dict[str, CategoryGeometry] = {}
-    for k in np.argsort(first):
-        rows = row_name == k
-        stats[str(names[k])] = CategoryGeometry(mean_feature_norm=float(norms[rows].mean()),
-                                                mean_max_cosine=float(max_cos[rows].mean()),
-                                                count=int(rows.sum()))
-    return stats
 
 
 @dataclass
@@ -148,24 +126,29 @@ def evaluate(params: ParamState, split: Split, protos: PrototypeSet,
     out = forward(params, split.test_x)
     cc_probs = softmax_rows(out.cc_logits)
 
-    # Each distinct category name is parsed once; its rows index it.
-    names, row_name = np.unique(np.asarray(split.test_category), return_inverse=True)
+    # Each distinct category name is parsed once; its rows index it. The
+    # coarse categories keep the order of their first test row.
+    names, first, row_name = np.unique(np.asarray(split.test_category), return_index=True,
+                                       return_inverse=True)
     names = names.tolist()
     coarse = np.array([_coarse_category(name) for name in names])
-    id_rows = (coarse == "id")[row_name]
+    kinds = sorted(set(coarse.tolist()), key=lambda kind: first[coarse == kind].min())
+    groups = {kind: (coarse == kind)[row_name] for kind in kinds}
+    if "id" not in groups:
+        raise ValueError("test split has no in-distribution rows")
+    id_rows = groups["id"]
     true_class = np.array([int(name.split(":")[1]) if kind == "id" else -1
                            for name, kind in zip(names, coarse)])[row_name]
     pred = np.argmax(cc_probs, axis=1)
-    if not id_rows.any():
-        raise ValueError("test split has no in-distribution rows")
     accuracy = float((pred[id_rows] == true_class[id_rows]).mean())
 
-    scores = ood_score(out.ova, cc_probs, rule=score_rule, feature_norms=out.feature_norms)
+    norms = np.linalg.norm(out.features, axis=1)
+    scores = ood_score(id_probs(out.id_logits, out.ood_logits), cc_probs, rule=score_rule,
+                       feature_norms=norms)
     id_scores = scores[id_rows]
     sources: dict[str, float] = {}
-    seen_rows = (coarse == "seen_ood")[row_name]
-    if seen_rows.any():
-        sources["seen"] = auroc(id_scores, scores[seen_rows])
+    if "seen_ood" in groups:
+        sources["seen"] = auroc(id_scores, scores[groups["seen_ood"]])
     unseen = sorted((k for k, name in enumerate(names) if name.startswith("unseen:")),
                     key=lambda k: int(names[k].split(":")[1]))
     for k in unseen:
@@ -176,14 +159,14 @@ def evaluate(params: ParamState, split: Split, protos: PrototypeSet,
     seen_auc = sources.get("seen", float("nan"))
     overall = float(np.mean(list(sources.values()))) if sources else float("nan")
 
-    geo = geometry_stats(out.features, out.embeddings, protos, coarse[row_name])
+    max_cos = proto_similarity_profile(EmbeddingBatch(out.embeddings), protos).max(axis=1)
     return EvalReport(
         accuracy=accuracy, score_rule=score_rule, auroc_per_source=sources,
         seen_auc=seen_auc, unseen_auc=unseen_auc, overall_auc=overall,
-        norm_by_category={c: g.mean_feature_norm for c, g in geo.items()},
-        cosine_by_category={c: g.mean_max_cosine for c, g in geo.items()},
-        counts={c: g.count for c, g in geo.items()},
-        missing_categories=[c for c in COARSE_CATEGORIES if c not in geo],
+        norm_by_category={c: float(norms[rows].mean()) for c, rows in groups.items()},
+        cosine_by_category={c: float(max_cos[rows].mean()) for c, rows in groups.items()},
+        counts={c: int(rows.sum()) for c, rows in groups.items()},
+        missing_categories=[c for c in COARSE_CATEGORIES if c not in groups],
     )
 
 
@@ -202,6 +185,7 @@ def write_eval_csv(report: EvalReport, path) -> None:
 def write_embedding_dump(params: ParamState, split: Split, path) -> None:
     """Per-test-sample rows (id, category, feature_norm, z_0..z_{d-1})."""
     out = forward(params, split.test_x)
-    rows = zip(map(int, split.test_ids), split.test_category, map(float, out.feature_norms))
+    norms = np.linalg.norm(out.features, axis=1)
+    rows = zip(map(int, split.test_ids), split.test_category, map(float, norms))
     write_float_rows(path, ["id", "category", "feature_norm"], "z",
                      [((f"{i},{c},{n!r}" for i, c, n in rows), out.embeddings)])

@@ -7,7 +7,8 @@ a linear one-vs-all detector emitting K (ID, OOD) logit pairs. `backward`
 forwards every view of a step as one stacked batch and propagates the head
 gradients the loss returns back through the layout in closed form;
 `forward_tensors` builds the same network on the autodiff tape, the oracle
-the tests check it with.
+the tests check it with. All three build the one `ForwardResult`: the five
+layer outputs, numpy arrays or tape tensors, and nothing derived from them.
 Plain momentum SGD; checkpoints round-trip bitwise via hex-encoded float64.
 """
 
@@ -15,13 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .autodiff import Tensor, constant
-from .heads import OvaOutput
 
 CHECKPOINT_VERSION = 1
 
@@ -111,20 +111,18 @@ def init_params(spec: NetSpec) -> ParamState:
 
 @dataclass(frozen=True)
 class ForwardResult:
-    features: np.ndarray      # (B, d_f)
-    embeddings: np.ndarray    # (B, d)
-    cc_logits: np.ndarray     # (B, K)
-    ova: OvaOutput
-    feature_norms: np.ndarray  # (B,) per-sample ||f||, for geometry statistics
+    """The layer outputs for a batch: arrays from `forward` and `backward`,
+    tape tensors from `forward_tensors`."""
+
+    features: np.ndarray | Tensor    # (B, d_f)
+    embeddings: np.ndarray | Tensor  # (B, d)
+    cc_logits: np.ndarray | Tensor   # (B, K)
+    id_logits: np.ndarray | Tensor   # (B, K) the detector's ID logit per class
+    ood_logits: np.ndarray | Tensor  # (B, K) and its OOD logit
 
     def rows(self, index) -> "ForwardResult":
         """The outputs of a subset of the batch's rows."""
-        o = self.ova
-        return ForwardResult(self.features[index], self.embeddings[index],
-                             self.cc_logits[index],
-                             OvaOutput(o.id_logits[index], o.ood_logits[index],
-                                       o.id_probs[index]),
-                             self.feature_norms[index])
+        return ForwardResult(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 def _forward_core(spec: NetSpec, get: Callable[[str], object], x, relu: Callable,
@@ -155,10 +153,9 @@ def _relu(v: np.ndarray) -> np.ndarray:
 
 
 def _result(spec: NetSpec, f, z, cc, od) -> ForwardResult:
+    """The one place the detector's 2K outputs split into ID and OOD logits."""
     k = spec.num_classes
-    return ForwardResult(features=f, embeddings=z, cc_logits=cc,
-                         ova=OvaOutput.from_logits(od[:, :k], od[:, k:]),
-                         feature_norms=np.linalg.norm(f, axis=1))
+    return ForwardResult(f, z, cc, od[:, :k], od[:, k:])
 
 
 def forward(params: ParamState, x) -> ForwardResult:
@@ -170,23 +167,12 @@ def forward(params: ParamState, x) -> ForwardResult:
     return _result(params.spec, f, z, cc, od)
 
 
-@dataclass(frozen=True)
-class ForwardTensors:
-    features: Tensor
-    embeddings: Tensor
-    cc_logits: Tensor
-    id_logits: Tensor
-    ood_logits: Tensor
-
-
-def forward_tensors(spec: NetSpec, params: Mapping[str, Tensor], x) -> ForwardTensors:
+def forward_tensors(spec: NetSpec, params: Mapping[str, Tensor], x) -> ForwardResult:
     """Forward pass on the autodiff tape; validates every layer output."""
     xt = constant(np.asarray(x, dtype=np.float64))
     f, z, cc, od = _forward_core(spec, params.__getitem__, xt, relu=Tensor.relu)
     _check_finite(f.data, z.data, cc.data, od.data)
-    k = spec.num_classes
-    return ForwardTensors(features=f, embeddings=z, cc_logits=cc,
-                          id_logits=od[:, :k], ood_logits=od[:, k:])
+    return _result(spec, f, z, cc, od)
 
 
 def _check_finite(f, z, cc, od) -> None:

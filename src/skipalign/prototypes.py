@@ -28,10 +28,6 @@ class PrototypeSet:
     gamma: float
     r_u: float
 
-    @property
-    def num_classes(self) -> int:
-        return self.mu.shape[0]
-
     def unit_directions(self) -> np.ndarray:
         return unit_rows(self.mu)
 

@@ -31,8 +31,6 @@ class GateMask:
     cc_conf: np.ndarray     # max classifier probability per sample
     od_conf: np.ndarray     # detector ID probability at the predicted class
     pred_class: np.ndarray  # argmax class per sample
-    tau_id: float
-    eta_id: float
 
     @property
     def accepted(self) -> int:
@@ -77,8 +75,7 @@ def dual_gate(cc_probs, od_id_probs, tau_id: float, eta_id: float) -> GateMask:
     cc_conf = cc[rows, pred]
     od_conf = od[rows, pred]
     phi = ((cc_conf > tau_id) & (od_conf > eta_id)).astype(np.int64)
-    return GateMask(phi=phi, cc_conf=cc_conf, od_conf=od_conf, pred_class=pred,
-                    tau_id=tau_id, eta_id=eta_id)
+    return GateMask(phi=phi, cc_conf=cc_conf, od_conf=od_conf, pred_class=pred)
 
 
 def _unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

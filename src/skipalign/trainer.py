@@ -22,7 +22,8 @@ import numpy as np
 
 from . import net as net_mod
 from .data import EmbeddingBatch
-from .heads import HeadWeights, ce, compose, consistency, em, neg, negatives, ova, socr
+from .heads import (HeadWeights, ce, compose, consistency, em, id_probs, neg, negatives, ova,
+                    socr)
 from .linalg import softmax_rows
 from .metrics import SCORE_RULES, EvalReport, evaluate
 from .net import ForwardResult, NetSpec, ParamState, forward, init_params, sgd_step
@@ -250,11 +251,11 @@ def freeze_decisions(uw: ForwardResult, us: ForwardResult, cfg: TrainConfig) -> 
     pseudo = np.argmax(pl_probs, axis=1)
     eta_neg = cfg.head.eta_neg
     return Decisions(
-        gate=dual_gate(gate_probs, uw.ova.id_probs, cfg.tau_id, cfg.eta_id),
+        gate=dual_gate(gate_probs, id_probs(uw.id_logits, uw.ood_logits), cfg.tau_id, cfg.eta_id),
         pseudo=pseudo,
         pl_accept=pl_probs[np.arange(pseudo.size), pseudo] > cfg.head.tau_pl,
-        neg_w=negatives(uw.ova.id_logits, uw.ova.ood_logits, eta_neg),
-        neg_s=negatives(us.ova.id_logits, us.ova.ood_logits, eta_neg),
+        neg_w=negatives(uw.id_logits, uw.ood_logits, eta_neg),
+        neg_s=negatives(us.id_logits, us.ood_logits, eta_neg),
     )
 
 
@@ -290,18 +291,18 @@ def objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
     if head.lambda_u > 0:
         term("u", consistency(us.cc_logits, decisions.pseudo, decisions.pl_accept),
              [("u_s", "cc_logits")])
-    term("ova", ova(xw.ova.id_logits, xw.ova.ood_logits, labels),
+    term("ova", ova(xw.id_logits, xw.ood_logits, labels),
          [("x_w", "id_logits"), ("x_w", "ood_logits")])
     if head.lambda_em > 0:
-        term("em", em(uw.ova.id_logits, uw.ova.ood_logits),
+        term("em", em(uw.id_logits, uw.ood_logits),
              [("u_w", "id_logits"), ("u_w", "ood_logits")])
     if head.lambda_socr > 0:
-        term("socr", socr(uw.ova.id_logits, uw2.ova.id_logits),
+        term("socr", socr(uw.id_logits, uw2.id_logits),
              [("u_w", "id_logits"), ("u_w2", "id_logits")])
     if head.lambda_neg > 0:
         # Negatives are mined on both the weak and the strong view.
-        weak = neg(uw.ova.id_logits, uw.ova.ood_logits, decisions.neg_w)
-        strong = neg(us.ova.id_logits, us.ova.ood_logits, decisions.neg_s)
+        weak = neg(uw.id_logits, uw.ood_logits, decisions.neg_w)
+        strong = neg(us.id_logits, us.ood_logits, decisions.neg_s)
         term("neg", (weak[0] + strong[0], *weak[1:], *strong[1:]),
              [("u_w", "id_logits"), ("u_w", "ood_logits"),
               ("u_s", "id_logits"), ("u_s", "ood_logits")])
@@ -338,7 +339,7 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, protos: PrototypeSet, in
             "cc_conf": gate.cc_conf.tolist(),
             "od_conf": gate.od_conf.tolist(),
             "pred_class": gate.pred_class.tolist(),
-            "tau_id": gate.tau_id, "eta_id": gate.eta_id,
+            "tau_id": cfg.tau_id, "eta_id": cfg.eta_id,
         }
         selected = gate.phi == 1
         info["proto_rows"] = outputs["u_w"].embeddings[selected]

@@ -131,6 +131,13 @@ class TestConfigResolution:
         # A new option shows up here as a reviewed diff.
         assert sorted(flatten(default_config().resolved_dict())) == SETTABLE_VALUES
 
+    def test_every_exported_name_resolves(self):
+        # A stale export of a removed name fails the star import.
+        import skipalign
+        namespace: dict = {}
+        exec("from skipalign import *", namespace)
+        assert set(skipalign.__all__) <= set(namespace)
+
     def test_resolved_dict_round_trips(self):
         cfg = default_config(seed=4)
         again = resolve_config(cfg.resolved_dict())

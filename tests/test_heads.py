@@ -6,7 +6,7 @@ import pytest
 import skipalign.tensor_losses as tl
 from skipalign.autodiff import constant, parameter
 from skipalign.config import ConfigError, resolve_config
-from skipalign.heads import (HeadWeights, OvaOutput, ce, compose, consistency, em, neg,
+from skipalign.heads import (HeadWeights, ce, compose, consistency, em, id_probs, neg,
                              negatives, ova, socr)
 from skipalign.linalg import finite_diff_grad
 from skipalign.net import ForwardResult
@@ -15,15 +15,15 @@ from skipalign.trainer import TrainConfig, freeze_decisions, objective
 RNG = np.random.default_rng(0)
 
 
-def random_ova(rng, shape=(3, 4)) -> OvaOutput:
-    return OvaOutput.from_logits(rng.standard_normal(shape) * 2,
-                                 rng.standard_normal(shape) * 2)
+def random_logits(rng, shape=(3, 4)) -> tuple[np.ndarray, np.ndarray]:
+    """Random detector (ID, OOD) logit matrices."""
+    return rng.standard_normal(shape) * 2, rng.standard_normal(shape) * 2
 
 
-def ova_from_probs(id_probs) -> OvaOutput:
-    """Detector outputs with the given ID probabilities: logit ID, zero OOD logits."""
-    p = np.asarray(id_probs, dtype=np.float64)
-    return OvaOutput.from_logits(np.log(p) - np.log1p(-p), np.zeros_like(p))
+def logits_from_probs(probs) -> tuple[np.ndarray, np.ndarray]:
+    """Detector logits with the given ID probabilities: logit ID, zero OOD logits."""
+    p = np.asarray(probs, dtype=np.float64)
+    return np.log(p) - np.log1p(-p), np.zeros_like(p)
 
 
 def view(cc_logits, id_logits=None, ood_logits=None, embeddings=None) -> ForwardResult:
@@ -33,9 +33,8 @@ def view(cc_logits, id_logits=None, ood_logits=None, embeddings=None) -> Forward
     return ForwardResult(
         features=zeros, embeddings=zeros if embeddings is None else embeddings,
         cc_logits=cc_logits,
-        ova=OvaOutput.from_logits(zeros if id_logits is None else id_logits,
-                                  zeros if ood_logits is None else ood_logits),
-        feature_norms=np.zeros(len(cc_logits)))
+        id_logits=zeros if id_logits is None else np.asarray(id_logits, dtype=np.float64),
+        ood_logits=zeros if ood_logits is None else np.asarray(ood_logits, dtype=np.float64))
 
 
 def fixmatch(weak_probs, strong_probs, tau_pl: float) -> tuple[float, int]:
@@ -48,27 +47,30 @@ def fixmatch(weak_probs, strong_probs, tau_pl: float) -> tuple[float, int]:
     return value, int(decisions.pl_accept.sum())
 
 
-def neg_value(out: OvaOutput, eta_neg: float) -> float:
-    selected = negatives(out.id_logits, out.ood_logits, eta_neg)
-    return neg(out.id_logits, out.ood_logits, selected)[0]
+def neg_value(logits: tuple[np.ndarray, np.ndarray], eta_neg: float) -> float:
+    selected = negatives(*logits, eta_neg)
+    return neg(*logits, selected)[0]
 
 
 class TestOvaOutput:
+    """The one-vs-all detector's output read as `id_probs`: the per-class
+    two-way softmax probability of ID."""
+
     def test_probs_are_complementary(self):
-        out = random_ova(np.random.default_rng(1), (10, 5))
-        np.testing.assert_allclose(out.id_probs, 1 / (1 + np.exp(out.ood_logits - out.id_logits)),
-                                   atol=1e-12)
-        assert np.all(out.id_probs > 0) and np.all(out.id_probs < 1)
+        s_id, s_ood = random_logits(np.random.default_rng(1), (10, 5))
+        p = id_probs(s_id, s_ood)
+        np.testing.assert_allclose(p, 1 / (1 + np.exp(s_ood - s_id)), atol=1e-12)
+        assert np.all(p > 0) and np.all(p < 1)
 
     def test_extreme_logits_stable(self):
-        out = OvaOutput.from_logits([[1000.0, -1000.0]], [[0.0, 0.0]])
-        np.testing.assert_allclose(out.id_probs, [[1.0, 0.0]], atol=1e-300)
+        p = id_probs(np.array([[1000.0, -1000.0]]), np.array([[0.0, 0.0]]))
+        np.testing.assert_allclose(p, [[1.0, 0.0]], atol=1e-300)
 
     def test_from_probs_round_trip(self):
         p = np.array([[0.9, 0.2], [0.5, 0.7]])
-        out = ova_from_probs(p)
-        np.testing.assert_allclose(out.id_probs, p, atol=1e-12)
-        np.testing.assert_allclose(out.ood_logits, 0.0)
+        s_id, s_ood = logits_from_probs(p)
+        np.testing.assert_allclose(id_probs(s_id, s_ood), p, atol=1e-12)
+        np.testing.assert_allclose(s_ood, 0.0)
 
 
 class TestCeLoss:
@@ -118,62 +120,60 @@ class TestConsistencyLoss:
 
 class TestOvaLoss:
     def test_perfect_detector(self):
-        out = ova_from_probs([[1 - 1e-12, 1e-12]])
-        assert ova(out.id_logits, out.ood_logits, [0])[0] == pytest.approx(0.0, abs=1e-9)
+        logits = logits_from_probs([[1 - 1e-12, 1e-12]])
+        assert ova(*logits, [0])[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_single_class_uniform(self):
-        out = ova_from_probs([[0.5]])
-        assert ova(out.id_logits, out.ood_logits, [0])[0] == pytest.approx(math.log(2),
-                                                                           abs=1e-12)
+        logits = logits_from_probs([[0.5]])
+        assert ova(*logits, [0])[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_two_class_hand_value(self):
-        out = ova_from_probs([[0.9, 0.2]])
+        logits = logits_from_probs([[0.9, 0.2]])
         expected = -math.log(0.9) - math.log(0.8)
-        assert ova(out.id_logits, out.ood_logits, [0])[0] == pytest.approx(expected, abs=1e-12)
+        assert ova(*logits, [0])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            out = random_ova(rng)
+            logits = random_logits(rng)
             labels = rng.integers(0, 4, size=3)
-            assert ova(out.id_logits, out.ood_logits, labels)[0] >= 0
+            assert ova(*logits, labels)[0] >= 0
 
 
 class TestEmLoss:
     def test_zero_entropy_at_vertices(self):
-        out = ova_from_probs([[1 - 1e-15, 1e-15]])
-        assert em(out.id_logits, out.ood_logits)[0] == pytest.approx(0.0, abs=1e-12)
+        logits = logits_from_probs([[1 - 1e-15, 1e-15]])
+        assert em(*logits)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_max_entropy_pair(self):
-        out = ova_from_probs([[0.5]])
-        assert em(out.id_logits, out.ood_logits)[0] == pytest.approx(math.log(2), abs=1e-12)
+        logits = logits_from_probs([[0.5]])
+        assert em(*logits)[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_hand_value(self):
-        out = ova_from_probs([[0.9]])
+        logits = logits_from_probs([[0.9]])
         expected = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
-        assert em(out.id_logits, out.ood_logits)[0] == pytest.approx(expected, abs=1e-12)
+        assert em(*logits)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_maximized_at_half(self):
-        values = [em(out.id_logits, out.ood_logits)[0]
-                  for out in (ova_from_probs([[p]]) for p in (0.1, 0.3, 0.5, 0.7, 0.9))]
+        values = [em(*logits_from_probs([[p]]))[0] for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert np.argmax(values) == 2
 
     def test_exact_zero_probability_contributes_zero(self):
-        out = OvaOutput.from_logits([[1000.0]], [[-1000.0]])
-        assert out.id_probs[0, 0] == 1.0  # the OOD probability is exactly zero
-        assert em(out.id_logits, out.ood_logits)[0] == pytest.approx(0.0, abs=1e-12)
+        logits = np.array([[1000.0]]), np.array([[-1000.0]])
+        assert id_probs(*logits)[0, 0] == 1.0  # the OOD probability is exactly zero
+        assert em(*logits)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            out = random_ova(rng)
-            assert em(out.id_logits, out.ood_logits)[0] >= 0
+            logits = random_logits(rng)
+            assert em(*logits)[0] >= 0
 
 
 class TestSocrLoss:
     def test_identical_views(self):
-        out = random_ova(np.random.default_rng(4))
-        assert socr(out.id_logits, out.id_logits)[0] == 0.0
+        s_id, _ = random_logits(np.random.default_rng(4))
+        assert socr(s_id, s_id)[0] == 0.0
 
     def test_unit_difference(self):
         assert socr(np.array([[1.0]]), np.array([[0.0]]))[0] == pytest.approx(1.0, abs=1e-12)
@@ -185,14 +185,14 @@ class TestSocrLoss:
 
 class TestNegLoss:
     def test_empty_selection(self):
-        assert neg_value(ova_from_probs([[0.7, 0.9]]), eta_neg=0.5) == 0.0
+        assert neg_value(logits_from_probs([[0.7, 0.9]]), eta_neg=0.5) == 0.0
 
     def test_single_class_hand_value(self):
-        assert neg_value(ova_from_probs([[0.5]]), eta_neg=0.6) == pytest.approx(
+        assert neg_value(logits_from_probs([[0.5]]), eta_neg=0.6) == pytest.approx(
             math.log(2), abs=1e-12)
 
     def test_selects_only_low_classes(self):
-        assert neg_value(ova_from_probs([[0.1, 0.9]]), eta_neg=0.5) == pytest.approx(
+        assert neg_value(logits_from_probs([[0.1, 0.9]]), eta_neg=0.5) == pytest.approx(
             -math.log(0.9), abs=1e-12)
 
     def test_eta_validated(self):
@@ -203,7 +203,7 @@ class TestNegLoss:
     def test_nonnegative(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            assert neg_value(random_ova(rng), 0.3) >= 0
+            assert neg_value(random_logits(rng), 0.3) >= 0
 
 
 WEIGHT_NAMES = ("lambda_u", "lambda_em", "lambda_socr", "lambda_neg", "lambda_cc",
@@ -350,14 +350,13 @@ class TestNumpyTapeParity:
         s_id = rng.standard_normal((5, 3)) * 2
         s_ood = rng.standard_normal((5, 3)) * 2
         s_id2 = rng.standard_normal((5, 3)) * 2
-        out = OvaOutput.from_logits(s_id, s_ood)
         labels = rng.integers(0, 3, size=5)
         assert_matches_tape(ova(s_id, s_ood, labels), tape_value_and_grads(
             lambda a, b: tl.ova_graph(a, b, labels), s_id, s_ood))
         assert_matches_tape(em(s_id, s_ood), tape_value_and_grads(tl.em_graph, s_id, s_ood))
         assert_matches_tape(socr(s_id, s_id2), tape_value_and_grads(tl.socr_graph, s_id, s_id2))
         selected = negatives(s_id, s_ood, 0.4)
-        np.testing.assert_array_equal(selected, out.id_probs < 0.4)
+        np.testing.assert_array_equal(selected, id_probs(s_id, s_ood) < 0.4)
         # the mask is taken from the same log-probabilities the loss builds
         log_p_id = tl._two_way_log_probs(constant(s_id), constant(s_ood))[0].data
         np.testing.assert_array_equal(selected, log_p_id < np.log(0.4))

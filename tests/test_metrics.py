@@ -8,11 +8,10 @@ import pytest
 from scipy.stats import rankdata
 
 from skipalign.config import default_config
-from skipalign.heads import OvaOutput
-from skipalign.metrics import (CategoryGeometry, auroc, evaluate, geometry_stats,
-                               ood_score, write_embedding_dump, write_eval_csv)
+from skipalign.heads import id_probs
+from skipalign.metrics import auroc, evaluate, ood_score, write_embedding_dump, write_eval_csv
 from skipalign.linalg import softmax_rows
-from skipalign.net import forward, init_params
+from skipalign.net import ForwardResult, forward, init_params
 from skipalign.prototypes import PrototypeSet
 from skipalign.synthdata import CHUNK_ROWS, generate
 
@@ -142,88 +141,97 @@ class TestAuroc:
         assert peak < 1_000_000
 
 
-def ova_from_probs(id_probs) -> OvaOutput:
-    """Detector outputs with the given ID probabilities: logit ID, zero OOD logits."""
-    p = np.asarray(id_probs, dtype=np.float64)
-    return OvaOutput.from_logits(np.log(p) - np.log1p(-p), np.zeros_like(p))
-
-
 class TestOodScore:
     def test_all_one_id_probs(self):
-        out = OvaOutput.from_logits(np.full((2, 3), 50.0), np.full((2, 3), -50.0))
+        probs = id_probs(np.full((2, 3), 50.0), np.full((2, 3), -50.0))
         cc = np.full((2, 3), 1 / 3)
-        np.testing.assert_allclose(ood_score(out, cc), 1.0, atol=1e-12)
+        np.testing.assert_allclose(ood_score(probs, cc), 1.0, atol=1e-12)
 
     def test_pass_through_at_argmax(self):
-        out = ova_from_probs(np.array([[0.5, 0.9]]))
         cc = np.array([[0.8, 0.2]])
-        assert ood_score(out, cc)[0] == pytest.approx(0.5, abs=1e-12)
+        assert ood_score(np.array([[0.5, 0.9]]), cc)[0] == 0.5
 
     def test_reads_per_sample_argmax_columns(self):
-        out = ova_from_probs(np.array([[0.9, 0.1], [0.2, 0.7]]))
+        probs = np.array([[0.9, 0.1], [0.2, 0.7]])
         cc = np.array([[0.9, 0.1], [0.3, 0.7]])
-        scores = ood_score(out, cc)
-        assert scores[0] == pytest.approx(0.9, abs=1e-12)
-        assert scores[1] == pytest.approx(0.7, abs=1e-12)
+        assert ood_score(probs, cc).tolist() == [0.9, 0.7]
 
     def test_alternative_rules(self):
-        out = ova_from_probs(np.array([[0.4, 0.8]]))
+        probs = np.array([[0.4, 0.8]])
         cc = np.array([[0.6, 0.4]])
-        assert ood_score(out, cc, rule="max_cc_softmax")[0] == pytest.approx(0.6)
-        assert ood_score(out, cc, rule="max_ova_id")[0] == pytest.approx(0.8)
+        assert ood_score(probs, cc, rule="max_cc_softmax")[0] == pytest.approx(0.6)
+        assert ood_score(probs, cc, rule="max_ova_id")[0] == pytest.approx(0.8)
         norms = np.array([2.5])
-        assert ood_score(out, cc, rule="feature_norm", feature_norms=norms)[0] == 2.5
+        assert ood_score(probs, cc, rule="feature_norm", feature_norms=norms)[0] == 2.5
 
     def test_feature_norm_requires_norms(self):
-        out = ova_from_probs(np.array([[0.4]]))
         with pytest.raises(ValueError):
-            ood_score(out, np.array([[1.0]]), rule="feature_norm")
+            ood_score(np.array([[0.4]]), np.array([[1.0]]), rule="feature_norm")
 
     def test_unknown_rule(self):
-        out = ova_from_probs(np.array([[0.4]]))
         with pytest.raises(ValueError):
-            ood_score(out, np.array([[1.0]]), rule="entropy")
+            ood_score(np.array([[0.4]]), np.array([[1.0]]), rule="entropy")
+
+
+def evaluate_outputs(monkeypatch, setup, categories, features, embeddings, protos):
+    """`evaluate`'s report when the forward returns the given features and
+    embeddings (and all-zero logits) for test rows of the given categories."""
+    params, split, _ = setup
+    n = len(categories)
+    logits = np.zeros((n, params.spec.num_classes))
+    out = ForwardResult(features=np.asarray(features, dtype=np.float64),
+                        embeddings=np.asarray(embeddings, dtype=np.float64),
+                        cc_logits=logits, id_logits=logits, ood_logits=logits)
+    monkeypatch.setattr("skipalign.metrics.forward", lambda p, x: out)
+    rows = dataclasses.replace(split, test_x=np.zeros((n, split.test_x.shape[1])),
+                               test_ids=np.arange(n), test_category=list(categories))
+    return evaluate(params, rows, protos)
 
 
 class TestGeometryStats:
-    def test_identical_features_equal_norms(self):
+    """The report's per-category geometry: mean feature norm, mean best
+    prototype cosine and row count per coarse category."""
+
+    def test_identical_features_equal_norms(self, setup, monkeypatch):
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
         f = np.tile([[3.0, 4.0]], (4, 1))
         z = np.tile([[1.0, 1.0]], (4, 1))
-        stats = geometry_stats(f, z, protos, ["a", "a", "b", "b"])
-        assert stats["a"].mean_feature_norm == stats["b"].mean_feature_norm == 5.0
+        report = evaluate_outputs(monkeypatch, setup, ["id:0", "id:1", "seen:0", "seen:1"],
+                                  f, z, protos)
+        assert report.norm_by_category == {"id": 5.0, "seen_ood": 5.0}
 
-    def test_hand_built_two_category_norms(self):
+    def test_hand_built_two_category_norms(self, setup, monkeypatch):
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
         f = np.array([[3.0, 4.0], [0.0, 1.0]])
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
-        stats = geometry_stats(f, z, protos, ["id", "ood"])
-        assert stats["id"].mean_feature_norm == 5.0
-        assert stats["ood"].mean_feature_norm == 1.0
-        assert stats["id"].mean_max_cosine == pytest.approx(1.0, abs=1e-12)
-        assert stats["ood"].mean_max_cosine == pytest.approx(0.0, abs=1e-12)
+        report = evaluate_outputs(monkeypatch, setup, ["id:0", "unseen:0"], f, z, protos)
+        assert report.norm_by_category == {"id": 5.0, "unseen_ood": 1.0}
+        assert report.cosine_by_category["id"] == pytest.approx(1.0, abs=1e-12)
+        assert report.cosine_by_category["unseen_ood"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_aligned_category_max_cosine_one(self):
+    def test_aligned_category_max_cosine_one(self, setup, monkeypatch):
         protos = PrototypeSet.from_means(np.array([[2.0, 0.0], [0.0, 2.0]]))
         z = np.array([[5.0, 0.0], [3.0, 0.0]])
-        f = z.copy()
-        stats = geometry_stats(f, z, protos, ["id", "id"])
-        assert stats["id"].mean_max_cosine == pytest.approx(1.0, abs=1e-12)
+        report = evaluate_outputs(monkeypatch, setup, ["id:0", "id:1"], z, z, protos)
+        assert report.cosine_by_category["id"] == pytest.approx(1.0, abs=1e-12)
 
-    def test_counts(self):
+    def test_counts(self, setup, monkeypatch):
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
         f = np.ones((3, 2))
-        stats = geometry_stats(f, f, protos, ["a", "a", "b"])
-        assert stats["a"].count == 2 and stats["b"].count == 1
-        assert isinstance(stats["a"], CategoryGeometry)
+        report = evaluate_outputs(monkeypatch, setup, ["id:0", "id:1", "seen:0"], f, f, protos)
+        assert report.counts == {"id": 2, "seen_ood": 1}
+        assert report.missing_categories == ["unseen_ood"]
 
-    def test_categories_keep_first_appearance_order(self):
+    def test_categories_keep_first_appearance_order(self, setup, monkeypatch):
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
         f = np.arange(1.0, 9.0).reshape(4, 2)
-        stats = geometry_stats(f, f, protos, ["seen", "id", "seen", "unseen"])
-        assert list(stats) == ["seen", "id", "unseen"]
-        assert stats["seen"].count == 2
-        assert stats["seen"].mean_feature_norm == np.linalg.norm(f[[0, 2]], axis=1).mean()
+        report = evaluate_outputs(monkeypatch, setup, ["seen:0", "id:0", "seen:1", "unseen:0"],
+                                  f, f, protos)
+        assert list(report.norm_by_category) == ["seen_ood", "id", "unseen_ood"]
+        assert list(report.cosine_by_category) == list(report.counts) == list(
+            report.norm_by_category)
+        assert report.counts["seen_ood"] == 2
+        assert report.norm_by_category["seen_ood"] == np.linalg.norm(f[[0, 2]], axis=1).mean()
 
 
 def small_scenario(**counts):
@@ -237,12 +245,13 @@ def small_scenario(**counts):
 def reference_embedding_dump(out, split, path):
     """The csv.writer loop the dump writer replaced: the bytes it must keep."""
     dim = out.embeddings.shape[1]
+    norms = np.linalg.norm(out.features, axis=1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "category", "feature_norm"] + [f"z_{j}" for j in range(dim)])
         for i in range(split.test_x.shape[0]):
             writer.writerow([int(split.test_ids[i]), split.test_category[i],
-                             repr(float(out.feature_norms[i]))]
+                             repr(float(norms[i]))]
                             + [repr(float(v)) for v in out.embeddings[i]])
 
 
@@ -292,7 +301,7 @@ class TestEvaluate:
         edges = [-0.0, 5e-324, 1e-05, 1e16, -1.5e-300]
         z = out.embeddings.copy()
         z.flat[:len(edges)] = edges
-        edge_out = SimpleNamespace(feature_norms=np.resize(edges, split.test_x.shape[0]),
+        edge_out = SimpleNamespace(features=np.resize(edges, (split.test_x.shape[0], 1)),
                                    embeddings=z)
         for case_split, fake_out in ((split, None), (large, None), (split, edge_out)):
             if fake_out is not None:
@@ -313,7 +322,7 @@ class TestEvaluate:
 
         out = forward(params, permuted.test_x)
         cc_probs = softmax_rows(out.cc_logits)
-        scores = ood_score(out.ova, cc_probs)
+        scores = ood_score(id_probs(out.id_logits, out.ood_logits), cc_probs)
         is_id = np.array([c.startswith("id:") for c in cats])
         true_class = np.array([int(c[3:]) if c.startswith("id:") else -1 for c in cats])
         pred = np.argmax(cc_probs, axis=1)
@@ -332,10 +341,16 @@ class TestEvaluate:
         assert list(report.norm_by_category) == first_seen
         assert list(report.cosine_by_category) == first_seen
         assert list(report.counts) == first_seen
+        unit_protos = protos.mu / np.linalg.norm(protos.mu, axis=1, keepdims=True)
         for name in first_seen:
             rows = np.array([c == name for c in coarse])
             assert report.counts[name] == rows.sum()
-            assert report.norm_by_category[name] == out.feature_norms[rows].mean()
+            assert report.norm_by_category[name] == np.linalg.norm(out.features[rows],
+                                                                   axis=1).mean()
+            best_cosines = [max(unit_protos @ (z / np.linalg.norm(z)))
+                            for z in out.embeddings[rows]]
+            assert report.cosine_by_category[name] == pytest.approx(np.mean(best_cosines),
+                                                                    rel=1e-12, abs=1e-15)
         assert report.missing_categories == []
 
     def test_reports_categories_without_test_rows(self, setup):

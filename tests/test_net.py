@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from skipalign.autodiff import constant
-from skipalign.heads import ce
+from skipalign.heads import ce, id_probs
 from skipalign.linalg import softmax_rows
-from skipalign.net import (NetSpec, ParamState, backward, forward, forward_tensors,
-                           init_params, layout, load_checkpoint, param_count,
+from skipalign.net import (ForwardResult, NetSpec, ParamState, backward, forward,
+                           forward_tensors, init_params, layout, load_checkpoint, param_count,
                            save_checkpoint, sgd_step)
 
 TINY = NetSpec(input_dim=3, backbone_widths=(4,), feature_dim=3, proj_hidden=3,
@@ -40,7 +42,7 @@ class TestForward:
         out = forward(params, np.random.default_rng(0).standard_normal((5, 3)))
         np.testing.assert_allclose(out.cc_logits, 0.0)
         np.testing.assert_allclose(softmax_rows(out.cc_logits), 0.5, atol=1e-15)
-        np.testing.assert_allclose(out.ova.id_probs, 0.5, atol=1e-15)
+        np.testing.assert_allclose(id_probs(out.id_logits, out.ood_logits), 0.5, atol=1e-15)
 
     def test_hand_built_single_layer_products(self):
         # No hidden widths: the backbone is one 2x2 linear map. The projection's
@@ -66,11 +68,17 @@ class TestForward:
         assert np.array_equal(out.features[0], out.features[1])
         assert np.array_equal(out.embeddings[0], out.embeddings[1])
 
-    def test_feature_norm_hook(self):
+    def test_tape_forward_gives_the_same_five_outputs(self):
         params = init_params(TINY)
-        out = forward(params, np.random.default_rng(2).standard_normal((4, 3)))
-        np.testing.assert_allclose(out.feature_norms,
-                                   np.linalg.norm(out.features, axis=1), atol=1e-15)
+        x = np.random.default_rng(2).standard_normal((4, 3))
+        tensors = {name: constant(params.view(name)) for name in params.names()}
+        tape = forward_tensors(TINY, tensors, x)
+        out = forward(params, x)
+        names = [f.name for f in dataclasses.fields(ForwardResult)]
+        assert names == ["features", "embeddings", "cc_logits", "id_logits", "ood_logits"]
+        assert isinstance(tape, ForwardResult)
+        for name in names:
+            assert np.array_equal(getattr(tape, name).data, getattr(out, name))
 
     def test_shape_validation(self):
         params = init_params(TINY)
