@@ -346,7 +346,8 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as err:
+    except (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as err:
         print(str(err), file=sys.stderr)
         return 2
     except TrainingDiverged as err:

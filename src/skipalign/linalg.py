@@ -1,7 +1,7 @@
 """Dense float64 kernels shared by every other module.
 
 Vectors are 1-D numpy arrays, matrices 2-D row-major numpy arrays.
-`as_vector`/`as_matrix` check the shape and finiteness of outside input. The
+`as_matrix` checks the shape and finiteness of outside input. The
 kernels a training step runs check only for faults: `unit_rows` rejects a
 zero row rather than clamp it, which would hide an upstream bug.
 """
@@ -14,16 +14,6 @@ import numpy as np
 
 # Norms below this are treated as degenerate rather than normalized.
 MIN_NORM = 1e-30
-
-
-def as_vector(x) -> np.ndarray:
-    """Coerce to a finite 1-D float64 array."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite entries")
-    return v
 
 
 def as_matrix(x) -> np.ndarray:
@@ -55,14 +45,19 @@ def softmax_rows(logits, temperature: float = 1.0) -> np.ndarray:
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar field, one coordinate at a time.
+    """Central-difference gradient of a scalar field at a finite 1-D point x, one
+    coordinate at a time.
 
     The oracle against which every analytic gradient in this package is
     checked; it must stay independent of those implementations.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    x = as_vector(x)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"expected a 1-D vector, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("vector has non-finite entries")
     g = np.empty_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)

@@ -71,7 +71,7 @@ def objective_gradients(params: ParamState, inputs: dict, labels: np.ndarray,
     """The objective's parameter gradient in closed form and on the tape,
     under the same frozen decisions: (production, oracle)."""
     def closure(outputs):
-        terms, _, grads = objective(outputs, labels, unit_protos, decisions, cfg)
+        terms, grads = objective(outputs, labels, unit_protos, decisions, cfg)
         return terms["total"], grads
 
     closed = net_backward(params, inputs, closure)

@@ -90,14 +90,17 @@ class Split:
     scenario: ScenarioSpec = field(repr=False)
 
 
-def _place_means(spec: ScenarioSpec, rng: np.random.Generator) -> dict:
-    """Rejection-sample cluster means with a pairwise minimum distance.
+def _place_means(spec: ScenarioSpec, rng: np.random.Generator) -> list[tuple]:
+    """The scenario's cluster table: one (kind, index, mean, scale) row per
+    cluster, in the order the means are drawn: the galaxies (kind "id"), the
+    seen clusters, the unseen clusters outside the hull, then those between.
 
-    Each seen cluster sits on the midpoint direction of a pair of galaxies
-    (void placement, ambiguous for the classifier), exempt from the
-    constraint; a single galaxy makes no pair, so then the seen clusters are
-    placed like the galaxies. The between-hull unseen clusters are exempt as
-    well: they sit at the mean of the galaxy centers on purpose.
+    Means are rejection-sampled with a pairwise minimum distance. Each seen
+    cluster sits on the midpoint direction of a pair of galaxies (void
+    placement, ambiguous for the classifier), exempt from the constraint; a
+    single galaxy makes no pair, so then the seen clusters are placed like the
+    galaxies. The between-hull unseen clusters are exempt as well: they sit at
+    the mean of the galaxy centers on purpose.
     """
     placed: list[np.ndarray] = []
 
@@ -112,115 +115,69 @@ def _place_means(spec: ScenarioSpec, rng: np.random.Generator) -> dict:
         raise PlacementError("cluster separation constraint unsatisfiable after "
                              f"{MAX_PLACEMENT_TRIES} tries")
 
-    id_means = [place(spec.id_mean_radius) for _ in range(spec.num_classes)]
-    if spec.num_classes >= 2:
-        seen_means = []
-        for s in range(spec.seen_ood_clusters):
-            a = id_means[s % spec.num_classes]
-            b = id_means[(s + 1) % spec.num_classes]
-            direction = a + b
-            direction = direction / np.linalg.norm(direction)
-            seen_means.append(spec.seen_ood_mean_radius * direction)
-    else:
-        seen_means = [place(spec.seen_ood_mean_radius) for _ in range(spec.seen_ood_clusters)]
-    unseen_means = []
+    galaxies = [place(spec.id_mean_radius) for _ in range(spec.num_classes)]
+    table = [("id", k, mean, spec.id_scale) for k, mean in enumerate(galaxies)]
+    for s in range(spec.seen_ood_clusters):
+        if spec.num_classes >= 2:
+            direction = galaxies[s % spec.num_classes] + galaxies[(s + 1) % spec.num_classes]
+            mean = spec.seen_ood_mean_radius * (direction / np.linalg.norm(direction))
+        else:
+            mean = place(spec.seen_ood_mean_radius)
+        table.append(("seen", s, mean, spec.seen_ood_scale))
     n_outside = spec.unseen_ood_clusters - spec.unseen_between_hull
-    for _ in range(n_outside):
-        unseen_means.append((place(spec.unseen_ood_mean_radius), spec.unseen_ood_scale))
-    hull_center = np.mean(id_means, axis=0) if id_means else np.zeros(spec.input_dim)
-    for _ in range(spec.unseen_between_hull):
-        jitter = 0.25 * spec.id_scale * rng.standard_normal(spec.input_dim)
-        unseen_means.append((hull_center + jitter, spec.between_hull_scale))
-    return {"id": id_means, "seen": seen_means, "unseen": unseen_means}
+    hull_center = np.mean(galaxies, axis=0)
+    for u in range(spec.unseen_ood_clusters):
+        if u < n_outside:
+            mean, scale = place(spec.unseen_ood_mean_radius), spec.unseen_ood_scale
+        else:
+            jitter = 0.25 * spec.id_scale * rng.standard_normal(spec.input_dim)
+            mean, scale = hull_center + jitter, spec.between_hull_scale
+        table.append(("unseen", u, mean, scale))
+    return table
 
 
 def generate(spec: ScenarioSpec) -> Split:
-    """Deterministically generate a labeled/unlabeled/test split."""
+    """Deterministically generate a labeled/unlabeled/test split.
+
+    Each part is one pass over the `_place_means` cluster table, in its order,
+    drawing the part's rows-per-cluster count for the cluster's kind (none for
+    a kind the part lacks). Ids count up through the labeled, unlabeled and
+    test parts; a row's category is "<kind>:<index>" and its label the index.
+    """
     rng = np.random.default_rng(spec.seed)
-    means = _place_means(spec, rng)
-
-    next_id = 0
-
-    def draw(mean: np.ndarray, scale: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal next_id
-        x = mean + scale * rng.standard_normal((count, spec.input_dim))
-        ids = np.arange(next_id, next_id + count, dtype=np.int64)
-        next_id += count
-        return x, ids
-
-    lx, ly, lids = [], [], []
-    for k, mean in enumerate(means["id"]):
-        x, ids = draw(mean, spec.id_scale, spec.labels_per_class)
-        lx.append(x)
-        ly.append(np.full(spec.labels_per_class, k, dtype=np.int64))
-        lids.append(ids)
-
-    ux, uids, ucat = [], [], []
-    for k, mean in enumerate(means["id"]):
-        x, ids = draw(mean, spec.id_scale, spec.unlabeled_id_per_class)
-        ux.append(x)
-        uids.append(ids)
-        ucat.extend([f"id:{k}"] * spec.unlabeled_id_per_class)
-    for s, mean in enumerate(means["seen"]):
-        x, ids = draw(mean, spec.seen_ood_scale, spec.unlabeled_seen_per_cluster)
-        ux.append(x)
-        uids.append(ids)
-        ucat.extend([f"seen:{s}"] * spec.unlabeled_seen_per_cluster)
-
-    tx, tids, tcat = [], [], []
-    for k, mean in enumerate(means["id"]):
-        x, ids = draw(mean, spec.id_scale, spec.test_id_per_class)
-        tx.append(x)
-        tids.append(ids)
-        tcat.extend([f"id:{k}"] * spec.test_id_per_class)
-    for s, mean in enumerate(means["seen"]):
-        x, ids = draw(mean, spec.seen_ood_scale, spec.test_seen_per_cluster)
-        tx.append(x)
-        tids.append(ids)
-        tcat.extend([f"seen:{s}"] * spec.test_seen_per_cluster)
-    for u, (mean, scale) in enumerate(means["unseen"]):
-        x, ids = draw(mean, scale, spec.test_unseen_per_cluster)
-        tx.append(x)
-        tids.append(ids)
-        tcat.extend([f"unseen:{u}"] * spec.test_unseen_per_cluster)
-
-    def stack(chunks, width):
-        if not chunks:
-            return np.zeros((0, width))
-        return np.vstack(chunks)
-
-    def cat_ids(chunks):
-        if not chunks:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(chunks)
+    clusters = _place_means(spec, rng)
+    rows_per_cluster = {
+        "labeled": {"id": spec.labels_per_class},
+        "unlabeled": {"id": spec.unlabeled_id_per_class, "seen": spec.unlabeled_seen_per_cluster},
+        "test": {"id": spec.test_id_per_class, "seen": spec.test_seen_per_cluster,
+                 "unseen": spec.test_unseen_per_cluster},
+    }
+    parts, counts = [], {}
+    for part, per_kind in rows_per_cluster.items():
+        x, labels, category = [], [], []
+        for kind, index, mean, scale in clusters:
+            n = per_kind.get(kind, 0)
+            x.append(mean + scale * rng.standard_normal((n, spec.input_dim)))
+            labels.append(np.full(n, index, dtype=np.int64))
+            category += [f"{kind}:{index}"] * n
+        first = sum(counts.values())
+        counts[part] = len(category)
+        ids = np.arange(first, first + len(category), dtype=np.int64)
+        parts.append((np.vstack(x), ids, np.concatenate(labels), category))
+    (lx, lids, ly, _), (ux, uids, _, ucat), (tx, tids, _, tcat) = parts
 
     manifest = {
         "seed": spec.seed,
         "input_dim": spec.input_dim,
-        "clusters": (
-            [{"kind": "id", "index": k, "mean": m.tolist(), "scale": spec.id_scale}
-             for k, m in enumerate(means["id"])]
-            + [{"kind": "seen", "index": s, "mean": m.tolist(), "scale": spec.seen_ood_scale}
-               for s, m in enumerate(means["seen"])]
-            + [{"kind": "unseen", "index": u, "mean": m.tolist(), "scale": sc}
-               for u, (m, sc) in enumerate(means["unseen"])]
-        ),
-        "counts": {
-            "labeled": spec.num_classes * spec.labels_per_class,
-            "unlabeled": spec.unlabeled_rows,
-            "test": (spec.num_classes * spec.test_id_per_class
-                     + spec.seen_ood_clusters * spec.test_seen_per_cluster
-                     + spec.unseen_ood_clusters * spec.test_unseen_per_cluster),
-        },
+        "clusters": [{"kind": kind, "index": index, "mean": mean.tolist(), "scale": scale}
+                     for kind, index, mean, scale in clusters],
+        "counts": counts,
         "spec": asdict(spec),
     }
-    return Split(
-        labeled_x=stack(lx, spec.input_dim), labeled_y=cat_ids(ly), labeled_ids=cat_ids(lids),
-        unlabeled_x=stack(ux, spec.input_dim), unlabeled_ids=cat_ids(uids),
-        unlabeled_category=ucat,
-        test_x=stack(tx, spec.input_dim), test_ids=cat_ids(tids), test_category=tcat,
-        manifest=manifest, scenario=spec,
-    )
+    return Split(labeled_x=lx, labeled_y=ly, labeled_ids=lids,
+                 unlabeled_x=ux, unlabeled_ids=uids, unlabeled_category=ucat,
+                 test_x=tx, test_ids=tids, test_category=tcat,
+                 manifest=manifest, scenario=spec)
 
 
 def augment(x: np.ndarray, kind: str, rng: np.random.Generator, *,

@@ -84,9 +84,7 @@ class TrainConfig:
     def weights_and_slopes(self) -> tuple[dict, dict]:
         """The loss weights, and each leaf's slope in the composed total.
 
-        Derived once per config object rather than per step, and cached on the
-        object rather than by equality: equal configs can still write a weight
-        as 1 or as 1.0, and the runlog records the weights as written.
+        Derived once per config object rather than per step.
         """
         fields = {**vars(self.head), **vars(self.sna)}
         weights = {name: value for name, value in fields.items() if name.startswith("lambda_")}
@@ -181,7 +179,7 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
 
             record = {
                 "step": step, "epoch": epoch, "lr": lr,
-                "terms": info["terms"], "weights": info["weights"], "total": info["total"],
+                "terms": info["terms"], "total": info["total"],
                 "batch_labeled": int(len(li)), "batch_unlabeled": int(len(ui)),
                 "gate": info["gate_stats"], "gate_detail": info["gate_detail"],
             }
@@ -265,8 +263,8 @@ def loss_weights(cfg: TrainConfig) -> dict:
 
 
 def objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
-              decisions: Decisions, cfg: TrainConfig) -> tuple[dict, dict, dict]:
-    """The training objective in closed form, as (terms, weights, grads).
+              decisions: Decisions, cfg: TrainConfig) -> tuple[dict, dict]:
+    """The training objective in closed form, as (terms, grads).
 
     `terms` holds the nine leaf values, then the composites sna, cc, od and
     the total from `compose`. A leaf whose weight is zero is not evaluated
@@ -275,8 +273,7 @@ def objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
     """
     head, sna_w = cfg.head, cfg.sna
     xw, uw, uw2, us = outputs["x_w"], outputs["u_w"], outputs["u_w2"], outputs["u_s"]
-    weights = loss_weights(cfg)
-    slopes = cfg.weights_and_slopes[1]
+    weights, slopes = cfg.weights_and_slopes
     terms = dict.fromkeys(LEAVES, 0.0)
     grads: dict = {view: {} for view in outputs}
 
@@ -315,7 +312,7 @@ def objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
     if sna_w.lambda_pa > 0:
         term("pa", pa(xw.embeddings, unit_protos, labels, t), [("x_w", "embeddings")])
     terms.update(compose(terms, weights))
-    return terms, weights, grads
+    return terms, grads
 
 
 def _make_closure(cfg: TrainConfig, labels: np.ndarray, protos: PrototypeSet, info: dict):
@@ -323,11 +320,10 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, protos: PrototypeSet, in
 
     def closure(outputs):
         decisions = freeze_decisions(outputs["u_w"], outputs["u_s"], cfg)
-        terms, weights, grads = objective(outputs, labels, unit_protos, decisions, cfg)
+        terms, grads = objective(outputs, labels, unit_protos, decisions, cfg)
         total = terms.pop("total")
         gate = decisions.gate
         info["terms"] = terms
-        info["weights"] = weights
         info["total"] = total
         info["gate_stats"] = {
             "accepted": gate.accepted,
@@ -339,7 +335,6 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, protos: PrototypeSet, in
             "cc_conf": gate.cc_conf.tolist(),
             "od_conf": gate.od_conf.tolist(),
             "pred_class": gate.pred_class.tolist(),
-            "tau_id": cfg.tau_id, "eta_id": cfg.eta_id,
         }
         selected = gate.phi == 1
         info["proto_rows"] = outputs["u_w"].embeddings[selected]
@@ -349,24 +344,25 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, protos: PrototypeSet, in
     return closure
 
 
-def audit_gate_flow(runlog: RunLog) -> None:
-    """Check every logged pull decision against the gate rule it claims."""
+def audit_gate_flow(runlog: RunLog, tau_id: float, eta_id: float) -> None:
+    """Check every logged pull decision against the gate rule at the run's thresholds."""
     for record in runlog.iterations:
         detail = record["gate_detail"]
         cc = np.asarray(detail["cc_conf"])
         od = np.asarray(detail["od_conf"])
         phi = np.asarray(detail["phi"])
-        expected = ((cc > detail["tau_id"]) & (od > detail["eta_id"])).astype(np.int64)
+        expected = ((cc > tau_id) & (od > eta_id)).astype(np.int64)
         if not np.array_equal(phi, expected):
             raise AssertionError(f"gate mask inconsistent at step {record['step']}")
 
 
-def audit_loss_composition(runlog: RunLog, tol: float = 1e-12) -> float:
-    """Max deviation between logged composites and their recomposed values."""
+def audit_loss_composition(runlog: RunLog, weights: dict, tol: float = 1e-12) -> float:
+    """Max deviation between logged composites and their recomposition under the
+    run's loss weights (`loss_weights` of its config)."""
     worst = 0.0
     for record in runlog.iterations:
         logged = {**record["terms"], "total": record["total"]}
-        for name, value in compose(record["terms"], record["weights"]).items():
+        for name, value in compose(record["terms"], weights).items():
             worst = max(worst, abs(value - logged[name]))
         if worst > tol:
             raise AssertionError(f"loss composition off by {worst} at step {record['step']}")

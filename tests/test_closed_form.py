@@ -97,7 +97,7 @@ def test_zero_weights_skip_their_terms():
     head = HeadWeights(lambda_u=0.0, lambda_em=0.0, lambda_socr=0.0, lambda_neg=0.0)
     cfg = replace(CFG, head=head, sna=SnaWeights(0.0, 0.0, 0.0))
     params, inputs, labels, unit_protos, outputs, decisions = step(cfg=cfg)
-    terms, _, grads = objective(outputs, labels, unit_protos, decisions, cfg)
+    terms, grads = objective(outputs, labels, unit_protos, decisions, cfg)
     assert all(terms[name] == 0.0 for name in ("u", "em", "socr", "neg", "usna", "ia", "pa"))
     assert grads["u_w"] == grads["u_w2"] == grads["u_s"] == {}
     assert set(grads["x_w"]) == {"cc_logits", "id_logits", "ood_logits"}

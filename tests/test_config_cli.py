@@ -415,6 +415,16 @@ def finished_run(tmp_path_factory):
     return run_dir
 
 
+def deny_reading(monkeypatch, path):
+    """Make config reads of path fail as for a file without read permission; a test
+    run as root cannot get that from chmod."""
+    def guarded_open(file, *args, **kwargs):
+        if str(file) == path:
+            raise PermissionError(13, "Permission denied", path)
+        return open(file, *args, **kwargs)
+    monkeypatch.setattr("skipalign.config.open", guarded_open, raising=False)
+
+
 class TestExitCodes:
     """The exit-code contract at the edges: 0 success, 2 invalid config or
     usage (naming the field or file), 3 divergence."""
@@ -440,6 +450,7 @@ class TestExitCodes:
         ("run", {"train": {"head": {"lambda_sna": "0.1"}}}, 2, "train.head.lambda_sna"),
         ("run", {"train": {"sna": [1.0]}}, 2, "train.sna"),
         ("run", {"train": {"lr0": 1e6}}, 3, None),
+        ("run", deny_reading, 2, "config.json"),
         ("eval", ("checkpoint.json", append_bytes), 2, "checkpoint.json"),
         ("eval", ("prototypes.json", append_bytes), 2, "prototypes.json"),
         ("eval", ("manifest.json", append_bytes), 2, "manifest.json"),
@@ -459,19 +470,24 @@ class TestExitCodes:
             "unsatisfiable-separation", "string-epochs", "bool-epochs", "zero-epochs",
             "fractional-input-dim",
             "string-flag", "scalar-widths", "string-head-weight", "list-section", "diverging",
+            "config-unreadable",
             "checkpoint-appended", "prototypes-appended", "manifest-appended",
             "prototypes-key-missing", "prototypes-missing", "prototypes-mu-column-dropped",
             "prototypes-mu-zero-rows", "prototypes-mu-string", "manifest-input-dim",
             "manifest-num-classes", "checkpoint-spec-removed-key"])
-    def test_exit_code(self, tmp_path, capsys, finished_run, verb, change, code, named):
+    def test_exit_code(self, tmp_path, capsys, monkeypatch, finished_run, verb, change, code,
+                       named):
         if verb == "run":
             raw = json.loads(json.dumps(EDGE_RAW))
-            for section, value in change.items():
+            for section, value in ({} if callable(change) else change).items():
                 if isinstance(value, dict):
                     raw.setdefault(section, {}).update(value)
                 else:
                     raw[section] = value
-            argv = ["run", "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "runs")]
+            config = write_config(tmp_path, raw)
+            if callable(change):
+                change(monkeypatch, config)
+            argv = ["run", "--config", config, "--out", str(tmp_path / "runs")]
         else:
             run_dir = tmp_path / "run"
             shutil.copytree(finished_run, run_dir)

@@ -10,7 +10,7 @@ from skipalign.heads import (HeadWeights, ce, compose, consistency, em, id_probs
                              negatives, ova, socr)
 from skipalign.linalg import finite_diff_grad
 from skipalign.net import ForwardResult
-from skipalign.trainer import TrainConfig, freeze_decisions, objective
+from skipalign.trainer import TrainConfig, freeze_decisions, loss_weights, objective
 
 RNG = np.random.default_rng(0)
 
@@ -247,10 +247,10 @@ class TestTotalLoss:
                    "u_s": random_view(6)}
         cfg = TrainConfig(tau_id=0.4, eta_id=0.3)
         decisions = freeze_decisions(outputs["u_w"], outputs["u_s"], cfg)
-        terms, w, _ = objective(outputs, np.array([0, 0, 1, 1]), np.eye(2), decisions, cfg)
+        terms, _ = objective(outputs, np.array([0, 0, 1, 1]), np.eye(2), decisions, cfg)
         assert list(terms) == ["x", "u", "ova", "em", "socr", "neg", "usna", "ia", "pa",
                                "sna", "cc", "od", "total"]
-        assert compose(terms, w) == {name: terms[name] for name in ("sna", "cc", "od", "total")}
+        assert compose(terms, loss_weights(cfg)) == {name: terms[name] for name in ("sna", "cc", "od", "total")}
 
 
 class TestLogitGradientsAgainstOracle:

@@ -171,6 +171,12 @@ class TestFiniteDiffGrad:
             # central differences are exact on quadratics up to rounding
             np.testing.assert_allclose(g, analytic, atol=1e-7)
 
+    @pytest.mark.parametrize("x", [[[1.0, 2.0]], [], [1.0, float("inf")], 3.0],
+                             ids=["matrix", "empty", "non-finite", "scalar"])
+    def test_bad_point_rejected(self, x):
+        with pytest.raises(ValueError, match="vector"):
+            finite_diff_grad(lambda v: 0.0, x)
+
     def test_non_finite_evaluation_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             finite_diff_grad(lambda x: float("nan"), [1.0])

@@ -1,11 +1,12 @@
 import csv
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from skipalign.synthdata import (CHUNK_ROWS, ScenarioSpec, audit_no_leakage, augment, generate,
-                                 write_split_csv)
+from skipalign.synthdata import (CHUNK_ROWS, MAX_PLACEMENT_TRIES, PlacementError, ScenarioSpec,
+                                 Split, audit_no_leakage, augment, generate, write_split_csv)
 
 SMALL = ScenarioSpec(input_dim=6, num_classes=3, labels_per_class=5,
                      unlabeled_id_per_class=8, unlabeled_seen_per_cluster=6,
@@ -88,6 +89,144 @@ class TestGenerate:
         assert split.manifest["counts"]["labeled"] == 15
         assert split.manifest["counts"]["unlabeled"] == 36
         assert split.manifest["counts"]["test"] == 24
+
+
+def reference_generate(spec):
+    """The per-kind draw loops the cluster-table `generate` replaced: the draw
+    order, ids, categories and manifest it must keep."""
+    rng = np.random.default_rng(spec.seed)
+    placed = []
+
+    def place(radius):
+        for _ in range(MAX_PLACEMENT_TRIES):
+            direction = rng.standard_normal(spec.input_dim)
+            direction /= np.linalg.norm(direction)
+            candidate = radius * direction
+            if all(np.linalg.norm(candidate - q) >= spec.min_separation for q in placed):
+                placed.append(candidate)
+                return candidate
+        raise PlacementError("unsatisfiable")
+
+    id_means = [place(spec.id_mean_radius) for _ in range(spec.num_classes)]
+    if spec.num_classes >= 2:
+        seen_means = []
+        for s in range(spec.seen_ood_clusters):
+            a = id_means[s % spec.num_classes]
+            b = id_means[(s + 1) % spec.num_classes]
+            direction = a + b
+            direction = direction / np.linalg.norm(direction)
+            seen_means.append(spec.seen_ood_mean_radius * direction)
+    else:
+        seen_means = [place(spec.seen_ood_mean_radius) for _ in range(spec.seen_ood_clusters)]
+    unseen_means = []
+    for _ in range(spec.unseen_ood_clusters - spec.unseen_between_hull):
+        unseen_means.append((place(spec.unseen_ood_mean_radius), spec.unseen_ood_scale))
+    hull_center = np.mean(id_means, axis=0)
+    for _ in range(spec.unseen_between_hull):
+        jitter = 0.25 * spec.id_scale * rng.standard_normal(spec.input_dim)
+        unseen_means.append((hull_center + jitter, spec.between_hull_scale))
+
+    next_id = 0
+
+    def draw(mean, scale, count):
+        nonlocal next_id
+        x = mean + scale * rng.standard_normal((count, spec.input_dim))
+        ids = np.arange(next_id, next_id + count, dtype=np.int64)
+        next_id += count
+        return x, ids
+
+    lx, ly, lids = [], [], []
+    for k, mean in enumerate(id_means):
+        x, ids = draw(mean, spec.id_scale, spec.labels_per_class)
+        lx.append(x)
+        ly.append(np.full(spec.labels_per_class, k, dtype=np.int64))
+        lids.append(ids)
+    ux, uids, ucat = [], [], []
+    for k, mean in enumerate(id_means):
+        x, ids = draw(mean, spec.id_scale, spec.unlabeled_id_per_class)
+        ux.append(x)
+        uids.append(ids)
+        ucat.extend([f"id:{k}"] * spec.unlabeled_id_per_class)
+    for s, mean in enumerate(seen_means):
+        x, ids = draw(mean, spec.seen_ood_scale, spec.unlabeled_seen_per_cluster)
+        ux.append(x)
+        uids.append(ids)
+        ucat.extend([f"seen:{s}"] * spec.unlabeled_seen_per_cluster)
+    tx, tids, tcat = [], [], []
+    for k, mean in enumerate(id_means):
+        x, ids = draw(mean, spec.id_scale, spec.test_id_per_class)
+        tx.append(x)
+        tids.append(ids)
+        tcat.extend([f"id:{k}"] * spec.test_id_per_class)
+    for s, mean in enumerate(seen_means):
+        x, ids = draw(mean, spec.seen_ood_scale, spec.test_seen_per_cluster)
+        tx.append(x)
+        tids.append(ids)
+        tcat.extend([f"seen:{s}"] * spec.test_seen_per_cluster)
+    for u, (mean, scale) in enumerate(unseen_means):
+        x, ids = draw(mean, scale, spec.test_unseen_per_cluster)
+        tx.append(x)
+        tids.append(ids)
+        tcat.extend([f"unseen:{u}"] * spec.test_unseen_per_cluster)
+
+    manifest = {
+        "seed": spec.seed,
+        "input_dim": spec.input_dim,
+        "clusters": (
+            [{"kind": "id", "index": k, "mean": m.tolist(), "scale": spec.id_scale}
+             for k, m in enumerate(id_means)]
+            + [{"kind": "seen", "index": s, "mean": m.tolist(), "scale": spec.seen_ood_scale}
+               for s, m in enumerate(seen_means)]
+            + [{"kind": "unseen", "index": u, "mean": m.tolist(), "scale": sc}
+               for u, (m, sc) in enumerate(unseen_means)]
+        ),
+        "counts": {
+            "labeled": spec.num_classes * spec.labels_per_class,
+            "unlabeled": spec.unlabeled_rows,
+            "test": (spec.num_classes * spec.test_id_per_class
+                     + spec.seen_ood_clusters * spec.test_seen_per_cluster
+                     + spec.unseen_ood_clusters * spec.test_unseen_per_cluster),
+        },
+        "spec": dataclasses.asdict(spec),
+    }
+    return Split(
+        labeled_x=np.vstack(lx), labeled_y=np.concatenate(ly), labeled_ids=np.concatenate(lids),
+        unlabeled_x=np.vstack(ux), unlabeled_ids=np.concatenate(uids), unlabeled_category=ucat,
+        test_x=np.vstack(tx), test_ids=np.concatenate(tids), test_category=tcat,
+        manifest=manifest, scenario=spec)
+
+
+# Specs at the edges of the cluster table: no OOD clusters, one galaxy (the
+# seen clusters are placed like galaxies), empty parts, and every unseen
+# cluster between the galaxies.
+EDGE_SPECS = {
+    "closed-set": dataclasses.replace(
+        SMALL, seen_ood_clusters=0, unseen_ood_clusters=0, unseen_between_hull=0,
+        unlabeled_seen_per_cluster=0, test_seen_per_cluster=0, test_unseen_per_cluster=0),
+    "one-class": dataclasses.replace(SMALL, num_classes=1),
+    "empty-pool": dataclasses.replace(SMALL, unlabeled_id_per_class=0,
+                                      unlabeled_seen_per_cluster=0),
+    "empty-test": dataclasses.replace(SMALL, test_id_per_class=0, test_seen_per_cluster=0,
+                                      test_unseen_per_cluster=0),
+    "all-between": dataclasses.replace(SMALL, unseen_between_hull=SMALL.unseen_ood_clusters),
+}
+
+
+class TestDrawOrder:
+    @pytest.mark.parametrize("spec", [dataclasses.replace(SMALL, seed=seed) for seed in range(5)]
+                             + list(EDGE_SPECS.values()),
+                             ids=[f"seed-{seed}" for seed in range(5)] + list(EDGE_SPECS))
+    def test_matches_reference_generate(self, spec):
+        split, reference = generate(spec), reference_generate(spec)
+        for f in dataclasses.fields(Split):
+            got, want = getattr(split, f.name), getattr(reference, f.name)
+            if isinstance(want, np.ndarray):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), f.name
+                assert np.array_equal(got, want), f.name
+            elif f.name == "manifest":
+                assert json.dumps(got) == json.dumps(want)
+            else:
+                assert got == want, f.name
 
 
 class TestSpecValidation:

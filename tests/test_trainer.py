@@ -9,7 +9,7 @@ from skipalign.heads import HeadWeights, compose
 from skipalign.net import init_params
 from skipalign.synthdata import generate
 from skipalign.trainer import (RunLog, TrainConfig, TrainingDiverged, audit_gate_flow,
-                               audit_loss_composition, lr_at, train)
+                               audit_loss_composition, loss_weights, lr_at, train)
 
 
 def tiny_config(seed=0, **train_overrides):
@@ -91,27 +91,27 @@ class TestTrainLoop:
         cfg = tiny_config()
         split = generate(cfg.scenario)
         _, runlog = train(split, cfg.net, cfg.train)
-        worst = audit_loss_composition(runlog, tol=1e-12)
+        worst = audit_loss_composition(runlog, loss_weights(cfg.train), tol=1e-12)
         assert worst <= 1e-12
         # every composite is audited, not just the total
         for composite in ("sna", "cc", "od"):
             bad = RunLog(iterations=[json.loads(json.dumps(runlog.iterations[-1]))])
             bad.iterations[0]["terms"][composite] += 1e-6
             with pytest.raises(AssertionError):
-                audit_loss_composition(bad)
+                audit_loss_composition(bad, loss_weights(cfg.train))
 
     def test_gate_flow_audit(self):
         cfg = tiny_config()
         split = generate(cfg.scenario)
         _, runlog = train(split, cfg.net, cfg.train)
-        audit_gate_flow(runlog)
+        audit_gate_flow(runlog, cfg.train.tau_id, cfg.train.eta_id)
         # a corrupted mask must be caught
         bad = RunLog(iterations=[json.loads(json.dumps(runlog.iterations[0]))])
         bad.iterations[0]["gate_detail"]["phi"] = [
             1 - p for p in bad.iterations[0]["gate_detail"]["phi"]]
         if any(bad.iterations[0]["gate_detail"]["phi"]):
             with pytest.raises(AssertionError):
-                audit_gate_flow(bad)
+                audit_gate_flow(bad, cfg.train.tau_id, cfg.train.eta_id)
 
     def test_prototype_epoch_records(self):
         cfg = tiny_config()
@@ -133,12 +133,22 @@ class TestTrainLoop:
         assert len(lines) == 3
         assert json.loads(lines[0])["type"] == "iteration"
 
+    def test_runlog_leaves_config_constants_to_the_manifest(self):
+        # The loss weights and the gate thresholds are in the run's config;
+        # an iteration record holds only what changes from step to step.
+        cfg = tiny_config()
+        _, runlog = train(generate(cfg.scenario), cfg.net, cfg.train)
+        for record in runlog.iterations:
+            assert list(record) == ["step", "epoch", "lr", "terms", "total", "batch_labeled",
+                                    "batch_unlabeled", "gate", "gate_detail"]
+            assert list(record["gate_detail"]) == ["phi", "cc_conf", "od_conf", "pred_class"]
+
     def test_total_matches_weighted_recomposition_from_report(self):
         cfg = tiny_config()
         split = generate(cfg.scenario)
         _, runlog = train(split, cfg.net, cfg.train)
         record = runlog.iterations[-1]
-        recomposed = compose(record["terms"], record["weights"])["total"]
+        recomposed = compose(record["terms"], loss_weights(cfg.train))["total"]
         assert record["total"] == pytest.approx(recomposed, abs=1e-12)
 
 
