@@ -4,14 +4,13 @@ The closed-set side is supervised cross-entropy plus FixMatch-style hard
 pseudo-label consistency. The detector side trains K binary sub-classifiers
 whose per-class (ID, OOD) pair comes from a two-way softmax, with entropy
 sharpening, cross-view consistency, and a pseudo-negative term on top.
-`id_probs` turns a pair of logit matrices into that softmax's ID
-probability, where it is read: the dual gate and evaluation.
 
-Every loss returns its value with its closed-form gradient with respect to
-the head outputs it reads: softmax minus one-hot for the classifier terms
-(FixMatch, arXiv 2001.07685), the two-way softmax gradient for the detector
-terms (OpenMatch, arXiv 2105.14148). Their tape twins in `tensor_losses`
-are the oracle the tests compare them with.
+A step takes each softmax once over its stacked batch (`log_softmax`,
+`two_way`); every loss reads its view's rows of them and returns its value
+with its closed-form gradient w.r.t. the head outputs: softmax minus one-hot
+for the classifier terms (FixMatch, arXiv 2001.07685), the two-way softmax
+gradient for the detector terms (OpenMatch, arXiv 2105.14148). Their tape
+twins in `tensor_losses` are the oracle the tests compare them with.
 """
 
 from __future__ import annotations
@@ -19,14 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def id_probs(id_logits: np.ndarray, ood_logits: np.ndarray) -> np.ndarray:
-    """The two-way softmax probability of ID for each per-class (ID, OOD) logit pair."""
-    shift = np.maximum(id_logits, ood_logits)
-    e_id = np.exp(id_logits - shift)
-    e_ood = np.exp(ood_logits - shift)
-    return e_id / (e_id + e_ood)
 
 
 @dataclass(frozen=True)
@@ -59,61 +50,77 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     return out
 
 
-def two_way_log_probs(id_logits: np.ndarray, ood_logits: np.ndarray):
-    """Log-probabilities of the per-class (ID, OOD) softmax, straight from the
-    logits, so they stay finite when a probability underflows to zero."""
+def log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's log-softmax, finite where a probability underflows, and softmax."""
+    shift = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - shift)
+    total = e.sum(axis=1, keepdims=True)
+    return logits - (np.log(total) + shift), e / total
+
+
+def two_way(id_logits: np.ndarray, ood_logits: np.ndarray):
+    """The per-class (ID, OOD) softmax of every row: (log_p_id, log_p_ood, p_id, id_prob).
+
+    The log-probabilities stay finite where a probability underflows; p_id is
+    exp(log_p_id), which the losses read, and id_prob is `id_probs`, the gate's.
+    """
     shift = np.maximum(id_logits, ood_logits)
-    log_z = np.log(np.exp(id_logits - shift) + np.exp(ood_logits - shift)) + shift
-    return id_logits - log_z, ood_logits - log_z
+    e_id = np.exp(id_logits - shift)
+    total = e_id + np.exp(ood_logits - shift)
+    log_z = np.log(total) + shift
+    log_p_id = id_logits - log_z
+    return log_p_id, ood_logits - log_z, np.exp(log_p_id), e_id / total
 
 
-def ce(logits, labels) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of softmax(logits) against integer labels.
+def id_probs(id_logits: np.ndarray, ood_logits: np.ndarray) -> np.ndarray:
+    """The two-way softmax probability of ID for each per-class (ID, OOD) logit pair."""
+    shift = np.maximum(id_logits, ood_logits)
+    e_id = np.exp(id_logits - shift)
+    return e_id / (e_id + np.exp(ood_logits - shift))
+
+
+def ce(log_p, labels) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of `log_softmax` rows against integer labels.
 
     Returns (value, gradient w.r.t. the logits): (softmax - onehot) / B.
     """
-    return consistency(logits, labels, np.ones(len(logits)))
+    return consistency(log_p, labels, np.ones(len(log_p)))
 
 
-def consistency(strong_logits, pseudo, accept) -> tuple[float, np.ndarray]:
-    """Hard pseudo-label consistency: cross-entropy of the strong view against
-    frozen weak-view pseudo-labels, counted only where `accept` is set.
+def consistency(log_p, pseudo, accept) -> tuple[float, np.ndarray]:
+    """Hard pseudo-label consistency: cross-entropy of the strong view's rows
+    against frozen weak-view pseudo-labels, counted only where `accept` is set.
 
     The mean runs over the full batch, so rejected samples contribute zero.
     Returns (value, gradient w.r.t. the strong logits).
     """
-    n, k = strong_logits.shape
+    n, k = log_p.shape
     kept = np.asarray(accept, dtype=np.float64)[:, None]
     y = one_hot(pseudo, k) * kept
-    shift = np.max(strong_logits, axis=1, keepdims=True)
-    log_p = strong_logits - (np.log(np.exp(strong_logits - shift).sum(axis=1, keepdims=True))
-                             + shift)
     value = -(log_p * y).sum(axis=1).sum() * (1.0 / n)
     return float(value), (np.exp(log_p) * kept - y) * (1.0 / n)
 
 
-def ova(id_logits, ood_logits, labels) -> tuple[float, np.ndarray, np.ndarray]:
-    """Binary cross-entropy over the K one-vs-all pairs, per labeled sample.
+def ova(log_p_id, log_p_ood, p_id, labels) -> tuple[float, np.ndarray, np.ndarray]:
+    """Binary cross-entropy over the K one-vs-all pairs of `two_way` rows.
 
     The true class is trained toward ID, every other class toward OOD;
     normalized by batch size. Returns (value, grad ID logits, grad OOD logits).
     """
-    n, k = id_logits.shape
+    n, k = log_p_id.shape
     y = one_hot(labels, k)
-    log_p_id, log_p_ood = two_way_log_probs(id_logits, ood_logits)
     value = -(log_p_id * y + log_p_ood * (1.0 - y)).sum(axis=1).sum() * (1.0 / n)
-    g_id = (np.exp(log_p_id) - y) * (1.0 / n)
+    g_id = (p_id - y) * (1.0 / n)
     return float(value), g_id, -g_id
 
 
-def em(id_logits, ood_logits) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean binary entropy of the per-class (ID, OOD) pairs; 0*log(0) is 0.
+def em(log_p_id, log_p_ood, p_id) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean binary entropy of the per-class pairs of `two_way` rows; 0*log(0) is 0.
 
     Returns (value, grad ID logits, grad OOD logits).
     """
-    n = id_logits.shape[0]
-    log_p_id, log_p_ood = two_way_log_probs(id_logits, ood_logits)
-    p_id, p_ood = np.exp(log_p_id), np.exp(log_p_ood)
+    n = log_p_id.shape[0]
+    p_ood = np.exp(log_p_ood)
     value = (-(p_id * log_p_id + p_ood * log_p_ood)).sum(axis=1).sum() * (1.0 / n)
     g_id = -(p_id * p_ood * (log_p_id - log_p_ood)) * (1.0 / n)
     return float(value), g_id, -g_id
@@ -131,29 +138,27 @@ def socr(id_logits, id_logits2) -> tuple[float, np.ndarray, np.ndarray]:
     return float(value), g, -g
 
 
-def negatives(id_logits, ood_logits, eta_neg: float) -> np.ndarray:
+def negatives(log_p_id, eta_neg: float) -> np.ndarray:
     """Pseudo-negative mask: 1.0 where the two-way ID probability is below eta_neg.
 
-    Compares the log-probabilities `neg` uses, so the mask agrees bitwise
-    with the loss's values.
+    Compares the `two_way` log-probabilities `neg` reads, so the mask agrees
+    bitwise with the loss's values.
     """
-    log_p_id = two_way_log_probs(id_logits, ood_logits)[0]
     return (log_p_id < np.log(eta_neg)).astype(np.float64)
 
 
-def neg(id_logits, ood_logits, selected) -> tuple[float, np.ndarray, np.ndarray]:
+def neg(log_p_ood, p_id, selected) -> tuple[float, np.ndarray, np.ndarray]:
     """Push confidently-OOD classes further toward OOD.
 
-    For each sample, averages -log(OOD probability) over the classes the
-    frozen mask `selected` marks (see `negatives`); samples with no selected
-    class contribute zero. Returns (value, grad ID logits, grad OOD logits).
+    For each `two_way` row, averages -log(OOD probability) over the classes the
+    frozen mask `selected` marks (see `negatives`); rows with no selected class
+    contribute zero. Returns (value, grad ID logits, grad OOD logits).
     """
-    n = id_logits.shape[0]
-    log_p_id, log_p_ood = two_way_log_probs(id_logits, ood_logits)
+    n = p_id.shape[0]
     counts = selected.sum(axis=1)
     scale = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
     value = (-(log_p_ood * selected).sum(axis=1) * scale).sum() * (1.0 / n)
-    g_id = selected * (scale * (1.0 / n))[:, None] * np.exp(log_p_id)
+    g_id = selected * (scale * (1.0 / n))[:, None] * p_id
     return float(value), g_id, -g_id
 
 

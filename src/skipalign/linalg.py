@@ -39,9 +39,9 @@ def unit_rows(m: np.ndarray) -> np.ndarray:
 def softmax_rows(logits, temperature: float = 1.0) -> np.ndarray:
     """Row-wise max-shifted softmax of a matrix of logits."""
     x = logits / temperature
-    x = x - np.max(x, axis=1, keepdims=True)
+    x = x - x.max(axis=1, keepdims=True)
     e = np.exp(x)
-    return e / np.sum(e, axis=1, keepdims=True)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, step: float = 1e-6) -> np.ndarray:

@@ -4,7 +4,7 @@ Shared MLP backbone -> feature f; three heads on top of f: a projection
 head producing the alignment embedding z (one hidden rectified layer, the
 nonlinear head of SimCLR, arXiv 2002.05709), a linear K-way classifier, and
 a linear one-vs-all detector emitting K (ID, OOD) logit pairs. `backward`
-forwards every view of a step as one stacked batch and propagates the head
+forwards a step's stacked batch once and propagates the full-batch head
 gradients the loss returns back through the layout in closed form;
 `forward_tensors` builds the same network on the autodiff tape, the oracle
 the tests check it with. All three build the one `ForwardResult`: the five
@@ -14,9 +14,10 @@ Plain momentum SGD; checkpoints round-trip bitwise via hex-encoded float64.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -62,8 +63,20 @@ def layout(spec: NetSpec) -> list[tuple[str, tuple[int, ...]]]:
     return entries
 
 
+@functools.lru_cache(maxsize=64)
+def offsets(spec: NetSpec) -> dict[str, tuple[int, int, tuple[int, ...]]]:
+    """Each parameter's (start, end, shape) in the flat vector, in layout order;
+    cached, since a training builds a ParamState of the same spec at every step."""
+    table = {}
+    end = 0
+    for name, shape in layout(spec):
+        table[name] = (end, end + math.prod(shape), shape)
+        end += math.prod(shape)
+    return table
+
+
 def param_count(spec: NetSpec) -> int:
-    return sum(math.prod(shape) for _, shape in layout(spec))
+    return list(offsets(spec).values())[-1][1]
 
 
 @dataclass
@@ -71,26 +84,21 @@ class ParamState:
     spec: NetSpec
     flat: np.ndarray
     step: int = 0
-    _offsets: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        offsets = {}
-        end = 0
-        for name, shape in layout(self.spec):
-            offsets[name] = (end, end + math.prod(shape), shape)
-            end += math.prod(shape)
-        if self.flat.shape != (end,):
-            raise ValueError(f"parameter vector has {self.flat.shape[0]} entries, expected {end}")
-        if not np.all(np.isfinite(self.flat)):
+        self._offsets = offsets(self.spec)
+        size = param_count(self.spec)
+        if self.flat.shape != (size,):
+            raise ValueError(f"parameter vector has {self.flat.shape[0]} entries, expected {size}")
+        if not np.isfinite(self.flat).all():
             raise ValueError("parameters have non-finite entries")
-        self._offsets = offsets
 
     def view(self, name: str) -> np.ndarray:
         start, end, shape = self._offsets[name]
         return self.flat[start:end].reshape(shape)
 
     def names(self) -> list[str]:
-        return [name for name, _ in layout(self.spec)]
+        return list(self._offsets)
 
 
 def init_params(spec: NetSpec) -> ParamState:
@@ -119,10 +127,6 @@ class ForwardResult:
     cc_logits: np.ndarray | Tensor   # (B, K)
     id_logits: np.ndarray | Tensor   # (B, K) the detector's ID logit per class
     ood_logits: np.ndarray | Tensor  # (B, K) and its OOD logit
-
-    def rows(self, index) -> "ForwardResult":
-        """The outputs of a subset of the batch's rows."""
-        return ForwardResult(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 def _forward_core(spec: NetSpec, get: Callable[[str], object], x, relu: Callable,
@@ -177,40 +181,34 @@ def forward_tensors(spec: NetSpec, params: Mapping[str, Tensor], x) -> ForwardRe
 
 def _check_finite(f, z, cc, od) -> None:
     for name, value in (("backbone", f), ("projection", z), ("classifier", cc), ("detector", od)):
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise ValueError(f"non-finite activation in layer '{name}'")
 
 
-def backward(params: ParamState, inputs: Mapping[str, np.ndarray],
-             closure: Callable[[Mapping[str, ForwardResult]], tuple[float, dict]]) -> np.ndarray:
+def backward(params: ParamState, x: np.ndarray,
+             closure: Callable[[ForwardResult], tuple[float, Mapping[str, np.ndarray]]]
+             ) -> np.ndarray:
     """Exact gradient of a scalar objective with respect to all parameters.
 
-    `inputs` maps view names to (B, d_in) arrays. The views are stacked
-    into one batch and forwarded once; the closure receives each view's
-    ForwardResult and returns (loss, grads), where grads[view][head] is the
-    loss gradient w.r.t. that view's "embeddings", "cc_logits", "id_logits"
-    or "ood_logits" (a missing entry is zero). The gradient then flows back
-    by hand through the layout: heads, projection, backbone.
+    `x` is a step's (N, d_in) batch, every view stacked. It is forwarded
+    once; the closure receives the stacked ForwardResult and returns
+    (loss, grads), where grads maps a head, "embeddings", "cc_logits",
+    "id_logits" or "ood_logits", to the loss gradient w.r.t. that output
+    over the whole batch (a missing head is zero). The gradient then flows
+    back by hand through the layout: heads, projection, backbone.
     """
     spec = params.spec
-    x = np.concatenate([inputs[view] for view in inputs])
     layer_inputs = {}
     f, z, cc, od = _forward_core(spec, params.view, x, relu=_relu, layer_inputs=layer_inputs)
     _check_finite(f, z, cc, od)
     stacked = _result(spec, f, z, cc, od)
-    ends = np.cumsum([len(rows) for rows in inputs.values()])
-    spans = {view: slice(end - len(inputs[view]), end) for view, end in zip(inputs, ends)}
-    loss, head_grads = closure({view: stacked.rows(rows) for view, rows in spans.items()})
+    loss, head_grads = closure(stacked)
     if not np.isfinite(loss):
         raise ValueError("non-finite loss")
-
-    k = spec.num_classes
-    g_z, g_cc, g_od = np.zeros_like(z), np.zeros_like(cc), np.zeros_like(od)
-    targets = {"embeddings": g_z, "cc_logits": g_cc,
-               "id_logits": g_od[:, :k], "ood_logits": g_od[:, k:]}
-    for view, by_head in head_grads.items():
-        for head, g in by_head.items():
-            targets[head][spans[view]] = g
+    g_z, g_cc, g_id, g_ood = (head_grads[head] if head in head_grads
+                              else np.zeros_like(getattr(stacked, head))
+                              for head in ("embeddings", "cc_logits", "id_logits", "ood_logits"))
+    g_od = np.concatenate([g_id, g_ood], axis=1)
 
     grads = {}
 

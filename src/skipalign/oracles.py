@@ -8,8 +8,8 @@ mirroring what the test suite enforces:
   2. the gradient of the training objective through the network, at each
      loss_combo setting of the alignment weights, against both oracles,
   3. the closed-form feature gradient of cross-entropy under a linear head.
-Discrete decisions are frozen at the base point for check 2, so the finite
-differences probe a smooth function.
+Check 2 runs the step that trains, on a stacked batch; its discrete decisions
+are frozen at the base point, so the finite differences probe a smooth function.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ import numpy as np
 
 from . import tensor_losses as tl
 from .autodiff import constant, parameter
-from .heads import HeadWeights, ce, compose
+from .heads import HeadWeights, ce, compose, log_softmax
 from .linalg import finite_diff_grad
 from .net import NetSpec, ParamState, forward, forward_tensors, init_params, param_count
 from .net import backward as net_backward
 from .prototypes import PrototypeSet
-from .sna import LOSS_COMBOS, SnaWeights, usna
-from .trainer import Decisions, TrainConfig, freeze_decisions, loss_weights, objective
+from .sna import LOSS_COMBOS, SnaWeights, normalize, usna
+from .trainer import (Decisions, TrainConfig, freeze_decisions, loss_weights, objective,
+                      step_rows)
 
 
 def _rel(a: np.ndarray, b: np.ndarray) -> float:
@@ -68,13 +69,14 @@ def tape_objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
 def objective_gradients(params: ParamState, inputs: dict, labels: np.ndarray,
                         unit_protos: np.ndarray, decisions: Decisions,
                         cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The objective's parameter gradient in closed form and on the tape,
-    under the same frozen decisions: (production, oracle)."""
-    def closure(outputs):
-        terms, grads = objective(outputs, labels, unit_protos, decisions, cfg)
+    """The objective's parameter gradient in closed form, on the views of `inputs`
+    (x_w, u_w, u_w2, u_s) stacked as `train` stacks them, and on the tape view by
+    view, under the same frozen decisions: (production, oracle)."""
+    def closure(out):
+        terms, grads = objective(step_rows(out, len(labels)), labels, unit_protos, decisions, cfg)
         return terms["total"], grads
 
-    closed = net_backward(params, inputs, closure)
+    closed = net_backward(params, np.concatenate(list(inputs.values())), closure)
     tensors = {name: parameter(params.view(name)) for name in params.names()}
     outputs = {view: forward_tensors(params.spec, tensors, x) for view, x in inputs.items()}
     tape_objective(outputs, labels, unit_protos, decisions, cfg)["total"].backward()
@@ -101,9 +103,10 @@ def usna_gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-6)
         z = rng.standard_normal((rows, dim)) * rng.uniform(0.5, 3.0, size=(rows, 1))
         phi = rng.integers(0, 2, size=rows)
         k_hat = rng.integers(0, k, size=rows)
-        analytic = usna(z, unit_protos, phi, k_hat, temperature)[1]
+        analytic = usna(*normalize(z), unit_protos, phi, k_hat, temperature)[1]
         numeric = finite_diff_grad(
-            lambda v: usna(v.reshape(z.shape), unit_protos, phi, k_hat, temperature)[0],
+            lambda v: usna(*normalize(v.reshape(z.shape)), unit_protos, phi, k_hat,
+                           temperature)[0],
             z.ravel(), step)
         worst = max(worst, _rel(analytic.ravel(), numeric))
     return worst
@@ -124,12 +127,9 @@ def full_model_gradient_check(seed: int = 0, step: float = 1e-5) -> tuple[float,
     params = init_params(spec)
     rng = np.random.default_rng(seed + 1)
     labels = np.array([0, 0, 1, 1])
-    inputs = {
-        "x_w": rng.standard_normal((4, spec.input_dim)),
-        "u_w": rng.standard_normal((6, spec.input_dim)),
-        "u_w2": rng.standard_normal((6, spec.input_dim)),
-        "u_s": rng.standard_normal((6, spec.input_dim)),
-    }
+    inputs = {view: rng.standard_normal((rows, spec.input_dim))
+              for view, rows in (("x_w", 4), ("u_w", 6), ("u_w2", 6), ("u_s", 6))}
+    x = np.concatenate(list(inputs.values()))
     unit_protos = PrototypeSet.from_means(
         rng.standard_normal((spec.num_classes, spec.embed_dim))).unit_directions()
     head = HeadWeights(lambda_u=1.0, lambda_em=0.3, lambda_socr=0.5, lambda_neg=0.7,
@@ -139,18 +139,16 @@ def full_model_gradient_check(seed: int = 0, step: float = 1e-5) -> tuple[float,
     base_cfg = TrainConfig(head=head, sna=sna_w, tau_id=0.4, eta_id=0.3,
                            gate_temperature=1.0)
 
-    def outputs_at(flat: np.ndarray) -> dict:
-        state = ParamState(spec=spec, flat=flat)
-        return {name: forward(state, x) for name, x in inputs.items()}
+    def rows_at(flat: np.ndarray):
+        return step_rows(forward(ParamState(spec=spec, flat=flat), x), len(labels))
 
-    base = outputs_at(params.flat)
-    decisions = freeze_decisions(base["u_w"], base["u_s"], base_cfg)
+    decisions = freeze_decisions(rows_at(params.flat), base_cfg)
     worst_fd = worst_tape = 0.0
     for combo in LOSS_COMBOS.values():
         cfg = replace(base_cfg, sna=replace(sna_w, **combo))
         closed, tape = objective_gradients(params, inputs, labels, unit_protos, decisions, cfg)
         numeric = finite_diff_grad(
-            lambda flat: objective(outputs_at(flat), labels, unit_protos, decisions,
+            lambda flat: objective(rows_at(flat), labels, unit_protos, decisions,
                                    cfg)[0]["total"],
             params.flat, step)
         worst_fd = max(worst_fd, _rel(closed, numeric))
@@ -160,7 +158,7 @@ def full_model_gradient_check(seed: int = 0, step: float = 1e-5) -> tuple[float,
 
 def ce_feature_gradient_check(n_configs: int = 20, seed: int = 0) -> tuple[float, float]:
     """Closed-form CE feature gradient under a linear head: the logit gradient
-    `heads.ce` returns, times the head's weights.
+    `heads.ce` returns on the head's `log_softmax`, times the head's weights.
 
     Returns (max abs deviation from the tape gradient, max relative error
     against central differences of the `heads.ce` value).
@@ -174,13 +172,13 @@ def ce_feature_gradient_check(n_configs: int = 20, seed: int = 0) -> tuple[float
         weights = rng.standard_normal((d_f, k))
         f = rng.standard_normal(d_f)
         y = np.array([int(rng.integers(0, k))])
-        closed_form = (ce((f @ weights)[None, :], y)[1] @ weights.T)[0]
+        closed_form = (ce(log_softmax((f @ weights)[None, :])[0], y)[1] @ weights.T)[0]
 
         ft = parameter(f[None, :])
         tl.ce_graph(ft @ constant(weights), y).backward()
         worst_tape = max(worst_tape, float(np.max(np.abs(closed_form - ft.grad[0]))))
 
-        numeric = finite_diff_grad(lambda v: ce((v @ weights)[None, :], y)[0], f)
+        numeric = finite_diff_grad(lambda v: ce(log_softmax((v @ weights)[None, :])[0], y)[0], f)
         worst_fd = max(worst_fd, _rel(closed_form, numeric))
     return worst_tape, worst_fd
 

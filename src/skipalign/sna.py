@@ -5,9 +5,9 @@ when the dual gate fires; everything else receives a softmax-weighted
 angular repulsion from all prototypes. Labeled embeddings get supervised
 instance-wise and prototype alignment. All similarities are cosine on
 unit-normalized copies, so every loss here depends on an embedding only
-through its direction, and each returns its value with its angular
-gradient w.r.t. the embeddings. Their tape twins in `tensor_losses` are
-the oracle the tests compare them with.
+through its direction; each reads its rows of the step's `normalize` pass
+and returns its value with its angular gradient w.r.t. the embeddings.
+Their tape twins in `tensor_losses` are the oracle the tests compare them with.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def dual_gate(cc_probs, od_id_probs, tau_id: float, eta_id: float) -> GateMask:
     """
     cc = np.asarray(cc_probs)
     od = np.asarray(od_id_probs)
-    pred = np.argmax(cc, axis=1)
+    pred = cc.argmax(axis=1)
     rows = np.arange(cc.shape[0])
     cc_conf = cc[rows, pred]
     od_conf = od[rows, pred]
@@ -78,10 +78,10 @@ def dual_gate(cc_probs, od_id_probs, tau_id: float, eta_id: float) -> GateMask:
     return GateMask(phi=phi, cc_conf=cc_conf, od_conf=od_conf, pred_class=pred)
 
 
-def _unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit rows and the (B, 1) norms they were divided by."""
+def normalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows and the (B, 1) norms they were divided by; a zero row is an error."""
     norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
-    if np.any(norms < MIN_NORM):
+    if (norms < MIN_NORM).any():
         raise ValueError("degenerate vector: cannot normalize a zero row")
     return z / norms, norms
 
@@ -93,19 +93,18 @@ def _tangential(grad_unit: np.ndarray, unit_rows: np.ndarray, norms: np.ndarray)
     return (grad_unit - radial * unit_rows) / norms
 
 
-def usna(z, unit_protos, phi, pred_class, temperature: float) -> tuple[float, np.ndarray]:
+def usna(zh, norms, unit_protos, phi, pred_class, temperature: float) -> tuple[float, np.ndarray]:
     """Batch-mean unlabeled selective non-alignment loss and its angular gradient.
 
-    Row i is pulled toward prototype pred_class[i] when phi[i] is 1; every
-    row is repelled from all prototypes by the softmax over their scaled
-    cosines. Returns (value, gradient w.r.t. z); each gradient row is
-    orthogonal to its embedding.
+    Reads the batch's `normalize` rows. Row i is pulled toward prototype
+    pred_class[i] when phi[i] is 1; every row is repelled from all prototypes
+    by the softmax over their scaled cosines. Returns (value, gradient w.r.t.
+    the embeddings); each gradient row is orthogonal to its embedding.
     """
-    n = z.shape[0]
+    n = zh.shape[0]
     pull = one_hot(pred_class, unit_protos.shape[0]) * np.asarray(phi, dtype=np.float64)[:, None]
-    zh, norms = _unit_rows(z)
     scaled = (zh @ unit_protos.T) * (1.0 / temperature)
-    shift = np.max(scaled, axis=1, keepdims=True)
+    shift = scaled.max(axis=1, keepdims=True)
     e = np.exp(scaled - shift)
     total = e.sum(axis=1, keepdims=True)
     lse = (np.log(total) + shift).reshape(-1)
@@ -114,31 +113,30 @@ def usna(z, unit_protos, phi, pred_class, temperature: float) -> tuple[float, np
     return float(value), _tangential(grad_unit, zh, norms)
 
 
-def pa(z, unit_protos, labels, temperature: float) -> tuple[float, np.ndarray]:
+def pa(zh, norms, unit_protos, labels, temperature: float) -> tuple[float, np.ndarray]:
     """Prototype alignment: `usna` with the gate always open for labeled samples."""
-    return usna(z, unit_protos, np.ones(z.shape[0]), labels, temperature)
+    return usna(zh, norms, unit_protos, np.ones(zh.shape[0]), labels, temperature)
 
 
-def ia(z, labels, temperature: float) -> tuple[float, np.ndarray]:
-    """Instance-wise alignment over a labeled batch, and its gradient w.r.t. z.
+def ia(zh, norms, labels, temperature: float) -> tuple[float, np.ndarray]:
+    """Instance-wise alignment over labeled `normalize` rows, and its angular gradient.
 
     Cosine similarities on unit rows, the anchor itself masked out of the
     denominator, anchors without a same-class partner excluded from the
     mean; with no such anchor the loss is (0.0, zeros).
     """
-    n = z.shape[0]
+    n = zh.shape[0]
     y = np.asarray(labels, dtype=np.int64)
-    zh, norms = _unit_rows(z)
     positives = (y[:, None] == y[None, :]).astype(np.float64)
     np.fill_diagonal(positives, 0.0)
     counts = positives.sum(axis=1)
     contributing = counts > 0
     n_anchors = int(contributing.sum())
     if n_anchors == 0:
-        return 0.0, np.zeros_like(z)
+        return 0.0, np.zeros_like(zh)
     sims = (zh @ zh.T) * (1.0 / temperature)
     masked = sims + np.diag(np.full(n, _NEG_INF))
-    shift = np.max(masked, axis=1, keepdims=True)
+    shift = masked.max(axis=1, keepdims=True)
     e = np.exp(masked - shift)
     total = e.sum(axis=1, keepdims=True)
     log_prob = sims - (np.log(total) + shift)

@@ -202,18 +202,6 @@ def augment_views(x: np.ndarray, kinds: list[str], rng: np.random.Generator,
             for kind in kinds}
 
 
-def audit_no_leakage(split: Split) -> None:
-    """Assert no unseen-OOD sample is reachable from training-visible data."""
-    train_ids = set(split.labeled_ids.tolist()) | set(split.unlabeled_ids.tolist())
-    unseen_ids = {int(i) for i, c in zip(split.test_ids, split.test_category)
-                  if c.startswith("unseen:")}
-    overlap = train_ids & unseen_ids
-    if overlap:
-        raise AssertionError(f"unseen-OOD ids leaked into training data: {sorted(overlap)[:5]}")
-    if any(c.startswith("unseen:") for c in split.unlabeled_category):
-        raise AssertionError("unseen-OOD category found in the unlabeled pool")
-
-
 def write_float_rows(path, columns: list[str], name: str, parts) -> None:
     """Write a CSV with one line per block row: its prefix string, then its floats' repr
     (columns name_0, ...). parts pairs an iterable of prefixes with each block. The bytes

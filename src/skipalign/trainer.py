@@ -2,13 +2,14 @@
 momentum SGD under a cosine schedule, and per-epoch prototype refresh.
 
 Per iteration: sample a labeled batch and gamma-times-larger unlabeled
-batch, draw augmented views, forward them as one stacked batch, freeze the
-gate/pseudo-label decisions from the weak unlabeled view, evaluate every
-loss term with its closed-form gradient w.r.t. the head outputs, backprop
-the weighted total by hand through the network (`net.backward`), and
-step. Gate-accepted unlabeled embeddings accumulate across the epoch and
-feed the prototype refresh at the epoch boundary; the labeled side of the
-refresh is a clean (unaugmented) pass over the full labeled set.
+batch, draw augmented views, forward them as one stacked batch, take each
+per-row softmax once on it (`step_rows`), freeze the gate/pseudo-label
+decisions from the weak unlabeled rows, evaluate every loss on its view's
+rows into one full-batch gradient per head, backprop the weighted total by
+hand through the network (`net.backward`), and step. Gate-accepted unlabeled
+embeddings accumulate across the epoch and feed the prototype refresh at the
+epoch boundary; the labeled side of the refresh is a clean (unaugmented)
+pass over the full labeled set.
 """
 
 from __future__ import annotations
@@ -17,18 +18,19 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import net as net_mod
 from .data import EmbeddingBatch
-from .heads import (HeadWeights, ce, compose, consistency, em, id_probs, neg, negatives, ova,
-                    socr)
+from .heads import (HeadWeights, ce, compose, consistency, em, log_softmax, neg, negatives, ova,
+                    socr, two_way)
 from .linalg import softmax_rows
 from .metrics import SCORE_RULES, EvalReport, evaluate
 from .net import ForwardResult, NetSpec, ParamState, forward, init_params, sgd_step
 from .prototypes import PrototypeSet, initial_prototypes, refresh
-from .sna import GateMask, SnaWeights, dual_gate, ia, pa, usna
+from .sna import GateMask, SnaWeights, dual_gate, ia, normalize, pa, usna
 from .synthdata import Split, augment_views
 
 
@@ -154,6 +156,10 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
     scenario = split.scenario
 
     for epoch in range(cfg.epochs):
+        try:
+            unit_protos = protos.unit_directions()
+        except ValueError as err:
+            raise _diverged(err, runlog) from err
         proto_rows: list[np.ndarray] = []
         proto_pred: list[np.ndarray] = []
         for it in range(cfg.iters_per_epoch):
@@ -165,13 +171,13 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
             ub = split.unlabeled_x[ui]
             x_views = augment_views(xb, ["weak"], rng, scenario)
             u_views = augment_views(ub, ["weak", "weak2", "strong"], rng, scenario)
-            inputs = {"x_w": x_views["weak"], "u_w": u_views["weak"],
-                      "u_w2": u_views["weak2"], "u_s": u_views["strong"]}
+            x = np.concatenate([x_views["weak"], u_views["weak"], u_views["weak2"],
+                                u_views["strong"]])
 
             info: dict = {}
             try:
-                closure = _make_closure(cfg, yb, protos, info)
-                grads = net_mod.backward(params, inputs, closure)
+                closure = _make_closure(cfg, yb, unit_protos, info)
+                grads = net_mod.backward(params, x, closure)
                 params, velocity = sgd_step(params, grads, lr=lr, momentum=cfg.momentum,
                                             weight_decay=cfg.weight_decay, velocity=velocity)
             except ValueError as err:
@@ -228,6 +234,33 @@ def _refresh_prototypes(params, split, cfg, netspec, proto_rows, proto_pred) -> 
 LEAVES = ("x", "u", "ova", "em", "socr", "neg", "usna", "ia", "pa")
 
 
+class StepRows(NamedTuple):
+    """A step's stacked forward, the rows of its views x_w, u_w, u_w2 and u_s
+    (slices x, u, u2, s), and its per-row softmaxes, each taken once on the
+    whole stack: `heads.log_softmax` (log_p, probs) and `heads.two_way`."""
+
+    out: ForwardResult
+    x: slice
+    u: slice
+    u2: slice
+    s: slice
+    log_p: np.ndarray
+    probs: np.ndarray
+    log_p_id: np.ndarray
+    log_p_ood: np.ndarray
+    p_id: np.ndarray
+    id_prob: np.ndarray
+
+
+def step_rows(out: ForwardResult, n_labeled: int) -> StepRows:
+    """The rows of a forward of n_labeled x_w rows stacked on three equal unlabeled views."""
+    n, b = len(out.cc_logits), n_labeled
+    u = (n - b) // 3
+    return StepRows(out, slice(0, b), slice(b, b + u), slice(b + u, b + 2 * u),
+                    slice(b + 2 * u, n), *log_softmax(out.cc_logits),
+                    *two_way(out.id_logits, out.ood_logits))
+
+
 @dataclass(frozen=True)
 class Decisions:
     """One step's discrete choices, frozen from forward values.
@@ -242,19 +275,17 @@ class Decisions:
     neg_s: np.ndarray
 
 
-def freeze_decisions(uw: ForwardResult, us: ForwardResult, cfg: TrainConfig) -> Decisions:
-    """Every frozen per-step choice, from the weak and strong unlabeled views."""
-    gate_probs = softmax_rows(uw.cc_logits, cfg.gate_temperature)
-    pl_probs = softmax_rows(uw.cc_logits)
-    pseudo = np.argmax(pl_probs, axis=1)
-    eta_neg = cfg.head.eta_neg
+def freeze_decisions(rows: StepRows, cfg: TrainConfig) -> Decisions:
+    """Every frozen per-step choice, from the weak and strong unlabeled rows."""
+    u = rows.u
+    gate_probs = softmax_rows(rows.out.cc_logits[u], cfg.gate_temperature)
+    pl_probs = rows.probs[u]
+    pseudo = pl_probs.argmax(axis=1)
+    negative = negatives(rows.log_p_id, cfg.head.eta_neg)
     return Decisions(
-        gate=dual_gate(gate_probs, id_probs(uw.id_logits, uw.ood_logits), cfg.tau_id, cfg.eta_id),
-        pseudo=pseudo,
+        gate=dual_gate(gate_probs, rows.id_prob[u], cfg.tau_id, cfg.eta_id), pseudo=pseudo,
         pl_accept=pl_probs[np.arange(pseudo.size), pseudo] > cfg.head.tau_pl,
-        neg_w=negatives(uw.id_logits, uw.ood_logits, eta_neg),
-        neg_s=negatives(us.id_logits, us.ood_logits, eta_neg),
-    )
+        neg_w=negative[u], neg_s=negative[rows.s])
 
 
 def loss_weights(cfg: TrainConfig) -> dict:
@@ -262,65 +293,71 @@ def loss_weights(cfg: TrainConfig) -> dict:
     return dict(cfg.weights_and_slopes[0])
 
 
-def objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
+def objective(rows: StepRows, labels: np.ndarray, unit_protos: np.ndarray,
               decisions: Decisions, cfg: TrainConfig) -> tuple[dict, dict]:
     """The training objective in closed form, as (terms, grads).
 
     `terms` holds the nine leaf values, then the composites sna, cc, od and
     the total from `compose`. A leaf whose weight is zero is not evaluated
-    and enters as 0.0. grads[view][head] is the total's gradient w.r.t. one
-    view's head output, the form `net.backward` takes.
+    and enters as 0.0. grads maps each head output to the total's gradient
+    over the whole stack, the form `net.backward` takes; where terms share
+    rows, their slope-weighted gradients add up in the order of LEAVES.
     """
     head, sna_w = cfg.head, cfg.sna
-    xw, uw, uw2, us = outputs["x_w"], outputs["u_w"], outputs["u_w2"], outputs["u_s"]
     weights, slopes = cfg.weights_and_slopes
+    x, u, u2, s = rows.x, rows.u, rows.u2, rows.s
+    log_p_id, log_p_ood, p_id = rows.log_p_id, rows.log_p_ood, rows.p_id
     terms = dict.fromkeys(LEAVES, 0.0)
-    grads: dict = {view: {} for view in outputs}
+    g_cc, g_id, g_ood = np.zeros((3, *rows.log_p.shape))
+    g_z = np.zeros(rows.out.embeddings.shape)
 
-    def term(leaf, value_and_grads, targets):
-        slope = slopes[leaf]
-        terms[leaf] = value_and_grads[0]
-        for (view, name), g in zip(targets, value_and_grads[1:]):
-            by_head = grads[view]
-            by_head[name] = by_head[name] + slope * g if name in by_head else slope * g
-
-    term("x", ce(xw.cc_logits, labels), [("x_w", "cc_logits")])
+    terms["x"], g = ce(rows.log_p[x], labels)
+    g_cc[x] = slopes["x"] * g
     if head.lambda_u > 0:
-        term("u", consistency(us.cc_logits, decisions.pseudo, decisions.pl_accept),
-             [("u_s", "cc_logits")])
-    term("ova", ova(xw.id_logits, xw.ood_logits, labels),
-         [("x_w", "id_logits"), ("x_w", "ood_logits")])
+        terms["u"], g = consistency(rows.log_p[s], decisions.pseudo, decisions.pl_accept)
+        g_cc[s] = slopes["u"] * g
+    terms["ova"], g, g2 = ova(log_p_id[x], log_p_ood[x], p_id[x], labels)
+    g_id[x], g_ood[x] = slopes["ova"] * g, slopes["ova"] * g2
     if head.lambda_em > 0:
-        term("em", em(uw.id_logits, uw.ood_logits),
-             [("u_w", "id_logits"), ("u_w", "ood_logits")])
+        terms["em"], g, g2 = em(log_p_id[u], log_p_ood[u], p_id[u])
+        g_id[u], g_ood[u] = slopes["em"] * g, slopes["em"] * g2
     if head.lambda_socr > 0:
-        term("socr", socr(uw.id_logits, uw2.id_logits),
-             [("u_w", "id_logits"), ("u_w2", "id_logits")])
+        terms["socr"], g, g2 = socr(rows.out.id_logits[u], rows.out.id_logits[u2])
+        g_id[u] += slopes["socr"] * g
+        g_id[u2] = slopes["socr"] * g2
     if head.lambda_neg > 0:
         # Negatives are mined on both the weak and the strong view.
-        weak = neg(uw.id_logits, uw.ood_logits, decisions.neg_w)
-        strong = neg(us.id_logits, us.ood_logits, decisions.neg_s)
-        term("neg", (weak[0] + strong[0], *weak[1:], *strong[1:]),
-             [("u_w", "id_logits"), ("u_w", "ood_logits"),
-              ("u_s", "id_logits"), ("u_s", "ood_logits")])
-    t = sna_w.temperature
+        weak, g, g2 = neg(log_p_ood[u], p_id[u], decisions.neg_w)
+        strong, h, h2 = neg(log_p_ood[s], p_id[s], decisions.neg_s)
+        terms["neg"] = weak + strong
+        g_id[u] += slopes["neg"] * g
+        g_ood[u] += slopes["neg"] * g2
+        g_id[s], g_ood[s] = slopes["neg"] * h, slopes["neg"] * h2
+
+    # x_w and u_w are adjacent rows: normalize those an enabled term reads in one pass.
+    t, b = sna_w.temperature, x.stop
+    lo = 0 if sna_w.lambda_ia > 0 or sna_w.lambda_pa > 0 else b
+    unit, norms = normalize(rows.out.embeddings[lo:u.stop if sna_w.lambda_usna > 0 else b])
     if sna_w.lambda_usna > 0:
-        term("usna", usna(uw.embeddings, unit_protos, decisions.gate.phi,
-                          decisions.gate.pred_class, t), [("u_w", "embeddings")])
+        gate = decisions.gate
+        terms["usna"], g = usna(unit[b - lo:], norms[b - lo:], unit_protos, gate.phi,
+                                gate.pred_class, t)
+        g_z[u] = slopes["usna"] * g
     if sna_w.lambda_ia > 0:
-        term("ia", ia(xw.embeddings, labels, t), [("x_w", "embeddings")])
+        terms["ia"], g = ia(unit[:b], norms[:b], labels, t)
+        g_z[x] = slopes["ia"] * g
     if sna_w.lambda_pa > 0:
-        term("pa", pa(xw.embeddings, unit_protos, labels, t), [("x_w", "embeddings")])
+        terms["pa"], g = pa(unit[:b], norms[:b], unit_protos, labels, t)
+        g_z[x] += slopes["pa"] * g
     terms.update(compose(terms, weights))
-    return terms, grads
+    return terms, {"embeddings": g_z, "cc_logits": g_cc, "id_logits": g_id, "ood_logits": g_ood}
 
 
-def _make_closure(cfg: TrainConfig, labels: np.ndarray, protos: PrototypeSet, info: dict):
-    unit_protos = protos.unit_directions()
-
-    def closure(outputs):
-        decisions = freeze_decisions(outputs["u_w"], outputs["u_s"], cfg)
-        terms, grads = objective(outputs, labels, unit_protos, decisions, cfg)
+def _make_closure(cfg: TrainConfig, labels: np.ndarray, unit_protos: np.ndarray, info: dict):
+    def closure(out):
+        rows = step_rows(out, len(labels))
+        decisions = freeze_decisions(rows, cfg)
+        terms, grads = objective(rows, labels, unit_protos, decisions, cfg)
         total = terms.pop("total")
         gate = decisions.gate
         info["terms"] = terms
@@ -337,33 +374,8 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, protos: PrototypeSet, in
             "pred_class": gate.pred_class.tolist(),
         }
         selected = gate.phi == 1
-        info["proto_rows"] = outputs["u_w"].embeddings[selected]
+        info["proto_rows"] = out.embeddings[rows.u][selected]
         info["proto_pred"] = gate.pred_class[selected]
         return total, grads
 
     return closure
-
-
-def audit_gate_flow(runlog: RunLog, tau_id: float, eta_id: float) -> None:
-    """Check every logged pull decision against the gate rule at the run's thresholds."""
-    for record in runlog.iterations:
-        detail = record["gate_detail"]
-        cc = np.asarray(detail["cc_conf"])
-        od = np.asarray(detail["od_conf"])
-        phi = np.asarray(detail["phi"])
-        expected = ((cc > tau_id) & (od > eta_id)).astype(np.int64)
-        if not np.array_equal(phi, expected):
-            raise AssertionError(f"gate mask inconsistent at step {record['step']}")
-
-
-def audit_loss_composition(runlog: RunLog, weights: dict, tol: float = 1e-12) -> float:
-    """Max deviation between logged composites and their recomposition under the
-    run's loss weights (`loss_weights` of its config)."""
-    worst = 0.0
-    for record in runlog.iterations:
-        logged = {**record["terms"], "total": record["total"]}
-        for name, value in compose(record["terms"], weights).items():
-            worst = max(worst, abs(value - logged[name]))
-        if worst > tol:
-            raise AssertionError(f"loss composition off by {worst} at step {record['step']}")
-    return worst

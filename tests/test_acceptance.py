@@ -17,7 +17,7 @@ from skipalign.oracles import (ce_feature_gradient_check, full_model_gradient_ch
                                usna_gradient_check)
 from skipalign.prototypes import PrototypeSet, refresh
 from skipalign.data import EmbeddingBatch
-from skipalign.sna import LOSS_COMBOS, usna
+from skipalign.sna import LOSS_COMBOS, normalize, usna
 from skipalign.synthdata import generate
 from skipalign.trainer import train
 
@@ -78,7 +78,7 @@ def test_criterion_02_angular_purity_and_scale_invariance():
         phi = case % 2
 
         def loss(v):
-            return usna(v[None, :], unit_protos, [phi], [k_hat], t)
+            return usna(*normalize(v[None, :]), unit_protos, [phi], [k_hat], t)
 
         base, g = loss(z)
         g = g[0]

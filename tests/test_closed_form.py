@@ -1,9 +1,10 @@
 """The closed-form training gradient against the tape, through the whole network.
 
 Each case builds one training step's four views, freezes its decisions from
-the numpy forward, and compares `trainer.objective` through `net.backward`
-with `oracles.tape_objective` through reverse mode: every logged term and
-the full parameter gradient must agree to 1e-12 relative.
+their stacked numpy forward, and compares `trainer.objective` through
+`net.backward` on the stacked batch, as training runs them, with
+`oracles.tape_objective` through reverse mode view by view: every logged term
+and the full parameter gradient must agree to 1e-12 relative.
 """
 
 from dataclasses import replace
@@ -17,7 +18,7 @@ from skipalign.net import NetSpec, forward, forward_tensors, init_params
 from skipalign.oracles import objective_gradients, tape_objective
 from skipalign.prototypes import PrototypeSet
 from skipalign.sna import LOSS_COMBOS, SnaWeights
-from skipalign.trainer import TrainConfig, freeze_decisions, objective
+from skipalign.trainer import TrainConfig, freeze_decisions, objective, step_rows
 
 SPEC = NetSpec(input_dim=5, backbone_widths=(7,), feature_dim=6, proj_hidden=5,
                embed_dim=4, num_classes=3, seed=3)
@@ -29,7 +30,7 @@ CFG = TrainConfig(head=HeadWeights(lambda_em=0.3, lambda_socr=0.5, lambda_neg=0.
 
 
 def step(spec=SPEC, cfg=CFG, labels=(0, 0, 1, 2, 2, 1), unlabeled=8, seed=0):
-    """One step's inputs, labels, prototypes and frozen decisions."""
+    """One step's inputs by view, labels, prototypes, stacked rows and frozen decisions."""
     rng = np.random.default_rng(seed)
     params = init_params(spec)
     inputs = {"x_w": rng.standard_normal((len(labels), spec.input_dim)) * 2}
@@ -37,14 +38,14 @@ def step(spec=SPEC, cfg=CFG, labels=(0, 0, 1, 2, 2, 1), unlabeled=8, seed=0):
         inputs[view] = rng.standard_normal((unlabeled, spec.input_dim)) * 2
     unit_protos = PrototypeSet.from_means(
         rng.standard_normal((spec.num_classes, spec.embed_dim))).unit_directions()
-    outputs = {view: forward(params, x) for view, x in inputs.items()}
-    decisions = freeze_decisions(outputs["u_w"], outputs["u_s"], cfg)
-    return params, inputs, np.array(labels), unit_protos, outputs, decisions
+    rows = step_rows(forward(params, np.concatenate(list(inputs.values()))), len(labels))
+    decisions = freeze_decisions(rows, cfg)
+    return params, inputs, np.array(labels), unit_protos, rows, decisions
 
 
 def assert_matches_tape(spec=SPEC, cfg=CFG, **kwargs):
-    params, inputs, labels, unit_protos, outputs, decisions = step(spec, cfg, **kwargs)
-    terms = objective(outputs, labels, unit_protos, decisions, cfg)[0]
+    params, inputs, labels, unit_protos, rows, decisions = step(spec, cfg, **kwargs)
+    terms = objective(rows, labels, unit_protos, decisions, cfg)[0]
     tape_terms = tape_objective(outputs_on_tape(params, inputs), labels, unit_protos,
                                 decisions, cfg)
     for name, value in terms.items():
@@ -96,9 +97,11 @@ def test_unlabeled_batch_of_one():
 def test_zero_weights_skip_their_terms():
     head = HeadWeights(lambda_u=0.0, lambda_em=0.0, lambda_socr=0.0, lambda_neg=0.0)
     cfg = replace(CFG, head=head, sna=SnaWeights(0.0, 0.0, 0.0))
-    params, inputs, labels, unit_protos, outputs, decisions = step(cfg=cfg)
-    terms, grads = objective(outputs, labels, unit_protos, decisions, cfg)
+    params, inputs, labels, unit_protos, rows, decisions = step(cfg=cfg)
+    terms, grads = objective(rows, labels, unit_protos, decisions, cfg)
     assert all(terms[name] == 0.0 for name in ("u", "em", "socr", "neg", "usna", "ia", "pa"))
-    assert grads["u_w"] == grads["u_w2"] == grads["u_s"] == {}
-    assert set(grads["x_w"]) == {"cc_logits", "id_logits", "ood_logits"}
+    # Only the labeled rows of the classifier and detector heads carry a gradient.
+    assert not grads["embeddings"].any()
+    for head in ("cc_logits", "id_logits", "ood_logits"):
+        assert grads[head][rows.x].all() and not grads[head][rows.u.start:].any()
     assert_matches_tape(cfg=cfg)

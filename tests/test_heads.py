@@ -6,11 +6,11 @@ import pytest
 import skipalign.tensor_losses as tl
 from skipalign.autodiff import constant, parameter
 from skipalign.config import ConfigError, resolve_config
-from skipalign.heads import (HeadWeights, ce, compose, consistency, em, id_probs, neg,
-                             negatives, ova, socr)
+from skipalign.heads import (HeadWeights, ce, compose, consistency, em, id_probs, log_softmax,
+                             neg, negatives, ova, socr, two_way)
 from skipalign.linalg import finite_diff_grad
 from skipalign.net import ForwardResult
-from skipalign.trainer import TrainConfig, freeze_decisions, loss_weights, objective
+from skipalign.trainer import TrainConfig, freeze_decisions, loss_weights, objective, step_rows
 
 RNG = np.random.default_rng(0)
 
@@ -26,15 +26,22 @@ def logits_from_probs(probs) -> tuple[np.ndarray, np.ndarray]:
     return np.log(p) - np.log1p(-p), np.zeros_like(p)
 
 
-def view(cc_logits, id_logits=None, ood_logits=None, embeddings=None) -> ForwardResult:
-    """One view's network outputs, built by hand."""
-    cc_logits = np.asarray(cc_logits, dtype=np.float64)
-    zeros = np.zeros_like(cc_logits)
-    return ForwardResult(
-        features=zeros, embeddings=zeros if embeddings is None else embeddings,
-        cc_logits=cc_logits,
-        id_logits=zeros if id_logits is None else np.asarray(id_logits, dtype=np.float64),
-        ood_logits=zeros if ood_logits is None else np.asarray(ood_logits, dtype=np.float64))
+def log_p(logits) -> np.ndarray:
+    """The classifier's `log_softmax` rows, which its losses read."""
+    return log_softmax(np.asarray(logits, dtype=np.float64))[0]
+
+
+def detector(logits: tuple[np.ndarray, np.ndarray]) -> tuple:
+    """The `two_way` rows the OVA and entropy losses read: log_p_id, log_p_ood, p_id."""
+    return two_way(*logits)[:3]
+
+
+def unlabeled_rows(weak_cc, strong_cc):
+    """The stacked rows of a step without labeled rows, built by hand: both weak
+    views carry `weak_cc`, the strong view `strong_cc`."""
+    cc = np.concatenate([weak_cc, weak_cc, strong_cc]).astype(np.float64)
+    zeros = np.zeros_like(cc)
+    return step_rows(ForwardResult(zeros, zeros, cc, zeros, zeros), 0)
 
 
 def fixmatch(weak_probs, strong_probs, tau_pl: float) -> tuple[float, int]:
@@ -42,14 +49,14 @@ def fixmatch(weak_probs, strong_probs, tau_pl: float) -> tuple[float, int]:
     weak view; returns (value, accepted count)."""
     cfg = TrainConfig(head=HeadWeights(tau_pl=tau_pl))
     strong = np.log(np.asarray(strong_probs, dtype=np.float64))
-    decisions = freeze_decisions(view(np.log(weak_probs)), view(strong), cfg)
-    value, _ = consistency(strong, decisions.pseudo, decisions.pl_accept)
+    decisions = freeze_decisions(unlabeled_rows(np.log(weak_probs), strong), cfg)
+    value, _ = consistency(log_p(strong), decisions.pseudo, decisions.pl_accept)
     return value, int(decisions.pl_accept.sum())
 
 
 def neg_value(logits: tuple[np.ndarray, np.ndarray], eta_neg: float) -> float:
-    selected = negatives(*logits, eta_neg)
-    return neg(*logits, selected)[0]
+    log_p_id, log_p_ood, p_id, _ = two_way(*logits)
+    return neg(log_p_ood, p_id, negatives(log_p_id, eta_neg))[0]
 
 
 class TestOvaOutput:
@@ -75,14 +82,14 @@ class TestOvaOutput:
 
 class TestCeLoss:
     def test_perfect_prediction(self):
-        assert ce(np.array([[0.0, -1000.0, -1000.0]]), [0])[0] == pytest.approx(0.0, abs=1e-12)
+        assert ce(log_p([[0.0, -1000.0, -1000.0]]), [0])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_binary(self):
-        assert ce(np.array([[0.0, 0.0]]), [0])[0] == pytest.approx(math.log(2), abs=1e-12)
+        assert ce(log_p([[0.0, 0.0]]), [0])[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_wrong_side_hand_value(self):
         # probabilities (e, 1) / (e + 1)
-        assert ce(np.array([[1.0, 0.0]]), [1])[0] == pytest.approx(math.log(1 + math.e),
+        assert ce(log_p([[1.0, 0.0]]), [1])[0] == pytest.approx(math.log(1 + math.e),
                                                                    abs=1e-12)
 
     def test_label_out_of_range(self):
@@ -92,7 +99,7 @@ class TestCeLoss:
 
     def test_zero_probability_floored(self):
         # the true class's probability underflows to zero; log-space keeps it finite
-        loss = ce(np.array([[-1000.0, 0.0]]), [0])[0]
+        loss = ce(log_p([[-1000.0, 0.0]]), [0])[0]
         assert loss == pytest.approx(1000.0, abs=1e-9)
 
 
@@ -121,53 +128,53 @@ class TestConsistencyLoss:
 class TestOvaLoss:
     def test_perfect_detector(self):
         logits = logits_from_probs([[1 - 1e-12, 1e-12]])
-        assert ova(*logits, [0])[0] == pytest.approx(0.0, abs=1e-9)
+        assert ova(*detector(logits), [0])[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_single_class_uniform(self):
         logits = logits_from_probs([[0.5]])
-        assert ova(*logits, [0])[0] == pytest.approx(math.log(2), abs=1e-12)
+        assert ova(*detector(logits), [0])[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_two_class_hand_value(self):
         logits = logits_from_probs([[0.9, 0.2]])
         expected = -math.log(0.9) - math.log(0.8)
-        assert ova(*logits, [0])[0] == pytest.approx(expected, abs=1e-12)
+        assert ova(*detector(logits), [0])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             logits = random_logits(rng)
             labels = rng.integers(0, 4, size=3)
-            assert ova(*logits, labels)[0] >= 0
+            assert ova(*detector(logits), labels)[0] >= 0
 
 
 class TestEmLoss:
     def test_zero_entropy_at_vertices(self):
         logits = logits_from_probs([[1 - 1e-15, 1e-15]])
-        assert em(*logits)[0] == pytest.approx(0.0, abs=1e-12)
+        assert em(*detector(logits))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_max_entropy_pair(self):
         logits = logits_from_probs([[0.5]])
-        assert em(*logits)[0] == pytest.approx(math.log(2), abs=1e-12)
+        assert em(*detector(logits))[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_hand_value(self):
         logits = logits_from_probs([[0.9]])
         expected = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
-        assert em(*logits)[0] == pytest.approx(expected, abs=1e-12)
+        assert em(*detector(logits))[0] == pytest.approx(expected, abs=1e-12)
 
     def test_maximized_at_half(self):
-        values = [em(*logits_from_probs([[p]]))[0] for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        values = [em(*detector(logits_from_probs([[p]])))[0] for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert np.argmax(values) == 2
 
     def test_exact_zero_probability_contributes_zero(self):
         logits = np.array([[1000.0]]), np.array([[-1000.0]])
         assert id_probs(*logits)[0, 0] == 1.0  # the OOD probability is exactly zero
-        assert em(*logits)[0] == pytest.approx(0.0, abs=1e-12)
+        assert em(*detector(logits))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             logits = random_logits(rng)
-            assert em(*logits)[0] >= 0
+            assert em(*detector(logits))[0] >= 0
 
 
 class TestSocrLoss:
@@ -240,14 +247,11 @@ class TestTotalLoss:
         # The training objective itemizes every leaf beside the composites.
         rng = np.random.default_rng(7)
 
-        def random_view(rows):
-            return view(*(rng.standard_normal((rows, 2)) for _ in range(4)))
-
-        outputs = {"x_w": random_view(4), "u_w": random_view(6), "u_w2": random_view(6),
-                   "u_s": random_view(6)}
+        # 4 labeled rows and three unlabeled views of 6, every output random.
+        rows = step_rows(ForwardResult(*(rng.standard_normal((22, 2)) for _ in range(5))), 4)
         cfg = TrainConfig(tau_id=0.4, eta_id=0.3)
-        decisions = freeze_decisions(outputs["u_w"], outputs["u_s"], cfg)
-        terms, _ = objective(outputs, np.array([0, 0, 1, 1]), np.eye(2), decisions, cfg)
+        decisions = freeze_decisions(rows, cfg)
+        terms, _ = objective(rows, np.array([0, 0, 1, 1]), np.eye(2), decisions, cfg)
         assert list(terms) == ["x", "u", "ova", "em", "socr", "neg", "usna", "ia", "pa",
                                "sna", "cc", "od", "total"]
         assert compose(terms, loss_weights(cfg)) == {name: terms[name] for name in ("sna", "cc", "od", "total")}
@@ -330,19 +334,19 @@ class TestNumpyTapeParity:
         rng = np.random.default_rng(31)
         logits = rng.standard_normal((6, 4)) * 3
         labels = rng.integers(0, 4, size=6)
-        assert_matches_tape(ce(logits, labels),
+        assert_matches_tape(ce(log_p(logits), labels),
                             tape_value_and_grads(lambda t: tl.ce_graph(t, labels), logits))
 
     def test_consistency_parity(self):
         rng = np.random.default_rng(32)
         weak = rng.standard_normal((6, 4))
         strong = rng.standard_normal((6, 4))
-        decisions = freeze_decisions(view(weak), view(strong),
+        decisions = freeze_decisions(unlabeled_rows(weak, strong),
                                      TrainConfig(head=HeadWeights(tau_pl=0.5)))
         pseudo, accept = decisions.pseudo, decisions.pl_accept
         assert 0 < accept.sum() < 6
         assert_matches_tape(
-            consistency(strong, pseudo, accept),
+            consistency(log_p(strong), pseudo, accept),
             tape_value_and_grads(lambda t: tl.consistency_graph(t, pseudo, accept), strong))
 
     def test_ova_em_socr_neg_parity(self):
@@ -351,15 +355,17 @@ class TestNumpyTapeParity:
         s_ood = rng.standard_normal((5, 3)) * 2
         s_id2 = rng.standard_normal((5, 3)) * 2
         labels = rng.integers(0, 3, size=5)
-        assert_matches_tape(ova(s_id, s_ood, labels), tape_value_and_grads(
+        log_p_id, log_p_ood, p_id, _ = two_way(s_id, s_ood)
+        assert_matches_tape(ova(log_p_id, log_p_ood, p_id, labels), tape_value_and_grads(
             lambda a, b: tl.ova_graph(a, b, labels), s_id, s_ood))
-        assert_matches_tape(em(s_id, s_ood), tape_value_and_grads(tl.em_graph, s_id, s_ood))
+        assert_matches_tape(em(log_p_id, log_p_ood, p_id),
+                            tape_value_and_grads(tl.em_graph, s_id, s_ood))
         assert_matches_tape(socr(s_id, s_id2), tape_value_and_grads(tl.socr_graph, s_id, s_id2))
-        selected = negatives(s_id, s_ood, 0.4)
+        selected = negatives(log_p_id, 0.4)
         np.testing.assert_array_equal(selected, id_probs(s_id, s_ood) < 0.4)
         # the mask is taken from the same log-probabilities the loss builds
         log_p_id = tl._two_way_log_probs(constant(s_id), constant(s_ood))[0].data
         np.testing.assert_array_equal(selected, log_p_id < np.log(0.4))
         assert 0 < selected.sum() < selected.size
-        assert_matches_tape(neg(s_id, s_ood, selected), tape_value_and_grads(
+        assert_matches_tape(neg(log_p_ood, p_id, selected), tape_value_and_grads(
             lambda a, b: tl.neg_graph(a, b, selected), s_id, s_ood))

@@ -6,7 +6,7 @@ import pytest
 from skipalign.data import EmbeddingBatch
 from skipalign.linalg import finite_diff_grad, softmax_rows
 from skipalign.prototypes import PrototypeSet, proto_similarity_profile
-from skipalign.sna import usna
+from skipalign.sna import normalize, usna
 from skipalign.trainer import TrainConfig
 
 
@@ -31,7 +31,7 @@ def tangential_project(z, v) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     unit_protos = PrototypeSet.from_means(v[None, :]).unit_directions()
-    grad = usna(z[None, :], unit_protos, [0], [0], temperature=1.0)[1][0]
+    grad = usna(*normalize(z[None, :]), unit_protos, [0], [0], temperature=1.0)[1][0]
     return grad * np.linalg.norm(z) * np.linalg.norm(v)
 
 

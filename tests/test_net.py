@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skipalign.autodiff import constant
-from skipalign.heads import ce, id_probs
+from skipalign.heads import ce, id_probs, log_softmax
 from skipalign.linalg import softmax_rows
 from skipalign.net import (ForwardResult, NetSpec, ParamState, backward, forward,
                            forward_tensors, init_params, layout, load_checkpoint, param_count,
@@ -90,7 +90,7 @@ class TestBackward:
     def test_constant_loss_zero_gradient(self):
         params = init_params(TINY)
         x = np.random.default_rng(3).standard_normal((3, 3))
-        grads = backward(params, {"x": x}, lambda outs: (2.5, {}))
+        grads = backward(params, x, lambda out: (2.5, {}))
         np.testing.assert_allclose(grads, 0.0)
 
     def test_full_objective_matches_finite_differences(self):
@@ -103,7 +103,7 @@ class TestBackward:
         params = init_params(TINY)
         x = np.zeros((2, 3))
         with pytest.raises(ValueError, match="non-finite"):
-            backward(params, {"x": x}, lambda outs: (float("nan"), {}))
+            backward(params, x, lambda out: (float("nan"), {}))
 
     def test_nan_input_flagged_by_the_tape_forward_too(self):
         # The oracle's ReLU must propagate NaN as the training forward does.
@@ -112,7 +112,7 @@ class TestBackward:
         tensors = {name: constant(params.view(name)) for name in params.names()}
         match = "non-finite activation in layer 'backbone'"
         with pytest.raises(ValueError, match=match):
-            backward(params, {"x": x}, lambda outs: (0.0, {}))
+            backward(params, x, lambda out: (0.0, {}))
         with pytest.raises(ValueError, match=match):
             forward_tensors(TINY, tensors, x)
 
@@ -180,15 +180,15 @@ class TestDeterminism:
         x = rng.standard_normal((4, 3))
         labels = np.array([0, 1, 0, 1])
 
-        def closure(outs):
-            value, grad = ce(outs["x"].cc_logits, labels)
-            return value, {"x": {"cc_logits": grad}}
+        def closure(out):
+            value, grad = ce(log_softmax(out.cc_logits)[0], labels)
+            return value, {"cc_logits": grad}
 
         def run():
             params = init_params(TINY)
             velocity = None
             for _ in range(5):
-                grads = backward(params, {"x": x}, closure)
+                grads = backward(params, x, closure)
                 params, velocity = sgd_step(params, grads, lr=0.05, momentum=0.9,
                                             weight_decay=1e-4, velocity=velocity)
             return params

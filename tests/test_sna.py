@@ -6,7 +6,7 @@ import pytest
 from skipalign.linalg import finite_diff_grad
 from skipalign.prototypes import PrototypeSet
 from skipalign.heads import compose
-from skipalign.sna import SnaWeights, dual_gate, ia, pa, usna
+from skipalign.sna import SnaWeights, dual_gate, ia, normalize, pa, usna
 from skipalign.trainer import TrainConfig
 
 
@@ -22,18 +22,18 @@ TWO_PROTOS = PrototypeSet.from_means(np.array([[1.0, 0.0], [0.0, 1.0]]))
 def usna_loss(z, protos: PrototypeSet, phi: int, k_hat: int, temperature: float) -> float:
     """`usna` on a single embedding: its value."""
     z = np.asarray(z, dtype=np.float64)[None, :]
-    return usna(z, protos.unit_directions(), [phi], [k_hat], temperature)[0]
+    return usna(*normalize(z), protos.unit_directions(), [phi], [k_hat], temperature)[0]
 
 
 def usna_grad(z, protos: PrototypeSet, phi: int, k_hat: int, temperature: float):
     """`usna` on a single embedding: its gradient row."""
     z = np.asarray(z, dtype=np.float64)[None, :]
-    return usna(z, protos.unit_directions(), [phi], [k_hat], temperature)[1][0]
+    return usna(*normalize(z), protos.unit_directions(), [phi], [k_hat], temperature)[1][0]
 
 
 def pa_loss(z, protos: PrototypeSet, y: int, temperature: float) -> float:
     z = np.asarray(z, dtype=np.float64)[None, :]
-    return pa(z, protos.unit_directions(), [y], temperature)[0]
+    return pa(*normalize(z), protos.unit_directions(), [y], temperature)[0]
 
 
 class TestDualGate:
@@ -192,28 +192,30 @@ class TestUsnaGrad:
 
 class TestIaLoss:
     def test_identical_pair_is_zero(self):
-        loss, grad = ia(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([0, 0]), temperature=1.0)
+        loss, grad = ia(*normalize(np.array([[1.0, 0.0], [1.0, 0.0]])), np.array([0, 0]),
+                        temperature=1.0)
         assert loss == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_orthogonal_same_class_pair_is_zero(self):
-        loss, _ = ia(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]), temperature=1.0)
+        loss, _ = ia(*normalize(np.array([[1.0, 0.0], [0.0, 1.0]])), np.array([0, 0]),
+                     temperature=1.0)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_three_sample_hand_value(self):
         # Anchors 0 and 1 (same class, identical); sample 2 orthogonal, other
         # class. Each contributing anchor: -log(e / (e + 1)).
         z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        loss, _ = ia(z, np.array([0, 0, 1]), temperature=1.0)
+        loss, _ = ia(*normalize(z), np.array([0, 0, 1]), temperature=1.0)
         expected = -math.log(math.e / (math.e + 1))
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_all_distinct_labels_flagged(self):
-        loss, grad = ia(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), 1.0)
+        loss, grad = ia(*normalize(np.array([[1.0, 0.0], [0.0, 1.0]])), np.array([0, 1]), 1.0)
         assert loss == 0.0 and not grad.any()
 
     def test_single_sample_has_no_pairs(self):
-        loss, grad = ia(np.array([[1.0, 0.0]]), np.array([0]), 1.0)
+        loss, grad = ia(*normalize(np.array([[1.0, 0.0]])), np.array([0]), 1.0)
         assert loss == 0.0 and not grad.any()
 
 
@@ -256,8 +258,8 @@ class TestSnaTotal:
         # identical pair of class 0.
         labels = np.array([0, 0])
         return (usna_loss([1.0, 0.0], TWO_PROTOS, 1, 0, 1.0),
-                ia(self.LABELED, labels, 1.0)[0],
-                pa(self.LABELED, TWO_PROTOS.unit_directions(), labels, 1.0)[0])
+                ia(*normalize(self.LABELED), labels, 1.0)[0],
+                pa(*normalize(self.LABELED), TWO_PROTOS.unit_directions(), labels, 1.0)[0])
 
     def test_all_zero_weights(self):
         assert self._sna(0.0, 0.0, 0.0, *self._leaves()) == 0.0

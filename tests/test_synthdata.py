@@ -6,13 +6,25 @@ import numpy as np
 import pytest
 
 from skipalign.synthdata import (CHUNK_ROWS, MAX_PLACEMENT_TRIES, PlacementError, ScenarioSpec,
-                                 Split, audit_no_leakage, augment, generate, write_split_csv)
+                                 Split, augment, generate, write_split_csv)
 
 SMALL = ScenarioSpec(input_dim=6, num_classes=3, labels_per_class=5,
                      unlabeled_id_per_class=8, unlabeled_seen_per_cluster=6,
                      test_id_per_class=4, test_seen_per_cluster=3,
                      test_unseen_per_cluster=3, seen_ood_clusters=2,
                      unseen_ood_clusters=2, unseen_between_hull=1, seed=0)
+
+
+def audit_no_leakage(split: Split) -> None:
+    """Assert no unseen-OOD sample is reachable from training-visible data."""
+    train_ids = set(split.labeled_ids.tolist()) | set(split.unlabeled_ids.tolist())
+    unseen_ids = {int(i) for i, c in zip(split.test_ids, split.test_category)
+                  if c.startswith("unseen:")}
+    overlap = train_ids & unseen_ids
+    if overlap:
+        raise AssertionError(f"unseen-OOD ids leaked into training data: {sorted(overlap)[:5]}")
+    if any(c.startswith("unseen:") for c in split.unlabeled_category):
+        raise AssertionError("unseen-OOD category found in the unlabeled pool")
 
 
 class TestGenerate:

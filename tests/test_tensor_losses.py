@@ -7,7 +7,7 @@ import skipalign.tensor_losses as tl
 from skipalign.autodiff import constant, parameter
 from skipalign.linalg import finite_diff_grad
 from skipalign.prototypes import PrototypeSet
-from skipalign.sna import ia, pa, usna
+from skipalign.sna import ia, normalize, pa, usna
 
 
 def tape(build, z: np.ndarray) -> tuple[float, np.ndarray]:
@@ -32,7 +32,7 @@ class TestUsnaGraph:
             phi = rng.integers(0, 2, batch)
             pred = rng.integers(0, k, batch)
             t = rng.uniform(0.1, 2.0)
-            value, grad = usna(z, unit_protos, phi, pred, t)
+            value, grad = usna(*normalize(z), unit_protos, phi, pred, t)
             want, want_grad = tape(lambda e: tl.usna_graph(e, unit_protos, phi, pred, t), z)
             assert value == pytest.approx(want, rel=1e-12)
             assert rel(grad, want_grad) <= 1e-12
@@ -48,7 +48,7 @@ class TestUsnaGraph:
         t = 0.7
         _, grad = tape(lambda e: tl.usna_graph(e, unit_protos, phi, pred, t), z)
         for i in range(batch):
-            row = usna(z[i:i + 1], unit_protos, phi[i:i + 1], pred[i:i + 1], t)[1][0]
+            row = usna(*normalize(z[i:i + 1]), unit_protos, phi[i:i + 1], pred[i:i + 1], t)[1][0]
             np.testing.assert_allclose(grad[i], row / batch, atol=1e-12)
 
 
@@ -60,7 +60,7 @@ class TestPaGraph:
         z = rng.standard_normal((batch, dim))
         labels = rng.integers(0, k, batch)
         t = 0.5
-        value, grad = pa(z, unit_protos, labels, t)
+        value, grad = pa(*normalize(z), unit_protos, labels, t)
         want, want_grad = tape(lambda e: tl.pa_graph(e, unit_protos, labels, t), z)
         assert value == pytest.approx(want, rel=1e-12)
         assert rel(grad, want_grad) <= 1e-12
@@ -74,7 +74,7 @@ class TestIaGraph:
             z = rng.standard_normal((batch, dim))
             labels = rng.integers(0, 3, batch)
             t = rng.uniform(0.2, 1.5)
-            value, grad = ia(z, labels, t)
+            value, grad = ia(*normalize(z), labels, t)
             want, want_grad = tape(lambda e: tl.ia_graph(e, labels, t), z)
             assert value == pytest.approx(want, rel=1e-12)
             assert rel(grad, want_grad) <= 1e-12
@@ -84,7 +84,7 @@ class TestIaGraph:
         z = rng.standard_normal((3, 4))
         labels = np.array([0, 1, 2])
         assert tl.ia_graph(parameter(z), labels, 0.5).item() == 0.0
-        value, grad = ia(z, labels, 0.5)
+        value, grad = ia(*normalize(z), labels, 0.5)
         assert value == 0.0 and not grad.any()
 
     def test_gradient_matches_finite_differences(self):
@@ -100,6 +100,6 @@ class TestIaGraph:
 
         numeric = finite_diff_grad(value, z0.ravel()).reshape(z0.shape)
         assert rel(grad, numeric) <= 1e-7
-        closed = finite_diff_grad(lambda flat: ia(flat.reshape(z0.shape), labels, t)[0],
+        closed = finite_diff_grad(lambda flat: ia(*normalize(flat.reshape(z0.shape)), labels, t)[0],
                                   z0.ravel()).reshape(z0.shape)
-        assert rel(ia(z0, labels, t)[1], closed) <= 1e-7
+        assert rel(ia(*normalize(z0), labels, t)[1], closed) <= 1e-7

@@ -8,8 +8,7 @@ from skipalign.config import resolve_config
 from skipalign.heads import HeadWeights, compose
 from skipalign.net import init_params
 from skipalign.synthdata import generate
-from skipalign.trainer import (RunLog, TrainConfig, TrainingDiverged, audit_gate_flow,
-                               audit_loss_composition, loss_weights, lr_at, train)
+from skipalign.trainer import RunLog, TrainConfig, TrainingDiverged, loss_weights, lr_at, train
 
 
 def tiny_config(seed=0, **train_overrides):
@@ -23,6 +22,31 @@ def tiny_config(seed=0, **train_overrides):
         "train": {"epochs": 2, "iters_per_epoch": 6, "batch_size": 8, **train_overrides},
     }
     return resolve_config(raw)
+
+
+def audit_gate_flow(runlog: RunLog, tau_id: float, eta_id: float) -> None:
+    """Check every logged pull decision against the gate rule at the run's thresholds."""
+    for record in runlog.iterations:
+        detail = record["gate_detail"]
+        cc = np.asarray(detail["cc_conf"])
+        od = np.asarray(detail["od_conf"])
+        phi = np.asarray(detail["phi"])
+        expected = ((cc > tau_id) & (od > eta_id)).astype(np.int64)
+        if not np.array_equal(phi, expected):
+            raise AssertionError(f"gate mask inconsistent at step {record['step']}")
+
+
+def audit_loss_composition(runlog: RunLog, weights: dict, tol: float = 1e-12) -> float:
+    """Max deviation between logged composites and their recomposition under the
+    run's loss weights (`loss_weights` of its config)."""
+    worst = 0.0
+    for record in runlog.iterations:
+        logged = {**record["terms"], "total": record["total"]}
+        for name, value in compose(record["terms"], weights).items():
+            worst = max(worst, abs(value - logged[name]))
+        if worst > tol:
+            raise AssertionError(f"loss composition off by {worst} at step {record['step']}")
+    return worst
 
 
 class TestLrSchedule:
@@ -150,6 +174,36 @@ class TestTrainLoop:
         record = runlog.iterations[-1]
         recomposed = compose(record["terms"], loss_weights(cfg.train))["total"]
         assert record["total"] == pytest.approx(recomposed, abs=1e-12)
+
+    def test_per_step_work_is_done_once(self, monkeypatch):
+        # The per-row quantities once per step, the unit prototypes once per
+        # epoch (plus the final evaluation's), the parameter layout per spec.
+        import skipalign.net as net_mod
+        import skipalign.trainer as trainer_mod
+        from skipalign.prototypes import PrototypeSet
+
+        calls = dict.fromkeys(("step_rows", "unit_directions", "layout"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(trainer_mod, "step_rows", counted("step_rows", trainer_mod.step_rows))
+        monkeypatch.setattr(PrototypeSet, "unit_directions",
+                            counted("unit_directions", PrototypeSet.unit_directions))
+        monkeypatch.setattr(net_mod, "layout", counted("layout", net_mod.layout))
+        layout_calls = []
+        for iters in (2, 5):
+            calls.update(dict.fromkeys(calls, 0))
+            net_mod.offsets.cache_clear()
+            cfg = tiny_config(epochs=2, iters_per_epoch=iters)
+            train(generate(cfg.scenario), cfg.net, cfg.train)
+            assert calls["step_rows"] == 2 * iters
+            assert calls["unit_directions"] == 2 + 1
+            layout_calls.append(calls["layout"])
+        assert layout_calls[0] == layout_calls[1]
 
 
 class TestReducedConfigurations:
