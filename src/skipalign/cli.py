@@ -3,24 +3,25 @@
 Verbs:
   run       train + evaluate one configuration into a fresh run directory
   sweep     repeat a run across one axis (eta_id, r_u, loss_combo, lambda_sna)
-  eval      re-score a finished run's checkpoint
+  eval      re-score a complete run's checkpoint
   gradcheck execute the gradient-oracle suite
   golden    compare against (or regenerate, with --write) the golden files
 
-Every verb reads its config file through `config.read_raw`, exactly as
-written; the file and `--seed` are a run's only inputs. Run directories are
-content-addressed by config hash and seed; an existing directory is refused
-unless --force is given. A run's manifest is written first with status
-"running" and ends "complete", "diverged" or "error"; a failed run keeps its
-directory. Exit codes: 0 success, 1 a `golden` or `gradcheck` check failed,
-2 invalid config or usage (a missing, unreadable or misplaced path
-included), 3 training diverged.
+Every verb reads its config file through `config.read_raw` (`eval` reads the
+whole manifest with `read_json`), exactly as written; the file and `--seed`
+are a run's only inputs. Run directories are content-addressed by config
+hash and seed; an existing directory is refused unless --force is given. A
+run's manifest is written first with status "running" and ends "complete",
+"diverged" or "error"; a failed run keeps its directory. Exit codes: 0
+success, 1 a `golden` or `gradcheck` check failed, 2 invalid config or usage
+(a missing, unreadable or misplaced path included), 3 training diverged.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import shutil
 import sys
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .config import (ConfigError, ExperimentConfig, config_hash, default_config, load_config,
-                     read_raw, resolve_config)
+                     read_json, read_raw, resolve_config)
 from .metrics import (SCORE_RULES, EvalReport, evaluate, write_embedding_dump, write_eval_csv,
                       write_eval_json)
 from .linalg import unit_rows
@@ -254,18 +255,20 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
-    cfg = load_config(run_dir / "manifest.json")
+    manifest_path = run_dir / "manifest.json"
+    manifest = read_json(manifest_path)
+    status = manifest.get("status") if isinstance(manifest, dict) else None
+    if status != "complete":
+        raise ConfigError(str(manifest_path), f"status is {status!r}; eval re-scores complete runs")
+    cfg = resolve_config(manifest.get("config"))
     params = _load_artifact(load_checkpoint, run_dir / "checkpoint.json")
     if cfg.net != params.spec:
-        raise ConfigError(str(run_dir / "manifest.json"),
-                          "net does not match the spec in checkpoint.json")
+        raise ConfigError(str(manifest_path), "net does not match the spec in checkpoint.json")
     protos = _load_artifact(_load_prototypes, run_dir / "prototypes.json", params.spec)
     split = generate(cfg.scenario)
     rule = args.score_rule or cfg.train.score_rule
     report = evaluate(params, split, protos, score_rule=rule)
-    out_path = run_dir / f"rescore_{rule}.json"
-    write_eval_json(report, out_path)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(write_eval_json(report, run_dir / f"rescore_{rule}.json"))
     return 0
 
 
@@ -298,6 +301,7 @@ def _cmd_golden(args) -> int:
     return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="skipalign",
                                      description="open-set SSL experiment runner")
@@ -339,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as err:

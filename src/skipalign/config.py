@@ -136,16 +136,19 @@ def resolve_config(data: dict, seed_override: int | None = None) -> ExperimentCo
     return ExperimentConfig(seed=seed, scenario=scenario, net=net, train=train)
 
 
-def read_raw(path):
-    """The raw JSON of a config file or of a run manifest (its 'config' key)."""
+def read_json(path):
+    """A JSON file's data; bytes that are not JSON, or not UTF-8, raise ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except ValueError as err:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError("<file>", f"invalid JSON in {path}: {err}") from err
-    if isinstance(data, dict) and "config" in data:
-        data = data["config"]  # run manifests embed the resolved config
-    return data
+
+
+def read_raw(path):
+    """The raw JSON of a config file or of a run manifest (its 'config' key)."""
+    data = read_json(path)
+    return data["config"] if isinstance(data, dict) and "config" in data else data
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:

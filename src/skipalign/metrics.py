@@ -170,9 +170,11 @@ def evaluate(params: ParamState, split: Split, protos: PrototypeSet,
     )
 
 
-def write_eval_json(report: EvalReport, path) -> None:
+def write_eval_json(report: EvalReport, path) -> str:
+    text = json.dumps(report.to_dict(), indent=2)
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        fh.write(text)
+    return text
 
 
 def write_eval_csv(report: EvalReport, path) -> None:
@@ -186,6 +188,5 @@ def write_embedding_dump(params: ParamState, split: Split, path) -> None:
     """Per-test-sample rows (id, category, feature_norm, z_0..z_{d-1})."""
     out = forward(params, split.test_x)
     norms = np.linalg.norm(out.features, axis=1)
-    rows = zip(map(int, split.test_ids), split.test_category, map(float, norms))
     write_float_rows(path, ["id", "category", "feature_norm"], "z",
-                     [((f"{i},{c},{n!r}" for i, c, n in rows), out.embeddings)])
+                     [("{},{},{!r}", (split.test_ids, split.test_category, norms), out.embeddings)])

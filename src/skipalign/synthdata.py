@@ -10,12 +10,20 @@ Augmentations are additive-noise operators over the raw vectors.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import shutil
+import signal
+import tempfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-CHUNK_ROWS = 256  # rows write_float_rows turns into Python floats at once: bounds its memory
+CHUNK_ROWS = 256  # rows write_float_rows formats at once: bounds its memory
+# Fewest chunks in one of write_float_rows' ranges: on 2 cores a forked range of 1,000
+# rows was slower than formatting it in the process, one of 1,700 rows faster.
+RANGE_CHUNKS = 8
 MAX_PLACEMENT_TRIES = 500  # random directions tried per cluster mean before PlacementError
 
 
@@ -202,27 +210,74 @@ def augment_views(x: np.ndarray, kinds: list[str], rng: np.random.Generator,
             for kind in kinds}
 
 
+def _format_rows(out, parts, lo: int, hi: int) -> None:
+    """Write rows lo..hi-1, counted through the parts in order, CHUNK_ROWS at a time."""
+    for template, columns, block in parts:
+        for start in range(max(lo, 0), min(hi, len(block)), CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, hi, len(block))
+            fields = zip(*(c[start:stop].tolist() if isinstance(c, np.ndarray) else c[start:stop]
+                           for c in columns))
+            out.writelines(f"{template.format(*f)},{','.join(map(repr, row))}\r\n"
+                           for f, row in zip(fields, block[start:stop].tolist()))
+        lo, hi = lo - len(block), hi - len(block)
+
+
+def _fork_rows(tmp, encoding: str, parts, lo: int, hi: int) -> int:
+    """Fork a child that formats rows lo..hi-1 into tmp and exits 0; return its pid. The
+    child runs no BLAS call, never returns, and never flushes the files it inherited."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            with open(tmp.fileno(), "w", newline="", encoding=encoding, closefd=False) as out:
+                _format_rows(out, parts, lo, hi)
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
 def write_float_rows(path, columns: list[str], name: str, parts) -> None:
-    """Write a CSV with one line per block row: its prefix string, then its floats' repr
-    (columns name_0, ...). parts pairs an iterable of prefixes with each block. The bytes
-    are csv.writer's as long as no field needs quoting."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns + [f"{name}_{j}" for j in range(parts[0][1].shape[1])]) + "\r\n")
-        for prefixes, block in parts:  # both lazy, so no whole-file Python objects
-            rows = (row for start in range(0, len(block), CHUNK_ROWS)
-                    for row in block[start:start + CHUNK_ROWS].tolist())
-            fh.writelines(f"{p},{','.join(map(repr, row))}\r\n" for p, row in zip(prefixes, rows))
+    """Write a CSV with one line per block row: template.format(*its column values), then its
+    floats' repr (columns name_0, ...), for parts of (template, columns, block). The bytes are
+    csv.writer's as long as no field needs quoting. The rows go in one contiguous range per
+    usable core, of RANGE_CHUNKS chunks or more; forked children format all ranges but the
+    first into unnamed temporary files, appended in order. No child outlives the call."""
+    rows = sum(len(block) for _, _, block in parts)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = max(1, min(cores, rows // (RANGE_CHUNKS * CHUNK_ROWS)))
+    ranges = [(rows * k // workers, rows * (k + 1) // workers) for k in range(workers)]
+    children = {}  # range index -> (pid, temporary file) of its child, until reaped
+    with open(path, "w", newline="") as fh, contextlib.ExitStack() as temps:
+        try:
+            for k in range(1, workers):
+                tmp = temps.enter_context(tempfile.TemporaryFile(
+                    buffering=0, dir=os.path.dirname(os.path.abspath(path))))
+                with contextlib.suppress(OSError):
+                    children[k] = _fork_rows(tmp, fh.encoding, parts, *ranges[k]), tmp
+            fh.write(",".join(columns + [f"{name}_{j}" for j in range(parts[0][2].shape[1])])
+                     + "\r\n")
+            for k, (lo, hi) in enumerate(ranges):
+                status = os.waitpid(children[k][0], 0)[1] if k in children else None
+                tmp = children.pop(k, (None, None))[1]
+                if status == 0:
+                    fh.flush()
+                    tmp.seek(0)
+                    shutil.copyfileobj(tmp, fh.buffer)
+                else:
+                    _format_rows(fh, parts, lo, hi)
+        finally:
+            for pid, _ in children.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def write_split_csv(split: Split, path) -> None:
     """One row per sample: (split, id, category, label-or-blank, x_0..x_{d-1})."""
-    labeled = zip(map(int, split.labeled_ids), map(int, split.labeled_y))
-    unlabeled = zip(map(int, split.unlabeled_ids), split.unlabeled_category)
-    test = zip(map(int, split.test_ids), split.test_category)
     write_float_rows(path, ["split", "id", "category", "label"], "x", [
-        ((f"labeled,{i},id:{y},{y}" for i, y in labeled), split.labeled_x),
-        ((f"unlabeled,{i},{c}," for i, c in unlabeled), split.unlabeled_x),
-        ((f"test,{i},{c}," for i, c in test), split.test_x)])
+        ("labeled,{0},id:{1},{1}", (split.labeled_ids, split.labeled_y), split.labeled_x),
+        ("unlabeled,{},{},", (split.unlabeled_ids, split.unlabeled_category), split.unlabeled_x),
+        ("test,{},{},", (split.test_ids, split.test_category), split.test_x)])
 
 
 def write_manifest(split: Split, path) -> None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from skipalign import metrics
-from skipalign.cli import apply_axis, main, run_experiment, sweep
+from skipalign.cli import apply_axis, build_parser, main, run_experiment, sweep
 from skipalign.config import (ConfigError, config_hash, default_config, load_config,
                               resolve_config)
 from skipalign.trainer import TrainingDiverged
@@ -283,14 +283,18 @@ class TestCliRun:
 
 
 class TestCliEval:
-    def test_rescore_matches_original(self, tmp_path):
+    def test_rescore_matches_original(self, tmp_path, capsys):
         path = write_config(tmp_path, TINY_RAW)
         out_dir = tmp_path / "runs"
         assert main(["run", "--config", path, "--out", str(out_dir)]) == 0
         run_dir = next(out_dir.iterdir())
+        capsys.readouterr()
         assert main(["eval", "--run-dir", str(run_dir)]) == 0
-        assert ((run_dir / "rescore_ova_id_at_cc_argmax.json").read_bytes()
-                == (run_dir / "eval_report.json").read_bytes())
+        written = (run_dir / "rescore_ova_id_at_cc_argmax.json").read_bytes()
+        assert written == (run_dir / "eval_report.json").read_bytes()
+        # eval prints the text it wrote, and every call parses with the one parser.
+        assert capsys.readouterr().out == written.decode() + "\n"
+        assert build_parser() is build_parser()
 
     def test_rescore_with_alternative_rule(self, tmp_path):
         path = write_config(tmp_path, TINY_RAW)
@@ -388,6 +392,15 @@ def set_mu(change):
     return damage
 
 
+def set_status(status):
+    """A damage that marks manifest.json's run with another status."""
+    def damage(path):
+        payload = json.loads(path.read_text())
+        payload["status"] = status
+        path.write_text(json.dumps(payload))
+    return damage
+
+
 def add_spec_key(key, value):
     """A damage that adds one key to checkpoint.json's network spec, as a checkpoint
     written before that field was removed still carries it."""
@@ -465,6 +478,9 @@ class TestExitCodes:
         ("eval", ("manifest.json", set_both("num_classes", 3)), 2, "manifest.json"),
         ("eval", ("checkpoint.json", add_spec_key("proj_nonlinear", True)), 2,
          "checkpoint.json"),
+        ("eval", ("manifest.json", set_status("error")), 2, "manifest.json: status is 'error'"),
+        ("eval", ("manifest.json", set_status("running")), 2,
+         "manifest.json: status is 'running'"),
     ], ids=["zero-seeds", "negative-seed", "negative-scenario-seed", "negative-net-seed",
             "negative-train-seed", "seen-only-pool", "empty-pool", "no-id-test-rows",
             "unsatisfiable-separation", "string-epochs", "bool-epochs", "zero-epochs",
@@ -474,7 +490,8 @@ class TestExitCodes:
             "checkpoint-appended", "prototypes-appended", "manifest-appended",
             "prototypes-key-missing", "prototypes-missing", "prototypes-mu-column-dropped",
             "prototypes-mu-zero-rows", "prototypes-mu-string", "manifest-input-dim",
-            "manifest-num-classes", "checkpoint-spec-removed-key"])
+            "manifest-num-classes", "checkpoint-spec-removed-key", "eval-status-error",
+            "eval-status-running"])
     def test_exit_code(self, tmp_path, capsys, monkeypatch, finished_run, verb, change, code,
                        named):
         if verb == "run":

@@ -1,12 +1,18 @@
 import csv
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
+from skipalign import synthdata
+from skipalign.config import default_config
+from skipalign.metrics import write_embedding_dump
+from skipalign.net import forward, init_params
 from skipalign.synthdata import (CHUNK_ROWS, MAX_PLACEMENT_TRIES, PlacementError, ScenarioSpec,
                                  Split, augment, generate, write_split_csv)
+from test_metrics import reference_embedding_dump
 
 SMALL = ScenarioSpec(input_dim=6, num_classes=3, labels_per_class=5,
                      unlabeled_id_per_class=8, unlabeled_seen_per_cluster=6,
@@ -359,3 +365,137 @@ class TestSerialization:
         write_split_csv(split, path)
         header = path.read_text().splitlines()[0]
         assert header.startswith("split,id,category,label,x_0")
+
+
+def force_workers(monkeypatch, cores, chunk_rows):
+    """Make write_float_rows see `cores` usable cores and cut `chunk_rows`-row chunks.
+    Returns the list of the first row of each range handed to a child."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(synthdata, "CHUNK_ROWS", chunk_rows)
+    starts = []
+    fork_rows = synthdata._fork_rows
+
+    def recording(tmp, encoding, parts, lo, hi):
+        starts.append(lo)
+        return fork_rows(tmp, encoding, parts, lo, hi)
+    monkeypatch.setattr(synthdata, "_fork_rows", recording)
+    return starts
+
+
+def default_params_and_split():
+    cfg = default_config()
+    return init_params(cfg.net), generate(cfg.scenario)
+
+
+def assert_split_bytes(split, tmp_path):
+    write_split_csv(split, tmp_path / "split.csv")
+    reference_split_csv(split, tmp_path / "reference.csv")
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+class TestSplitWriter:
+    """write_float_rows cuts its rows into one range per usable core and has forked
+    children format all but the first; the bytes stay the single writer's."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
+    def test_bytes_for_any_worker_count(self, tmp_path, monkeypatch, cores):
+        starts = force_workers(monkeypatch, cores, 16)
+        default = generate(ScenarioSpec())  # 100 labeled, 600 unlabeled, 450 test rows
+        for split in (default, with_edge_floats(default)):
+            starts.clear()
+            assert_split_bytes(split, tmp_path)
+            assert len(starts) == cores - 1
+            # every range starts inside a part, and inside one of its 16-row chunks
+            assert all(start % 16 and start not in (100, 700) for start in starts)
+        # 100 labeled, 350 unlabeled and 450 test rows: 2 and 4 ranges start one where
+        # the test part starts.
+        boundary = dataclasses.replace(default, unlabeled_x=default.unlabeled_x[:350],
+                                       unlabeled_ids=default.unlabeled_ids[:350],
+                                       unlabeled_category=default.unlabeled_category[:350])
+        starts.clear()
+        assert_split_bytes(boundary, tmp_path)
+        assert len(starts) == cores - 1
+        assert (450 in starts) == (cores in (2, 4))
+
+        params, split = default_params_and_split()
+        out = forward(params, split.test_x)
+        z = out.embeddings.copy()
+        z.flat[:len(EDGE_FLOATS)] = EDGE_FLOATS
+        norms = np.resize(EDGE_FLOATS, (split.test_x.shape[0], 1))
+        edge_out = dataclasses.replace(out, features=norms, embeddings=z)
+        monkeypatch.setattr(synthdata, "CHUNK_ROWS", 8)
+        for case_out in (out, edge_out):
+            starts.clear()
+            monkeypatch.setattr("skipalign.metrics.forward", lambda p, x: case_out)
+            write_embedding_dump(params, split, tmp_path / "emb.csv")
+            reference_embedding_dump(case_out, split, tmp_path / "reference.csv")
+            assert (tmp_path / "emb.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+            assert len(starts) == cores - 1
+
+    def test_failed_fork_gives_the_same_bytes(self, tmp_path, monkeypatch):
+        force_workers(monkeypatch, 4, 16)
+
+        def failing_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert_split_bytes(generate(ScenarioSpec()), tmp_path)
+
+    def test_failed_child_gives_the_same_bytes_or_error(self, tmp_path, monkeypatch):
+        starts = force_workers(monkeypatch, 4, 16)
+        parent, format_rows = os.getpid(), synthdata._format_rows
+        split = generate(ScenarioSpec())
+
+        # The children of the second and fourth of four ranges fail: the parent formats
+        # those two between the bytes of the first and third.
+        def failing_in_two_children(out, parts, lo, hi):
+            if os.getpid() != parent and lo in starts[::2]:
+                raise RuntimeError("formatting failed in a child")
+            format_rows(out, parts, lo, hi)
+        monkeypatch.setattr(synthdata, "_format_rows", failing_in_two_children)
+        assert_split_bytes(split, tmp_path)
+        assert len(starts) == 3
+
+        # Formatting that fails past the first range fails in the parent too, with its type.
+        def failing_past_first(out, parts, lo, hi):
+            if lo > 0:
+                raise KeyError("formatting failed")
+            format_rows(out, parts, lo, hi)
+        monkeypatch.setattr(synthdata, "_format_rows", failing_past_first)
+        with pytest.raises(KeyError, match="formatting failed"):
+            write_split_csv(split, tmp_path / "failed.csv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "failed.csv", "reference.csv", "split.csv"]
+
+    def test_parent_error_leaves_no_child_or_file(self, tmp_path, monkeypatch):
+        starts = force_workers(monkeypatch, 4, 16)
+        parent, format_rows = os.getpid(), synthdata._format_rows
+
+        def failing_in_parent(out, parts, lo, hi):
+            if os.getpid() == parent:
+                raise PermissionError(13, "Permission denied")
+            format_rows(out, parts, lo, hi)
+        monkeypatch.setattr(synthdata, "_format_rows", failing_in_parent)
+        with pytest.raises(PermissionError):
+            write_split_csv(generate(ScenarioSpec()), tmp_path / "split.csv")
+        assert len(starts) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert [p.name for p in tmp_path.iterdir()] == ["split.csv"]
+
+    def test_small_blocks_never_fork(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+
+        def no_fork():
+            pytest.fail("a block too small for two ranges forked")
+        monkeypatch.setattr(os, "fork", no_fork)
+        write_split_csv(generate(SMALL), tmp_path / "split.csv")
+        params, default = default_params_and_split()
+        assert default.test_x.shape[0] < 2 * synthdata.RANGE_CHUNKS * CHUNK_ROWS
+        write_embedding_dump(params, default, tmp_path / "emb.csv")
+        # 447 test rows are one short of two ranges of RANGE_CHUNKS 28-row chunks.
+        monkeypatch.setattr(synthdata, "CHUNK_ROWS", 28)
+        rows = 2 * synthdata.RANGE_CHUNKS * 28 - 1
+        short = dataclasses.replace(default, test_x=default.test_x[:rows],
+                                    test_ids=default.test_ids[:rows],
+                                    test_category=default.test_category[:rows])
+        write_embedding_dump(params, short, tmp_path / "emb.csv")
