@@ -4,10 +4,13 @@ The OOD scoring rule is deliberately a tagged choice (the detector's ID
 probability at the classifier's argmax class by default) and the report
 names the rule it used. AUROC is the Mann-Whitney statistic, ties worth one
 half, counted exactly from one sort of the OOD scores. Test rows are grouped
-once, by their distinct category names, and every per-category figure reads
-that grouping, so no step is quadratic in the test split and no Python runs
-per test row. Feature norms and the detector's ID probabilities are
-computed here, from the features and logits of the forward.
+once, by a code per distinct category name in order of first appearance, and
+every per-category figure reads that grouping, so no step is quadratic in the
+test split and no Python runs per test row. The split is forwarded in
+balanced row ranges of at most FORWARD_CHUNK_ROWS, each reduced at once to
+the per-row figures (prediction, score, feature norm, best prototype cosine),
+so memory is one range's activations plus 1-D arrays over the split, and the
+bytes are those of one forward over all rows.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ from .prototypes import PrototypeSet, proto_similarity_profile
 from .synthdata import Split, write_float_rows
 
 SCORE_RULES = ("ova_id_at_cc_argmax", "max_cc_softmax", "max_ova_id", "feature_norm")
+# Most test rows one forward takes: bounds the memory of a pass over the test split. At
+# least 3, so balanced ranges have two rows or more unless the split has one: numpy hands
+# a one-row product to BLAS gemv, whose bits differ from gemm's. 256 rows ran slower.
+FORWARD_CHUNK_ROWS = 1024
 
 
 def ood_score(ova_probs: np.ndarray, cc_probs: np.ndarray, rule: str = "ova_id_at_cc_argmax",
@@ -118,33 +125,48 @@ def _coarse_category(cat: str) -> str:
     return "unseen_ood"
 
 
+def _forward_ranges(params: ParamState, x: np.ndarray):
+    """(lo, hi, forward of rows lo..hi-1) over balanced contiguous ranges of at most
+    FORWARD_CHUNK_ROWS rows, so a pass over a large split holds one range's activations."""
+    n = x.shape[0]
+    k = -(-n // FORWARD_CHUNK_ROWS)
+    for i in range(k):
+        lo, hi = n * i // k, n * (i + 1) // k
+        yield lo, hi, forward(params, x[lo:hi])
+
+
 def evaluate(params: ParamState, split: Split, protos: PrototypeSet,
              score_rule: str = "ova_id_at_cc_argmax") -> EvalReport:
     """Score the test split of a scenario against a frozen parameter state."""
-    if split.test_x.shape[0] == 0:
+    n = split.test_x.shape[0]
+    if n == 0:
         raise ValueError("test split is empty")
-    out = forward(params, split.test_x)
-    cc_probs = softmax_rows(out.cc_logits)
-
-    # Each distinct category name is parsed once; its rows index it. The
-    # coarse categories keep the order of their first test row.
-    names, first, row_name = np.unique(np.asarray(split.test_category), return_index=True,
-                                       return_inverse=True)
-    names = names.tolist()
+    # Each distinct category name is parsed once; its code, in order of first
+    # appearance, indexes it, so the coarse categories keep that order too.
+    index = {name: k for k, name in enumerate(dict.fromkeys(split.test_category))}
+    names = list(index)
+    row_name = np.fromiter(map(index.__getitem__, split.test_category), dtype=np.intp, count=n)
     coarse = np.array([_coarse_category(name) for name in names])
-    kinds = sorted(set(coarse.tolist()), key=lambda kind: first[coarse == kind].min())
-    groups = {kind: (coarse == kind)[row_name] for kind in kinds}
+    groups = {kind: (coarse == kind)[row_name] for kind in dict.fromkeys(coarse.tolist())}
     if "id" not in groups:
         raise ValueError("test split has no in-distribution rows")
     id_rows = groups["id"]
     true_class = np.array([int(name.split(":")[1]) if kind == "id" else -1
                            for name, kind in zip(names, coarse)])[row_name]
-    pred = np.argmax(cc_probs, axis=1)
+
+    pred = np.empty(n, dtype=np.intp)
+    scores, norms, max_cos = np.empty(n), np.empty(n), np.empty(n)
+    unit_protos = protos.unit_directions()
+    for lo, hi, out in _forward_ranges(params, split.test_x):
+        cc_probs = softmax_rows(out.cc_logits)
+        pred[lo:hi] = np.argmax(cc_probs, axis=1)
+        norms[lo:hi] = np.linalg.norm(out.features, axis=1)
+        scores[lo:hi] = ood_score(id_probs(out.id_logits, out.ood_logits), cc_probs,
+                                  rule=score_rule, feature_norms=norms[lo:hi])
+        max_cos[lo:hi] = proto_similarity_profile(EmbeddingBatch(out.embeddings),
+                                                  unit_protos).max(axis=1)
     accuracy = float((pred[id_rows] == true_class[id_rows]).mean())
 
-    norms = np.linalg.norm(out.features, axis=1)
-    scores = ood_score(id_probs(out.id_logits, out.ood_logits), cc_probs, rule=score_rule,
-                       feature_norms=norms)
     id_scores = scores[id_rows]
     sources: dict[str, float] = {}
     if "seen_ood" in groups:
@@ -159,7 +181,6 @@ def evaluate(params: ParamState, split: Split, protos: PrototypeSet,
     seen_auc = sources.get("seen", float("nan"))
     overall = float(np.mean(list(sources.values()))) if sources else float("nan")
 
-    max_cos = proto_similarity_profile(EmbeddingBatch(out.embeddings), protos).max(axis=1)
     return EvalReport(
         accuracy=accuracy, score_rule=score_rule, auroc_per_source=sources,
         seen_auc=seen_auc, unseen_auc=unseen_auc, overall_auc=overall,
@@ -186,7 +207,9 @@ def write_eval_csv(report: EvalReport, path) -> None:
 
 def write_embedding_dump(params: ParamState, split: Split, path) -> None:
     """Per-test-sample rows (id, category, feature_norm, z_0..z_{d-1})."""
-    out = forward(params, split.test_x)
-    norms = np.linalg.norm(out.features, axis=1)
+    n = split.test_x.shape[0]
+    z, norms = np.empty((n, params.spec.embed_dim)), np.empty(n)
+    for lo, hi, out in _forward_ranges(params, split.test_x):
+        z[lo:hi], norms[lo:hi] = out.embeddings, np.linalg.norm(out.features, axis=1)
     write_float_rows(path, ["id", "category", "feature_norm"], "z",
-                     [("{},{},{!r}", (split.test_ids, split.test_category, norms), out.embeddings)])
+                     [("{},{},{!r}", (split.test_ids, split.test_category, norms), z)])

@@ -91,8 +91,9 @@ def initial_prototypes(labeled: EmbeddingBatch, gamma: float,
     return refresh(labeled, None, gamma=gamma, r_u=0.0, num_classes=num_classes)
 
 
-def proto_similarity_profile(batch: EmbeddingBatch, protos: PrototypeSet) -> np.ndarray:
-    """(B, K) cosine similarity of every embedding against every prototype."""
-    if batch.dim != protos.mu.shape[1]:
-        raise ValueError(f"dimension mismatch: {batch.dim} vs {protos.mu.shape[1]}")
-    return unit_rows(batch.vectors) @ protos.unit_directions().T
+def proto_similarity_profile(batch: EmbeddingBatch, unit_protos: np.ndarray) -> np.ndarray:
+    """(B, K) cosine similarity of every embedding against every prototype, given the
+    prototypes' `unit_directions`."""
+    if batch.dim != unit_protos.shape[1]:
+        raise ValueError(f"dimension mismatch: {batch.dim} vs {unit_protos.shape[1]}")
+    return unit_rows(batch.vectors) @ unit_protos.T

@@ -149,8 +149,9 @@ def generate(spec: ScenarioSpec) -> Split:
 
     Each part is one pass over the `_place_means` cluster table, in its order,
     drawing the part's rows-per-cluster count for the cluster's kind (none for
-    a kind the part lacks). Ids count up through the labeled, unlabeled and
-    test parts; a row's category is "<kind>:<index>" and its label the index.
+    a kind the part lacks) into one preallocated array per part. Ids count up
+    through the labeled, unlabeled and test parts; a row's category is
+    "<kind>:<index>" and its label the index.
     """
     rng = np.random.default_rng(spec.seed)
     clusters = _place_means(spec, rng)
@@ -162,16 +163,19 @@ def generate(spec: ScenarioSpec) -> Split:
     }
     parts, counts = [], {}
     for part, per_kind in rows_per_cluster.items():
-        x, labels, category = [], [], []
-        for kind, index, mean, scale in clusters:
-            n = per_kind.get(kind, 0)
-            x.append(mean + scale * rng.standard_normal((n, spec.input_dim)))
-            labels.append(np.full(n, index, dtype=np.int64))
+        sizes = [per_kind.get(kind, 0) for kind, *_ in clusters]
+        first, rows = sum(counts.values()), sum(sizes)
+        counts[part] = rows
+        x, labels, category = np.empty((rows, spec.input_dim)), np.empty(rows, np.int64), []
+        hi = 0
+        for (kind, index, mean, scale), n in zip(clusters, sizes):
+            lo, hi = hi, hi + n
+            block = rng.standard_normal((n, spec.input_dim))
+            np.multiply(scale, block, out=block)
+            np.add(mean, block, out=x[lo:hi])  # mean + scale * draw, the same floats
+            labels[lo:hi] = index
             category += [f"{kind}:{index}"] * n
-        first = sum(counts.values())
-        counts[part] = len(category)
-        ids = np.arange(first, first + len(category), dtype=np.int64)
-        parts.append((np.vstack(x), ids, np.concatenate(labels), category))
+        parts.append((x, np.arange(first, first + rows, dtype=np.int64), labels, category))
     (lx, lids, ly, _), (ux, uids, _, ucat), (tx, tids, _, tcat) = parts
 
     manifest = {

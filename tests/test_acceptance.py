@@ -3,6 +3,7 @@
 Each test prints one [PASS] line on success (visible with pytest -s / -rA).
 The multi-run criteria train on the default scenario across three seeds;
 the geometry, determinism, and sanity criteria share one default seed-0 run.
+A resolved config trains once: runs are shared by config hash.
 """
 
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skipalign.config import default_config, resolve_config
+from skipalign.config import config_hash, default_config, resolve_config
 from skipalign.metrics import auroc, evaluate, write_eval_csv
 from skipalign.oracles import (ce_feature_gradient_check, full_model_gradient_check,
                                usna_gradient_check)
@@ -24,6 +25,21 @@ from skipalign.trainer import train
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
+# config_hash -> (split, params, final prototypes, final report) of its training:
+# each distinct resolved config trains once per session. Criterion 6's "all",
+# criterion 8's eta_id 0.5 and default_run are the default config at seeds 0 to 2.
+_RUNS: dict[str, tuple] = {}
+
+
+def trained(cfg):
+    key = config_hash(cfg)
+    if key not in _RUNS:
+        split = generate(cfg.scenario)
+        params, runlog = train(split, cfg.net, cfg.train)
+        _RUNS[key] = (split, params, runlog.final_prototypes, runlog.final_report)
+    return _RUNS[key]
+
+
 def train_and_eval(seed: int, sna_combo: dict | None = None, eta_id: float | None = None):
     """The report of the default scenario at one seed: train evaluates its last epoch."""
     raw: dict = {"seed": seed, "train": {}}
@@ -31,21 +47,16 @@ def train_and_eval(seed: int, sna_combo: dict | None = None, eta_id: float | Non
         raw["train"]["sna"] = sna_combo
     if eta_id is not None:
         raw["train"]["eta_id"] = eta_id
-    cfg = resolve_config(raw)
-    split = generate(cfg.scenario)
-    _, runlog = train(split, cfg.net, cfg.train)
-    return runlog.final_report
+    return trained(resolve_config(raw))[3]
 
 
 @pytest.fixture(scope="module")
 def default_run():
     cfg = default_config(seed=0)
-    split = generate(cfg.scenario)
-    params, runlog = train(split, cfg.net, cfg.train)
+    split, params, protos, report = trained(cfg)
     # the last epoch's report is the one a fresh evaluation of the result gives
-    assert evaluate(params, split, runlog.final_prototypes,
-                    score_rule=cfg.train.score_rule) == runlog.final_report
-    return runlog.final_report
+    assert evaluate(params, split, protos, score_rule=cfg.train.score_rule) == report
+    return report
 
 
 def test_criterion_01_gradient_oracle_suite():

@@ -19,7 +19,7 @@ def cosine_sim(a, b) -> float:
     """Cosine similarity as the prototype similarity profile computes it."""
     batch = EmbeddingBatch(np.asarray([a], dtype=np.float64))
     protos = PrototypeSet.from_means(np.asarray([b], dtype=np.float64))
-    return float(proto_similarity_profile(batch, protos)[0, 0])
+    return float(proto_similarity_profile(batch, protos.unit_directions())[0, 0])
 
 
 def tangential_project(z, v) -> np.ndarray:

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+from skipalign import metrics
 from skipalign.config import default_config
 from skipalign.heads import id_probs
-from skipalign.metrics import auroc, evaluate, ood_score, write_embedding_dump, write_eval_csv
+from skipalign.metrics import (_forward_ranges, auroc, evaluate, ood_score, write_embedding_dump,
+                               write_eval_csv)
 from skipalign.linalg import softmax_rows
 from skipalign.net import ForwardResult, forward, init_params
 from skipalign.prototypes import PrototypeSet
@@ -175,16 +177,24 @@ class TestOodScore:
 
 def evaluate_outputs(monkeypatch, setup, categories, features, embeddings, protos):
     """`evaluate`'s report when the forward returns the given features and
-    embeddings (and all-zero logits) for test rows of the given categories."""
+    embeddings (and all-zero logits) for test rows of the given categories.
+    Test row i holds the value i, so the fake forward serves any row range."""
     params, split, _ = setup
     n = len(categories)
+    features = np.asarray(features, dtype=np.float64)
+    embeddings = np.asarray(embeddings, dtype=np.float64)
     logits = np.zeros((n, params.spec.num_classes))
-    out = ForwardResult(features=np.asarray(features, dtype=np.float64),
-                        embeddings=np.asarray(embeddings, dtype=np.float64),
-                        cc_logits=logits, id_logits=logits, ood_logits=logits)
-    monkeypatch.setattr("skipalign.metrics.forward", lambda p, x: out)
-    rows = dataclasses.replace(split, test_x=np.zeros((n, split.test_x.shape[1])),
-                               test_ids=np.arange(n), test_category=list(categories))
+
+    def fake_forward(p, x):
+        rows = x[:, 0].astype(np.intp)
+        return ForwardResult(features=features[rows], embeddings=embeddings[rows],
+                             cc_logits=logits[rows], id_logits=logits[rows],
+                             ood_logits=logits[rows])
+
+    monkeypatch.setattr("skipalign.metrics.forward", fake_forward)
+    test_x = np.repeat(np.arange(n, dtype=np.float64)[:, None], split.test_x.shape[1], axis=1)
+    rows = dataclasses.replace(split, test_x=test_x, test_ids=np.arange(n),
+                               test_category=list(categories))
     return evaluate(params, rows, protos)
 
 
@@ -360,3 +370,116 @@ class TestEvaluate:
         assert report.missing_categories == ["seen_ood"]
         assert "seen" not in report.auroc_per_source
         assert list(report.counts) == ["id", "unseen_ood"]
+
+
+def range_bounds(monkeypatch, n):
+    """The (lo, hi) row ranges `_forward_ranges` forwards for an n-row split."""
+    monkeypatch.setattr("skipalign.metrics.forward", lambda p, x: None)
+    return [(lo, hi) for lo, hi, _ in _forward_ranges(None, np.empty((n, 1)))]
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes `fn(*args)` allocates, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def large_split():
+    """An 18,000-row test split: 4 ID, 2 seen and 3 unseen clusters of 2,000 rows."""
+    return generate(small_scenario(test_id_per_class=2000, test_seen_per_cluster=2000,
+                                   test_unseen_per_cluster=2000))
+
+
+class TestForwardRanges:
+    """`evaluate` and the embedding dump forward the test split in balanced row
+    ranges; the ranges change neither the report nor the dump's bytes."""
+
+    @pytest.mark.parametrize("chunk", [3, 4, 7, 64, metrics.FORWARD_CHUNK_ROWS])
+    def test_ranges_are_balanced_contiguous_and_never_one_row(self, monkeypatch, chunk):
+        monkeypatch.setattr(metrics, "FORWARD_CHUNK_ROWS", chunk)
+        assert range_bounds(monkeypatch, 0) == []
+        for n in list(range(1, 5 * chunk + 2)) + [18_000]:
+            bounds = range_bounds(monkeypatch, n)
+            lengths = [hi - lo for lo, hi in bounds]
+            assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+            assert bounds[-1][1] == n
+            assert max(lengths) <= chunk and max(lengths) - min(lengths) <= 1
+            assert n == 1 or min(lengths) >= 2, (n, lengths)
+
+    @pytest.mark.parametrize("chunk_for", [lambda n: 2, lambda n: 7, lambda n: n - 1],
+                             ids=["2", "7", "n-1"])
+    def test_ranges_keep_report_and_dump_bytes(self, setup, tmp_path, monkeypatch, chunk_for):
+        params, split, protos = setup
+        n = split.test_x.shape[0]
+        assert n % 2 == 0  # ranges of 2 rows cover it; n - 1 rows leave a (k*c + 1)-row split
+        whole = evaluate(params, split, protos)
+        write_embedding_dump(params, split, tmp_path / "whole.csv")
+
+        chunk = chunk_for(n)
+        monkeypatch.setattr(metrics, "FORWARD_CHUNK_ROWS", chunk)
+        lengths = []
+
+        def recording(p, x):
+            lengths.append(x.shape[0])
+            return forward(p, x)
+
+        monkeypatch.setattr("skipalign.metrics.forward", recording)
+        report = evaluate(params, split, protos)
+        write_embedding_dump(params, split, tmp_path / "ranges.csv")
+        assert len(lengths) > 2 and all(2 <= m <= chunk for m in lengths)
+        assert report == whole
+        assert report.csv_rows() == whole.csv_rows()
+        assert (tmp_path / "ranges.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_large_split_keeps_report_and_dump_bytes(self, setup, large_split, tmp_path,
+                                                     monkeypatch):
+        params, _, protos = setup
+        ranged = evaluate(params, large_split, protos)
+        write_embedding_dump(params, large_split, tmp_path / "ranges.csv")
+        monkeypatch.setattr(metrics, "FORWARD_CHUNK_ROWS", large_split.test_x.shape[0])
+        assert evaluate(params, large_split, protos).csv_rows() == ranged.csv_rows()
+        write_embedding_dump(params, large_split, tmp_path / "whole.csv")
+        assert (tmp_path / "ranges.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_one_row_split(self, setup, tmp_path):
+        params, split, protos = setup
+        one = dataclasses.replace(split, test_x=split.test_x[:1], test_ids=split.test_ids[:1],
+                                  test_category=split.test_category[:1])
+        report = evaluate(params, one, protos)
+        out = forward(params, one.test_x)
+        assert report.counts == {"id": 1}
+        assert report.norm_by_category == {"id": np.linalg.norm(out.features, axis=1)[0]}
+        assert report.missing_categories == ["seen_ood", "unseen_ood"]
+        write_embedding_dump(params, one, tmp_path / "emb.csv")
+        reference_embedding_dump(out, one, tmp_path / "reference.csv")
+        assert (tmp_path / "emb.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_geometry_stats_across_a_range_boundary(self, setup, monkeypatch):
+        protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
+        f = np.arange(1.0, 13.0).reshape(6, 2)
+        cats = ["seen:0", "id:0", "seen:1", "unseen:0", "id:1", "seen:0"]
+        whole = evaluate_outputs(monkeypatch, setup, cats, f, f, protos)
+        monkeypatch.setattr(metrics, "FORWARD_CHUNK_ROWS", 4)
+        assert evaluate_outputs(monkeypatch, setup, cats, f, f, protos) == whole
+        assert whole.counts == {"seen_ood": 3, "id": 2, "unseen_ood": 1}
+
+
+class TestEvaluationMemory:
+    """A pass over an 18,000-row split holds one range's activations and 1-D
+    per-row arrays; one forward over all 18,000 rows peaked near 9 MB in either."""
+
+    def test_evaluate_peak_is_bounded(self, setup, large_split):
+        params, split, protos = setup
+        evaluate(params, split, protos)  # first-call allocations are not the pass's
+        assert traced_peak(evaluate, params, large_split, protos) < 3_000_000
+
+    def test_embedding_dump_peak_is_bounded(self, setup, large_split, tmp_path):
+        params, split, _ = setup
+        write_embedding_dump(params, split, tmp_path / "small.csv")
+        assert traced_peak(write_embedding_dump, params, large_split,
+                           tmp_path / "emb.csv") < 3_000_000

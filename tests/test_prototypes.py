@@ -137,22 +137,24 @@ class TestInitialPrototypes:
 class TestSimilarityProfile:
     def test_prototype_itself_scores_one(self):
         protos = PrototypeSet.from_means(np.array([[2.0, 0.0], [0.0, 3.0]]))
-        sims = proto_similarity_profile(EmbeddingBatch(np.array([[4.0, 0.0]])), protos)
+        sims = proto_similarity_profile(EmbeddingBatch(np.array([[4.0, 0.0]])),
+                                        protos.unit_directions())
         assert sims[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_embedding_scores_zero(self):
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         sims = proto_similarity_profile(
-            EmbeddingBatch(np.array([[0.0, 0.0, 5.0]])), protos)
+            EmbeddingBatch(np.array([[0.0, 0.0, 5.0]])), protos.unit_directions())
         np.testing.assert_allclose(sims, 0.0, atol=1e-12)
 
     def test_diagonal_mix_hand_value(self):
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0], [0.0, 1.0]]))
         z = np.array([[1.0, 1.0]])
-        sims = proto_similarity_profile(EmbeddingBatch(z), protos)
+        sims = proto_similarity_profile(EmbeddingBatch(z), protos.unit_directions())
         np.testing.assert_allclose(sims, 1 / math.sqrt(2), atol=1e-12)
 
     def test_degenerate_row_rejected(self):
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError, match="degenerate"):
-            proto_similarity_profile(EmbeddingBatch(np.array([[0.0, 0.0]])), protos)
+            proto_similarity_profile(EmbeddingBatch(np.array([[0.0, 0.0]])),
+                                     protos.unit_directions())

@@ -12,7 +12,7 @@ from skipalign.metrics import write_embedding_dump
 from skipalign.net import forward, init_params
 from skipalign.synthdata import (CHUNK_ROWS, MAX_PLACEMENT_TRIES, PlacementError, ScenarioSpec,
                                  Split, augment, generate, write_split_csv)
-from test_metrics import reference_embedding_dump
+from test_metrics import reference_embedding_dump, small_scenario, traced_peak
 
 SMALL = ScenarioSpec(input_dim=6, num_classes=3, labels_per_class=5,
                      unlabeled_id_per_class=8, unlabeled_seen_per_cluster=6,
@@ -245,6 +245,16 @@ class TestDrawOrder:
                 assert json.dumps(got) == json.dumps(want)
             else:
                 assert got == want, f.name
+
+
+class TestGenerateMemory:
+    def test_each_part_is_filled_in_place(self):
+        # The 18,000-row test part's x is 2.3 MB; a list of cluster blocks
+        # stacked after drawing peaked at 5.2 MB.
+        large = small_scenario(test_id_per_class=2000, test_seen_per_cluster=2000,
+                               test_unseen_per_cluster=2000)
+        generate(SMALL)  # first-call allocations are not generate's
+        assert traced_peak(generate, large) < 4_000_000
 
 
 class TestSpecValidation:
