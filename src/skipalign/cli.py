@@ -35,7 +35,7 @@ from .config import (ConfigError, ExperimentConfig, config_hash, default_config,
                      read_json, read_raw, resolve_config)
 from .metrics import (SCORE_RULES, EvalReport, evaluate, write_embedding_dump, write_eval_csv,
                       write_eval_json)
-from .linalg import unit_rows
+from .linalg import as_matrix, normalize
 from .net import NetSpec, load_checkpoint, save_checkpoint
 from .prototypes import PrototypeSet
 from .sna import LOSS_COMBOS
@@ -156,7 +156,7 @@ def _load_prototypes(path: Path, spec: NetSpec) -> PrototypeSet:
     if mu.shape != (spec.num_classes, spec.embed_dim):
         raise ValueError(f"mu has shape {mu.shape}, the checkpoint needs "
                          f"({spec.num_classes}, {spec.embed_dim})")
-    unit_rows(mu)  # finite, and no degenerate row
+    normalize(as_matrix(mu))  # finite, and no degenerate row
     return PrototypeSet(
         mu=mu, mu_labeled=np.array(payload["mu_labeled"]),
         mu_unlabeled=np.array(payload["mu_unlabeled"]),
@@ -260,14 +260,21 @@ def _cmd_eval(args) -> int:
     status = manifest.get("status") if isinstance(manifest, dict) else None
     if status != "complete":
         raise ConfigError(str(manifest_path), f"status is {status!r}; eval re-scores complete runs")
-    cfg = resolve_config(manifest.get("config"))
+    try:
+        cfg = resolve_config(manifest.get("config"))
+    except ConfigError as err:
+        raise ConfigError(str(manifest_path), f"config: {err}") from err
     params = _load_artifact(load_checkpoint, run_dir / "checkpoint.json")
     if cfg.net != params.spec:
         raise ConfigError(str(manifest_path), "net does not match the spec in checkpoint.json")
     protos = _load_artifact(_load_prototypes, run_dir / "prototypes.json", params.spec)
     split = generate(cfg.scenario)
     rule = args.score_rule or cfg.train.score_rule
-    report = evaluate(params, split, protos, score_rule=rule)
+    try:
+        report = evaluate(params, split, protos, score_rule=rule)
+    except ValueError as err:  # parameters that load but overflow or zero a row
+        raise ConfigError(str(run_dir / "checkpoint.json"),
+                          f"cannot be evaluated: {err}") from err
     print(write_eval_json(report, run_dir / f"rescore_{rule}.json"))
     return 0
 

@@ -62,7 +62,8 @@ def two_way(id_logits: np.ndarray, ood_logits: np.ndarray):
     """The per-class (ID, OOD) softmax of every row: (log_p_id, log_p_ood, p_id, id_prob).
 
     The log-probabilities stay finite where a probability underflows; p_id is
-    exp(log_p_id), which the losses read, and id_prob is `id_probs`, the gate's.
+    exp(log_p_id), which the losses read, and id_prob is e_id / (e_id + e_ood), which
+    the dual gate and the OOD scores read.
     """
     shift = np.maximum(id_logits, ood_logits)
     e_id = np.exp(id_logits - shift)
@@ -70,13 +71,6 @@ def two_way(id_logits: np.ndarray, ood_logits: np.ndarray):
     log_z = np.log(total) + shift
     log_p_id = id_logits - log_z
     return log_p_id, ood_logits - log_z, np.exp(log_p_id), e_id / total
-
-
-def id_probs(id_logits: np.ndarray, ood_logits: np.ndarray) -> np.ndarray:
-    """The two-way softmax probability of ID for each per-class (ID, OOD) logit pair."""
-    shift = np.maximum(id_logits, ood_logits)
-    e_id = np.exp(id_logits - shift)
-    return e_id / (e_id + np.exp(ood_logits - shift))
 
 
 def ce(log_p, labels) -> tuple[float, np.ndarray]:

@@ -2,7 +2,7 @@
 
 Vectors are 1-D numpy arrays, matrices 2-D row-major numpy arrays.
 `as_matrix` checks the shape and finiteness of outside input. The
-kernels a training step runs check only for faults: `unit_rows` rejects a
+kernels a training step runs check only for faults: `normalize` rejects a
 zero row rather than clamp it, which would hide an upstream bug.
 """
 
@@ -26,22 +26,12 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
-def unit_rows(m: np.ndarray) -> np.ndarray:
-    """Row-normalized copy of a matrix; any near-zero row is an error."""
-    m = as_matrix(m)
-    norms = np.linalg.norm(m, axis=1)
-    if np.any(norms < MIN_NORM):
-        bad = int(np.argmin(norms))
-        raise ValueError(f"degenerate vector: row {bad} has norm below 1e-30")
-    return m / norms[:, None]
-
-
-def softmax_rows(logits, temperature: float = 1.0) -> np.ndarray:
-    """Row-wise max-shifted softmax of a matrix of logits."""
-    x = logits / temperature
-    x = x - x.max(axis=1, keepdims=True)
-    e = np.exp(x)
-    return e / e.sum(axis=1, keepdims=True)
+def normalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows and the (B, 1) norms they were divided by; a zero row is an error."""
+    norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
+    if (norms < MIN_NORM).any():
+        raise ValueError("degenerate vector: cannot normalize a zero row")
+    return z / norms, norms
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, step: float = 1e-6) -> np.ndarray:

@@ -21,11 +21,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import EmbeddingBatch
-from .heads import id_probs
-from .linalg import softmax_rows
+from .heads import log_softmax, two_way
+from .linalg import normalize
 from .net import ParamState, forward
-from .prototypes import PrototypeSet, proto_similarity_profile
+from .prototypes import PrototypeSet
 from .synthdata import Split, write_float_rows
 
 SCORE_RULES = ("ova_id_at_cc_argmax", "max_cc_softmax", "max_ova_id", "feature_norm")
@@ -158,13 +157,12 @@ def evaluate(params: ParamState, split: Split, protos: PrototypeSet,
     scores, norms, max_cos = np.empty(n), np.empty(n), np.empty(n)
     unit_protos = protos.unit_directions()
     for lo, hi, out in _forward_ranges(params, split.test_x):
-        cc_probs = softmax_rows(out.cc_logits)
+        cc_probs = log_softmax(out.cc_logits)[1]
         pred[lo:hi] = np.argmax(cc_probs, axis=1)
         norms[lo:hi] = np.linalg.norm(out.features, axis=1)
-        scores[lo:hi] = ood_score(id_probs(out.id_logits, out.ood_logits), cc_probs,
+        scores[lo:hi] = ood_score(two_way(out.id_logits, out.ood_logits)[3], cc_probs,
                                   rule=score_rule, feature_norms=norms[lo:hi])
-        max_cos[lo:hi] = proto_similarity_profile(EmbeddingBatch(out.embeddings),
-                                                  unit_protos).max(axis=1)
+        max_cos[lo:hi] = (normalize(out.embeddings)[0] @ unit_protos.T).max(axis=1)
     accuracy = float((pred[id_rows] == true_class[id_rows]).mean())
 
     id_scores = scores[id_rows]

@@ -163,11 +163,12 @@ def _result(spec: NetSpec, f, z, cc, od) -> ForwardResult:
 
 
 def forward(params: ParamState, x) -> ForwardResult:
-    """Deterministic forward pass over a (B, d_in) batch."""
+    """Deterministic forward pass over a (B, d_in) batch; validates every layer output."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.spec.input_dim:
         raise ValueError(f"expected (B, {params.spec.input_dim}) inputs, got {x.shape}")
     f, z, cc, od = _forward_core(params.spec, params.view, x, relu=_relu)
+    _check_finite(f, z, cc, od)
     return _result(params.spec, f, z, cc, od)
 
 

@@ -21,13 +21,12 @@ import numpy as np
 from . import tensor_losses as tl
 from .autodiff import constant, parameter
 from .heads import HeadWeights, ce, compose, log_softmax
-from .linalg import finite_diff_grad
+from .linalg import finite_diff_grad, normalize
 from .net import NetSpec, ParamState, forward, forward_tensors, init_params, param_count
 from .net import backward as net_backward
 from .prototypes import PrototypeSet
-from .sna import LOSS_COMBOS, SnaWeights, normalize, usna
-from .trainer import (Decisions, TrainConfig, freeze_decisions, loss_weights, objective,
-                      step_rows)
+from .sna import LOSS_COMBOS, SnaWeights, usna
+from .trainer import Decisions, TrainConfig, freeze_decisions, objective, step_rows
 
 
 def _rel(a: np.ndarray, b: np.ndarray) -> float:
@@ -62,7 +61,7 @@ def tape_objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
         "pa": (tl.pa_graph(xw.embeddings, unit_protos, labels, sna_w.temperature)
                if sna_w.lambda_pa > 0 else zero),
     }
-    terms.update(compose(terms, loss_weights(cfg)))
+    terms.update(compose(terms, cfg.weights_and_slopes[0]))
     return terms
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EmbeddingBatch
-from .linalg import as_matrix, unit_rows
+from .linalg import as_matrix, normalize
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class PrototypeSet:
     r_u: float
 
     def unit_directions(self) -> np.ndarray:
-        return unit_rows(self.mu)
+        return normalize(as_matrix(self.mu))[0]
 
     @classmethod
     def from_means(cls, mu, gamma: float = 1.0, r_u: float = 0.0) -> "PrototypeSet":
@@ -83,17 +83,3 @@ def refresh(labeled: EmbeddingBatch, unlabeled: EmbeddingBatch | None,
             mu[k] = (w_l / total) * mu_l[k] + (w_u / total) * mu_u[k]
     return PrototypeSet(mu=mu, mu_labeled=mu_l, mu_unlabeled=mu_u,
                         n_labeled=n_l, n_unlabeled=n_u, gamma=gamma, r_u=r_u)
-
-
-def initial_prototypes(labeled: EmbeddingBatch, gamma: float,
-                       num_classes: int | None = None) -> PrototypeSet:
-    """Labeled means only; the gate is not trustworthy before training."""
-    return refresh(labeled, None, gamma=gamma, r_u=0.0, num_classes=num_classes)
-
-
-def proto_similarity_profile(batch: EmbeddingBatch, unit_protos: np.ndarray) -> np.ndarray:
-    """(B, K) cosine similarity of every embedding against every prototype, given the
-    prototypes' `unit_directions`."""
-    if batch.dim != unit_protos.shape[1]:
-        raise ValueError(f"dimension mismatch: {batch.dim} vs {unit_protos.shape[1]}")
-    return unit_rows(batch.vectors) @ unit_protos.T

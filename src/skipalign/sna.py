@@ -5,8 +5,8 @@ when the dual gate fires; everything else receives a softmax-weighted
 angular repulsion from all prototypes. Labeled embeddings get supervised
 instance-wise and prototype alignment. All similarities are cosine on
 unit-normalized copies, so every loss here depends on an embedding only
-through its direction; each reads its rows of the step's `normalize` pass
-and returns its value with its angular gradient w.r.t. the embeddings.
+through its direction; each reads its rows of the step's `linalg.normalize`
+pass and returns its value with its angular gradient w.r.t. the embeddings.
 Their tape twins in `tensor_losses` are the oracle the tests compare them with.
 """
 
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heads import one_hot
-from .linalg import MIN_NORM
 
 # Additive mask that removes an entry from a log-sum-exp exactly.
 _NEG_INF = -1e30
@@ -61,7 +60,7 @@ LOSS_COMBOS = {
 }
 
 
-def dual_gate(cc_probs, od_id_probs, tau_id: float, eta_id: float) -> GateMask:
+def dual_gate(cc_probs, od_probs, tau_id: float, eta_id: float) -> GateMask:
     """Mark unlabeled samples confidently in-distribution.
 
     A sample passes only if its classifier confidence exceeds tau_id and
@@ -69,7 +68,7 @@ def dual_gate(cc_probs, od_id_probs, tau_id: float, eta_id: float) -> GateMask:
     Argmax ties break to the lowest class index.
     """
     cc = np.asarray(cc_probs)
-    od = np.asarray(od_id_probs)
+    od = np.asarray(od_probs)
     pred = cc.argmax(axis=1)
     rows = np.arange(cc.shape[0])
     cc_conf = cc[rows, pred]
@@ -78,19 +77,11 @@ def dual_gate(cc_probs, od_id_probs, tau_id: float, eta_id: float) -> GateMask:
     return GateMask(phi=phi, cc_conf=cc_conf, od_conf=od_conf, pred_class=pred)
 
 
-def normalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit rows and the (B, 1) norms they were divided by; a zero row is an error."""
-    norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
-    if (norms < MIN_NORM).any():
-        raise ValueError("degenerate vector: cannot normalize a zero row")
-    return z / norms, norms
-
-
-def _tangential(grad_unit: np.ndarray, unit_rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+def _tangential(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. z from the gradient w.r.t. z/||z||: the radial part is
     projected out, so the result is orthogonal to each row of z."""
-    radial = (grad_unit * unit_rows).sum(axis=1, keepdims=True)
-    return (grad_unit - radial * unit_rows) / norms
+    radial = (grad_unit * unit).sum(axis=1, keepdims=True)
+    return (grad_unit - radial * unit) / norms
 
 
 def usna(zh, norms, unit_protos, phi, pred_class, temperature: float) -> tuple[float, np.ndarray]:

@@ -26,11 +26,11 @@ from . import net as net_mod
 from .data import EmbeddingBatch
 from .heads import (HeadWeights, ce, compose, consistency, em, log_softmax, neg, negatives, ova,
                     socr, two_way)
-from .linalg import softmax_rows
+from .linalg import normalize
 from .metrics import SCORE_RULES, EvalReport, evaluate
 from .net import ForwardResult, NetSpec, ParamState, forward, init_params, sgd_step
-from .prototypes import PrototypeSet, initial_prototypes, refresh
-from .sna import GateMask, SnaWeights, dual_gate, ia, normalize, pa, usna
+from .prototypes import PrototypeSet, refresh
+from .sna import GateMask, SnaWeights, dual_gate, ia, pa, usna
 from .synthdata import Split, augment_views
 
 
@@ -142,11 +142,17 @@ def _clean_labeled_embeddings(params: ParamState, split: Split) -> EmbeddingBatc
 
 
 def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState, RunLog]:
-    """Run the full loop; deterministic given (split, netspec, cfg)."""
+    """Run the full loop; deterministic given (split, netspec, cfg).
+
+    A ValueError in the epochs (a non-finite value or a zero row in a step or a
+    prototype refresh) ends the run as TrainingDiverged. The last epoch's
+    evaluation runs after them, outside that boundary.
+    """
     params = init_params(netspec)
     runlog = RunLog()
-    protos = initial_prototypes(_clean_labeled_embeddings(params, split),
-                                gamma=cfg.gamma, num_classes=netspec.num_classes)
+    # Labeled means only: the gate is not trustworthy before training.
+    protos = refresh(_clean_labeled_embeddings(params, split), None, gamma=cfg.gamma, r_u=0.0,
+                     num_classes=netspec.num_classes)
 
     rng = np.random.default_rng(cfg.seed)
     labeled_sampler = _CyclingSampler(split.labeled_x.shape[0], cfg.batch_size, rng)
@@ -155,70 +161,54 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
     total_steps = cfg.epochs * cfg.iters_per_epoch
     scenario = split.scenario
 
-    for epoch in range(cfg.epochs):
-        try:
+    try:
+        for epoch in range(cfg.epochs):
             unit_protos = protos.unit_directions()
-        except ValueError as err:
-            raise _diverged(err, runlog) from err
-        proto_rows: list[np.ndarray] = []
-        proto_pred: list[np.ndarray] = []
-        for it in range(cfg.iters_per_epoch):
-            step = epoch * cfg.iters_per_epoch + it
-            lr = lr_at(step, total_steps, cfg.lr0)
-            li = labeled_sampler.next()
-            ui = unlabeled_sampler.next()
-            xb, yb = split.labeled_x[li], split.labeled_y[li]
-            ub = split.unlabeled_x[ui]
-            x_views = augment_views(xb, ["weak"], rng, scenario)
-            u_views = augment_views(ub, ["weak", "weak2", "strong"], rng, scenario)
-            x = np.concatenate([x_views["weak"], u_views["weak"], u_views["weak2"],
-                                u_views["strong"]])
+            proto_rows: list[np.ndarray] = []
+            proto_pred: list[np.ndarray] = []
+            for it in range(cfg.iters_per_epoch):
+                step = epoch * cfg.iters_per_epoch + it
+                lr = lr_at(step, total_steps, cfg.lr0)
+                li = labeled_sampler.next()
+                ui = unlabeled_sampler.next()
+                xb, yb = split.labeled_x[li], split.labeled_y[li]
+                ub = split.unlabeled_x[ui]
+                x_views = augment_views(xb, ["weak"], rng, scenario)
+                u_views = augment_views(ub, ["weak", "weak2", "strong"], rng, scenario)
+                x = np.concatenate([x_views["weak"], u_views["weak"], u_views["weak2"],
+                                    u_views["strong"]])
 
-            info: dict = {}
-            try:
-                closure = _make_closure(cfg, yb, unit_protos, info)
-                grads = net_mod.backward(params, x, closure)
+                info: dict = {}
+                grads = net_mod.backward(params, x, _make_closure(cfg, yb, unit_protos, info))
                 params, velocity = sgd_step(params, grads, lr=lr, momentum=cfg.momentum,
                                             weight_decay=cfg.weight_decay, velocity=velocity)
-            except ValueError as err:
-                raise _diverged(err, runlog) from err
+                runlog.iterations.append({
+                    "step": step, "epoch": epoch, "lr": lr,
+                    "terms": info["terms"], "total": info["total"],
+                    "batch_labeled": int(len(li)), "batch_unlabeled": int(len(ui)),
+                    "gate": info["gate_stats"], "gate_detail": info["gate_detail"],
+                })
+                if info["proto_rows"].shape[0] > 0:
+                    proto_rows.append(info["proto_rows"])
+                    proto_pred.append(info["proto_pred"])
 
-            record = {
-                "step": step, "epoch": epoch, "lr": lr,
-                "terms": info["terms"], "total": info["total"],
-                "batch_labeled": int(len(li)), "batch_unlabeled": int(len(ui)),
-                "gate": info["gate_stats"], "gate_detail": info["gate_detail"],
-            }
-            runlog.iterations.append(record)
-            if info["proto_rows"].shape[0] > 0:
-                proto_rows.append(info["proto_rows"])
-                proto_pred.append(info["proto_pred"])
-
-        try:
             protos = _refresh_prototypes(params, split, cfg, netspec, proto_rows, proto_pred)
-        except ValueError as err:
-            raise _diverged(err, runlog) from err
-        runlog.final_prototypes = protos
-        epoch_record = {
-            "epoch": epoch,
-            "prototypes": {
-                "n_labeled": protos.n_labeled.tolist(),
-                "n_unlabeled": protos.n_unlabeled.tolist(),
-                "gamma": protos.gamma, "r_u": protos.r_u,
-            },
-        }
-        if epoch == cfg.epochs - 1:
-            runlog.final_report = evaluate(params, split, protos, score_rule=cfg.score_rule)
-            epoch_record["eval"] = runlog.final_report.to_dict()
-        runlog.epochs.append(epoch_record)
+            runlog.final_prototypes = protos
+            runlog.epochs.append({
+                "epoch": epoch,
+                "prototypes": {
+                    "n_labeled": protos.n_labeled.tolist(),
+                    "n_unlabeled": protos.n_unlabeled.tolist(),
+                    "gamma": protos.gamma, "r_u": protos.r_u,
+                },
+            })
+    except ValueError as err:
+        last = runlog.iterations[-1] if runlog.iterations else None
+        raise TrainingDiverged(str(err), last_report=last) from err
 
+    runlog.final_report = evaluate(params, split, protos, score_rule=cfg.score_rule)
+    runlog.epochs[-1]["eval"] = runlog.final_report.to_dict()
     return params, runlog
-
-
-def _diverged(err: ValueError, runlog: RunLog) -> TrainingDiverged:
-    """A non-finite value in a step or a refresh, with the last logged report."""
-    last = runlog.iterations[-1] if runlog.iterations else None
-    return TrainingDiverged(str(err), last_report=last)
 
 
 def _refresh_prototypes(params, split, cfg, netspec, proto_rows, proto_pred) -> PrototypeSet:
@@ -278,7 +268,7 @@ class Decisions:
 def freeze_decisions(rows: StepRows, cfg: TrainConfig) -> Decisions:
     """Every frozen per-step choice, from the weak and strong unlabeled rows."""
     u = rows.u
-    gate_probs = softmax_rows(rows.out.cc_logits[u], cfg.gate_temperature)
+    gate_probs = log_softmax(rows.out.cc_logits[u] / cfg.gate_temperature)[1]
     pl_probs = rows.probs[u]
     pseudo = pl_probs.argmax(axis=1)
     negative = negatives(rows.log_p_id, cfg.head.eta_neg)
@@ -286,11 +276,6 @@ def freeze_decisions(rows: StepRows, cfg: TrainConfig) -> Decisions:
         gate=dual_gate(gate_probs, rows.id_prob[u], cfg.tau_id, cfg.eta_id), pseudo=pseudo,
         pl_accept=pl_probs[np.arange(pseudo.size), pseudo] > cfg.head.tau_pl,
         neg_w=negative[u], neg_s=negative[rows.s])
-
-
-def loss_weights(cfg: TrainConfig) -> dict:
-    """Every lambda of the head and alignment weights, in field order."""
-    return dict(cfg.weights_and_slopes[0])
 
 
 def objective(rows: StepRows, labels: np.ndarray, unit_protos: np.ndarray,

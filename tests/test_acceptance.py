@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from skipalign.config import config_hash, default_config, resolve_config
+from skipalign.linalg import normalize
 from skipalign.metrics import auroc, evaluate, write_eval_csv
 from skipalign.oracles import (ce_feature_gradient_check, full_model_gradient_check,
                                usna_gradient_check)
 from skipalign.prototypes import PrototypeSet, refresh
 from skipalign.data import EmbeddingBatch
-from skipalign.sna import LOSS_COMBOS, normalize, usna
+from skipalign.sna import LOSS_COMBOS, usna
 from skipalign.synthdata import generate
 from skipalign.trainer import train
 

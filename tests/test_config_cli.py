@@ -411,6 +411,21 @@ def add_spec_key(key, value):
     return damage
 
 
+def set_params(value):
+    """A damage that sets every parameter in checkpoint.json to value: it still loads."""
+    def damage(path):
+        payload = json.loads(path.read_text())
+        payload["params_hex"] = [float(value).hex()] * len(payload["params_hex"])
+        path.write_text(json.dumps(payload))
+    return damage
+
+
+def drop_config(path):
+    payload = json.loads(path.read_text())
+    del payload["config"]
+    path.write_text(json.dumps(payload))
+
+
 def set_both(key, value):
     """A damage that sets one key in both the scenario and net sections of
     manifest.json's config: the manifest still resolves, against another network."""
@@ -481,6 +496,10 @@ class TestExitCodes:
         ("eval", ("manifest.json", set_status("error")), 2, "manifest.json: status is 'error'"),
         ("eval", ("manifest.json", set_status("running")), 2,
          "manifest.json: status is 'running'"),
+        ("eval", ("checkpoint.json", set_params(1e200)), 2,
+         "checkpoint.json: cannot be evaluated"),
+        ("eval", ("checkpoint.json", set_params(0.0)), 2, "checkpoint.json: cannot be evaluated"),
+        ("eval", ("manifest.json", drop_config), 2, "manifest.json: config"),
     ], ids=["zero-seeds", "negative-seed", "negative-scenario-seed", "negative-net-seed",
             "negative-train-seed", "seen-only-pool", "empty-pool", "no-id-test-rows",
             "unsatisfiable-separation", "string-epochs", "bool-epochs", "zero-epochs",
@@ -491,7 +510,8 @@ class TestExitCodes:
             "prototypes-key-missing", "prototypes-missing", "prototypes-mu-column-dropped",
             "prototypes-mu-zero-rows", "prototypes-mu-string", "manifest-input-dim",
             "manifest-num-classes", "checkpoint-spec-removed-key", "eval-status-error",
-            "eval-status-running"])
+            "eval-status-running", "checkpoint-overflows", "checkpoint-zero",
+            "manifest-config-missing"])
     def test_exit_code(self, tmp_path, capsys, monkeypatch, finished_run, verb, change, code,
                        named):
         if verb == "run":

@@ -6,11 +6,11 @@ import pytest
 import skipalign.tensor_losses as tl
 from skipalign.autodiff import constant, parameter
 from skipalign.config import ConfigError, resolve_config
-from skipalign.heads import (HeadWeights, ce, compose, consistency, em, id_probs, log_softmax,
-                             neg, negatives, ova, socr, two_way)
+from skipalign.heads import (HeadWeights, ce, compose, consistency, em, log_softmax, neg,
+                             negatives, ova, socr, two_way)
 from skipalign.linalg import finite_diff_grad
 from skipalign.net import ForwardResult
-from skipalign.trainer import TrainConfig, freeze_decisions, loss_weights, objective, step_rows
+from skipalign.trainer import TrainConfig, freeze_decisions, objective, step_rows
 
 RNG = np.random.default_rng(0)
 
@@ -54,13 +54,18 @@ def fixmatch(weak_probs, strong_probs, tau_pl: float) -> tuple[float, int]:
     return value, int(decisions.pl_accept.sum())
 
 
+def id_probs(id_logits, ood_logits) -> np.ndarray:
+    """The detector's per-class ID probability, as the gate and the OOD scores read it."""
+    return two_way(id_logits, ood_logits)[3]
+
+
 def neg_value(logits: tuple[np.ndarray, np.ndarray], eta_neg: float) -> float:
     log_p_id, log_p_ood, p_id, _ = two_way(*logits)
     return neg(log_p_ood, p_id, negatives(log_p_id, eta_neg))[0]
 
 
 class TestOvaOutput:
-    """The one-vs-all detector's output read as `id_probs`: the per-class
+    """The one-vs-all detector's output read as `two_way`'s id_prob: the per-class
     two-way softmax probability of ID."""
 
     def test_probs_are_complementary(self):
@@ -254,7 +259,8 @@ class TestTotalLoss:
         terms, _ = objective(rows, np.array([0, 0, 1, 1]), np.eye(2), decisions, cfg)
         assert list(terms) == ["x", "u", "ova", "em", "socr", "neg", "usna", "ia", "pa",
                                "sna", "cc", "od", "total"]
-        assert compose(terms, loss_weights(cfg)) == {name: terms[name] for name in ("sna", "cc", "od", "total")}
+        assert compose(terms, cfg.weights_and_slopes[0]) == {
+            name: terms[name] for name in ("sna", "cc", "od", "total")}
 
 
 class TestLogitGradientsAgainstOracle:

@@ -9,13 +9,26 @@ from scipy.stats import rankdata
 
 from skipalign import metrics
 from skipalign.config import default_config
-from skipalign.heads import id_probs
+from skipalign.heads import two_way
 from skipalign.metrics import (_forward_ranges, auroc, evaluate, ood_score, write_embedding_dump,
                                write_eval_csv)
-from skipalign.linalg import softmax_rows
 from skipalign.net import ForwardResult, forward, init_params
 from skipalign.prototypes import PrototypeSet
 from skipalign.synthdata import CHUNK_ROWS, generate
+
+
+def ref_softmax_rows(logits):
+    """The classifier's row softmax, written out apart from `heads.log_softmax`."""
+    x = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(x)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def ref_id_probs(id_logits, ood_logits):
+    """The detector's per-class ID probability, written out apart from `heads.two_way`."""
+    shift = np.maximum(id_logits, ood_logits)
+    e_id = np.exp(id_logits - shift)
+    return e_id / (e_id + np.exp(ood_logits - shift))
 
 
 def brute_force_auroc(id_scores, ood_scores) -> float:
@@ -145,7 +158,7 @@ class TestAuroc:
 
 class TestOodScore:
     def test_all_one_id_probs(self):
-        probs = id_probs(np.full((2, 3), 50.0), np.full((2, 3), -50.0))
+        probs = two_way(np.full((2, 3), 50.0), np.full((2, 3), -50.0))[3]
         cc = np.full((2, 3), 1 / 3)
         np.testing.assert_allclose(ood_score(probs, cc), 1.0, atol=1e-12)
 
@@ -331,8 +344,8 @@ class TestEvaluate:
         report = evaluate(params, permuted, protos)
 
         out = forward(params, permuted.test_x)
-        cc_probs = softmax_rows(out.cc_logits)
-        scores = ood_score(id_probs(out.id_logits, out.ood_logits), cc_probs)
+        cc_probs = ref_softmax_rows(out.cc_logits)
+        scores = ood_score(ref_id_probs(out.id_logits, out.ood_logits), cc_probs)
         is_id = np.array([c.startswith("id:") for c in cats])
         true_class = np.array([int(c[3:]) if c.startswith("id:") else -1 for c in cats])
         pred = np.argmax(cc_probs, axis=1)
@@ -458,6 +471,19 @@ class TestForwardRanges:
         write_embedding_dump(params, one, tmp_path / "emb.csv")
         reference_embedding_dump(out, one, tmp_path / "reference.csv")
         assert (tmp_path / "emb.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_embeddings_are_checked_for_finite_values_once(self, setup, monkeypatch):
+        # net.forward checks every layer output; nothing after it checks them again.
+        params, split, protos = setup
+        monkeypatch.setattr(metrics, "FORWARD_CHUNK_ROWS", 7)
+        outs, checked = [], []
+        real_isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: checked.append(a) or real_isfinite(a))
+        monkeypatch.setattr("skipalign.metrics.forward",
+                            lambda p, x: outs.append(forward(p, x)) or outs[-1])
+        evaluate(params, split, protos)
+        assert len(outs) > 2
+        assert [sum(a is out.embeddings for a in checked) for out in outs] == [1] * len(outs)
 
     def test_geometry_stats_across_a_range_boundary(self, setup, monkeypatch):
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))

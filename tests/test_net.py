@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from skipalign.autodiff import constant
-from skipalign.heads import ce, id_probs, log_softmax
-from skipalign.linalg import softmax_rows
+from skipalign.heads import ce, log_softmax, two_way
 from skipalign.net import (ForwardResult, NetSpec, ParamState, backward, forward,
                            forward_tensors, init_params, layout, load_checkpoint, param_count,
                            save_checkpoint, sgd_step)
@@ -41,8 +40,8 @@ class TestForward:
         params = ParamState(spec=TINY, flat=np.zeros(param_count(TINY)))
         out = forward(params, np.random.default_rng(0).standard_normal((5, 3)))
         np.testing.assert_allclose(out.cc_logits, 0.0)
-        np.testing.assert_allclose(softmax_rows(out.cc_logits), 0.5, atol=1e-15)
-        np.testing.assert_allclose(id_probs(out.id_logits, out.ood_logits), 0.5, atol=1e-15)
+        np.testing.assert_allclose(log_softmax(out.cc_logits)[1], 0.5, atol=1e-15)
+        np.testing.assert_allclose(two_way(out.id_logits, out.ood_logits)[3], 0.5, atol=1e-15)
 
     def test_hand_built_single_layer_products(self):
         # No hidden widths: the backbone is one 2x2 linear map. The projection's
@@ -113,6 +112,8 @@ class TestBackward:
         match = "non-finite activation in layer 'backbone'"
         with pytest.raises(ValueError, match=match):
             backward(params, x, lambda out: (0.0, {}))
+        with pytest.raises(ValueError, match=match):
+            forward(params, x)
         with pytest.raises(ValueError, match=match):
             forward_tensors(TINY, tensors, x)
 

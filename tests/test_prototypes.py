@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from skipalign.data import EmbeddingBatch
-from skipalign.prototypes import (PrototypeSet, initial_prototypes,
-                                  proto_similarity_profile, refresh)
+from skipalign.linalg import normalize
+from skipalign.prototypes import PrototypeSet, refresh
 
 
 def accepted(vectors, pred, phi=None):
@@ -126,7 +126,7 @@ class TestInitialPrototypes:
     def test_equals_labeled_means(self):
         rng = np.random.default_rng(7)
         labeled = labeled_batch(rng)
-        protos = initial_prototypes(labeled, gamma=2.0)
+        protos = refresh(labeled, None, gamma=2.0, r_u=0.0)
         for k in range(2):
             np.testing.assert_allclose(
                 protos.mu[k], labeled.vectors[labeled.labels == k].mean(axis=0),
@@ -134,27 +134,29 @@ class TestInitialPrototypes:
         assert protos.r_u == 0.0
 
 
+def cosines(z, protos: PrototypeSet) -> np.ndarray:
+    """(B, K) cosine of every embedding against every prototype, as `evaluate` takes it."""
+    return normalize(np.asarray(z, dtype=np.float64))[0] @ protos.unit_directions().T
+
+
 class TestSimilarityProfile:
     def test_prototype_itself_scores_one(self):
         protos = PrototypeSet.from_means(np.array([[2.0, 0.0], [0.0, 3.0]]))
-        sims = proto_similarity_profile(EmbeddingBatch(np.array([[4.0, 0.0]])),
-                                        protos.unit_directions())
+        sims = cosines([[4.0, 0.0]], protos)
         assert sims[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_embedding_scores_zero(self):
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-        sims = proto_similarity_profile(
-            EmbeddingBatch(np.array([[0.0, 0.0, 5.0]])), protos.unit_directions())
+        sims = cosines([[0.0, 0.0, 5.0]], protos)
         np.testing.assert_allclose(sims, 0.0, atol=1e-12)
 
     def test_diagonal_mix_hand_value(self):
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0], [0.0, 1.0]]))
         z = np.array([[1.0, 1.0]])
-        sims = proto_similarity_profile(EmbeddingBatch(z), protos.unit_directions())
+        sims = cosines(z, protos)
         np.testing.assert_allclose(sims, 1 / math.sqrt(2), atol=1e-12)
 
     def test_degenerate_row_rejected(self):
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError, match="degenerate"):
-            proto_similarity_profile(EmbeddingBatch(np.array([[0.0, 0.0]])),
-                                     protos.unit_directions())
+            cosines([[0.0, 0.0]], protos)

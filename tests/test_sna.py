@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from skipalign.linalg import finite_diff_grad
+from skipalign.linalg import finite_diff_grad, normalize
 from skipalign.prototypes import PrototypeSet
 from skipalign.heads import compose
-from skipalign.sna import SnaWeights, dual_gate, ia, normalize, pa, usna
+from skipalign.sna import SnaWeights, dual_gate, ia, pa, usna
 from skipalign.trainer import TrainConfig
 
 

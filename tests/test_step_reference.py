@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from skipalign.heads import HeadWeights, compose, one_hot
-from skipalign.linalg import MIN_NORM, softmax_rows
+from skipalign.linalg import MIN_NORM
 from skipalign.net import (ForwardResult, NetSpec, _check_finite, _forward_core, _relu,
                           _result, backward, init_params)
 from skipalign.prototypes import PrototypeSet
@@ -31,6 +31,13 @@ def ref_two_way_log_probs(id_logits, ood_logits):
     shift = np.maximum(id_logits, ood_logits)
     log_z = np.log(np.exp(id_logits - shift) + np.exp(ood_logits - shift)) + shift
     return id_logits - log_z, ood_logits - log_z
+
+
+def ref_softmax_rows(logits, temperature=1.0):
+    x = logits / temperature
+    x = x - x.max(axis=1, keepdims=True)
+    e = np.exp(x)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def ref_id_probs(id_logits, ood_logits):
@@ -152,8 +159,8 @@ def ref_ia(z, labels, temperature):
 
 
 def ref_freeze_decisions(uw, us, cfg):
-    gate_probs = softmax_rows(uw.cc_logits, cfg.gate_temperature)
-    pl_probs = softmax_rows(uw.cc_logits)
+    gate_probs = ref_softmax_rows(uw.cc_logits, cfg.gate_temperature)
+    pl_probs = ref_softmax_rows(uw.cc_logits)
     pseudo = np.argmax(pl_probs, axis=1)
     eta_neg = cfg.head.eta_neg
     return Decisions(

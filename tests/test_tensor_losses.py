@@ -5,9 +5,9 @@ import pytest
 
 import skipalign.tensor_losses as tl
 from skipalign.autodiff import constant, parameter
-from skipalign.linalg import finite_diff_grad
+from skipalign.linalg import finite_diff_grad, normalize
 from skipalign.prototypes import PrototypeSet
-from skipalign.sna import ia, normalize, pa, usna
+from skipalign.sna import ia, pa, usna
 
 
 def tape(build, z: np.ndarray) -> tuple[float, np.ndarray]:

@@ -8,7 +8,7 @@ from skipalign.config import resolve_config
 from skipalign.heads import HeadWeights, compose
 from skipalign.net import init_params
 from skipalign.synthdata import generate
-from skipalign.trainer import RunLog, TrainConfig, TrainingDiverged, loss_weights, lr_at, train
+from skipalign.trainer import RunLog, TrainConfig, TrainingDiverged, lr_at, train
 
 
 def tiny_config(seed=0, **train_overrides):
@@ -38,7 +38,7 @@ def audit_gate_flow(runlog: RunLog, tau_id: float, eta_id: float) -> None:
 
 def audit_loss_composition(runlog: RunLog, weights: dict, tol: float = 1e-12) -> float:
     """Max deviation between logged composites and their recomposition under the
-    run's loss weights (`loss_weights` of its config)."""
+    run's loss weights (`weights_and_slopes[0]` of its config)."""
     worst = 0.0
     for record in runlog.iterations:
         logged = {**record["terms"], "total": record["total"]}
@@ -115,14 +115,14 @@ class TestTrainLoop:
         cfg = tiny_config()
         split = generate(cfg.scenario)
         _, runlog = train(split, cfg.net, cfg.train)
-        worst = audit_loss_composition(runlog, loss_weights(cfg.train), tol=1e-12)
+        worst = audit_loss_composition(runlog, cfg.train.weights_and_slopes[0], tol=1e-12)
         assert worst <= 1e-12
         # every composite is audited, not just the total
         for composite in ("sna", "cc", "od"):
             bad = RunLog(iterations=[json.loads(json.dumps(runlog.iterations[-1]))])
             bad.iterations[0]["terms"][composite] += 1e-6
             with pytest.raises(AssertionError):
-                audit_loss_composition(bad, loss_weights(cfg.train))
+                audit_loss_composition(bad, cfg.train.weights_and_slopes[0])
 
     def test_gate_flow_audit(self):
         cfg = tiny_config()
@@ -172,7 +172,7 @@ class TestTrainLoop:
         split = generate(cfg.scenario)
         _, runlog = train(split, cfg.net, cfg.train)
         record = runlog.iterations[-1]
-        recomposed = compose(record["terms"], loss_weights(cfg.train))["total"]
+        recomposed = compose(record["terms"], cfg.train.weights_and_slopes[0])["total"]
         assert record["total"] == pytest.approx(recomposed, abs=1e-12)
 
     def test_per_step_work_is_done_once(self, monkeypatch):
