@@ -262,13 +262,15 @@ def _cmd_eval(args) -> int:
         raise ConfigError(str(manifest_path), f"status is {status!r}; eval re-scores complete runs")
     try:
         cfg = resolve_config(manifest.get("config"))
+        split = generate(cfg.scenario)
     except ConfigError as err:
         raise ConfigError(str(manifest_path), f"config: {err}") from err
+    except PlacementError as err:
+        raise ConfigError(str(manifest_path), f"config: scenario.min_separation: {err}") from err
     params = _load_artifact(load_checkpoint, run_dir / "checkpoint.json")
     if cfg.net != params.spec:
         raise ConfigError(str(manifest_path), "net does not match the spec in checkpoint.json")
     protos = _load_artifact(_load_prototypes, run_dir / "prototypes.json", params.spec)
-    split = generate(cfg.scenario)
     rule = args.score_rule or cfg.train.score_rule
     try:
         report = evaluate(params, split, protos, score_rule=rule)

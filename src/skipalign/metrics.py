@@ -3,10 +3,11 @@
 The OOD scoring rule is deliberately a tagged choice (the detector's ID
 probability at the classifier's argmax class by default) and the report
 names the rule it used. AUROC is the Mann-Whitney statistic, ties worth one
-half, counted exactly from one sort of the OOD scores. Test rows are grouped
-once, by a code per distinct category name in order of first appearance, and
-every per-category figure reads that grouping, so no step is quadratic in the
-test split and no Python runs per test row. The split is forwarded in
+half, counted exactly from one sort of the OOD scores. Each test row's kind
+and class index are read from the split's cluster table through the row's
+cluster code; rows are grouped once, in table order, and every per-category
+figure reads that grouping, so no step is quadratic in the test split and no
+Python runs per test row. The split is forwarded in
 balanced row ranges of at most FORWARD_CHUNK_ROWS, each reduced at once to
 the per-row figures (prediction, score, feature norm, best prototype cosine),
 so memory is one range's activations plus 1-D arrays over the split, and the
@@ -112,16 +113,7 @@ class EvalReport:
         return rows
 
 
-# Every test row falls in one of these, by the prefix of its category name.
-COARSE_CATEGORIES = ("id", "seen_ood", "unseen_ood")
-
-
-def _coarse_category(cat: str) -> str:
-    if cat.startswith("id:"):
-        return "id"
-    if cat.startswith("seen:"):
-        return "seen_ood"
-    return "unseen_ood"
+COARSE_CATEGORIES = {"id": "id", "seen": "seen_ood", "unseen": "unseen_ood"}
 
 
 def _forward_ranges(params: ParamState, x: np.ndarray):
@@ -140,18 +132,14 @@ def evaluate(params: ParamState, split: Split, protos: PrototypeSet,
     n = split.test_x.shape[0]
     if n == 0:
         raise ValueError("test split is empty")
-    # Each distinct category name is parsed once; its code, in order of first
-    # appearance, indexes it, so the coarse categories keep that order too.
-    index = {name: k for k, name in enumerate(dict.fromkeys(split.test_category))}
-    names = list(index)
-    row_name = np.fromiter(map(index.__getitem__, split.test_category), dtype=np.intp, count=n)
-    coarse = np.array([_coarse_category(name) for name in names])
-    groups = {kind: (coarse == kind)[row_name] for kind in dict.fromkeys(coarse.tolist())}
+    codes = split.test_cluster
+    present = np.flatnonzero(np.bincount(codes))  # table positions of clusters with test rows
+    coarse = np.array([COARSE_CATEGORIES[kind] for kind, *_ in split.clusters])
+    groups = {c: (coarse == c)[codes] for c in dict.fromkeys(coarse[present].tolist())}
     if "id" not in groups:
         raise ValueError("test split has no in-distribution rows")
     id_rows = groups["id"]
-    true_class = np.array([int(name.split(":")[1]) if kind == "id" else -1
-                           for name, kind in zip(names, coarse)])[row_name]
+    true_class = np.array([index for _, index, *_ in split.clusters])[codes]
 
     pred = np.empty(n, dtype=np.intp)
     scores, norms, max_cos = np.empty(n), np.empty(n), np.empty(n)
@@ -166,16 +154,11 @@ def evaluate(params: ParamState, split: Split, protos: PrototypeSet,
     accuracy = float((pred[id_rows] == true_class[id_rows]).mean())
 
     id_scores = scores[id_rows]
-    sources: dict[str, float] = {}
-    if "seen_ood" in groups:
-        sources["seen"] = auroc(id_scores, scores[groups["seen_ood"]])
-    unseen = sorted((k for k, name in enumerate(names) if name.startswith("unseen:")),
-                    key=lambda k: int(names[k].split(":")[1]))
-    for k in unseen:
-        sources[f"unseen_{names[k].split(':')[1]}"] = auroc(id_scores, scores[row_name == k])
-
-    unseen_values = [v for k, v in sources.items() if k.startswith("unseen_")]
-    unseen_auc = float(np.mean(unseen_values)) if unseen_values else float("nan")
+    seen = {"seen": auroc(id_scores, scores[groups["seen_ood"]])} if "seen_ood" in groups else {}
+    unseen = {f"unseen_{split.clusters[k][1]}": auroc(id_scores, scores[codes == k])
+              for k in present.tolist() if split.clusters[k][0] == "unseen"}
+    sources = seen | unseen
+    unseen_auc = float(np.mean(list(unseen.values()))) if unseen else float("nan")
     seen_auc = sources.get("seen", float("nan"))
     overall = float(np.mean(list(sources.values()))) if sources else float("nan")
 
@@ -185,7 +168,7 @@ def evaluate(params: ParamState, split: Split, protos: PrototypeSet,
         norm_by_category={c: float(norms[rows].mean()) for c, rows in groups.items()},
         cosine_by_category={c: float(max_cos[rows].mean()) for c, rows in groups.items()},
         counts={c: int(rows.sum()) for c, rows in groups.items()},
-        missing_categories=[c for c in COARSE_CATEGORIES if c not in groups],
+        missing_categories=[c for c in COARSE_CATEGORIES.values() if c not in groups],
     )
 
 
@@ -209,5 +192,5 @@ def write_embedding_dump(params: ParamState, split: Split, path) -> None:
     z, norms = np.empty((n, params.spec.embed_dim)), np.empty(n)
     for lo, hi, out in _forward_ranges(params, split.test_x):
         z[lo:hi], norms[lo:hi] = out.embeddings, np.linalg.norm(out.features, axis=1)
-    write_float_rows(path, ["id", "category", "feature_norm"], "z",
-                     [("{},{},{!r}", (split.test_ids, split.test_category, norms), z)])
+    write_float_rows(path, ["id", "category", "feature_norm"], "z", [
+        ("{},{},{!r}", (split.test_ids, split.categories(split.test_cluster), norms), z)])

@@ -52,33 +52,26 @@ def refresh(labeled: EmbeddingBatch, unlabeled: EmbeddingBatch | None,
     """
     if num_classes is None:
         num_classes = int(labeled.labels.max()) + 1
-    dim = labeled.dim
 
-    mu_l = np.zeros((num_classes, dim))
+    mu_l = np.zeros((num_classes, labeled.dim))
+    mu_u = np.zeros_like(mu_l)
     n_l = np.zeros(num_classes, dtype=np.int64)
+    n_u = np.zeros(num_classes, dtype=np.int64)
+    mu = np.empty_like(mu_l)
     for k in range(num_classes):
         rows = labeled.vectors[labeled.labels == k]
         if rows.shape[0] == 0:
             raise ValueError(f"prototype undefined: class {k} has no labeled samples")
         mu_l[k] = rows.mean(axis=0)
         n_l[k] = rows.shape[0]
-
-    mu_u = np.zeros((num_classes, dim))
-    n_u = np.zeros(num_classes, dtype=np.int64)
-    if unlabeled is not None:
-        for k in range(num_classes):
-            selected = unlabeled.labels == k
-            if selected.any():
-                mu_u[k] = unlabeled.vectors[selected].mean(axis=0)
-                n_u[k] = int(selected.sum())
-
-    mu = np.empty_like(mu_l)
-    for k in range(num_classes):
+        mu[k] = mu_l[k]  # exact, not a weighted copy, unless unlabeled rows weigh in
+        if unlabeled is None or not (selected := unlabeled.labels == k).any():
+            continue
+        mu_u[k] = unlabeled.vectors[selected].mean(axis=0)
+        n_u[k] = int(selected.sum())
         w_l = gamma * n_l[k]
         w_u = r_u * n_u[k]
-        if w_u == 0.0:
-            mu[k] = mu_l[k]  # exact, not a weighted copy
-        else:
+        if w_u != 0.0:
             total = w_l + w_u
             mu[k] = (w_l / total) * mu_l[k] + (w_u / total) * mu_u[k]
     return PrototypeSet(mu=mu, mu_labeled=mu_l, mu_unlabeled=mu_u,

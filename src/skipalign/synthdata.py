@@ -82,26 +82,32 @@ class PlacementError(ValueError):
 
 @dataclass
 class Split:
-    """Generated data. Category columns on unlabeled/test rows are ground
-    truth for metrics only; the trainer must not read them."""
+    """Generated data. `clusters` is the `_place_means` cluster table, and each
+    unlabeled and test row's code indexes the cluster it was drawn from. Those
+    codes are ground truth for metrics only; the trainer must not read them."""
 
     labeled_x: np.ndarray
     labeled_y: np.ndarray
     labeled_ids: np.ndarray
     unlabeled_x: np.ndarray
     unlabeled_ids: np.ndarray
-    unlabeled_category: list[str]
+    unlabeled_cluster: np.ndarray
     test_x: np.ndarray
     test_ids: np.ndarray
-    test_category: list[str]
-    manifest: dict
+    test_cluster: np.ndarray
+    clusters: list[tuple]
     scenario: ScenarioSpec = field(repr=False)
+
+    def categories(self, codes: np.ndarray) -> np.ndarray:
+        """The "<kind>:<index>" name of each row's cluster, for rows with these codes."""
+        return np.array([f"{k}:{i}" for k, i, *_ in self.clusters], dtype=object)[codes]
 
 
 def _place_means(spec: ScenarioSpec, rng: np.random.Generator) -> list[tuple]:
     """The scenario's cluster table: one (kind, index, mean, scale) row per
-    cluster, in the order the means are drawn: the galaxies (kind "id"), the
-    seen clusters, the unseen clusters outside the hull, then those between.
+    cluster, in the order the means are drawn, each kind in index order: the
+    galaxies (kind "id"), the seen clusters, the unseen clusters outside the
+    hull, then those between.
 
     Means are rejection-sampled with a pairwise minimum distance. Each seen
     cluster sits on the midpoint direction of a pair of galaxies (void
@@ -150,8 +156,8 @@ def generate(spec: ScenarioSpec) -> Split:
     Each part is one pass over the `_place_means` cluster table, in its order,
     drawing the part's rows-per-cluster count for the cluster's kind (none for
     a kind the part lacks) into one preallocated array per part. Ids count up
-    through the labeled, unlabeled and test parts; a row's category is
-    "<kind>:<index>" and its label the index.
+    through the parts in order; a row's code is its cluster's position in the
+    table, and a labeled row's label its code, as the galaxies lead the table.
     """
     rng = np.random.default_rng(spec.seed)
     clusters = _place_means(spec, rng)
@@ -161,35 +167,25 @@ def generate(spec: ScenarioSpec) -> Split:
         "test": {"id": spec.test_id_per_class, "seen": spec.test_seen_per_cluster,
                  "unseen": spec.test_unseen_per_cluster},
     }
-    parts, counts = [], {}
-    for part, per_kind in rows_per_cluster.items():
+    parts, first = [], 0
+    for per_kind in rows_per_cluster.values():
         sizes = [per_kind.get(kind, 0) for kind, *_ in clusters]
-        first, rows = sum(counts.values()), sum(sizes)
-        counts[part] = rows
-        x, labels, category = np.empty((rows, spec.input_dim)), np.empty(rows, np.int64), []
+        rows = sum(sizes)
+        x = np.empty((rows, spec.input_dim))
         hi = 0
-        for (kind, index, mean, scale), n in zip(clusters, sizes):
+        for (_, _, mean, scale), n in zip(clusters, sizes):
             lo, hi = hi, hi + n
             block = rng.standard_normal((n, spec.input_dim))
             np.multiply(scale, block, out=block)
             np.add(mean, block, out=x[lo:hi])  # mean + scale * draw, the same floats
-            labels[lo:hi] = index
-            category += [f"{kind}:{index}"] * n
-        parts.append((x, np.arange(first, first + rows, dtype=np.int64), labels, category))
-    (lx, lids, ly, _), (ux, uids, _, ucat), (tx, tids, _, tcat) = parts
-
-    manifest = {
-        "seed": spec.seed,
-        "input_dim": spec.input_dim,
-        "clusters": [{"kind": kind, "index": index, "mean": mean.tolist(), "scale": scale}
-                     for kind, index, mean, scale in clusters],
-        "counts": counts,
-        "spec": asdict(spec),
-    }
-    return Split(labeled_x=lx, labeled_y=ly, labeled_ids=lids,
-                 unlabeled_x=ux, unlabeled_ids=uids, unlabeled_category=ucat,
-                 test_x=tx, test_ids=tids, test_category=tcat,
-                 manifest=manifest, scenario=spec)
+        codes = np.repeat(np.arange(len(clusters)), sizes)
+        parts.append((x, np.arange(first, first + rows, dtype=np.int64), codes))
+        first += rows
+    (lx, lids, lcodes), (ux, uids, ucodes), (tx, tids, tcodes) = parts
+    return Split(labeled_x=lx, labeled_y=lcodes, labeled_ids=lids,
+                 unlabeled_x=ux, unlabeled_ids=uids, unlabeled_cluster=ucodes,
+                 test_x=tx, test_ids=tids, test_cluster=tcodes,
+                 clusters=clusters, scenario=spec)
 
 
 def augment(x: np.ndarray, kind: str, rng: np.random.Generator, *,
@@ -219,8 +215,7 @@ def _format_rows(out, parts, lo: int, hi: int) -> None:
     for template, columns, block in parts:
         for start in range(max(lo, 0), min(hi, len(block)), CHUNK_ROWS):
             stop = min(start + CHUNK_ROWS, hi, len(block))
-            fields = zip(*(c[start:stop].tolist() if isinstance(c, np.ndarray) else c[start:stop]
-                           for c in columns))
+            fields = zip(*(c[start:stop].tolist() for c in columns))
             out.writelines(f"{template.format(*f)},{','.join(map(repr, row))}\r\n"
                            for f, row in zip(fields, block[start:stop].tolist()))
         lo, hi = lo - len(block), hi - len(block)
@@ -243,7 +238,7 @@ def _fork_rows(tmp, encoding: str, parts, lo: int, hi: int) -> int:
 
 def write_float_rows(path, columns: list[str], name: str, parts) -> None:
     """Write a CSV with one line per block row: template.format(*its column values), then its
-    floats' repr (columns name_0, ...), for parts of (template, columns, block). The bytes are
+    floats' repr (columns name_0, ...), for parts of (template, column arrays, block). The bytes are
     csv.writer's as long as no field needs quoting. The rows go in one contiguous range per
     usable core, of RANGE_CHUNKS chunks or more; forked children format all ranges but the
     first into unnamed temporary files, appended in order. No child outlives the call."""
@@ -280,10 +275,20 @@ def write_split_csv(split: Split, path) -> None:
     """One row per sample: (split, id, category, label-or-blank, x_0..x_{d-1})."""
     write_float_rows(path, ["split", "id", "category", "label"], "x", [
         ("labeled,{0},id:{1},{1}", (split.labeled_ids, split.labeled_y), split.labeled_x),
-        ("unlabeled,{},{},", (split.unlabeled_ids, split.unlabeled_category), split.unlabeled_x),
-        ("test,{},{},", (split.test_ids, split.test_category), split.test_x)])
+        ("unlabeled,{},{},", (split.unlabeled_ids, split.categories(split.unlabeled_cluster)),
+         split.unlabeled_x),
+        ("test,{},{},", (split.test_ids, split.categories(split.test_cluster)), split.test_x)])
 
 
 def write_manifest(split: Split, path) -> None:
+    manifest = {
+        "seed": split.scenario.seed,
+        "input_dim": split.scenario.input_dim,
+        "clusters": [{"kind": kind, "index": index, "mean": mean.tolist(), "scale": scale}
+                     for kind, index, mean, scale in split.clusters],
+        "counts": {"labeled": len(split.labeled_ids), "unlabeled": len(split.unlabeled_ids),
+                   "test": len(split.test_ids)},
+        "spec": asdict(split.scenario),
+    }
     with open(path, "w") as fh:
-        json.dump(split.manifest, fh, indent=2)
+        json.dump(manifest, fh, indent=2)

@@ -1,3 +1,5 @@
+import collections
+import csv
 import json
 import os
 import shutil
@@ -426,6 +428,15 @@ def drop_config(path):
     path.write_text(json.dumps(payload))
 
 
+def set_scenario(key, value):
+    """A damage that sets one key in manifest.json's scenario config: it still resolves."""
+    def damage(path):
+        payload = json.loads(path.read_text())
+        payload["config"]["scenario"][key] = value
+        path.write_text(json.dumps(payload))
+    return damage
+
+
 def set_both(key, value):
     """A damage that sets one key in both the scenario and net sections of
     manifest.json's config: the manifest still resolves, against another network."""
@@ -500,6 +511,8 @@ class TestExitCodes:
          "checkpoint.json: cannot be evaluated"),
         ("eval", ("checkpoint.json", set_params(0.0)), 2, "checkpoint.json: cannot be evaluated"),
         ("eval", ("manifest.json", drop_config), 2, "manifest.json: config"),
+        ("eval", ("manifest.json", set_scenario("min_separation", 1e6)), 2,
+         "manifest.json: config: scenario.min_separation"),
     ], ids=["zero-seeds", "negative-seed", "negative-scenario-seed", "negative-net-seed",
             "negative-train-seed", "seen-only-pool", "empty-pool", "no-id-test-rows",
             "unsatisfiable-separation", "string-epochs", "bool-epochs", "zero-epochs",
@@ -511,7 +524,7 @@ class TestExitCodes:
             "prototypes-mu-zero-rows", "prototypes-mu-string", "manifest-input-dim",
             "manifest-num-classes", "checkpoint-spec-removed-key", "eval-status-error",
             "eval-status-running", "checkpoint-overflows", "checkpoint-zero",
-            "manifest-config-missing"])
+            "manifest-config-missing", "manifest-unplaceable"])
     def test_exit_code(self, tmp_path, capsys, monkeypatch, finished_run, verb, change, code,
                        named):
         if verb == "run":
@@ -573,6 +586,26 @@ class TestExitCodes:
             argv = ["eval", "--run-dir", str(a_file)]
         assert main(argv) == 2
         assert str(named) in capsys.readouterr().err
+
+
+def read_csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestArtifactsJoin:
+    def test_split_and_embeddings_join_the_scenario_manifest(self, finished_run):
+        # Every row's category names a cluster of scenario_manifest.json, split.csv holds
+        # its per-part counts, and embeddings.csv joins split.csv's test rows on id.
+        scenario = json.loads((finished_run / "scenario_manifest.json").read_text())
+        clusters = {f"{c['kind']}:{c['index']}" for c in scenario["clusters"]}
+        split_rows = read_csv_rows(finished_run / "split.csv")
+        embedding_rows = read_csv_rows(finished_run / "embeddings.csv")
+        assert {r["category"] for r in split_rows + embedding_rows} <= clusters
+        assert dict(collections.Counter(r["split"] for r in split_rows)) == scenario["counts"]
+        test_category = {r["id"]: r["category"] for r in split_rows if r["split"] == "test"}
+        assert [r["id"] for r in embedding_rows] == list(test_category)
+        assert [r["category"] for r in embedding_rows] == list(test_category.values())
 
 
 class TestCliGradcheckAndGolden:

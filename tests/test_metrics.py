@@ -188,11 +188,20 @@ class TestOodScore:
             ood_score(np.array([[0.4]]), np.array([[1.0]]), rule="entropy")
 
 
-def evaluate_outputs(monkeypatch, setup, categories, features, embeddings, protos):
+def row_categories(split, codes):
+    """Each row's "<kind>:<index>" category, formed from the split's cluster table."""
+    return [f"{split.clusters[c][0]}:{split.clusters[c][1]}" for c in codes.tolist()]
+
+
+def evaluate_outputs(monkeypatch, setup, categories, features, embeddings, protos,
+                     clusters=None):
     """`evaluate`'s report when the forward returns the given features and
-    embeddings (and all-zero logits) for test rows of the given categories.
+    embeddings (and all-zero logits) for test rows of the given categories,
+    coded into the cluster table `clusters` (by default the setup split's).
     Test row i holds the value i, so the fake forward serves any row range."""
     params, split, _ = setup
+    clusters = split.clusters if clusters is None else clusters
+    code = {f"{kind}:{index}": k for k, (kind, index, *_) in enumerate(clusters)}
     n = len(categories)
     features = np.asarray(features, dtype=np.float64)
     embeddings = np.asarray(embeddings, dtype=np.float64)
@@ -207,7 +216,8 @@ def evaluate_outputs(monkeypatch, setup, categories, features, embeddings, proto
     monkeypatch.setattr("skipalign.metrics.forward", fake_forward)
     test_x = np.repeat(np.arange(n, dtype=np.float64)[:, None], split.test_x.shape[1], axis=1)
     rows = dataclasses.replace(split, test_x=test_x, test_ids=np.arange(n),
-                               test_category=list(categories))
+                               test_cluster=np.array([code[c] for c in categories]),
+                               clusters=clusters)
     return evaluate(params, rows, protos)
 
 
@@ -245,16 +255,26 @@ class TestGeometryStats:
         assert report.counts == {"id": 2, "seen_ood": 1}
         assert report.missing_categories == ["unseen_ood"]
 
-    def test_categories_keep_first_appearance_order(self, setup, monkeypatch):
+    def test_categories_keep_table_order(self, setup, monkeypatch):
         protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
         f = np.arange(1.0, 9.0).reshape(4, 2)
-        report = evaluate_outputs(monkeypatch, setup, ["seen:0", "id:0", "seen:1", "unseen:0"],
-                                  f, f, protos)
-        assert list(report.norm_by_category) == ["seen_ood", "id", "unseen_ood"]
+        cats = ["seen:0", "id:0", "seen:1", "unseen:0"]
+        report = evaluate_outputs(monkeypatch, setup, cats, f, f, protos)
+        assert list(report.norm_by_category) == ["id", "seen_ood", "unseen_ood"]
         assert list(report.cosine_by_category) == list(report.counts) == list(
             report.norm_by_category)
         assert report.counts["seen_ood"] == 2
         assert report.norm_by_category["seen_ood"] == np.linalg.norm(f[[0, 2]], axis=1).mean()
+        # A table listing the unseen clusters first, and the seen clusters before the
+        # galaxies, each kind in index order, orders the categories that way.
+        _, split, _ = setup
+        table = [c for kind in ("unseen", "seen", "id") for c in split.clusters if c[0] == kind]
+        reordered = evaluate_outputs(monkeypatch, setup, cats + ["unseen:2"],
+                                     np.vstack([f, f[:1]]), np.vstack([f, f[:1]]), protos,
+                                     clusters=table)
+        assert list(reordered.norm_by_category) == ["unseen_ood", "seen_ood", "id"]
+        assert list(reordered.auroc_per_source) == ["seen", "unseen_0", "unseen_2"]
+        assert reordered.counts == {"unseen_ood": 2, "seen_ood": 2, "id": 1}
 
 
 def small_scenario(**counts):
@@ -272,8 +292,9 @@ def reference_embedding_dump(out, split, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "category", "feature_norm"] + [f"z_{j}" for j in range(dim)])
+        category = row_categories(split, split.test_cluster)
         for i in range(split.test_x.shape[0]):
-            writer.writerow([int(split.test_ids[i]), split.test_category[i],
+            writer.writerow([int(split.test_ids[i]), category[i],
                              repr(float(norms[i]))]
                             + [repr(float(v)) for v in out.embeddings[i]])
 
@@ -338,9 +359,10 @@ class TestEvaluate:
     def test_matches_per_row_masks_on_permuted_rows(self, setup):
         params, split, protos = setup
         order = np.random.default_rng(7).permutation(split.test_x.shape[0])
-        cats = [split.test_category[i] for i in order]
+        cats = row_categories(split, split.test_cluster[order])
         permuted = dataclasses.replace(split, test_x=split.test_x[order],
-                                       test_ids=split.test_ids[order], test_category=cats)
+                                       test_ids=split.test_ids[order],
+                                       test_cluster=split.test_cluster[order])
         report = evaluate(params, permuted, protos)
 
         out = forward(params, permuted.test_x)
@@ -359,13 +381,13 @@ class TestEvaluate:
 
         coarse = ["id" if c.startswith("id:") else "seen_ood" if c.startswith("seen:")
                   else "unseen_ood" for c in cats]
-        first_seen = list(dict.fromkeys(coarse))
-        assert first_seen != ["id", "seen_ood", "unseen_ood"]  # the order is exercised
-        assert list(report.norm_by_category) == first_seen
-        assert list(report.cosine_by_category) == first_seen
-        assert list(report.counts) == first_seen
+        table_order = ["id", "seen_ood", "unseen_ood"]
+        assert list(dict.fromkeys(coarse)) != table_order  # the order is exercised
+        assert list(report.norm_by_category) == table_order
+        assert list(report.cosine_by_category) == table_order
+        assert list(report.counts) == table_order
         unit_protos = protos.mu / np.linalg.norm(protos.mu, axis=1, keepdims=True)
-        for name in first_seen:
+        for name in table_order:
             rows = np.array([c == name for c in coarse])
             assert report.counts[name] == rows.sum()
             assert report.norm_by_category[name] == np.linalg.norm(out.features[rows],
@@ -462,7 +484,7 @@ class TestForwardRanges:
     def test_one_row_split(self, setup, tmp_path):
         params, split, protos = setup
         one = dataclasses.replace(split, test_x=split.test_x[:1], test_ids=split.test_ids[:1],
-                                  test_category=split.test_category[:1])
+                                  test_cluster=split.test_cluster[:1])
         report = evaluate(params, one, protos)
         out = forward(params, one.test_x)
         assert report.counts == {"id": 1}

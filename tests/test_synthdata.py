@@ -11,8 +11,8 @@ from skipalign.config import default_config
 from skipalign.metrics import write_embedding_dump
 from skipalign.net import forward, init_params
 from skipalign.synthdata import (CHUNK_ROWS, MAX_PLACEMENT_TRIES, PlacementError, ScenarioSpec,
-                                 Split, augment, generate, write_split_csv)
-from test_metrics import reference_embedding_dump, small_scenario, traced_peak
+                                 Split, augment, generate, write_manifest, write_split_csv)
+from test_metrics import reference_embedding_dump, row_categories, small_scenario, traced_peak
 
 SMALL = ScenarioSpec(input_dim=6, num_classes=3, labels_per_class=5,
                      unlabeled_id_per_class=8, unlabeled_seen_per_cluster=6,
@@ -24,12 +24,12 @@ SMALL = ScenarioSpec(input_dim=6, num_classes=3, labels_per_class=5,
 def audit_no_leakage(split: Split) -> None:
     """Assert no unseen-OOD sample is reachable from training-visible data."""
     train_ids = set(split.labeled_ids.tolist()) | set(split.unlabeled_ids.tolist())
-    unseen_ids = {int(i) for i, c in zip(split.test_ids, split.test_category)
-                  if c.startswith("unseen:")}
+    unseen = np.array([kind == "unseen" for kind, *_ in split.clusters])
+    unseen_ids = set(split.test_ids[unseen[split.test_cluster]].tolist())
     overlap = train_ids & unseen_ids
     if overlap:
         raise AssertionError(f"unseen-OOD ids leaked into training data: {sorted(overlap)[:5]}")
-    if any(c.startswith("unseen:") for c in split.unlabeled_category):
+    if unseen[split.unlabeled_cluster].any():
         raise AssertionError("unseen-OOD category found in the unlabeled pool")
 
 
@@ -40,8 +40,8 @@ class TestGenerate:
         assert split.labeled_y.shape == (15,)
         assert split.unlabeled_x.shape == (3 * 8 + 2 * 6, 6)
         assert split.test_x.shape == (3 * 4 + 2 * 3 + 2 * 3, 6)
-        assert len(split.unlabeled_category) == split.unlabeled_x.shape[0]
-        assert len(split.test_category) == split.test_x.shape[0]
+        assert split.unlabeled_cluster.shape == (split.unlabeled_x.shape[0],)
+        assert split.test_cluster.shape == (split.test_x.shape[0],)
 
     def test_three_classes_fifty_labels(self):
         spec = dataclasses.replace(SMALL, num_classes=3, labels_per_class=50)
@@ -56,7 +56,7 @@ class TestGenerate:
         assert np.array_equal(a.labeled_x, b.labeled_x)
         assert np.array_equal(a.unlabeled_x, b.unlabeled_x)
         assert np.array_equal(a.test_x, b.test_x)
-        assert a.test_category == b.test_category
+        assert np.array_equal(a.test_cluster, b.test_cluster)
 
     def test_different_seed_differs(self):
         b = generate(dataclasses.replace(SMALL, seed=1))
@@ -67,8 +67,9 @@ class TestGenerate:
                                    unseen_between_hull=0, unlabeled_seen_per_cluster=0,
                                    test_seen_per_cluster=0, test_unseen_per_cluster=0)
         split = generate(spec)
-        assert all(c.startswith("id:") for c in split.unlabeled_category)
-        assert all(c.startswith("id:") for c in split.test_category)
+        assert [kind for kind, *_ in split.clusters] == ["id"] * spec.num_classes
+        assert all(c.startswith("id:") for c in row_categories(split, split.unlabeled_cluster))
+        assert all(c.startswith("id:") for c in row_categories(split, split.test_cluster))
 
     def test_unique_ids(self):
         split = generate(SMALL)
@@ -87,31 +88,28 @@ class TestGenerate:
 
     def test_id_means_respect_separation(self):
         split = generate(SMALL)
-        means = [np.array(c["mean"]) for c in split.manifest["clusters"]
-                 if c["kind"] == "id"]
+        means = [mean for kind, _, mean, _ in split.clusters if kind == "id"]
         for i in range(len(means)):
             for j in range(i + 1, len(means)):
                 assert np.linalg.norm(means[i] - means[j]) >= SMALL.min_separation
 
     def test_between_hull_cluster_sits_inside(self):
         split = generate(SMALL)
-        id_means = [np.array(c["mean"]) for c in split.manifest["clusters"]
-                    if c["kind"] == "id"]
-        unseen = [c for c in split.manifest["clusters"] if c["kind"] == "unseen"]
+        id_means = [mean for kind, _, mean, _ in split.clusters if kind == "id"]
+        unseen = [mean for kind, _, mean, _ in split.clusters if kind == "unseen"]
         hull_center = np.mean(id_means, axis=0)
         # the last unseen cluster is the between-hull one
-        assert np.linalg.norm(np.array(unseen[-1]["mean"]) - hull_center) < 2.0
+        assert np.linalg.norm(unseen[-1] - hull_center) < 2.0
 
-    def test_manifest_counts(self):
-        split = generate(SMALL)
-        assert split.manifest["counts"]["labeled"] == 15
-        assert split.manifest["counts"]["unlabeled"] == 36
-        assert split.manifest["counts"]["test"] == 24
+    def test_manifest_counts(self, tmp_path):
+        write_manifest(generate(SMALL), tmp_path / "scenario_manifest.json")
+        counts = json.loads((tmp_path / "scenario_manifest.json").read_text())["counts"]
+        assert counts == {"labeled": 15, "unlabeled": 36, "test": 24}
 
 
 def reference_generate(spec):
     """The per-kind draw loops the cluster-table `generate` replaced: the draw
-    order, ids, categories and manifest it must keep."""
+    order, ids and categories it must keep, as a Split, and the scenario manifest."""
     rng = np.random.default_rng(spec.seed)
     placed = []
 
@@ -207,11 +205,17 @@ def reference_generate(spec):
         },
         "spec": dataclasses.asdict(spec),
     }
-    return Split(
+    clusters = [(c["kind"], c["index"], np.array(c["mean"]), c["scale"])
+                for c in manifest["clusters"]]
+    code = {f"{kind}:{index}": k for k, (kind, index, *_) in enumerate(clusters)}
+    split = Split(
         labeled_x=np.vstack(lx), labeled_y=np.concatenate(ly), labeled_ids=np.concatenate(lids),
-        unlabeled_x=np.vstack(ux), unlabeled_ids=np.concatenate(uids), unlabeled_category=ucat,
-        test_x=np.vstack(tx), test_ids=np.concatenate(tids), test_category=tcat,
-        manifest=manifest, scenario=spec)
+        unlabeled_x=np.vstack(ux), unlabeled_ids=np.concatenate(uids),
+        unlabeled_cluster=np.array([code[c] for c in ucat], dtype=np.int64),
+        test_x=np.vstack(tx), test_ids=np.concatenate(tids),
+        test_cluster=np.array([code[c] for c in tcat], dtype=np.int64),
+        clusters=clusters, scenario=spec)
+    return split, manifest
 
 
 # Specs at the edges of the cluster table: no OOD clusters, one galaxy (the
@@ -234,17 +238,20 @@ class TestDrawOrder:
     @pytest.mark.parametrize("spec", [dataclasses.replace(SMALL, seed=seed) for seed in range(5)]
                              + list(EDGE_SPECS.values()),
                              ids=[f"seed-{seed}" for seed in range(5)] + list(EDGE_SPECS))
-    def test_matches_reference_generate(self, spec):
-        split, reference = generate(spec), reference_generate(spec)
+    def test_matches_reference_generate(self, spec, tmp_path):
+        split, (reference, manifest) = generate(spec), reference_generate(spec)
         for f in dataclasses.fields(Split):
             got, want = getattr(split, f.name), getattr(reference, f.name)
             if isinstance(want, np.ndarray):
                 assert (got.dtype, got.shape) == (want.dtype, want.shape), f.name
                 assert np.array_equal(got, want), f.name
-            elif f.name == "manifest":
-                assert json.dumps(got) == json.dumps(want)
+            elif f.name == "clusters":
+                assert [(k, i, m.tolist(), s) for k, i, m, s in got] == [
+                    (k, i, m.tolist(), s) for k, i, m, s in want]
             else:
                 assert got == want, f.name
+        write_manifest(split, tmp_path / "scenario_manifest.json")
+        assert (tmp_path / "scenario_manifest.json").read_text() == json.dumps(manifest, indent=2)
 
 
 class TestGenerateMemory:
@@ -315,12 +322,13 @@ def reference_split_csv(split, path):
             writer.writerow(["labeled", int(split.labeled_ids[i]),
                              f"id:{int(split.labeled_y[i])}", int(split.labeled_y[i])]
                             + [repr(float(v)) for v in split.labeled_x[i]])
+        unlabeled_category = row_categories(split, split.unlabeled_cluster)
         for i in range(split.unlabeled_x.shape[0]):
-            writer.writerow(["unlabeled", int(split.unlabeled_ids[i]),
-                             split.unlabeled_category[i], ""]
+            writer.writerow(["unlabeled", int(split.unlabeled_ids[i]), unlabeled_category[i], ""]
                             + [repr(float(v)) for v in split.unlabeled_x[i]])
+        test_category = row_categories(split, split.test_cluster)
         for i in range(split.test_x.shape[0]):
-            writer.writerow(["test", int(split.test_ids[i]), split.test_category[i], ""]
+            writer.writerow(["test", int(split.test_ids[i]), test_category[i], ""]
                             + [repr(float(v)) for v in split.test_x[i]])
 
 
@@ -366,7 +374,7 @@ class TestSerialization:
         assert np.array_equal(features("unlabeled"), split.unlabeled_x)
         assert np.array_equal(features("test"), split.test_x)
         assert np.array_equal(column("labeled", 3, int), split.labeled_y)
-        assert [r[2] for r in rows["test"]] == split.test_category
+        assert [r[2] for r in rows["test"]] == row_categories(split, split.test_cluster)
         assert np.array_equal(column("unlabeled", 1, int), split.unlabeled_ids)
 
     def test_csv_header(self, tmp_path):
@@ -421,7 +429,7 @@ class TestSplitWriter:
         # the test part starts.
         boundary = dataclasses.replace(default, unlabeled_x=default.unlabeled_x[:350],
                                        unlabeled_ids=default.unlabeled_ids[:350],
-                                       unlabeled_category=default.unlabeled_category[:350])
+                                       unlabeled_cluster=default.unlabeled_cluster[:350])
         starts.clear()
         assert_split_bytes(boundary, tmp_path)
         assert len(starts) == cores - 1
@@ -507,5 +515,5 @@ class TestSplitWriter:
         rows = 2 * synthdata.RANGE_CHUNKS * 28 - 1
         short = dataclasses.replace(default, test_x=default.test_x[:rows],
                                     test_ids=default.test_ids[:rows],
-                                    test_category=default.test_category[:rows])
+                                    test_cluster=default.test_cluster[:rows])
         write_embedding_dump(params, short, tmp_path / "emb.csv")

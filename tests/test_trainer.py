@@ -103,6 +103,16 @@ class TestTrainLoop:
         assert log1.iterations == log2.iterations
         assert log1.epochs == log2.epochs
 
+    def test_blind_to_ground_truth(self):
+        # The unlabeled rows' cluster codes are ground truth for evaluation only.
+        cfg = tiny_config(seed=5)
+        split = generate(cfg.scenario)
+        p1, log1 = train(split, cfg.net, cfg.train)
+        p2, log2 = train(dataclasses.replace(split, unlabeled_cluster=None), cfg.net, cfg.train)
+        assert np.array_equal(p1.flat, p2.flat)
+        assert log1.iterations == log2.iterations
+        assert log1.epochs == log2.epochs
+
     def test_different_train_seed_differs(self):
         cfg = tiny_config(seed=5)
         split = generate(cfg.scenario)
