@@ -7,10 +7,9 @@ and an experiment runner with sweeps and golden-file regression.
 
 __version__ = "0.1.0"
 
-from .data import EmbeddingBatch
 from .heads import HeadWeights
 from .net import NetSpec, ParamState
-from .prototypes import PrototypeSet
+from .prototypes import EmbeddingBatch, PrototypeSet
 from .sna import GateMask, SnaWeights
 from .synthdata import ScenarioSpec, Split
 from .trainer import RunLog, TrainConfig

@@ -147,23 +147,15 @@ def _write_prototypes(protos: PrototypeSet, path: Path) -> None:
         json.dump(payload, fh)
 
 
-def _load_prototypes(path: Path, spec: NetSpec) -> PrototypeSet:
-    """The saved prototypes; mu must be a finite (num_classes, embed_dim) matrix of
-    the checkpoint's spec, with no zero row."""
+def _load_prototypes(path: Path, spec: NetSpec) -> np.ndarray:
+    """The unit rows of mu, the one field `eval` reads: a finite (num_classes,
+    embed_dim) matrix of the checkpoint's spec, with no zero row."""
     with open(path) as fh:
-        payload = json.load(fh)
-    mu = np.array(payload["mu"], dtype=np.float64)
+        mu = np.array(json.load(fh)["mu"], dtype=np.float64)
     if mu.shape != (spec.num_classes, spec.embed_dim):
         raise ValueError(f"mu has shape {mu.shape}, the checkpoint needs "
                          f"({spec.num_classes}, {spec.embed_dim})")
-    normalize(as_matrix(mu))  # finite, and no degenerate row
-    return PrototypeSet(
-        mu=mu, mu_labeled=np.array(payload["mu_labeled"]),
-        mu_unlabeled=np.array(payload["mu_unlabeled"]),
-        n_labeled=np.array(payload["n_labeled"], dtype=np.int64),
-        n_unlabeled=np.array(payload["n_unlabeled"], dtype=np.int64),
-        gamma=payload["gamma"], r_u=payload["r_u"],
-    )
+    return normalize(as_matrix(mu))[0]
 
 
 def _load_artifact(load, path: Path, *args):
@@ -270,10 +262,10 @@ def _cmd_eval(args) -> int:
     params = _load_artifact(load_checkpoint, run_dir / "checkpoint.json")
     if cfg.net != params.spec:
         raise ConfigError(str(manifest_path), "net does not match the spec in checkpoint.json")
-    protos = _load_artifact(_load_prototypes, run_dir / "prototypes.json", params.spec)
+    unit_protos = _load_artifact(_load_prototypes, run_dir / "prototypes.json", params.spec)
     rule = args.score_rule or cfg.train.score_rule
     try:
-        report = evaluate(params, split, protos, score_rule=rule)
+        report = evaluate(params, split, unit_protos, score_rule=rule)
     except ValueError as err:  # parameters that load but overflow or zero a row
         raise ConfigError(str(run_dir / "checkpoint.json"),
                           f"cannot be evaluated: {err}") from err

@@ -25,7 +25,6 @@ import numpy as np
 from .heads import log_softmax, two_way
 from .linalg import normalize
 from .net import ParamState, forward
-from .prototypes import PrototypeSet
 from .synthdata import Split, write_float_rows
 
 SCORE_RULES = ("ova_id_at_cc_argmax", "max_cc_softmax", "max_ova_id", "feature_norm")
@@ -126,9 +125,10 @@ def _forward_ranges(params: ParamState, x: np.ndarray):
         yield lo, hi, forward(params, x[lo:hi])
 
 
-def evaluate(params: ParamState, split: Split, protos: PrototypeSet,
+def evaluate(params: ParamState, split: Split, unit_protos: np.ndarray,
              score_rule: str = "ova_id_at_cc_argmax") -> EvalReport:
-    """Score the test split of a scenario against a frozen parameter state."""
+    """Score the test split of a scenario against a frozen parameter state and the
+    (K, d) unit prototype rows (`PrototypeSet.unit_directions`)."""
     n = split.test_x.shape[0]
     if n == 0:
         raise ValueError("test split is empty")
@@ -143,7 +143,6 @@ def evaluate(params: ParamState, split: Split, protos: PrototypeSet,
 
     pred = np.empty(n, dtype=np.intp)
     scores, norms, max_cos = np.empty(n), np.empty(n), np.empty(n)
-    unit_protos = protos.unit_directions()
     for lo, hi, out in _forward_ranges(params, split.test_x):
         cc_probs = log_softmax(out.cc_logits)[1]
         pred[lo:hi] = np.argmax(cc_probs, axis=1)

@@ -252,12 +252,19 @@ def save_checkpoint(params: ParamState, path) -> None:
 
 
 def load_checkpoint(path) -> ParamState:
+    """The saved state; a non-object root or an overflowing value is a ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint root is a JSON {type(payload).__name__}, not an object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
     spec_dict = dict(payload["spec"])
     spec_dict["backbone_widths"] = tuple(spec_dict["backbone_widths"])
     spec = NetSpec(**spec_dict)
-    flat = np.array([float.fromhex(h) for h in payload["params_hex"]], dtype=np.float64)
-    return ParamState(spec=spec, flat=flat, step=int(payload["step"]))
+    try:
+        flat = np.array([float.fromhex(h) for h in payload["params_hex"]], dtype=np.float64)
+        step = int(payload["step"])
+    except OverflowError as err:
+        raise ValueError(f"checkpoint value out of range: {err}") from err
+    return ParamState(spec=spec, flat=flat, step=step)

@@ -24,7 +24,6 @@ from .heads import HeadWeights, ce, compose, log_softmax
 from .linalg import finite_diff_grad, normalize
 from .net import NetSpec, ParamState, forward, forward_tensors, init_params, param_count
 from .net import backward as net_backward
-from .prototypes import PrototypeSet
 from .sna import LOSS_COMBOS, SnaWeights, usna
 from .trainer import Decisions, TrainConfig, freeze_decisions, objective, step_rows
 
@@ -98,7 +97,7 @@ def usna_gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-6)
         dim = int(rng.integers(2, 17))
         k = int(rng.integers(2, 9))
         temperature = float(rng.uniform(0.1, 2.0))
-        unit_protos = PrototypeSet.from_means(rng.standard_normal((k, dim))).unit_directions()
+        unit_protos = normalize(rng.standard_normal((k, dim)))[0]
         z = rng.standard_normal((rows, dim)) * rng.uniform(0.5, 3.0, size=(rows, 1))
         phi = rng.integers(0, 2, size=rows)
         k_hat = rng.integers(0, k, size=rows)
@@ -129,8 +128,7 @@ def full_model_gradient_check(seed: int = 0, step: float = 1e-5) -> tuple[float,
     inputs = {view: rng.standard_normal((rows, spec.input_dim))
               for view, rows in (("x_w", 4), ("u_w", 6), ("u_w2", 6), ("u_s", 6))}
     x = np.concatenate(list(inputs.values()))
-    unit_protos = PrototypeSet.from_means(
-        rng.standard_normal((spec.num_classes, spec.embed_dim))).unit_directions()
+    unit_protos = normalize(rng.standard_normal((spec.num_classes, spec.embed_dim)))[0]
     head = HeadWeights(lambda_u=1.0, lambda_em=0.3, lambda_socr=0.5, lambda_neg=0.7,
                        lambda_cc=1.0, lambda_od=0.9, lambda_sna=0.4,
                        tau_pl=0.4, eta_neg=0.5)

@@ -4,8 +4,8 @@ Each prototype is a weighted fusion of the labeled class mean and the mean
 of gate-accepted unlabeled embeddings assigned to that class. Weights are
 count-based: the labeled side scaled by the unlabeled:labeled batch ratio,
 the unlabeled side by the contribution knob r_u. Prototypes are stored
-unnormalized; similarity code normalizes on the fly, which keeps the
-convex-combination structure visible to tests.
+unnormalized, which keeps the convex-combination structure visible to tests;
+every reader takes the unit rows, `unit_directions`.
 """
 
 from __future__ import annotations
@@ -14,8 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingBatch
-from .linalg import as_matrix, normalize
+from .linalg import normalize
+
+
+@dataclass(frozen=True)
+class EmbeddingBatch:
+    """A (B, d) block of embeddings and one class label per row. Its producers
+    (`net.forward` and `net.backward`) have already checked it is finite."""
+
+    vectors: np.ndarray
+    labels: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.vectors.shape[0]
 
 
 @dataclass(frozen=True)
@@ -29,31 +41,18 @@ class PrototypeSet:
     r_u: float
 
     def unit_directions(self) -> np.ndarray:
-        return normalize(as_matrix(self.mu))[0]
-
-    @classmethod
-    def from_means(cls, mu, gamma: float = 1.0, r_u: float = 0.0) -> "PrototypeSet":
-        """Wrap a plain (K, d) matrix of class means, e.g. for tests."""
-        mu = as_matrix(mu)
-        k = mu.shape[0]
-        return cls(mu=mu, mu_labeled=mu.copy(), mu_unlabeled=np.zeros_like(mu),
-                   n_labeled=np.ones(k, dtype=np.int64),
-                   n_unlabeled=np.zeros(k, dtype=np.int64),
-                   gamma=gamma, r_u=r_u)
+        return normalize(self.mu)[0]
 
 
 def refresh(labeled: EmbeddingBatch, unlabeled: EmbeddingBatch | None,
-            gamma: float, r_u: float, num_classes: int | None = None) -> PrototypeSet:
+            gamma: float, r_u: float, num_classes: int) -> PrototypeSet:
     """Recompute prototypes from a labeled pool and gate-accepted unlabeled embeddings.
 
     `unlabeled` holds only the rows the gate accepted, each labeled with its
-    predicted class. A class with no labeled samples is an error; a class
-    with no unlabeled contributors keeps its labeled mean exactly.
+    predicted class. A class below num_classes with no labeled samples is an
+    error; a class with no unlabeled contributors keeps its labeled mean exactly.
     """
-    if num_classes is None:
-        num_classes = int(labeled.labels.max()) + 1
-
-    mu_l = np.zeros((num_classes, labeled.dim))
+    mu_l = np.zeros((num_classes, labeled.vectors.shape[1]))
     mu_u = np.zeros_like(mu_l)
     n_l = np.zeros(num_classes, dtype=np.int64)
     n_u = np.zeros(num_classes, dtype=np.int64)

@@ -23,13 +23,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import net as net_mod
-from .data import EmbeddingBatch
 from .heads import (HeadWeights, ce, compose, consistency, em, log_softmax, neg, negatives, ova,
                     socr, two_way)
 from .linalg import normalize
 from .metrics import SCORE_RULES, EvalReport, evaluate
 from .net import ForwardResult, NetSpec, ParamState, forward, init_params, sgd_step
-from .prototypes import PrototypeSet, refresh
+from .prototypes import EmbeddingBatch, PrototypeSet, refresh
 from .sna import GateMask, SnaWeights, dual_gate, ia, pa, usna
 from .synthdata import Split, augment_views
 
@@ -206,7 +205,7 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
         last = runlog.iterations[-1] if runlog.iterations else None
         raise TrainingDiverged(str(err), last_report=last) from err
 
-    runlog.final_report = evaluate(params, split, protos, score_rule=cfg.score_rule)
+    runlog.final_report = evaluate(params, split, protos.unit_directions(), cfg.score_rule)
     runlog.epochs[-1]["eval"] = runlog.final_report.to_dict()
     return params, runlog
 

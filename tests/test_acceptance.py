@@ -17,8 +17,7 @@ from skipalign.linalg import normalize
 from skipalign.metrics import auroc, evaluate, write_eval_csv
 from skipalign.oracles import (ce_feature_gradient_check, full_model_gradient_check,
                                usna_gradient_check)
-from skipalign.prototypes import PrototypeSet, refresh
-from skipalign.data import EmbeddingBatch
+from skipalign.prototypes import EmbeddingBatch, refresh
 from skipalign.sna import LOSS_COMBOS, usna
 from skipalign.synthdata import generate
 from skipalign.trainer import train
@@ -56,7 +55,8 @@ def default_run():
     cfg = default_config(seed=0)
     split, params, protos, report = trained(cfg)
     # the last epoch's report is the one a fresh evaluation of the result gives
-    assert evaluate(params, split, protos, score_rule=cfg.train.score_rule) == report
+    assert evaluate(params, split, protos.unit_directions(),
+                    score_rule=cfg.train.score_rule) == report
     return report
 
 
@@ -83,7 +83,7 @@ def test_criterion_02_angular_purity_and_scale_invariance():
     for case in range(1000):
         dim = int(rng.integers(2, 13))
         k = int(rng.integers(2, 7))
-        unit_protos = PrototypeSet.from_means(rng.standard_normal((k, dim))).unit_directions()
+        unit_protos = normalize(rng.standard_normal((k, dim)))[0]
         z = rng.standard_normal(dim) * rng.uniform(0.2, 4.0)
         k_hat = int(rng.integers(0, k))
         t = rng.uniform(0.1, 2.0)
@@ -122,7 +122,7 @@ def test_criterion_04_prototype_algebra():
     labeled = EmbeddingBatch(np.tile([[1.0, 0.0]], (4, 1)), labels=np.zeros(4, dtype=int))
     unlabeled = EmbeddingBatch(np.tile([[0.0, 1.0]], (8, 1)),
                                labels=np.zeros(8, dtype=np.int64))
-    protos = refresh(labeled, unlabeled, gamma=2.0, r_u=0.5)
+    protos = refresh(labeled, unlabeled, gamma=2.0, r_u=0.5, num_classes=1)
     np.testing.assert_array_equal(protos.mu[0], [2 / 3, 1 / 3])
 
     rng = np.random.default_rng(3)
@@ -130,14 +130,14 @@ def test_criterion_04_prototype_algebra():
     labels = np.repeat([0, 1, 2], 4)
     lab = EmbeddingBatch(vecs, labels=labels)
     unl = EmbeddingBatch(rng.standard_normal((9, 5)), labels=rng.integers(0, 3, 9))
-    zero_r = refresh(lab, unl, gamma=2.0, r_u=0.0)
+    zero_r = refresh(lab, unl, gamma=2.0, r_u=0.0, num_classes=3)
     assert np.array_equal(zero_r.mu, zero_r.mu_labeled)
-    no_unl = refresh(lab, None, gamma=2.0, r_u=0.5)
+    no_unl = refresh(lab, None, gamma=2.0, r_u=0.5, num_classes=3)
     assert np.array_equal(no_unl.mu, no_unl.mu_labeled)
 
     fractions = []
     for r_u in np.linspace(0.0, 1.0, 21):
-        p = refresh(lab, unl, gamma=2.0, r_u=float(r_u))
+        p = refresh(lab, unl, gamma=2.0, r_u=float(r_u), num_classes=3)
         d2 = p.mu_unlabeled[0] - p.mu_labeled[0]
         fractions.append(np.dot(p.mu[0] - p.mu_labeled[0], d2) / np.dot(d2, d2))
     assert all(b > a for a, b in zip(fractions, fractions[1:]))

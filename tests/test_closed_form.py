@@ -14,9 +14,9 @@ import pytest
 
 from skipalign.autodiff import constant
 from skipalign.heads import HeadWeights
+from skipalign.linalg import normalize
 from skipalign.net import NetSpec, forward, forward_tensors, init_params
 from skipalign.oracles import objective_gradients, tape_objective
-from skipalign.prototypes import PrototypeSet
 from skipalign.sna import LOSS_COMBOS, SnaWeights
 from skipalign.trainer import TrainConfig, freeze_decisions, objective, step_rows
 
@@ -36,8 +36,7 @@ def step(spec=SPEC, cfg=CFG, labels=(0, 0, 1, 2, 2, 1), unlabeled=8, seed=0):
     inputs = {"x_w": rng.standard_normal((len(labels), spec.input_dim)) * 2}
     for view in ("u_w", "u_w2", "u_s"):
         inputs[view] = rng.standard_normal((unlabeled, spec.input_dim)) * 2
-    unit_protos = PrototypeSet.from_means(
-        rng.standard_normal((spec.num_classes, spec.embed_dim))).unit_directions()
+    unit_protos = normalize(rng.standard_normal((spec.num_classes, spec.embed_dim)))[0]
     rows = step_rows(forward(params, np.concatenate(list(inputs.values()))), len(labels))
     decisions = freeze_decisions(rows, cfg)
     return params, inputs, np.array(labels), unit_protos, rows, decisions

@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from skipalign import metrics
 from skipalign.cli import apply_axis, build_parser, main, run_experiment, sweep
 from skipalign.config import (ConfigError, config_hash, default_config, load_config,
                               resolve_config)
+from skipalign.linalg import normalize
 from skipalign.trainer import TrainingDiverged
 
 
@@ -29,6 +31,13 @@ TINY_RAW = {
     },
     "train": {"epochs": 2, "iters_per_epoch": 5, "batch_size": 8},
 }
+
+# The package's modules, as `wc -l src/skipalign/*.py` counts them.
+SOURCE_MODULES = [
+    "__init__.py", "autodiff.py", "cli.py", "config.py", "heads.py", "linalg.py", "metrics.py",
+    "net.py", "oracles.py", "prototypes.py", "sna.py", "synthdata.py", "tensor_losses.py",
+    "trainer.py",
+]
 
 # Every settable value of the resolved config, as flatten names it.
 SETTABLE_VALUES = [
@@ -132,6 +141,12 @@ class TestConfigResolution:
     def test_settable_values_pinned(self):
         # A new option shows up here as a reviewed diff.
         assert sorted(flatten(default_config().resolved_dict())) == SETTABLE_VALUES
+
+    def test_modules_pinned(self):
+        # A new module shows up here as a reviewed diff.
+        import skipalign
+        package = Path(skipalign.__file__).parent
+        assert sorted(path.name for path in package.glob("*.py")) == SOURCE_MODULES
 
     def test_every_exported_name_resolves(self):
         # A stale export of a removed name fails the star import.
@@ -422,6 +437,27 @@ def set_params(value):
     return damage
 
 
+def set_literal(keys, literal):
+    """A damage that sets the JSON value at the key path keys to literal, written as
+    is: a number such as 1e400 that json.dumps would write as Infinity."""
+    def damage(path):
+        payload = json.loads(path.read_text())
+        owner = payload
+        for key in keys[:-1]:
+            owner = owner[key]
+        owner[keys[-1]] = "<literal>"
+        path.write_text(json.dumps(payload).replace('"<literal>"', literal))
+    return damage
+
+
+def wrap_in_list(path):
+    path.write_text(json.dumps([json.loads(path.read_text())]))
+
+
+def keep_only_mu(path):
+    path.write_text(json.dumps({"mu": json.loads(path.read_text())["mu"]}))
+
+
 def drop_config(path):
     payload = json.loads(path.read_text())
     del payload["config"]
@@ -513,6 +549,12 @@ class TestExitCodes:
         ("eval", ("manifest.json", drop_config), 2, "manifest.json: config"),
         ("eval", ("manifest.json", set_scenario("min_separation", 1e6)), 2,
          "manifest.json: config: scenario.min_separation"),
+        ("eval", ("checkpoint.json", set_literal(("step",), "1e400")), 2, "checkpoint.json"),
+        ("eval", ("checkpoint.json", set_literal(("params_hex", 0), '"0x1p+2000"')), 2,
+         "checkpoint.json"),
+        ("eval", ("checkpoint.json", wrap_in_list), 2, "checkpoint.json"),
+        ("eval", ("prototypes.json", set_literal(("n_labeled", 0), "1e400")), 0, None),
+        ("eval", ("prototypes.json", keep_only_mu), 0, None),
     ], ids=["zero-seeds", "negative-seed", "negative-scenario-seed", "negative-net-seed",
             "negative-train-seed", "seen-only-pool", "empty-pool", "no-id-test-rows",
             "unsatisfiable-separation", "string-epochs", "bool-epochs", "zero-epochs",
@@ -524,7 +566,9 @@ class TestExitCodes:
             "prototypes-mu-zero-rows", "prototypes-mu-string", "manifest-input-dim",
             "manifest-num-classes", "checkpoint-spec-removed-key", "eval-status-error",
             "eval-status-running", "checkpoint-overflows", "checkpoint-zero",
-            "manifest-config-missing", "manifest-unplaceable"])
+            "manifest-config-missing", "manifest-unplaceable", "checkpoint-step-overflows",
+            "checkpoint-hex-overflows", "checkpoint-root-list", "prototypes-count-overflows",
+            "prototypes-only-mu"])
     def test_exit_code(self, tmp_path, capsys, monkeypatch, finished_run, verb, change, code,
                        named):
         if verb == "run":
@@ -548,6 +592,15 @@ class TestExitCodes:
             assert main(argv) == code
         if code == 2:
             assert named in capsys.readouterr().err
+        if verb == "eval" and code == 0:
+            # eval reads only mu from prototypes.json: the re-score is the intact run's.
+            intact = tmp_path / "intact"
+            shutil.copytree(finished_run, intact)
+            assert main(["eval", "--run-dir", str(intact)]) == 0
+            rescores = sorted(path.name for path in intact.glob("rescore_*.json"))
+            assert rescores == sorted(path.name for path in run_dir.glob("rescore_*.json"))
+            for name in rescores:
+                assert (run_dir / name).read_bytes() == (intact / name).read_bytes()
 
 
     @pytest.mark.parametrize("case", [
@@ -684,7 +737,7 @@ class TestRunExperimentApi:
         written = json.loads((run_dir / "eval_report.json").read_text())
         assert written == json.loads(json.dumps(report.to_dict()))
         protos = json.loads((run_dir / "prototypes.json").read_text())
-        np.testing.assert_array_equal(calls[0].mu, protos["mu"])
+        np.testing.assert_array_equal(calls[0], normalize(np.array(protos["mu"]))[0])
 
     def test_returns_report_and_dir(self, tmp_path):
         cfg = resolve_config(TINY_RAW)

@@ -5,7 +5,6 @@ import pytest
 
 from skipalign.heads import log_softmax
 from skipalign.linalg import finite_diff_grad, normalize
-from skipalign.prototypes import PrototypeSet
 from skipalign.sna import usna
 from skipalign.trainer import TrainConfig
 
@@ -22,9 +21,8 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
 
 def cosine_sim(a, b) -> float:
     """Cosine similarity as `evaluate` computes it against the prototypes."""
-    protos = PrototypeSet.from_means(np.asarray([b], dtype=np.float64))
-    return float((normalize(np.asarray([a], dtype=np.float64))[0]
-                  @ protos.unit_directions().T)[0, 0])
+    unit_protos = normalize(np.asarray([b], dtype=np.float64))[0]
+    return float((normalize(np.asarray([a], dtype=np.float64))[0] @ unit_protos.T)[0, 0])
 
 
 def tangential_project(z, v) -> np.ndarray:
@@ -35,7 +33,7 @@ def tangential_project(z, v) -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    unit_protos = PrototypeSet.from_means(v[None, :]).unit_directions()
+    unit_protos = normalize(v[None, :])[0]
     grad = usna(*normalize(z[None, :]), unit_protos, [0], [0], temperature=1.0)[1][0]
     return grad * np.linalg.norm(z) * np.linalg.norm(v)
 

@@ -10,10 +10,10 @@ from scipy.stats import rankdata
 from skipalign import metrics
 from skipalign.config import default_config
 from skipalign.heads import two_way
+from skipalign.linalg import normalize
 from skipalign.metrics import (_forward_ranges, auroc, evaluate, ood_score, write_embedding_dump,
                                write_eval_csv)
 from skipalign.net import ForwardResult, forward, init_params
-from skipalign.prototypes import PrototypeSet
 from skipalign.synthdata import CHUNK_ROWS, generate
 
 
@@ -193,7 +193,7 @@ def row_categories(split, codes):
     return [f"{split.clusters[c][0]}:{split.clusters[c][1]}" for c in codes.tolist()]
 
 
-def evaluate_outputs(monkeypatch, setup, categories, features, embeddings, protos,
+def evaluate_outputs(monkeypatch, setup, categories, features, embeddings, unit_protos,
                      clusters=None):
     """`evaluate`'s report when the forward returns the given features and
     embeddings (and all-zero logits) for test rows of the given categories,
@@ -218,7 +218,7 @@ def evaluate_outputs(monkeypatch, setup, categories, features, embeddings, proto
     rows = dataclasses.replace(split, test_x=test_x, test_ids=np.arange(n),
                                test_cluster=np.array([code[c] for c in categories]),
                                clusters=clusters)
-    return evaluate(params, rows, protos)
+    return evaluate(params, rows, unit_protos)
 
 
 class TestGeometryStats:
@@ -226,40 +226,41 @@ class TestGeometryStats:
     prototype cosine and row count per coarse category."""
 
     def test_identical_features_equal_norms(self, setup, monkeypatch):
-        protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
+        unit_protos = normalize(np.array([[1.0, 0.0]]))[0]
         f = np.tile([[3.0, 4.0]], (4, 1))
         z = np.tile([[1.0, 1.0]], (4, 1))
         report = evaluate_outputs(monkeypatch, setup, ["id:0", "id:1", "seen:0", "seen:1"],
-                                  f, z, protos)
+                                  f, z, unit_protos)
         assert report.norm_by_category == {"id": 5.0, "seen_ood": 5.0}
 
     def test_hand_built_two_category_norms(self, setup, monkeypatch):
-        protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
+        unit_protos = normalize(np.array([[1.0, 0.0]]))[0]
         f = np.array([[3.0, 4.0], [0.0, 1.0]])
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
-        report = evaluate_outputs(monkeypatch, setup, ["id:0", "unseen:0"], f, z, protos)
+        report = evaluate_outputs(monkeypatch, setup, ["id:0", "unseen:0"], f, z, unit_protos)
         assert report.norm_by_category == {"id": 5.0, "unseen_ood": 1.0}
         assert report.cosine_by_category["id"] == pytest.approx(1.0, abs=1e-12)
         assert report.cosine_by_category["unseen_ood"] == pytest.approx(0.0, abs=1e-12)
 
     def test_aligned_category_max_cosine_one(self, setup, monkeypatch):
-        protos = PrototypeSet.from_means(np.array([[2.0, 0.0], [0.0, 2.0]]))
+        unit_protos = normalize(np.array([[2.0, 0.0], [0.0, 2.0]]))[0]
         z = np.array([[5.0, 0.0], [3.0, 0.0]])
-        report = evaluate_outputs(monkeypatch, setup, ["id:0", "id:1"], z, z, protos)
+        report = evaluate_outputs(monkeypatch, setup, ["id:0", "id:1"], z, z, unit_protos)
         assert report.cosine_by_category["id"] == pytest.approx(1.0, abs=1e-12)
 
     def test_counts(self, setup, monkeypatch):
-        protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
+        unit_protos = normalize(np.array([[1.0, 0.0]]))[0]
         f = np.ones((3, 2))
-        report = evaluate_outputs(monkeypatch, setup, ["id:0", "id:1", "seen:0"], f, f, protos)
+        report = evaluate_outputs(monkeypatch, setup, ["id:0", "id:1", "seen:0"], f, f,
+                                  unit_protos)
         assert report.counts == {"id": 2, "seen_ood": 1}
         assert report.missing_categories == ["unseen_ood"]
 
     def test_categories_keep_table_order(self, setup, monkeypatch):
-        protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
+        unit_protos = normalize(np.array([[1.0, 0.0]]))[0]
         f = np.arange(1.0, 9.0).reshape(4, 2)
         cats = ["seen:0", "id:0", "seen:1", "unseen:0"]
-        report = evaluate_outputs(monkeypatch, setup, cats, f, f, protos)
+        report = evaluate_outputs(monkeypatch, setup, cats, f, f, unit_protos)
         assert list(report.norm_by_category) == ["id", "seen_ood", "unseen_ood"]
         assert list(report.cosine_by_category) == list(report.counts) == list(
             report.norm_by_category)
@@ -270,7 +271,7 @@ class TestGeometryStats:
         _, split, _ = setup
         table = [c for kind in ("unseen", "seen", "id") for c in split.clusters if c[0] == kind]
         reordered = evaluate_outputs(monkeypatch, setup, cats + ["unseen:2"],
-                                     np.vstack([f, f[:1]]), np.vstack([f, f[:1]]), protos,
+                                     np.vstack([f, f[:1]]), np.vstack([f, f[:1]]), unit_protos,
                                      clusters=table)
         assert list(reordered.norm_by_category) == ["unseen_ood", "seen_ood", "id"]
         assert list(reordered.auroc_per_source) == ["seen", "unseen_0", "unseen_2"]
@@ -304,17 +305,16 @@ def setup():
     cfg = default_config(seed=3)
     split = generate(small_scenario())
     params = init_params(cfg.net)
-    protos = PrototypeSet.from_means(
-        np.random.default_rng(0).standard_normal((cfg.net.num_classes,
-                                                  cfg.net.embed_dim)))
-    return params, split, protos
+    unit_protos = normalize(np.random.default_rng(0).standard_normal((cfg.net.num_classes,
+                                                                     cfg.net.embed_dim)))[0]
+    return params, split, unit_protos
 
 
 class TestEvaluate:
 
     def test_report_structure(self, setup):
-        params, split, protos = setup
-        report = evaluate(params, split, protos)
+        params, split, unit_protos = setup
+        report = evaluate(params, split, unit_protos)
         assert report.score_rule == "ova_id_at_cc_argmax"
         assert set(report.auroc_per_source) == {"seen", "unseen_0", "unseen_1", "unseen_2"}
         for v in report.auroc_per_source.values():
@@ -326,8 +326,8 @@ class TestEvaluate:
         assert set(report.norm_by_category) == {"id", "seen_ood", "unseen_ood"}
 
     def test_csv_and_dump(self, setup, tmp_path, monkeypatch):
-        params, split, protos = setup
-        report = evaluate(params, split, protos)
+        params, split, unit_protos = setup
+        report = evaluate(params, split, unit_protos)
         write_eval_csv(report, tmp_path / "metrics.csv")
         lines = (tmp_path / "metrics.csv").read_text().splitlines()
         assert lines[0] == "key,value"
@@ -357,13 +357,13 @@ class TestEvaluate:
                     == (tmp_path / "reference.csv").read_bytes())
 
     def test_matches_per_row_masks_on_permuted_rows(self, setup):
-        params, split, protos = setup
+        params, split, unit_protos = setup
         order = np.random.default_rng(7).permutation(split.test_x.shape[0])
         cats = row_categories(split, split.test_cluster[order])
         permuted = dataclasses.replace(split, test_x=split.test_x[order],
                                        test_ids=split.test_ids[order],
                                        test_cluster=split.test_cluster[order])
-        report = evaluate(params, permuted, protos)
+        report = evaluate(params, permuted, unit_protos)
 
         out = forward(params, permuted.test_x)
         cc_probs = ref_softmax_rows(out.cc_logits)
@@ -386,7 +386,6 @@ class TestEvaluate:
         assert list(report.norm_by_category) == table_order
         assert list(report.cosine_by_category) == table_order
         assert list(report.counts) == table_order
-        unit_protos = protos.mu / np.linalg.norm(protos.mu, axis=1, keepdims=True)
         for name in table_order:
             rows = np.array([c == name for c in coarse])
             assert report.counts[name] == rows.sum()
@@ -399,9 +398,9 @@ class TestEvaluate:
         assert report.missing_categories == []
 
     def test_reports_categories_without_test_rows(self, setup):
-        params, _, protos = setup
+        params, _, unit_protos = setup
         split = generate(small_scenario(test_seen_per_cluster=0))
-        report = evaluate(params, split, protos)
+        report = evaluate(params, split, unit_protos)
         assert report.missing_categories == ["seen_ood"]
         assert "seen" not in report.auroc_per_source
         assert list(report.counts) == ["id", "unseen_ood"]
@@ -449,10 +448,10 @@ class TestForwardRanges:
     @pytest.mark.parametrize("chunk_for", [lambda n: 2, lambda n: 7, lambda n: n - 1],
                              ids=["2", "7", "n-1"])
     def test_ranges_keep_report_and_dump_bytes(self, setup, tmp_path, monkeypatch, chunk_for):
-        params, split, protos = setup
+        params, split, unit_protos = setup
         n = split.test_x.shape[0]
         assert n % 2 == 0  # ranges of 2 rows cover it; n - 1 rows leave a (k*c + 1)-row split
-        whole = evaluate(params, split, protos)
+        whole = evaluate(params, split, unit_protos)
         write_embedding_dump(params, split, tmp_path / "whole.csv")
 
         chunk = chunk_for(n)
@@ -464,7 +463,7 @@ class TestForwardRanges:
             return forward(p, x)
 
         monkeypatch.setattr("skipalign.metrics.forward", recording)
-        report = evaluate(params, split, protos)
+        report = evaluate(params, split, unit_protos)
         write_embedding_dump(params, split, tmp_path / "ranges.csv")
         assert len(lengths) > 2 and all(2 <= m <= chunk for m in lengths)
         assert report == whole
@@ -473,19 +472,19 @@ class TestForwardRanges:
 
     def test_large_split_keeps_report_and_dump_bytes(self, setup, large_split, tmp_path,
                                                      monkeypatch):
-        params, _, protos = setup
-        ranged = evaluate(params, large_split, protos)
+        params, _, unit_protos = setup
+        ranged = evaluate(params, large_split, unit_protos)
         write_embedding_dump(params, large_split, tmp_path / "ranges.csv")
         monkeypatch.setattr(metrics, "FORWARD_CHUNK_ROWS", large_split.test_x.shape[0])
-        assert evaluate(params, large_split, protos).csv_rows() == ranged.csv_rows()
+        assert evaluate(params, large_split, unit_protos).csv_rows() == ranged.csv_rows()
         write_embedding_dump(params, large_split, tmp_path / "whole.csv")
         assert (tmp_path / "ranges.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_one_row_split(self, setup, tmp_path):
-        params, split, protos = setup
+        params, split, unit_protos = setup
         one = dataclasses.replace(split, test_x=split.test_x[:1], test_ids=split.test_ids[:1],
                                   test_cluster=split.test_cluster[:1])
-        report = evaluate(params, one, protos)
+        report = evaluate(params, one, unit_protos)
         out = forward(params, one.test_x)
         assert report.counts == {"id": 1}
         assert report.norm_by_category == {"id": np.linalg.norm(out.features, axis=1)[0]}
@@ -496,24 +495,24 @@ class TestForwardRanges:
 
     def test_embeddings_are_checked_for_finite_values_once(self, setup, monkeypatch):
         # net.forward checks every layer output; nothing after it checks them again.
-        params, split, protos = setup
+        params, split, unit_protos = setup
         monkeypatch.setattr(metrics, "FORWARD_CHUNK_ROWS", 7)
         outs, checked = [], []
         real_isfinite = np.isfinite
         monkeypatch.setattr(np, "isfinite", lambda a: checked.append(a) or real_isfinite(a))
         monkeypatch.setattr("skipalign.metrics.forward",
                             lambda p, x: outs.append(forward(p, x)) or outs[-1])
-        evaluate(params, split, protos)
+        evaluate(params, split, unit_protos)
         assert len(outs) > 2
         assert [sum(a is out.embeddings for a in checked) for out in outs] == [1] * len(outs)
 
     def test_geometry_stats_across_a_range_boundary(self, setup, monkeypatch):
-        protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
+        unit_protos = normalize(np.array([[1.0, 0.0]]))[0]
         f = np.arange(1.0, 13.0).reshape(6, 2)
         cats = ["seen:0", "id:0", "seen:1", "unseen:0", "id:1", "seen:0"]
-        whole = evaluate_outputs(monkeypatch, setup, cats, f, f, protos)
+        whole = evaluate_outputs(monkeypatch, setup, cats, f, f, unit_protos)
         monkeypatch.setattr(metrics, "FORWARD_CHUNK_ROWS", 4)
-        assert evaluate_outputs(monkeypatch, setup, cats, f, f, protos) == whole
+        assert evaluate_outputs(monkeypatch, setup, cats, f, f, unit_protos) == whole
         assert whole.counts == {"seen_ood": 3, "id": 2, "unseen_ood": 1}
 
 
@@ -522,9 +521,9 @@ class TestEvaluationMemory:
     per-row arrays; one forward over all 18,000 rows peaked near 9 MB in either."""
 
     def test_evaluate_peak_is_bounded(self, setup, large_split):
-        params, split, protos = setup
-        evaluate(params, split, protos)  # first-call allocations are not the pass's
-        assert traced_peak(evaluate, params, large_split, protos) < 3_000_000
+        params, split, unit_protos = setup
+        evaluate(params, split, unit_protos)  # first-call allocations are not the pass's
+        assert traced_peak(evaluate, params, large_split, unit_protos) < 3_000_000
 
     def test_embedding_dump_peak_is_bounded(self, setup, large_split, tmp_path):
         params, split, _ = setup

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from skipalign.data import EmbeddingBatch
 from skipalign.linalg import normalize
-from skipalign.prototypes import PrototypeSet, refresh
+from skipalign.prototypes import EmbeddingBatch, refresh
 
 
 def accepted(vectors, pred, phi=None):
@@ -26,7 +25,7 @@ class TestRefreshWeights:
         # gamma=2, n_l=4, r_u=0.5, n_u=8: weights 8 and 4, i.e. (2/3, 1/3).
         labeled = EmbeddingBatch(np.tile([[1.0, 0.0]], (4, 1)), labels=np.zeros(4, dtype=int))
         unlabeled = accepted(np.tile([[0.0, 1.0]], (8, 1)), np.zeros(8, dtype=int))
-        protos = refresh(labeled, unlabeled, gamma=2.0, r_u=0.5)
+        protos = refresh(labeled, unlabeled, gamma=2.0, r_u=0.5, num_classes=1)
         np.testing.assert_allclose(protos.mu[0], [2 / 3, 1 / 3], atol=1e-15)
         assert protos.n_labeled[0] == 4 and protos.n_unlabeled[0] == 8
 
@@ -34,7 +33,7 @@ class TestRefreshWeights:
         rng = np.random.default_rng(1)
         labeled = labeled_batch(rng)
         unlabeled = accepted(rng.standard_normal((6, 3)), rng.integers(0, 2, 6))
-        protos = refresh(labeled, unlabeled, gamma=2.0, r_u=0.0)
+        protos = refresh(labeled, unlabeled, gamma=2.0, r_u=0.0, num_classes=2)
         assert np.array_equal(protos.mu, protos.mu_labeled)
 
     def test_empty_unlabeled_class_keeps_labeled_mean_bitwise(self):
@@ -42,7 +41,7 @@ class TestRefreshWeights:
         labeled = labeled_batch(rng)
         # all contributors predicted as class 0; class 1 has none
         unlabeled = accepted(rng.standard_normal((5, 3)), np.zeros(5, dtype=int))
-        protos = refresh(labeled, unlabeled, gamma=1.0, r_u=0.5)
+        protos = refresh(labeled, unlabeled, gamma=1.0, r_u=0.5, num_classes=2)
         assert np.array_equal(protos.mu[1], protos.mu_labeled[1])
         assert not np.array_equal(protos.mu[0], protos.mu_labeled[0])
 
@@ -53,20 +52,22 @@ class TestRefreshWeights:
         none_accepted = accepted(rng.standard_normal((6, 3)), np.zeros(6, dtype=int),
                                  phi=np.zeros(6, dtype=int))
         assert none_accepted.size == 0
-        all_closed = refresh(labeled, none_accepted, gamma=2.0, r_u=0.7)
-        labeled_only = refresh(labeled, None, gamma=2.0, r_u=0.0)
+        all_closed = refresh(labeled, none_accepted, gamma=2.0, r_u=0.7, num_classes=2)
+        labeled_only = refresh(labeled, None, gamma=2.0, r_u=0.0, num_classes=2)
         assert np.array_equal(all_closed.mu, labeled_only.mu)
 
     def test_missing_labeled_class_is_error(self):
         vectors = np.ones((3, 2))
         labels = np.array([0, 0, 2])  # class 1 absent
         with pytest.raises(ValueError, match="prototype undefined"):
-            refresh(EmbeddingBatch(vectors, labels=labels), None, 1.0, 0.0)
+            refresh(EmbeddingBatch(vectors, labels=labels), None, 1.0, 0.0, num_classes=3)
 
     def test_num_classes_parameter_detects_missing_tail_class(self):
         batch = EmbeddingBatch(np.ones((2, 2)), labels=np.array([0, 0]))
         with pytest.raises(ValueError, match="prototype undefined"):
             refresh(batch, None, 1.0, 0.0, num_classes=2)
+        with pytest.raises(TypeError, match="num_classes"):  # no guess from the labels
+            refresh(batch, None, 1.0, 0.0)
 
 
 class TestInvariants:
@@ -76,7 +77,7 @@ class TestInvariants:
             labeled = labeled_batch(rng, per_class=3, k=3, dim=4)
             unlabeled = accepted(rng.standard_normal((9, 4)), rng.integers(0, 3, 9))
             protos = refresh(labeled, unlabeled,
-                             gamma=rng.uniform(0.5, 4), r_u=rng.uniform(0, 1))
+                             gamma=rng.uniform(0.5, 4), r_u=rng.uniform(0, 1), num_classes=3)
             for k in range(3):
                 hi = max(np.linalg.norm(protos.mu_labeled[k]),
                          np.linalg.norm(protos.mu_unlabeled[k]))
@@ -95,7 +96,7 @@ class TestInvariants:
         grid = np.linspace(0.0, 1.0, 11)
         prev_weight = -1.0
         for r_u in grid:
-            protos = refresh(labeled, unlabeled, gamma=2.0, r_u=float(r_u))
+            protos = refresh(labeled, unlabeled, gamma=2.0, r_u=float(r_u), num_classes=2)
             for k in range(2):
                 if protos.n_unlabeled[k] == 0:
                     continue
@@ -117,8 +118,8 @@ class TestInvariants:
         pred = np.zeros(7, dtype=int)
         # a closed gate accepts no rows
         a = refresh(labeled, accepted(vectors, pred, phi=np.zeros(7, dtype=int)),
-                    gamma=1.5, r_u=0.8)
-        b = refresh(labeled, accepted(vectors, pred), gamma=1.5, r_u=0.0)
+                    gamma=1.5, r_u=0.8, num_classes=2)
+        b = refresh(labeled, accepted(vectors, pred), gamma=1.5, r_u=0.0, num_classes=2)
         assert np.array_equal(a.mu, b.mu)
 
 
@@ -126,7 +127,7 @@ class TestInitialPrototypes:
     def test_equals_labeled_means(self):
         rng = np.random.default_rng(7)
         labeled = labeled_batch(rng)
-        protos = refresh(labeled, None, gamma=2.0, r_u=0.0)
+        protos = refresh(labeled, None, gamma=2.0, r_u=0.0, num_classes=2)
         for k in range(2):
             np.testing.assert_allclose(
                 protos.mu[k], labeled.vectors[labeled.labels == k].mean(axis=0),
@@ -134,29 +135,30 @@ class TestInitialPrototypes:
         assert protos.r_u == 0.0
 
 
-def cosines(z, protos: PrototypeSet) -> np.ndarray:
-    """(B, K) cosine of every embedding against every prototype, as `evaluate` takes it."""
-    return normalize(np.asarray(z, dtype=np.float64))[0] @ protos.unit_directions().T
+def cosines(z, means) -> np.ndarray:
+    """(B, K) cosine of every embedding against every prototype, as `evaluate` takes it
+    from the unit rows of the means."""
+    return normalize(np.asarray(z, dtype=np.float64))[0] @ normalize(means)[0].T
 
 
 class TestSimilarityProfile:
     def test_prototype_itself_scores_one(self):
-        protos = PrototypeSet.from_means(np.array([[2.0, 0.0], [0.0, 3.0]]))
-        sims = cosines([[4.0, 0.0]], protos)
+        means = np.array([[2.0, 0.0], [0.0, 3.0]])
+        sims = cosines([[4.0, 0.0]], means)
         assert sims[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_embedding_scores_zero(self):
-        protos = PrototypeSet.from_means(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-        sims = cosines([[0.0, 0.0, 5.0]], protos)
+        means = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        sims = cosines([[0.0, 0.0, 5.0]], means)
         np.testing.assert_allclose(sims, 0.0, atol=1e-12)
 
     def test_diagonal_mix_hand_value(self):
-        protos = PrototypeSet.from_means(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        means = np.array([[1.0, 0.0], [0.0, 1.0]])
         z = np.array([[1.0, 1.0]])
-        sims = cosines(z, protos)
+        sims = cosines(z, means)
         np.testing.assert_allclose(sims, 1 / math.sqrt(2), atol=1e-12)
 
     def test_degenerate_row_rejected(self):
-        protos = PrototypeSet.from_means(np.array([[1.0, 0.0]]))
+        means = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError, match="degenerate"):
-            cosines([[0.0, 0.0]], protos)
+            cosines([[0.0, 0.0]], means)

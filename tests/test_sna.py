@@ -4,36 +4,35 @@ import numpy as np
 import pytest
 
 from skipalign.linalg import finite_diff_grad, normalize
-from skipalign.prototypes import PrototypeSet
 from skipalign.heads import compose
 from skipalign.sna import SnaWeights, dual_gate, ia, pa, usna
 from skipalign.trainer import TrainConfig
 
 
-def orthonormal_protos(k: int, dim: int, seed: int = 0) -> PrototypeSet:
+def orthonormal_protos(k: int, dim: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return PrototypeSet.from_means(q[:k])
+    return normalize(q[:k])[0]
 
 
-TWO_PROTOS = PrototypeSet.from_means(np.array([[1.0, 0.0], [0.0, 1.0]]))
+TWO_PROTOS = normalize(np.array([[1.0, 0.0], [0.0, 1.0]]))[0]
 
 
-def usna_loss(z, protos: PrototypeSet, phi: int, k_hat: int, temperature: float) -> float:
+def usna_loss(z, protos: np.ndarray, phi: int, k_hat: int, temperature: float) -> float:
     """`usna` on a single embedding: its value."""
     z = np.asarray(z, dtype=np.float64)[None, :]
-    return usna(*normalize(z), protos.unit_directions(), [phi], [k_hat], temperature)[0]
+    return usna(*normalize(z), protos, [phi], [k_hat], temperature)[0]
 
 
-def usna_grad(z, protos: PrototypeSet, phi: int, k_hat: int, temperature: float):
+def usna_grad(z, protos: np.ndarray, phi: int, k_hat: int, temperature: float):
     """`usna` on a single embedding: its gradient row."""
     z = np.asarray(z, dtype=np.float64)[None, :]
-    return usna(*normalize(z), protos.unit_directions(), [phi], [k_hat], temperature)[1][0]
+    return usna(*normalize(z), protos, [phi], [k_hat], temperature)[1][0]
 
 
-def pa_loss(z, protos: PrototypeSet, y: int, temperature: float) -> float:
+def pa_loss(z, protos: np.ndarray, y: int, temperature: float) -> float:
     z = np.asarray(z, dtype=np.float64)[None, :]
-    return pa(*normalize(z), protos.unit_directions(), [y], temperature)[0]
+    return pa(*normalize(z), protos, [y], temperature)[0]
 
 
 class TestDualGate:
@@ -94,17 +93,16 @@ class TestUsnaLoss:
     def test_equidistant_symmetry(self):
         protos = orthonormal_protos(4, 8, seed=5)
         # orthogonal to every prototype: all similarities zero
-        basis = protos.unit_directions()
         rng = np.random.default_rng(6)
         z = rng.standard_normal(8)
-        z -= basis.T @ (basis @ z)
+        z -= protos.T @ (protos @ z)
         loss = usna_loss(z, protos, phi=0, k_hat=2, temperature=1.0)
         assert loss == pytest.approx(math.log(4), abs=1e-10)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
-            protos = PrototypeSet.from_means(rng.standard_normal((3, 5)))
+            protos = normalize(rng.standard_normal((3, 5)))[0]
             z = rng.standard_normal(5)
             t = rng.uniform(0.1, 2.0)
             phi = int(rng.integers(0, 2))
@@ -128,7 +126,7 @@ class TestUsnaGrad:
     def test_orthogonal_to_embedding(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
-            protos = PrototypeSet.from_means(rng.standard_normal((4, 6)))
+            protos = normalize(rng.standard_normal((4, 6)))[0]
             z = rng.standard_normal(6) * rng.uniform(0.5, 2)
             phi = int(rng.integers(0, 2))
             g = usna_grad(z, protos, phi, 0, rng.uniform(0.1, 2))
@@ -139,7 +137,7 @@ class TestUsnaGrad:
         for _ in range(100):
             dim = int(rng.integers(2, 17))
             k = int(rng.integers(2, 9))
-            protos = PrototypeSet.from_means(rng.standard_normal((k, dim)))
+            protos = normalize(rng.standard_normal((k, dim)))[0]
             z = rng.standard_normal(dim)
             phi = int(rng.integers(0, 2))
             k_hat = int(rng.integers(0, k))
@@ -157,32 +155,32 @@ class TestUsnaGrad:
             k, dim = 4, 8
             protos = orthonormal_protos(k, dim, seed=trial)
             mix = rng.uniform(0.05, 1.0, size=k)
-            z = mix @ protos.unit_directions()
-            k_hat = int(np.argmax(protos.unit_directions() @ (z / np.linalg.norm(z))))
-            before = float(np.dot(protos.unit_directions()[k_hat], z / np.linalg.norm(z)))
+            z = mix @ protos
+            k_hat = int(np.argmax(protos @ (z / np.linalg.norm(z))))
+            before = float(np.dot(protos[k_hat], z / np.linalg.norm(z)))
             if before > 1 - 1e-9:
                 continue
             g = usna_grad(z, protos, phi=1, k_hat=k_hat, temperature=0.5)
             z2 = z - 1e-4 * g
-            after = float(np.dot(protos.unit_directions()[k_hat], z2 / np.linalg.norm(z2)))
+            after = float(np.dot(protos[k_hat], z2 / np.linalg.norm(z2)))
             assert after > before
 
     def test_repulsion_never_lifts_dominant_similarity(self):
         rng = np.random.default_rng(11)
         for trial in range(100):
-            protos = PrototypeSet.from_means(rng.standard_normal((5, 7)))
+            protos = normalize(rng.standard_normal((5, 7)))[0]
             j = int(rng.integers(0, 5))
-            z = protos.unit_directions()[j] * rng.uniform(0.5, 2.0)
-            sims_before = protos.unit_directions() @ (z / np.linalg.norm(z))
+            z = protos[j] * rng.uniform(0.5, 2.0)
+            sims_before = protos @ (z / np.linalg.norm(z))
             g = usna_grad(z, protos, phi=0, k_hat=j, temperature=0.7)
             z2 = z - 1e-4 * g
-            sims_after = protos.unit_directions() @ (z2 / np.linalg.norm(z2))
+            sims_after = protos @ (z2 / np.linalg.norm(z2))
             assert sims_after.max() <= sims_before.max() + 1e-9
 
     def test_repulsion_step_decreases_loss(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
-            protos = PrototypeSet.from_means(rng.standard_normal((4, 6)))
+            protos = normalize(rng.standard_normal((4, 6)))[0]
             z = rng.standard_normal(6)
             g = usna_grad(z, protos, phi=0, k_hat=0, temperature=0.5)
             before = usna_loss(z, protos, 0, 0, 0.5)
@@ -231,7 +229,7 @@ class TestPaLoss:
     def test_equals_gated_unlabeled_loss(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
-            protos = PrototypeSet.from_means(rng.standard_normal((4, 6)))
+            protos = normalize(rng.standard_normal((4, 6)))[0]
             z = rng.standard_normal(6)
             y = int(rng.integers(0, 4))
             t = rng.uniform(0.1, 2.0)
@@ -259,7 +257,7 @@ class TestSnaTotal:
         labels = np.array([0, 0])
         return (usna_loss([1.0, 0.0], TWO_PROTOS, 1, 0, 1.0),
                 ia(*normalize(self.LABELED), labels, 1.0)[0],
-                pa(*normalize(self.LABELED), TWO_PROTOS.unit_directions(), labels, 1.0)[0])
+                pa(*normalize(self.LABELED), TWO_PROTOS, labels, 1.0)[0])
 
     def test_all_zero_weights(self):
         assert self._sna(0.0, 0.0, 0.0, *self._leaves()) == 0.0

@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 from skipalign.heads import HeadWeights, compose, one_hot
-from skipalign.linalg import MIN_NORM
+from skipalign.linalg import MIN_NORM, normalize
 from skipalign.net import (ForwardResult, NetSpec, _check_finite, _forward_core, _relu,
                           _result, backward, init_params)
-from skipalign.prototypes import PrototypeSet
 from skipalign.sna import LOSS_COMBOS, SnaWeights, dual_gate
 from skipalign.trainer import (LEAVES, Decisions, TrainConfig, _make_closure, freeze_decisions,
                                objective, step_rows)
@@ -321,8 +320,7 @@ def case_inputs(spec=SPEC, cfg=CFG, labels=(0, 0, 1, 2, 2, 1), unlabeled=8, seed
     inputs = {view: rng.standard_normal((rows, spec.input_dim)) * 2
               for view, rows in (("x_w", len(labels)), ("u_w", unlabeled),
                                  ("u_w2", unlabeled), ("u_s", unlabeled))}
-    unit_protos = PrototypeSet.from_means(
-        rng.standard_normal((spec.num_classes, spec.embed_dim))).unit_directions()
+    unit_protos = normalize(rng.standard_normal((spec.num_classes, spec.embed_dim)))[0]
     return params, inputs, np.array(labels), unit_protos, cfg
 
 

@@ -6,7 +6,6 @@ import pytest
 import skipalign.tensor_losses as tl
 from skipalign.autodiff import constant, parameter
 from skipalign.linalg import finite_diff_grad, normalize
-from skipalign.prototypes import PrototypeSet
 from skipalign.sna import ia, pa, usna
 
 
@@ -27,7 +26,7 @@ class TestUsnaGraph:
         rng = np.random.default_rng(0)
         for _ in range(30):
             k, dim, batch = 4, 6, 5
-            unit_protos = PrototypeSet.from_means(rng.standard_normal((k, dim))).unit_directions()
+            unit_protos = normalize(rng.standard_normal((k, dim)))[0]
             z = rng.standard_normal((batch, dim))
             phi = rng.integers(0, 2, batch)
             pred = rng.integers(0, k, batch)
@@ -41,7 +40,7 @@ class TestUsnaGraph:
         # Rows are independent: each row's gradient is its own sample's, over B.
         rng = np.random.default_rng(1)
         k, dim, batch = 3, 5, 4
-        unit_protos = PrototypeSet.from_means(rng.standard_normal((k, dim))).unit_directions()
+        unit_protos = normalize(rng.standard_normal((k, dim)))[0]
         z = rng.standard_normal((batch, dim))
         phi = rng.integers(0, 2, batch)
         pred = rng.integers(0, k, batch)
@@ -56,7 +55,7 @@ class TestPaGraph:
     def test_value_parity_with_reference(self):
         rng = np.random.default_rng(2)
         k, dim, batch = 4, 6, 5
-        unit_protos = PrototypeSet.from_means(rng.standard_normal((k, dim))).unit_directions()
+        unit_protos = normalize(rng.standard_normal((k, dim)))[0]
         z = rng.standard_normal((batch, dim))
         labels = rng.integers(0, k, batch)
         t = 0.5

@@ -215,6 +215,22 @@ class TestTrainLoop:
             layout_calls.append(calls["layout"])
         assert layout_calls[0] == layout_calls[1]
 
+    def test_refreshed_embeddings_are_checked_for_finite_values_once(self, monkeypatch):
+        # net.forward checks the labeled embeddings each refresh reads; nothing after
+        # it checks them again.
+        import skipalign.trainer as trainer_mod
+
+        cfg = tiny_config(epochs=2, iters_per_epoch=2)
+        split = generate(cfg.scenario)
+        outs, checked = [], []
+        real_forward, real_isfinite = trainer_mod.forward, np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: checked.append(a) or real_isfinite(a))
+        monkeypatch.setattr(trainer_mod, "forward",
+                            lambda p, x: outs.append(real_forward(p, x)) or outs[-1])
+        train(split, cfg.net, cfg.train)
+        assert len(outs) == 1 + 2  # the first prototypes, then one refresh per epoch
+        assert [sum(a is out.embeddings for a in checked) for out in outs] == [1] * len(outs)
+
 
 class TestReducedConfigurations:
     def test_fixmatch_reduction_loss_decreases(self):
