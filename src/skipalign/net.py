@@ -252,7 +252,8 @@ def save_checkpoint(params: ParamState, path) -> None:
 
 
 def load_checkpoint(path) -> ParamState:
-    """The saved state; a non-object root or an overflowing value is a ValueError."""
+    """The saved state. A non-object root, an overflowing parameter, or a step that
+    is not a non-negative int is a ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -262,9 +263,11 @@ def load_checkpoint(path) -> ParamState:
     spec_dict = dict(payload["spec"])
     spec_dict["backbone_widths"] = tuple(spec_dict["backbone_widths"])
     spec = NetSpec(**spec_dict)
+    step = payload["step"]
+    if type(step) is not int or step < 0:  # also rejects bool, a subclass of int
+        raise ValueError(f"checkpoint step {step!r} is not a non-negative integer")
     try:
         flat = np.array([float.fromhex(h) for h in payload["params_hex"]], dtype=np.float64)
-        step = int(payload["step"])
     except OverflowError as err:
         raise ValueError(f"checkpoint value out of range: {err}") from err
     return ParamState(spec=spec, flat=flat, step=step)

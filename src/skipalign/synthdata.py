@@ -188,26 +188,17 @@ def generate(spec: ScenarioSpec) -> Split:
                  clusters=clusters, scenario=spec)
 
 
-def augment(x: np.ndarray, kind: str, rng: np.random.Generator, *,
-            sigma_weak: float, sigma_strong: float, strong_dropout: float) -> np.ndarray:
-    """Stochastic views: weak/weak2 add isotropic noise, strong also drops
-    random coordinates (before adding its noise)."""
-    x = np.asarray(x, dtype=np.float64)
-    if kind in ("weak", "weak2"):
-        return x + sigma_weak * rng.standard_normal(x.shape)
-    if kind == "strong":
-        keep = rng.random(x.shape) >= strong_dropout
-        return x * keep + sigma_strong * rng.standard_normal(x.shape)
-    raise ValueError(f"unknown augmentation kind '{kind}'")
-
-
-def augment_views(x: np.ndarray, kinds: list[str], rng: np.random.Generator,
-                  spec: ScenarioSpec) -> dict[str, np.ndarray]:
-    """Independent draws per view, in the order given."""
-    return {kind: augment(x, kind, rng, sigma_weak=spec.sigma_weak,
-                          sigma_strong=spec.sigma_strong,
-                          strong_dropout=spec.strong_dropout)
-            for kind in kinds}
+def augment_views(labeled: np.ndarray, unlabeled: np.ndarray, rng: np.random.Generator,
+                  spec: ScenarioSpec) -> np.ndarray:
+    """A step's stacked views [x_w; u_w; u_w2; u_s]. The weak views add isotropic noise,
+    one draw over their rows; the strong view drops random coordinates, then adds noise."""
+    b, u = len(labeled), len(unlabeled)
+    views = np.concatenate([labeled, unlabeled, unlabeled, unlabeled])
+    views[:b + 2 * u] += spec.sigma_weak * rng.standard_normal((b + 2 * u, views.shape[1]))
+    strong = views[b + 2 * u:]
+    strong *= rng.random(strong.shape) >= spec.strong_dropout
+    strong += spec.sigma_strong * rng.standard_normal(strong.shape)
+    return views
 
 
 def _format_rows(out, parts, lo: int, hi: int) -> None:

@@ -118,80 +118,53 @@ def lr_at(step: int, total_steps: int, lr0: float) -> float:
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-class _CyclingSampler:
+def _batches(pool_size: int, batch: int, rng: np.random.Generator):
     """Exact-size batches drawn from reshuffled permutations of a pool."""
-
-    def __init__(self, pool_size: int, batch: int, rng: np.random.Generator):
-        self.pool_size = pool_size
-        self.batch = batch
-        self.rng = rng
-        self._queue: list[int] = []
-
-    def next(self) -> np.ndarray:
-        while len(self._queue) < self.batch:
-            self._queue.extend(self.rng.permutation(self.pool_size).tolist())
-        idx = self._queue[:self.batch]
-        del self._queue[:self.batch]
-        return np.asarray(idx, dtype=np.int64)
-
-
-def _clean_labeled_embeddings(params: ParamState, split: Split) -> EmbeddingBatch:
-    out = forward(params, split.labeled_x)
-    return EmbeddingBatch(out.embeddings, labels=split.labeled_y)
+    queue: list[int] = []
+    while True:
+        while len(queue) < batch:
+            queue.extend(rng.permutation(pool_size).tolist())
+        yield np.asarray(queue[:batch], dtype=np.int64)
+        del queue[:batch]
 
 
 def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState, RunLog]:
     """Run the full loop; deterministic given (split, netspec, cfg).
 
-    A ValueError in the epochs (a non-finite value or a zero row in a step or a
-    prototype refresh) ends the run as TrainingDiverged. The last epoch's
-    evaluation runs after them, outside that boundary.
+    A step's record starts as its step, epoch and lr; its closure fills in the rest,
+    and it is logged once the SGD step is taken. A ValueError in the epochs (a
+    non-finite value or a zero row in a step or a prototype refresh) ends the run as
+    TrainingDiverged, reporting the last logged record. The last epoch's evaluation
+    runs after them, outside that boundary.
     """
     params = init_params(netspec)
     runlog = RunLog()
     # Labeled means only: the gate is not trustworthy before training.
-    protos = refresh(_clean_labeled_embeddings(params, split), None, gamma=cfg.gamma, r_u=0.0,
-                     num_classes=netspec.num_classes)
+    protos = _refresh_prototypes(params, split, cfg, netspec.num_classes, [])
 
     rng = np.random.default_rng(cfg.seed)
-    labeled_sampler = _CyclingSampler(split.labeled_x.shape[0], cfg.batch_size, rng)
-    unlabeled_sampler = _CyclingSampler(split.unlabeled_x.shape[0], cfg.unlabeled_batch, rng)
+    labeled_batches = _batches(split.labeled_x.shape[0], cfg.batch_size, rng)
+    unlabeled_batches = _batches(split.unlabeled_x.shape[0], cfg.unlabeled_batch, rng)
     velocity: np.ndarray | None = None
     total_steps = cfg.epochs * cfg.iters_per_epoch
-    scenario = split.scenario
 
     try:
         for epoch in range(cfg.epochs):
             unit_protos = protos.unit_directions()
-            proto_rows: list[np.ndarray] = []
-            proto_pred: list[np.ndarray] = []
+            accepted: list[EmbeddingBatch] = []
             for it in range(cfg.iters_per_epoch):
                 step = epoch * cfg.iters_per_epoch + it
                 lr = lr_at(step, total_steps, cfg.lr0)
-                li = labeled_sampler.next()
-                ui = unlabeled_sampler.next()
-                xb, yb = split.labeled_x[li], split.labeled_y[li]
-                ub = split.unlabeled_x[ui]
-                x_views = augment_views(xb, ["weak"], rng, scenario)
-                u_views = augment_views(ub, ["weak", "weak2", "strong"], rng, scenario)
-                x = np.concatenate([x_views["weak"], u_views["weak"], u_views["weak2"],
-                                    u_views["strong"]])
-
-                info: dict = {}
-                grads = net_mod.backward(params, x, _make_closure(cfg, yb, unit_protos, info))
+                li, ui = next(labeled_batches), next(unlabeled_batches)
+                x = augment_views(split.labeled_x[li], split.unlabeled_x[ui], rng, split.scenario)
+                record = {"step": step, "epoch": epoch, "lr": lr}
+                closure = _make_closure(cfg, split.labeled_y[li], unit_protos, record, accepted)
+                grads = net_mod.backward(params, x, closure)
                 params, velocity = sgd_step(params, grads, lr=lr, momentum=cfg.momentum,
                                             weight_decay=cfg.weight_decay, velocity=velocity)
-                runlog.iterations.append({
-                    "step": step, "epoch": epoch, "lr": lr,
-                    "terms": info["terms"], "total": info["total"],
-                    "batch_labeled": int(len(li)), "batch_unlabeled": int(len(ui)),
-                    "gate": info["gate_stats"], "gate_detail": info["gate_detail"],
-                })
-                if info["proto_rows"].shape[0] > 0:
-                    proto_rows.append(info["proto_rows"])
-                    proto_pred.append(info["proto_pred"])
+                runlog.iterations.append(record)
 
-            protos = _refresh_prototypes(params, split, cfg, netspec, proto_rows, proto_pred)
+            protos = _refresh_prototypes(params, split, cfg, netspec.num_classes, accepted)
             runlog.final_prototypes = protos
             runlog.epochs.append({
                 "epoch": epoch,
@@ -210,13 +183,15 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
     return params, runlog
 
 
-def _refresh_prototypes(params, split, cfg, netspec, proto_rows, proto_pred) -> PrototypeSet:
-    """Refresh from the rows the dual gate accepted, labeled by predicted class."""
-    labeled = _clean_labeled_embeddings(params, split)
-    unlabeled = (EmbeddingBatch(np.vstack(proto_rows), labels=np.concatenate(proto_pred))
-                 if proto_rows else None)
-    return refresh(labeled, unlabeled, gamma=cfg.gamma, r_u=cfg.r_u,
-                   num_classes=netspec.num_classes)
+def _refresh_prototypes(params: ParamState, split: Split, cfg: TrainConfig, num_classes: int,
+                        accepted: list[EmbeddingBatch]) -> PrototypeSet:
+    """Prototypes from a clean (unaugmented) pass over the labeled set and the
+    gate-accepted rows by predicted class; with none, the labeled means."""
+    labeled = EmbeddingBatch(forward(params, split.labeled_x).embeddings, split.labeled_y)
+    unlabeled = (EmbeddingBatch(np.concatenate([b.vectors for b in accepted]),
+                                np.concatenate([b.labels for b in accepted]))
+                 if accepted else None)
+    return refresh(labeled, unlabeled, cfg.gamma, cfg.r_u, num_classes)
 
 
 # The objective's leaf terms, in the order they are logged.
@@ -337,29 +312,28 @@ def objective(rows: StepRows, labels: np.ndarray, unit_protos: np.ndarray,
     return terms, {"embeddings": g_z, "cc_logits": g_cc, "id_logits": g_id, "ood_logits": g_ood}
 
 
-def _make_closure(cfg: TrainConfig, labels: np.ndarray, unit_protos: np.ndarray, info: dict):
+def _make_closure(cfg: TrainConfig, labels: np.ndarray, unit_protos: np.ndarray, record: dict,
+                  accepted: list[EmbeddingBatch]):
+    """The step's objective for `net.backward`. It fills in the rest of the step's record
+    and appends the weak unlabeled rows the gate accepted, by predicted class, to accepted."""
     def closure(out):
         rows = step_rows(out, len(labels))
         decisions = freeze_decisions(rows, cfg)
         terms, grads = objective(rows, labels, unit_protos, decisions, cfg)
         total = terms.pop("total")
         gate = decisions.gate
-        info["terms"] = terms
-        info["total"] = total
-        info["gate_stats"] = {
-            "accepted": gate.accepted,
-            "negatives": int((decisions.neg_w.sum(axis=1) > 0).sum()),
-            "pl_accepted": int(decisions.pl_accept.sum()),
-        }
-        info["gate_detail"] = {
-            "phi": gate.phi.tolist(),
-            "cc_conf": gate.cc_conf.tolist(),
-            "od_conf": gate.od_conf.tolist(),
-            "pred_class": gate.pred_class.tolist(),
-        }
+        record.update({
+            "terms": terms, "total": total,
+            "batch_labeled": len(labels), "batch_unlabeled": len(gate.phi),
+            "gate": {"accepted": gate.accepted,
+                     "negatives": int((decisions.neg_w.sum(axis=1) > 0).sum()),
+                     "pl_accepted": int(decisions.pl_accept.sum())},
+            "gate_detail": {name: getattr(gate, name).tolist()
+                            for name in ("phi", "cc_conf", "od_conf", "pred_class")},
+        })
         selected = gate.phi == 1
-        info["proto_rows"] = out.embeddings[rows.u][selected]
-        info["proto_pred"] = gate.pred_class[selected]
+        accepted.append(EmbeddingBatch(out.embeddings[rows.u][selected],
+                                       gate.pred_class[selected]))
         return total, grads
 
     return closure

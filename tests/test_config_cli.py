@@ -260,13 +260,13 @@ class TestCliRun:
         import skipalign.trainer as trainer_mod
         real_augment, real_init = trainer_mod.augment_views, trainer_mod.init_params
 
-        def augment_views(x, kinds, rng, scenario):
-            views = real_augment(x, kinds, rng, scenario)
-            if "strong" in kinds:  # the unlabeled views
-                if fault == "nan-activation":
-                    views["strong"][0, 0] = np.nan
-                elif fault == "zero-embedding-row":
-                    views["weak"][0] = 0.0  # with zero biases its embedding is zero
+        def augment_views(labeled, unlabeled, rng, scenario):
+            views = real_augment(labeled, unlabeled, rng, scenario)
+            b, u = len(labeled), len(unlabeled)  # rows of [x_w; u_w; u_w2; u_s]
+            if fault == "nan-activation":
+                views[b + 2 * u, 0] = np.nan  # the strong view's first row
+            elif fault == "zero-embedding-row":
+                views[b] = 0.0  # u_w's first row: with zero biases its embedding is zero
             return views
 
         def init_params(spec):
@@ -550,6 +550,10 @@ class TestExitCodes:
         ("eval", ("manifest.json", set_scenario("min_separation", 1e6)), 2,
          "manifest.json: config: scenario.min_separation"),
         ("eval", ("checkpoint.json", set_literal(("step",), "1e400")), 2, "checkpoint.json"),
+        ("eval", ("checkpoint.json", set_literal(("step",), "1.5")), 2, "checkpoint.json"),
+        ("eval", ("checkpoint.json", set_literal(("step",), '"3"')), 2, "checkpoint.json"),
+        ("eval", ("checkpoint.json", set_literal(("step",), "true")), 2, "checkpoint.json"),
+        ("eval", ("checkpoint.json", set_literal(("step",), "-7")), 2, "checkpoint.json"),
         ("eval", ("checkpoint.json", set_literal(("params_hex", 0), '"0x1p+2000"')), 2,
          "checkpoint.json"),
         ("eval", ("checkpoint.json", wrap_in_list), 2, "checkpoint.json"),
@@ -567,6 +571,8 @@ class TestExitCodes:
             "manifest-num-classes", "checkpoint-spec-removed-key", "eval-status-error",
             "eval-status-running", "checkpoint-overflows", "checkpoint-zero",
             "manifest-config-missing", "manifest-unplaceable", "checkpoint-step-overflows",
+            "checkpoint-step-fractional", "checkpoint-step-string", "checkpoint-step-bool",
+            "checkpoint-step-negative",
             "checkpoint-hex-overflows", "checkpoint-root-list", "prototypes-count-overflows",
             "prototypes-only-mu"])
     def test_exit_code(self, tmp_path, capsys, monkeypatch, finished_run, verb, change, code,

@@ -346,10 +346,10 @@ def test_matches_reference_step(case):
     assert_same_decisions(decisions, want_decisions)
     assert flat.tobytes() == want_flat.tobytes()
     # The closure that trains gives the same gradient.
-    info = {}
-    trained = backward(params, x, _make_closure(cfg, labels, unit_protos, info))
+    record = {}
+    trained = backward(params, x, _make_closure(cfg, labels, unit_protos, record, []))
     assert trained.tobytes() == want_flat.tobytes()
-    assert info["total"] == want_terms["total"]
+    assert record["total"] == want_terms["total"]
 
 
 def test_thresholds_split_every_decision():

@@ -11,7 +11,8 @@ from skipalign.config import default_config
 from skipalign.metrics import write_embedding_dump
 from skipalign.net import forward, init_params
 from skipalign.synthdata import (CHUNK_ROWS, MAX_PLACEMENT_TRIES, PlacementError, ScenarioSpec,
-                                 Split, augment, generate, write_manifest, write_split_csv)
+                                 Split, augment_views, generate, write_manifest,
+                                 write_split_csv)
 from test_metrics import reference_embedding_dump, row_categories, small_scenario, traced_peak
 
 SMALL = ScenarioSpec(input_dim=6, num_classes=3, labels_per_class=5,
@@ -274,37 +275,63 @@ class TestSpecValidation:
             dataclasses.replace(SMALL, unseen_between_hull=5)
 
 
+def per_view_reference(labeled, unlabeled, rng, spec):
+    """The views as separate draws, one operator call per view, then stacked:
+    the form augment_views had before it drew each noise kind once."""
+    def augment(x, kind):
+        x = np.asarray(x, dtype=np.float64)
+        if kind in ("weak", "weak2"):
+            return x + spec.sigma_weak * rng.standard_normal(x.shape)
+        keep = rng.random(x.shape) >= spec.strong_dropout
+        return x * keep + spec.sigma_strong * rng.standard_normal(x.shape)
+
+    return np.concatenate([augment(labeled, "weak"), augment(unlabeled, "weak"),
+                           augment(unlabeled, "weak2"), augment(unlabeled, "strong")])
+
+
 class TestAugment:
+    @pytest.mark.parametrize("b, u, d", [(16, 32, 16), (4, 8, 6), (3, 1, 5), (1, 1, 1)])
+    @pytest.mark.parametrize("noise", [{}, {"sigma_weak": 0.0}, {"strong_dropout": 0.0},
+                                       {"strong_dropout": 1.0}])
+    def test_matches_per_view_reference(self, b, u, d, noise):
+        spec = dataclasses.replace(SMALL, **noise)
+        for seed in range(4):
+            data = np.random.default_rng(100 + seed)
+            labeled, unlabeled = data.standard_normal((b, d)), data.standard_normal((u, d))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = augment_views(labeled, unlabeled, rng, spec)
+            want = per_view_reference(labeled, unlabeled, ref_rng, spec)
+            assert got.dtype == want.dtype and got.shape == (b + 3 * u, d)
+            assert got.tobytes() == want.tobytes()
+            # The same draws, so the generator is left in the same state.
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_zero_noise_is_identity(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((4, 3))
-        out = augment(x, "weak", np.random.default_rng(1), sigma_weak=0.0,
-                      sigma_strong=1.0, strong_dropout=0.5)
-        assert np.array_equal(out, x)
+        x, u = rng.standard_normal((4, 3)), rng.standard_normal((2, 3))
+        spec = dataclasses.replace(SMALL, sigma_weak=0.0, sigma_strong=1.0, strong_dropout=0.5)
+        out = augment_views(x, u, np.random.default_rng(1), spec)
+        assert np.array_equal(out[:4 + 2 * 2], np.concatenate([x, u, u]))
 
     def test_weak_views_are_independent_draws(self):
         rng = np.random.default_rng(2)
         x = np.zeros((3, 4))
-        kwargs = dict(sigma_weak=0.3, sigma_strong=1.0, strong_dropout=0.2)
-        a = augment(x, "weak", rng, **kwargs)
-        b = augment(x, "weak2", rng, **kwargs)
+        spec = dataclasses.replace(SMALL, sigma_weak=0.3, sigma_strong=1.0, strong_dropout=0.2)
+        out = augment_views(x, x, rng, spec)
+        a, b = out[3:6], out[6:9]  # u_w and u_w2
         assert not np.array_equal(a, b)
 
     def test_full_dropout_leaves_only_noise(self):
         base = np.full((5, 4), 7.0)
+        spec = dataclasses.replace(SMALL, sigma_weak=0.1, sigma_strong=0.5, strong_dropout=1.0)
         rng_a = np.random.default_rng(3)
-        out = augment(base, "strong", rng_a, sigma_weak=0.1, sigma_strong=0.5,
-                      strong_dropout=1.0)
+        out = augment_views(base[:2], base, rng_a, spec)[2 + 2 * 5:]
         # reproduce the operator: all coordinates dropped, noise remains
         rng_b = np.random.default_rng(3)
+        _ = rng_b.standard_normal((2 + 2 * 5, 4))  # the weak views' draw
         _ = rng_b.random(base.shape)
         noise = 0.5 * rng_b.standard_normal(base.shape)
         np.testing.assert_allclose(out, noise, atol=1e-15)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            augment(np.zeros((1, 1)), "mild", np.random.default_rng(0),
-                    sigma_weak=0.1, sigma_strong=0.5, strong_dropout=0.1)
 
 
 # Floats whose repr is easy to get wrong: a signed zero, the smallest

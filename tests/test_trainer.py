@@ -8,7 +8,11 @@ from skipalign.config import resolve_config
 from skipalign.heads import HeadWeights, compose
 from skipalign.net import init_params
 from skipalign.synthdata import generate
-from skipalign.trainer import RunLog, TrainConfig, TrainingDiverged, lr_at, train
+from skipalign.trainer import RunLog, TrainConfig, TrainingDiverged, _batches, lr_at, train
+
+# The keys of an iteration record, in the order they are written.
+RECORD_KEYS = ["step", "epoch", "lr", "terms", "total", "batch_labeled", "batch_unlabeled",
+               "gate", "gate_detail"]
 
 
 def tiny_config(seed=0, **train_overrides):
@@ -62,6 +66,35 @@ class TestLrSchedule:
     def test_monotone_decay(self):
         values = [lr_at(s, 200, 0.01) for s in range(201)]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+class CyclingReference:
+    """Exact-size batches from reshuffled permutations, as a queue object: the
+    sampler `_batches` replaced."""
+
+    def __init__(self, pool_size, batch, rng):
+        self.pool_size, self.batch, self.rng = pool_size, batch, rng
+        self._queue = []
+
+    def next(self):
+        while len(self._queue) < self.batch:
+            self._queue.extend(self.rng.permutation(self.pool_size).tolist())
+        idx = self._queue[:self.batch]
+        del self._queue[:self.batch]
+        return np.asarray(idx, dtype=np.int64)
+
+
+class TestBatches:
+    @pytest.mark.parametrize("pool, batch", [(3, 8), (10, 4), (7, 7), (5, 3), (32, 16)])
+    def test_matches_cycling_reference(self, pool, batch):
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            batches, reference = _batches(pool, batch, rng), CyclingReference(pool, batch, ref_rng)
+            # Enough batches to run through at least three permutations.
+            for _ in range(-(-3 * pool // batch) + 1):
+                got, want = next(batches), reference.next()
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestTrainConfig:
@@ -287,6 +320,37 @@ class TestDivergenceHandling:
                     train(split, cfg.net, cfg.train)
             assert excinfo.value.last_report is not None
             assert "terms" in excinfo.value.last_report
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 6, 7, 11])
+    def test_report_is_the_last_complete_record(self, monkeypatch, k):
+        # A NaN in the strong view of augment_views call k (step k) fails that step's
+        # forward before its closure fills the record: the report is step k - 1's.
+        import skipalign.trainer as trainer_mod
+
+        cfg = tiny_config()  # 2 epochs of 6 steps
+        split = generate(cfg.scenario)
+        clean = train(split, cfg.net, cfg.train)[1].iterations
+        assert [list(record) for record in clean] == [RECORD_KEYS] * len(clean)
+        real_augment, calls = trainer_mod.augment_views, []
+
+        def augment_views(labeled, unlabeled, rng, scenario):
+            views = real_augment(labeled, unlabeled, rng, scenario)
+            if len(calls) == k:
+                views[len(labeled) + 2 * len(unlabeled), 0] = np.nan
+            calls.append(len(calls))
+            return views
+
+        monkeypatch.setattr(trainer_mod, "augment_views", augment_views)
+        with pytest.raises(TrainingDiverged, match="non-finite activation") as excinfo:
+            train(split, cfg.net, cfg.train)
+        assert len(calls) == k + 1
+        report = excinfo.value.last_report
+        if k == 0:
+            assert report is None
+            return
+        assert report["step"] == k - 1
+        assert list(report) == RECORD_KEYS
+        assert report == clean[k - 1]
 
     def test_non_finite_step_aborts(self):
         # A NaN learning rate passes the loss checks and fails in the SGD step.
