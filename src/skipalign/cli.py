@@ -134,17 +134,8 @@ def _write_manifest(manifest: dict, path: Path) -> None:
 
 
 def _write_prototypes(protos: PrototypeSet, path: Path) -> None:
-    payload = {
-        "mu": protos.mu.tolist(),
-        "mu_labeled": protos.mu_labeled.tolist(),
-        "mu_unlabeled": protos.mu_unlabeled.tolist(),
-        "n_labeled": protos.n_labeled.tolist(),
-        "n_unlabeled": protos.n_unlabeled.tolist(),
-        "gamma": protos.gamma,
-        "r_u": protos.r_u,
-    }
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        json.dump({name: array.tolist() for name, array in vars(protos).items()}, fh)
 
 
 def _load_prototypes(path: Path, spec: NetSpec) -> np.ndarray:
@@ -159,11 +150,11 @@ def _load_prototypes(path: Path, spec: NetSpec) -> np.ndarray:
 
 
 def _load_artifact(load, path: Path, *args):
-    """load(path, *args), with a file that does not parse or holds bad values reported
-    as usage error naming it."""
+    """load(path, *args), with a file that does not parse, or holds bad or overflowing
+    values, reported as usage error naming it."""
     try:
         return load(path, *args)
-    except (ValueError, KeyError, TypeError) as err:  # JSONDecodeError is a ValueError
+    except (ValueError, KeyError, TypeError, OverflowError) as err:
         raise ConfigError(str(path), f"damaged run artifact: {type(err).__name__}: {err}") from err
 
 

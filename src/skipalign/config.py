@@ -1,8 +1,9 @@
 """Experiment configuration: one JSON file, full defaults, field-level errors.
 
 This is the only module that opens a config file. The only required key is
-the top-level seed; everything else defaults. The sub-seeds for scenario,
-network, and trainer derive from the top seed unless set explicitly. A
+the top-level seed; everything else defaults, except the values in DERIVED,
+which no file sets: the scenario, network and trainer seeds are seed, seed+1
+and seed+2, and the network takes the scenario's input and class counts. A
 run's settings come from its file alone, plus the `--seed` flag: every verb
 reads a file the same way.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass
 
 from .heads import HeadWeights
@@ -20,6 +21,10 @@ from .net import NetSpec
 from .sna import SnaWeights
 from .synthdata import ScenarioSpec
 from .trainer import TrainConfig
+
+
+# Each section's values that derive from another value, not from the file.
+DERIVED = {"scenario": ("seed",), "net": ("seed", "input_dim", "num_classes"), "train": ("seed",)}
 
 
 class ConfigError(ValueError):
@@ -36,13 +41,11 @@ class ExperimentConfig:
     train: TrainConfig
 
     def resolved_dict(self) -> dict:
-        out = {
-            "seed": self.seed,
-            "scenario": dataclasses.asdict(self.scenario),
-            "net": dataclasses.asdict(self.net),
-            "train": dataclasses.asdict(self.train),
-        }
-        out["net"]["backbone_widths"] = list(self.net.backbone_widths)
+        """The settable values, which resolve back to this config."""
+        out = {"seed": self.seed}
+        for name, derived in DERIVED.items():
+            section = dataclasses.asdict(getattr(self, name))
+            out[name] = {key: value for key, value in section.items() if key not in derived}
         return out
 
 
@@ -60,20 +63,30 @@ def _has_default_type(value, default) -> bool:
     return True  # a nested section, built and checked on its own
 
 
-def _build_section(cls, data: dict, path: str):
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+def _range_error(value, default) -> str | None:
+    """Why a value of the default's type does not fit numpy, or None."""
+    if isinstance(default, float) and not abs(value) <= sys.float_info.max:  # NaN too
+        return "must be finite as a float64"
+    ints = value if isinstance(default, tuple) else [value] if isinstance(default, int) else []
+    if any(abs(v) > sys.maxsize for v in ints):  # sys.maxsize is np.intp's largest value
+        return f"must lie in [-{sys.maxsize}, {sys.maxsize}]"
+    return None
+
+
+def _build_section(cls, data: dict, path: str, **derived):
+    """The section from a file's data and the values DERIVED names for it."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)
+                if f.name not in DERIVED.get(path, ())}
     for key, value in data.items():
         if key not in defaults:
             raise ConfigError(f"{path}.{key}", "unknown field")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{path}.{key}", "must be finite")
         if not _has_default_type(value, defaults[key]):
             raise ConfigError(f"{path}.{key}", f"wrong type {type(value).__name__} "
                                                f"(the default is {defaults[key]!r})")
-        if key == "seed" and value < 0:
-            raise ConfigError(f"{path}.seed", "must be non-negative")
+        if error := _range_error(value, defaults[key]):
+            raise ConfigError(f"{path}.{key}", error)
     try:
-        return cls(**data)
+        return cls(**data, **derived)
     except (TypeError, ValueError) as err:
         raise ConfigError(path, str(err)) from err
 
@@ -91,24 +104,19 @@ def resolve_config(data: dict, seed_override: int | None = None) -> ExperimentCo
         raise ConfigError("<root>", "config must be a JSON object")
     data = json.loads(json.dumps(data))  # deep copy, JSON types only
 
-    known = {"seed", "scenario", "net", "train"}
-    for key in data:
-        if key not in known:
-            raise ConfigError(key, "unknown field")
+    if unknown := [key for key in data if key not in ("seed", *DERIVED)]:
+        raise ConfigError(unknown[0], "unknown field")
 
     if seed_override is not None:
         data["seed"] = int(seed_override)
-        for section in ("scenario", "net", "train"):
-            data.setdefault(section, {}).pop("seed", None)
     if "seed" not in data:
         raise ConfigError("seed", "missing required field")
     if not _has_default_type(data["seed"], 0) or data["seed"] < 0:
         raise ConfigError("seed", "must be a non-negative integer")
     seed = data["seed"]
 
-    scenario_data = _section(data, "scenario", "scenario")
-    scenario_data.setdefault("seed", seed)
-    scenario = _build_section(ScenarioSpec, scenario_data, "scenario")
+    scenario = _build_section(ScenarioSpec, _section(data, "scenario", "scenario"), "scenario",
+                              seed=seed)
     if scenario.unlabeled_rows == 0:
         raise ConfigError("scenario.unlabeled_id_per_class", "with unlabeled_seen_per_cluster, "
                           "leaves the unlabeled pool that training needs empty")
@@ -116,23 +124,15 @@ def resolve_config(data: dict, seed_override: int | None = None) -> ExperimentCo
         raise ConfigError("scenario.test_id_per_class",
                           "must be >= 1: evaluation needs in-distribution test rows")
 
-    net_data = _section(data, "net", "net")
-    net_data.setdefault("seed", seed + 1)
-    net_data.setdefault("input_dim", scenario.input_dim)
-    net_data.setdefault("num_classes", scenario.num_classes)
-    net = _build_section(NetSpec, net_data, "net")
-    if net.input_dim != scenario.input_dim:
-        raise ConfigError("net.input_dim", "must match scenario.input_dim")
-    if net.num_classes != scenario.num_classes:
-        raise ConfigError("net.num_classes", "must match scenario.num_classes")
+    net = _build_section(NetSpec, _section(data, "net", "net"), "net", seed=seed + 1,
+                         input_dim=scenario.input_dim, num_classes=scenario.num_classes)
 
     train_data = _section(data, "train", "train")
-    train_data.setdefault("seed", seed + 2)
     for name, cls in (("head", HeadWeights), ("sna", SnaWeights)):
         if name in train_data:
             path = f"train.{name}"
             train_data[name] = _build_section(cls, _section(train_data, name, path), path)
-    train = _build_section(TrainConfig, train_data, "train")
+    train = _build_section(TrainConfig, train_data, "train", seed=seed + 2)
     return ExperimentConfig(seed=seed, scenario=scenario, net=net, train=train)
 
 

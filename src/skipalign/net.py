@@ -252,22 +252,17 @@ def save_checkpoint(params: ParamState, path) -> None:
 
 
 def load_checkpoint(path) -> ParamState:
-    """The saved state. A non-object root, an overflowing parameter, or a step that
-    is not a non-negative int is a ValueError."""
+    """The saved state. A non-object root or a step that is not a non-negative int is
+    a ValueError, and a number that overflows is an OverflowError."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint root is a JSON {type(payload).__name__}, not an object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
-    spec_dict = dict(payload["spec"])
-    spec_dict["backbone_widths"] = tuple(spec_dict["backbone_widths"])
-    spec = NetSpec(**spec_dict)
+    spec = NetSpec(**payload["spec"])
     step = payload["step"]
     if type(step) is not int or step < 0:  # also rejects bool, a subclass of int
         raise ValueError(f"checkpoint step {step!r} is not a non-negative integer")
-    try:
-        flat = np.array([float.fromhex(h) for h in payload["params_hex"]], dtype=np.float64)
-    except OverflowError as err:
-        raise ValueError(f"checkpoint value out of range: {err}") from err
+    flat = np.array([float.fromhex(h) for h in payload["params_hex"]], dtype=np.float64)
     return ParamState(spec=spec, flat=flat, step=step)

@@ -32,13 +32,14 @@ class EmbeddingBatch:
 
 @dataclass(frozen=True)
 class PrototypeSet:
+    """One refresh's prototypes and the means and counts behind them. The fusion
+    weights are not kept here: they are the run's train.gamma and train.r_u."""
+
     mu: np.ndarray            # (K, d) fused prototypes
     mu_labeled: np.ndarray    # (K, d) labeled class means
     mu_unlabeled: np.ndarray  # (K, d), zero rows where a class had no contributors
     n_labeled: np.ndarray     # (K,)
     n_unlabeled: np.ndarray   # (K,)
-    gamma: float
-    r_u: float
 
     def unit_directions(self) -> np.ndarray:
         return normalize(self.mu)[0]
@@ -73,5 +74,4 @@ def refresh(labeled: EmbeddingBatch, unlabeled: EmbeddingBatch | None,
         if w_u != 0.0:
             total = w_l + w_u
             mu[k] = (w_l / total) * mu_l[k] + (w_u / total) * mu_u[k]
-    return PrototypeSet(mu=mu, mu_labeled=mu_l, mu_unlabeled=mu_u,
-                        n_labeled=n_l, n_unlabeled=n_u, gamma=gamma, r_u=r_u)
+    return PrototypeSet(mu=mu, mu_labeled=mu_l, mu_unlabeled=mu_u, n_labeled=n_l, n_unlabeled=n_u)

@@ -273,8 +273,6 @@ def write_split_csv(split: Split, path) -> None:
 
 def write_manifest(split: Split, path) -> None:
     manifest = {
-        "seed": split.scenario.seed,
-        "input_dim": split.scenario.input_dim,
         "clusters": [{"kind": kind, "index": index, "mean": mean.tolist(), "scale": scale}
                      for kind, index, mean, scale in split.clusters],
         "counts": {"labeled": len(split.labeled_ids), "unlabeled": len(split.unlabeled_ids),

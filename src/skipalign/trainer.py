@@ -140,7 +140,7 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
     params = init_params(netspec)
     runlog = RunLog()
     # Labeled means only: the gate is not trustworthy before training.
-    protos = _refresh_prototypes(params, split, cfg, netspec.num_classes, [])
+    protos = _refresh_prototypes(params, split, cfg, [])
 
     rng = np.random.default_rng(cfg.seed)
     labeled_batches = _batches(split.labeled_x.shape[0], cfg.batch_size, rng)
@@ -164,14 +164,13 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
                                             weight_decay=cfg.weight_decay, velocity=velocity)
                 runlog.iterations.append(record)
 
-            protos = _refresh_prototypes(params, split, cfg, netspec.num_classes, accepted)
+            protos = _refresh_prototypes(params, split, cfg, accepted)
             runlog.final_prototypes = protos
             runlog.epochs.append({
                 "epoch": epoch,
                 "prototypes": {
                     "n_labeled": protos.n_labeled.tolist(),
                     "n_unlabeled": protos.n_unlabeled.tolist(),
-                    "gamma": protos.gamma, "r_u": protos.r_u,
                 },
             })
     except ValueError as err:
@@ -183,7 +182,7 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
     return params, runlog
 
 
-def _refresh_prototypes(params: ParamState, split: Split, cfg: TrainConfig, num_classes: int,
+def _refresh_prototypes(params: ParamState, split: Split, cfg: TrainConfig,
                         accepted: list[EmbeddingBatch]) -> PrototypeSet:
     """Prototypes from a clean (unaugmented) pass over the labeled set and the
     gate-accepted rows by predicted class; with none, the labeled means."""
@@ -191,7 +190,7 @@ def _refresh_prototypes(params: ParamState, split: Split, cfg: TrainConfig, num_
     unlabeled = (EmbeddingBatch(np.concatenate([b.vectors for b in accepted]),
                                 np.concatenate([b.labels for b in accepted]))
                  if accepted else None)
-    return refresh(labeled, unlabeled, cfg.gamma, cfg.r_u, num_classes)
+    return refresh(labeled, unlabeled, cfg.gamma, cfg.r_u, params.spec.num_classes)
 
 
 # The objective's leaf terms, in the order they are logged.

@@ -41,11 +41,10 @@ SOURCE_MODULES = [
 
 # Every settable value of the resolved config, as flatten names it.
 SETTABLE_VALUES = [
-    "net.backbone_widths", "net.embed_dim", "net.feature_dim", "net.input_dim",
-    "net.num_classes", "net.proj_hidden", "net.seed",
+    "net.backbone_widths", "net.embed_dim", "net.feature_dim", "net.proj_hidden",
     "scenario.between_hull_scale", "scenario.id_mean_radius", "scenario.id_scale",
     "scenario.input_dim", "scenario.labels_per_class", "scenario.min_separation",
-    "scenario.num_classes", "scenario.seed", "scenario.seen_ood_clusters",
+    "scenario.num_classes", "scenario.seen_ood_clusters",
     "scenario.seen_ood_mean_radius", "scenario.seen_ood_scale", "scenario.sigma_strong",
     "scenario.sigma_weak", "scenario.strong_dropout", "scenario.test_id_per_class",
     "scenario.test_seen_per_cluster", "scenario.test_unseen_per_cluster",
@@ -57,7 +56,7 @@ SETTABLE_VALUES = [
     "train.head.eta_neg", "train.head.lambda_cc", "train.head.lambda_em", "train.head.lambda_neg",
     "train.head.lambda_od", "train.head.lambda_sna", "train.head.lambda_socr",
     "train.head.lambda_u", "train.head.tau_pl", "train.iters_per_epoch", "train.lr0",
-    "train.momentum", "train.r_u", "train.score_rule", "train.seed", "train.sna.lambda_ia",
+    "train.momentum", "train.r_u", "train.score_rule", "train.sna.lambda_ia",
     "train.sna.lambda_pa", "train.sna.lambda_usna", "train.sna.temperature", "train.tau_id",
     "train.weight_decay",
 ]
@@ -98,12 +97,8 @@ class TestConfigResolution:
         assert cfg.net.seed == 11
         assert cfg.train.seed == 12
 
-    def test_explicit_sub_seed_kept(self):
-        cfg = resolve_config({"seed": 10, "net": {"seed": 99}})
-        assert cfg.net.seed == 99
-
     def test_seed_override_rederives_sub_seeds(self):
-        cfg = resolve_config({"seed": 10, "net": {"seed": 99}}, seed_override=3)
+        cfg = resolve_config({"seed": 10}, seed_override=3)
         assert cfg.seed == 3 and cfg.scenario.seed == 3
         assert cfg.net.seed == 4 and cfg.train.seed == 5
 
@@ -112,7 +107,8 @@ class TestConfigResolution:
         assert cfg.net.input_dim == 10 and cfg.net.num_classes == 3
 
     def test_mismatched_net_dimension_rejected(self):
-        with pytest.raises(ConfigError, match="net.input_dim"):
+        # The network's dimensions are the scenario's: a file cannot set another.
+        with pytest.raises(ConfigError, match="net.input_dim: unknown field"):
             resolve_config({"seed": 0, "net": {"input_dim": 7}})
 
     def test_gamma_must_agree(self):
@@ -125,16 +121,20 @@ class TestConfigResolution:
     @pytest.mark.parametrize("field", ["train.tau_proto", "train.eta_proto", "train.eval_every",
                                        "train.log_gate_details", "scenario.gamma",
                                        "net.proj_nonlinear", "scenario.seen_placement",
-                                       "scenario.max_placement_tries"])
+                                       "scenario.max_placement_tries", "scenario.seed",
+                                       "net.seed", "train.seed", "net.input_dim",
+                                       "net.num_classes"])
     def test_removed_field_unknown(self, tmp_path, capsys, field):
-        # Fields that only copied another one, that nothing set, or that chose a
-        # path no run took: a manifest that still carries one, at its old
-        # default, is refused, naming it.
-        old_defaults = {"tau_proto": 0.99, "eta_proto": 0.5, "eval_every": 0,
-                        "log_gate_details": True, "gamma": 2.0, "proj_nonlinear": True,
-                        "seen_placement": "between", "max_placement_tries": 500}
+        # Fields that only copied or derived from another one, that nothing set,
+        # or that chose a path no run took: a manifest that still carries one, at
+        # its old value for seed 0, is refused, naming it.
+        old_values = {"train.tau_proto": 0.99, "train.eta_proto": 0.5, "train.eval_every": 0,
+                      "train.log_gate_details": True, "scenario.gamma": 2.0,
+                      "net.proj_nonlinear": True, "scenario.seen_placement": "between",
+                      "scenario.max_placement_tries": 500, "scenario.seed": 0, "net.seed": 1,
+                      "train.seed": 2, "net.input_dim": 16, "net.num_classes": 4}
         section, name = field.split(".")
-        raw = {"seed": 0, section: {name: old_defaults[name]}}
+        raw = {"seed": 0, section: {name: old_values[field]}}
         assert main(["run", "--config", write_config(tmp_path, raw), "--dry-run"]) == 2
         assert f"{field}: unknown field" in capsys.readouterr().err
 
@@ -156,10 +156,12 @@ class TestConfigResolution:
         assert set(skipalign.__all__) <= set(namespace)
 
     def test_resolved_dict_round_trips(self):
-        cfg = default_config(seed=4)
-        again = resolve_config(cfg.resolved_dict())
-        assert again == cfg
-        assert config_hash(again) == config_hash(cfg)
+        # The derived values are left out, and derive again to the same config.
+        for raw in ({"seed": 4}, {"seed": 7, "scenario": {"input_dim": 10, "num_classes": 3}}):
+            cfg = resolve_config(raw)
+            again = resolve_config(cfg.resolved_dict())
+            assert again == cfg
+            assert config_hash(again) == config_hash(cfg)
 
     def test_environment_is_not_an_input(self, tmp_path, monkeypatch, capsys):
         # The file and --seed are a run's only inputs.
@@ -465,21 +467,10 @@ def drop_config(path):
 
 
 def set_scenario(key, value):
-    """A damage that sets one key in manifest.json's scenario config: it still resolves."""
+    """A damage that sets one key in manifest.json's scenario config."""
     def damage(path):
         payload = json.loads(path.read_text())
         payload["config"]["scenario"][key] = value
-        path.write_text(json.dumps(payload))
-    return damage
-
-
-def set_both(key, value):
-    """A damage that sets one key in both the scenario and net sections of
-    manifest.json's config: the manifest still resolves, against another network."""
-    def damage(path):
-        payload = json.loads(path.read_text())
-        for section in ("scenario", "net"):
-            payload["config"][section][key] = value
         path.write_text(json.dumps(payload))
     return damage
 
@@ -505,12 +496,12 @@ class TestExitCodes:
     usage (naming the field or file), 3 divergence."""
 
     @pytest.mark.parametrize("verb, change, code, named", [
-        ("run", {"seed": 0, "scenario": {"seed": 0}, "net": {"seed": 0},
-                 "train": {"seed": 0}}, 0, None),
+        ("run", {"seed": 0}, 0, None),
+        ("run", {"seed": 10**23}, 0, None),
         ("run", {"seed": -1}, 2, "seed"),
-        ("run", {"scenario": {"seed": -1}}, 2, "scenario.seed"),
-        ("run", {"net": {"seed": -1}}, 2, "net.seed"),
-        ("run", {"train": {"seed": -1}}, 2, "train.seed"),
+        ("run", {"scenario": {"seed": -1}}, 2, "scenario.seed: unknown field"),
+        ("run", {"net": {"seed": -1}}, 2, "net.seed: unknown field"),
+        ("run", {"train": {"seed": -1}}, 2, "train.seed: unknown field"),
         ("run", {"scenario": {"unlabeled_id_per_class": 0}}, 0, None),
         ("run", {"scenario": {"unlabeled_id_per_class": 0, "unlabeled_seen_per_cluster": 0}},
          2, "scenario.unlabeled_id_per_class"),
@@ -520,6 +511,13 @@ class TestExitCodes:
         ("run", {"train": {"epochs": True}}, 2, "train.epochs"),
         ("run", {"train": {"epochs": 0}}, 2, "train"),
         ("run", {"scenario": {"input_dim": 16.5}}, 2, "scenario.input_dim"),
+        ("run", {"scenario": {"input_dim": 10**23}}, 2, "scenario.input_dim"),
+        ("run", {"scenario": {"labels_per_class": 10**23}}, 2, "scenario.labels_per_class"),
+        ("run", {"scenario": {"test_id_per_class": 10**23}}, 2, "scenario.test_id_per_class"),
+        ("run", {"net": {"embed_dim": 10**23}}, 2, "net.embed_dim"),
+        ("run", {"net": {"backbone_widths": [32, 10**23]}}, 2, "net.backbone_widths"),
+        ("run", {"train": {"lr0": 10**400}}, 2, "train.lr0"),
+        ("run", {"scenario": {"id_scale": 10**400}}, 2, "scenario.id_scale"),
         ("run", {"net": {"proj_nonlinear": "no"}}, 2, "net.proj_nonlinear"),
         ("run", {"net": {"backbone_widths": 32}}, 2, "net.backbone_widths"),
         ("run", {"train": {"head": {"lambda_sna": "0.1"}}}, 2, "train.head.lambda_sna"),
@@ -536,8 +534,8 @@ class TestExitCodes:
         ("eval", ("prototypes.json", set_mu(lambda mu: [[0.0] * len(row) for row in mu])), 2,
          "prototypes.json"),
         ("eval", ("prototypes.json", set_mu(lambda mu: "mu")), 2, "prototypes.json"),
-        ("eval", ("manifest.json", set_both("input_dim", 12)), 2, "manifest.json"),
-        ("eval", ("manifest.json", set_both("num_classes", 3)), 2, "manifest.json"),
+        ("eval", ("manifest.json", set_scenario("input_dim", 12)), 2, "manifest.json"),
+        ("eval", ("manifest.json", set_scenario("num_classes", 3)), 2, "manifest.json"),
         ("eval", ("checkpoint.json", add_spec_key("proj_nonlinear", True)), 2,
          "checkpoint.json"),
         ("eval", ("manifest.json", set_status("error")), 2, "manifest.json: status is 'error'"),
@@ -559,10 +557,23 @@ class TestExitCodes:
         ("eval", ("checkpoint.json", wrap_in_list), 2, "checkpoint.json"),
         ("eval", ("prototypes.json", set_literal(("n_labeled", 0), "1e400")), 0, None),
         ("eval", ("prototypes.json", keep_only_mu), 0, None),
-    ], ids=["zero-seeds", "negative-seed", "negative-scenario-seed", "negative-net-seed",
-            "negative-train-seed", "seen-only-pool", "empty-pool", "no-id-test-rows",
+        ("eval", ("checkpoint.json", set_literal(("spec", "backbone_widths"), "[Infinity]")), 2,
+         "checkpoint.json"),
+        ("eval", ("prototypes.json", set_literal(("mu", 0, 0), str(10**400))), 2,
+         "prototypes.json"),
+        ("eval", ("manifest.json", set_scenario("input_dim", 10**23)), 2,
+         "manifest.json: config: scenario.input_dim"),
+        ("eval", ("manifest.json", set_literal(("config", "train", "lr0"), str(10**400))), 2,
+         "manifest.json: config: train.lr0"),
+        ("eval", ("manifest.json", set_literal(("config", "net", "seed"), "1")), 2,
+         "manifest.json: config: net.seed: unknown field"),
+    ], ids=["zero-seeds", "huge-seed", "negative-seed", "negative-scenario-seed",
+            "negative-net-seed", "negative-train-seed", "seen-only-pool", "empty-pool",
+            "no-id-test-rows",
             "unsatisfiable-separation", "string-epochs", "bool-epochs", "zero-epochs",
-            "fractional-input-dim",
+            "fractional-input-dim", "huge-input-dim", "huge-labels-per-class",
+            "huge-test-id-per-class", "huge-embed-dim", "huge-backbone-width",
+            "lr0-beyond-float64", "id-scale-beyond-float64",
             "string-flag", "scalar-widths", "string-head-weight", "list-section", "diverging",
             "config-unreadable",
             "checkpoint-appended", "prototypes-appended", "manifest-appended",
@@ -574,7 +585,8 @@ class TestExitCodes:
             "checkpoint-step-fractional", "checkpoint-step-string", "checkpoint-step-bool",
             "checkpoint-step-negative",
             "checkpoint-hex-overflows", "checkpoint-root-list", "prototypes-count-overflows",
-            "prototypes-only-mu"])
+            "prototypes-only-mu", "checkpoint-widths-infinite", "prototypes-mu-overflows",
+            "manifest-huge-input-dim", "manifest-lr0-beyond-float64", "manifest-net-seed"])
     def test_exit_code(self, tmp_path, capsys, monkeypatch, finished_run, verb, change, code,
                        named):
         if verb == "run":
@@ -598,6 +610,8 @@ class TestExitCodes:
             assert main(argv) == code
         if code == 2:
             assert named in capsys.readouterr().err
+        if verb == "run" and code == 2:  # a config error is raised before any run directory
+            assert not (tmp_path / "runs").exists()
         if verb == "eval" and code == 0:
             # eval reads only mu from prototypes.json: the re-score is the intact run's.
             intact = tmp_path / "intact"

@@ -132,7 +132,7 @@ class TestInitialPrototypes:
             np.testing.assert_allclose(
                 protos.mu[k], labeled.vectors[labeled.labels == k].mean(axis=0),
                 atol=1e-15)
-        assert protos.r_u == 0.0
+        assert not protos.n_unlabeled.any() and not protos.mu_unlabeled.any()
 
 
 def cosines(z, means) -> np.ndarray:

@@ -187,8 +187,6 @@ def reference_generate(spec):
         tcat.extend([f"unseen:{u}"] * spec.test_unseen_per_cluster)
 
     manifest = {
-        "seed": spec.seed,
-        "input_dim": spec.input_dim,
         "clusters": (
             [{"kind": "id", "index": k, "mean": m.tolist(), "scale": spec.id_scale}
              for k, m in enumerate(id_means)]
