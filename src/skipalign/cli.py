@@ -22,7 +22,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import hashlib
 import json
+import re
 import shutil
 import sys
 import time
@@ -236,8 +238,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    run_dir = Path(args.run_dir)
+def _rescore(run_dir: Path, rule: str | None) -> str:
+    """Re-score a complete run under rule (its config's when None) into
+    rescore_<rule>.json; return the text written."""
     manifest_path = run_dir / "manifest.json"
     manifest = read_json(manifest_path)
     status = manifest.get("status") if isinstance(manifest, dict) else None
@@ -254,13 +257,17 @@ def _cmd_eval(args) -> int:
     if cfg.net != params.spec:
         raise ConfigError(str(manifest_path), "net does not match the spec in checkpoint.json")
     unit_protos = _load_artifact(_load_prototypes, run_dir / "prototypes.json", params.spec)
-    rule = args.score_rule or cfg.train.score_rule
+    rule = rule or cfg.train.score_rule
     try:
         report = evaluate(params, split, unit_protos, score_rule=rule)
     except ValueError as err:  # parameters that load but overflow or zero a row
         raise ConfigError(str(run_dir / "checkpoint.json"),
                           f"cannot be evaluated: {err}") from err
-    print(write_eval_json(report, run_dir / f"rescore_{rule}.json"))
+    return write_eval_json(report, run_dir / f"rescore_{rule}.json")
+
+
+def _cmd_eval(args) -> int:
+    print(_rescore(Path(args.run_dir), args.score_rule))
     return 0
 
 
@@ -270,27 +277,55 @@ def _cmd_gradcheck(args) -> int:
     return 0 if all(passed for _, passed, _ in results) else 1
 
 
+def fingerprints(run_dir: Path) -> dict:
+    """The sha256 of each file in a run directory, by name. manifest.json's is taken with
+    its wall-clock time read as null: the one value that differs between equal runs."""
+    table = {}
+    for path in sorted(run_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            data = re.sub(rb'"wall_clock_s": [^,\n]*', b'"wall_clock_s": null', data)
+        table[path.name] = hashlib.sha256(data).hexdigest()
+    return table
+
+
 def _cmd_golden(args) -> int:
+    """Run the config (the default at seed 0 unless --config), re-score it under every
+    rule, and compare its metrics.csv with the golden path and every file's fingerprint
+    with artifacts.json beside it; --write rewrites both."""
     import tempfile
 
     golden_path = Path(args.golden_path)
+    table_path = golden_path.with_name("artifacts.json")
     cfg = load_config(args.config) if args.config else default_config()
     with tempfile.TemporaryDirectory() as tmp:
         run_dir, _ = run_experiment(cfg, Path(tmp))
+        for rule in SCORE_RULES:
+            _rescore(run_dir, rule)
         fresh = (run_dir / "metrics.csv").read_bytes()
+        table = fingerprints(run_dir)
     if args.write:
         golden_path.parent.mkdir(parents=True, exist_ok=True)
         golden_path.write_bytes(fresh)
-        print(f"golden file written: {golden_path}")
+        table_path.write_text(json.dumps(table, indent=2) + "\n")
+        print(f"golden files written: {golden_path}, {table_path}")
         return 0
-    if not golden_path.exists():
-        print(f"golden file missing: {golden_path} (run with --write)", file=sys.stderr)
+    if not golden_path.exists() or not table_path.exists():
+        print(f"golden file missing: {golden_path} or {table_path} (run with --write)",
+              file=sys.stderr)
         return 1
-    if golden_path.read_bytes() == fresh:
-        print("golden check passed: metrics identical")
-        return 0
-    print("golden check FAILED: metrics differ from the committed file", file=sys.stderr)
-    return 1
+    committed = read_json(table_path)
+    moved = [name for name in sorted({*table, *committed}) if table.get(name) != committed.get(name)]
+    metrics_moved = golden_path.read_bytes() != fresh
+    if metrics_moved:
+        print("golden check FAILED: metrics differ from the committed file", file=sys.stderr)
+    if moved:
+        print(f"golden check FAILED: files moved from {table_path}: {', '.join(moved)}",
+              file=sys.stderr)
+    if metrics_moved or moved:
+        return 1
+    print("golden check passed: metrics and artifact fingerprints identical")
+    return 0
 
 
 @functools.cache

@@ -702,6 +702,21 @@ class TestCliGradcheckAndGolden:
                      "--write"]) == 0
         golden.write_text(golden.read_text().replace("accuracy", "accuracyX"))
         assert main(["golden", "--config", path, "--golden-path", str(golden)]) == 1
+        assert "metrics differ" in capsys.readouterr().err
+        # A fingerprint that moved, or a file the table lacks, is named.
+        table_path = golden.with_name("artifacts.json")
+        table = json.loads(table_path.read_text())
+        table["checkpoint.json"] = "0" * 64
+        del table["split.csv"]
+        table_path.write_text(json.dumps(table))
+        assert main(["golden", "--config", path, "--golden-path", str(golden)]) == 1
+        assert "artifacts.json: checkpoint.json, split.csv\n" in capsys.readouterr().err
+
+    def test_artifact_fingerprints(self, capsys):
+        # Every file of the default seed-0 run and of its re-score under each rule,
+        # byte for byte; a failure names each file that moved.
+        golden = Path(__file__).parent / "golden" / "metrics.csv"
+        assert main(["golden", "--golden-path", str(golden)]) == 0, capsys.readouterr().err
 
     def test_golden_missing_file(self, tmp_path):
         path = write_config(tmp_path, TINY_RAW)
