@@ -9,8 +9,8 @@ Verbs:
 
 Every verb reads its config file through `config.read_raw` (`eval` reads the
 whole manifest with `read_json`), exactly as written; the file and `--seed`
-are a run's only inputs. Run directories are content-addressed by config
-hash and seed; an existing directory is refused unless --force is given. A
+are a run's only inputs. Run directories are named by the config hash, which
+covers the seed; an existing directory is refused unless --force is given. A
 run's manifest is written first with status "running" and ends "complete",
 "diverged" or "error"; a failed run keeps its directory. Exit codes: 0
 success, 1 a `golden` or `gradcheck` check failed, 2 invalid config or usage
@@ -27,6 +27,7 @@ import json
 import re
 import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -51,10 +52,8 @@ def apply_axis(raw: dict, axis: str, value) -> dict:
     """Set one sweep axis on a raw (unresolved) config dict."""
     raw = json.loads(json.dumps(raw))
     train = raw.setdefault("train", {})
-    if axis == "eta_id":
-        train["eta_id"] = float(value)
-    elif axis == "r_u":
-        train["r_u"] = float(value)
+    if axis in ("eta_id", "r_u"):
+        train[axis] = float(value)
     elif axis == "lambda_sna":
         train.setdefault("head", {})["lambda_sna"] = float(value)
     elif axis == "loss_combo":
@@ -69,8 +68,7 @@ def apply_axis(raw: dict, axis: str, value) -> dict:
 def run_experiment(cfg: ExperimentConfig, out_root: Path, force: bool = False,
                    extra_manifest: dict | None = None) -> tuple[Path, EvalReport]:
     """Full pipeline: generate, train, evaluate, persist artifacts."""
-    out_root = Path(out_root)
-    run_dir = out_root / f"{config_hash(cfg)[:12]}-s{cfg.seed}"
+    run_dir = Path(out_root) / config_hash(cfg)[:12]
     if run_dir.exists() and not force:
         raise FileExistsError(f"run directory already exists: {run_dir} (use --force)")
     started = time.time()
@@ -238,9 +236,8 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _rescore(run_dir: Path, rule: str | None) -> str:
-    """Re-score a complete run under rule (its config's when None) into
-    rescore_<rule>.json; return the text written."""
+def _rescore(run_dir: Path, rule: str) -> str:
+    """Re-score a complete run under rule into rescore_<rule>.json; return the text written."""
     manifest_path = run_dir / "manifest.json"
     manifest = read_json(manifest_path)
     status = manifest.get("status") if isinstance(manifest, dict) else None
@@ -257,7 +254,6 @@ def _rescore(run_dir: Path, rule: str | None) -> str:
     if cfg.net != params.spec:
         raise ConfigError(str(manifest_path), "net does not match the spec in checkpoint.json")
     unit_protos = _load_artifact(_load_prototypes, run_dir / "prototypes.json", params.spec)
-    rule = rule or cfg.train.score_rule
     try:
         report = evaluate(params, split, unit_protos, score_rule=rule)
     except ValueError as err:  # parameters that load but overflow or zero a row
@@ -277,36 +273,21 @@ def _cmd_gradcheck(args) -> int:
     return 0 if all(passed for _, passed, _ in results) else 1
 
 
-def fingerprints(run_dir: Path) -> dict:
-    """The sha256 of each file in a run directory, by name. manifest.json's is taken with
-    its wall-clock time read as null: the one value that differs between equal runs."""
-    table = {}
-    for path in sorted(run_dir.iterdir()):
-        data = path.read_bytes()
-        if path.name == "manifest.json":
-            data = re.sub(rb'"wall_clock_s": [^,\n]*', b'"wall_clock_s": null', data)
-        table[path.name] = hashlib.sha256(data).hexdigest()
-    return table
-
-
 def _cmd_golden(args) -> int:
-    """Run the config (the default at seed 0 unless --config), re-score it under every
-    rule, and compare its metrics.csv with the golden path and every file's fingerprint
-    with artifacts.json beside it; --write rewrites both."""
-    import tempfile
-
     golden_path = Path(args.golden_path)
-    table_path = golden_path.with_name("artifacts.json")
+    table_path = golden_path.with_name("artifacts.json")  # each run file's sha256
     cfg = load_config(args.config) if args.config else default_config()
     with tempfile.TemporaryDirectory() as tmp:
         run_dir, _ = run_experiment(cfg, Path(tmp))
         for rule in SCORE_RULES:
             _rescore(run_dir, rule)
-        fresh = (run_dir / "metrics.csv").read_bytes()
-        table = fingerprints(run_dir)
+        files = {path.name: path.read_bytes() for path in sorted(run_dir.iterdir())}
+    wall_clock = rb'"wall_clock_s": [^,\n]*'  # the one value in which equal runs differ
+    files["manifest.json"] = re.sub(wall_clock, b'"wall_clock_s": null', files["manifest.json"])
+    table = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
     if args.write:
         golden_path.parent.mkdir(parents=True, exist_ok=True)
-        golden_path.write_bytes(fresh)
+        golden_path.write_bytes(files["metrics.csv"])
         table_path.write_text(json.dumps(table, indent=2) + "\n")
         print(f"golden files written: {golden_path}, {table_path}")
         return 0
@@ -316,13 +297,10 @@ def _cmd_golden(args) -> int:
         return 1
     committed = read_json(table_path)
     moved = [name for name in sorted({*table, *committed}) if table.get(name) != committed.get(name)]
-    metrics_moved = golden_path.read_bytes() != fresh
-    if metrics_moved:
-        print("golden check FAILED: metrics differ from the committed file", file=sys.stderr)
+    if golden_path.read_bytes() != files["metrics.csv"]:
+        moved.insert(0, str(golden_path))
     if moved:
-        print(f"golden check FAILED: files moved from {table_path}: {', '.join(moved)}",
-              file=sys.stderr)
-    if metrics_moved or moved:
+        print(f"golden check FAILED: these differ: {', '.join(moved)}", file=sys.stderr)
         return 1
     print("golden check passed: metrics and artifact fingerprints identical")
     return 0
@@ -355,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="re-score a finished run")
     p_eval.add_argument("--run-dir", required=True)
-    p_eval.add_argument("--score-rule", default=None, choices=SCORE_RULES)
+    p_eval.add_argument("--score-rule", default=SCORE_RULES[0], choices=SCORE_RULES)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_grad = sub.add_parser("gradcheck", help="run the gradient-oracle suite")

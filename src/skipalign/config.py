@@ -58,8 +58,8 @@ def _has_default_type(value, default) -> bool:
         return isinstance(value, (list, tuple)) and all(_has_default_type(v, 0) for v in value)
     if isinstance(default, float):
         return isinstance(value, (int, float))
-    if isinstance(default, (int, str)):
-        return isinstance(value, type(default))
+    if isinstance(default, int):
+        return isinstance(value, int)
     return True  # a nested section, built and checked on its own
 
 
@@ -111,8 +111,9 @@ def resolve_config(data: dict, seed_override: int | None = None) -> ExperimentCo
         data["seed"] = int(seed_override)
     if "seed" not in data:
         raise ConfigError("seed", "missing required field")
-    if not _has_default_type(data["seed"], 0) or data["seed"] < 0:
-        raise ConfigError("seed", "must be a non-negative integer")
+    # numpy's SeedSequence hashes a seed into 128 bits, so a wider one names no new run.
+    if not _has_default_type(data["seed"], 0) or not 0 <= data["seed"] < 2**128:
+        raise ConfigError("seed", "must be an integer in [0, 2**128)")
     seed = data["seed"]
 
     scenario = _build_section(ScenarioSpec, _section(data, "scenario", "scenario"), "scenario",

@@ -34,7 +34,7 @@ SCORE_RULES = ("ova_id_at_cc_argmax", "max_cc_softmax", "max_ova_id", "feature_n
 FORWARD_CHUNK_ROWS = 1024
 
 
-def ood_score(ova_probs: np.ndarray, cc_probs: np.ndarray, rule: str = "ova_id_at_cc_argmax",
+def ood_score(ova_probs: np.ndarray, cc_probs: np.ndarray, rule: str = SCORE_RULES[0],
               feature_norms: np.ndarray | None = None) -> np.ndarray:
     """Per-sample ID-ness score; higher means more in-distribution.
 
@@ -126,7 +126,7 @@ def _forward_ranges(params: ParamState, x: np.ndarray):
 
 
 def evaluate(params: ParamState, split: Split, unit_protos: np.ndarray,
-             score_rule: str = "ova_id_at_cc_argmax") -> EvalReport:
+             score_rule: str = SCORE_RULES[0]) -> EvalReport:
     """Score the test split of a scenario against a frozen parameter state and the
     (K, d) unit prototype rows (`PrototypeSet.unit_directions`)."""
     n = split.test_x.shape[0]

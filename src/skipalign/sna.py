@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heads import one_hot
+from .heads import log_softmax, one_hot
 
 # Additive mask that removes an entry from a log-sum-exp exactly.
 _NEG_INF = -1e30
@@ -126,14 +126,10 @@ def ia(zh, norms, labels, temperature: float) -> tuple[float, np.ndarray]:
     if n_anchors == 0:
         return 0.0, np.zeros_like(zh)
     sims = (zh @ zh.T) * (1.0 / temperature)
-    masked = sims + np.diag(np.full(n, _NEG_INF))
-    shift = masked.max(axis=1, keepdims=True)
-    e = np.exp(masked - shift)
-    total = e.sum(axis=1, keepdims=True)
-    log_prob = sims - (np.log(total) + shift)
+    log_prob, prob = log_softmax(sims + np.diag(np.full(n, _NEG_INF)))
     weights = np.where(contributing, 1.0 / np.maximum(counts, 1.0), 0.0)
     value = (-(log_prob * positives).sum(axis=1) * weights).sum() * (1.0 / n_anchors)
-    grad_sims = (contributing[:, None] * (e / total) - weights[:, None] * positives) \
+    grad_sims = (contributing[:, None] * prob - weights[:, None] * positives) \
         * (1.0 / n_anchors)
     grad_unit = ((grad_sims + grad_sims.T) @ zh) * (1.0 / temperature)
     return float(value), _tangential(grad_unit, zh, norms)

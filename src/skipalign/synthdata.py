@@ -25,10 +25,13 @@ CHUNK_ROWS = 256  # rows write_float_rows formats at once: bounds its memory
 # rows was slower than formatting it in the process, one of 1,700 rows faster.
 RANGE_CHUNKS = 8
 MAX_PLACEMENT_TRIES = 500  # random directions tried per cluster mean before PlacementError
+# Each cluster kind's (mean radius, scale); "between" clusters sit at the galaxies' mean.
+GEOMETRY = {"id": (5.0, 0.7), "seen": (5.0, 0.9), "unseen": (6.5, 0.9), "between": (None, 1.6)}
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """Settable scenario values; each cluster kind's radius and scale are in GEOMETRY."""
     input_dim: int = 16
     num_classes: int = 4
     labels_per_class: int = 25
@@ -40,13 +43,6 @@ class ScenarioSpec:
     seen_ood_clusters: int = 2
     unseen_ood_clusters: int = 3
     unseen_between_hull: int = 1   # how many unseen clusters sit inside the ID hull
-    id_mean_radius: float = 5.0
-    id_scale: float = 0.7
-    seen_ood_mean_radius: float = 5.0
-    seen_ood_scale: float = 0.9
-    unseen_ood_mean_radius: float = 6.5
-    unseen_ood_scale: float = 0.9
-    between_hull_scale: float = 1.6
     min_separation: float = 4.0
     sigma_weak: float = 0.15
     sigma_strong: float = 0.8
@@ -129,23 +125,24 @@ def _place_means(spec: ScenarioSpec, rng: np.random.Generator) -> list[tuple]:
         raise PlacementError("cluster separation constraint unsatisfiable after "
                              f"{MAX_PLACEMENT_TRIES} tries")
 
-    galaxies = [place(spec.id_mean_radius) for _ in range(spec.num_classes)]
-    table = [("id", k, mean, spec.id_scale) for k, mean in enumerate(galaxies)]
+    (id_radius, id_scale), (seen_radius, seen_scale) = GEOMETRY["id"], GEOMETRY["seen"]
+    galaxies = [place(id_radius) for _ in range(spec.num_classes)]
+    table = [("id", k, mean, id_scale) for k, mean in enumerate(galaxies)]
     for s in range(spec.seen_ood_clusters):
         if spec.num_classes >= 2:
             direction = galaxies[s % spec.num_classes] + galaxies[(s + 1) % spec.num_classes]
-            mean = spec.seen_ood_mean_radius * (direction / np.linalg.norm(direction))
+            mean = seen_radius * (direction / np.linalg.norm(direction))
         else:
-            mean = place(spec.seen_ood_mean_radius)
-        table.append(("seen", s, mean, spec.seen_ood_scale))
+            mean = place(seen_radius)
+        table.append(("seen", s, mean, seen_scale))
     n_outside = spec.unseen_ood_clusters - spec.unseen_between_hull
     hull_center = np.mean(galaxies, axis=0)
     for u in range(spec.unseen_ood_clusters):
         if u < n_outside:
-            mean, scale = place(spec.unseen_ood_mean_radius), spec.unseen_ood_scale
+            mean, scale = place(GEOMETRY["unseen"][0]), GEOMETRY["unseen"][1]
         else:
-            jitter = 0.25 * spec.id_scale * rng.standard_normal(spec.input_dim)
-            mean, scale = hull_center + jitter, spec.between_hull_scale
+            jitter = 0.25 * id_scale * rng.standard_normal(spec.input_dim)
+            mean, scale = hull_center + jitter, GEOMETRY["between"][1]
         table.append(("unseen", u, mean, scale))
     return table
 

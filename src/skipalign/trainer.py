@@ -26,11 +26,13 @@ from . import net as net_mod
 from .heads import (HeadWeights, ce, compose, consistency, em, log_softmax, neg, negatives, ova,
                     socr, two_way)
 from .linalg import normalize
-from .metrics import SCORE_RULES, EvalReport, evaluate
+from .metrics import EvalReport, evaluate
 from .net import ForwardResult, NetSpec, ParamState, forward, init_params, sgd_step
 from .prototypes import EmbeddingBatch, PrototypeSet, refresh
 from .sna import GateMask, SnaWeights, dual_gate, ia, pa, usna
 from .synthdata import Split, augment_views
+
+MOMENTUM, WEIGHT_DECAY = 0.9, 5e-4  # the SGD step's, the same in every run
 
 
 class TrainingDiverged(RuntimeError):
@@ -43,20 +45,18 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settable trainer values; a run reports `metrics.SCORE_RULES[0]` (`eval` takes others)."""
     epochs: int = 12
     iters_per_epoch: int = 40
     batch_size: int = 16
     gamma: float = 2.0
     lr0: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
     head: HeadWeights = field(default_factory=HeadWeights)
     sna: SnaWeights = field(default_factory=SnaWeights)
     tau_id: float = 0.99
     eta_id: float = 0.5
     gate_temperature: float = 0.5
     r_u: float = 0.5
-    score_rule: str = "ova_id_at_cc_argmax"
     seed: int = 2
 
     def __post_init__(self):
@@ -64,13 +64,11 @@ class TrainConfig:
             raise ValueError("epochs, iters_per_epoch and batch_size must be >= 1")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.lr0 < 0 or self.momentum < 0 or self.weight_decay < 0:
-            raise ValueError("lr0, momentum, weight_decay must be non-negative")
+        if self.lr0 < 0:
+            raise ValueError("lr0 must be non-negative")
         for name in ("tau_id", "eta_id", "r_u"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.score_rule not in SCORE_RULES:
-            raise ValueError(f"score_rule must be one of {', '.join(SCORE_RULES)}")
         if self.gate_temperature <= 0:
             raise ValueError("gate_temperature must be positive")
         u = self.gamma * self.batch_size
@@ -160,8 +158,8 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
                 record = {"step": step, "epoch": epoch, "lr": lr}
                 closure = _make_closure(cfg, split.labeled_y[li], unit_protos, record, accepted)
                 grads = net_mod.backward(params, x, closure)
-                params, velocity = sgd_step(params, grads, lr=lr, momentum=cfg.momentum,
-                                            weight_decay=cfg.weight_decay, velocity=velocity)
+                params, velocity = sgd_step(params, grads, lr=lr, momentum=MOMENTUM,
+                                            weight_decay=WEIGHT_DECAY, velocity=velocity)
                 runlog.iterations.append(record)
 
             protos = _refresh_prototypes(params, split, cfg, accepted)
@@ -177,7 +175,7 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
         last = runlog.iterations[-1] if runlog.iterations else None
         raise TrainingDiverged(str(err), last_report=last) from err
 
-    runlog.final_report = evaluate(params, split, protos.unit_directions(), cfg.score_rule)
+    runlog.final_report = evaluate(params, split, protos.unit_directions())
     runlog.epochs[-1]["eval"] = runlog.final_report.to_dict()
     return params, runlog
 

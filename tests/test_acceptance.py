@@ -55,8 +55,7 @@ def default_run():
     cfg = default_config(seed=0)
     split, params, protos, report = trained(cfg)
     # the last epoch's report is the one a fresh evaluation of the result gives
-    assert evaluate(params, split, protos.unit_directions(),
-                    score_rule=cfg.train.score_rule) == report
+    assert evaluate(params, split, protos.unit_directions()) == report
     return report
 
 

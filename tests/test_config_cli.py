@@ -42,23 +42,19 @@ SOURCE_MODULES = [
 # Every settable value of the resolved config, as flatten names it.
 SETTABLE_VALUES = [
     "net.backbone_widths", "net.embed_dim", "net.feature_dim", "net.proj_hidden",
-    "scenario.between_hull_scale", "scenario.id_mean_radius", "scenario.id_scale",
     "scenario.input_dim", "scenario.labels_per_class", "scenario.min_separation",
-    "scenario.num_classes", "scenario.seen_ood_clusters",
-    "scenario.seen_ood_mean_radius", "scenario.seen_ood_scale", "scenario.sigma_strong",
+    "scenario.num_classes", "scenario.seen_ood_clusters", "scenario.sigma_strong",
     "scenario.sigma_weak", "scenario.strong_dropout", "scenario.test_id_per_class",
     "scenario.test_seen_per_cluster", "scenario.test_unseen_per_cluster",
     "scenario.unlabeled_id_per_class", "scenario.unlabeled_seen_per_cluster",
     "scenario.unseen_between_hull", "scenario.unseen_ood_clusters",
-    "scenario.unseen_ood_mean_radius", "scenario.unseen_ood_scale",
     "seed",
     "train.batch_size", "train.epochs", "train.eta_id", "train.gamma", "train.gate_temperature",
     "train.head.eta_neg", "train.head.lambda_cc", "train.head.lambda_em", "train.head.lambda_neg",
     "train.head.lambda_od", "train.head.lambda_sna", "train.head.lambda_socr",
     "train.head.lambda_u", "train.head.tau_pl", "train.iters_per_epoch", "train.lr0",
-    "train.momentum", "train.r_u", "train.score_rule", "train.sna.lambda_ia",
-    "train.sna.lambda_pa", "train.sna.lambda_usna", "train.sna.temperature", "train.tau_id",
-    "train.weight_decay",
+    "train.r_u", "train.sna.lambda_ia", "train.sna.lambda_pa", "train.sna.lambda_usna",
+    "train.sna.temperature", "train.tau_id",
 ]
 
 
@@ -123,16 +119,27 @@ class TestConfigResolution:
                                        "net.proj_nonlinear", "scenario.seen_placement",
                                        "scenario.max_placement_tries", "scenario.seed",
                                        "net.seed", "train.seed", "net.input_dim",
-                                       "net.num_classes"])
+                                       "net.num_classes", "scenario.id_mean_radius",
+                                       "scenario.seen_ood_mean_radius",
+                                       "scenario.unseen_ood_mean_radius", "scenario.id_scale",
+                                       "scenario.seen_ood_scale", "scenario.unseen_ood_scale",
+                                       "scenario.between_hull_scale", "train.momentum",
+                                       "train.weight_decay", "train.score_rule"])
     def test_removed_field_unknown(self, tmp_path, capsys, field):
         # Fields that only copied or derived from another one, that nothing set,
-        # or that chose a path no run took: a manifest that still carries one, at
-        # its old value for seed 0, is refused, naming it.
+        # that chose a path no run took, or that every caller left at the value
+        # that is now a constant: a manifest that still carries one, at its old
+        # value for seed 0, is refused, naming it.
         old_values = {"train.tau_proto": 0.99, "train.eta_proto": 0.5, "train.eval_every": 0,
                       "train.log_gate_details": True, "scenario.gamma": 2.0,
                       "net.proj_nonlinear": True, "scenario.seen_placement": "between",
                       "scenario.max_placement_tries": 500, "scenario.seed": 0, "net.seed": 1,
-                      "train.seed": 2, "net.input_dim": 16, "net.num_classes": 4}
+                      "train.seed": 2, "net.input_dim": 16, "net.num_classes": 4,
+                      "scenario.id_mean_radius": 5.0, "scenario.seen_ood_mean_radius": 5.0,
+                      "scenario.unseen_ood_mean_radius": 6.5, "scenario.id_scale": 0.7,
+                      "scenario.seen_ood_scale": 0.9, "scenario.unseen_ood_scale": 0.9,
+                      "scenario.between_hull_scale": 1.6, "train.momentum": 0.9,
+                      "train.weight_decay": 5e-4, "train.score_rule": "ova_id_at_cc_argmax"}
         section, name = field.split(".")
         raw = {"seed": 0, section: {name: old_values[field]}}
         assert main(["run", "--config", write_config(tmp_path, raw), "--dry-run"]) == 2
@@ -200,7 +207,7 @@ class TestCliRun:
     def test_unknown_score_rule_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"seed": 0, "train": {"score_rule": "bogus"}})
         assert main(["run", "--config", path, "--dry-run"]) == 2
-        assert "train: score_rule must be one of" in capsys.readouterr().err
+        assert "train.score_rule: unknown field" in capsys.readouterr().err
 
     def test_run_writes_all_artifacts(self, tmp_path):
         path = write_config(tmp_path, TINY_RAW)
@@ -240,7 +247,9 @@ class TestCliRun:
         assert main(["run", "--config", path, "--out", str(out_dir), "--seed", "7"]) == 0
         dirs = sorted(d.name for d in out_dir.iterdir())
         assert len(dirs) == 2
-        assert any(d.endswith("-s0") for d in dirs) and any(d.endswith("-s7") for d in dirs)
+        # A run directory is named by its config's hash, which covers the seed.
+        assert dirs == sorted(config_hash(load_config(path, seed_override=seed))[:12]
+                              for seed in (0, 7))
 
     def test_divergent_training_exits_3(self, tmp_path, capsys):
         # 3 x 5 fails in a step's forward; 1 x 3 in the epoch-end prototype refresh.
@@ -498,6 +507,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("verb, change, code, named", [
         ("run", {"seed": 0}, 0, None),
         ("run", {"seed": 10**23}, 0, None),
+        ("run", {"seed": 10**300}, 2, "seed: must be an integer in [0, 2**128)"),
         ("run", {"seed": -1}, 2, "seed"),
         ("run", {"scenario": {"seed": -1}}, 2, "scenario.seed: unknown field"),
         ("run", {"net": {"seed": -1}}, 2, "net.seed: unknown field"),
@@ -517,7 +527,7 @@ class TestExitCodes:
         ("run", {"net": {"embed_dim": 10**23}}, 2, "net.embed_dim"),
         ("run", {"net": {"backbone_widths": [32, 10**23]}}, 2, "net.backbone_widths"),
         ("run", {"train": {"lr0": 10**400}}, 2, "train.lr0"),
-        ("run", {"scenario": {"id_scale": 10**400}}, 2, "scenario.id_scale"),
+        ("run", {"scenario": {"sigma_weak": 10**400}}, 2, "scenario.sigma_weak"),
         ("run", {"net": {"proj_nonlinear": "no"}}, 2, "net.proj_nonlinear"),
         ("run", {"net": {"backbone_widths": 32}}, 2, "net.backbone_widths"),
         ("run", {"train": {"head": {"lambda_sna": "0.1"}}}, 2, "train.head.lambda_sna"),
@@ -567,13 +577,16 @@ class TestExitCodes:
          "manifest.json: config: train.lr0"),
         ("eval", ("manifest.json", set_literal(("config", "net", "seed"), "1")), 2,
          "manifest.json: config: net.seed: unknown field"),
-    ], ids=["zero-seeds", "huge-seed", "negative-seed", "negative-scenario-seed",
+        ("eval", ("manifest.json", set_literal(("config", "train", "score_rule"),
+                                               '"ova_id_at_cc_argmax"')), 2,
+         "manifest.json: config: train.score_rule: unknown field"),
+    ], ids=["zero-seeds", "huge-seed", "seed-beyond-bound", "negative-seed", "negative-scenario-seed",
             "negative-net-seed", "negative-train-seed", "seen-only-pool", "empty-pool",
             "no-id-test-rows",
             "unsatisfiable-separation", "string-epochs", "bool-epochs", "zero-epochs",
             "fractional-input-dim", "huge-input-dim", "huge-labels-per-class",
             "huge-test-id-per-class", "huge-embed-dim", "huge-backbone-width",
-            "lr0-beyond-float64", "id-scale-beyond-float64",
+            "lr0-beyond-float64", "sigma-weak-beyond-float64",
             "string-flag", "scalar-widths", "string-head-weight", "list-section", "diverging",
             "config-unreadable",
             "checkpoint-appended", "prototypes-appended", "manifest-appended",
@@ -586,7 +599,8 @@ class TestExitCodes:
             "checkpoint-step-negative",
             "checkpoint-hex-overflows", "checkpoint-root-list", "prototypes-count-overflows",
             "prototypes-only-mu", "checkpoint-widths-infinite", "prototypes-mu-overflows",
-            "manifest-huge-input-dim", "manifest-lr0-beyond-float64", "manifest-net-seed"])
+            "manifest-huge-input-dim", "manifest-lr0-beyond-float64", "manifest-net-seed",
+            "manifest-score-rule"])
     def test_exit_code(self, tmp_path, capsys, monkeypatch, finished_run, verb, change, code,
                        named):
         if verb == "run":
@@ -702,7 +716,7 @@ class TestCliGradcheckAndGolden:
                      "--write"]) == 0
         golden.write_text(golden.read_text().replace("accuracy", "accuracyX"))
         assert main(["golden", "--config", path, "--golden-path", str(golden)]) == 1
-        assert "metrics differ" in capsys.readouterr().err
+        assert f"these differ: {golden}\n" in capsys.readouterr().err
         # A fingerprint that moved, or a file the table lacks, is named.
         table_path = golden.with_name("artifacts.json")
         table = json.loads(table_path.read_text())
@@ -710,7 +724,7 @@ class TestCliGradcheckAndGolden:
         del table["split.csv"]
         table_path.write_text(json.dumps(table))
         assert main(["golden", "--config", path, "--golden-path", str(golden)]) == 1
-        assert "artifacts.json: checkpoint.json, split.csv\n" in capsys.readouterr().err
+        assert f"these differ: {golden}, checkpoint.json, split.csv\n" in capsys.readouterr().err
 
     def test_artifact_fingerprints(self, capsys):
         # Every file of the default seed-0 run and of its re-score under each rule,

@@ -10,8 +10,8 @@ from skipalign import synthdata
 from skipalign.config import default_config
 from skipalign.metrics import write_embedding_dump
 from skipalign.net import forward, init_params
-from skipalign.synthdata import (CHUNK_ROWS, MAX_PLACEMENT_TRIES, PlacementError, ScenarioSpec,
-                                 Split, augment_views, generate, write_manifest,
+from skipalign.synthdata import (CHUNK_ROWS, GEOMETRY, MAX_PLACEMENT_TRIES, PlacementError,
+                                 ScenarioSpec, Split, augment_views, generate, write_manifest,
                                  write_split_csv)
 from test_metrics import reference_embedding_dump, row_categories, small_scenario, traced_peak
 
@@ -81,9 +81,8 @@ class TestGenerate:
         audit_no_leakage(generate(SMALL))
 
     def test_separation_constraint_error(self):
-        # A radius too small to fit many separated clusters must fail loudly.
-        spec = dataclasses.replace(SMALL, input_dim=2, num_classes=6,
-                                   id_mean_radius=1.0, min_separation=3.0)
+        # A separation wider than the galaxies' radius allows must fail loudly.
+        spec = dataclasses.replace(SMALL, input_dim=2, num_classes=6, min_separation=20.0)
         with pytest.raises(ValueError, match="separation"):
             generate(spec)
 
@@ -112,6 +111,8 @@ def reference_generate(spec):
     """The per-kind draw loops the cluster-table `generate` replaced: the draw
     order, ids and categories it must keep, as a Split, and the scenario manifest."""
     rng = np.random.default_rng(spec.seed)
+    (id_radius, id_scale), (seen_radius, seen_scale) = GEOMETRY["id"], GEOMETRY["seen"]
+    (unseen_radius, unseen_scale), between_scale = GEOMETRY["unseen"], GEOMETRY["between"][1]
     placed = []
 
     def place(radius):
@@ -124,7 +125,7 @@ def reference_generate(spec):
                 return candidate
         raise PlacementError("unsatisfiable")
 
-    id_means = [place(spec.id_mean_radius) for _ in range(spec.num_classes)]
+    id_means = [place(id_radius) for _ in range(spec.num_classes)]
     if spec.num_classes >= 2:
         seen_means = []
         for s in range(spec.seen_ood_clusters):
@@ -132,16 +133,16 @@ def reference_generate(spec):
             b = id_means[(s + 1) % spec.num_classes]
             direction = a + b
             direction = direction / np.linalg.norm(direction)
-            seen_means.append(spec.seen_ood_mean_radius * direction)
+            seen_means.append(seen_radius * direction)
     else:
-        seen_means = [place(spec.seen_ood_mean_radius) for _ in range(spec.seen_ood_clusters)]
+        seen_means = [place(seen_radius) for _ in range(spec.seen_ood_clusters)]
     unseen_means = []
     for _ in range(spec.unseen_ood_clusters - spec.unseen_between_hull):
-        unseen_means.append((place(spec.unseen_ood_mean_radius), spec.unseen_ood_scale))
+        unseen_means.append((place(unseen_radius), unseen_scale))
     hull_center = np.mean(id_means, axis=0)
     for _ in range(spec.unseen_between_hull):
-        jitter = 0.25 * spec.id_scale * rng.standard_normal(spec.input_dim)
-        unseen_means.append((hull_center + jitter, spec.between_hull_scale))
+        jitter = 0.25 * id_scale * rng.standard_normal(spec.input_dim)
+        unseen_means.append((hull_center + jitter, between_scale))
 
     next_id = 0
 
@@ -154,29 +155,29 @@ def reference_generate(spec):
 
     lx, ly, lids = [], [], []
     for k, mean in enumerate(id_means):
-        x, ids = draw(mean, spec.id_scale, spec.labels_per_class)
+        x, ids = draw(mean, id_scale, spec.labels_per_class)
         lx.append(x)
         ly.append(np.full(spec.labels_per_class, k, dtype=np.int64))
         lids.append(ids)
     ux, uids, ucat = [], [], []
     for k, mean in enumerate(id_means):
-        x, ids = draw(mean, spec.id_scale, spec.unlabeled_id_per_class)
+        x, ids = draw(mean, id_scale, spec.unlabeled_id_per_class)
         ux.append(x)
         uids.append(ids)
         ucat.extend([f"id:{k}"] * spec.unlabeled_id_per_class)
     for s, mean in enumerate(seen_means):
-        x, ids = draw(mean, spec.seen_ood_scale, spec.unlabeled_seen_per_cluster)
+        x, ids = draw(mean, seen_scale, spec.unlabeled_seen_per_cluster)
         ux.append(x)
         uids.append(ids)
         ucat.extend([f"seen:{s}"] * spec.unlabeled_seen_per_cluster)
     tx, tids, tcat = [], [], []
     for k, mean in enumerate(id_means):
-        x, ids = draw(mean, spec.id_scale, spec.test_id_per_class)
+        x, ids = draw(mean, id_scale, spec.test_id_per_class)
         tx.append(x)
         tids.append(ids)
         tcat.extend([f"id:{k}"] * spec.test_id_per_class)
     for s, mean in enumerate(seen_means):
-        x, ids = draw(mean, spec.seen_ood_scale, spec.test_seen_per_cluster)
+        x, ids = draw(mean, seen_scale, spec.test_seen_per_cluster)
         tx.append(x)
         tids.append(ids)
         tcat.extend([f"seen:{s}"] * spec.test_seen_per_cluster)
@@ -188,9 +189,9 @@ def reference_generate(spec):
 
     manifest = {
         "clusters": (
-            [{"kind": "id", "index": k, "mean": m.tolist(), "scale": spec.id_scale}
+            [{"kind": "id", "index": k, "mean": m.tolist(), "scale": id_scale}
              for k, m in enumerate(id_means)]
-            + [{"kind": "seen", "index": s, "mean": m.tolist(), "scale": spec.seen_ood_scale}
+            + [{"kind": "seen", "index": s, "mean": m.tolist(), "scale": seen_scale}
                for s, m in enumerate(seen_means)]
             + [{"kind": "unseen", "index": u, "mean": m.tolist(), "scale": sc}
                for u, (m, sc) in enumerate(unseen_means)]
