@@ -42,7 +42,7 @@ from .linalg import as_matrix, normalize
 from .net import NetSpec, load_checkpoint, save_checkpoint
 from .prototypes import PrototypeSet
 from .sna import LOSS_COMBOS
-from .synthdata import PlacementError, generate, write_manifest, write_split_csv
+from .synthdata import PlacementError, cluster_manifest, generate, write_split_csv
 from .trainer import TrainingDiverged, train
 
 SWEEP_AXES = ("eta_id", "r_u", "loss_combo", "lambda_sna")
@@ -67,7 +67,8 @@ def apply_axis(raw: dict, axis: str, value) -> dict:
 
 def run_experiment(cfg: ExperimentConfig, out_root: Path, force: bool = False,
                    extra_manifest: dict | None = None) -> tuple[Path, EvalReport]:
-    """Full pipeline: generate, train, evaluate, persist artifacts."""
+    """Full pipeline: generate, train, evaluate the final prototypes once, persist
+    artifacts. The manifest, written first, holds the config and the cluster table."""
     run_dir = Path(out_root) / config_hash(cfg)[:12]
     if run_dir.exists() and not force:
         raise FileExistsError(f"run directory already exists: {run_dir} (use --force)")
@@ -83,19 +84,9 @@ def run_experiment(cfg: ExperimentConfig, out_root: Path, force: bool = False,
     manifest = {
         "format_version": 1,
         "package_version": __version__,
-        "seed": cfg.seed,
         "config_hash": config_hash(cfg),
         "config": cfg.resolved_dict(),
-        "outputs": {
-            "runlog": "runlog.jsonl",
-            "checkpoint": "checkpoint.json",
-            "prototypes": "prototypes.json",
-            "eval_report": "eval_report.json",
-            "metrics": "metrics.csv",
-            "embeddings": "embeddings.csv",
-            "split": "split.csv",
-            "scenario_manifest": "scenario_manifest.json",
-        },
+        "clusters": cluster_manifest(split),
         "status": "running",
         "wall_clock_s": None,
     }
@@ -104,15 +95,13 @@ def run_experiment(cfg: ExperimentConfig, out_root: Path, force: bool = False,
     _write_manifest(manifest, run_dir / "manifest.json")
 
     try:
-        write_manifest(split, run_dir / "scenario_manifest.json")
         write_split_csv(split, run_dir / "split.csv")
-
         params, runlog = train(split, cfg.net, cfg.train)
+        report = evaluate(params, split, runlog.final_prototypes.unit_directions())
+
         runlog.write_jsonl(run_dir / "runlog.jsonl")
         save_checkpoint(params, run_dir / "checkpoint.json")
         _write_prototypes(runlog.final_prototypes, run_dir / "prototypes.json")
-
-        report = runlog.final_report
         write_eval_json(report, run_dir / "eval_report.json")
         write_eval_csv(report, run_dir / "metrics.csv")
         write_embedding_dump(params, split, run_dir / "embeddings.csv")

@@ -11,12 +11,11 @@ Augmentations are additive-noise operators over the raw vectors.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import shutil
 import signal
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,8 +78,9 @@ class PlacementError(ValueError):
 @dataclass
 class Split:
     """Generated data. `clusters` is the `_place_means` cluster table, and each
-    unlabeled and test row's code indexes the cluster it was drawn from. Those
-    codes are ground truth for metrics only; the trainer must not read them."""
+    unlabeled and test row's code indexes the cluster it was drawn from. The
+    table, the codes and the test rows are for evaluation only: `trainer.train`
+    reads none of them."""
 
     labeled_x: np.ndarray
     labeled_y: np.ndarray
@@ -268,13 +268,7 @@ def write_split_csv(split: Split, path) -> None:
         ("test,{},{},", (split.test_ids, split.categories(split.test_cluster)), split.test_x)])
 
 
-def write_manifest(split: Split, path) -> None:
-    manifest = {
-        "clusters": [{"kind": kind, "index": index, "mean": mean.tolist(), "scale": scale}
-                     for kind, index, mean, scale in split.clusters],
-        "counts": {"labeled": len(split.labeled_ids), "unlabeled": len(split.unlabeled_ids),
-                   "test": len(split.test_ids)},
-        "spec": asdict(split.scenario),
-    }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
+def cluster_manifest(split: Split) -> list[dict]:
+    """The cluster table as JSON, as a run's manifest.json holds it under `clusters`."""
+    return [{"kind": kind, "index": index, "mean": mean.tolist(), "scale": scale}
+            for kind, index, mean, scale in split.clusters]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -26,7 +27,6 @@ from . import net as net_mod
 from .heads import (HeadWeights, ce, compose, consistency, em, log_softmax, neg, negatives, ova,
                     socr, two_way)
 from .linalg import normalize
-from .metrics import EvalReport, evaluate
 from .net import ForwardResult, NetSpec, ParamState, forward, init_params, sgd_step
 from .prototypes import EmbeddingBatch, PrototypeSet, refresh
 from .sna import GateMask, SnaWeights, dual_gate, ia, pa, usna
@@ -45,7 +45,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Settable trainer values; a run reports `metrics.SCORE_RULES[0]` (`eval` takes others)."""
+    """Settable trainer values; the unlabeled batch, gamma * batch_size, is an integer."""
     epochs: int = 12
     iters_per_epoch: int = 40
     batch_size: int = 16
@@ -62,8 +62,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.iters_per_epoch < 1 or self.batch_size < 1:
             raise ValueError("epochs, iters_per_epoch and batch_size must be >= 1")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
         if self.lr0 < 0:
             raise ValueError("lr0 must be non-negative")
         for name in ("tau_id", "eta_id", "r_u"):
@@ -72,8 +70,8 @@ class TrainConfig:
         if self.gate_temperature <= 0:
             raise ValueError("gate_temperature must be positive")
         u = self.gamma * self.batch_size
-        if abs(u - round(u)) > 1e-9:
-            raise ValueError("gamma * batch_size must be an integer")
+        if not 1 <= u <= sys.maxsize or abs(u - round(u)) > 1e-9:
+            raise ValueError(f"gamma * batch_size must be an integer in [1, {sys.maxsize}]")
 
     @property
     def unlabeled_batch(self) -> int:
@@ -96,12 +94,13 @@ class TrainConfig:
 
 @dataclass
 class RunLog:
-    """Append-only record of a run; serializable at any point."""
+    """Append-only record of a run's training, serializable at any point: one record
+    per step, one per epoch with its refresh's unlabeled counts, and the last
+    refresh's prototypes, which `cli.run_experiment` evaluates and writes."""
 
     iterations: list[dict] = field(default_factory=list)
     epochs: list[dict] = field(default_factory=list)
     final_prototypes: PrototypeSet | None = None
-    final_report: EvalReport | None = None  # the last epoch's evaluation
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -132,8 +131,8 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
     A step's record starts as its step, epoch and lr; its closure fills in the rest,
     and it is logged once the SGD step is taken. A ValueError in the epochs (a
     non-finite value or a zero row in a step or a prototype refresh) ends the run as
-    TrainingDiverged, reporting the last logged record. The last epoch's evaluation
-    runs after them, outside that boundary.
+    TrainingDiverged, reporting the last logged record. Training never reads the test
+    split, the cluster table or a row's cluster code: they are evaluation's.
     """
     params = init_params(netspec)
     runlog = RunLog()
@@ -164,19 +163,11 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
 
             protos = _refresh_prototypes(params, split, cfg, accepted)
             runlog.final_prototypes = protos
-            runlog.epochs.append({
-                "epoch": epoch,
-                "prototypes": {
-                    "n_labeled": protos.n_labeled.tolist(),
-                    "n_unlabeled": protos.n_unlabeled.tolist(),
-                },
-            })
+            runlog.epochs.append({"epoch": epoch,
+                                  "prototypes": {"n_unlabeled": protos.n_unlabeled.tolist()}})
     except ValueError as err:
         last = runlog.iterations[-1] if runlog.iterations else None
         raise TrainingDiverged(str(err), last_report=last) from err
-
-    runlog.final_report = evaluate(params, split, protos.unit_directions())
-    runlog.epochs[-1]["eval"] = runlog.final_report.to_dict()
     return params, runlog
 
 

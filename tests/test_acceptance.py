@@ -14,7 +14,7 @@ import pytest
 
 from skipalign.config import config_hash, default_config, resolve_config
 from skipalign.linalg import normalize
-from skipalign.metrics import auroc, evaluate, write_eval_csv
+from skipalign.metrics import EvalReport, auroc, evaluate, write_eval_csv
 from skipalign.oracles import (ce_feature_gradient_check, full_model_gradient_check,
                                usna_gradient_check)
 from skipalign.prototypes import EmbeddingBatch, refresh
@@ -25,38 +25,35 @@ from skipalign.trainer import train
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-# config_hash -> (split, params, final prototypes, final report) of its training:
-# each distinct resolved config trains once per session. Criterion 6's "all",
-# criterion 8's eta_id 0.5 and default_run are the default config at seeds 0 to 2.
-_RUNS: dict[str, tuple] = {}
+# config_hash -> the final report of its training: each distinct resolved config
+# trains once per session. Criterion 6's "all", criterion 8's eta_id 0.5 and
+# default_run are the default config at seeds 0 to 2.
+_RUNS: dict[str, EvalReport] = {}
 
 
-def trained(cfg):
+def trained(cfg) -> EvalReport:
+    """The config's training, evaluated once at its final prototypes, as `run` does."""
     key = config_hash(cfg)
     if key not in _RUNS:
         split = generate(cfg.scenario)
         params, runlog = train(split, cfg.net, cfg.train)
-        _RUNS[key] = (split, params, runlog.final_prototypes, runlog.final_report)
+        _RUNS[key] = evaluate(params, split, runlog.final_prototypes.unit_directions())
     return _RUNS[key]
 
 
 def train_and_eval(seed: int, sna_combo: dict | None = None, eta_id: float | None = None):
-    """The report of the default scenario at one seed: train evaluates its last epoch."""
+    """The report of the default scenario at one seed."""
     raw: dict = {"seed": seed, "train": {}}
     if sna_combo is not None:
         raw["train"]["sna"] = sna_combo
     if eta_id is not None:
         raw["train"]["eta_id"] = eta_id
-    return trained(resolve_config(raw))[3]
+    return trained(resolve_config(raw))
 
 
 @pytest.fixture(scope="module")
 def default_run():
-    cfg = default_config(seed=0)
-    split, params, protos, report = trained(cfg)
-    # the last epoch's report is the one a fresh evaluation of the result gives
-    assert evaluate(params, split, protos.unit_directions()) == report
-    return report
+    return trained(default_config(seed=0))
 
 
 def test_criterion_01_gradient_oracle_suite():

@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,14 @@ class TestConfigResolution:
         cfg = resolve_config({"seed": 0, "train": {"gamma": 3.0, "batch_size": 2}})
         assert cfg.train.gamma == 3.0 and cfg.train.unlabeled_batch == 6
 
+    @pytest.mark.parametrize("gamma", [1e-300, 0.01, -2.0, 1e300])
+    def test_unlabeled_batch_bounded(self, gamma):
+        # gamma * batch_size rows per step: none is an empty batch, and 1e300 * 16 rows
+        # could never be drawn. Neither is trained here.
+        with pytest.raises(ConfigError, match=r"train: gamma \* batch_size must be an integer "
+                                              rf"in \[1, {sys.maxsize}\]"):
+            resolve_config({"seed": 0, "train": {"gamma": gamma}})
+
     @pytest.mark.parametrize("field", ["train.tau_proto", "train.eta_proto", "train.eval_every",
                                        "train.log_gate_details", "scenario.gamma",
                                        "net.proj_nonlinear", "scenario.seen_placement",
@@ -214,11 +223,13 @@ class TestCliRun:
         out_dir = tmp_path / "runs"
         assert main(["run", "--config", path, "--out", str(out_dir)]) == 0
         run_dir = next(out_dir.iterdir())
-        for name in ("manifest.json", "runlog.jsonl", "checkpoint.json",
-                     "prototypes.json", "eval_report.json", "metrics.csv",
-                     "embeddings.csv", "split.csv", "scenario_manifest.json"):
-            assert (run_dir / name).exists(), name
+        # The exact list: a new or leftover artifact is a reviewed change to this test.
+        assert sorted(path.name for path in run_dir.iterdir()) == [
+            "checkpoint.json", "embeddings.csv", "eval_report.json", "manifest.json",
+            "metrics.csv", "prototypes.json", "runlog.jsonl", "split.csv"]
         manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert list(manifest) == ["format_version", "package_version", "config_hash", "config",
+                                  "clusters", "status", "wall_clock_s"]
         assert manifest["config"]["seed"] == 0
         assert manifest["status"] == "complete"
         assert manifest["wall_clock_s"] is not None
@@ -261,6 +272,23 @@ class TestCliRun:
                 code = main(["run", "--config", path, "--out", str(tmp_path / "runs")])
             assert code == 3
             assert "diverged" in capsys.readouterr().err
+
+    def test_diverged_run_leaves_manifest_and_split(self, tmp_path):
+        # A diverged run keeps what explains it: its manifest, with the cluster table,
+        # and the split it trained on, as the complete run of the same data writes them.
+        raw = json.loads(json.dumps(TINY_RAW))
+        raw["train"].update(lr0=1e6, epochs=3, iters_per_epoch=5)
+        complete = write_config(tmp_path, TINY_RAW)
+        diverging = write_config(tmp_path, raw, "diverging.json")
+        assert main(["run", "--config", complete, "--out", str(tmp_path / "complete")]) == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", diverging, "--out", str(tmp_path / "diverged")]) == 3
+        [done], [failed] = (list((tmp_path / out).iterdir()) for out in ("complete", "diverged"))
+        assert sorted(path.name for path in failed.iterdir()) == ["manifest.json", "split.csv"]
+        manifest = json.loads((failed / "manifest.json").read_text())
+        assert manifest["status"] == "diverged" and manifest["wall_clock_s"] is None
+        assert manifest["clusters"] == json.loads((done / "manifest.json").read_text())["clusters"]
+        assert (failed / "split.csv").read_bytes() == (done / "split.csv").read_bytes()
 
     @pytest.mark.parametrize("fault, message", [
         ("nan-activation", "non-finite activation in layer 'backbone'"),
@@ -532,6 +560,7 @@ class TestExitCodes:
         ("run", {"net": {"backbone_widths": 32}}, 2, "net.backbone_widths"),
         ("run", {"train": {"head": {"lambda_sna": "0.1"}}}, 2, "train.head.lambda_sna"),
         ("run", {"train": {"sna": [1.0]}}, 2, "train.sna"),
+        ("run", {"train": {"gamma": 1e-300}}, 2, "train: gamma * batch_size must be an integer"),
         ("run", {"train": {"lr0": 1e6}}, 3, None),
         ("run", deny_reading, 2, "config.json"),
         ("eval", ("checkpoint.json", append_bytes), 2, "checkpoint.json"),
@@ -587,7 +616,8 @@ class TestExitCodes:
             "fractional-input-dim", "huge-input-dim", "huge-labels-per-class",
             "huge-test-id-per-class", "huge-embed-dim", "huge-backbone-width",
             "lr0-beyond-float64", "sigma-weak-beyond-float64",
-            "string-flag", "scalar-widths", "string-head-weight", "list-section", "diverging",
+            "string-flag", "scalar-widths", "string-head-weight", "list-section",
+            "gamma-empties-batch", "diverging",
             "config-unreadable",
             "checkpoint-appended", "prototypes-appended", "manifest-appended",
             "prototypes-key-missing", "prototypes-missing", "prototypes-mu-column-dropped",
@@ -675,21 +705,132 @@ class TestExitCodes:
         assert str(named) in capsys.readouterr().err
 
 
+# The files eval reads, each with the lists of which only the first entry is damaged:
+# every entry of those is read by the same code.
+EVAL_READS = {"manifest.json": {("clusters",)}, "checkpoint.json": {("params_hex",)},
+              "prototypes.json": set()}
+# The manifest's top-level keys eval does not read; of prototypes.json it reads mu alone.
+MANIFEST_UNREAD = ("clusters", "config_hash", "package_version", "format_version", "wall_clock_s")
+REMOVE = object()
+LEAF_DAMAGES = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+                "1e300": 1e300, "10**400": 10**400, "negative": -1, "empty-list": [],
+                "empty-object": {}, "null": None, "removed": REMOVE}
+
+
+def node_paths(node, first_only, path=()):
+    """The key path of every value under node, containers included, in document order;
+    of a list at a path in first_only, only its first entry's."""
+    if isinstance(node, dict):
+        children = list(node.items())
+    elif isinstance(node, list):
+        children = list(enumerate(node[:1] if path in first_only else node))
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from node_paths(child, first_only, path + (key,))
+
+
+def damaged(payload, path, value):
+    """payload's JSON text with the value at path replaced, or removed for REMOVE."""
+    payload = json.loads(json.dumps(payload))
+    owner = payload
+    for key in path[:-1]:
+        owner = owner[key]
+    if value is REMOVE:
+        del owner[path[-1]]
+    else:
+        owner[path[-1]] = value
+    return json.dumps(payload).encode()
+
+
+def damage_cases(name, data):
+    """(label, damaged bytes, whether eval must re-score them to the intact bytes)."""
+    payload = json.loads(data)
+    cases = [("empty", b"", False), ("truncated", data[:len(data) // 2], False),
+             ("root-list", json.dumps([payload]).encode(), False), ("root-number", b"7", False)]
+    for path in node_paths(payload, EVAL_READS[name]):
+        unread = (path[0] in MANIFEST_UNREAD if name == "manifest.json"
+                  else name == "prototypes.json" and path[0] != "mu")
+        value = payload
+        for key in path:
+            value = value[key]
+        wrong_type = 7 if isinstance(value, str) else "x"
+        for label, new in {"wrong-type": wrong_type, **LEAF_DAMAGES}.items():
+            cases.append((f"{'.'.join(map(str, path))}={label}", damaged(payload, path, new),
+                          unread))
+    return cases
+
+
+# A run small enough that each of the thousand-odd damaged copies re-scores in about 1 ms.
+DAMAGE_RAW = {
+    "seed": 0,
+    "scenario": {"input_dim": 4, "num_classes": 2, "labels_per_class": 4,
+                 "unlabeled_id_per_class": 4, "unlabeled_seen_per_cluster": 4,
+                 "test_id_per_class": 3, "test_seen_per_cluster": 2, "test_unseen_per_cluster": 2,
+                 "seen_ood_clusters": 1},
+    "net": {"backbone_widths": [4], "feature_dim": 4, "proj_hidden": 4, "embed_dim": 2},
+    "train": {"epochs": 1, "iters_per_epoch": 2, "batch_size": 4},
+}
+
+
+class TestDamagedRunFiles:
+    """Generated damage to every value of each file eval reads: eval exits 0 or 2,
+    never 1; an exit 2 names the file; a damaged value eval does not read re-scores
+    to the intact run's bytes. One finished run is damaged in place, case by case."""
+
+    @pytest.mark.parametrize("name", sorted(EVAL_READS))
+    def test_damage_exits_0_or_2(self, tmp_path, capsys, name):
+        run_dir, _ = run_experiment(resolve_config(DAMAGE_RAW), tmp_path)
+        argv = ["eval", "--run-dir", str(run_dir)]
+        rescore = run_dir / f"rescore_{metrics.SCORE_RULES[0]}.json"
+        target = run_dir / name
+        intact = target.read_bytes()
+        assert main(argv) == 0
+        want = rescore.read_bytes()
+        failures = []
+        for label, data, unread in damage_cases(name, intact):
+            target.write_bytes(data)
+            rescore.unlink(missing_ok=True)
+            capsys.readouterr()
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    code = main(argv)
+            except Exception as err:  # the command line would print a traceback, exit 1
+                code = f"1 ({type(err).__name__}: {err})"
+            err = capsys.readouterr().err
+            if code not in (0, 2) or "Traceback" in err:
+                failures.append(f"{label}: exit {code}")
+            elif code == 2 and name not in err:
+                failures.append(f"{label}: exit 2 does not name {name}: {err.strip()}")
+            elif unread and (code != 0 or rescore.read_bytes() != want):
+                failures.append(f"{label}: an unread value changed the re-score (exit {code})")
+        target.write_bytes(intact)
+        assert not failures, "\n".join(failures)
+
+
 def read_csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
 
 
 class TestArtifactsJoin:
-    def test_split_and_embeddings_join_the_scenario_manifest(self, finished_run):
-        # Every row's category names a cluster of scenario_manifest.json, split.csv holds
-        # its per-part counts, and embeddings.csv joins split.csv's test rows on id.
-        scenario = json.loads((finished_run / "scenario_manifest.json").read_text())
-        clusters = {f"{c['kind']}:{c['index']}" for c in scenario["clusters"]}
+    def test_split_and_embeddings_join_the_manifest_clusters(self, finished_run):
+        # Every row's category names a cluster of manifest.json's clusters, split.csv
+        # holds the per-part counts its config gives, and embeddings.csv joins
+        # split.csv's test rows on id.
+        manifest = json.loads((finished_run / "manifest.json").read_text())
+        clusters = {f"{c['kind']}:{c['index']}" for c in manifest["clusters"]}
         split_rows = read_csv_rows(finished_run / "split.csv")
         embedding_rows = read_csv_rows(finished_run / "embeddings.csv")
         assert {r["category"] for r in split_rows + embedding_rows} <= clusters
-        assert dict(collections.Counter(r["split"] for r in split_rows)) == scenario["counts"]
+        spec = resolve_config(manifest["config"]).scenario
+        assert dict(collections.Counter(r["split"] for r in split_rows)) == {
+            "labeled": spec.num_classes * spec.labels_per_class,
+            "unlabeled": spec.unlabeled_rows,
+            "test": (spec.num_classes * spec.test_id_per_class
+                     + spec.seen_ood_clusters * spec.test_seen_per_cluster
+                     + spec.unseen_ood_clusters * spec.test_unseen_per_cluster)}
         test_category = {r["id"]: r["category"] for r in split_rows if r["split"] == "test"}
         assert [r["id"] for r in embedding_rows] == list(test_category)
         assert [r["category"] for r in embedding_rows] == list(test_category.values())
@@ -776,7 +917,6 @@ class TestRunExperimentApi:
             calls.append(args[2])
             return metrics.evaluate(*args, **kwargs)
 
-        monkeypatch.setattr("skipalign.trainer.evaluate", evaluate)
         monkeypatch.setattr("skipalign.cli.evaluate", evaluate)
         raw = json.loads(json.dumps(TINY_RAW))
         raw["train"]["epochs"] = epochs

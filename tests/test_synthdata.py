@@ -11,7 +11,7 @@ from skipalign.config import default_config
 from skipalign.metrics import write_embedding_dump
 from skipalign.net import forward, init_params
 from skipalign.synthdata import (CHUNK_ROWS, GEOMETRY, MAX_PLACEMENT_TRIES, PlacementError,
-                                 ScenarioSpec, Split, augment_views, generate, write_manifest,
+                                 ScenarioSpec, Split, augment_views, cluster_manifest, generate,
                                  write_split_csv)
 from test_metrics import reference_embedding_dump, row_categories, small_scenario, traced_peak
 
@@ -101,15 +101,19 @@ class TestGenerate:
         # the last unseen cluster is the between-hull one
         assert np.linalg.norm(unseen[-1] - hull_center) < 2.0
 
-    def test_manifest_counts(self, tmp_path):
-        write_manifest(generate(SMALL), tmp_path / "scenario_manifest.json")
-        counts = json.loads((tmp_path / "scenario_manifest.json").read_text())["counts"]
-        assert counts == {"labeled": 15, "unlabeled": 36, "test": 24}
+    def test_manifest_counts(self):
+        # The manifest's clusters list each cluster once; the parts' sizes follow from the spec.
+        split = generate(SMALL)
+        kinds = [c["kind"] for c in cluster_manifest(split)]
+        assert kinds == ["id"] * 3 + ["seen"] * 2 + ["unseen"] * 2
+        assert (len(split.labeled_ids), len(split.unlabeled_ids), len(split.test_ids)) == (
+            15, 36, 24)
 
 
 def reference_generate(spec):
     """The per-kind draw loops the cluster-table `generate` replaced: the draw
-    order, ids and categories it must keep, as a Split, and the scenario manifest."""
+    order, ids and categories it must keep, as a Split, and the manifest's clusters
+    with each part's row count."""
     rng = np.random.default_rng(spec.seed)
     (id_radius, id_scale), (seen_radius, seen_scale) = GEOMETRY["id"], GEOMETRY["seen"]
     (unseen_radius, unseen_scale), between_scale = GEOMETRY["unseen"], GEOMETRY["between"][1]
@@ -203,7 +207,6 @@ def reference_generate(spec):
                      + spec.seen_ood_clusters * spec.test_seen_per_cluster
                      + spec.unseen_ood_clusters * spec.test_unseen_per_cluster),
         },
-        "spec": dataclasses.asdict(spec),
     }
     clusters = [(c["kind"], c["index"], np.array(c["mean"]), c["scale"])
                 for c in manifest["clusters"]]
@@ -238,7 +241,7 @@ class TestDrawOrder:
     @pytest.mark.parametrize("spec", [dataclasses.replace(SMALL, seed=seed) for seed in range(5)]
                              + list(EDGE_SPECS.values()),
                              ids=[f"seed-{seed}" for seed in range(5)] + list(EDGE_SPECS))
-    def test_matches_reference_generate(self, spec, tmp_path):
+    def test_matches_reference_generate(self, spec):
         split, (reference, manifest) = generate(spec), reference_generate(spec)
         for f in dataclasses.fields(Split):
             got, want = getattr(split, f.name), getattr(reference, f.name)
@@ -250,8 +253,10 @@ class TestDrawOrder:
                     (k, i, m.tolist(), s) for k, i, m, s in want]
             else:
                 assert got == want, f.name
-        write_manifest(split, tmp_path / "scenario_manifest.json")
-        assert (tmp_path / "scenario_manifest.json").read_text() == json.dumps(manifest, indent=2)
+        assert json.dumps(cluster_manifest(split)) == json.dumps(manifest["clusters"])
+        assert manifest["counts"] == {"labeled": len(split.labeled_ids),
+                                      "unlabeled": len(split.unlabeled_ids),
+                                      "test": len(split.test_ids)}
 
 
 class TestGenerateMemory:
