@@ -36,9 +36,9 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, ExperimentConfig, config_hash, default_config, load_config,
                      read_json, read_raw, resolve_config)
+from .heads import normalize
 from .metrics import (SCORE_RULES, EvalReport, evaluate, write_embedding_dump, write_eval_csv,
                       write_eval_json)
-from .linalg import as_matrix, normalize
 from .net import NetSpec, load_checkpoint, save_checkpoint
 from .prototypes import PrototypeSet
 from .sna import LOSS_COMBOS
@@ -84,7 +84,6 @@ def run_experiment(cfg: ExperimentConfig, out_root: Path, force: bool = False,
     manifest = {
         "format_version": 1,
         "package_version": __version__,
-        "config_hash": config_hash(cfg),
         "config": cfg.resolved_dict(),
         "clusters": cluster_manifest(split),
         "status": "running",
@@ -128,14 +127,14 @@ def _write_prototypes(protos: PrototypeSet, path: Path) -> None:
 
 
 def _load_prototypes(path: Path, spec: NetSpec) -> np.ndarray:
-    """The unit rows of mu, the one field `eval` reads: a finite (num_classes,
-    embed_dim) matrix of the checkpoint's spec, with no zero row."""
+    """The unit rows of mu, the one field `eval` reads: a (num_classes, embed_dim)
+    matrix of the checkpoint's spec whose row norms are finite and not zero."""
     with open(path) as fh:
         mu = np.array(json.load(fh)["mu"], dtype=np.float64)
     if mu.shape != (spec.num_classes, spec.embed_dim):
         raise ValueError(f"mu has shape {mu.shape}, the checkpoint needs "
                          f"({spec.num_classes}, {spec.embed_dim})")
-    return normalize(as_matrix(mu))[0]
+    return normalize(mu)[0]
 
 
 def _load_artifact(load, path: Path, *args):

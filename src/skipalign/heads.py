@@ -1,4 +1,4 @@
-"""Classifier and one-vs-all detector losses, and the objective's composition.
+"""Classifier and detector losses, their composition, and the step's row kernels.
 
 The closed-set side is supervised cross-entropy plus FixMatch-style hard
 pseudo-label consistency. The detector side trains K binary sub-classifiers
@@ -10,7 +10,9 @@ A step takes each softmax once over its stacked batch (`log_softmax`,
 with its closed-form gradient w.r.t. the head outputs: softmax minus one-hot
 for the classifier terms (FixMatch, arXiv 2001.07685), the two-way softmax
 gradient for the detector terms (OpenMatch, arXiv 2105.14148). Their tape
-twins in `tensor_losses` are the oracle the tests compare them with.
+twins in `tensor_losses` are the oracle the tests compare them with. The gate,
+evaluation and the prototypes call the same kernels, and `normalize` for unit
+rows, which rejects a zero or non-finite row rather than hide an upstream bug.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Norms below this are treated as degenerate rather than normalized.
+MIN_NORM = 1e-30
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,15 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     out = np.zeros((y.size, num_classes))
     out[np.arange(y.size), y] = 1.0
     return out
+
+
+def normalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows and the (B, 1) norms they were divided by. A row whose norm is below
+    MIN_NORM or not finite (its squares overflow from about 1.3e154) is an error."""
+    norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
+    if not ((norms >= MIN_NORM) & (norms < np.inf)).all():  # a NaN norm fails both
+        raise ValueError("degenerate vector: cannot normalize a zero or non-finite row")
+    return z / norms, norms
 
 
 def log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,8 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .heads import log_softmax, two_way
-from .linalg import normalize
+from .heads import log_softmax, normalize, two_way
 from .net import ParamState, forward
 from .synthdata import Split, write_float_rows
 

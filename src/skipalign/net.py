@@ -83,7 +83,6 @@ def param_count(spec: NetSpec) -> int:
 class ParamState:
     spec: NetSpec
     flat: np.ndarray
-    step: int = 0
 
     def __post_init__(self):
         self._offsets = offsets(self.spec)
@@ -114,7 +113,7 @@ def init_params(spec: NetSpec) -> ParamState:
         if name.endswith(".W"):
             bound = 1.0 / np.sqrt(shape[0])
         chunks.append(rng.uniform(-bound, bound, size=int(np.prod(shape))))
-    return ParamState(spec=spec, flat=np.concatenate(chunks), step=0)
+    return ParamState(spec=spec, flat=np.concatenate(chunks))
 
 
 @dataclass(frozen=True)
@@ -237,14 +236,13 @@ def sgd_step(params: ParamState, grads: np.ndarray, lr: float, momentum: float =
     effective = grads + weight_decay * params.flat
     velocity = momentum * velocity + effective
     new_flat = params.flat - lr * velocity
-    return ParamState(spec=params.spec, flat=new_flat, step=params.step + 1), velocity
+    return ParamState(spec=params.spec, flat=new_flat), velocity
 
 
 def save_checkpoint(params: ParamState, path) -> None:
     payload = {
         "version": CHECKPOINT_VERSION,
         "spec": asdict(params.spec),
-        "step": params.step,
         "params_hex": [v.hex() for v in params.flat.tolist()],
     }
     with open(path, "w") as fh:
@@ -252,8 +250,8 @@ def save_checkpoint(params: ParamState, path) -> None:
 
 
 def load_checkpoint(path) -> ParamState:
-    """The saved state. A non-object root or a step that is not a non-negative int is
-    a ValueError, and a number that overflows is an OverflowError."""
+    """The saved state. A non-object root is a ValueError, and a number that overflows
+    is an OverflowError. A `step` key, which older checkpoints carry, is ignored."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -261,8 +259,5 @@ def load_checkpoint(path) -> ParamState:
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
     spec = NetSpec(**payload["spec"])
-    step = payload["step"]
-    if type(step) is not int or step < 0:  # also rejects bool, a subclass of int
-        raise ValueError(f"checkpoint step {step!r} is not a non-negative integer")
     flat = np.array([float.fromhex(h) for h in payload["params_hex"]], dtype=np.float64)
-    return ParamState(spec=spec, flat=flat, step=step)
+    return ParamState(spec=spec, flat=flat)

@@ -2,8 +2,9 @@
 
 The autodiff tape (`autodiff`, `tensor_losses`, `net.forward_tensors`) builds
 the same objective operation by operation and differentiates it in reverse
-mode; central differences probe the production value directly. Three checks,
-mirroring what the test suite enforces:
+mode; central differences (`finite_diff_grad`, here and in the tests) probe
+the production value directly. Three checks, mirroring what the test suite
+enforces:
   1. the angular gradient of the unlabeled alignment loss,
   2. the gradient of the training objective through the network, at each
      loss_combo setting of the alignment weights, against both oracles,
@@ -15,17 +16,43 @@ are frozen at the base point, so the finite differences probe a smooth function.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
 from . import tensor_losses as tl
 from .autodiff import constant, parameter
-from .heads import HeadWeights, ce, compose, log_softmax
-from .linalg import finite_diff_grad, normalize
+from .heads import HeadWeights, ce, compose, log_softmax, normalize
 from .net import NetSpec, ParamState, forward, forward_tensors, init_params, param_count
 from .net import backward as net_backward
 from .sna import LOSS_COMBOS, SnaWeights, usna
 from .trainer import Decisions, TrainConfig, freeze_decisions, objective, step_rows
+
+
+def finite_diff_grad(f: Callable[[np.ndarray], float], x, step: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of a scalar field at a finite 1-D point x, one
+    coordinate at a time.
+
+    The oracle against which every analytic gradient in this package is
+    checked; it must stay independent of those implementations.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"expected a 1-D vector, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("vector has non-finite entries")
+    g = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = step
+        fp = float(f(x + e))
+        fm = float(f(x - e))
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise ValueError(f"non-finite function evaluation at coordinate {i}")
+        g[i] = (fp - fm) / (2.0 * step)
+    return g
 
 
 def _rel(a: np.ndarray, b: np.ndarray) -> float:

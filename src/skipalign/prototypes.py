@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import normalize
+from .heads import normalize
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ when the dual gate fires; everything else receives a softmax-weighted
 angular repulsion from all prototypes. Labeled embeddings get supervised
 instance-wise and prototype alignment. All similarities are cosine on
 unit-normalized copies, so every loss here depends on an embedding only
-through its direction; each reads its rows of the step's `linalg.normalize`
+through its direction; each reads its rows of the step's `heads.normalize`
 pass and returns its value with its angular gradient w.r.t. the embeddings.
 Their tape twins in `tensor_losses` are the oracle the tests compare them with.
 """

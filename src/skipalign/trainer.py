@@ -24,9 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import net as net_mod
-from .heads import (HeadWeights, ce, compose, consistency, em, log_softmax, neg, negatives, ova,
-                    socr, two_way)
-from .linalg import normalize
+from .heads import (HeadWeights, ce, compose, consistency, em, log_softmax, neg, negatives,
+                    normalize, ova, socr, two_way)
 from .net import ForwardResult, NetSpec, ParamState, forward, init_params, sgd_step
 from .prototypes import EmbeddingBatch, PrototypeSet, refresh
 from .sna import GateMask, SnaWeights, dual_gate, ia, pa, usna
@@ -231,6 +230,8 @@ def freeze_decisions(rows: StepRows, cfg: TrainConfig) -> Decisions:
     """Every frozen per-step choice, from the weak and strong unlabeled rows."""
     u = rows.u
     gate_probs = log_softmax(rows.out.cc_logits[u] / cfg.gate_temperature)[1]
+    if not np.isfinite(gate_probs).all():
+        raise ValueError("non-finite gate probabilities: gate_temperature overflows the logits")
     pl_probs = rows.probs[u]
     pseudo = pl_probs.argmax(axis=1)
     negative = negatives(rows.log_p_id, cfg.head.eta_neg)

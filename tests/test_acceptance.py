@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from skipalign.config import config_hash, default_config, resolve_config
-from skipalign.linalg import normalize
+from skipalign.heads import normalize
 from skipalign.metrics import EvalReport, auroc, evaluate, write_eval_csv
 from skipalign.oracles import (ce_feature_gradient_check, full_model_gradient_check,
                                usna_gradient_check)

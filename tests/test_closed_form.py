@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from skipalign.autodiff import constant
-from skipalign.heads import HeadWeights
-from skipalign.linalg import normalize
+from skipalign.heads import HeadWeights, normalize
 from skipalign.net import NetSpec, forward, forward_tensors, init_params
 from skipalign.oracles import objective_gradients, tape_objective
 from skipalign.sna import LOSS_COMBOS, SnaWeights

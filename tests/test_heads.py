@@ -8,8 +8,8 @@ from skipalign.autodiff import constant, parameter
 from skipalign.config import ConfigError, resolve_config
 from skipalign.heads import (HeadWeights, ce, compose, consistency, em, log_softmax, neg,
                              negatives, ova, socr, two_way)
-from skipalign.linalg import finite_diff_grad
 from skipalign.net import ForwardResult
+from skipalign.oracles import finite_diff_grad
 from skipalign.trainer import TrainConfig, freeze_decisions, objective, step_rows
 
 RNG = np.random.default_rng(0)

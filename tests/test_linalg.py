@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from skipalign.heads import log_softmax
-from skipalign.linalg import finite_diff_grad, normalize
+from skipalign.heads import log_softmax, normalize
+from skipalign.oracles import finite_diff_grad
 from skipalign.sna import usna
 from skipalign.trainer import TrainConfig
 
@@ -68,6 +68,17 @@ class TestCosineSim:
         for _ in range(100):
             v = cosine_sim(rng.standard_normal(4), rng.standard_normal(4))
             assert -1.0 - 1e-12 <= v <= 1.0 + 1e-12
+
+
+class TestNormalize:
+    @pytest.mark.parametrize("row", [[1e300, 1.0], [2e154, 0.0], [float("nan"), 1.0],
+                                     [float("inf"), 1.0]],
+                             ids=["overflowing", "square-overflows", "nan", "inf"])
+    def test_non_finite_norm_rejected(self, row):
+        # Each row's squares overflow or are not finite: dividing by its norm would
+        # give a zero or NaN "unit" row.
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="degenerate vector"):
+            normalize(np.array([[1.0, 0.0], row]))
 
 
 class TestSoftmax:

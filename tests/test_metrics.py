@@ -9,8 +9,7 @@ from scipy.stats import rankdata
 
 from skipalign import metrics
 from skipalign.config import default_config
-from skipalign.heads import two_way
-from skipalign.linalg import normalize
+from skipalign.heads import normalize, two_way
 from skipalign.metrics import (_forward_ranges, auroc, evaluate, ood_score, write_embedding_dump,
                                write_eval_csv)
 from skipalign.net import ForwardResult, forward, init_params

@@ -124,7 +124,6 @@ class TestSgdStep:
         grads = np.ones_like(params.flat)
         new, _ = sgd_step(params, grads, lr=0.0)
         assert np.array_equal(new.flat, params.flat)
-        assert new.step == params.step + 1
 
     def test_plain_step_arithmetic(self):
         spec = NetSpec(input_dim=1, backbone_widths=(), feature_dim=1, proj_hidden=1,
@@ -155,12 +154,11 @@ class TestSgdStep:
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         params = init_params(TINY)
-        params = ParamState(spec=TINY, flat=params.flat * np.pi, step=17)
+        params = ParamState(spec=TINY, flat=params.flat * np.pi)
         path = tmp_path / "ckpt.json"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
         assert loaded.spec == TINY
-        assert loaded.step == 17
         assert np.array_equal(loaded.flat, params.flat)
 
     def test_version_checked(self, tmp_path):
@@ -196,4 +194,3 @@ class TestDeterminism:
 
         a, b = run(), run()
         assert np.array_equal(a.flat, b.flat)
-        assert a.step == b.step == 5

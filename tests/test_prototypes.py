@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from skipalign.linalg import normalize
+from skipalign.heads import normalize
 from skipalign.prototypes import EmbeddingBatch, refresh
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from skipalign.linalg import finite_diff_grad, normalize
-from skipalign.heads import compose
+from skipalign.heads import compose, normalize
+from skipalign.oracles import finite_diff_grad
 from skipalign.sna import SnaWeights, dual_gate, ia, pa, usna
 from skipalign.trainer import TrainConfig
 

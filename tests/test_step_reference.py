@@ -15,8 +15,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from skipalign.heads import HeadWeights, compose, one_hot
-from skipalign.linalg import MIN_NORM, normalize
+from skipalign.heads import HeadWeights, MIN_NORM, compose, normalize, one_hot
 from skipalign.net import (ForwardResult, NetSpec, _check_finite, _forward_core, _relu,
                           _result, backward, init_params)
 from skipalign.sna import LOSS_COMBOS, SnaWeights, dual_gate

@@ -5,7 +5,8 @@ import pytest
 
 import skipalign.tensor_losses as tl
 from skipalign.autodiff import constant, parameter
-from skipalign.linalg import finite_diff_grad, normalize
+from skipalign.heads import normalize
+from skipalign.oracles import finite_diff_grad
 from skipalign.sna import ia, pa, usna
 
 
