@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skipalign import metrics
+from skipalign import metrics, synthdata
 from skipalign.cli import apply_axis, build_parser, main, run_experiment, sweep
 from skipalign.config import (ConfigError, config_hash, default_config, load_config,
                               resolve_config)
@@ -873,9 +873,21 @@ class TestCliGradcheckAndGolden:
 
     def test_artifact_fingerprints(self, capsys):
         # Every file of the default seed-0 run and of its re-score under each rule,
-        # byte for byte; a failure names each file that moved.
+        # byte for byte, and the same for the table's fork-threshold run; a failure
+        # names each file that moved.
         golden = Path(__file__).parent / "golden" / "metrics.csv"
         assert main(["golden", "--golden-path", str(golden)]) == 0, capsys.readouterr().err
+
+    def test_fork_threshold_run_forks(self):
+        # The pinned run's test split is written by forked children on 2 cores
+        # (embeddings.csv) and evaluated in more than one row range.
+        table = json.loads((Path(__file__).parent / "golden" / "artifacts.json").read_text())
+        s = resolve_config(table["runs"]["fork_threshold"]["config"]).scenario
+        test_rows = (s.num_classes * s.test_id_per_class
+                     + s.seen_ood_clusters * s.test_seen_per_cluster
+                     + s.unseen_ood_clusters * s.test_unseen_per_cluster)
+        assert test_rows >= 2 * synthdata.RANGE_CHUNKS * synthdata.CHUNK_ROWS
+        assert test_rows > metrics.FORWARD_CHUNK_ROWS
 
     def test_golden_missing_file(self, tmp_path):
         path = write_config(tmp_path, TINY_RAW)
