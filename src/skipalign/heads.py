@@ -17,6 +17,7 @@ rows, which rejects a zero or non-finite row rather than hide an upstream bug.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,11 @@ class HeadWeights:
             raise ValueError("tau_pl must lie in [0, 1]")
         if not 0.0 < self.eta_neg < 1.0:
             raise ValueError("eta_neg must lie in (0, 1)")
+
+    @functools.cached_property
+    def log_eta_neg(self) -> float:
+        """`negatives`' threshold, taken once per config object rather than per step."""
+        return np.log(self.eta_neg)
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
@@ -146,13 +152,13 @@ def socr(id_logits, id_logits2) -> tuple[float, np.ndarray, np.ndarray]:
     return float(value), g, -g
 
 
-def negatives(log_p_id, eta_neg: float) -> np.ndarray:
+def negatives(log_p_id, log_eta_neg: float) -> np.ndarray:
     """Pseudo-negative mask: 1.0 where the two-way ID probability is below eta_neg.
 
-    Compares the `two_way` log-probabilities `neg` reads, so the mask agrees
-    bitwise with the loss's values.
+    Compares the `two_way` log-probabilities `neg` reads with log(eta_neg), so the
+    mask agrees bitwise with the loss's values.
     """
-    return (log_p_id < np.log(eta_neg)).astype(np.float64)
+    return (log_p_id < log_eta_neg).astype(np.float64)
 
 
 def neg(log_p_ood, p_id, selected) -> tuple[float, np.ndarray, np.ndarray]:

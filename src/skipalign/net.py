@@ -44,6 +44,18 @@ class NetSpec:
             raise ValueError("all network dimensions must be >= 1")
         object.__setattr__(self, "backbone_widths", tuple(int(w) for w in self.backbone_widths))
 
+    @functools.cached_property
+    def offsets(self) -> dict[str, tuple[int, int, tuple[int, ...]]]:
+        """Each parameter's (start, end, shape) in the flat vector, in layout order;
+        kept on the spec object, since a training builds a ParamState of it at every
+        step, and so looked up with neither the spec's hash nor its equality."""
+        table = {}
+        end = 0
+        for name, shape in layout(self):
+            table[name] = (end, end + math.prod(shape), shape)
+            end += math.prod(shape)
+        return table
+
 
 def layout(spec: NetSpec) -> list[tuple[str, tuple[int, ...]]]:
     """Ordered (name, shape) table defining the flat parameter vector."""
@@ -63,20 +75,14 @@ def layout(spec: NetSpec) -> list[tuple[str, tuple[int, ...]]]:
     return entries
 
 
-@functools.lru_cache(maxsize=64)
-def offsets(spec: NetSpec) -> dict[str, tuple[int, int, tuple[int, ...]]]:
-    """Each parameter's (start, end, shape) in the flat vector, in layout order;
-    cached, since a training builds a ParamState of the same spec at every step."""
-    table = {}
-    end = 0
-    for name, shape in layout(spec):
-        table[name] = (end, end + math.prod(shape), shape)
-        end += math.prod(shape)
-    return table
-
-
 def param_count(spec: NetSpec) -> int:
-    return list(offsets(spec).values())[-1][1]
+    return next(reversed(spec.offsets.values()))[1]
+
+
+def _views(spec: NetSpec, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Each parameter's array, by name, as a view into a flat vector of spec's layout."""
+    return {name: flat[start:end].reshape(shape)
+            for name, (start, end, shape) in spec.offsets.items()}
 
 
 @dataclass
@@ -85,19 +91,18 @@ class ParamState:
     flat: np.ndarray
 
     def __post_init__(self):
-        self._offsets = offsets(self.spec)
         size = param_count(self.spec)
         if self.flat.shape != (size,):
             raise ValueError(f"parameter vector has {self.flat.shape[0]} entries, expected {size}")
         if not np.isfinite(self.flat).all():
             raise ValueError("parameters have non-finite entries")
+        self.views = _views(self.spec, self.flat)
 
     def view(self, name: str) -> np.ndarray:
-        start, end, shape = self._offsets[name]
-        return self.flat[start:end].reshape(shape)
+        return self.views[name]
 
     def names(self) -> list[str]:
-        return list(self._offsets)
+        return list(self.views)
 
 
 def init_params(spec: NetSpec) -> ParamState:
@@ -166,7 +171,7 @@ def forward(params: ParamState, x) -> ForwardResult:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.spec.input_dim:
         raise ValueError(f"expected (B, {params.spec.input_dim}) inputs, got {x.shape}")
-    f, z, cc, od = _forward_core(params.spec, params.view, x, relu=_relu)
+    f, z, cc, od = _forward_core(params.spec, params.views.__getitem__, x, relu=_relu)
     _check_finite(f, z, cc, od)
     return _result(params.spec, f, z, cc, od)
 
@@ -199,7 +204,8 @@ def backward(params: ParamState, x: np.ndarray,
     """
     spec = params.spec
     layer_inputs = {}
-    f, z, cc, od = _forward_core(spec, params.view, x, relu=_relu, layer_inputs=layer_inputs)
+    f, z, cc, od = _forward_core(spec, params.views.__getitem__, x, relu=_relu,
+                                 layer_inputs=layer_inputs)
     _check_finite(f, z, cc, od)
     stacked = _result(spec, f, z, cc, od)
     loss, head_grads = closure(stacked)
@@ -210,13 +216,14 @@ def backward(params: ParamState, x: np.ndarray,
                               for head in ("embeddings", "cc_logits", "id_logits", "ood_logits"))
     g_od = np.concatenate([g_id, g_ood], axis=1)
 
-    grads = {}
+    flat = np.empty_like(params.flat)
+    grads = _views(spec, flat)  # each layer's weight gradients go straight into flat
 
     def through(name: str, g: np.ndarray) -> np.ndarray:
         """Record a linear layer's weight gradients; return its input's gradient."""
-        grads[f"{name}.W"] = layer_inputs[name].T @ g
-        grads[f"{name}.b"] = g.sum(axis=0)
-        return g @ params.view(f"{name}.W").T
+        np.matmul(layer_inputs[name].T, g, out=grads[f"{name}.W"])
+        np.add.reduce(g, axis=0, out=grads[f"{name}.b"])
+        return g @ params.views[f"{name}.W"].T
 
     g = through("cc", g_cc) + through("od", g_od)  # the features' gradient
     g += through("proj0", through("proj1", g_z) * (layer_inputs["proj1"] > 0))
@@ -224,7 +231,7 @@ def backward(params: ParamState, x: np.ndarray,
         g = through(f"backbone{i}", g)
         if i > 0:
             g *= layer_inputs[f"backbone{i}"] > 0
-    return np.concatenate([grads[name].ravel() for name in params.names()])
+    return flat
 
 
 def sgd_step(params: ParamState, grads: np.ndarray, lr: float, momentum: float = 0.0,

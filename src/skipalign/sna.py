@@ -18,7 +18,7 @@ import numpy as np
 
 from .heads import log_softmax, one_hot
 
-# Additive mask that removes an entry from a log-sum-exp exactly.
+# A logit that removes its entry from a log-sum-exp exactly.
 _NEG_INF = -1e30
 
 
@@ -126,7 +126,8 @@ def ia(zh, norms, labels, temperature: float) -> tuple[float, np.ndarray]:
     if n_anchors == 0:
         return 0.0, np.zeros_like(zh)
     sims = (zh @ zh.T) * (1.0 / temperature)
-    log_prob, prob = log_softmax(sims + np.diag(np.full(n, _NEG_INF)))
+    sims.flat[::n + 1] = _NEG_INF  # each anchor's own entry
+    log_prob, prob = log_softmax(sims)
     weights = np.where(contributing, 1.0 / np.maximum(counts, 1.0), 0.0)
     value = (-(log_prob * positives).sum(axis=1) * weights).sum() * (1.0 / n_anchors)
     grad_sims = (contributing[:, None] * prob - weights[:, None] * positives) \

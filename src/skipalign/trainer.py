@@ -234,7 +234,7 @@ def freeze_decisions(rows: StepRows, cfg: TrainConfig) -> Decisions:
         raise ValueError("non-finite gate probabilities: gate_temperature overflows the logits")
     pl_probs = rows.probs[u]
     pseudo = pl_probs.argmax(axis=1)
-    negative = negatives(rows.log_p_id, cfg.head.eta_neg)
+    negative = negatives(rows.log_p_id, cfg.head.log_eta_neg)
     return Decisions(
         gate=dual_gate(gate_probs, rows.id_prob[u], cfg.tau_id, cfg.eta_id), pseudo=pseudo,
         pl_accept=pl_probs[np.arange(pseudo.size), pseudo] > cfg.head.tau_pl,

@@ -61,7 +61,7 @@ def id_probs(id_logits, ood_logits) -> np.ndarray:
 
 def neg_value(logits: tuple[np.ndarray, np.ndarray], eta_neg: float) -> float:
     log_p_id, log_p_ood, p_id, _ = two_way(*logits)
-    return neg(log_p_ood, p_id, negatives(log_p_id, eta_neg))[0]
+    return neg(log_p_ood, p_id, negatives(log_p_id, np.log(eta_neg)))[0]
 
 
 class TestOvaOutput:
@@ -367,7 +367,7 @@ class TestNumpyTapeParity:
         assert_matches_tape(em(log_p_id, log_p_ood, p_id),
                             tape_value_and_grads(tl.em_graph, s_id, s_ood))
         assert_matches_tape(socr(s_id, s_id2), tape_value_and_grads(tl.socr_graph, s_id, s_id2))
-        selected = negatives(log_p_id, 0.4)
+        selected = negatives(log_p_id, np.log(0.4))
         np.testing.assert_array_equal(selected, id_probs(s_id, s_ood) < 0.4)
         # the mask is taken from the same log-probabilities the loss builds
         log_p_id = tl._two_way_log_probs(constant(s_id), constant(s_ood))[0].data

@@ -23,7 +23,7 @@ class TestSpecAndInit:
         a = init_params(TINY)
         b = init_params(TINY)
         assert np.array_equal(a.flat, b.flat)
-        c = init_params(NetSpec(**{**TINY.__dict__, "seed": 1}))
+        c = init_params(dataclasses.replace(TINY, seed=1))
         assert not np.array_equal(a.flat, c.flat)
 
     def test_invalid_dimension(self):

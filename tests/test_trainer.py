@@ -250,7 +250,6 @@ class TestTrainLoop:
         layout_calls = []
         for iters in (2, 5):
             calls.update(dict.fromkeys(calls, 0))
-            net_mod.offsets.cache_clear()
             cfg = tiny_config(epochs=2, iters_per_epoch=iters)
             train(generate(cfg.scenario), cfg.net, cfg.train)
             assert calls["step_rows"] == 2 * iters

@@ -26,7 +26,6 @@ import numpy as np
 
 from skipalign import trainer
 from skipalign.config import resolve_config
-from skipalign.net import offsets
 from skipalign.synthdata import generate
 
 LEDGER_PATH = Path(__file__).parent / "golden" / "ledger.json"
@@ -41,10 +40,8 @@ def step_counts() -> list[dict]:
     """Each step's counters, for one epoch of the default config at seed 0."""
     cfg = resolve_config({"seed": 0, "train": {"epochs": 1}})
     split = generate(cfg.scenario)
-    # Warm every cache (the layout offsets, the config's slopes) so that the counted
-    # run makes no first-call work. The offsets cache is emptied first: keyed by an
-    # equal spec that an earlier test made, each lookup would call its __eq__.
-    offsets.cache_clear()
+    # Warm every cache (the spec's offsets, the config's slopes) so that the
+    # counted run makes no first-call work.
     trainer.train(split, cfg.net, cfg.train)
     opens, closes = trainer.lr_at.__code__, trainer._refresh_prototypes.__code__
     steps, current = [], None
