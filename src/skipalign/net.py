@@ -79,12 +79,6 @@ def param_count(spec: NetSpec) -> int:
     return next(reversed(spec.offsets.values()))[1]
 
 
-def _views(spec: NetSpec, flat: np.ndarray) -> dict[str, np.ndarray]:
-    """Each parameter's array, by name, as a view into a flat vector of spec's layout."""
-    return {name: flat[start:end].reshape(shape)
-            for name, (start, end, shape) in spec.offsets.items()}
-
-
 @dataclass
 class ParamState:
     spec: NetSpec
@@ -96,7 +90,8 @@ class ParamState:
             raise ValueError(f"parameter vector has {self.flat.shape[0]} entries, expected {size}")
         if not np.isfinite(self.flat).all():
             raise ValueError("parameters have non-finite entries")
-        self.views = _views(self.spec, self.flat)
+        self.views = {name: self.flat[start:end].reshape(shape)  # each layer's, sliced once
+                      for name, (start, end, shape) in self.spec.offsets.items()}
 
     def view(self, name: str) -> np.ndarray:
         return self.views[name]
@@ -217,18 +212,20 @@ def backward(params: ParamState, x: np.ndarray,
     g_od = np.concatenate([g_id, g_ood], axis=1)
 
     flat = np.empty_like(params.flat)
-    grads = _views(spec, flat)  # each layer's weight gradients go straight into flat
+    offsets = spec.offsets
 
-    def through(name: str, g: np.ndarray) -> np.ndarray:
-        """Record a linear layer's weight gradients; return its input's gradient."""
-        np.matmul(layer_inputs[name].T, g, out=grads[f"{name}.W"])
-        np.add.reduce(g, axis=0, out=grads[f"{name}.b"])
-        return g @ params.views[f"{name}.W"].T
+    def through(name: str, g: np.ndarray, inner: bool = True) -> np.ndarray | None:
+        """Write a linear layer's weight gradients straight into flat; return its input's
+        gradient, which the network's inputs do not need."""
+        start, mid, shape = offsets[f"{name}.W"]
+        np.matmul(layer_inputs[name].T, g, out=flat[start:mid].reshape(shape))
+        np.add.reduce(g, axis=0, out=flat[mid:offsets[f"{name}.b"][1]])
+        return g @ params.views[f"{name}.W"].T if inner else None
 
     g = through("cc", g_cc) + through("od", g_od)  # the features' gradient
     g += through("proj0", through("proj1", g_z) * (layer_inputs["proj1"] > 0))
     for i in reversed(range(len(spec.backbone_widths) + 1)):
-        g = through(f"backbone{i}", g)
+        g = through(f"backbone{i}", g, inner=i > 0)
         if i > 0:
             g *= layer_inputs[f"backbone{i}"] > 0
     return flat

@@ -33,7 +33,7 @@ class GateMask:
 
     @property
     def accepted(self) -> int:
-        return int(self.phi.sum())
+        return int(np.count_nonzero(self.phi))
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def ia(zh, norms, labels, temperature: float) -> tuple[float, np.ndarray]:
         return 0.0, np.zeros_like(zh)
     sims = (zh @ zh.T) * (1.0 / temperature)
     sims.flat[::n + 1] = _NEG_INF  # each anchor's own entry
-    log_prob, prob = log_softmax(sims)
+    log_prob, prob, _ = log_softmax(sims)
     weights = np.where(contributing, 1.0 / np.maximum(counts, 1.0), 0.0)
     value = (-(log_prob * positives).sum(axis=1) * weights).sum() * (1.0 / n_anchors)
     grad_sims = (contributing[:, None] * prob - weights[:, None] * positives) \

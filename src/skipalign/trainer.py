@@ -208,7 +208,7 @@ def step_rows(out: ForwardResult, n_labeled: int) -> StepRows:
     n, b = len(out.cc_logits), n_labeled
     u = (n - b) // 3
     return StepRows(out, slice(0, b), slice(b, b + u), slice(b + u, b + 2 * u),
-                    slice(b + 2 * u, n), *log_softmax(out.cc_logits),
+                    slice(b + 2 * u, n), *log_softmax(out.cc_logits)[:2],
                     *two_way(out.id_logits, out.ood_logits))
 
 
@@ -315,8 +315,8 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, unit_protos: np.ndarray,
             "terms": terms, "total": total,
             "batch_labeled": len(labels), "batch_unlabeled": len(gate.phi),
             "gate": {"accepted": gate.accepted,
-                     "negatives": int((decisions.neg_w.sum(axis=1) > 0).sum()),
-                     "pl_accepted": int(decisions.pl_accept.sum())},
+                     "negatives": int(np.count_nonzero(decisions.neg_w.any(axis=1))),
+                     "pl_accepted": int(np.count_nonzero(decisions.pl_accept))},
             "gate_detail": {name: getattr(gate, name).tolist()
                             for name in ("phi", "cc_conf", "od_conf", "pred_class")},
         })
