@@ -261,40 +261,32 @@ def _cmd_gradcheck(args) -> int:
     return 0 if all(passed for _, passed, _ in results) else 1
 
 
-def _run_files(cfg: ExperimentConfig) -> dict[str, bytes]:
-    """Each file of a run of cfg and of its re-score under every rule, by name;
-    manifest.json's wall_clock_s, the one value in which equal runs differ, reads null."""
+def _fingerprints(cfg: ExperimentConfig) -> tuple[dict[str, str], bytes]:
+    """The sha256 of each file of a run of cfg and of its re-score under each rule, and
+    its metrics.csv."""
     with tempfile.TemporaryDirectory() as tmp:
         run_dir, _ = run_experiment(cfg, Path(tmp))
         for rule in SCORE_RULES:
             _rescore(run_dir, rule)
         files = {path.name: path.read_bytes() for path in sorted(run_dir.iterdir())}
-    files["manifest.json"] = re.sub(rb'"wall_clock_s": [^,\n]*', b'"wall_clock_s": null',
-                                    files["manifest.json"])
-    return files
-
-
-def _fingerprints(files: dict[str, bytes]) -> dict[str, str]:
-    return {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    wall_clock = rb'"wall_clock_s": [^,\n]*'  # the one value in which equal runs differ
+    files["manifest.json"] = re.sub(wall_clock, b'"wall_clock_s": null', files["manifest.json"])
+    hashes = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    return hashes, files["metrics.csv"]
 
 
 def _cmd_golden(args) -> int:
     golden_path = Path(args.golden_path)
     table_path = golden_path.with_name("artifacts.json")  # each run file's sha256
     cfg = load_config(args.config) if args.config else default_config()
-    # The table's "runs" pin more configs by name, each with its raw config and its
-    # files' fingerprints; --write keeps the configs and rewrites the fingerprints.
     committed = read_json(table_path) if table_path.exists() else {}
-    runs = committed.get("runs", {})
-    files = _run_files(cfg)
-    table = _fingerprints(files)
-    if runs:
-        table["runs"] = {name: {"config": run["config"],
-                                "files": _fingerprints(_run_files(resolve_config(run["config"])))}
-                         for name, run in runs.items()}
+    table, metrics_csv = _fingerprints(cfg)
+    for name, run in committed.get("runs", {}).items():  # more runs, kept with their configs
+        table.setdefault("runs", {})[name] = {
+            "config": run["config"], "files": _fingerprints(resolve_config(run["config"]))[0]}
     if args.write:
         golden_path.parent.mkdir(parents=True, exist_ok=True)
-        golden_path.write_bytes(files["metrics.csv"])
+        golden_path.write_bytes(metrics_csv)
         table_path.write_text(json.dumps(table, indent=2) + "\n")
         print(f"golden files written: {golden_path}, {table_path}")
         return 0
@@ -302,13 +294,11 @@ def _cmd_golden(args) -> int:
         print(f"golden file missing: {golden_path} or {table_path} (run with --write)",
               file=sys.stderr)
         return 1
-    moved = [name for name in sorted({*table, *committed} - {"runs"})
-             if table.get(name) != committed.get(name)]
-    for run_name, run in runs.items():
-        got = table["runs"][run_name]["files"]
-        moved += [f"{run_name}/{name}" for name in sorted({*got, *run["files"]})
-                  if got.get(name) != run["files"].get(name)]
-    if golden_path.read_bytes() != files["metrics.csv"]:
+    got, want = ({**t, **{f"{run}/{name}": sha for run, entry in t.pop("runs", {}).items()
+                          for name, sha in entry["files"].items()}} for t in (table, committed))
+    moved = [name for name in sorted({*got, *want}, key=lambda name: ("/" in name, name))
+             if got.get(name) != want.get(name)]
+    if golden_path.read_bytes() != metrics_csv:
         moved.insert(0, str(golden_path))
     if moved:
         print(f"golden check FAILED: these differ: {', '.join(moved)}", file=sys.stderr)

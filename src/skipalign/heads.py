@@ -1,18 +1,20 @@
 """Classifier and detector losses, their composition, and the step's row kernels.
 
 The closed-set side is supervised cross-entropy plus FixMatch-style hard
-pseudo-label consistency. The detector side trains K binary sub-classifiers
-whose per-class (ID, OOD) pair comes from a two-way softmax, with entropy
-sharpening, cross-view consistency, and a pseudo-negative term on top.
+pseudo-label consistency, one `classifier` kernel with a target row per
+sample. The detector side trains K binary sub-classifiers whose per-class
+(ID, OOD) pair comes from a two-way softmax, with entropy sharpening,
+cross-view consistency, and a pseudo-negative term on top.
 
 A step takes each softmax once over its stacked batch (`log_softmax`,
-`two_way`); every loss reads its view's rows of them and returns its value
-with its closed-form gradient w.r.t. the head outputs: softmax minus one-hot
-for the classifier terms (FixMatch, arXiv 2001.07685), the two-way softmax
-gradient for the detector terms (OpenMatch, arXiv 2105.14148). Their tape
-twins in `tensor_losses` are the oracle the tests compare them with. The gate,
-evaluation and the prototypes call the same kernels, and `normalize` for unit
-rows, which rejects a zero or non-finite row rather than hide an upstream bug.
+`two_way`); every loss reads its rows of them and returns its loss with its
+closed-form gradient w.r.t. the head outputs, already weighted per row:
+softmax minus target for the classifier (FixMatch, arXiv 2001.07685), the
+two-way softmax gradient for the detector terms (OpenMatch, arXiv 2105.14148).
+Their tape twins in `tensor_losses` are the oracle the tests compare them
+with. The gate, evaluation and the prototypes call the same kernels, and
+`normalize` for unit rows, which rejects a zero or non-finite row rather than
+hide an upstream bug.
 """
 
 from __future__ import annotations
@@ -97,63 +99,43 @@ def two_way(id_logits: np.ndarray, ood_logits: np.ndarray):
     return log_p_id, ood_logits - log_z, np.exp(log_p_id), e_id / total
 
 
-def ce(log_p, labels) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of `log_softmax` rows against integer labels.
+# The classifier returns each row's loss and the gradient of sum_i scale_i * loss_i,
+# where scale_i is its row's weight: its term's slope in the total over its view's
+# size, or 0. A detector loss returns its sum over the rows over n, a view's size,
+# and the gradient of slope times that value w.r.t. the ID logits: the two-way
+# softmax makes the OOD logits' gradient its negative, except for socr.
 
-    Returns (value, gradient w.r.t. the logits): (softmax - onehot) / B.
+
+def classifier(log_p, probs, y, scale) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-entropy of `log_softmax` rows against target rows y: each row's loss, and
+    the gradient w.r.t. the logits, softmax minus y, each row times its scale.
+
+    A target row is a one-hot class or zero (a row that does not count): labels for
+    supervised CE, the weak view's accepted pseudo-labels for FixMatch consistency
+    (arXiv 2001.07685), whose mean runs over the full batch.
     """
-    return consistency(log_p, labels, np.ones(len(log_p)))
+    return -(log_p * y).sum(axis=1), (probs - y) * scale[:, None]
 
 
-def consistency(log_p, pseudo, accept) -> tuple[float, np.ndarray]:
-    """Hard pseudo-label consistency: cross-entropy of the strong view's rows
-    against frozen weak-view pseudo-labels, counted only where `accept` is set.
-
-    The mean runs over the full batch, so rejected samples contribute zero.
-    Returns (value, gradient w.r.t. the strong logits).
-    """
-    n, k = log_p.shape
-    kept = np.asarray(accept, dtype=np.float64)[:, None]
-    y = one_hot(pseudo, k) * kept
-    value = -(log_p * y).sum(axis=1).sum() * (1.0 / n)
-    return float(value), (np.exp(log_p) * kept - y) * (1.0 / n)
+def ova(log_p_id, log_p_ood, p_id, y, n: int, slope: float) -> tuple[float, np.ndarray]:
+    """Binary cross-entropy over the K one-vs-all pairs of `two_way` rows: the class
+    one-hot in y toward ID, every other class toward OOD."""
+    value = float(-(log_p_ood + y * (log_p_id - log_p_ood)).sum())
+    return value * (1.0 / n), (p_id - y) * (slope / n)
 
 
-def ova(log_p_id, log_p_ood, p_id, labels) -> tuple[float, np.ndarray, np.ndarray]:
-    """Binary cross-entropy over the K one-vs-all pairs of `two_way` rows.
-
-    The true class is trained toward ID, every other class toward OOD;
-    normalized by batch size. Returns (value, grad ID logits, grad OOD logits).
-    """
-    n, k = log_p_id.shape
-    y = one_hot(labels, k)
-    value = -(log_p_id * y + log_p_ood * (1.0 - y)).sum(axis=1).sum() * (1.0 / n)
-    g_id = (p_id - y) * (1.0 / n)
-    return float(value), g_id, -g_id
-
-
-def em(log_p_id, log_p_ood, p_id) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean binary entropy of the per-class pairs of `two_way` rows; 0*log(0) is 0.
-
-    Returns (value, grad ID logits, grad OOD logits).
-    """
-    n = log_p_id.shape[0]
+def em(log_p_id, log_p_ood, p_id, n: int, slope: float) -> tuple[float, np.ndarray]:
+    """Binary entropy of the per-class pairs of `two_way` rows; 0*log(0) is 0."""
     p_ood = np.exp(log_p_ood)
-    value = (-(p_id * log_p_id + p_ood * log_p_ood)).sum(axis=1).sum() * (1.0 / n)
-    g_id = -(p_id * p_ood * (log_p_id - log_p_ood)) * (1.0 / n)
-    return float(value), g_id, -g_id
+    value = float(-(p_id * log_p_id + p_ood * log_p_ood).sum())
+    return value * (1.0 / n), (p_ood * (log_p_ood - log_p_id)) * (p_id * (slope / n))
 
 
-def socr(id_logits, id_logits2) -> tuple[float, np.ndarray, np.ndarray]:
-    """Squared disagreement of the detector's raw ID logits across two weak views.
-
-    Returns (value, grad first view, grad second view).
-    """
-    n = id_logits.shape[0]
+def socr(id_logits, id_logits2, n: int, slope: float) -> tuple[float, np.ndarray]:
+    """Squared disagreement of the detector's raw ID logits across two weak views; the
+    gradient is the first view's, the second's its negative."""
     diff = id_logits - id_logits2
-    value = (diff * diff).sum(axis=1).sum() * (1.0 / n)
-    g = diff * (2.0 / n)
-    return float(value), g, -g
+    return float((diff * diff).sum()) * (1.0 / n), diff * (2.0 * (slope / n))
 
 
 def negatives(log_p_id, log_eta_neg: float) -> np.ndarray:
@@ -165,19 +147,15 @@ def negatives(log_p_id, log_eta_neg: float) -> np.ndarray:
     return (log_p_id < log_eta_neg).astype(np.float64)
 
 
-def neg(log_p_ood, p_id, selected) -> tuple[float, np.ndarray, np.ndarray]:
+def neg(log_p_ood, p_id, selected, n: int, slope: float) -> tuple[float, np.ndarray]:
     """Push confidently-OOD classes further toward OOD.
 
     For each `two_way` row, averages -log(OOD probability) over the classes the
-    frozen mask `selected` marks (see `negatives`); rows with no selected class
-    contribute zero. Returns (value, grad ID logits, grad OOD logits).
+    frozen mask `selected` marks (see `negatives`); a row with no selected class
+    contributes zero.
     """
-    n = p_id.shape[0]
-    counts = selected.sum(axis=1)
-    scale = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
-    value = (-(log_p_ood * selected).sum(axis=1) * scale).sum() * (1.0 / n)
-    g_id = selected * (scale * (1.0 / n))[:, None] * p_id
-    return float(value), g_id, -g_id
+    w = selected * (1.0 / np.maximum(selected.sum(axis=1, keepdims=True), 1.0))
+    return float(-(log_p_ood * w).sum()) * (1.0 / n), w * (p_id * (slope / n))
 
 
 def compose(terms: dict, weights: dict) -> dict:

@@ -212,14 +212,14 @@ def backward(params: ParamState, x: np.ndarray,
     g_od = np.concatenate([g_id, g_ood], axis=1)
 
     flat = np.empty_like(params.flat)
-    offsets = spec.offsets
+    offsets, ones = spec.offsets, np.ones(len(x))  # a bias gradient is ones @ g
 
     def through(name: str, g: np.ndarray, inner: bool = True) -> np.ndarray | None:
         """Write a linear layer's weight gradients straight into flat; return its input's
         gradient, which the network's inputs do not need."""
         start, mid, shape = offsets[f"{name}.W"]
         np.matmul(layer_inputs[name].T, g, out=flat[start:mid].reshape(shape))
-        np.add.reduce(g, axis=0, out=flat[mid:offsets[f"{name}.b"][1]])
+        np.matmul(ones, g, out=flat[mid:offsets[f"{name}.b"][1]])
         return g @ params.views[f"{name}.W"].T if inner else None
 
     g = through("cc", g_cc) + through("od", g_od)  # the features' gradient

@@ -22,10 +22,10 @@ import numpy as np
 
 from . import tensor_losses as tl
 from .autodiff import constant, parameter
-from .heads import HeadWeights, ce, compose, log_softmax, normalize
+from .heads import HeadWeights, classifier, compose, log_softmax, normalize, one_hot
 from .net import NetSpec, ParamState, forward, forward_tensors, init_params, param_count
 from .net import backward as net_backward
-from .sna import LOSS_COMBOS, SnaWeights, usna
+from .sna import LOSS_COMBOS, SnaWeights, tangential, usna
 from .trainer import Decisions, TrainConfig, freeze_decisions, objective, step_rows
 
 
@@ -68,6 +68,7 @@ def tape_objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
     """
     head, sna_w = cfg.head, cfg.sna
     xw, uw, uw2, us = outputs["x_w"], outputs["u_w"], outputs["u_w2"], outputs["u_s"]
+    neg_w, _, neg_s = np.split(decisions.negative, 3)
     zero = tl.constant(0.0)
     terms = {
         "x": tl.ce_graph(xw.cc_logits, labels),
@@ -76,8 +77,8 @@ def tape_objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
         "ova": tl.ova_graph(xw.id_logits, xw.ood_logits, labels),
         "em": tl.em_graph(uw.id_logits, uw.ood_logits) if head.lambda_em > 0 else zero,
         "socr": tl.socr_graph(uw.id_logits, uw2.id_logits) if head.lambda_socr > 0 else zero,
-        "neg": (tl.neg_graph(uw.id_logits, uw.ood_logits, decisions.neg_w)
-                + tl.neg_graph(us.id_logits, us.ood_logits, decisions.neg_s)
+        "neg": (tl.neg_graph(uw.id_logits, uw.ood_logits, neg_w)
+                + tl.neg_graph(us.id_logits, us.ood_logits, neg_s)
                 if head.lambda_neg > 0 else zero),
         "usna": (tl.usna_graph(uw.embeddings, unit_protos, decisions.gate.phi,
                                decisions.gate.pred_class, sna_w.temperature)
@@ -98,7 +99,8 @@ def objective_gradients(params: ParamState, inputs: dict, labels: np.ndarray,
     (x_w, u_w, u_w2, u_s) stacked as `train` stacks them, and on the tape view by
     view, under the same frozen decisions: (production, oracle)."""
     def closure(out):
-        terms, grads = objective(step_rows(out, len(labels)), labels, unit_protos, decisions, cfg)
+        rows = step_rows(out, len(labels), cfg.gate_temperature)
+        terms, grads = objective(rows, labels, unit_protos, decisions, cfg)
         return terms["total"], grads
 
     closed = net_backward(params, np.concatenate(list(inputs.values())), closure)
@@ -127,11 +129,13 @@ def usna_gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-6)
         unit_protos = normalize(rng.standard_normal((k, dim)))[0]
         z = rng.standard_normal((rows, dim)) * rng.uniform(0.5, 3.0, size=(rows, 1))
         phi = rng.integers(0, 2, size=rows)
-        k_hat = rng.integers(0, k, size=rows)
-        analytic = usna(*normalize(z), unit_protos, phi, k_hat, temperature)[1]
+        pull = one_hot(rng.integers(0, k, size=rows), k) * phi[:, None]
+        mean = np.full(rows, 1.0 / rows)
+        unit, norms = normalize(z)
+        analytic = tangential(usna(unit, unit_protos, pull, mean, temperature)[1], unit, norms)
         numeric = finite_diff_grad(
-            lambda v: usna(*normalize(v.reshape(z.shape)), unit_protos, phi, k_hat,
-                           temperature)[0],
+            lambda v: usna(normalize(v.reshape(z.shape))[0], unit_protos, pull, mean,
+                           temperature)[0].mean(),
             z.ravel(), step)
         worst = max(worst, _rel(analytic.ravel(), numeric))
     return worst
@@ -164,7 +168,8 @@ def full_model_gradient_check(seed: int = 0, step: float = 1e-5) -> tuple[float,
                            gate_temperature=1.0)
 
     def rows_at(flat: np.ndarray):
-        return step_rows(forward(ParamState(spec=spec, flat=flat), x), len(labels))
+        return step_rows(forward(ParamState(spec=spec, flat=flat), x), len(labels),
+                         base_cfg.gate_temperature)
 
     decisions = freeze_decisions(rows_at(params.flat), base_cfg)
     worst_fd = worst_tape = 0.0
@@ -182,10 +187,10 @@ def full_model_gradient_check(seed: int = 0, step: float = 1e-5) -> tuple[float,
 
 def ce_feature_gradient_check(n_configs: int = 20, seed: int = 0) -> tuple[float, float]:
     """Closed-form CE feature gradient under a linear head: the logit gradient
-    `heads.ce` returns on the head's `log_softmax`, times the head's weights.
+    `heads.classifier` returns on the head's `log_softmax`, times the head's weights.
 
     Returns (max abs deviation from the tape gradient, max relative error
-    against central differences of the `heads.ce` value).
+    against central differences of the `heads.classifier` value).
     """
     rng = np.random.default_rng(seed)
     worst_tape = 0.0
@@ -196,13 +201,17 @@ def ce_feature_gradient_check(n_configs: int = 20, seed: int = 0) -> tuple[float
         weights = rng.standard_normal((d_f, k))
         f = rng.standard_normal(d_f)
         y = np.array([int(rng.integers(0, k))])
-        closed_form = (ce(log_softmax((f @ weights)[None, :])[0], y)[1] @ weights.T)[0]
+
+        def ce(v):  # one row's cross-entropy and its logit gradient
+            return classifier(*log_softmax((v @ weights)[None, :])[:2], one_hot(y, k), np.ones(1))
+
+        closed_form = (ce(f)[1] @ weights.T)[0]
 
         ft = parameter(f[None, :])
         tl.ce_graph(ft @ constant(weights), y).backward()
         worst_tape = max(worst_tape, float(np.max(np.abs(closed_form - ft.grad[0]))))
 
-        numeric = finite_diff_grad(lambda v: ce(log_softmax((v @ weights)[None, :])[0], y)[0], f)
+        numeric = finite_diff_grad(lambda v: ce(v)[0][0], f)
         worst_fd = max(worst_fd, _rel(closed_form, numeric))
     return worst_tape, worst_fd
 

@@ -3,11 +3,13 @@
 The unlabeled loss pulls an embedding toward its predicted prototype only
 when the dual gate fires; everything else receives a softmax-weighted
 angular repulsion from all prototypes. Labeled embeddings get supervised
-instance-wise and prototype alignment. All similarities are cosine on
+instance-wise and prototype alignment; the latter is the unlabeled loss with
+the gate open, so one pass serves both. All similarities are cosine on
 unit-normalized copies, so every loss here depends on an embedding only
 through its direction; each reads its rows of the step's `heads.normalize`
-pass and returns its value with its angular gradient w.r.t. the embeddings.
-Their tape twins in `tensor_losses` are the oracle the tests compare them with.
+pass and returns its gradient w.r.t. the unit rows, which the step sums and
+takes to the embeddings once (`tangential`). Their tape twins in
+`tensor_losses` are the oracle the tests compare them with.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heads import log_softmax, one_hot
+from .heads import log_softmax
 
 # A logit that removes its entry from a log-sum-exp exactly.
 _NEG_INF = -1e30
@@ -77,60 +79,50 @@ def dual_gate(cc_probs, od_probs, tau_id: float, eta_id: float) -> GateMask:
     return GateMask(phi=phi, cc_conf=cc_conf, od_conf=od_conf, pred_class=pred)
 
 
-def _tangential(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
+def tangential(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. z from the gradient w.r.t. z/||z||: the radial part is
     projected out, so the result is orthogonal to each row of z."""
     radial = (grad_unit * unit).sum(axis=1, keepdims=True)
     return (grad_unit - radial * unit) / norms
 
 
-def usna(zh, norms, unit_protos, phi, pred_class, temperature: float) -> tuple[float, np.ndarray]:
-    """Batch-mean unlabeled selective non-alignment loss and its angular gradient.
+def usna(zh, unit_protos, pull, scale, temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """Selective non-alignment over `normalize` rows: each row's loss, and the gradient
+    of sum_i scale_i * loss_i w.r.t. the unit rows (`tangential` takes it to the
+    embeddings).
 
-    Reads the batch's `normalize` rows. Row i is pulled toward prototype
-    pred_class[i] when phi[i] is 1; every row is repelled from all prototypes
-    by the softmax over their scaled cosines. Returns (value, gradient w.r.t.
-    the embeddings); each gradient row is orthogonal to its embedding.
+    Row i is pulled toward a prototype where pull[i] is its one-hot, when the gate
+    fires, and pulled nowhere where pull[i] is zero; every row is repelled from all
+    prototypes by the softmax over their scaled cosines. Prototype alignment is the
+    same loss over labeled rows with the gate always open.
     """
-    n = zh.shape[0]
-    pull = one_hot(pred_class, unit_protos.shape[0]) * np.asarray(phi, dtype=np.float64)[:, None]
     scaled = (zh @ unit_protos.T) * (1.0 / temperature)
-    shift = scaled.max(axis=1, keepdims=True)
-    e = np.exp(scaled - shift)
-    total = e.sum(axis=1, keepdims=True)
-    lse = (np.log(total) + shift).reshape(-1)
-    value = (lse - (scaled * pull).sum(axis=1)).sum() * (1.0 / n)
-    grad_unit = ((e / total - pull) @ unit_protos) * (1.0 / (temperature * n))
-    return float(value), _tangential(grad_unit, zh, norms)
+    _, probs, lse = log_softmax(scaled)
+    losses = lse[:, 0] - (scaled * pull).sum(axis=1)
+    return losses, ((probs - pull) * (scale * (1.0 / temperature))[:, None]) @ unit_protos
 
 
-def pa(zh, norms, unit_protos, labels, temperature: float) -> tuple[float, np.ndarray]:
-    """Prototype alignment: `usna` with the gate always open for labeled samples."""
-    return usna(zh, norms, unit_protos, np.ones(zh.shape[0]), labels, temperature)
-
-
-def ia(zh, norms, labels, temperature: float) -> tuple[float, np.ndarray]:
-    """Instance-wise alignment over labeled `normalize` rows, and its angular gradient.
+def ia(zh, y, temperature: float, scale: float) -> tuple[float, np.ndarray]:
+    """Instance-wise alignment over labeled `normalize` rows with one-hot labels y: its
+    value, and its gradient w.r.t. the unit rows times scale.
 
     Cosine similarities on unit rows, the anchor itself masked out of the
     denominator, anchors without a same-class partner excluded from the
     mean; with no such anchor the loss is (0.0, zeros).
     """
     n = zh.shape[0]
-    y = np.asarray(labels, dtype=np.int64)
-    positives = (y[:, None] == y[None, :]).astype(np.float64)
-    np.fill_diagonal(positives, 0.0)
+    positives = y @ y.T
+    positives.flat[::n + 1] = 0.0
     counts = positives.sum(axis=1)
-    contributing = counts > 0
-    n_anchors = int(contributing.sum())
+    n_anchors = np.count_nonzero(counts)
     if n_anchors == 0:
         return 0.0, np.zeros_like(zh)
     sims = (zh @ zh.T) * (1.0 / temperature)
     sims.flat[::n + 1] = _NEG_INF  # each anchor's own entry
     log_prob, prob, _ = log_softmax(sims)
-    weights = np.where(contributing, 1.0 / np.maximum(counts, 1.0), 0.0)
-    value = (-(log_prob * positives).sum(axis=1) * weights).sum() * (1.0 / n_anchors)
-    grad_sims = (contributing[:, None] * prob - weights[:, None] * positives) \
-        * (1.0 / n_anchors)
-    grad_unit = ((grad_sims + grad_sims.T) @ zh) * (1.0 / temperature)
-    return float(value), _tangential(grad_unit, zh, norms)
+    positives *= (1.0 / np.maximum(counts, 1.0))[:, None]  # each anchor's mean over them
+    value = -np.vdot(log_prob, positives) * (1.0 / n_anchors)
+    if n_anchors < n:  # an anchor without a partner takes no gradient either
+        prob *= (counts > 0)[:, None]
+    grad_sims = prob - positives
+    return float(value), ((grad_sims + grad_sims.T) @ zh) * (scale / (temperature * n_anchors))

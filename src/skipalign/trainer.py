@@ -4,9 +4,9 @@ momentum SGD under a cosine schedule, and per-epoch prototype refresh.
 Per iteration: sample a labeled batch and gamma-times-larger unlabeled
 batch, draw augmented views, forward them as one stacked batch, take each
 per-row softmax once on it (`step_rows`), freeze the gate/pseudo-label
-decisions from the weak unlabeled rows, evaluate every loss on its view's
-rows into one full-batch gradient per head, backprop the weighted total by
-hand through the network (`net.backward`), and step. Gate-accepted unlabeled
+decisions from the weak unlabeled rows, take each head's loss terms in one
+pass over the stacked rows into one full-batch gradient per head, backprop
+the weighted total by hand through the network (`net.backward`), and step. Gate-accepted unlabeled
 embeddings accumulate across the epoch and feed the prototype refresh at the
 epoch boundary; the labeled side of the refresh is a clean (unaugmented)
 pass over the full labeled set.
@@ -24,11 +24,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import net as net_mod
-from .heads import (HeadWeights, ce, compose, consistency, em, log_softmax, neg, negatives,
+from .heads import (HeadWeights, classifier, compose, em, log_softmax, neg, negatives,
                     normalize, ova, socr, two_way)
 from .net import ForwardResult, NetSpec, ParamState, forward, init_params, sgd_step
 from .prototypes import EmbeddingBatch, PrototypeSet, refresh
-from .sna import GateMask, SnaWeights, dual_gate, ia, pa, usna
+from .sna import GateMask, SnaWeights, dual_gate, ia, tangential, usna
 from .synthdata import Split, augment_views
 
 MOMENTUM, WEIGHT_DECAY = 0.9, 5e-4  # the SGD step's, the same in every run
@@ -188,7 +188,8 @@ LEAVES = ("x", "u", "ova", "em", "socr", "neg", "usna", "ia", "pa")
 class StepRows(NamedTuple):
     """A step's stacked forward, the rows of its views x_w, u_w, u_w2 and u_s
     (slices x, u, u2, s), and its per-row softmaxes, each taken once on the
-    whole stack: `heads.log_softmax` (log_p, probs) and `heads.two_way`."""
+    whole stack: `heads.log_softmax` (log_p, probs, and gate_probs, the u_w rows'
+    at the gate's temperature) and `heads.two_way`."""
 
     out: ForwardResult
     x: slice
@@ -197,18 +198,22 @@ class StepRows(NamedTuple):
     s: slice
     log_p: np.ndarray
     probs: np.ndarray
+    gate_probs: np.ndarray
     log_p_id: np.ndarray
     log_p_ood: np.ndarray
     p_id: np.ndarray
     id_prob: np.ndarray
 
 
-def step_rows(out: ForwardResult, n_labeled: int) -> StepRows:
+def step_rows(out: ForwardResult, n_labeled: int, gate_temperature: float) -> StepRows:
     """The rows of a forward of n_labeled x_w rows stacked on three equal unlabeled views."""
     n, b = len(out.cc_logits), n_labeled
     u = (n - b) // 3
+    # The gate's tempered u_w rows join the classifier's rows in one row softmax.
+    log_p, probs, _ = log_softmax(np.concatenate((out.cc_logits,
+                                                  out.cc_logits[b:b + u] / gate_temperature)))
     return StepRows(out, slice(0, b), slice(b, b + u), slice(b + u, b + 2 * u),
-                    slice(b + 2 * u, n), *log_softmax(out.cc_logits)[:2],
+                    slice(b + 2 * u, n), log_p[:n], probs[:n], probs[n:],
                     *two_way(out.id_logits, out.ood_logits))
 
 
@@ -222,23 +227,22 @@ class Decisions:
     gate: GateMask          # dual gate on the weak unlabeled view; also picks refresh rows
     pseudo: np.ndarray      # hard pseudo-labels from the weak view
     pl_accept: np.ndarray   # pseudo-labels whose confidence clears tau_pl
-    neg_w: np.ndarray       # pseudo-negative masks, weak and strong view
-    neg_s: np.ndarray
+    negative: np.ndarray    # pseudo-negative masks on the u_w, u_w2 and u_s rows; none on u_w2
 
 
 def freeze_decisions(rows: StepRows, cfg: TrainConfig) -> Decisions:
     """Every frozen per-step choice, from the weak and strong unlabeled rows."""
-    u = rows.u
-    gate_probs = log_softmax(rows.out.cc_logits[u] / cfg.gate_temperature)[1]
+    u, gate_probs = rows.u, rows.gate_probs
     if not np.isfinite(gate_probs).all():
         raise ValueError("non-finite gate probabilities: gate_temperature overflows the logits")
     pl_probs = rows.probs[u]
     pseudo = pl_probs.argmax(axis=1)
-    negative = negatives(rows.log_p_id, cfg.head.log_eta_neg)
+    m = len(pseudo)
+    negative = negatives(rows.log_p_id[u.start:], cfg.head.log_eta_neg)
+    negative[m:2 * m] = 0.0
     return Decisions(
         gate=dual_gate(gate_probs, rows.id_prob[u], cfg.tau_id, cfg.eta_id), pseudo=pseudo,
-        pl_accept=pl_probs[np.arange(pseudo.size), pseudo] > cfg.head.tau_pl,
-        neg_w=negative[u], neg_s=negative[rows.s])
+        pl_accept=pl_probs[np.arange(m), pseudo] > cfg.head.tau_pl, negative=negative)
 
 
 def objective(rows: StepRows, labels: np.ndarray, unit_protos: np.ndarray,
@@ -248,55 +252,69 @@ def objective(rows: StepRows, labels: np.ndarray, unit_protos: np.ndarray,
     `terms` holds the nine leaf values, then the composites sna, cc, od and
     the total from `compose`. A leaf whose weight is zero is not evaluated
     and enters as 0.0. grads maps each head output to the total's gradient
-    over the whole stack, the form `net.backward` takes; where terms share
-    rows, their slope-weighted gradients add up in the order of LEAVES.
+    over the whole stack, the form `net.backward` takes. Each head's terms take
+    one pass over its rows, each row weighted by its term's slope in the total
+    over its view's size; the alignment terms' gradients are summed on the
+    sphere and taken to the embeddings once.
     """
     head, sna_w = cfg.head, cfg.sna
     weights, slopes = cfg.weights_and_slopes
     x, u, u2, s = rows.x, rows.u, rows.u2, rows.s
-    log_p_id, log_p_ood, p_id = rows.log_p_id, rows.log_p_ood, rows.p_id
+    b, m, w = x.stop, s.stop - s.start, u.start
+    gate, accept = decisions.gate, decisions.pl_accept
     terms = dict.fromkeys(LEAVES, 0.0)
-    g_cc, g_id, g_ood = np.zeros((3, *rows.log_p.shape))
-    g_z = np.zeros(rows.out.embeddings.shape)
-
-    terms["x"], g = ce(rows.log_p[x], labels)
-    g_cc[x] = slopes["x"] * g
+    # One target row per stacked row, the one-hot of: the label on x_w, the gate's
+    # prototype on u_w (zero where the gate is shut), the accepted pseudo-label on
+    # u_s (zero where rejected); no term reads u_w2's.
+    classes = np.concatenate((labels, gate.pred_class, decisions.pseudo, decisions.pseudo))
+    target = np.zeros(rows.log_p.shape)
+    target[np.arange(len(classes)), classes] = np.concatenate((np.ones(b), gate.phi, accept,
+                                                               accept))
+    scale = np.zeros(len(classes))
+    scale[x], scale[s] = slopes["x"] / b, accept * (slopes["u"] / m)
+    losses, g_cc = classifier(rows.log_p, rows.probs, target, scale)
+    terms["x"] = losses[x].sum() * (1.0 / b)
     if head.lambda_u > 0:
-        terms["u"], g = consistency(rows.log_p[s], decisions.pseudo, decisions.pl_accept)
-        g_cc[s] = slopes["u"] * g
-    terms["ova"], g, g2 = ova(log_p_id[x], log_p_ood[x], p_id[x], labels)
-    g_id[x], g_ood[x] = slopes["ova"] * g, slopes["ova"] * g2
+        terms["u"] = losses[s].sum() * (1.0 / m)
+
+    log_p_id, log_p_ood, p_id = rows.log_p_id, rows.log_p_ood, rows.p_id
+    g_id = np.zeros(log_p_id.shape)
+    terms["ova"], g_id[x] = ova(log_p_id[x], log_p_ood[x], p_id[x], target[x], b,
+                                slopes["ova"])
     if head.lambda_em > 0:
-        terms["em"], g, g2 = em(log_p_id[u], log_p_ood[u], p_id[u])
-        g_id[u], g_ood[u] = slopes["em"] * g, slopes["em"] * g2
-    if head.lambda_socr > 0:
-        terms["socr"], g, g2 = socr(rows.out.id_logits[u], rows.out.id_logits[u2])
-        g_id[u] += slopes["socr"] * g
-        g_id[u2] = slopes["socr"] * g2
+        terms["em"], g_id[u] = em(log_p_id[u], log_p_ood[u], p_id[u], m, slopes["em"])
     if head.lambda_neg > 0:
-        # Negatives are mined on both the weak and the strong view.
-        weak, g, g2 = neg(log_p_ood[u], p_id[u], decisions.neg_w)
-        strong, h, h2 = neg(log_p_ood[s], p_id[s], decisions.neg_s)
-        terms["neg"] = weak + strong
-        g_id[u] += slopes["neg"] * g
-        g_ood[u] += slopes["neg"] * g2
-        g_id[s], g_ood[s] = slopes["neg"] * h, slopes["neg"] * h2
+        # The weak and the strong view in one pass; u_w2 has no negatives.
+        terms["neg"], g = neg(log_p_ood[w:], p_id[w:], decisions.negative, m, slopes["neg"])
+        g_id[w:] += g
+    g_ood = -g_id
+    if head.lambda_socr > 0:
+        terms["socr"], g = socr(rows.out.id_logits[u], rows.out.id_logits[u2], m,
+                                slopes["socr"])
+        g_id[u] += g
+        g_id[u2] = -g
 
     # x_w and u_w are adjacent rows: normalize those an enabled term reads in one pass.
-    t, b = sna_w.temperature, x.stop
+    t, g_z = sna_w.temperature, np.zeros(rows.out.embeddings.shape)
     lo = 0 if sna_w.lambda_ia > 0 or sna_w.lambda_pa > 0 else b
-    unit, norms = normalize(rows.out.embeddings[lo:u.stop if sna_w.lambda_usna > 0 else b])
-    if sna_w.lambda_usna > 0:
-        gate = decisions.gate
-        terms["usna"], g = usna(unit[b - lo:], norms[b - lo:], unit_protos, gate.phi,
-                                gate.pred_class, t)
-        g_z[u] = slopes["usna"] * g
-    if sna_w.lambda_ia > 0:
-        terms["ia"], g = ia(unit[:b], norms[:b], labels, t)
-        g_z[x] = slopes["ia"] * g
-    if sna_w.lambda_pa > 0:
-        terms["pa"], g = pa(unit[:b], norms[:b], unit_protos, labels, t)
-        g_z[x] += slopes["pa"] * g
+    hi = u.stop if sna_w.lambda_usna > 0 else b
+    if lo < hi:
+        unit, norms = normalize(rows.out.embeddings[lo:hi])
+        if sna_w.lambda_usna > 0 or sna_w.lambda_pa > 0:
+            # pa is usna with the gate open: one pass over the x_w and u_w rows.
+            row_scale = np.full(hi - lo, slopes["usna"] / m)
+            row_scale[:b - lo] = slopes["pa"] / b
+            losses, g_unit = usna(unit, unit_protos, target[lo:hi], row_scale, t)
+            if sna_w.lambda_pa > 0:
+                terms["pa"] = losses[:b].sum() * (1.0 / b)
+            if sna_w.lambda_usna > 0:
+                terms["usna"] = losses[b - lo:].sum() * (1.0 / m)
+        else:
+            g_unit = np.zeros(unit.shape)
+        if sna_w.lambda_ia > 0:
+            terms["ia"], g = ia(unit[:b], target[x], t, slopes["ia"])
+            g_unit[:b] += g
+        g_z[lo:hi] = tangential(g_unit, unit, norms)
     terms.update(compose(terms, weights))
     return terms, {"embeddings": g_z, "cc_logits": g_cc, "id_logits": g_id, "ood_logits": g_ood}
 
@@ -306,16 +324,16 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, unit_protos: np.ndarray,
     """The step's objective for `net.backward`. It fills in the rest of the step's record
     and appends the weak unlabeled rows the gate accepted, by predicted class, to accepted."""
     def closure(out):
-        rows = step_rows(out, len(labels))
+        rows = step_rows(out, len(labels), cfg.gate_temperature)
         decisions = freeze_decisions(rows, cfg)
         terms, grads = objective(rows, labels, unit_protos, decisions, cfg)
         total = terms.pop("total")
-        gate = decisions.gate
+        gate, m = decisions.gate, len(decisions.pseudo)
         record.update({
             "terms": terms, "total": total,
-            "batch_labeled": len(labels), "batch_unlabeled": len(gate.phi),
+            "batch_labeled": len(labels), "batch_unlabeled": m,
             "gate": {"accepted": gate.accepted,
-                     "negatives": int(np.count_nonzero(decisions.neg_w.any(axis=1))),
+                     "negatives": int(np.count_nonzero(decisions.negative[:m].any(axis=1))),
                      "pl_accepted": int(np.count_nonzero(decisions.pl_accept))},
             "gate_detail": {name: getattr(gate, name).tolist()
                             for name in ("phi", "cc_conf", "od_conf", "pred_class")},

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from skipalign.config import config_hash, default_config, resolve_config
-from skipalign.heads import normalize
+from skipalign.heads import normalize, one_hot
 from skipalign.metrics import EvalReport, auroc, evaluate, write_eval_csv
 from skipalign.oracles import (ce_feature_gradient_check, full_model_gradient_check,
                                usna_gradient_check)
 from skipalign.prototypes import EmbeddingBatch, refresh
-from skipalign.sna import LOSS_COMBOS, usna
+from skipalign.sna import LOSS_COMBOS, tangential, usna
 from skipalign.synthdata import generate
 from skipalign.trainer import train
 
@@ -85,8 +85,12 @@ def test_criterion_02_angular_purity_and_scale_invariance():
         t = rng.uniform(0.1, 2.0)
         phi = case % 2
 
+        pull = one_hot([k_hat], k) * phi
+
         def loss(v):
-            return usna(*normalize(v[None, :]), unit_protos, [phi], [k_hat], t)
+            unit, norms = normalize(v[None, :])
+            losses, grad = usna(unit, unit_protos, pull, np.ones(1), t)
+            return losses[0], tangential(grad, unit, norms)
 
         base, g = loss(z)
         g = g[0]

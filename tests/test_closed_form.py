@@ -36,7 +36,8 @@ def step(spec=SPEC, cfg=CFG, labels=(0, 0, 1, 2, 2, 1), unlabeled=8, seed=0):
     for view in ("u_w", "u_w2", "u_s"):
         inputs[view] = rng.standard_normal((unlabeled, spec.input_dim)) * 2
     unit_protos = normalize(rng.standard_normal((spec.num_classes, spec.embed_dim)))[0]
-    rows = step_rows(forward(params, np.concatenate(list(inputs.values()))), len(labels))
+    rows = step_rows(forward(params, np.concatenate(list(inputs.values()))), len(labels),
+                     cfg.gate_temperature)
     decisions = freeze_decisions(rows, cfg)
     return params, inputs, np.array(labels), unit_protos, rows, decisions
 
@@ -64,7 +65,8 @@ def outputs_on_tape(params, inputs):
 def test_each_loss_combo(combo):
     decisions = assert_matches_tape(
         cfg=replace(CFG, sna=replace(CFG.sna, **LOSS_COMBOS[combo])))
-    for mask in (decisions.gate.phi, decisions.pl_accept, decisions.neg_w.any(axis=1)):
+    for mask in (decisions.gate.phi, decisions.pl_accept,
+                 np.split(decisions.negative, 3)[0].any(axis=1)):
         assert 0 < mask.sum() < mask.size
 
 
@@ -81,7 +83,7 @@ def test_every_gate_closed():
     decisions = assert_matches_tape(cfg=cfg)
     assert decisions.gate.accepted == 0
     assert not decisions.pl_accept.any()
-    assert not decisions.neg_w.any() and not decisions.neg_s.any()
+    assert not decisions.negative.any()
 
 
 def test_ia_without_positive_pairs():

@@ -6,8 +6,8 @@ import pytest
 import skipalign.tensor_losses as tl
 from skipalign.autodiff import constant, parameter
 from skipalign.config import ConfigError, resolve_config
-from skipalign.heads import (HeadWeights, ce, compose, consistency, em, log_softmax, neg,
-                             negatives, ova, socr, two_way)
+from skipalign import heads
+from skipalign.heads import HeadWeights, compose, log_softmax, negatives, one_hot, two_way
 from skipalign.net import ForwardResult
 from skipalign.oracles import finite_diff_grad
 from skipalign.trainer import TrainConfig, freeze_decisions, objective, step_rows
@@ -26,9 +26,45 @@ def logits_from_probs(probs) -> tuple[np.ndarray, np.ndarray]:
     return np.log(p) - np.log1p(-p), np.zeros_like(p)
 
 
-def log_p(logits) -> np.ndarray:
-    """The classifier's `log_softmax` rows, which its losses read."""
-    return log_softmax(np.asarray(logits, dtype=np.float64))[0]
+def consistency(logits, pseudo, accept) -> tuple[float, np.ndarray]:
+    """FixMatch consistency as the step takes it: `heads.classifier` on the rows'
+    `log_softmax` with the accepted pseudo-labels as targets, the mean over every row;
+    returns (value, gradient w.r.t. the logits)."""
+    log_p, probs, _ = log_softmax(np.asarray(logits, dtype=np.float64))
+    n, k = log_p.shape
+    kept = np.asarray(accept, dtype=np.float64)
+    losses, grad = heads.classifier(log_p, probs, one_hot(pseudo, k) * kept[:, None], kept / n)
+    return losses.sum() / n, grad
+
+
+def ce(logits, labels) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy: the classifier with every label accepted."""
+    return consistency(logits, labels, np.ones(len(labels)))
+
+
+# The detector losses as means over their rows, with both head gradients.
+def ova(log_p_id, log_p_ood, p_id, labels):
+    n, k = log_p_id.shape
+    value, g = heads.ova(log_p_id, log_p_ood, p_id, one_hot(labels, k), n, 1.0)
+    return value, g, -g
+
+
+def em(log_p_id, log_p_ood, p_id):
+    n = len(log_p_id)
+    value, g = heads.em(log_p_id, log_p_ood, p_id, n, 1.0)
+    return value, g, -g
+
+
+def socr(id_logits, id_logits2):
+    n = len(id_logits)
+    value, g = heads.socr(id_logits, id_logits2, n, 1.0)
+    return value, g, -g
+
+
+def neg(log_p_ood, p_id, selected):
+    n = len(p_id)
+    value, g = heads.neg(log_p_ood, p_id, selected, n, 1.0)
+    return value, g, -g
 
 
 def detector(logits: tuple[np.ndarray, np.ndarray]) -> tuple:
@@ -41,7 +77,8 @@ def unlabeled_rows(weak_cc, strong_cc):
     views carry `weak_cc`, the strong view `strong_cc`."""
     cc = np.concatenate([weak_cc, weak_cc, strong_cc]).astype(np.float64)
     zeros = np.zeros_like(cc)
-    return step_rows(ForwardResult(zeros, zeros, cc, zeros, zeros), 0)
+    return step_rows(ForwardResult(zeros, zeros, cc, zeros, zeros), 0,
+                     TrainConfig().gate_temperature)
 
 
 def fixmatch(weak_probs, strong_probs, tau_pl: float) -> tuple[float, int]:
@@ -50,7 +87,7 @@ def fixmatch(weak_probs, strong_probs, tau_pl: float) -> tuple[float, int]:
     cfg = TrainConfig(head=HeadWeights(tau_pl=tau_pl))
     strong = np.log(np.asarray(strong_probs, dtype=np.float64))
     decisions = freeze_decisions(unlabeled_rows(np.log(weak_probs), strong), cfg)
-    value, _ = consistency(log_p(strong), decisions.pseudo, decisions.pl_accept)
+    value, _ = consistency(strong, decisions.pseudo, decisions.pl_accept)
     return value, int(decisions.pl_accept.sum())
 
 
@@ -87,14 +124,14 @@ class TestOvaOutput:
 
 class TestCeLoss:
     def test_perfect_prediction(self):
-        assert ce(log_p([[0.0, -1000.0, -1000.0]]), [0])[0] == pytest.approx(0.0, abs=1e-12)
+        assert ce([[0.0, -1000.0, -1000.0]], [0])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_binary(self):
-        assert ce(log_p([[0.0, 0.0]]), [0])[0] == pytest.approx(math.log(2), abs=1e-12)
+        assert ce([[0.0, 0.0]], [0])[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_wrong_side_hand_value(self):
         # probabilities (e, 1) / (e + 1)
-        assert ce(log_p([[1.0, 0.0]]), [1])[0] == pytest.approx(math.log(1 + math.e),
+        assert ce([[1.0, 0.0]], [1])[0] == pytest.approx(math.log(1 + math.e),
                                                                    abs=1e-12)
 
     def test_label_out_of_range(self):
@@ -104,7 +141,7 @@ class TestCeLoss:
 
     def test_zero_probability_floored(self):
         # the true class's probability underflows to zero; log-space keeps it finite
-        loss = ce(log_p([[-1000.0, 0.0]]), [0])[0]
+        loss = ce([[-1000.0, 0.0]], [0])[0]
         assert loss == pytest.approx(1000.0, abs=1e-9)
 
 
@@ -253,8 +290,9 @@ class TestTotalLoss:
         rng = np.random.default_rng(7)
 
         # 4 labeled rows and three unlabeled views of 6, every output random.
-        rows = step_rows(ForwardResult(*(rng.standard_normal((22, 2)) for _ in range(5))), 4)
         cfg = TrainConfig(tau_id=0.4, eta_id=0.3)
+        rows = step_rows(ForwardResult(*(rng.standard_normal((22, 2)) for _ in range(5))), 4,
+                         cfg.gate_temperature)
         decisions = freeze_decisions(rows, cfg)
         terms, _ = objective(rows, np.array([0, 0, 1, 1]), np.eye(2), decisions, cfg)
         assert list(terms) == ["x", "u", "ova", "em", "socr", "neg", "usna", "ia", "pa",
@@ -340,7 +378,7 @@ class TestNumpyTapeParity:
         rng = np.random.default_rng(31)
         logits = rng.standard_normal((6, 4)) * 3
         labels = rng.integers(0, 4, size=6)
-        assert_matches_tape(ce(log_p(logits), labels),
+        assert_matches_tape(ce(logits, labels),
                             tape_value_and_grads(lambda t: tl.ce_graph(t, labels), logits))
 
     def test_consistency_parity(self):
@@ -352,7 +390,7 @@ class TestNumpyTapeParity:
         pseudo, accept = decisions.pseudo, decisions.pl_accept
         assert 0 < accept.sum() < 6
         assert_matches_tape(
-            consistency(log_p(strong), pseudo, accept),
+            consistency(strong, pseudo, accept),
             tape_value_and_grads(lambda t: tl.consistency_graph(t, pseudo, accept), strong))
 
     def test_ova_em_socr_neg_parity(self):

@@ -5,7 +5,7 @@ import pytest
 
 from skipalign.heads import log_softmax, normalize
 from skipalign.oracles import finite_diff_grad
-from skipalign.sna import usna
+from skipalign.sna import tangential, usna
 from skipalign.trainer import TrainConfig
 
 
@@ -34,7 +34,9 @@ def tangential_project(z, v) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     unit_protos = normalize(v[None, :])[0]
-    grad = usna(*normalize(z[None, :]), unit_protos, [0], [0], temperature=1.0)[1][0]
+    unit, norms = normalize(z[None, :])
+    grad = tangential(usna(unit, unit_protos, np.zeros((1, 1)), np.ones(1), 1.0)[1], unit,
+                      norms)[0]
     return grad * np.linalg.norm(z) * np.linalg.norm(v)
 
 

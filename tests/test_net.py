@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skipalign.autodiff import constant
-from skipalign.heads import ce, log_softmax, two_way
+from skipalign.heads import classifier, log_softmax, one_hot, two_way
 from skipalign.net import (ForwardResult, NetSpec, ParamState, backward, forward,
                            forward_tensors, init_params, layout, load_checkpoint, param_count,
                            save_checkpoint, sgd_step)
@@ -180,8 +180,9 @@ class TestDeterminism:
         labels = np.array([0, 1, 0, 1])
 
         def closure(out):
-            value, grad = ce(log_softmax(out.cc_logits)[0], labels)
-            return value, {"cc_logits": grad}
+            log_p, probs, _ = log_softmax(out.cc_logits)
+            losses, grad = classifier(log_p, probs, one_hot(labels, 2), np.full(4, 0.25))
+            return losses.mean(), {"cc_logits": grad}
 
         def run():
             params = init_params(TINY)

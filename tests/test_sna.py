@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from skipalign.heads import compose, normalize
+from skipalign.heads import compose, normalize, one_hot
 from skipalign.oracles import finite_diff_grad
-from skipalign.sna import SnaWeights, dual_gate, ia, pa, usna
+from skipalign.sna import SnaWeights, dual_gate, ia, tangential, usna
 from skipalign.trainer import TrainConfig
 
 
@@ -18,21 +18,41 @@ def orthonormal_protos(k: int, dim: int, seed: int = 0) -> np.ndarray:
 TWO_PROTOS = normalize(np.array([[1.0, 0.0], [0.0, 1.0]]))[0]
 
 
+def usna_mean(z, protos: np.ndarray, phi, k_hat, temperature: float):
+    """`usna` over the rows of z as one batch mean: (value, gradient w.r.t. z)."""
+    unit, norms = normalize(np.asarray(z, dtype=np.float64))
+    pull = one_hot(k_hat, len(protos)) * np.asarray(phi, dtype=np.float64)[:, None]
+    losses, grad = usna(unit, protos, pull, np.full(len(unit), 1.0 / len(unit)), temperature)
+    return float(losses.mean()), tangential(grad, unit, norms)
+
+
 def usna_loss(z, protos: np.ndarray, phi: int, k_hat: int, temperature: float) -> float:
     """`usna` on a single embedding: its value."""
-    z = np.asarray(z, dtype=np.float64)[None, :]
-    return usna(*normalize(z), protos, [phi], [k_hat], temperature)[0]
+    return usna_mean(np.asarray(z, dtype=np.float64)[None, :], protos, [phi], [k_hat],
+                     temperature)[0]
 
 
 def usna_grad(z, protos: np.ndarray, phi: int, k_hat: int, temperature: float):
     """`usna` on a single embedding: its gradient row."""
-    z = np.asarray(z, dtype=np.float64)[None, :]
-    return usna(*normalize(z), protos, [phi], [k_hat], temperature)[1][0]
+    return usna_mean(np.asarray(z, dtype=np.float64)[None, :], protos, [phi], [k_hat],
+                     temperature)[1][0]
+
+
+def pa(z, protos: np.ndarray, labels, temperature: float):
+    """Prototype alignment: `usna` with the gate open on every row."""
+    return usna_mean(z, protos, np.ones(len(z)), labels, temperature)
 
 
 def pa_loss(z, protos: np.ndarray, y: int, temperature: float) -> float:
-    z = np.asarray(z, dtype=np.float64)[None, :]
-    return pa(*normalize(z), protos, [y], temperature)[0]
+    return pa(np.asarray(z, dtype=np.float64)[None, :], protos, [y], temperature)[0]
+
+
+def ia_mean(z, labels, temperature: float):
+    """`ia` over the rows of z: (value, gradient w.r.t. z)."""
+    unit, norms = normalize(np.asarray(z, dtype=np.float64))
+    labels = np.asarray(labels)
+    value, grad = ia(unit, one_hot(labels, labels.max() + 1), temperature, 1.0)
+    return value, tangential(grad, unit, norms)
 
 
 class TestDualGate:
@@ -190,13 +210,13 @@ class TestUsnaGrad:
 
 class TestIaLoss:
     def test_identical_pair_is_zero(self):
-        loss, grad = ia(*normalize(np.array([[1.0, 0.0], [1.0, 0.0]])), np.array([0, 0]),
+        loss, grad = ia_mean(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([0, 0]),
                         temperature=1.0)
         assert loss == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_orthogonal_same_class_pair_is_zero(self):
-        loss, _ = ia(*normalize(np.array([[1.0, 0.0], [0.0, 1.0]])), np.array([0, 0]),
+        loss, _ = ia_mean(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]),
                      temperature=1.0)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
@@ -204,16 +224,16 @@ class TestIaLoss:
         # Anchors 0 and 1 (same class, identical); sample 2 orthogonal, other
         # class. Each contributing anchor: -log(e / (e + 1)).
         z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        loss, _ = ia(*normalize(z), np.array([0, 0, 1]), temperature=1.0)
+        loss, _ = ia_mean(z, np.array([0, 0, 1]), temperature=1.0)
         expected = -math.log(math.e / (math.e + 1))
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_all_distinct_labels_flagged(self):
-        loss, grad = ia(*normalize(np.array([[1.0, 0.0], [0.0, 1.0]])), np.array([0, 1]), 1.0)
+        loss, grad = ia_mean(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), 1.0)
         assert loss == 0.0 and not grad.any()
 
     def test_single_sample_has_no_pairs(self):
-        loss, grad = ia(*normalize(np.array([[1.0, 0.0]])), np.array([0]), 1.0)
+        loss, grad = ia_mean(np.array([[1.0, 0.0]]), np.array([0]), 1.0)
         assert loss == 0.0 and not grad.any()
 
 
@@ -256,8 +276,8 @@ class TestSnaTotal:
         # identical pair of class 0.
         labels = np.array([0, 0])
         return (usna_loss([1.0, 0.0], TWO_PROTOS, 1, 0, 1.0),
-                ia(*normalize(self.LABELED), labels, 1.0)[0],
-                pa(*normalize(self.LABELED), TWO_PROTOS, labels, 1.0)[0])
+                ia_mean(self.LABELED, labels, 1.0)[0],
+                pa(self.LABELED, TWO_PROTOS, labels, 1.0)[0])
 
     def test_all_zero_weights(self):
         assert self._sna(0.0, 0.0, 0.0, *self._leaves()) == 0.0

@@ -1,10 +1,25 @@
-"""The stacked training step against the per-view step it replaced, bit for bit.
+"""The stacked training step against a per-view step, bit for bit.
 
-`reference_step` keeps the earlier step: `net.backward` cut the stacked
-forward into four per-view ForwardResults, every loss recomputed its softmax,
-two-way softmax or unit rows from its view's raw outputs, and the objective
-scattered a per-view, per-head gradient dict back into the batch. The step
-that trains now computes each per-row quantity once on the stacked arrays
+`reference_step` keeps the per-view shape of the earlier step: `net.backward`
+cut the stacked forward into four per-view ForwardResults, every loss recomputed
+its softmax, two-way softmax or unit rows from its view's raw outputs, and the
+objective scattered a per-view, per-head gradient dict back into the batch. It
+adopts each deliberate formula change of the one-pass step:
+
+- one classifier kernel with a target row and a weight per row: cross-entropy
+  on x_w, consistency on u_s, weight 0 on u_w and u_w2;
+- each loss's slope and 1/n fold into one scale per row on its gradient, and
+  each row's log-softmax keeps its log-sum-exp;
+- the two-way terms give the OOD logits the negated ID gradient, taken before
+  socr adds to the ID logits;
+- neg runs once over the u_w, u_w2 and u_s rows (u_w2 without negatives), so
+  its value sums their stacked products;
+- prototype alignment is usna with the gate open: one cosine product and one
+  prototype softmax over the stacked x_w and u_w unit rows, the repulsion's
+  log-sum-exp taken from that softmax;
+- the alignment gradients are summed on the sphere and projected once.
+
+The step that trains computes each per-row quantity once on the stacked arrays
 (`trainer.step_rows`) and writes full-batch head gradients; it must give the
 same terms, the same frozen decisions and the same flat gradient, byte for
 byte.
@@ -22,7 +37,15 @@ from skipalign.sna import LOSS_COMBOS, SnaWeights, dual_gate
 from skipalign.trainer import (LEAVES, Decisions, TrainConfig, _make_closure, freeze_decisions,
                                objective, step_rows)
 
-# --- The per-view step, as it was before the stacked pass. -------------------
+# --- The per-view step. -------------------------------------------------------
+
+
+def ref_log_softmax(logits):
+    shift = np.max(logits, axis=1, keepdims=True)
+    e = np.exp(logits - shift)
+    total = e.sum(axis=1, keepdims=True)
+    lse = np.log(total) + shift
+    return logits - lse, e / total, lse
 
 
 def ref_two_way_log_probs(id_logits, ood_logits):
@@ -45,45 +68,28 @@ def ref_id_probs(id_logits, ood_logits):
     return e_id / (e_id + e_ood)
 
 
-def ref_consistency(strong_logits, pseudo, accept):
-    n, k = strong_logits.shape
-    kept = np.asarray(accept, dtype=np.float64)[:, None]
-    y = one_hot(pseudo, k) * kept
-    shift = np.max(strong_logits, axis=1, keepdims=True)
-    log_p = strong_logits - (np.log(np.exp(strong_logits - shift).sum(axis=1, keepdims=True))
-                             + shift)
-    value = -(log_p * y).sum(axis=1).sum() * (1.0 / n)
-    return float(value), (np.exp(log_p) * kept - y) * (1.0 / n)
+def ref_classifier(logits, target, scale):
+    """Per-row losses and the scaled logit gradient of one view's rows."""
+    log_p, probs, _ = ref_log_softmax(logits)
+    return -(log_p * target).sum(axis=1), (probs - target) * scale[:, None]
 
 
-def ref_ce(logits, labels):
-    return ref_consistency(logits, labels, np.ones(len(logits)))
-
-
-def ref_ova(id_logits, ood_logits, labels):
-    n, k = id_logits.shape
-    y = one_hot(labels, k)
+def ref_ova(id_logits, ood_logits, y, scale):
     log_p_id, log_p_ood = ref_two_way_log_probs(id_logits, ood_logits)
-    value = -(log_p_id * y + log_p_ood * (1.0 - y)).sum(axis=1).sum() * (1.0 / n)
-    g_id = (np.exp(log_p_id) - y) * (1.0 / n)
-    return float(value), g_id, -g_id
+    value = -(log_p_ood + y * (log_p_id - log_p_ood)).sum()
+    return float(value), (np.exp(log_p_id) - y) * scale
 
 
-def ref_em(id_logits, ood_logits):
-    n = id_logits.shape[0]
+def ref_em(id_logits, ood_logits, scale):
     log_p_id, log_p_ood = ref_two_way_log_probs(id_logits, ood_logits)
     p_id, p_ood = np.exp(log_p_id), np.exp(log_p_ood)
-    value = (-(p_id * log_p_id + p_ood * log_p_ood)).sum(axis=1).sum() * (1.0 / n)
-    g_id = -(p_id * p_ood * (log_p_id - log_p_ood)) * (1.0 / n)
-    return float(value), g_id, -g_id
+    value = -(p_id * log_p_id + p_ood * log_p_ood).sum()
+    return float(value), (p_ood * (log_p_ood - log_p_id)) * (p_id * scale)
 
 
-def ref_socr(id_logits, id_logits2):
-    n = id_logits.shape[0]
+def ref_socr(id_logits, id_logits2, scale):
     diff = id_logits - id_logits2
-    value = (diff * diff).sum(axis=1).sum() * (1.0 / n)
-    g = diff * (2.0 / n)
-    return float(value), g, -g
+    return float((diff * diff).sum()), diff * (2.0 * scale)
 
 
 def ref_negatives(id_logits, ood_logits, eta_neg):
@@ -91,14 +97,12 @@ def ref_negatives(id_logits, ood_logits, eta_neg):
     return (log_p_id < np.log(eta_neg)).astype(np.float64)
 
 
-def ref_neg(id_logits, ood_logits, selected):
-    n = id_logits.shape[0]
+def ref_neg_rows(id_logits, ood_logits, selected, scale):
+    """One view's weighted -log(OOD probability) products and its ID-logit gradient."""
     log_p_id, log_p_ood = ref_two_way_log_probs(id_logits, ood_logits)
-    counts = selected.sum(axis=1)
-    scale = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
-    value = (-(log_p_ood * selected).sum(axis=1) * scale).sum() * (1.0 / n)
-    g_id = selected * (scale * (1.0 / n))[:, None] * np.exp(log_p_id)
-    return float(value), g_id, -g_id
+    counts = selected.sum(axis=1, keepdims=True)
+    w = selected * (1.0 / np.maximum(counts, 1.0))
+    return log_p_ood * w, w * (np.exp(log_p_id) * scale)
 
 
 def ref_unit_rows(z):
@@ -113,50 +117,36 @@ def ref_tangential(grad_unit, unit_rows, norms):
     return (grad_unit - radial * unit_rows) / norms
 
 
-def ref_usna(z, unit_protos, phi, pred_class, temperature):
-    n = z.shape[0]
-    pull = one_hot(pred_class, unit_protos.shape[0]) * np.asarray(phi, dtype=np.float64)[:, None]
-    zh, norms = ref_unit_rows(z)
+def ref_usna_rows(zh, unit_protos, pull, scale, temperature):
+    """Per-row losses and the gradient w.r.t. the unit rows, on stacked unit rows."""
     scaled = (zh @ unit_protos.T) * (1.0 / temperature)
-    shift = np.max(scaled, axis=1, keepdims=True)
-    e = np.exp(scaled - shift)
-    total = e.sum(axis=1, keepdims=True)
-    lse = (np.log(total) + shift).reshape(-1)
-    value = (lse - (scaled * pull).sum(axis=1)).sum() * (1.0 / n)
-    grad_unit = ((e / total - pull) @ unit_protos) * (1.0 / (temperature * n))
-    return float(value), ref_tangential(grad_unit, zh, norms)
+    _, probs, lse = ref_log_softmax(scaled)
+    losses = lse[:, 0] - (scaled * pull).sum(axis=1)
+    return losses, ((probs - pull) * (scale * (1.0 / temperature))[:, None]) @ unit_protos
 
 
-def ref_pa(z, unit_protos, labels, temperature):
-    return ref_usna(z, unit_protos, np.ones(z.shape[0]), labels, temperature)
-
-
-def ref_ia(z, labels, temperature):
-    n = z.shape[0]
+def ref_ia(zh, labels, temperature, scale):
+    n = zh.shape[0]
     y = np.asarray(labels, dtype=np.int64)
-    zh, norms = ref_unit_rows(z)
     positives = (y[:, None] == y[None, :]).astype(np.float64)
     np.fill_diagonal(positives, 0.0)
     counts = positives.sum(axis=1)
     contributing = counts > 0
     n_anchors = int(contributing.sum())
     if n_anchors == 0:
-        return 0.0, np.zeros_like(z)
+        return 0.0, np.zeros_like(zh)
     sims = (zh @ zh.T) * (1.0 / temperature)
-    masked = sims + np.diag(np.full(n, -1e30))
-    shift = np.max(masked, axis=1, keepdims=True)
-    e = np.exp(masked - shift)
-    total = e.sum(axis=1, keepdims=True)
-    log_prob = sims - (np.log(total) + shift)
-    weights = np.where(contributing, 1.0 / np.maximum(counts, 1.0), 0.0)
-    value = (-(log_prob * positives).sum(axis=1) * weights).sum() * (1.0 / n_anchors)
-    grad_sims = (contributing[:, None] * (e / total) - weights[:, None] * positives) \
-        * (1.0 / n_anchors)
-    grad_unit = ((grad_sims + grad_sims.T) @ zh) * (1.0 / temperature)
-    return float(value), ref_tangential(grad_unit, zh, norms)
+    np.fill_diagonal(sims, -1e30)
+    log_prob, prob, _ = ref_log_softmax(sims)
+    weighted = positives * (1.0 / np.maximum(counts, 1.0))[:, None]
+    value = -np.vdot(log_prob, weighted) * (1.0 / n_anchors)
+    if n_anchors < n:
+        prob = prob * contributing[:, None]
+    grad_sims = prob - weighted
+    return float(value), ((grad_sims + grad_sims.T) @ zh) * (scale / (temperature * n_anchors))
 
 
-def ref_freeze_decisions(uw, us, cfg):
+def ref_freeze_decisions(uw, uw2, us, cfg):
     gate_probs = ref_softmax_rows(uw.cc_logits, cfg.gate_temperature)
     pl_probs = ref_softmax_rows(uw.cc_logits)
     pseudo = np.argmax(pl_probs, axis=1)
@@ -166,51 +156,89 @@ def ref_freeze_decisions(uw, us, cfg):
                        cfg.eta_id),
         pseudo=pseudo,
         pl_accept=pl_probs[np.arange(pseudo.size), pseudo] > cfg.head.tau_pl,
-        neg_w=ref_negatives(uw.id_logits, uw.ood_logits, eta_neg),
-        neg_s=ref_negatives(us.id_logits, us.ood_logits, eta_neg),
+        negative=np.concatenate([ref_negatives(uw.id_logits, uw.ood_logits, eta_neg),
+                                 np.zeros(uw2.id_logits.shape),
+                                 ref_negatives(us.id_logits, us.ood_logits, eta_neg)]),
     )
 
 
 def ref_objective(outputs, labels, unit_protos, decisions, cfg):
     head, sna_w = cfg.head, cfg.sna
-    xw, uw, uw2, us = outputs["x_w"], outputs["u_w"], outputs["u_w2"], outputs["u_s"]
+    views = ("x_w", "u_w", "u_w2", "u_s")
+    xw, uw, uw2, us = (outputs[view] for view in views)
     weights, slopes = cfg.weights_and_slopes
+    b, m, k = len(labels), len(decisions.pseudo), xw.cc_logits.shape[1]
+    gate, accept = decisions.gate, decisions.pl_accept
     terms = dict.fromkeys(LEAVES, 0.0)
-    grads = {view: {} for view in outputs}
+    grads = {view: {} for view in views}
 
-    def term(leaf, value_and_grads, targets):
-        slope = slopes[leaf]
-        terms[leaf] = value_and_grads[0]
-        for (view, name), g in zip(targets, value_and_grads[1:]):
-            by_head = grads[view]
-            by_head[name] = by_head[name] + slope * g if name in by_head else slope * g
-
-    term("x", ref_ce(xw.cc_logits, labels), [("x_w", "cc_logits")])
+    # The classifier on every view: a target row and a weight per row.
+    pseudo_target = one_hot(decisions.pseudo, k) * accept[:, None]
+    targets = {"x_w": one_hot(labels, k), "u_w": one_hot(gate.pred_class, k) * gate.phi[:, None],
+               "u_w2": pseudo_target, "u_s": pseudo_target}
+    scales = {"x_w": np.full(b, slopes["x"] / b), "u_w": np.zeros(m), "u_w2": np.zeros(m),
+              "u_s": accept * (slopes["u"] / m)}
+    losses = {}
+    for view in views:
+        losses[view], grads[view]["cc_logits"] = ref_classifier(
+            outputs[view].cc_logits, targets[view], scales[view])
+    terms["x"] = losses["x_w"].sum() * (1.0 / b)
     if head.lambda_u > 0:
-        term("u", ref_consistency(us.cc_logits, decisions.pseudo, decisions.pl_accept),
-             [("u_s", "cc_logits")])
-    term("ova", ref_ova(xw.id_logits, xw.ood_logits, labels),
-         [("x_w", "id_logits"), ("x_w", "ood_logits")])
+        terms["u"] = losses["u_s"].sum() * (1.0 / m)
+
+    # The detector: the two-way terms' ID gradients, each view's OOD gradient their
+    # negative, then socr on the ID logits.
+    value, ova_g = ref_ova(xw.id_logits, xw.ood_logits, targets["x_w"], slopes["ova"] / b)
+    terms["ova"] = value * (1.0 / b)
+    two_way_g = {"x_w": ova_g, **{view: np.zeros((m, k)) for view in views[1:]}}
     if head.lambda_em > 0:
-        term("em", ref_em(uw.id_logits, uw.ood_logits),
-             [("u_w", "id_logits"), ("u_w", "ood_logits")])
-    if head.lambda_socr > 0:
-        term("socr", ref_socr(uw.id_logits, uw2.id_logits),
-             [("u_w", "id_logits"), ("u_w2", "id_logits")])
+        value, two_way_g["u_w"] = ref_em(uw.id_logits, uw.ood_logits, slopes["em"] / m)
+        terms["em"] = value * (1.0 / m)
     if head.lambda_neg > 0:
-        weak = ref_neg(uw.id_logits, uw.ood_logits, decisions.neg_w)
-        strong = ref_neg(us.id_logits, us.ood_logits, decisions.neg_s)
-        term("neg", (weak[0] + strong[0], *weak[1:], *strong[1:]),
-             [("u_w", "id_logits"), ("u_w", "ood_logits"),
-              ("u_s", "id_logits"), ("u_s", "ood_logits")])
+        products = []
+        for view, selected in zip(views[1:], np.split(decisions.negative, 3)):
+            rows, g = ref_neg_rows(outputs[view].id_logits, outputs[view].ood_logits, selected,
+                                   slopes["neg"] / m)
+            products.append(rows)
+            two_way_g[view] = two_way_g[view] + g
+        terms["neg"] = float(-np.concatenate(products).sum()) * (1.0 / m)
+    for view in views:
+        grads[view]["id_logits"] = two_way_g[view]
+        grads[view]["ood_logits"] = -two_way_g[view]
+    if head.lambda_socr > 0:
+        value, g = ref_socr(uw.id_logits, uw2.id_logits, slopes["socr"] / m)
+        terms["socr"] = value * (1.0 / m)
+        grads["u_w"]["id_logits"] = grads["u_w"]["id_logits"] + g
+        grads["u_w2"]["id_logits"] = -g
+
+    # Alignment: the views an enabled term reads, one usna pass over their stacked
+    # unit rows, ia on the x_w rows, one projection.
     t = sna_w.temperature
-    if sna_w.lambda_usna > 0:
-        term("usna", ref_usna(uw.embeddings, unit_protos, decisions.gate.phi,
-                              decisions.gate.pred_class, t), [("u_w", "embeddings")])
-    if sna_w.lambda_ia > 0:
-        term("ia", ref_ia(xw.embeddings, labels, t), [("x_w", "embeddings")])
-    if sna_w.lambda_pa > 0:
-        term("pa", ref_pa(xw.embeddings, unit_protos, labels, t), [("x_w", "embeddings")])
+    sna_views = [view for view, on in (
+        ("x_w", sna_w.lambda_ia > 0 or sna_w.lambda_pa > 0), ("u_w", sna_w.lambda_usna > 0))
+        if on]
+    if sna_views:
+        unit = {view: ref_unit_rows(outputs[view].embeddings) for view in sna_views}
+        g_unit = {view: np.zeros(unit[view][0].shape) for view in sna_views}
+        if sna_w.lambda_usna > 0 or sna_w.lambda_pa > 0:
+            row_scales = {"x_w": np.full(b, slopes["pa"] / b),
+                          "u_w": np.full(m, slopes["usna"] / m)}
+            rows, g = ref_usna_rows(np.concatenate([unit[view][0] for view in sna_views]),
+                                    unit_protos,
+                                    np.concatenate([targets[view] for view in sna_views]),
+                                    np.concatenate([row_scales[view] for view in sna_views]), t)
+            ends = np.cumsum([len(unit[view][0]) for view in sna_views])
+            for view, end in zip(sna_views, ends):
+                g_unit[view] = g[end - len(unit[view][0]):end]
+                if view == "x_w" and sna_w.lambda_pa > 0:
+                    terms["pa"] = rows[:end].sum() * (1.0 / b)
+                if view == "u_w":
+                    terms["usna"] = rows[end - m:end].sum() * (1.0 / m)
+        if sna_w.lambda_ia > 0:
+            terms["ia"], g = ref_ia(unit["x_w"][0], labels, t, slopes["ia"])
+            g_unit["x_w"] = g_unit["x_w"] + g
+        for view in sna_views:
+            grads[view]["embeddings"] = ref_tangential(g_unit[view], *unit[view])
     terms.update(compose(terms, weights))
     return terms, grads
 
@@ -244,7 +272,7 @@ def ref_backward(params, inputs, closure):
 
     def through(name, g):
         grads[f"{name}.W"] = layer_inputs[name].T @ g
-        grads[f"{name}.b"] = g.sum(axis=0)
+        grads[f"{name}.b"] = np.ones(len(g)) @ g
         return g @ params.view(f"{name}.W").T
 
     g = through("cc", g_cc) + through("od", g_od)
@@ -261,7 +289,8 @@ def reference_step(params, inputs, labels, unit_protos, cfg):
     seen = {}
 
     def closure(outputs):
-        seen["decisions"] = decisions = ref_freeze_decisions(outputs["u_w"], outputs["u_s"], cfg)
+        seen["decisions"] = decisions = ref_freeze_decisions(outputs["u_w"], outputs["u_w2"],
+                                                             outputs["u_s"], cfg)
         terms, grads = ref_objective(outputs, labels, unit_protos, decisions, cfg)
         seen["terms"] = terms
         return terms["total"], grads
@@ -278,7 +307,7 @@ def stacked_step(params, x, labels, unit_protos, cfg):
     seen = {}
 
     def closure(out):
-        rows = step_rows(out, len(labels))
+        rows = step_rows(out, len(labels), cfg.gate_temperature)
         seen["decisions"] = decisions = freeze_decisions(rows, cfg)
         terms, grads = objective(rows, labels, unit_protos, decisions, cfg)
         seen["terms"] = terms
@@ -327,7 +356,7 @@ def assert_same_decisions(got: Decisions, want: Decisions):
     for name in ("phi", "cc_conf", "od_conf", "pred_class"):
         a, b = getattr(got.gate, name), getattr(want.gate, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    for name in ("pseudo", "pl_accept", "neg_w", "neg_s"):
+    for name in ("pseudo", "pl_accept", "negative"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert np.ascontiguousarray(a).tobytes() == b.tobytes(), name
@@ -355,6 +384,6 @@ def test_thresholds_split_every_decision():
     params, inputs, labels, unit_protos, cfg = case_inputs()
     x = np.concatenate(list(inputs.values()))
     decisions = stacked_step(params, x, labels, unit_protos, cfg)[1]
-    for mask in (decisions.gate.phi, decisions.pl_accept, decisions.neg_w.any(axis=1),
-                 decisions.neg_s.any(axis=1)):
+    neg_w, _, neg_s = np.split(decisions.negative, 3)
+    for mask in (decisions.gate.phi, decisions.pl_accept, neg_w.any(axis=1), neg_s.any(axis=1)):
         assert 0 < mask.sum() < mask.size

@@ -5,9 +5,30 @@ import pytest
 
 import skipalign.tensor_losses as tl
 from skipalign.autodiff import constant, parameter
-from skipalign.heads import normalize
+from skipalign.heads import normalize, one_hot
 from skipalign.oracles import finite_diff_grad
-from skipalign.sna import ia, pa, usna
+from skipalign.sna import ia, tangential, usna
+
+
+def usna_mean(z, unit_protos, phi, pred, temperature) -> tuple[float, np.ndarray]:
+    """`usna` over the rows of z as one batch mean: (value, gradient w.r.t. z)."""
+    unit, norms = normalize(np.asarray(z, dtype=np.float64))
+    pull = one_hot(pred, len(unit_protos)) * np.asarray(phi, dtype=np.float64)[:, None]
+    losses, grad = usna(unit, unit_protos, pull, np.full(len(unit), 1.0 / len(unit)), temperature)
+    return float(losses.mean()), tangential(grad, unit, norms)
+
+
+def pa(z, unit_protos, labels, temperature) -> tuple[float, np.ndarray]:
+    """Prototype alignment: `usna` with the gate open on every row."""
+    return usna_mean(z, unit_protos, np.ones(len(z)), labels, temperature)
+
+
+def ia_mean(z, labels, temperature) -> tuple[float, np.ndarray]:
+    """`ia` over the rows of z: (value, gradient w.r.t. z)."""
+    unit, norms = normalize(np.asarray(z, dtype=np.float64))
+    labels = np.asarray(labels)
+    value, grad = ia(unit, one_hot(labels, labels.max() + 1), temperature, 1.0)
+    return value, tangential(grad, unit, norms)
 
 
 def tape(build, z: np.ndarray) -> tuple[float, np.ndarray]:
@@ -32,7 +53,7 @@ class TestUsnaGraph:
             phi = rng.integers(0, 2, batch)
             pred = rng.integers(0, k, batch)
             t = rng.uniform(0.1, 2.0)
-            value, grad = usna(*normalize(z), unit_protos, phi, pred, t)
+            value, grad = usna_mean(z, unit_protos, phi, pred, t)
             want, want_grad = tape(lambda e: tl.usna_graph(e, unit_protos, phi, pred, t), z)
             assert value == pytest.approx(want, rel=1e-12)
             assert rel(grad, want_grad) <= 1e-12
@@ -48,7 +69,7 @@ class TestUsnaGraph:
         t = 0.7
         _, grad = tape(lambda e: tl.usna_graph(e, unit_protos, phi, pred, t), z)
         for i in range(batch):
-            row = usna(*normalize(z[i:i + 1]), unit_protos, phi[i:i + 1], pred[i:i + 1], t)[1][0]
+            row = usna_mean(z[i:i + 1], unit_protos, phi[i:i + 1], pred[i:i + 1], t)[1][0]
             np.testing.assert_allclose(grad[i], row / batch, atol=1e-12)
 
 
@@ -60,7 +81,7 @@ class TestPaGraph:
         z = rng.standard_normal((batch, dim))
         labels = rng.integers(0, k, batch)
         t = 0.5
-        value, grad = pa(*normalize(z), unit_protos, labels, t)
+        value, grad = pa(z, unit_protos, labels, t)
         want, want_grad = tape(lambda e: tl.pa_graph(e, unit_protos, labels, t), z)
         assert value == pytest.approx(want, rel=1e-12)
         assert rel(grad, want_grad) <= 1e-12
@@ -74,7 +95,7 @@ class TestIaGraph:
             z = rng.standard_normal((batch, dim))
             labels = rng.integers(0, 3, batch)
             t = rng.uniform(0.2, 1.5)
-            value, grad = ia(*normalize(z), labels, t)
+            value, grad = ia_mean(z, labels, t)
             want, want_grad = tape(lambda e: tl.ia_graph(e, labels, t), z)
             assert value == pytest.approx(want, rel=1e-12)
             assert rel(grad, want_grad) <= 1e-12
@@ -84,7 +105,7 @@ class TestIaGraph:
         z = rng.standard_normal((3, 4))
         labels = np.array([0, 1, 2])
         assert tl.ia_graph(parameter(z), labels, 0.5).item() == 0.0
-        value, grad = ia(*normalize(z), labels, 0.5)
+        value, grad = ia_mean(z, labels, 0.5)
         assert value == 0.0 and not grad.any()
 
     def test_gradient_matches_finite_differences(self):
@@ -100,6 +121,6 @@ class TestIaGraph:
 
         numeric = finite_diff_grad(value, z0.ravel()).reshape(z0.shape)
         assert rel(grad, numeric) <= 1e-7
-        closed = finite_diff_grad(lambda flat: ia(*normalize(flat.reshape(z0.shape)), labels, t)[0],
+        closed = finite_diff_grad(lambda flat: ia_mean(flat.reshape(z0.shape), labels, t)[0],
                                   z0.ravel()).reshape(z0.shape)
-        assert rel(ia(*normalize(z0), labels, t)[1], closed) <= 1e-7
+        assert rel(ia_mean(z0, labels, t)[1], closed) <= 1e-7

@@ -229,13 +229,17 @@ class TestTrainLoop:
         assert record["total"] == pytest.approx(recomposed, abs=1e-12)
 
     def test_per_step_work_is_done_once(self, monkeypatch):
-        # The per-row quantities once per step, the unit prototypes once per
-        # epoch, the parameter layout per spec.
+        # The per-row quantities once per step, each loss kernel once per step unless
+        # every weight it serves is zero (prototype alignment is usna with the gate
+        # open), the unit prototypes once per epoch, the parameter layout per spec.
         import skipalign.net as net_mod
         import skipalign.trainer as trainer_mod
         from skipalign.prototypes import PrototypeSet
 
-        calls = dict.fromkeys(("step_rows", "unit_directions", "layout"), 0)
+        kernels = {"classifier": (), "ova": (), "em": ("lambda_em",), "socr": ("lambda_socr",),
+                   "neg": ("lambda_neg",), "usna": ("lambda_usna", "lambda_pa"),
+                   "ia": ("lambda_ia",)}
+        calls = dict.fromkeys(("step_rows", "unit_directions", "layout", *kernels), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -243,19 +247,27 @@ class TestTrainLoop:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(trainer_mod, "step_rows", counted("step_rows", trainer_mod.step_rows))
+        for name in ("step_rows", *kernels):
+            monkeypatch.setattr(trainer_mod, name, counted(name, getattr(trainer_mod, name)))
         monkeypatch.setattr(PrototypeSet, "unit_directions",
                             counted("unit_directions", PrototypeSet.unit_directions))
         monkeypatch.setattr(net_mod, "layout", counted("layout", net_mod.layout))
-        layout_calls = []
-        for iters in (2, 5):
-            calls.update(dict.fromkeys(calls, 0))
-            cfg = tiny_config(epochs=2, iters_per_epoch=iters)
-            train(generate(cfg.scenario), cfg.net, cfg.train)
-            assert calls["step_rows"] == 2 * iters
-            assert calls["unit_directions"] == 2
-            layout_calls.append(calls["layout"])
-        assert layout_calls[0] == layout_calls[1]
+        for zero in ((), ("lambda_em", "lambda_socr", "lambda_neg"), ("lambda_usna",),
+                     ("lambda_usna", "lambda_pa", "lambda_ia")):
+            head = {name: 0.0 for name in zero if name in vars(HeadWeights())}
+            sna = {name: 0.0 for name in zero if name not in head}
+            layout_calls = []
+            for iters in (2, 5):
+                calls.update(dict.fromkeys(calls, 0))
+                cfg = tiny_config(epochs=2, iters_per_epoch=iters, head=head, sna=sna)
+                train(generate(cfg.scenario), cfg.net, cfg.train)
+                assert calls["step_rows"] == 2 * iters
+                for name, weights in kernels.items():
+                    skipped = bool(weights) and set(weights) <= set(zero)
+                    assert calls[name] == (0 if skipped else 2 * iters), (zero, name)
+                assert calls["unit_directions"] == 2
+                layout_calls.append(calls["layout"])
+            assert layout_calls[0] == layout_calls[1]
 
     def test_refreshed_embeddings_are_checked_for_finite_values_once(self, monkeypatch):
         # net.forward checks the labeled embeddings each refresh reads; nothing after
