@@ -2,15 +2,16 @@
 
 The OOD scoring rule is deliberately a tagged choice (the detector's ID
 probability at the classifier's argmax class by default) and the report
-names the rule it used. AUROC is the Mann-Whitney statistic, ties worth one
-half, counted exactly from one sort of the OOD scores. Each test row's kind
-and class index are read from the split's cluster table through the row's
-cluster code; rows are grouped once, in table order, and every per-category
-figure reads that grouping, so no step is quadratic in the test split and no
-Python runs per test row. The split is forwarded in
-balanced row ranges of at most FORWARD_CHUNK_ROWS, each reduced at once to
-the per-row figures (prediction, score, feature norm, best prototype cosine),
-so memory is one range's activations plus 1-D arrays over the split, and the
+names the rule it used; each rule computes only the inputs it reads. AUROC
+is the Mann-Whitney statistic, ties worth one half, counted exactly by
+walking the sorted ID scores through the sorted OOD scores. Each test row's
+kind and class index are read from the split's cluster table through the
+row's cluster code; rows are grouped once, in table order, and every
+per-category figure reads that grouping, so no step is quadratic in the test
+split and no Python runs per test row. The split is forwarded in balanced
+row ranges of at most FORWARD_CHUNK_ROWS, each reduced at once to the
+per-row figures (prediction, score, feature norm, best prototype cosine), so
+memory is one range's activations plus 1-D arrays over the split, and the
 bytes are those of one forward over all rows.
 """
 
@@ -18,12 +19,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .heads import log_softmax, normalize, two_way
-from .net import ParamState, forward
+from .net import ForwardResult, ParamState, forward
 from .synthdata import Split, write_float_rows
 
 SCORE_RULES = ("ova_id_at_cc_argmax", "max_cc_softmax", "max_ova_id", "feature_norm")
@@ -33,24 +35,39 @@ SCORE_RULES = ("ova_id_at_cc_argmax", "max_cc_softmax", "max_ova_id", "feature_n
 FORWARD_CHUNK_ROWS = 1024
 
 
-def ood_score(ova_probs: np.ndarray, cc_probs: np.ndarray, rule: str = SCORE_RULES[0],
-              feature_norms: np.ndarray | None = None) -> np.ndarray:
-    """Per-sample ID-ness score; higher means more in-distribution.
+def ood_score(out: ForwardResult, cc_probs: np.ndarray, pred: np.ndarray,
+              rule: str = SCORE_RULES[0], feature_norms: np.ndarray | None = None) -> np.ndarray:
+    """Per-row ID-ness score of a forward's rows; higher means more in-distribution.
 
-    `ova_probs` is the detector's (B, K) ID probability per class.
+    `cc_probs` is the classifier's (B, K) softmax of `out`'s rows and `pred` its argmax
+    per row. Each rule reads only its own inputs: only the two detector rules take the
+    two-way softmax, `ova_id_at_cc_argmax` on the logits at `pred` alone (the softmax is
+    elementwise, so its values are the full one's there), `max_cc_softmax` gathers the
+    softmax at `pred`, and `feature_norm` returns the rows' feature norms.
     """
     if rule == "ova_id_at_cc_argmax":
-        pred = np.argmax(cc_probs, axis=1)
-        return ova_probs[np.arange(pred.size), pred]
+        rows = np.arange(pred.size)
+        return two_way(out.id_logits[rows, pred], out.ood_logits[rows, pred])[3]
     if rule == "max_cc_softmax":
-        return np.max(cc_probs, axis=1)
+        return cc_probs[np.arange(pred.size), pred]
     if rule == "max_ova_id":
-        return np.max(ova_probs, axis=1)
+        return _row_max(two_way(out.id_logits, out.ood_logits)[3])
     if rule == "feature_norm":
         if feature_norms is None:
             raise ValueError("feature_norm scoring requires feature_norms")
-        return np.asarray(feature_norms, dtype=np.float64)
+        return feature_norms
     raise ValueError(f"unknown score rule '{rule}'")
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Each row's maximum, gathered at its argmax: the value .max(axis=1) gives, faster
+    on the few-column rows the heads and the prototypes give."""
+    return a[np.arange(len(a)), a.argmax(axis=1)]
+
+
+def _feature_norms(features: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean norm: np.linalg.norm's sum of squares, without its wrapper."""
+    return np.sqrt(np.add.reduce(features * features, axis=1))
 
 
 def _score_vector(name: str, scores) -> np.ndarray:
@@ -64,13 +81,14 @@ def auroc(id_scores, ood_scores) -> float:
     """Probability that a random ID sample outscores a random OOD sample.
 
     The Mann-Whitney count over all n_id * n_ood pairs, wins 1 and ties 0.5,
-    from one sort of the OOD scores: for each ID score, the OOD scores
-    strictly below it are its wins and those equal to it its ties. Both are
-    integer counts, so the value is the exact pair count's. NaN on either
-    side neither wins nor ties, as under pair comparison.
+    with both score sets sorted: for each ID score, the OOD scores strictly
+    below it are its wins and those equal to it its ties, and sorted needles
+    let each binary search start where the last one ended. Both are integer
+    counts, so the value is the exact pair count's. NaN on either side
+    neither wins nor ties, as under pair comparison.
     """
-    a = _score_vector("id_scores", id_scores)
-    b = np.sort(_score_vector("ood_scores", ood_scores))  # NaN sorts last
+    a = np.sort(_score_vector("id_scores", id_scores))  # NaN sorts last
+    b = np.sort(_score_vector("ood_scores", ood_scores))
     comparable = a[~np.isnan(a)]
     below = np.searchsorted(b, comparable, side="left")
     wins = below.sum()
@@ -144,11 +162,10 @@ def evaluate(params: ParamState, split: Split, unit_protos: np.ndarray,
     scores, norms, max_cos = np.empty(n), np.empty(n), np.empty(n)
     for lo, hi, out in _forward_ranges(params, split.test_x):
         cc_probs = log_softmax(out.cc_logits)[1]
-        pred[lo:hi] = np.argmax(cc_probs, axis=1)
-        norms[lo:hi] = np.linalg.norm(out.features, axis=1)
-        scores[lo:hi] = ood_score(two_way(out.id_logits, out.ood_logits)[3], cc_probs,
-                                  rule=score_rule, feature_norms=norms[lo:hi])
-        max_cos[lo:hi] = (normalize(out.embeddings)[0] @ unit_protos.T).max(axis=1)
+        pred[lo:hi] = cc_probs.argmax(axis=1)
+        norms[lo:hi] = _feature_norms(out.features)
+        scores[lo:hi] = ood_score(out, cc_probs, pred[lo:hi], score_rule, norms[lo:hi])
+        max_cos[lo:hi] = _row_max(normalize(out.embeddings)[0] @ unit_protos.T)
     accuracy = float((pred[id_rows] == true_class[id_rows]).mean())
 
     id_scores = scores[id_rows]
@@ -171,7 +188,11 @@ def evaluate(params: ParamState, split: Split, unit_protos: np.ndarray,
 
 
 def write_eval_json(report: EvalReport, path) -> str:
-    text = json.dumps(report.to_dict(), indent=2)
+    """The report as JSON. An AUC with no OOD rows to count is NaN, which JSON cannot
+    hold, so it is written as null; metrics.csv keeps it as nan."""
+    fields = {key: None if isinstance(value, float) and math.isnan(value) else value
+              for key, value in report.to_dict().items()}
+    text = json.dumps(fields, indent=2, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text)
     return text
@@ -189,6 +210,6 @@ def write_embedding_dump(params: ParamState, split: Split, path) -> None:
     n = split.test_x.shape[0]
     z, norms = np.empty((n, params.spec.embed_dim)), np.empty(n)
     for lo, hi, out in _forward_ranges(params, split.test_x):
-        z[lo:hi], norms[lo:hi] = out.embeddings, np.linalg.norm(out.features, axis=1)
+        z[lo:hi], norms[lo:hi] = out.embeddings, _feature_norms(out.features)
     write_float_rows(path, ["id", "category", "feature_norm"], "z", [
         ("{},{},{!r}", (split.test_ids, split.categories(split.test_cluster), norms), z)])

@@ -365,6 +365,30 @@ class TestCliEval:
         assert exc.value.code == 2
         assert not (run_dir / "rescore_bogus.json").exists()
 
+    def test_run_without_ood_rows_writes_strict_json(self, tmp_path):
+        # No OOD source: every AUC is absent, null in the JSON reports and nan in metrics.csv.
+        raw = json.loads(json.dumps(TINY_RAW))
+        raw["scenario"].update(seen_ood_clusters=0, unseen_ood_clusters=0,
+                               unseen_between_hull=0)
+        out_dir = tmp_path / "runs"
+        assert main(["run", "--config", write_config(tmp_path, raw), "--out", str(out_dir)]) == 0
+        run_dir = next(out_dir.iterdir())
+        for rule in metrics.SCORE_RULES:
+            assert main(["eval", "--run-dir", str(run_dir), "--score-rule", rule]) == 0
+
+        def no_constants(token):
+            raise ValueError(f"{token} is not JSON")
+
+        reports = ["eval_report.json"] + [f"rescore_{rule}.json" for rule in metrics.SCORE_RULES]
+        for name in reports:
+            report = json.loads((run_dir / name).read_text(), parse_constant=no_constants)
+            assert report["auroc_per_source"] == {}
+            assert [report[k] for k in ("seen_auc", "unseen_auc", "overall_auc")] == [None] * 3
+            assert report["accuracy"] is not None
+        with open(run_dir / "metrics.csv", newline="") as fh:
+            rows = dict(csv.reader(fh))
+        assert [rows[k] for k in ("seen_auc", "unseen_auc", "overall_auc")] == ["nan"] * 3
+
 
 class TestCliSweep:
     @pytest.mark.parametrize("text, axis, values, field", [

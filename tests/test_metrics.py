@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ from scipy.stats import rankdata
 
 from skipalign import metrics
 from skipalign.config import default_config
-from skipalign.heads import normalize, two_way
+from skipalign.heads import log_softmax, normalize, two_way
 from skipalign.metrics import (_forward_ranges, auroc, evaluate, ood_score, write_embedding_dump,
                                write_eval_csv)
 from skipalign.net import ForwardResult, forward, init_params
@@ -155,36 +156,63 @@ class TestAuroc:
         assert peak < 1_000_000
 
 
+def detector(id_logits, ood_logits):
+    """A forward's detector logits, all that `ood_score` reads of the forward."""
+    return SimpleNamespace(id_logits=np.asarray(id_logits, dtype=np.float64),
+                           ood_logits=np.asarray(ood_logits, dtype=np.float64))
+
+
 class TestOodScore:
     def test_all_one_id_probs(self):
-        probs = two_way(np.full((2, 3), 50.0), np.full((2, 3), -50.0))[3]
+        out = detector(np.full((2, 3), 50.0), np.full((2, 3), -50.0))
         cc = np.full((2, 3), 1 / 3)
-        np.testing.assert_allclose(ood_score(probs, cc), 1.0, atol=1e-12)
+        for rule in ("ova_id_at_cc_argmax", "max_ova_id"):
+            np.testing.assert_allclose(ood_score(out, cc, cc.argmax(axis=1), rule), 1.0,
+                                       atol=1e-12)
 
     def test_pass_through_at_argmax(self):
-        cc = np.array([[0.8, 0.2]])
-        assert ood_score(np.array([[0.5, 0.9]]), cc)[0] == 0.5
+        # Equal logits give an ID probability of exactly one half.
+        out = detector([[0.0, 3.0]], [[0.0, 0.0]])
+        assert ood_score(out, np.array([[0.8, 0.2]]), np.array([0]))[0] == 0.5
 
     def test_reads_per_sample_argmax_columns(self):
-        probs = np.array([[0.9, 0.1], [0.2, 0.7]])
+        id_logits, ood_logits = np.array([[2.0, -1.0], [0.5, 1.5]]), np.zeros((2, 2))
+        ref = ref_id_probs(id_logits, ood_logits)
         cc = np.array([[0.9, 0.1], [0.3, 0.7]])
-        assert ood_score(probs, cc).tolist() == [0.9, 0.7]
+        out = detector(id_logits, ood_logits)
+        assert ood_score(out, cc, np.array([0, 1])).tolist() == [ref[0, 0], ref[1, 1]]
+        # The columns are the given prediction's: the rule takes no argmax of its own.
+        assert ood_score(out, cc, np.array([1, 0])).tolist() == [ref[0, 1], ref[1, 0]]
+        assert ood_score(out, cc, np.array([1, 0]), "max_cc_softmax").tolist() == [0.1, 0.3]
 
     def test_alternative_rules(self):
-        probs = np.array([[0.4, 0.8]])
-        cc = np.array([[0.6, 0.4]])
-        assert ood_score(probs, cc, rule="max_cc_softmax")[0] == pytest.approx(0.6)
-        assert ood_score(probs, cc, rule="max_ova_id")[0] == pytest.approx(0.8)
+        id_logits, ood_logits = np.array([[0.0, 2.0]]), np.array([[1.0, 0.0]])
+        out, cc, pred = detector(id_logits, ood_logits), np.array([[0.6, 0.4]]), np.array([0])
+        assert ood_score(out, cc, pred, rule="max_cc_softmax")[0] == 0.6
+        assert ood_score(out, cc, pred, rule="max_ova_id")[0] == ref_id_probs(
+            id_logits, ood_logits).max()
         norms = np.array([2.5])
-        assert ood_score(probs, cc, rule="feature_norm", feature_norms=norms)[0] == 2.5
+        assert ood_score(out, cc, pred, rule="feature_norm", feature_norms=norms)[0] == 2.5
 
     def test_feature_norm_requires_norms(self):
         with pytest.raises(ValueError):
-            ood_score(np.array([[0.4]]), np.array([[1.0]]), rule="feature_norm")
+            ood_score(detector([[0.4]], [[0.0]]), np.array([[1.0]]), np.array([0]),
+                      rule="feature_norm")
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
-            ood_score(np.array([[0.4]]), np.array([[1.0]]), rule="entropy")
+            ood_score(detector([[0.4]], [[0.0]]), np.array([[1.0]]), np.array([0]),
+                      rule="entropy")
+
+    @pytest.mark.parametrize("rule", ["max_cc_softmax", "feature_norm"])
+    def test_rules_without_the_detector_take_no_two_way(self, setup, monkeypatch, rule):
+        params, split, unit_protos = setup
+
+        def two_way(*args):
+            raise AssertionError(f"{rule} reads no two-way softmax")
+
+        monkeypatch.setattr(metrics, "two_way", two_way)
+        assert evaluate(params, split, unit_protos, rule).score_rule == rule
 
 
 def row_categories(split, codes):
@@ -366,10 +394,10 @@ class TestEvaluate:
 
         out = forward(params, permuted.test_x)
         cc_probs = ref_softmax_rows(out.cc_logits)
-        scores = ood_score(ref_id_probs(out.id_logits, out.ood_logits), cc_probs)
+        pred = np.argmax(cc_probs, axis=1)
+        scores = ref_id_probs(out.id_logits, out.ood_logits)[np.arange(pred.size), pred]
         is_id = np.array([c.startswith("id:") for c in cats])
         true_class = np.array([int(c[3:]) if c.startswith("id:") else -1 for c in cats])
-        pred = np.argmax(cc_probs, axis=1)
         assert report.accuracy == float((pred[is_id] == true_class[is_id]).mean())
         expected = {"seen": brute_force_auroc(
             scores[is_id], scores[[c.startswith("seen:") for c in cats]])}
@@ -529,3 +557,98 @@ class TestEvaluationMemory:
         write_embedding_dump(params, split, tmp_path / "small.csv")
         assert traced_peak(write_embedding_dump, params, large_split,
                            tmp_path / "emb.csv") < 3_000_000
+
+
+def reference_evaluate(params, split, unit_protos, score_rule):
+    """`evaluate` written the plain way, the reference for its bytes: every rule takes
+    the full two-way softmax and an argmax of its own, norms come from np.linalg.norm,
+    and row maxima from `.max(axis=1)`."""
+    n = split.test_x.shape[0]
+    codes = split.test_cluster
+    present = np.flatnonzero(np.bincount(codes))
+    coarse = np.array([metrics.COARSE_CATEGORIES[kind] for kind, *_ in split.clusters])
+    groups = {c: (coarse == c)[codes] for c in dict.fromkeys(coarse[present].tolist())}
+    id_rows = groups["id"]
+    true_class = np.array([index for _, index, *_ in split.clusters])[codes]
+
+    pred = np.empty(n, dtype=np.intp)
+    scores, norms, max_cos = np.empty(n), np.empty(n), np.empty(n)
+    for lo, hi, out in _forward_ranges(params, split.test_x):
+        cc_probs = log_softmax(out.cc_logits)[1]
+        pred[lo:hi] = np.argmax(cc_probs, axis=1)
+        norms[lo:hi] = np.linalg.norm(out.features, axis=1)
+        ova_probs = two_way(out.id_logits, out.ood_logits)[3]
+        scores[lo:hi] = {
+            "ova_id_at_cc_argmax": lambda: ova_probs[np.arange(hi - lo),
+                                                     np.argmax(cc_probs, axis=1)],
+            "max_cc_softmax": lambda: np.max(cc_probs, axis=1),
+            "max_ova_id": lambda: np.max(ova_probs, axis=1),
+            "feature_norm": lambda: norms[lo:hi],
+        }[score_rule]()
+        max_cos[lo:hi] = (normalize(out.embeddings)[0] @ unit_protos.T).max(axis=1)
+    accuracy = float((pred[id_rows] == true_class[id_rows]).mean())
+
+    id_scores = scores[id_rows]
+    seen = {"seen": auroc(id_scores, scores[groups["seen_ood"]])} if "seen_ood" in groups else {}
+    unseen = {f"unseen_{split.clusters[k][1]}": auroc(id_scores, scores[codes == k])
+              for k in present.tolist() if split.clusters[k][0] == "unseen"}
+    sources = seen | unseen
+    return metrics.EvalReport(
+        accuracy=accuracy, score_rule=score_rule, auroc_per_source=sources,
+        seen_auc=sources.get("seen", float("nan")),
+        unseen_auc=float(np.mean(list(unseen.values()))) if unseen else float("nan"),
+        overall_auc=float(np.mean(list(sources.values()))) if sources else float("nan"),
+        norm_by_category={c: float(norms[rows].mean()) for c, rows in groups.items()},
+        cosine_by_category={c: float(max_cos[rows].mean()) for c, rows in groups.items()},
+        counts={c: int(rows.sum()) for c, rows in groups.items()},
+        missing_categories=[c for c in metrics.COARSE_CATEGORIES.values() if c not in groups],
+    )
+
+
+def tied_outputs(monkeypatch, setup):
+    """The setup split with a fake forward whose rows are full of exact ties: integer
+    classifier logits with the maximum at two classes, detector logits equal at two
+    classes, embeddings equally close to two of the axis prototypes, and integer
+    features, forwarded in 7-row ranges; with the (K, d) axis prototypes."""
+    params, split, _ = setup
+    n, k, d = split.test_x.shape[0], params.spec.num_classes, params.spec.embed_dim
+    rng = np.random.default_rng(11)
+    cc = rng.integers(0, 3, (n, k)).astype(np.float64)
+    cc[::3, :2] = 3.0  # the classifier's maximum at classes 0 and 1
+    id_logits = rng.integers(-2, 3, (n, k)).astype(np.float64)
+    id_logits[::2, 1:3] = 4.0  # the same ID probability at classes 1 and 2
+    ood_logits = rng.integers(-2, 3, (n, k)).astype(np.float64)
+    ood_logits[::2, 1:3] = 0.0
+    z = rng.integers(0, 3, (n, d)).astype(np.float64)
+    z[:, :2] = rng.integers(1, 3, (n, 1))  # as close to prototype 0 as to prototype 1
+    features = rng.integers(-2, 3, (n, params.spec.feature_dim)).astype(np.float64)
+    features[:, 0] = 3.0
+
+    def fake_forward(p, x):
+        rows = x[:, 0].astype(np.intp)
+        return ForwardResult(features=features[rows], embeddings=z[rows],
+                             cc_logits=cc[rows], id_logits=id_logits[rows],
+                             ood_logits=ood_logits[rows])
+
+    monkeypatch.setattr("skipalign.metrics.forward", fake_forward)
+    monkeypatch.setattr(metrics, "FORWARD_CHUNK_ROWS", 7)
+    test_x = np.repeat(np.arange(n, dtype=np.float64)[:, None], split.test_x.shape[1], axis=1)
+    return dataclasses.replace(split, test_x=test_x), np.eye(k, d)
+
+
+class TestEvaluateKeepsItsBytes:
+    """Each rule's report, as JSON, is the reference loop's, on the fixture split, on a
+    split that crosses FORWARD_CHUNK_ROWS, and on rows full of exact ties."""
+
+    @pytest.mark.parametrize("rule", metrics.SCORE_RULES)
+    @pytest.mark.parametrize("case", ["fixture", "large", "ties"])
+    def test_report_is_the_reference_loops(self, setup, large_split, monkeypatch, rule, case):
+        params, split, unit_protos = setup
+        if case == "large":
+            split = large_split
+            assert split.test_x.shape[0] > metrics.FORWARD_CHUNK_ROWS
+        elif case == "ties":
+            split, unit_protos = tied_outputs(monkeypatch, setup)
+        report = evaluate(params, split, unit_protos, rule)
+        reference = reference_evaluate(params, split, unit_protos, rule)
+        assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
