@@ -99,6 +99,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: Path, force: bool = False,
         report = evaluate(params, split, runlog.final_prototypes.unit_directions())
 
         runlog.write_jsonl(run_dir / "runlog.jsonl")
+        runlog.write_gate_detail(run_dir / "gate.npz")
         save_checkpoint(params, run_dir / "checkpoint.json")
         _write_prototypes(runlog.final_prototypes, run_dir / "prototypes.json")
         write_eval_json(report, run_dir / "eval_report.json")

@@ -66,7 +66,7 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
 def normalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit rows and the (B, 1) norms they were divided by. A row whose norm is below
     MIN_NORM or not finite (its squares overflow from about 1.3e154) is an error."""
-    norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
+    norms = np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True))
     if not ((norms >= MIN_NORM) & (norms < np.inf)).all():  # a NaN norm fails both
         raise ValueError("degenerate vector: cannot normalize a zero or non-finite row")
     return z / norms, norms
@@ -79,7 +79,7 @@ def log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     # faster on the few-column rows the heads emit.
     shift = logits[np.arange(len(logits)), logits.argmax(axis=1)][:, None]
     e = np.exp(logits - shift)
-    total = e.sum(axis=1, keepdims=True)
+    total = np.add.reduce(e, axis=1, keepdims=True)
     lse = np.log(total) + shift
     return logits - lse, e / total, lse
 
@@ -114,20 +114,20 @@ def classifier(log_p, probs, y, scale) -> tuple[np.ndarray, np.ndarray]:
     supervised CE, the weak view's accepted pseudo-labels for FixMatch consistency
     (arXiv 2001.07685), whose mean runs over the full batch.
     """
-    return -(log_p * y).sum(axis=1), (probs - y) * scale[:, None]
+    return -np.add.reduce(log_p * y, axis=1), (probs - y) * scale[:, None]
 
 
 def ova(log_p_id, log_p_ood, p_id, y, n: int, slope: float) -> tuple[float, np.ndarray]:
     """Binary cross-entropy over the K one-vs-all pairs of `two_way` rows: the class
     one-hot in y toward ID, every other class toward OOD."""
-    value = float(-(log_p_ood + y * (log_p_id - log_p_ood)).sum())
+    value = float(-np.add.reduce(log_p_ood + y * (log_p_id - log_p_ood), axis=None))
     return value * (1.0 / n), (p_id - y) * (slope / n)
 
 
 def em(log_p_id, log_p_ood, p_id, n: int, slope: float) -> tuple[float, np.ndarray]:
     """Binary entropy of the per-class pairs of `two_way` rows; 0*log(0) is 0."""
     p_ood = np.exp(log_p_ood)
-    value = float(-(p_id * log_p_id + p_ood * log_p_ood).sum())
+    value = float(-np.add.reduce(p_id * log_p_id + p_ood * log_p_ood, axis=None))
     return value * (1.0 / n), (p_ood * (log_p_ood - log_p_id)) * (p_id * (slope / n))
 
 
@@ -135,7 +135,7 @@ def socr(id_logits, id_logits2, n: int, slope: float) -> tuple[float, np.ndarray
     """Squared disagreement of the detector's raw ID logits across two weak views; the
     gradient is the first view's, the second's its negative."""
     diff = id_logits - id_logits2
-    return float((diff * diff).sum()) * (1.0 / n), diff * (2.0 * (slope / n))
+    return float(np.add.reduce(diff * diff, axis=None)) * (1.0 / n), diff * (2.0 * (slope / n))
 
 
 def negatives(log_p_id, log_eta_neg: float) -> np.ndarray:
@@ -154,8 +154,8 @@ def neg(log_p_ood, p_id, selected, n: int, slope: float) -> tuple[float, np.ndar
     frozen mask `selected` marks (see `negatives`); a row with no selected class
     contributes zero.
     """
-    w = selected * (1.0 / np.maximum(selected.sum(axis=1, keepdims=True), 1.0))
-    return float(-(log_p_ood * w).sum()) * (1.0 / n), w * (p_id * (slope / n))
+    w = selected * (1.0 / np.maximum(np.add.reduce(selected, axis=1, keepdims=True), 1.0))
+    return float(-np.add.reduce(log_p_ood * w, axis=None)) * (1.0 / n), w * (p_id * (slope / n))
 
 
 def compose(terms: dict, weights: dict) -> dict:

@@ -47,8 +47,9 @@ class NetSpec:
     @functools.cached_property
     def offsets(self) -> dict[str, tuple[int, int, tuple[int, ...]]]:
         """Each parameter's (start, end, shape) in the flat vector, in layout order;
-        kept on the spec object, since a training builds a ParamState of it at every
-        step, and so looked up with neither the spec's hash nor its equality."""
+        kept on the spec object, so a ParamState built of it (the finite-difference
+        oracle builds one per evaluation) looks it up with neither the spec's hash nor
+        its equality."""
         table = {}
         end = 0
         for name, shape in layout(self):
@@ -79,8 +80,16 @@ def param_count(spec: NetSpec) -> int:
     return next(reversed(spec.offsets.values()))[1]
 
 
+def _layer_views(spec: NetSpec, flat: np.ndarray) -> dict[str, np.ndarray]:
+    return {name: flat[start:end].reshape(shape)
+            for name, (start, end, shape) in spec.offsets.items()}
+
+
 @dataclass
 class ParamState:
+    """A flat parameter vector and each layer's view of it, sliced once; a training
+    keeps one and `sgd_step` updates its vector in place, so the views stay current."""
+
     spec: NetSpec
     flat: np.ndarray
 
@@ -90,8 +99,14 @@ class ParamState:
             raise ValueError(f"parameter vector has {self.flat.shape[0]} entries, expected {size}")
         if not np.isfinite(self.flat).all():
             raise ValueError("parameters have non-finite entries")
-        self.views = {name: self.flat[start:end].reshape(shape)  # each layer's, sliced once
-                      for name, (start, end, shape) in self.spec.offsets.items()}
+        self.views = _layer_views(self.spec, self.flat)
+
+    @functools.cached_property
+    def grad(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The gradient `backward` writes, a flat vector laid out as the parameters and
+        its per-layer views: made at the first backward and overwritten by each."""
+        flat = np.zeros_like(self.flat)
+        return flat, _layer_views(self.spec, flat)
 
     def view(self, name: str) -> np.ndarray:
         return self.views[name]
@@ -128,17 +143,21 @@ class ForwardResult:
     ood_logits: np.ndarray | Tensor  # (B, K) and its OOD logit
 
 
-def _forward_core(spec: NetSpec, get: Callable[[str], object], x, relu: Callable,
+def _forward_core(spec: NetSpec, weights: Mapping, x, relu: Callable,
                   layer_inputs: dict | None = None):
     """Architecture shared by the numpy paths and the autodiff oracle.
 
     Returns f, z, cc, od; `layer_inputs`, if given, receives the input each
-    linear layer read, by layer name, for the hand-written backward.
+    linear layer read, by layer name, for the hand-written backward. On the
+    numpy paths each bias is added, and `relu` applied, in place on the fresh
+    product; a tape Tensor has no in-place add, so `+=` makes a new node.
     """
     def linear(name, a):
         if layer_inputs is not None:
             layer_inputs[name] = a
-        return a @ get(f"{name}.W") + get(f"{name}.b")
+        out = a @ weights[f"{name}.W"]
+        out += weights[f"{name}.b"]
+        return out
 
     h = x
     n_backbone = len(spec.backbone_widths) + 1
@@ -152,7 +171,8 @@ def _forward_core(spec: NetSpec, get: Callable[[str], object], x, relu: Callable
 
 
 def _relu(v: np.ndarray) -> np.ndarray:
-    return np.maximum(v, 0.0)
+    """The rectifier, in place on a layer's fresh output."""
+    return np.maximum(v, 0.0, out=v)
 
 
 def _result(spec: NetSpec, f, z, cc, od) -> ForwardResult:
@@ -166,7 +186,7 @@ def forward(params: ParamState, x) -> ForwardResult:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.spec.input_dim:
         raise ValueError(f"expected (B, {params.spec.input_dim}) inputs, got {x.shape}")
-    f, z, cc, od = _forward_core(params.spec, params.views.__getitem__, x, relu=_relu)
+    f, z, cc, od = _forward_core(params.spec, params.views, x, relu=_relu)
     _check_finite(f, z, cc, od)
     return _result(params.spec, f, z, cc, od)
 
@@ -174,7 +194,7 @@ def forward(params: ParamState, x) -> ForwardResult:
 def forward_tensors(spec: NetSpec, params: Mapping[str, Tensor], x) -> ForwardResult:
     """Forward pass on the autodiff tape; validates every layer output."""
     xt = constant(np.asarray(x, dtype=np.float64))
-    f, z, cc, od = _forward_core(spec, params.__getitem__, xt, relu=Tensor.relu)
+    f, z, cc, od = _forward_core(spec, params, xt, relu=Tensor.relu)
     _check_finite(f.data, z.data, cc.data, od.data)
     return _result(spec, f, z, cc, od)
 
@@ -195,12 +215,13 @@ def backward(params: ParamState, x: np.ndarray,
     (loss, grads), where grads maps a head, "embeddings", "cc_logits",
     "id_logits" or "ood_logits", to the loss gradient w.r.t. that output
     over the whole batch (a missing head is zero). The gradient then flows
-    back by hand through the layout: heads, projection, backbone.
+    back by hand through the layout: heads, projection, backbone. It is
+    written into, and returned as, the vector of `params.grad`, which the
+    next call on the same params overwrites.
     """
     spec = params.spec
     layer_inputs = {}
-    f, z, cc, od = _forward_core(spec, params.views.__getitem__, x, relu=_relu,
-                                 layer_inputs=layer_inputs)
+    f, z, cc, od = _forward_core(spec, params.views, x, relu=_relu, layer_inputs=layer_inputs)
     _check_finite(f, z, cc, od)
     stacked = _result(spec, f, z, cc, od)
     loss, head_grads = closure(stacked)
@@ -211,15 +232,14 @@ def backward(params: ParamState, x: np.ndarray,
                               for head in ("embeddings", "cc_logits", "id_logits", "ood_logits"))
     g_od = np.concatenate([g_id, g_ood], axis=1)
 
-    flat = np.empty_like(params.flat)
-    offsets, ones = spec.offsets, np.ones(len(x))  # a bias gradient is ones @ g
+    flat, grad = params.grad
+    ones = np.ones(len(x))  # a bias gradient is ones @ g
 
     def through(name: str, g: np.ndarray, inner: bool = True) -> np.ndarray | None:
-        """Write a linear layer's weight gradients straight into flat; return its input's
-        gradient, which the network's inputs do not need."""
-        start, mid, shape = offsets[f"{name}.W"]
-        np.matmul(layer_inputs[name].T, g, out=flat[start:mid].reshape(shape))
-        np.matmul(ones, g, out=flat[mid:offsets[f"{name}.b"][1]])
+        """Write a linear layer's weight gradients into its views of params.grad; return
+        its input's gradient, which the network's inputs do not need."""
+        np.matmul(layer_inputs[name].T, g, out=grad[f"{name}.W"])
+        np.matmul(ones, g, out=grad[f"{name}.b"])
         return g @ params.views[f"{name}.W"].T if inner else None
 
     g = through("cc", g_cc) + through("od", g_od)  # the features' gradient
@@ -234,13 +254,19 @@ def backward(params: ParamState, x: np.ndarray,
 def sgd_step(params: ParamState, grads: np.ndarray, lr: float, momentum: float = 0.0,
              weight_decay: float = 0.0, velocity: np.ndarray | None = None
              ) -> tuple[ParamState, np.ndarray]:
-    """Classic momentum SGD; weight decay is added to the gradient."""
+    """Classic momentum SGD, in place on params.flat and velocity, which it returns;
+    weight decay is added to the gradient. The operations and their order are those
+    of `flat - lr * (momentum * velocity + (grads + weight_decay * flat))`, so the
+    bits are too. A non-finite parameter after the step is a ValueError."""
+    flat = params.flat
     if velocity is None:
-        velocity = np.zeros_like(params.flat)
-    effective = grads + weight_decay * params.flat
-    velocity = momentum * velocity + effective
-    new_flat = params.flat - lr * velocity
-    return ParamState(spec=params.spec, flat=new_flat), velocity
+        velocity = np.zeros_like(flat)
+    velocity *= momentum
+    velocity += grads + weight_decay * flat
+    flat -= lr * velocity
+    if not np.isfinite(flat).all():
+        raise ValueError("parameters have non-finite entries")
+    return params, velocity
 
 
 def save_checkpoint(params: ParamState, path) -> None:

@@ -63,18 +63,16 @@ LOSS_COMBOS = {
 
 
 def dual_gate(cc_probs, od_probs, tau_id: float, eta_id: float) -> GateMask:
-    """Mark unlabeled samples confidently in-distribution.
+    """Mark unlabeled samples confidently in-distribution, from (B, K) probability arrays.
 
     A sample passes only if its classifier confidence exceeds tau_id and
     the one-vs-all ID probability at the predicted class exceeds eta_id.
     Argmax ties break to the lowest class index.
     """
-    cc = np.asarray(cc_probs)
-    od = np.asarray(od_probs)
-    pred = cc.argmax(axis=1)
-    rows = np.arange(cc.shape[0])
-    cc_conf = cc[rows, pred]
-    od_conf = od[rows, pred]
+    pred = cc_probs.argmax(axis=1)
+    rows = np.arange(len(pred))
+    cc_conf = cc_probs[rows, pred]
+    od_conf = od_probs[rows, pred]
     phi = ((cc_conf > tau_id) & (od_conf > eta_id)).astype(np.int64)
     return GateMask(phi=phi, cc_conf=cc_conf, od_conf=od_conf, pred_class=pred)
 
@@ -82,7 +80,7 @@ def dual_gate(cc_probs, od_probs, tau_id: float, eta_id: float) -> GateMask:
 def tangential(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. z from the gradient w.r.t. z/||z||: the radial part is
     projected out, so the result is orthogonal to each row of z."""
-    radial = (grad_unit * unit).sum(axis=1, keepdims=True)
+    radial = np.add.reduce(grad_unit * unit, axis=1, keepdims=True)
     return (grad_unit - radial * unit) / norms
 
 
@@ -98,7 +96,7 @@ def usna(zh, unit_protos, pull, scale, temperature: float) -> tuple[np.ndarray, 
     """
     scaled = (zh @ unit_protos.T) * (1.0 / temperature)
     _, probs, lse = log_softmax(scaled)
-    losses = lse[:, 0] - (scaled * pull).sum(axis=1)
+    losses = lse[:, 0] - np.add.reduce(scaled * pull, axis=1)
     return losses, ((probs - pull) * (scale * (1.0 / temperature))[:, None]) @ unit_protos
 
 
@@ -113,7 +111,7 @@ def ia(zh, y, temperature: float, scale: float) -> tuple[float, np.ndarray]:
     n = zh.shape[0]
     positives = y @ y.T
     positives.flat[::n + 1] = 0.0
-    counts = positives.sum(axis=1)
+    counts = np.add.reduce(positives, axis=1)
     n_anchors = np.count_nonzero(counts)
     if n_anchors == 0:
         return 0.0, np.zeros_like(zh)

@@ -91,15 +91,22 @@ class TrainConfig:
         return weights, slopes
 
 
+# The gate detail a run logs per step: each `GateMask` array, with its dtype.
+GATE_DETAIL = {"phi": np.int64, "cc_conf": np.float64, "od_conf": np.float64,
+               "pred_class": np.int64}
+
+
 @dataclass
 class RunLog:
     """Append-only record of a run's training, serializable at any point: one record
-    per step, one per epoch with its refresh's unlabeled counts, and the last
-    refresh's prototypes, which `cli.run_experiment` evaluates and writes."""
+    per step, one per epoch with its refresh's unlabeled counts, the gate detail (one
+    (steps, unlabeled_batch) array per `GATE_DETAIL` name, whose row i step i fills),
+    and the last refresh's prototypes, which `cli.run_experiment` evaluates and writes."""
 
     iterations: list[dict] = field(default_factory=list)
     epochs: list[dict] = field(default_factory=list)
     final_prototypes: PrototypeSet | None = None
+    gate_detail: dict[str, np.ndarray] = field(default_factory=dict)
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -107,6 +114,11 @@ class RunLog:
                 fh.write(json.dumps({"type": "iteration", **record}) + "\n")
             for record in self.epochs:
                 fh.write(json.dumps({"type": "epoch", **record}) + "\n")
+
+    def write_gate_detail(self, path) -> None:
+        """The gate detail's rows of the logged steps, one .npy array per name, as .npz."""
+        n = len(self.iterations)
+        np.savez(path, **{name: array[:n] for name, array in self.gate_detail.items()})
 
 
 def lr_at(step: int, total_steps: int, lr0: float) -> float:
@@ -116,12 +128,12 @@ def lr_at(step: int, total_steps: int, lr0: float) -> float:
 
 def _batches(pool_size: int, batch: int, rng: np.random.Generator):
     """Exact-size batches drawn from reshuffled permutations of a pool."""
-    queue: list[int] = []
+    queue = np.empty(0, dtype=np.int64)
     while True:
         while len(queue) < batch:
-            queue.extend(rng.permutation(pool_size).tolist())
-        yield np.asarray(queue[:batch], dtype=np.int64)
-        del queue[:batch]
+            queue = np.concatenate((queue, rng.permutation(pool_size)))
+        yield queue[:batch]
+        queue = queue[batch:]
 
 
 def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState, RunLog]:
@@ -134,15 +146,16 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
     split, the cluster table or a row's cluster code: they are evaluation's.
     """
     params = init_params(netspec)
-    runlog = RunLog()
+    total_steps = cfg.epochs * cfg.iters_per_epoch
+    runlog = RunLog(gate_detail={name: np.zeros((total_steps, cfg.unlabeled_batch), dtype)
+                                 for name, dtype in GATE_DETAIL.items()})
     # Labeled means only: the gate is not trustworthy before training.
     protos = _refresh_prototypes(params, split, cfg, [])
 
     rng = np.random.default_rng(cfg.seed)
     labeled_batches = _batches(split.labeled_x.shape[0], cfg.batch_size, rng)
     unlabeled_batches = _batches(split.unlabeled_x.shape[0], cfg.unlabeled_batch, rng)
-    velocity: np.ndarray | None = None
-    total_steps = cfg.epochs * cfg.iters_per_epoch
+    velocity = np.zeros_like(params.flat)  # sgd_step updates it and params.flat in place
 
     try:
         for epoch in range(cfg.epochs):
@@ -154,10 +167,11 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
                 li, ui = next(labeled_batches), next(unlabeled_batches)
                 x = augment_views(split.labeled_x[li], split.unlabeled_x[ui], rng, split.scenario)
                 record = {"step": step, "epoch": epoch, "lr": lr}
-                closure = _make_closure(cfg, split.labeled_y[li], unit_protos, record, accepted)
+                closure = _make_closure(cfg, split.labeled_y[li], unit_protos, record, accepted,
+                                        runlog.gate_detail)
                 grads = net_mod.backward(params, x, closure)
-                params, velocity = sgd_step(params, grads, lr=lr, momentum=MOMENTUM,
-                                            weight_decay=WEIGHT_DECAY, velocity=velocity)
+                sgd_step(params, grads, lr=lr, momentum=MOMENTUM, weight_decay=WEIGHT_DECAY,
+                         velocity=velocity)
                 runlog.iterations.append(record)
 
             protos = _refresh_prototypes(params, split, cfg, accepted)
@@ -273,9 +287,9 @@ def objective(rows: StepRows, labels: np.ndarray, unit_protos: np.ndarray,
     scale = np.zeros(len(classes))
     scale[x], scale[s] = slopes["x"] / b, accept * (slopes["u"] / m)
     losses, g_cc = classifier(rows.log_p, rows.probs, target, scale)
-    terms["x"] = losses[x].sum() * (1.0 / b)
+    terms["x"] = np.add.reduce(losses[x]) * (1.0 / b)
     if head.lambda_u > 0:
-        terms["u"] = losses[s].sum() * (1.0 / m)
+        terms["u"] = np.add.reduce(losses[s]) * (1.0 / m)
 
     log_p_id, log_p_ood, p_id = rows.log_p_id, rows.log_p_ood, rows.p_id
     g_id = np.zeros(log_p_id.shape)
@@ -306,9 +320,9 @@ def objective(rows: StepRows, labels: np.ndarray, unit_protos: np.ndarray,
             row_scale[:b - lo] = slopes["pa"] / b
             losses, g_unit = usna(unit, unit_protos, target[lo:hi], row_scale, t)
             if sna_w.lambda_pa > 0:
-                terms["pa"] = losses[:b].sum() * (1.0 / b)
+                terms["pa"] = np.add.reduce(losses[:b]) * (1.0 / b)
             if sna_w.lambda_usna > 0:
-                terms["usna"] = losses[b - lo:].sum() * (1.0 / m)
+                terms["usna"] = np.add.reduce(losses[b - lo:]) * (1.0 / m)
         else:
             g_unit = np.zeros(unit.shape)
         if sna_w.lambda_ia > 0:
@@ -320,9 +334,10 @@ def objective(rows: StepRows, labels: np.ndarray, unit_protos: np.ndarray,
 
 
 def _make_closure(cfg: TrainConfig, labels: np.ndarray, unit_protos: np.ndarray, record: dict,
-                  accepted: list[EmbeddingBatch]):
-    """The step's objective for `net.backward`. It fills in the rest of the step's record
-    and appends the weak unlabeled rows the gate accepted, by predicted class, to accepted."""
+                  accepted: list[EmbeddingBatch], gate_detail: dict[str, np.ndarray]):
+    """The step's objective for `net.backward`. It fills in the rest of the step's record,
+    writes the gate's arrays into row record["step"] of gate_detail's, and appends the
+    weak unlabeled rows the gate accepted, by predicted class, to accepted."""
     def closure(out):
         rows = step_rows(out, len(labels), cfg.gate_temperature)
         decisions = freeze_decisions(rows, cfg)
@@ -335,9 +350,10 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, unit_protos: np.ndarray,
             "gate": {"accepted": gate.accepted,
                      "negatives": int(np.count_nonzero(decisions.negative[:m].any(axis=1))),
                      "pl_accepted": int(np.count_nonzero(decisions.pl_accept))},
-            "gate_detail": {name: getattr(gate, name).tolist()
-                            for name in ("phi", "cc_conf", "od_conf", "pred_class")},
         })
+        step = record["step"]
+        for name, array in gate_detail.items():
+            array[step] = getattr(gate, name)
         selected = gate.phi == 1
         accepted.append(EmbeddingBatch(out.embeddings[rows.u][selected],
                                        gate.pred_class[selected]))

@@ -224,8 +224,8 @@ class TestCliRun:
         run_dir = next(out_dir.iterdir())
         # The exact list: a new or leftover artifact is a reviewed change to this test.
         assert sorted(path.name for path in run_dir.iterdir()) == [
-            "checkpoint.json", "embeddings.csv", "eval_report.json", "manifest.json",
-            "metrics.csv", "prototypes.json", "runlog.jsonl", "split.csv"]
+            "checkpoint.json", "embeddings.csv", "eval_report.json", "gate.npz",
+            "manifest.json", "metrics.csv", "prototypes.json", "runlog.jsonl", "split.csv"]
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert list(manifest) == ["format_version", "package_version", "config", "clusters",
                                   "status", "wall_clock_s"]
@@ -862,6 +862,29 @@ class TestArtifactsJoin:
         test_category = {r["id"]: r["category"] for r in split_rows if r["split"] == "test"}
         assert [r["id"] for r in embedding_rows] == list(test_category)
         assert [r["category"] for r in embedding_rows] == list(test_category.values())
+
+
+class TestGateDetail:
+    def test_gate_npz_replays_the_default_run(self, tmp_path):
+        # gate.npz holds each step's gate row: the rule at the manifest's thresholds
+        # gives its phi, and each row's accepted count is its runlog line's. Two runs
+        # of one config write the same bytes.
+        cfg = default_config()
+        run_dir, _ = run_experiment(cfg, tmp_path / "a")
+        other, _ = run_experiment(cfg, tmp_path / "b")
+        assert (run_dir / "gate.npz").read_bytes() == (other / "gate.npz").read_bytes()
+        train_cfg = json.loads((run_dir / "manifest.json").read_text())["config"]["train"]
+        lines = [json.loads(line) for line in (run_dir / "runlog.jsonl").read_text().splitlines()]
+        records = [line for line in lines if line["type"] == "iteration"]
+        assert not any("gate_detail" in record for record in records)
+        with np.load(run_dir / "gate.npz") as gate:
+            assert list(gate) == ["phi", "cc_conf", "od_conf", "pred_class"]
+            assert all(gate[name].shape == (480, 32) for name in gate)
+            expected = (gate["cc_conf"] > train_cfg["tau_id"]) & (
+                gate["od_conf"] > train_cfg["eta_id"])
+            assert np.array_equal(gate["phi"], expected.astype(np.int64))
+            assert ([record["gate"]["accepted"] for record in records]
+                    == np.count_nonzero(gate["phi"], axis=1).tolist())
 
 
 class TestCliGradcheckAndGolden:

@@ -121,9 +121,10 @@ class TestBackward:
 class TestSgdStep:
     def test_zero_learning_rate_keeps_parameters(self):
         params = init_params(TINY)
+        before = params.flat.copy()
         grads = np.ones_like(params.flat)
         new, _ = sgd_step(params, grads, lr=0.0)
-        assert np.array_equal(new.flat, params.flat)
+        assert np.array_equal(new.flat, before)
 
     def test_plain_step_arithmetic(self):
         spec = NetSpec(input_dim=1, backbone_widths=(), feature_dim=1, proj_hidden=1,
@@ -139,8 +140,9 @@ class TestSgdStep:
         params = ParamState(spec=spec, flat=np.zeros(param_count(spec)))
         grads = np.ones_like(params.flat)
         p1, v = sgd_step(params, grads, lr=0.1, momentum=0.9)
+        after_one = p1.flat.copy()  # the second step updates p1 in place
         p2, _ = sgd_step(p1, grads, lr=0.1, momentum=0.9, velocity=v)
-        np.testing.assert_allclose(p1.flat, -0.1, atol=1e-15)
+        np.testing.assert_allclose(after_one, -0.1, atol=1e-15)
         np.testing.assert_allclose(p2.flat, -0.29, atol=1e-15)
 
     def test_weight_decay_added_to_gradient(self):
@@ -149,6 +151,60 @@ class TestSgdStep:
         params = ParamState(spec=spec, flat=np.full(param_count(spec), 2.0))
         new, _ = sgd_step(params, np.zeros_like(params.flat), lr=0.1, weight_decay=0.5)
         np.testing.assert_allclose(new.flat, 2.0 - 0.1 * (0.5 * 2.0), atol=1e-15)
+
+
+class TestInPlace:
+    def test_steps_update_the_given_arrays_bit_for_bit(self):
+        # Five in-place steps against the fresh-array formula, one operation at a time.
+        rng = np.random.default_rng(4)
+        params = init_params(TINY)
+        flat, velocity, want, want_v = params.flat, None, params.flat.copy(), None
+        for lr in (0.3, 0.1, 0.05, 1e-3, 0.0):
+            grads = rng.standard_normal(flat.shape)
+            grads_before = grads.copy()
+            state, velocity = sgd_step(params, grads, lr=lr, momentum=0.9, weight_decay=5e-4,
+                                       velocity=velocity)
+            want_v = 0.9 * (np.zeros_like(want) if want_v is None else want_v) + (
+                grads + 5e-4 * want)
+            want = want - lr * want_v
+            assert state is params and params.flat is flat
+            assert flat.tobytes() == want.tobytes()
+            assert velocity.tobytes() == want_v.tobytes()
+            assert grads.tobytes() == grads_before.tobytes()
+
+    def test_non_finite_step_rejected(self):
+        params = init_params(TINY)
+        with pytest.raises(ValueError, match="parameters have non-finite entries"):
+            sgd_step(params, np.ones_like(params.flat), lr=float("nan"))
+
+    def test_forward_and_backward_leave_parameters_and_inputs_alone(self):
+        params = init_params(TINY)
+        x = np.random.default_rng(6).standard_normal((5, 3))
+        flat_bytes, x_bytes = params.flat.tobytes(), x.tobytes()
+        forward(params, x)
+
+        def closure(out):
+            log_p, probs, _ = log_softmax(out.cc_logits)
+            losses, grad = classifier(log_p, probs, one_hot([0, 1, 1, 0, 1], 2), np.full(5, 0.2))
+            return losses.mean(), {"cc_logits": grad, "embeddings": out.embeddings}
+
+        backward(params, x, closure)
+        assert params.flat.tobytes() == flat_bytes
+        assert x.tobytes() == x_bytes
+
+    def test_backward_writes_one_gradient_buffer(self):
+        # Each call overwrites the vector of params.grad and returns it.
+        params = init_params(TINY)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((4, 3))
+        first = backward(params, x, lambda out: (0.0, {"cc_logits": np.ones((4, 2))}))
+        copy = first.copy()
+        second = backward(params, 2 * x, lambda out: (0.0, {"cc_logits": np.ones((4, 2))}))
+        assert second is first is params.grad[0]
+        assert not np.array_equal(second, copy)
+        fresh = backward(init_params(TINY), 2 * x,
+                         lambda out: (0.0, {"cc_logits": np.ones((4, 2))}))
+        assert fresh is not second and fresh.tobytes() == second.tobytes()
 
 
 class TestCheckpoint:

@@ -57,22 +57,26 @@ def ia_mean(z, labels, temperature: float):
 
 class TestDualGate:
     def test_both_gates_pass(self):
-        mask = dual_gate([[0.995, 0.005]], [[0.7, 0.1]], tau_id=0.99, eta_id=0.5)
+        mask = dual_gate(np.array([[0.995, 0.005]]), np.array([[0.7, 0.1]]),
+                         tau_id=0.99, eta_id=0.5)
         assert mask.phi.tolist() == [1]
         assert mask.pred_class.tolist() == [0]
         assert mask.cc_conf[0] == pytest.approx(0.995)
         assert mask.od_conf[0] == pytest.approx(0.7)
 
     def test_classifier_gate_fails(self):
-        mask = dual_gate([[0.6, 0.4]], [[0.99, 0.0]], tau_id=0.99, eta_id=0.5)
+        mask = dual_gate(np.array([[0.6, 0.4]]), np.array([[0.99, 0.0]]),
+                         tau_id=0.99, eta_id=0.5)
         assert mask.phi.tolist() == [0]
 
     def test_detector_gate_fails(self):
-        mask = dual_gate([[0.995, 0.005]], [[0.4, 0.1]], tau_id=0.99, eta_id=0.5)
+        mask = dual_gate(np.array([[0.995, 0.005]]), np.array([[0.4, 0.1]]),
+                         tau_id=0.99, eta_id=0.5)
         assert mask.phi.tolist() == [0]
 
     def test_argmax_tie_breaks_low(self):
-        mask = dual_gate([[0.5, 0.5]], [[0.9, 0.9]], tau_id=0.4, eta_id=0.5)
+        mask = dual_gate(np.array([[0.5, 0.5]]), np.array([[0.9, 0.9]]),
+                         tau_id=0.4, eta_id=0.5)
         assert mask.pred_class.tolist() == [0]
 
     def test_threshold_range_validated(self):

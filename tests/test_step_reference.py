@@ -34,8 +34,8 @@ from skipalign.heads import HeadWeights, MIN_NORM, compose, normalize, one_hot
 from skipalign.net import (ForwardResult, NetSpec, _check_finite, _forward_core, _relu,
                           _result, backward, init_params)
 from skipalign.sna import LOSS_COMBOS, SnaWeights, dual_gate
-from skipalign.trainer import (LEAVES, Decisions, TrainConfig, _make_closure, freeze_decisions,
-                               objective, step_rows)
+from skipalign.trainer import (GATE_DETAIL, LEAVES, Decisions, TrainConfig, _make_closure,
+                               freeze_decisions, objective, step_rows)
 
 # --- The per-view step. -------------------------------------------------------
 
@@ -251,7 +251,7 @@ def ref_backward(params, inputs, closure):
     spec = params.spec
     x = np.concatenate([inputs[view] for view in inputs])
     layer_inputs = {}
-    f, z, cc, od = _forward_core(spec, params.view, x, relu=_relu, layer_inputs=layer_inputs)
+    f, z, cc, od = _forward_core(spec, params.views, x, relu=_relu, layer_inputs=layer_inputs)
     _check_finite(f, z, cc, od)
     stacked = _result(spec, f, z, cc, od)
     ends = np.cumsum([len(rows) for rows in inputs.values()])
@@ -373,11 +373,17 @@ def test_matches_reference_step(case):
     assert all(terms[name] == want_terms[name] for name in terms), terms
     assert_same_decisions(decisions, want_decisions)
     assert flat.tobytes() == want_flat.tobytes()
-    # The closure that trains gives the same gradient.
-    record = {}
-    trained = backward(params, x, _make_closure(cfg, labels, unit_protos, record, []))
+    # The closure that trains gives the same gradient, and logs the gate in its step's row.
+    record, m = {"step": 1}, len(inputs["u_w"])
+    gate_detail = {name: np.zeros((2, m), dtype) for name, dtype in GATE_DETAIL.items()}
+    closure = _make_closure(cfg, labels, unit_protos, record, [], gate_detail)
+    trained = backward(params, x, closure)
     assert trained.tobytes() == want_flat.tobytes()
     assert record["total"] == want_terms["total"]
+    for name, array in gate_detail.items():
+        want = getattr(want_decisions.gate, name)
+        assert array.dtype == want.dtype and array[1].tobytes() == want.tobytes(), name
+        assert not array[0].any(), name
 
 
 def test_thresholds_split_every_decision():

@@ -8,12 +8,12 @@ from skipalign.config import resolve_config
 from skipalign.heads import HeadWeights, compose
 from skipalign.net import init_params, sgd_step
 from skipalign.synthdata import generate
-from skipalign.trainer import (MOMENTUM, WEIGHT_DECAY, RunLog, TrainConfig, TrainingDiverged,
-                               _batches, lr_at, train)
+from skipalign.trainer import (GATE_DETAIL, MOMENTUM, WEIGHT_DECAY, RunLog, TrainConfig,
+                               TrainingDiverged, _batches, lr_at, train)
 
 # The keys of an iteration record, in the order they are written.
 RECORD_KEYS = ["step", "epoch", "lr", "terms", "total", "batch_labeled", "batch_unlabeled",
-               "gate", "gate_detail"]
+               "gate"]
 
 
 def tiny_config(seed=0, **train_overrides):
@@ -30,15 +30,16 @@ def tiny_config(seed=0, **train_overrides):
 
 
 def audit_gate_flow(runlog: RunLog, tau_id: float, eta_id: float) -> None:
-    """Check every logged pull decision against the gate rule at the run's thresholds."""
+    """Check every logged step's pull decisions against the gate rule at the run's
+    thresholds, and its record's accepted count against them."""
+    detail = runlog.gate_detail
+    expected = ((detail["cc_conf"] > tau_id) & (detail["od_conf"] > eta_id)).astype(np.int64)
     for record in runlog.iterations:
-        detail = record["gate_detail"]
-        cc = np.asarray(detail["cc_conf"])
-        od = np.asarray(detail["od_conf"])
-        phi = np.asarray(detail["phi"])
-        expected = ((cc > tau_id) & (od > eta_id)).astype(np.int64)
-        if not np.array_equal(phi, expected):
+        phi = detail["phi"][record["step"]]
+        if not np.array_equal(phi, expected[record["step"]]):
             raise AssertionError(f"gate mask inconsistent at step {record['step']}")
+        if record["gate"]["accepted"] != np.count_nonzero(phi):
+            raise AssertionError(f"accepted count inconsistent at step {record['step']}")
 
 
 def audit_loss_composition(runlog: RunLog, weights: dict, tol: float = 1e-12) -> float:
@@ -136,6 +137,8 @@ class TestTrainLoop:
         assert np.array_equal(p1.flat, p2.flat)
         assert log1.iterations == log2.iterations
         assert log1.epochs == log2.epochs
+        for name, array in log1.gate_detail.items():
+            assert array.tobytes() == log2.gate_detail[name].tobytes(), name
 
     def test_blind_to_ground_truth(self):
         # The cluster codes, the cluster table and the test split are for evaluation only.
@@ -149,7 +152,8 @@ class TestTrainLoop:
         def trained_bytes(params, runlog):
             return (params.flat.tobytes(), json.dumps(runlog.iterations),
                     json.dumps(runlog.epochs),
-                    [array.tobytes() for array in vars(runlog.final_prototypes).values()])
+                    [array.tobytes() for array in vars(runlog.final_prototypes).values()],
+                    [array.tobytes() for array in runlog.gate_detail.values()])
 
         assert trained_bytes(p1, log1) == trained_bytes(p2, log2)
 
@@ -179,13 +183,18 @@ class TestTrainLoop:
         split = generate(cfg.scenario)
         _, runlog = train(split, cfg.net, cfg.train)
         audit_gate_flow(runlog, cfg.train.tau_id, cfg.train.eta_id)
-        # a corrupted mask must be caught
-        bad = RunLog(iterations=[json.loads(json.dumps(runlog.iterations[0]))])
-        bad.iterations[0]["gate_detail"]["phi"] = [
-            1 - p for p in bad.iterations[0]["gate_detail"]["phi"]]
-        if any(bad.iterations[0]["gate_detail"]["phi"]):
-            with pytest.raises(AssertionError):
-                audit_gate_flow(bad, cfg.train.tau_id, cfg.train.eta_id)
+        # a corrupted mask, or a record whose count disagrees with its mask, must be caught
+        phi = runlog.gate_detail["phi"].copy()
+        phi[0] = 1 - phi[0]
+        bad = RunLog(iterations=runlog.iterations[:1],
+                     gate_detail={**runlog.gate_detail, "phi": phi})
+        with pytest.raises(AssertionError, match="gate mask inconsistent at step 0"):
+            audit_gate_flow(bad, cfg.train.tau_id, cfg.train.eta_id)
+        record = json.loads(json.dumps(runlog.iterations[0]))
+        record["gate"]["accepted"] += 1
+        bad = RunLog(iterations=[record], gate_detail=runlog.gate_detail)
+        with pytest.raises(AssertionError, match="accepted count inconsistent at step 0"):
+            audit_gate_flow(bad, cfg.train.tau_id, cfg.train.eta_id)
 
     def test_prototype_epoch_records(self):
         cfg = tiny_config()
@@ -204,11 +213,18 @@ class TestTrainLoop:
         cfg = tiny_config()
         split = generate(cfg.scenario)
         _, runlog = train(split, cfg.net, cfg.train)
-        partial = RunLog(iterations=runlog.iterations[:3], epochs=[])
+        partial = RunLog(iterations=runlog.iterations[:3], epochs=[],
+                         gate_detail=runlog.gate_detail)
         partial.write_jsonl(tmp_path / "partial.jsonl")
         lines = (tmp_path / "partial.jsonl").read_text().splitlines()
         assert len(lines) == 3
         assert json.loads(lines[0])["type"] == "iteration"
+        # The gate detail's rows of the logged steps only.
+        partial.write_gate_detail(tmp_path / "partial.npz")
+        with np.load(tmp_path / "partial.npz") as saved:
+            assert list(saved) == list(GATE_DETAIL)
+            for name, array in runlog.gate_detail.items():
+                assert saved[name].tobytes() == array[:3].tobytes(), name
 
     def test_runlog_leaves_config_constants_to_the_manifest(self):
         # The loss weights and the gate thresholds are in the run's config;
@@ -217,8 +233,13 @@ class TestTrainLoop:
         _, runlog = train(generate(cfg.scenario), cfg.net, cfg.train)
         for record in runlog.iterations:
             assert list(record) == ["step", "epoch", "lr", "terms", "total", "batch_labeled",
-                                    "batch_unlabeled", "gate", "gate_detail"]
-            assert list(record["gate_detail"]) == ["phi", "cc_conf", "od_conf", "pred_class"]
+                                    "batch_unlabeled", "gate"]
+        # The gate detail is one array per GateMask field, a row per step.
+        steps = cfg.train.epochs * cfg.train.iters_per_epoch
+        assert list(runlog.gate_detail) == ["phi", "cc_conf", "od_conf", "pred_class"]
+        for name, array in runlog.gate_detail.items():
+            assert array.shape == (steps, cfg.train.unlabeled_batch), name
+            assert array.dtype == GATE_DETAIL[name], name
 
     def test_total_matches_weighted_recomposition_from_report(self):
         cfg = tiny_config()

@@ -16,7 +16,7 @@ count to the number of steps that made it, and per evaluation, by score rule,
 with the Python and numpy versions they were taken on. A change that adds or
 removes work in a step or an evaluation rewrites the table in the same change
 and lists the old and new values. Rewrite it with
-`python tests/test_work_ledger.py`.
+`python tests/test_work_ledger.py`, which prints each entry's old and new counts.
 """
 
 import collections
@@ -164,7 +164,24 @@ def test_evaluation_work_matches_the_ledger():
     assert measured == committed, f"work per evaluation moved: {moved}; measured {measured}"
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """Each entry's old and new counts: per step as a mean and its histogram, per
+    evaluation by score rule; an entry the old ledger lacks reads as None."""
+    lines = []
+    for name in COUNTERS:
+        before = f"{mean(old[name]):.2f} {old[name]}" if name in old else "None"
+        lines.append(f"step {name}: {before} -> {mean(new[name]):.2f} {new[name]}")
+    for rule, counts in new["evaluate"].items():
+        if rule != "rows":
+            for name in COUNTERS:
+                before = old.get("evaluate", {}).get(rule, {}).get(name)
+                lines.append(f"evaluate {rule} {name}: {before} -> {counts[name]}")
+    return lines
+
+
 if __name__ == "__main__":
-    LEDGER_PATH.write_text(json.dumps({**versions(), **step_ledger(),
-                                       "evaluate": evaluate_ledger()}, indent=2) + "\n")
+    old = json.loads(LEDGER_PATH.read_text()) if LEDGER_PATH.exists() else {}
+    new = {**versions(), **step_ledger(), "evaluate": evaluate_ledger()}
+    LEDGER_PATH.write_text(json.dumps(new, indent=2) + "\n")
+    print("\n".join(changes(old, new)))
     print(f"ledger written: {LEDGER_PATH}")
