@@ -14,7 +14,8 @@ two-way softmax gradient for the detector terms (OpenMatch, arXiv 2105.14148).
 Their tape twins in `tensor_losses` are the oracle the tests compare them
 with. The gate, evaluation and the prototypes call the same kernels, and
 `normalize` for unit rows, which rejects a zero or non-finite row rather than
-hide an upstream bug.
+hide an upstream bug. `norm`, the one Euclidean norm (the data's cluster
+placement calls it too), is a numpy sum of squares, which no BLAS kernel rounds.
 """
 
 from __future__ import annotations
@@ -63,10 +64,15 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     return out
 
 
+def norm(a: np.ndarray) -> np.ndarray:
+    """The Euclidean norm over the last axis, summed by numpy rather than BLAS."""
+    return np.sqrt(np.add.reduce(a * a, axis=-1))
+
+
 def normalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit rows and the (B, 1) norms they were divided by. A row whose norm is below
     MIN_NORM or not finite (its squares overflow from about 1.3e154) is an error."""
-    norms = np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True))
+    norms = norm(z)[:, None]
     if not ((norms >= MIN_NORM) & (norms < np.inf)).all():  # a NaN norm fails both
         raise ValueError("degenerate vector: cannot normalize a zero or non-finite row")
     return z / norms, norms
@@ -85,18 +91,17 @@ def log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def two_way(id_logits: np.ndarray, ood_logits: np.ndarray):
-    """The per-class (ID, OOD) softmax of every row: (log_p_id, log_p_ood, p_id, id_prob).
+    """The per-class (ID, OOD) softmax of every row: (log_p_id, log_p_ood, p_id).
 
-    The log-probabilities stay finite where a probability underflows; p_id is
-    exp(log_p_id), which the losses read, and id_prob is e_id / (e_id + e_ood), which
-    the dual gate and the OOD scores read.
+    The log-probabilities stay finite where a probability underflows. p_id, the ID
+    probability e_id / (e_id + e_ood), is the one the losses, the dual gate and the
+    OOD scores all read.
     """
     shift = np.maximum(id_logits, ood_logits)
     e_id = np.exp(id_logits - shift)
     total = e_id + np.exp(ood_logits - shift)
     log_z = np.log(total) + shift
-    log_p_id = id_logits - log_z
-    return log_p_id, ood_logits - log_z, np.exp(log_p_id), e_id / total
+    return id_logits - log_z, ood_logits - log_z, e_id / total
 
 
 # The classifier returns each row's loss and the gradient of sum_i scale_i * loss_i,

@@ -1,18 +1,18 @@
 """Evaluation: closed-set accuracy, per-source AUROC, and feature geometry.
 
 The OOD scoring rule is deliberately a tagged choice (the detector's ID
-probability at the classifier's argmax class by default) and the report
-names the rule it used; each rule computes only the inputs it reads. AUROC
-is the Mann-Whitney statistic, ties worth one half, counted exactly by
-walking the sorted ID scores through the sorted OOD scores. Each test row's
-kind and class index are read from the split's cluster table through the
-row's cluster code; rows are grouped once, in table order, and every
-per-category figure reads that grouping, so no step is quadratic in the test
-split and no Python runs per test row. The split is forwarded in balanced
-row ranges of at most FORWARD_CHUNK_ROWS, each reduced at once to the
-per-row figures (prediction, score, feature norm, best prototype cosine), so
-memory is one range's activations plus 1-D arrays over the split, and the
-bytes are those of one forward over all rows.
+probability at the classifier's argmax class by default) and the report names
+the rule it used; each rule computes only the inputs it reads, and a row's
+prediction is its classifier logits' argmax. AUROC is the Mann-Whitney
+statistic, ties worth one half, counted exactly by walking the sorted ID scores
+through the sorted OOD scores. Each test row's kind and class index are read
+from the split's cluster table through the row's cluster code; rows are grouped
+once, in table order, and every per-category figure reads that grouping, so no
+step is quadratic in the test split and no Python runs per test row. The split
+is forwarded in balanced row ranges of at most FORWARD_CHUNK_ROWS, each reduced
+at once to the per-row figures (prediction, score, feature norm, best prototype
+cosine), so memory is one range's activations plus 1-D arrays over the split,
+and the bytes are those of one forward over all rows.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .heads import log_softmax, normalize, two_way
+from .heads import log_softmax, norm, normalize, two_way
 from .net import ForwardResult, ParamState, forward
 from .synthdata import Split, write_float_rows
 
@@ -35,23 +35,23 @@ SCORE_RULES = ("ova_id_at_cc_argmax", "max_cc_softmax", "max_ova_id", "feature_n
 FORWARD_CHUNK_ROWS = 1024
 
 
-def ood_score(out: ForwardResult, cc_probs: np.ndarray, pred: np.ndarray,
-              rule: str = SCORE_RULES[0], feature_norms: np.ndarray | None = None) -> np.ndarray:
+def ood_score(out: ForwardResult, pred: np.ndarray, rule: str = SCORE_RULES[0],
+              feature_norms: np.ndarray | None = None) -> np.ndarray:
     """Per-row ID-ness score of a forward's rows; higher means more in-distribution.
 
-    `cc_probs` is the classifier's (B, K) softmax of `out`'s rows and `pred` its argmax
-    per row. Each rule reads only its own inputs: only the two detector rules take the
-    two-way softmax, `ova_id_at_cc_argmax` on the logits at `pred` alone (the softmax is
-    elementwise, so its values are the full one's there), `max_cc_softmax` gathers the
-    softmax at `pred`, and `feature_norm` returns the rows' feature norms.
+    `pred` is the argmax of `out`'s classifier logits per row. Each rule reads only its
+    own inputs: only the two detector rules take the two-way softmax, and
+    `ova_id_at_cc_argmax` on the logits at `pred` alone (it is elementwise), only
+    `max_cc_softmax` the classifier's softmax, whose maximum lies at `pred`, and
+    `feature_norm` returns the rows' feature norms.
     """
     if rule == "ova_id_at_cc_argmax":
         rows = np.arange(pred.size)
-        return two_way(out.id_logits[rows, pred], out.ood_logits[rows, pred])[3]
+        return two_way(out.id_logits[rows, pred], out.ood_logits[rows, pred])[2]
     if rule == "max_cc_softmax":
-        return cc_probs[np.arange(pred.size), pred]
+        return log_softmax(out.cc_logits)[1][np.arange(pred.size), pred]
     if rule == "max_ova_id":
-        return _row_max(two_way(out.id_logits, out.ood_logits)[3])
+        return _row_max(two_way(out.id_logits, out.ood_logits)[2])
     if rule == "feature_norm":
         if feature_norms is None:
             raise ValueError("feature_norm scoring requires feature_norms")
@@ -63,11 +63,6 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     """Each row's maximum, gathered at its argmax: the value .max(axis=1) gives, faster
     on the few-column rows the heads and the prototypes give."""
     return a[np.arange(len(a)), a.argmax(axis=1)]
-
-
-def _feature_norms(features: np.ndarray) -> np.ndarray:
-    """Each row's Euclidean norm: np.linalg.norm's sum of squares, without its wrapper."""
-    return np.sqrt(np.add.reduce(features * features, axis=1))
 
 
 def _score_vector(name: str, scores) -> np.ndarray:
@@ -161,10 +156,9 @@ def evaluate(params: ParamState, split: Split, unit_protos: np.ndarray,
     pred = np.empty(n, dtype=np.intp)
     scores, norms, max_cos = np.empty(n), np.empty(n), np.empty(n)
     for lo, hi, out in _forward_ranges(params, split.test_x):
-        cc_probs = log_softmax(out.cc_logits)[1]
-        pred[lo:hi] = cc_probs.argmax(axis=1)
-        norms[lo:hi] = _feature_norms(out.features)
-        scores[lo:hi] = ood_score(out, cc_probs, pred[lo:hi], score_rule, norms[lo:hi])
+        pred[lo:hi] = out.cc_logits.argmax(axis=1)
+        norms[lo:hi] = norm(out.features)
+        scores[lo:hi] = ood_score(out, pred[lo:hi], score_rule, norms[lo:hi])
         max_cos[lo:hi] = _row_max(normalize(out.embeddings)[0] @ unit_protos.T)
     accuracy = float((pred[id_rows] == true_class[id_rows]).mean())
 
@@ -210,6 +204,6 @@ def write_embedding_dump(params: ParamState, split: Split, path) -> None:
     n = split.test_x.shape[0]
     z, norms = np.empty((n, params.spec.embed_dim)), np.empty(n)
     for lo, hi, out in _forward_ranges(params, split.test_x):
-        z[lo:hi], norms[lo:hi] = out.embeddings, _feature_norms(out.features)
+        z[lo:hi], norms[lo:hi] = out.embeddings, norm(out.features)
     write_float_rows(path, ["id", "category", "feature_norm"], "z", [
         ("{},{},{!r}", (split.test_ids, split.categories(split.test_cluster), norms), z)])

@@ -72,7 +72,7 @@ def tape_objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
     zero = tl.constant(0.0)
     terms = {
         "x": tl.ce_graph(xw.cc_logits, labels),
-        "u": (tl.consistency_graph(us.cc_logits, decisions.pseudo, decisions.pl_accept)
+        "u": (tl.consistency_graph(us.cc_logits, decisions.gate.pred_class, decisions.pl_accept)
               if head.lambda_u > 0 else zero),
         "ova": tl.ova_graph(xw.id_logits, xw.ood_logits, labels),
         "em": tl.em_graph(uw.id_logits, uw.ood_logits) if head.lambda_em > 0 else zero,

@@ -28,7 +28,7 @@ _NEG_INF = -1e30
 class GateMask:
     """Per-sample dual-gate decisions with the scores that produced them."""
 
-    phi: np.ndarray         # (B,) in {0, 1}
+    phi: np.ndarray         # (B,) bool, True where the gate pulls
     cc_conf: np.ndarray     # max classifier probability per sample
     od_conf: np.ndarray     # detector ID probability at the predicted class
     pred_class: np.ndarray  # argmax class per sample
@@ -73,7 +73,7 @@ def dual_gate(cc_probs, od_probs, tau_id: float, eta_id: float) -> GateMask:
     rows = np.arange(len(pred))
     cc_conf = cc_probs[rows, pred]
     od_conf = od_probs[rows, pred]
-    phi = ((cc_conf > tau_id) & (od_conf > eta_id)).astype(np.int64)
+    phi = (cc_conf > tau_id) & (od_conf > eta_id)
     return GateMask(phi=phi, cc_conf=cc_conf, od_conf=od_conf, pred_class=pred)
 
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .heads import norm
+
 CHUNK_ROWS = 256  # rows write_float_rows formats at once: bounds its memory
 # Fewest chunks in one of write_float_rows' ranges: on 2 cores a forked range of 1,000
 # rows was slower than formatting it in the process, one of 1,700 rows faster.
@@ -117,9 +119,9 @@ def _place_means(spec: ScenarioSpec, rng: np.random.Generator) -> list[tuple]:
     def place(radius: float) -> np.ndarray:
         for _ in range(MAX_PLACEMENT_TRIES):
             direction = rng.standard_normal(spec.input_dim)
-            direction /= np.linalg.norm(direction)
+            direction /= norm(direction)
             candidate = radius * direction
-            if all(np.linalg.norm(candidate - q) >= spec.min_separation for q in placed):
+            if all(norm(candidate - q) >= spec.min_separation for q in placed):
                 placed.append(candidate)
                 return candidate
         raise PlacementError("cluster separation constraint unsatisfiable after "
@@ -131,7 +133,7 @@ def _place_means(spec: ScenarioSpec, rng: np.random.Generator) -> list[tuple]:
     for s in range(spec.seen_ood_clusters):
         if spec.num_classes >= 2:
             direction = galaxies[s % spec.num_classes] + galaxies[(s + 1) % spec.num_classes]
-            mean = seen_radius * (direction / np.linalg.norm(direction))
+            mean = seen_radius * (direction / norm(direction))
         else:
             mean = place(seen_radius)
         table.append(("seen", s, mean, seen_scale))

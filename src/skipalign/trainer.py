@@ -91,17 +91,20 @@ class TrainConfig:
         return weights, slopes
 
 
-# The gate detail a run logs per step: each `GateMask` array, with its dtype.
-GATE_DETAIL = {"phi": np.int64, "cc_conf": np.float64, "od_conf": np.float64,
-               "pred_class": np.int64}
+def gate_detail_dtypes(num_classes: int) -> dict:
+    """The gate detail a run logs per step: each `GateMask` array, with the dtype it is
+    stored in; a class index takes the smallest unsigned integer holding num_classes - 1."""
+    return {"phi": np.bool_, "cc_conf": np.float64, "od_conf": np.float64,
+            "pred_class": np.min_scalar_type(num_classes - 1)}
 
 
 @dataclass
 class RunLog:
     """Append-only record of a run's training, serializable at any point: one record
     per step, one per epoch with its refresh's unlabeled counts, the gate detail (one
-    (steps, unlabeled_batch) array per `GATE_DETAIL` name, whose row i step i fills),
-    and the last refresh's prototypes, which `cli.run_experiment` evaluates and writes."""
+    (steps, unlabeled_batch) array per `gate_detail_dtypes` name, whose row i step i
+    fills), and the last refresh's prototypes, which `cli.run_experiment` evaluates and
+    writes."""
 
     iterations: list[dict] = field(default_factory=list)
     epochs: list[dict] = field(default_factory=list)
@@ -148,7 +151,8 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
     params = init_params(netspec)
     total_steps = cfg.epochs * cfg.iters_per_epoch
     runlog = RunLog(gate_detail={name: np.zeros((total_steps, cfg.unlabeled_batch), dtype)
-                                 for name, dtype in GATE_DETAIL.items()})
+                                 for name, dtype in
+                                 gate_detail_dtypes(netspec.num_classes).items()})
     # Labeled means only: the gate is not trustworthy before training.
     protos = _refresh_prototypes(params, split, cfg, [])
 
@@ -216,7 +220,6 @@ class StepRows(NamedTuple):
     log_p_id: np.ndarray
     log_p_ood: np.ndarray
     p_id: np.ndarray
-    id_prob: np.ndarray
 
 
 def step_rows(out: ForwardResult, n_labeled: int, gate_temperature: float) -> StepRows:
@@ -239,8 +242,7 @@ class Decisions:
     """
 
     gate: GateMask          # dual gate on the weak unlabeled view; also picks refresh rows
-    pseudo: np.ndarray      # hard pseudo-labels from the weak view
-    pl_accept: np.ndarray   # pseudo-labels whose confidence clears tau_pl
+    pl_accept: np.ndarray   # where the hard pseudo-label, gate.pred_class, clears tau_pl
     negative: np.ndarray    # pseudo-negative masks on the u_w, u_w2 and u_s rows; none on u_w2
 
 
@@ -249,14 +251,12 @@ def freeze_decisions(rows: StepRows, cfg: TrainConfig) -> Decisions:
     u, gate_probs = rows.u, rows.gate_probs
     if not np.isfinite(gate_probs).all():
         raise ValueError("non-finite gate probabilities: gate_temperature overflows the logits")
-    pl_probs = rows.probs[u]
-    pseudo = pl_probs.argmax(axis=1)
-    m = len(pseudo)
+    gate = dual_gate(gate_probs, rows.p_id[u], cfg.tau_id, cfg.eta_id)
+    m = len(gate.pred_class)
     negative = negatives(rows.log_p_id[u.start:], cfg.head.log_eta_neg)
     negative[m:2 * m] = 0.0
-    return Decisions(
-        gate=dual_gate(gate_probs, rows.id_prob[u], cfg.tau_id, cfg.eta_id), pseudo=pseudo,
-        pl_accept=pl_probs[np.arange(m), pseudo] > cfg.head.tau_pl, negative=negative)
+    pl_accept = rows.probs[u][np.arange(m), gate.pred_class] > cfg.head.tau_pl
+    return Decisions(gate=gate, pl_accept=pl_accept, negative=negative)
 
 
 def objective(rows: StepRows, labels: np.ndarray, unit_protos: np.ndarray,
@@ -280,7 +280,7 @@ def objective(rows: StepRows, labels: np.ndarray, unit_protos: np.ndarray,
     # One target row per stacked row, the one-hot of: the label on x_w, the gate's
     # prototype on u_w (zero where the gate is shut), the accepted pseudo-label on
     # u_s (zero where rejected); no term reads u_w2's.
-    classes = np.concatenate((labels, gate.pred_class, decisions.pseudo, decisions.pseudo))
+    classes = np.concatenate((labels, gate.pred_class, gate.pred_class, gate.pred_class))
     target = np.zeros(rows.log_p.shape)
     target[np.arange(len(classes)), classes] = np.concatenate((np.ones(b), gate.phi, accept,
                                                                accept))
@@ -343,7 +343,7 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, unit_protos: np.ndarray,
         decisions = freeze_decisions(rows, cfg)
         terms, grads = objective(rows, labels, unit_protos, decisions, cfg)
         total = terms.pop("total")
-        gate, m = decisions.gate, len(decisions.pseudo)
+        gate, m = decisions.gate, len(decisions.gate.phi)
         record.update({
             "terms": terms, "total": total,
             "batch_labeled": len(labels), "batch_unlabeled": m,
@@ -354,9 +354,8 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, unit_protos: np.ndarray,
         step = record["step"]
         for name, array in gate_detail.items():
             array[step] = getattr(gate, name)
-        selected = gate.phi == 1
-        accepted.append(EmbeddingBatch(out.embeddings[rows.u][selected],
-                                       gate.pred_class[selected]))
+        accepted.append(EmbeddingBatch(out.embeddings[rows.u][gate.phi],
+                                       gate.pred_class[gate.phi]))
         return total, grads
 
     return closure

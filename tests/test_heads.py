@@ -67,11 +67,6 @@ def neg(log_p_ood, p_id, selected):
     return value, g, -g
 
 
-def detector(logits: tuple[np.ndarray, np.ndarray]) -> tuple:
-    """The `two_way` rows the OVA and entropy losses read: log_p_id, log_p_ood, p_id."""
-    return two_way(*logits)[:3]
-
-
 def unlabeled_rows(weak_cc, strong_cc):
     """The stacked rows of a step without labeled rows, built by hand: both weak
     views carry `weak_cc`, the strong view `strong_cc`."""
@@ -87,22 +82,23 @@ def fixmatch(weak_probs, strong_probs, tau_pl: float) -> tuple[float, int]:
     cfg = TrainConfig(head=HeadWeights(tau_pl=tau_pl))
     strong = np.log(np.asarray(strong_probs, dtype=np.float64))
     decisions = freeze_decisions(unlabeled_rows(np.log(weak_probs), strong), cfg)
-    value, _ = consistency(strong, decisions.pseudo, decisions.pl_accept)
+    value, _ = consistency(strong, decisions.gate.pred_class, decisions.pl_accept)
     return value, int(decisions.pl_accept.sum())
 
 
 def id_probs(id_logits, ood_logits) -> np.ndarray:
-    """The detector's per-class ID probability, as the gate and the OOD scores read it."""
-    return two_way(id_logits, ood_logits)[3]
+    """The detector's per-class ID probability, as the losses, the gate and the OOD
+    scores read it."""
+    return two_way(id_logits, ood_logits)[2]
 
 
 def neg_value(logits: tuple[np.ndarray, np.ndarray], eta_neg: float) -> float:
-    log_p_id, log_p_ood, p_id, _ = two_way(*logits)
+    log_p_id, log_p_ood, p_id = two_way(*logits)
     return neg(log_p_ood, p_id, negatives(log_p_id, np.log(eta_neg)))[0]
 
 
 class TestOvaOutput:
-    """The one-vs-all detector's output read as `two_way`'s id_prob: the per-class
+    """The one-vs-all detector's output read as `two_way`'s p_id: the per-class
     two-way softmax probability of ID."""
 
     def test_probs_are_complementary(self):
@@ -170,53 +166,53 @@ class TestConsistencyLoss:
 class TestOvaLoss:
     def test_perfect_detector(self):
         logits = logits_from_probs([[1 - 1e-12, 1e-12]])
-        assert ova(*detector(logits), [0])[0] == pytest.approx(0.0, abs=1e-9)
+        assert ova(*two_way(*logits), [0])[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_single_class_uniform(self):
         logits = logits_from_probs([[0.5]])
-        assert ova(*detector(logits), [0])[0] == pytest.approx(math.log(2), abs=1e-12)
+        assert ova(*two_way(*logits), [0])[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_two_class_hand_value(self):
         logits = logits_from_probs([[0.9, 0.2]])
         expected = -math.log(0.9) - math.log(0.8)
-        assert ova(*detector(logits), [0])[0] == pytest.approx(expected, abs=1e-12)
+        assert ova(*two_way(*logits), [0])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             logits = random_logits(rng)
             labels = rng.integers(0, 4, size=3)
-            assert ova(*detector(logits), labels)[0] >= 0
+            assert ova(*two_way(*logits), labels)[0] >= 0
 
 
 class TestEmLoss:
     def test_zero_entropy_at_vertices(self):
         logits = logits_from_probs([[1 - 1e-15, 1e-15]])
-        assert em(*detector(logits))[0] == pytest.approx(0.0, abs=1e-12)
+        assert em(*two_way(*logits))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_max_entropy_pair(self):
         logits = logits_from_probs([[0.5]])
-        assert em(*detector(logits))[0] == pytest.approx(math.log(2), abs=1e-12)
+        assert em(*two_way(*logits))[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_hand_value(self):
         logits = logits_from_probs([[0.9]])
         expected = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
-        assert em(*detector(logits))[0] == pytest.approx(expected, abs=1e-12)
+        assert em(*two_way(*logits))[0] == pytest.approx(expected, abs=1e-12)
 
     def test_maximized_at_half(self):
-        values = [em(*detector(logits_from_probs([[p]])))[0] for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        values = [em(*two_way(*logits_from_probs([[p]])))[0] for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert np.argmax(values) == 2
 
     def test_exact_zero_probability_contributes_zero(self):
         logits = np.array([[1000.0]]), np.array([[-1000.0]])
         assert id_probs(*logits)[0, 0] == 1.0  # the OOD probability is exactly zero
-        assert em(*detector(logits))[0] == pytest.approx(0.0, abs=1e-12)
+        assert em(*two_way(*logits))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             logits = random_logits(rng)
-            assert em(*detector(logits))[0] >= 0
+            assert em(*two_way(*logits))[0] >= 0
 
 
 class TestSocrLoss:
@@ -387,7 +383,7 @@ class TestNumpyTapeParity:
         strong = rng.standard_normal((6, 4))
         decisions = freeze_decisions(unlabeled_rows(weak, strong),
                                      TrainConfig(head=HeadWeights(tau_pl=0.5)))
-        pseudo, accept = decisions.pseudo, decisions.pl_accept
+        pseudo, accept = decisions.gate.pred_class, decisions.pl_accept
         assert 0 < accept.sum() < 6
         assert_matches_tape(
             consistency(strong, pseudo, accept),
@@ -399,7 +395,7 @@ class TestNumpyTapeParity:
         s_ood = rng.standard_normal((5, 3)) * 2
         s_id2 = rng.standard_normal((5, 3)) * 2
         labels = rng.integers(0, 3, size=5)
-        log_p_id, log_p_ood, p_id, _ = two_way(s_id, s_ood)
+        log_p_id, log_p_ood, p_id = two_way(s_id, s_ood)
         assert_matches_tape(ova(log_p_id, log_p_ood, p_id, labels), tape_value_and_grads(
             lambda a, b: tl.ova_graph(a, b, labels), s_id, s_ood))
         assert_matches_tape(em(log_p_id, log_p_ood, p_id),

@@ -10,7 +10,7 @@ from scipy.stats import rankdata
 
 from skipalign import metrics
 from skipalign.config import default_config
-from skipalign.heads import log_softmax, normalize, two_way
+from skipalign.heads import normalize
 from skipalign.metrics import (_forward_ranges, auroc, evaluate, ood_score, write_embedding_dump,
                                write_eval_csv)
 from skipalign.net import ForwardResult, forward, init_params
@@ -156,53 +156,73 @@ class TestAuroc:
         assert peak < 1_000_000
 
 
-def detector(id_logits, ood_logits):
-    """A forward's detector logits, all that `ood_score` reads of the forward."""
-    return SimpleNamespace(id_logits=np.asarray(id_logits, dtype=np.float64),
-                           ood_logits=np.asarray(ood_logits, dtype=np.float64))
+def head_logits(id_logits, ood_logits, cc_logits=None):
+    """A forward's head logits, all that `ood_score` reads of the forward; the
+    classifier's are zero unless given."""
+    id_logits = np.asarray(id_logits, dtype=np.float64)
+    return SimpleNamespace(id_logits=id_logits,
+                           ood_logits=np.asarray(ood_logits, dtype=np.float64),
+                           cc_logits=np.zeros_like(id_logits) if cc_logits is None
+                           else np.asarray(cc_logits, dtype=np.float64))
 
 
 class TestOodScore:
     def test_all_one_id_probs(self):
-        out = detector(np.full((2, 3), 50.0), np.full((2, 3), -50.0))
-        cc = np.full((2, 3), 1 / 3)
+        out = head_logits(np.full((2, 3), 50.0), np.full((2, 3), -50.0))
         for rule in ("ova_id_at_cc_argmax", "max_ova_id"):
-            np.testing.assert_allclose(ood_score(out, cc, cc.argmax(axis=1), rule), 1.0,
+            np.testing.assert_allclose(ood_score(out, np.zeros(2, dtype=np.intp), rule), 1.0,
                                        atol=1e-12)
 
     def test_pass_through_at_argmax(self):
         # Equal logits give an ID probability of exactly one half.
-        out = detector([[0.0, 3.0]], [[0.0, 0.0]])
-        assert ood_score(out, np.array([[0.8, 0.2]]), np.array([0]))[0] == 0.5
+        out = head_logits([[0.0, 3.0]], [[0.0, 0.0]])
+        assert ood_score(out, np.array([0]))[0] == 0.5
 
     def test_reads_per_sample_argmax_columns(self):
         id_logits, ood_logits = np.array([[2.0, -1.0], [0.5, 1.5]]), np.zeros((2, 2))
         ref = ref_id_probs(id_logits, ood_logits)
-        cc = np.array([[0.9, 0.1], [0.3, 0.7]])
-        out = detector(id_logits, ood_logits)
-        assert ood_score(out, cc, np.array([0, 1])).tolist() == [ref[0, 0], ref[1, 1]]
+        cc_logits = np.log([[0.9, 0.1], [0.3, 0.7]])
+        cc_probs = ref_softmax_rows(cc_logits)
+        out = head_logits(id_logits, ood_logits, cc_logits)
+        assert ood_score(out, np.array([0, 1])).tolist() == [ref[0, 0], ref[1, 1]]
         # The columns are the given prediction's: the rule takes no argmax of its own.
-        assert ood_score(out, cc, np.array([1, 0])).tolist() == [ref[0, 1], ref[1, 0]]
-        assert ood_score(out, cc, np.array([1, 0]), "max_cc_softmax").tolist() == [0.1, 0.3]
+        assert ood_score(out, np.array([1, 0])).tolist() == [ref[0, 1], ref[1, 0]]
+        assert ood_score(out, np.array([1, 0]), "max_cc_softmax").tolist() == [
+            cc_probs[0, 1], cc_probs[1, 0]]
 
     def test_alternative_rules(self):
         id_logits, ood_logits = np.array([[0.0, 2.0]]), np.array([[1.0, 0.0]])
-        out, cc, pred = detector(id_logits, ood_logits), np.array([[0.6, 0.4]]), np.array([0])
-        assert ood_score(out, cc, pred, rule="max_cc_softmax")[0] == 0.6
-        assert ood_score(out, cc, pred, rule="max_ova_id")[0] == ref_id_probs(
+        cc_logits = np.log([[0.6, 0.4]])
+        out, pred = head_logits(id_logits, ood_logits, cc_logits), np.array([0])
+        assert ood_score(out, pred, rule="max_cc_softmax")[0] == ref_softmax_rows(
+            cc_logits).max()
+        assert ood_score(out, pred, rule="max_ova_id")[0] == ref_id_probs(
             id_logits, ood_logits).max()
         norms = np.array([2.5])
-        assert ood_score(out, cc, pred, rule="feature_norm", feature_norms=norms)[0] == 2.5
+        assert ood_score(out, pred, rule="feature_norm", feature_norms=norms)[0] == 2.5
 
     def test_feature_norm_requires_norms(self):
         with pytest.raises(ValueError):
-            ood_score(detector([[0.4]], [[0.0]]), np.array([[1.0]]), np.array([0]),
-                      rule="feature_norm")
+            ood_score(head_logits([[0.4]], [[0.0]]), np.array([0]), rule="feature_norm")
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
-            ood_score(detector([[0.4]], [[0.0]]), np.array([[1.0]]), np.array([0]),
-                      rule="entropy")
+            ood_score(head_logits([[0.4]], [[0.0]]), np.array([0]), rule="entropy")
+
+    def test_logits_that_exp_ties(self, setup, monkeypatch):
+        # exp(0 - 1e-17) rounds to 1, so classes 0 and 1 get one softmax probability,
+        # though class 1's logit is larger. The prediction is the logits' argmax, class
+        # 1, and max_cc_softmax scores the rows' maximum probability.
+        cc_logits = np.array([[0.0, 1e-17, -1.0, -2.0]] * 3)
+        probs = ref_softmax_rows(cc_logits)
+        assert probs[0, 0] == probs[0, 1]
+        out = head_logits(np.zeros((3, 4)), np.zeros((3, 4)), cc_logits)
+        assert ood_score(out, cc_logits.argmax(axis=1), "max_cc_softmax").tolist() == (
+            probs.max(axis=1).tolist())
+        f = np.ones((3, 2))
+        report = evaluate_outputs(monkeypatch, setup, ["id:1", "id:1", "seen:0"], f, f,
+                                  normalize(np.array([[1.0, 0.0]]))[0], cc_logits=cc_logits)
+        assert report.accuracy == 1.0
 
     @pytest.mark.parametrize("rule", ["max_cc_softmax", "feature_norm"])
     def test_rules_without_the_detector_take_no_two_way(self, setup, monkeypatch, rule):
@@ -221,11 +241,12 @@ def row_categories(split, codes):
 
 
 def evaluate_outputs(monkeypatch, setup, categories, features, embeddings, unit_protos,
-                     clusters=None):
+                     clusters=None, cc_logits=None):
     """`evaluate`'s report when the forward returns the given features and
-    embeddings (and all-zero logits) for test rows of the given categories,
-    coded into the cluster table `clusters` (by default the setup split's).
-    Test row i holds the value i, so the fake forward serves any row range."""
+    embeddings (and all-zero logits, but the classifier's cc_logits if given) for
+    test rows of the given categories, coded into the cluster table `clusters` (by
+    default the setup split's). Test row i holds the value i, so the fake forward
+    serves any row range."""
     params, split, _ = setup
     clusters = split.clusters if clusters is None else clusters
     code = {f"{kind}:{index}": k for k, (kind, index, *_) in enumerate(clusters)}
@@ -233,11 +254,12 @@ def evaluate_outputs(monkeypatch, setup, categories, features, embeddings, unit_
     features = np.asarray(features, dtype=np.float64)
     embeddings = np.asarray(embeddings, dtype=np.float64)
     logits = np.zeros((n, params.spec.num_classes))
+    cc_logits = logits if cc_logits is None else cc_logits
 
     def fake_forward(p, x):
         rows = x[:, 0].astype(np.intp)
         return ForwardResult(features=features[rows], embeddings=embeddings[rows],
-                             cc_logits=logits[rows], id_logits=logits[rows],
+                             cc_logits=cc_logits[rows], id_logits=logits[rows],
                              ood_logits=logits[rows])
 
     monkeypatch.setattr("skipalign.metrics.forward", fake_forward)
@@ -560,9 +582,9 @@ class TestEvaluationMemory:
 
 
 def reference_evaluate(params, split, unit_protos, score_rule):
-    """`evaluate` written the plain way, the reference for its bytes: every rule takes
-    the full two-way softmax and an argmax of its own, norms come from np.linalg.norm,
-    and row maxima from `.max(axis=1)`."""
+    """`evaluate` written the plain way in numpy, the reference for its bytes: the
+    prediction is the classifier logits' argmax, every rule takes the full softmaxes,
+    norms are sums of squares, and row maxima come from `.max(axis=1)`."""
     n = split.test_x.shape[0]
     codes = split.test_cluster
     present = np.flatnonzero(np.bincount(codes))
@@ -574,18 +596,19 @@ def reference_evaluate(params, split, unit_protos, score_rule):
     pred = np.empty(n, dtype=np.intp)
     scores, norms, max_cos = np.empty(n), np.empty(n), np.empty(n)
     for lo, hi, out in _forward_ranges(params, split.test_x):
-        cc_probs = log_softmax(out.cc_logits)[1]
-        pred[lo:hi] = np.argmax(cc_probs, axis=1)
-        norms[lo:hi] = np.linalg.norm(out.features, axis=1)
-        ova_probs = two_way(out.id_logits, out.ood_logits)[3]
+        cc_probs = ref_softmax_rows(out.cc_logits)
+        pred[lo:hi] = np.argmax(out.cc_logits, axis=1)
+        norms[lo:hi] = np.sqrt((out.features * out.features).sum(axis=1))
+        ova_probs = ref_id_probs(out.id_logits, out.ood_logits)
         scores[lo:hi] = {
-            "ova_id_at_cc_argmax": lambda: ova_probs[np.arange(hi - lo),
-                                                     np.argmax(cc_probs, axis=1)],
+            "ova_id_at_cc_argmax": lambda: ova_probs[np.arange(hi - lo), pred[lo:hi]],
             "max_cc_softmax": lambda: np.max(cc_probs, axis=1),
             "max_ova_id": lambda: np.max(ova_probs, axis=1),
             "feature_norm": lambda: norms[lo:hi],
         }[score_rule]()
-        max_cos[lo:hi] = (normalize(out.embeddings)[0] @ unit_protos.T).max(axis=1)
+        z = out.embeddings
+        unit = z / np.sqrt((z * z).sum(axis=1, keepdims=True))
+        max_cos[lo:hi] = (unit @ unit_protos.T).max(axis=1)
     accuracy = float((pred[id_rows] == true_class[id_rows]).mean())
 
     id_scores = scores[id_rows]
@@ -607,7 +630,8 @@ def reference_evaluate(params, split, unit_protos, score_rule):
 
 def tied_outputs(monkeypatch, setup):
     """The setup split with a fake forward whose rows are full of exact ties: integer
-    classifier logits with the maximum at two classes, detector logits equal at two
+    classifier logits with the maximum at two classes, or a maximum 1e-17 above the
+    runner-up, which exp rounds to the same probability; detector logits equal at two
     classes, embeddings equally close to two of the axis prototypes, and integer
     features, forwarded in 7-row ranges; with the (K, d) axis prototypes."""
     params, split, _ = setup
@@ -615,6 +639,8 @@ def tied_outputs(monkeypatch, setup):
     rng = np.random.default_rng(11)
     cc = rng.integers(0, 3, (n, k)).astype(np.float64)
     cc[::3, :2] = 3.0  # the classifier's maximum at classes 0 and 1
+    cc[1::3] -= 3.0
+    cc[1::3, :2] = (0.0, 1e-17)  # one probability at classes 0 and 1, class 1's logit larger
     id_logits = rng.integers(-2, 3, (n, k)).astype(np.float64)
     id_logits[::2, 1:3] = 4.0  # the same ID probability at classes 1 and 2
     ood_logits = rng.integers(-2, 3, (n, k)).astype(np.float64)

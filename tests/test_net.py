@@ -41,7 +41,7 @@ class TestForward:
         out = forward(params, np.random.default_rng(0).standard_normal((5, 3)))
         np.testing.assert_allclose(out.cc_logits, 0.0)
         np.testing.assert_allclose(log_softmax(out.cc_logits)[1], 0.5, atol=1e-15)
-        np.testing.assert_allclose(two_way(out.id_logits, out.ood_logits)[3], 0.5, atol=1e-15)
+        np.testing.assert_allclose(two_way(out.id_logits, out.ood_logits)[2], 0.5, atol=1e-15)
 
     def test_hand_built_single_layer_products(self):
         # No hidden widths: the backbone is one 2x2 linear map. The projection's

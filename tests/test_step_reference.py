@@ -17,7 +17,10 @@ adopts each deliberate formula change of the one-pass step:
 - prototype alignment is usna with the gate open: one cosine product and one
   prototype softmax over the stacked x_w and u_w unit rows, the repulsion's
   log-sum-exp taken from that softmax;
-- the alignment gradients are summed on the sphere and projected once.
+- the alignment gradients are summed on the sphere and projected once;
+- one ID probability, e_id / (e_id + e_ood), for the losses, the gate and the
+  negatives' gradient, and one argmax on the weak rows: the gate's predicted
+  class is the pseudo-label.
 
 The step that trains computes each per-row quantity once on the stacked arrays
 (`trainer.step_rows`) and writes full-batch head gradients; it must give the
@@ -34,8 +37,8 @@ from skipalign.heads import HeadWeights, MIN_NORM, compose, normalize, one_hot
 from skipalign.net import (ForwardResult, NetSpec, _check_finite, _forward_core, _relu,
                           _result, backward, init_params)
 from skipalign.sna import LOSS_COMBOS, SnaWeights, dual_gate
-from skipalign.trainer import (GATE_DETAIL, LEAVES, Decisions, TrainConfig, _make_closure,
-                               freeze_decisions, objective, step_rows)
+from skipalign.trainer import (LEAVES, Decisions, TrainConfig, _make_closure, freeze_decisions,
+                               gate_detail_dtypes, objective, step_rows)
 
 # --- The per-view step. -------------------------------------------------------
 
@@ -77,12 +80,12 @@ def ref_classifier(logits, target, scale):
 def ref_ova(id_logits, ood_logits, y, scale):
     log_p_id, log_p_ood = ref_two_way_log_probs(id_logits, ood_logits)
     value = -(log_p_ood + y * (log_p_id - log_p_ood)).sum()
-    return float(value), (np.exp(log_p_id) - y) * scale
+    return float(value), (ref_id_probs(id_logits, ood_logits) - y) * scale
 
 
 def ref_em(id_logits, ood_logits, scale):
     log_p_id, log_p_ood = ref_two_way_log_probs(id_logits, ood_logits)
-    p_id, p_ood = np.exp(log_p_id), np.exp(log_p_ood)
+    p_id, p_ood = ref_id_probs(id_logits, ood_logits), np.exp(log_p_ood)
     value = -(p_id * log_p_id + p_ood * log_p_ood).sum()
     return float(value), (p_ood * (log_p_ood - log_p_id)) * (p_id * scale)
 
@@ -99,10 +102,10 @@ def ref_negatives(id_logits, ood_logits, eta_neg):
 
 def ref_neg_rows(id_logits, ood_logits, selected, scale):
     """One view's weighted -log(OOD probability) products and its ID-logit gradient."""
-    log_p_id, log_p_ood = ref_two_way_log_probs(id_logits, ood_logits)
+    log_p_ood = ref_two_way_log_probs(id_logits, ood_logits)[1]
     counts = selected.sum(axis=1, keepdims=True)
     w = selected * (1.0 / np.maximum(counts, 1.0))
-    return log_p_ood * w, w * (np.exp(log_p_id) * scale)
+    return log_p_ood * w, w * (ref_id_probs(id_logits, ood_logits) * scale)
 
 
 def ref_unit_rows(z):
@@ -148,14 +151,14 @@ def ref_ia(zh, labels, temperature, scale):
 
 def ref_freeze_decisions(uw, uw2, us, cfg):
     gate_probs = ref_softmax_rows(uw.cc_logits, cfg.gate_temperature)
-    pl_probs = ref_softmax_rows(uw.cc_logits)
-    pseudo = np.argmax(pl_probs, axis=1)
+    gate = dual_gate(gate_probs, ref_id_probs(uw.id_logits, uw.ood_logits), cfg.tau_id,
+                     cfg.eta_id)
+    pseudo = gate.pred_class
     eta_neg = cfg.head.eta_neg
     return Decisions(
-        gate=dual_gate(gate_probs, ref_id_probs(uw.id_logits, uw.ood_logits), cfg.tau_id,
-                       cfg.eta_id),
-        pseudo=pseudo,
-        pl_accept=pl_probs[np.arange(pseudo.size), pseudo] > cfg.head.tau_pl,
+        gate=gate,
+        pl_accept=ref_softmax_rows(uw.cc_logits)[np.arange(pseudo.size), pseudo]
+        > cfg.head.tau_pl,
         negative=np.concatenate([ref_negatives(uw.id_logits, uw.ood_logits, eta_neg),
                                  np.zeros(uw2.id_logits.shape),
                                  ref_negatives(us.id_logits, us.ood_logits, eta_neg)]),
@@ -167,13 +170,13 @@ def ref_objective(outputs, labels, unit_protos, decisions, cfg):
     views = ("x_w", "u_w", "u_w2", "u_s")
     xw, uw, uw2, us = (outputs[view] for view in views)
     weights, slopes = cfg.weights_and_slopes
-    b, m, k = len(labels), len(decisions.pseudo), xw.cc_logits.shape[1]
     gate, accept = decisions.gate, decisions.pl_accept
+    b, m, k = len(labels), len(gate.phi), xw.cc_logits.shape[1]
     terms = dict.fromkeys(LEAVES, 0.0)
     grads = {view: {} for view in views}
 
     # The classifier on every view: a target row and a weight per row.
-    pseudo_target = one_hot(decisions.pseudo, k) * accept[:, None]
+    pseudo_target = one_hot(gate.pred_class, k) * accept[:, None]
     targets = {"x_w": one_hot(labels, k), "u_w": one_hot(gate.pred_class, k) * gate.phi[:, None],
                "u_w2": pseudo_target, "u_s": pseudo_target}
     scales = {"x_w": np.full(b, slopes["x"] / b), "u_w": np.zeros(m), "u_w2": np.zeros(m),
@@ -339,6 +342,9 @@ CASES = {
     "labeled-batch-of-one": {"labels": (2,)},
     "one-class": {"spec": replace(SPEC, num_classes=1), "labels": (0, 0, 0)},
     "default-shapes": {"spec": NetSpec(), "labels": tuple(np.arange(16) % 4), "unlabeled": 32},
+    # More classes than a byte indexes: the gate log stores pred_class as uint16.
+    "300-classes": {"spec": replace(SPEC, num_classes=300), "labels": (0, 0, 299, 256, 256, 1),
+                    "unlabeled": 32},
 }
 
 
@@ -356,7 +362,7 @@ def assert_same_decisions(got: Decisions, want: Decisions):
     for name in ("phi", "cc_conf", "od_conf", "pred_class"):
         a, b = getattr(got.gate, name), getattr(want.gate, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    for name in ("pseudo", "pl_accept", "negative"):
+    for name in ("pl_accept", "negative"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert np.ascontiguousarray(a).tobytes() == b.tobytes(), name
@@ -373,16 +379,19 @@ def test_matches_reference_step(case):
     assert all(terms[name] == want_terms[name] for name in terms), terms
     assert_same_decisions(decisions, want_decisions)
     assert flat.tobytes() == want_flat.tobytes()
-    # The closure that trains gives the same gradient, and logs the gate in its step's row.
+    # The closure that trains gives the same gradient, and logs the gate in its step's row,
+    # each array in its stored dtype.
     record, m = {"step": 1}, len(inputs["u_w"])
-    gate_detail = {name: np.zeros((2, m), dtype) for name, dtype in GATE_DETAIL.items()}
+    gate_detail = {name: np.zeros((2, m), dtype)
+                   for name, dtype in gate_detail_dtypes(params.spec.num_classes).items()}
     closure = _make_closure(cfg, labels, unit_protos, record, [], gate_detail)
     trained = backward(params, x, closure)
     assert trained.tobytes() == want_flat.tobytes()
     assert record["total"] == want_terms["total"]
     for name, array in gate_detail.items():
         want = getattr(want_decisions.gate, name)
-        assert array.dtype == want.dtype and array[1].tobytes() == want.tobytes(), name
+        assert np.array_equal(array[1], want), name
+        assert array[1].tobytes() == want.astype(array.dtype).tobytes(), name
         assert not array[0].any(), name
 
 

@@ -119,12 +119,15 @@ def reference_generate(spec):
     (unseen_radius, unseen_scale), between_scale = GEOMETRY["unseen"], GEOMETRY["between"][1]
     placed = []
 
+    def length(v):  # a numpy sum of squares: BLAS's dot would round per kernel
+        return np.sqrt((v * v).sum())
+
     def place(radius):
         for _ in range(MAX_PLACEMENT_TRIES):
             direction = rng.standard_normal(spec.input_dim)
-            direction /= np.linalg.norm(direction)
+            direction /= length(direction)
             candidate = radius * direction
-            if all(np.linalg.norm(candidate - q) >= spec.min_separation for q in placed):
+            if all(length(candidate - q) >= spec.min_separation for q in placed):
                 placed.append(candidate)
                 return candidate
         raise PlacementError("unsatisfiable")
@@ -136,7 +139,7 @@ def reference_generate(spec):
             a = id_means[s % spec.num_classes]
             b = id_means[(s + 1) % spec.num_classes]
             direction = a + b
-            direction = direction / np.linalg.norm(direction)
+            direction = direction / length(direction)
             seen_means.append(seen_radius * direction)
     else:
         seen_means = [place(seen_radius) for _ in range(spec.seen_ood_clusters)]

@@ -8,8 +8,8 @@ from skipalign.config import resolve_config
 from skipalign.heads import HeadWeights, compose
 from skipalign.net import init_params, sgd_step
 from skipalign.synthdata import generate
-from skipalign.trainer import (GATE_DETAIL, MOMENTUM, WEIGHT_DECAY, RunLog, TrainConfig,
-                               TrainingDiverged, _batches, lr_at, train)
+from skipalign.trainer import (MOMENTUM, WEIGHT_DECAY, RunLog, TrainConfig, TrainingDiverged,
+                               _batches, gate_detail_dtypes, lr_at, train)
 
 # The keys of an iteration record, in the order they are written.
 RECORD_KEYS = ["step", "epoch", "lr", "terms", "total", "batch_labeled", "batch_unlabeled",
@@ -33,7 +33,7 @@ def audit_gate_flow(runlog: RunLog, tau_id: float, eta_id: float) -> None:
     """Check every logged step's pull decisions against the gate rule at the run's
     thresholds, and its record's accepted count against them."""
     detail = runlog.gate_detail
-    expected = ((detail["cc_conf"] > tau_id) & (detail["od_conf"] > eta_id)).astype(np.int64)
+    expected = (detail["cc_conf"] > tau_id) & (detail["od_conf"] > eta_id)
     for record in runlog.iterations:
         phi = detail["phi"][record["step"]]
         if not np.array_equal(phi, expected[record["step"]]):
@@ -185,7 +185,7 @@ class TestTrainLoop:
         audit_gate_flow(runlog, cfg.train.tau_id, cfg.train.eta_id)
         # a corrupted mask, or a record whose count disagrees with its mask, must be caught
         phi = runlog.gate_detail["phi"].copy()
-        phi[0] = 1 - phi[0]
+        phi[0] = ~phi[0]
         bad = RunLog(iterations=runlog.iterations[:1],
                      gate_detail={**runlog.gate_detail, "phi": phi})
         with pytest.raises(AssertionError, match="gate mask inconsistent at step 0"):
@@ -222,7 +222,7 @@ class TestTrainLoop:
         # The gate detail's rows of the logged steps only.
         partial.write_gate_detail(tmp_path / "partial.npz")
         with np.load(tmp_path / "partial.npz") as saved:
-            assert list(saved) == list(GATE_DETAIL)
+            assert list(saved) == list(runlog.gate_detail)
             for name, array in runlog.gate_detail.items():
                 assert saved[name].tobytes() == array[:3].tobytes(), name
 
@@ -234,12 +234,21 @@ class TestTrainLoop:
         for record in runlog.iterations:
             assert list(record) == ["step", "epoch", "lr", "terms", "total", "batch_labeled",
                                     "batch_unlabeled", "gate"]
-        # The gate detail is one array per GateMask field, a row per step.
+        # The gate detail is one array per GateMask field, a row per step: the mask as
+        # bool, the class index in one byte for the tiny run's 4 classes.
         steps = cfg.train.epochs * cfg.train.iters_per_epoch
-        assert list(runlog.gate_detail) == ["phi", "cc_conf", "od_conf", "pred_class"]
-        for name, array in runlog.gate_detail.items():
-            assert array.shape == (steps, cfg.train.unlabeled_batch), name
-            assert array.dtype == GATE_DETAIL[name], name
+        assert {name: array.dtype.str for name, array in runlog.gate_detail.items()} == {
+            "phi": "|b1", "cc_conf": "<f8", "od_conf": "<f8", "pred_class": "|u1"}
+        for array in runlog.gate_detail.values():
+            assert array.shape == (steps, cfg.train.unlabeled_batch)
+
+    @pytest.mark.parametrize("num_classes, dtype", [
+        (1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16),
+        (65537, np.uint32)])
+    def test_gate_detail_stores_every_class_index(self, num_classes, dtype):
+        stored = gate_detail_dtypes(num_classes)["pred_class"]
+        assert stored == dtype
+        assert np.array([num_classes - 1]).astype(stored)[0] == num_classes - 1
 
     def test_total_matches_weighted_recomposition_from_report(self):
         cfg = tiny_config()
