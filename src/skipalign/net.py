@@ -7,8 +7,9 @@ a linear one-vs-all detector emitting K (ID, OOD) logit pairs. `backward`
 forwards a step's stacked batch once and propagates the full-batch head
 gradients the loss returns back through the layout in closed form;
 `forward_tensors` builds the same network on the autodiff tape, the oracle
-the tests check it with. All three build the one `ForwardResult`: the five
-layer outputs, numpy arrays or tape tensors, and nothing derived from them.
+the tests check it with, and is the one place this module loads the tape.
+All three build the one `ForwardResult`: the five layer outputs, numpy arrays
+or tape tensors, and nothing derived from them.
 Plain momentum SGD; checkpoints round-trip bitwise via hex-encoded float64.
 """
 
@@ -18,11 +19,12 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
-from .autodiff import Tensor, constant
+if TYPE_CHECKING:
+    from .autodiff import Tensor
 
 CHECKPOINT_VERSION = 1
 
@@ -108,12 +110,6 @@ class ParamState:
         flat = np.zeros_like(self.flat)
         return flat, _layer_views(self.spec, flat)
 
-    def view(self, name: str) -> np.ndarray:
-        return self.views[name]
-
-    def names(self) -> list[str]:
-        return list(self.views)
-
 
 def init_params(spec: NetSpec) -> ParamState:
     """Seeded scaled-uniform init, U(+-1/sqrt(fan_in)) per layer.
@@ -193,6 +189,7 @@ def forward(params: ParamState, x) -> ForwardResult:
 
 def forward_tensors(spec: NetSpec, params: Mapping[str, Tensor], x) -> ForwardResult:
     """Forward pass on the autodiff tape; validates every layer output."""
+    from .autodiff import Tensor, constant
     xt = constant(np.asarray(x, dtype=np.float64))
     f, z, cc, od = _forward_core(spec, params, xt, relu=Tensor.relu)
     _check_finite(f.data, z.data, cc.data, od.data)
@@ -212,25 +209,22 @@ def backward(params: ParamState, x: np.ndarray,
 
     `x` is a step's (N, d_in) batch, every view stacked. It is forwarded
     once; the closure receives the stacked ForwardResult and returns
-    (loss, grads), where grads maps a head, "embeddings", "cc_logits",
-    "id_logits" or "ood_logits", to the loss gradient w.r.t. that output
-    over the whole batch (a missing head is zero). The gradient then flows
-    back by hand through the layout: heads, projection, backbone. It is
-    written into, and returned as, the vector of `params.grad`, which the
-    next call on the same params overwrites.
+    (loss, grads), where grads maps each head, "embeddings", "cc_logits",
+    "id_logits" and "ood_logits", to the loss gradient w.r.t. that output
+    over the whole batch. The gradient then flows back by hand through the
+    layout: heads, projection, backbone. It is written into, and returned as,
+    the vector of `params.grad`, which the next call on the same params
+    overwrites.
     """
     spec = params.spec
     layer_inputs = {}
     f, z, cc, od = _forward_core(spec, params.views, x, relu=_relu, layer_inputs=layer_inputs)
     _check_finite(f, z, cc, od)
-    stacked = _result(spec, f, z, cc, od)
-    loss, head_grads = closure(stacked)
+    loss, head_grads = closure(_result(spec, f, z, cc, od))
     if not np.isfinite(loss):
         raise ValueError("non-finite loss")
-    g_z, g_cc, g_id, g_ood = (head_grads[head] if head in head_grads
-                              else np.zeros_like(getattr(stacked, head))
-                              for head in ("embeddings", "cc_logits", "id_logits", "ood_logits"))
-    g_od = np.concatenate([g_id, g_ood], axis=1)
+    g_z, g_cc = head_grads["embeddings"], head_grads["cc_logits"]
+    g_od = np.concatenate([head_grads["id_logits"], head_grads["ood_logits"]], axis=1)
 
     flat, grad = params.grad
     ones = np.ones(len(x))  # a bias gradient is ones @ g
@@ -251,22 +245,18 @@ def backward(params: ParamState, x: np.ndarray,
     return flat
 
 
-def sgd_step(params: ParamState, grads: np.ndarray, lr: float, momentum: float = 0.0,
-             weight_decay: float = 0.0, velocity: np.ndarray | None = None
-             ) -> tuple[ParamState, np.ndarray]:
-    """Classic momentum SGD, in place on params.flat and velocity, which it returns;
-    weight decay is added to the gradient. The operations and their order are those
-    of `flat - lr * (momentum * velocity + (grads + weight_decay * flat))`, so the
+def sgd_step(params: ParamState, grads: np.ndarray, lr: float, momentum: float,
+             weight_decay: float, velocity: np.ndarray) -> None:
+    """Classic momentum SGD, in place on params.flat and velocity; weight decay is
+    added to the gradient. The operations and their order are those of
+    `flat - lr * (momentum * velocity + (grads + weight_decay * flat))`, so the
     bits are too. A non-finite parameter after the step is a ValueError."""
     flat = params.flat
-    if velocity is None:
-        velocity = np.zeros_like(flat)
     velocity *= momentum
     velocity += grads + weight_decay * flat
     flat -= lr * velocity
     if not np.isfinite(flat).all():
         raise ValueError("parameters have non-finite entries")
-    return params, velocity
 
 
 def save_checkpoint(params: ParamState, path) -> None:

@@ -3,7 +3,7 @@
 Each case builds one training step's four views, freezes its decisions from
 their stacked numpy forward, and compares `trainer.objective` through
 `net.backward` on the stacked batch, as training runs them, with
-`oracles.tape_objective` through reverse mode view by view: every logged term
+`tape_oracle.tape_objective` through reverse mode view by view: every logged term
 and the full parameter gradient must agree to 1e-12 relative.
 """
 
@@ -15,9 +15,9 @@ import pytest
 from skipalign.autodiff import constant
 from skipalign.heads import HeadWeights, normalize
 from skipalign.net import NetSpec, forward, forward_tensors, init_params
-from skipalign.oracles import objective_gradients, tape_objective
 from skipalign.sna import LOSS_COMBOS, SnaWeights
 from skipalign.trainer import TrainConfig, freeze_decisions, objective, step_rows
+from tape_oracle import objective_gradients, tape_objective
 
 SPEC = NetSpec(input_dim=5, backbone_widths=(7,), feature_dim=6, proj_hidden=5,
                embed_dim=4, num_classes=3, seed=3)
@@ -57,7 +57,7 @@ def assert_matches_tape(spec=SPEC, cfg=CFG, **kwargs):
 
 
 def outputs_on_tape(params, inputs):
-    tensors = {name: constant(params.view(name)) for name in params.names()}
+    tensors = {name: constant(view) for name, view in params.views.items()}
     return {view: forward_tensors(params.spec, tensors, x) for view, x in inputs.items()}
 
 

@@ -311,10 +311,10 @@ class TestCliRun:
 
         def init_params(spec):
             params = real_init(spec)
-            for name in params.names():
+            for name, view in params.views.items():
                 if name.endswith(".b") or (fault == "zero-prototypes"
                                            and name.startswith("proj")):
-                    params.view(name)[:] = 0.0
+                    view[:] = 0.0
             return params
 
         monkeypatch.setattr(trainer_mod, "augment_views", augment_views)
@@ -947,6 +947,38 @@ class TestCliGradcheckAndGolden:
                      "--golden-path", str(tmp_path / "nope.csv")]) == 1
 
 
+def child_env() -> dict:
+    """This process's environment, with the package under test importable."""
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join([str(Path(skipalign.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")])}
+
+
+class TestProductionPath:
+    def test_run_and_eval_load_no_tape(self, tmp_path):
+        # The autodiff tape is an oracle of the tests: a fresh interpreter that imports
+        # the runner and the gradient oracle, then runs and re-scores a two-step run,
+        # has loaded neither tape module.
+        script = (
+            "import json, pathlib, sys\n"
+            "import skipalign.oracles\n"
+            "from skipalign.cli import main\n"
+            "config, out = sys.argv[1:]\n"
+            "assert main(['run', '--config', config, '--out', out]) == 0\n"
+            "(run_dir,) = pathlib.Path(out).iterdir()\n"
+            "assert main(['eval', '--run-dir', str(run_dir)]) == 0\n"
+            "print(json.dumps(sorted(name for name in sys.modules if 'skipalign' in name)))\n")
+        raw = {**TINY_RAW, "train": {"epochs": 1, "iters_per_epoch": 2, "batch_size": 8}}
+        child = subprocess.run([sys.executable, "-c", script, write_config(tmp_path, raw),
+                                str(tmp_path / "runs")],
+                               env=child_env(), capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        loaded = json.loads(child.stdout.splitlines()[-1])
+        assert {"skipalign.cli", "skipalign.oracles", "skipalign.net"} <= set(loaded)
+        assert "skipalign.autodiff" not in loaded
+        assert "skipalign.tensor_losses" not in loaded
+
+
 # Most units in the last place a metrics.csv value other than an AUC or the accuracy
 # may move under another BLAS kernel; at seeds 0 to 2 the Haswell kernel moved 1 at most.
 KERNEL_ULPS = 4
@@ -968,9 +1000,7 @@ class TestPortableData:
         # data, split.csv and the manifest's cluster table, are summed without BLAS and
         # keep their bytes; training and evaluation multiply through BLAS, so there
         # every AUC and the accuracy hold and the other metrics hold to KERNEL_ULPS.
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
-               "PYTHONPATH": os.pathsep.join([str(Path(skipalign.__file__).parents[1]),
-                                              os.environ.get("PYTHONPATH", "")])}
+        env = {**child_env(), "OPENBLAS_CORETYPE": "Haswell"}
         child = subprocess.run(
             [sys.executable, "-c", "import sys; from skipalign.cli import main; "
              "sys.exit(main(sys.argv[1:]))", "run", "--config",

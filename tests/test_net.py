@@ -11,6 +11,12 @@ from skipalign.net import (ForwardResult, NetSpec, ParamState, backward, forward
 
 TINY = NetSpec(input_dim=3, backbone_widths=(4,), feature_dim=3, proj_hidden=3,
                embed_dim=2, num_classes=2, seed=0)
+HEADS = ("embeddings", "cc_logits", "id_logits", "ood_logits")
+
+
+def head_grads(out, **given):
+    """The four head gradients a `backward` closure returns: given ones, else zero."""
+    return {head: given.get(head, np.zeros_like(getattr(out, head))) for head in HEADS}
 
 
 class TestSpecAndInit:
@@ -50,10 +56,10 @@ class TestForward:
                        embed_dim=2, num_classes=2, seed=0)
         params = ParamState(spec=spec, flat=np.zeros(param_count(spec)))
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        params.view("backbone0.W")[:] = w
-        params.view("proj0.W")[:] = np.eye(2)
-        params.view("proj1.W")[:] = np.eye(2)
-        params.view("cc.W")[:] = np.eye(2)
+        params.views["backbone0.W"][:] = w
+        params.views["proj0.W"][:] = np.eye(2)
+        params.views["proj1.W"][:] = np.eye(2)
+        params.views["cc.W"][:] = np.eye(2)
         x = np.array([[1.0, 1.0]])
         out = forward(params, x)
         np.testing.assert_allclose(out.features, x @ w, atol=1e-15)
@@ -70,7 +76,7 @@ class TestForward:
     def test_tape_forward_gives_the_same_five_outputs(self):
         params = init_params(TINY)
         x = np.random.default_rng(2).standard_normal((4, 3))
-        tensors = {name: constant(params.view(name)) for name in params.names()}
+        tensors = {name: constant(view) for name, view in params.views.items()}
         tape = forward_tensors(TINY, tensors, x)
         out = forward(params, x)
         names = [f.name for f in dataclasses.fields(ForwardResult)]
@@ -89,29 +95,30 @@ class TestBackward:
     def test_constant_loss_zero_gradient(self):
         params = init_params(TINY)
         x = np.random.default_rng(3).standard_normal((3, 3))
-        grads = backward(params, x, lambda out: (2.5, {}))
+        grads = backward(params, x, lambda out: (2.5, head_grads(out)))
         np.testing.assert_allclose(grads, 0.0)
 
     def test_full_objective_matches_finite_differences(self):
         from skipalign.oracles import full_model_gradient_check
-        rel_fd, rel_tape, n_params = full_model_gradient_check(seed=0)
+        from tape_oracle import full_model_tape_check
+        rel_fd, n_params = full_model_gradient_check(seed=0)
         assert n_params <= 500
-        assert rel_fd <= 1e-5 and rel_tape <= 1e-12
+        assert rel_fd <= 1e-5 and full_model_tape_check(seed=0) <= 1e-12
 
     def test_non_finite_loss_rejected(self):
         params = init_params(TINY)
         x = np.zeros((2, 3))
         with pytest.raises(ValueError, match="non-finite"):
-            backward(params, x, lambda out: (float("nan"), {}))
+            backward(params, x, lambda out: (float("nan"), head_grads(out)))
 
     def test_nan_input_flagged_by_the_tape_forward_too(self):
         # The oracle's ReLU must propagate NaN as the training forward does.
         params = init_params(TINY)
         x = np.array([[np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        tensors = {name: constant(params.view(name)) for name in params.names()}
+        tensors = {name: constant(view) for name, view in params.views.items()}
         match = "non-finite activation in layer 'backbone'"
         with pytest.raises(ValueError, match=match):
-            backward(params, x, lambda out: (0.0, {}))
+            backward(params, x, lambda out: (0.0, head_grads(out)))
         with pytest.raises(ValueError, match=match):
             forward(params, x)
         with pytest.raises(ValueError, match=match):
@@ -123,34 +130,38 @@ class TestSgdStep:
         params = init_params(TINY)
         before = params.flat.copy()
         grads = np.ones_like(params.flat)
-        new, _ = sgd_step(params, grads, lr=0.0)
-        assert np.array_equal(new.flat, before)
+        sgd_step(params, grads, lr=0.0, momentum=0.0, weight_decay=0.0,
+                 velocity=np.zeros_like(params.flat))
+        assert np.array_equal(params.flat, before)
 
     def test_plain_step_arithmetic(self):
         spec = NetSpec(input_dim=1, backbone_widths=(), feature_dim=1, proj_hidden=1,
                        embed_dim=1, num_classes=1, seed=0)
         params = ParamState(spec=spec, flat=np.ones(param_count(spec)))
         grads = np.full_like(params.flat, 2.0)
-        new, _ = sgd_step(params, grads, lr=0.1, momentum=0.0, weight_decay=0.0)
-        np.testing.assert_allclose(new.flat, 0.8, atol=1e-15)
+        sgd_step(params, grads, lr=0.1, momentum=0.0, weight_decay=0.0,
+                 velocity=np.zeros_like(params.flat))
+        np.testing.assert_allclose(params.flat, 0.8, atol=1e-15)
 
     def test_momentum_recursion_hand_values(self):
         spec = NetSpec(input_dim=1, backbone_widths=(), feature_dim=1, proj_hidden=1,
                        embed_dim=1, num_classes=1, seed=0)
         params = ParamState(spec=spec, flat=np.zeros(param_count(spec)))
         grads = np.ones_like(params.flat)
-        p1, v = sgd_step(params, grads, lr=0.1, momentum=0.9)
-        after_one = p1.flat.copy()  # the second step updates p1 in place
-        p2, _ = sgd_step(p1, grads, lr=0.1, momentum=0.9, velocity=v)
+        velocity = np.zeros_like(params.flat)
+        sgd_step(params, grads, lr=0.1, momentum=0.9, weight_decay=0.0, velocity=velocity)
+        after_one = params.flat.copy()  # the second step updates params in place
+        sgd_step(params, grads, lr=0.1, momentum=0.9, weight_decay=0.0, velocity=velocity)
         np.testing.assert_allclose(after_one, -0.1, atol=1e-15)
-        np.testing.assert_allclose(p2.flat, -0.29, atol=1e-15)
+        np.testing.assert_allclose(params.flat, -0.29, atol=1e-15)
 
     def test_weight_decay_added_to_gradient(self):
         spec = NetSpec(input_dim=1, backbone_widths=(), feature_dim=1, proj_hidden=1,
                        embed_dim=1, num_classes=1, seed=0)
         params = ParamState(spec=spec, flat=np.full(param_count(spec), 2.0))
-        new, _ = sgd_step(params, np.zeros_like(params.flat), lr=0.1, weight_decay=0.5)
-        np.testing.assert_allclose(new.flat, 2.0 - 0.1 * (0.5 * 2.0), atol=1e-15)
+        sgd_step(params, np.zeros_like(params.flat), lr=0.1, momentum=0.0, weight_decay=0.5,
+                 velocity=np.zeros_like(params.flat))
+        np.testing.assert_allclose(params.flat, 2.0 - 0.1 * (0.5 * 2.0), atol=1e-15)
 
 
 class TestInPlace:
@@ -158,16 +169,15 @@ class TestInPlace:
         # Five in-place steps against the fresh-array formula, one operation at a time.
         rng = np.random.default_rng(4)
         params = init_params(TINY)
-        flat, velocity, want, want_v = params.flat, None, params.flat.copy(), None
+        flat, velocity = params.flat, np.zeros_like(params.flat)
+        want, want_v = flat.copy(), velocity.copy()
         for lr in (0.3, 0.1, 0.05, 1e-3, 0.0):
             grads = rng.standard_normal(flat.shape)
             grads_before = grads.copy()
-            state, velocity = sgd_step(params, grads, lr=lr, momentum=0.9, weight_decay=5e-4,
-                                       velocity=velocity)
-            want_v = 0.9 * (np.zeros_like(want) if want_v is None else want_v) + (
-                grads + 5e-4 * want)
+            sgd_step(params, grads, lr=lr, momentum=0.9, weight_decay=5e-4, velocity=velocity)
+            want_v = 0.9 * want_v + (grads + 5e-4 * want)
             want = want - lr * want_v
-            assert state is params and params.flat is flat
+            assert params.flat is flat
             assert flat.tobytes() == want.tobytes()
             assert velocity.tobytes() == want_v.tobytes()
             assert grads.tobytes() == grads_before.tobytes()
@@ -175,7 +185,8 @@ class TestInPlace:
     def test_non_finite_step_rejected(self):
         params = init_params(TINY)
         with pytest.raises(ValueError, match="parameters have non-finite entries"):
-            sgd_step(params, np.ones_like(params.flat), lr=float("nan"))
+            sgd_step(params, np.ones_like(params.flat), lr=float("nan"), momentum=0.0,
+                     weight_decay=0.0, velocity=np.zeros_like(params.flat))
 
     def test_forward_and_backward_leave_parameters_and_inputs_alone(self):
         params = init_params(TINY)
@@ -186,7 +197,7 @@ class TestInPlace:
         def closure(out):
             log_p, probs, _ = log_softmax(out.cc_logits)
             losses, grad = classifier(log_p, probs, one_hot([0, 1, 1, 0, 1], 2), np.full(5, 0.2))
-            return losses.mean(), {"cc_logits": grad, "embeddings": out.embeddings}
+            return losses.mean(), head_grads(out, cc_logits=grad, embeddings=out.embeddings)
 
         backward(params, x, closure)
         assert params.flat.tobytes() == flat_bytes
@@ -197,13 +208,16 @@ class TestInPlace:
         params = init_params(TINY)
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 3))
-        first = backward(params, x, lambda out: (0.0, {"cc_logits": np.ones((4, 2))}))
+
+        def closure(out):
+            return 0.0, head_grads(out, cc_logits=np.ones((4, 2)))
+
+        first = backward(params, x, closure)
         copy = first.copy()
-        second = backward(params, 2 * x, lambda out: (0.0, {"cc_logits": np.ones((4, 2))}))
+        second = backward(params, 2 * x, closure)
         assert second is first is params.grad[0]
         assert not np.array_equal(second, copy)
-        fresh = backward(init_params(TINY), 2 * x,
-                         lambda out: (0.0, {"cc_logits": np.ones((4, 2))}))
+        fresh = backward(init_params(TINY), 2 * x, closure)
         assert fresh is not second and fresh.tobytes() == second.tobytes()
 
 
@@ -238,15 +252,15 @@ class TestDeterminism:
         def closure(out):
             log_p, probs, _ = log_softmax(out.cc_logits)
             losses, grad = classifier(log_p, probs, one_hot(labels, 2), np.full(4, 0.25))
-            return losses.mean(), {"cc_logits": grad}
+            return losses.mean(), head_grads(out, cc_logits=grad)
 
         def run():
             params = init_params(TINY)
-            velocity = None
+            velocity = np.zeros_like(params.flat)
             for _ in range(5):
                 grads = backward(params, x, closure)
-                params, velocity = sgd_step(params, grads, lr=0.05, momentum=0.9,
-                                            weight_decay=1e-4, velocity=velocity)
+                sgd_step(params, grads, lr=0.05, momentum=0.9, weight_decay=1e-4,
+                         velocity=velocity)
             return params
 
         a, b = run(), run()

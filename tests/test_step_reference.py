@@ -276,7 +276,7 @@ def ref_backward(params, inputs, closure):
     def through(name, g):
         grads[f"{name}.W"] = layer_inputs[name].T @ g
         grads[f"{name}.b"] = np.ones(len(g)) @ g
-        return g @ params.view(f"{name}.W").T
+        return g @ params.views[f"{name}.W"].T
 
     g = through("cc", g_cc) + through("od", g_od)
     g += through("proj0", through("proj1", g_z) * (layer_inputs["proj1"] > 0))
@@ -284,7 +284,7 @@ def ref_backward(params, inputs, closure):
         g = through(f"backbone{i}", g)
         if i > 0:
             g *= layer_inputs[f"backbone{i}"] > 0
-    return np.concatenate([grads[name].ravel() for name in params.names()])
+    return np.concatenate([grads[name].ravel() for name in params.views])
 
 
 def reference_step(params, inputs, labels, unit_protos, cfg):

@@ -357,11 +357,11 @@ class TestReducedConfigurations:
         split = generate(cfg.scenario)
         params, runlog = train(split, cfg.net, tr)
         assert all(r["total"] == 0.0 for r in runlog.iterations)
-        replay, velocity = init_params(cfg.net), None
+        replay = init_params(cfg.net)
+        velocity = np.zeros_like(replay.flat)
         for record in runlog.iterations:
-            replay, velocity = sgd_step(replay, np.zeros_like(replay.flat), lr=record["lr"],
-                                        momentum=MOMENTUM, weight_decay=WEIGHT_DECAY,
-                                        velocity=velocity)
+            sgd_step(replay, np.zeros_like(replay.flat), lr=record["lr"], momentum=MOMENTUM,
+                     weight_decay=WEIGHT_DECAY, velocity=velocity)
         assert np.array_equal(params.flat, replay.flat)
 
 
