@@ -96,7 +96,10 @@ def run_experiment(cfg: ExperimentConfig, out_root: Path, force: bool = False,
     try:
         write_split_csv(split, run_dir / "split.csv")
         params, runlog = train(split, cfg.net, cfg.train)
-        report = evaluate(params, split, runlog.final_prototypes.unit_directions())
+        try:
+            report = evaluate(params, split, runlog.final_prototypes.unit_directions())
+        except ValueError as err:  # trained values that overflow or zero a row
+            raise TrainingDiverged(str(err), last_report=runlog.iterations[-1]) from err
 
         runlog.write_jsonl(run_dir / "runlog.jsonl")
         runlog.write_gate_detail(run_dir / "gate.npz")

@@ -327,6 +327,22 @@ class TestCliRun:
         manifest = json.loads((next(out_dir.iterdir()) / "manifest.json").read_text())
         assert manifest["status"] == "diverged"
 
+    def test_unevaluable_trained_parameters_exit_3(self, tmp_path, capsys):
+        # Training ends, but its final prototypes have no unit rows: the run diverged,
+        # and reports its last step.
+        raw = {"seed": 0, "train": {"epochs": 1, "iters_per_epoch": 2,
+                                    "head": {"lambda_em": 1e21}}}
+        out_dir = tmp_path / "runs"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", write_config(tmp_path, raw),
+                         "--out", str(out_dir)]) == 3
+        message, last = capsys.readouterr().err.splitlines()[-2:]
+        assert message == ("training diverged: degenerate vector: cannot normalize a zero "
+                           "or non-finite row")
+        assert json.loads(last)["step"] == 1
+        manifest = json.loads((next(out_dir.iterdir()) / "manifest.json").read_text())
+        assert manifest["status"] == "diverged"
+
     def test_force_replaces_run_dir_with_subdirectory(self, tmp_path):
         path = write_config(tmp_path, TINY_RAW)
         out_dir = tmp_path / "runs"
