@@ -180,6 +180,14 @@ class TestConfigResolution:
             assert again == cfg
             assert config_hash(again) == config_hash(cfg)
 
+    def test_integer_and_float_spellings_are_one_config(self):
+        # A float field stores its value as a float, so 1 and 1.0 give one config hash.
+        one, one_point_zero = (resolve_config({"seed": 0, "train": {"lr0": lr0}})
+                               for lr0 in (1, 1.0))
+        assert config_hash(one) == config_hash(one_point_zero)
+        assert one.resolved_dict() == one_point_zero.resolved_dict()
+        assert type(one.train.lr0) is float
+
     def test_environment_is_not_an_input(self, tmp_path, monkeypatch, capsys):
         # The file and --seed are a run's only inputs.
         path = write_config(tmp_path, {"seed": 0, "train": {"lr0": 0.02}})
@@ -596,6 +604,7 @@ class TestExitCodes:
         ("run", {"net": {"embed_dim": 10**23}}, 2, "net.embed_dim"),
         ("run", {"net": {"backbone_widths": [32, 10**23]}}, 2, "net.backbone_widths"),
         ("run", {"train": {"lr0": 10**400}}, 2, "train.lr0"),
+        ("run", {"train": {"sna": {"temperature": 2**70}}}, 0, None),
         ("run", {"scenario": {"sigma_weak": 10**400}}, 2, "scenario.sigma_weak"),
         ("run", {"net": {"proj_nonlinear": "no"}}, 2, "net.proj_nonlinear"),
         ("run", {"net": {"backbone_widths": 32}}, 2, "net.backbone_widths"),
@@ -660,7 +669,7 @@ class TestExitCodes:
             "unsatisfiable-separation", "string-epochs", "bool-epochs", "zero-epochs",
             "fractional-input-dim", "huge-input-dim", "huge-labels-per-class",
             "huge-test-id-per-class", "huge-embed-dim", "huge-backbone-width",
-            "lr0-beyond-float64", "sigma-weak-beyond-float64",
+            "lr0-beyond-float64", "temperature-beyond-int64", "sigma-weak-beyond-float64",
             "string-flag", "scalar-widths", "string-head-weight", "list-section",
             "gamma-empties-batch", "diverging", "gate-temperature-overflows",
             "config-unreadable",
