@@ -91,17 +91,18 @@ def log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def two_way(id_logits: np.ndarray, ood_logits: np.ndarray):
-    """The per-class (ID, OOD) softmax of every row: (log_p_id, log_p_ood, p_id).
+    """The per-class (ID, OOD) softmax of every row: (log_p_id, log_p_ood, p_id, p_ood).
 
     The log-probabilities stay finite where a probability underflows. p_id, the ID
     probability e_id / (e_id + e_ood), is the one the losses, the dual gate and the
-    OOD scores all read.
+    OOD scores all read; p_ood, e_ood / (e_id + e_ood), is the one `em` reads.
     """
     shift = np.maximum(id_logits, ood_logits)
     e_id = np.exp(id_logits - shift)
-    total = e_id + np.exp(ood_logits - shift)
+    e_ood = np.exp(ood_logits - shift)
+    total = e_id + e_ood
     log_z = np.log(total) + shift
-    return id_logits - log_z, ood_logits - log_z, e_id / total
+    return id_logits - log_z, ood_logits - log_z, e_id / total, e_ood / total
 
 
 # The classifier returns each row's loss and the gradient of sum_i scale_i * loss_i,
@@ -129,9 +130,8 @@ def ova(log_p_id, log_p_ood, p_id, y, n: int, slope: float) -> tuple[float, np.n
     return value * (1.0 / n), (p_id - y) * (slope / n)
 
 
-def em(log_p_id, log_p_ood, p_id, n: int, slope: float) -> tuple[float, np.ndarray]:
+def em(log_p_id, log_p_ood, p_id, p_ood, n: int, slope: float) -> tuple[float, np.ndarray]:
     """Binary entropy of the per-class pairs of `two_way` rows; 0*log(0) is 0."""
-    p_ood = np.exp(log_p_ood)
     value = float(-np.add.reduce(p_id * log_p_id + p_ood * log_p_ood, axis=None))
     return value * (1.0 / n), (p_ood * (log_p_ood - log_p_id)) * (p_id * (slope / n))
 

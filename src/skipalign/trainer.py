@@ -220,6 +220,7 @@ class StepRows(NamedTuple):
     log_p_id: np.ndarray
     log_p_ood: np.ndarray
     p_id: np.ndarray
+    p_ood: np.ndarray
 
 
 def step_rows(out: ForwardResult, n_labeled: int, gate_temperature: float) -> StepRows:
@@ -291,12 +292,12 @@ def objective(rows: StepRows, labels: np.ndarray, unit_protos: np.ndarray,
     if head.lambda_u > 0:
         terms["u"] = np.add.reduce(losses[s]) * (1.0 / m)
 
-    log_p_id, log_p_ood, p_id = rows.log_p_id, rows.log_p_ood, rows.p_id
+    log_p_id, log_p_ood, p_id, p_ood = rows.log_p_id, rows.log_p_ood, rows.p_id, rows.p_ood
     g_id = np.zeros(log_p_id.shape)
     terms["ova"], g_id[x] = ova(log_p_id[x], log_p_ood[x], p_id[x], target[x], b,
                                 slopes["ova"])
     if head.lambda_em > 0:
-        terms["em"], g_id[u] = em(log_p_id[u], log_p_ood[u], p_id[u], m, slopes["em"])
+        terms["em"], g_id[u] = em(log_p_id[u], log_p_ood[u], p_id[u], p_ood[u], m, slopes["em"])
     if head.lambda_neg > 0:
         # The weak and the strong view in one pass; u_w2 has no negatives.
         terms["neg"], g = neg(log_p_ood[w:], p_id[w:], decisions.negative, m, slopes["neg"])

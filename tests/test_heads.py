@@ -49,9 +49,9 @@ def ova(log_p_id, log_p_ood, p_id, labels):
     return value, g, -g
 
 
-def em(log_p_id, log_p_ood, p_id):
+def em(log_p_id, log_p_ood, p_id, p_ood):
     n = len(log_p_id)
-    value, g = heads.em(log_p_id, log_p_ood, p_id, n, 1.0)
+    value, g = heads.em(log_p_id, log_p_ood, p_id, p_ood, n, 1.0)
     return value, g, -g
 
 
@@ -93,7 +93,7 @@ def id_probs(id_logits, ood_logits) -> np.ndarray:
 
 
 def neg_value(logits: tuple[np.ndarray, np.ndarray], eta_neg: float) -> float:
-    log_p_id, log_p_ood, p_id = two_way(*logits)
+    log_p_id, log_p_ood, p_id, _ = two_way(*logits)
     return neg(log_p_ood, p_id, negatives(log_p_id, np.log(eta_neg)))[0]
 
 
@@ -166,23 +166,23 @@ class TestConsistencyLoss:
 class TestOvaLoss:
     def test_perfect_detector(self):
         logits = logits_from_probs([[1 - 1e-12, 1e-12]])
-        assert ova(*two_way(*logits), [0])[0] == pytest.approx(0.0, abs=1e-9)
+        assert ova(*two_way(*logits)[:3], [0])[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_single_class_uniform(self):
         logits = logits_from_probs([[0.5]])
-        assert ova(*two_way(*logits), [0])[0] == pytest.approx(math.log(2), abs=1e-12)
+        assert ova(*two_way(*logits)[:3], [0])[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_two_class_hand_value(self):
         logits = logits_from_probs([[0.9, 0.2]])
         expected = -math.log(0.9) - math.log(0.8)
-        assert ova(*two_way(*logits), [0])[0] == pytest.approx(expected, abs=1e-12)
+        assert ova(*two_way(*logits)[:3], [0])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             logits = random_logits(rng)
             labels = rng.integers(0, 4, size=3)
-            assert ova(*two_way(*logits), labels)[0] >= 0
+            assert ova(*two_way(*logits)[:3], labels)[0] >= 0
 
 
 class TestEmLoss:
@@ -395,10 +395,10 @@ class TestNumpyTapeParity:
         s_ood = rng.standard_normal((5, 3)) * 2
         s_id2 = rng.standard_normal((5, 3)) * 2
         labels = rng.integers(0, 3, size=5)
-        log_p_id, log_p_ood, p_id = two_way(s_id, s_ood)
+        log_p_id, log_p_ood, p_id, p_ood = two_way(s_id, s_ood)
         assert_matches_tape(ova(log_p_id, log_p_ood, p_id, labels), tape_value_and_grads(
             lambda a, b: tl.ova_graph(a, b, labels), s_id, s_ood))
-        assert_matches_tape(em(log_p_id, log_p_ood, p_id),
+        assert_matches_tape(em(log_p_id, log_p_ood, p_id, p_ood),
                             tape_value_and_grads(tl.em_graph, s_id, s_ood))
         assert_matches_tape(socr(s_id, s_id2), tape_value_and_grads(tl.socr_graph, s_id, s_id2))
         selected = negatives(log_p_id, np.log(0.4))

@@ -64,11 +64,12 @@ def ref_softmax_rows(logits, temperature=1.0):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def ref_id_probs(id_logits, ood_logits):
+def ref_two_way_probs(id_logits, ood_logits):
+    """The per-class (ID, OOD) probabilities: e_id and e_ood over their sum."""
     shift = np.maximum(id_logits, ood_logits)
     e_id = np.exp(id_logits - shift)
     e_ood = np.exp(ood_logits - shift)
-    return e_id / (e_id + e_ood)
+    return e_id / (e_id + e_ood), e_ood / (e_id + e_ood)
 
 
 def ref_classifier(logits, target, scale):
@@ -80,12 +81,12 @@ def ref_classifier(logits, target, scale):
 def ref_ova(id_logits, ood_logits, y, scale):
     log_p_id, log_p_ood = ref_two_way_log_probs(id_logits, ood_logits)
     value = -(log_p_ood + y * (log_p_id - log_p_ood)).sum()
-    return float(value), (ref_id_probs(id_logits, ood_logits) - y) * scale
+    return float(value), (ref_two_way_probs(id_logits, ood_logits)[0] - y) * scale
 
 
 def ref_em(id_logits, ood_logits, scale):
     log_p_id, log_p_ood = ref_two_way_log_probs(id_logits, ood_logits)
-    p_id, p_ood = ref_id_probs(id_logits, ood_logits), np.exp(log_p_ood)
+    p_id, p_ood = ref_two_way_probs(id_logits, ood_logits)
     value = -(p_id * log_p_id + p_ood * log_p_ood).sum()
     return float(value), (p_ood * (log_p_ood - log_p_id)) * (p_id * scale)
 
@@ -105,7 +106,7 @@ def ref_neg_rows(id_logits, ood_logits, selected, scale):
     log_p_ood = ref_two_way_log_probs(id_logits, ood_logits)[1]
     counts = selected.sum(axis=1, keepdims=True)
     w = selected * (1.0 / np.maximum(counts, 1.0))
-    return log_p_ood * w, w * (ref_id_probs(id_logits, ood_logits) * scale)
+    return log_p_ood * w, w * (ref_two_way_probs(id_logits, ood_logits)[0] * scale)
 
 
 def ref_unit_rows(z):
@@ -151,7 +152,7 @@ def ref_ia(zh, labels, temperature, scale):
 
 def ref_freeze_decisions(uw, uw2, us, cfg):
     gate_probs = ref_softmax_rows(uw.cc_logits, cfg.gate_temperature)
-    gate = dual_gate(gate_probs, ref_id_probs(uw.id_logits, uw.ood_logits), cfg.tau_id,
+    gate = dual_gate(gate_probs, ref_two_way_probs(uw.id_logits, uw.ood_logits)[0], cfg.tau_id,
                      cfg.eta_id)
     pseudo = gate.pred_class
     eta_neg = cfg.head.eta_neg
