@@ -298,8 +298,8 @@ def _cmd_golden(args) -> int:
         print(f"golden file missing: {golden_path} or {table_path} (run with --write)",
               file=sys.stderr)
         return 1
-    got, want = ({**t, **{f"{run}/{name}": sha for run, entry in t.pop("runs", {}).items()
-                          for name, sha in entry["files"].items()}} for t in (table, committed))
+    got, want = ({**{f"{run}/{name}": sha for run, entry in t.pop("runs", {}).items()
+                     for name, sha in entry["files"].items()}, **t} for t in (table, committed))
     moved = [name for name in sorted({*got, *want}, key=lambda name: ("/" in name, name))
              if got.get(name) != want.get(name)]
     if golden_path.read_bytes() != metrics_csv:
@@ -353,9 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one verb and map its failure to an exit code. numpy's overflow and invalid
+    warnings are off: every non-finite value a verb makes meets a check that exits 2 or 3."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

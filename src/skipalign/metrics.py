@@ -160,6 +160,8 @@ def evaluate(params: ParamState, split: Split, unit_protos: np.ndarray,
         norms[lo:hi] = norm(out.features)
         scores[lo:hi] = ood_score(out, pred[lo:hi], score_rule, norms[lo:hi])
         max_cos[lo:hi] = _row_max(normalize(out.embeddings)[0] @ unit_protos.T)
+    if not np.isfinite(norms).all():  # features whose squares overflow, or NaN
+        raise ValueError("non-finite feature norm")
     accuracy = float((pred[id_rows] == true_class[id_rows]).mean())
 
     id_scores = scores[id_rows]

@@ -262,9 +262,11 @@ def write_float_rows(path, columns: list[str], name: str, parts) -> None:
 
 
 def write_split_csv(split: Split, path) -> None:
-    """One row per sample: (split, id, category, label-or-blank, x_0..x_{d-1})."""
+    """One row per sample: (split, id, category, label-or-blank, x_0..x_{d-1}). A labeled
+    row's class index is its cluster code: the galaxies lead the table, in index order."""
     write_float_rows(path, ["split", "id", "category", "label"], "x", [
-        ("labeled,{0},id:{1},{1}", (split.labeled_ids, split.labeled_y), split.labeled_x),
+        ("labeled,{},{},{}", (split.labeled_ids, split.categories(split.labeled_y),
+                              split.labeled_y), split.labeled_x),
         ("unlabeled,{},{},", (split.unlabeled_ids, split.categories(split.unlabeled_cluster)),
          split.unlabeled_x),
         ("test,{},{},", (split.test_ids, split.categories(split.test_cluster)), split.test_x)])

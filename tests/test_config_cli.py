@@ -16,6 +16,7 @@ from skipalign.cli import apply_axis, build_parser, main, run_experiment, sweep
 from skipalign.config import (ConfigError, config_hash, default_config, load_config,
                               resolve_config)
 from skipalign.heads import normalize
+from skipalign.net import load_checkpoint, save_checkpoint
 from skipalign.trainer import TrainingDiverged
 
 
@@ -277,9 +278,7 @@ class TestCliRun:
             raw = json.loads(json.dumps(TINY_RAW))
             raw["train"].update(lr0=1e6, epochs=epochs, iters_per_epoch=iters)
             path = write_config(tmp_path, raw)
-            with np.errstate(over="ignore", invalid="ignore"):
-                code = main(["run", "--config", path, "--out", str(tmp_path / "runs")])
-            assert code == 3
+            assert main(["run", "--config", path, "--out", str(tmp_path / "runs")]) == 3
             assert "diverged" in capsys.readouterr().err
 
     def test_diverged_run_leaves_manifest_and_split(self, tmp_path):
@@ -290,8 +289,7 @@ class TestCliRun:
         complete = write_config(tmp_path, TINY_RAW)
         diverging = write_config(tmp_path, raw, "diverging.json")
         assert main(["run", "--config", complete, "--out", str(tmp_path / "complete")]) == 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["run", "--config", diverging, "--out", str(tmp_path / "diverged")]) == 3
+        assert main(["run", "--config", diverging, "--out", str(tmp_path / "diverged")]) == 3
         [done], [failed] = (list((tmp_path / out).iterdir()) for out in ("complete", "diverged"))
         assert sorted(path.name for path in failed.iterdir()) == ["manifest.json", "split.csv"]
         manifest = json.loads((failed / "manifest.json").read_text())
@@ -335,16 +333,18 @@ class TestCliRun:
         manifest = json.loads((next(out_dir.iterdir()) / "manifest.json").read_text())
         assert manifest["status"] == "diverged"
 
-    def test_unevaluable_trained_parameters_exit_3(self, tmp_path, capsys):
+    def test_unevaluable_trained_parameters_exit_3(self, tmp_path):
         # Training ends, but its final prototypes have no unit rows: the run diverged,
-        # and reports its last step.
+        # and reports its last step. The overflows on the way are what the check reports,
+        # so the command line, run with warnings shown, prints nothing else.
         raw = {"seed": 0, "train": {"epochs": 1, "iters_per_epoch": 2,
                                     "head": {"lambda_em": 1e21}}}
         out_dir = tmp_path / "runs"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["run", "--config", write_config(tmp_path, raw),
-                         "--out", str(out_dir)]) == 3
-        message, last = capsys.readouterr().err.splitlines()[-2:]
+        child = subprocess.run([sys.executable, "-W", "default", "-m", "skipalign.cli", "run",
+                                "--config", write_config(tmp_path, raw), "--out", str(out_dir)],
+                               env=child_env(), capture_output=True, text=True)
+        assert child.returncode == 3, child.stderr
+        message, last = child.stderr.splitlines()
         assert message == ("training diverged: degenerate vector: cannot normalize a zero "
                            "or non-finite row")
         assert json.loads(last)["step"] == 1
@@ -525,6 +525,16 @@ def set_params(value):
     return damage
 
 
+def set_views(values):
+    """A damage that sets each named parameter block in checkpoint.json to one value."""
+    def damage(path):
+        params = load_checkpoint(path)
+        for name, value in values.items():
+            params.views[name][...] = value
+        save_checkpoint(params, path)
+    return damage
+
+
 def set_literal(keys, literal):
     """A damage that sets the JSON value at the key path keys to literal, written as
     is: a number such as 1e400 that json.dumps would write as Infinity."""
@@ -634,6 +644,10 @@ class TestExitCodes:
         ("eval", ("checkpoint.json", set_params(1e200)), 2,
          "checkpoint.json: cannot be evaluated"),
         ("eval", ("checkpoint.json", set_params(0.0)), 2, "checkpoint.json: cannot be evaluated"),
+        # Features whose squares overflow, under finite embeddings and prototypes.
+        ("eval", ("checkpoint.json", set_views({"backbone1.b": 1e160, "proj0.W": 0.0,
+                                                "proj0.b": 1.0})), 2,
+         "checkpoint.json: cannot be evaluated: non-finite feature norm"),
         ("eval", ("manifest.json", drop_config), 2, "manifest.json: config"),
         ("eval", ("manifest.json", set_scenario("min_separation", 1e6)), 2,
          "manifest.json: config: scenario.min_separation"),
@@ -678,6 +692,7 @@ class TestExitCodes:
             "prototypes-mu-zero-rows", "prototypes-mu-string", "manifest-input-dim",
             "manifest-num-classes", "checkpoint-spec-removed-key", "eval-status-error",
             "eval-status-running", "checkpoint-overflows", "checkpoint-zero",
+            "checkpoint-feature-norm-overflows",
             "manifest-config-missing", "manifest-unplaceable", "checkpoint-hex-overflows",
             "checkpoint-step-overflows", "checkpoint-step-fractional", "checkpoint-step-string",
             "checkpoint-step-bool", "checkpoint-step-negative",
@@ -705,8 +720,7 @@ class TestExitCodes:
             name, damage = change
             damage(run_dir / name)
             argv = ["eval", "--run-dir", str(run_dir)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(argv) == code
+        assert main(argv) == code
         if code == 2:
             assert named in capsys.readouterr().err
         if verb == "run" and code == 2:  # a config error is raised before any run directory
@@ -849,8 +863,7 @@ class TestDamagedRunFiles:
             rescore.unlink(missing_ok=True)
             capsys.readouterr()
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    code = main(argv)
+                code = main(argv)
             except Exception as err:  # the command line would print a traceback, exit 1
                 code = f"1 ({type(err).__name__}: {err})"
             err = capsys.readouterr().err
@@ -947,6 +960,27 @@ class TestCliGradcheckAndGolden:
         table_path.write_text(json.dumps(table))
         assert main(["golden", "--config", path, "--golden-path", str(golden)]) == 1
         assert f"these differ: {golden}, checkpoint.json, split.csv\n" in capsys.readouterr().err
+
+    def test_golden_names_moved_files_of_more_runs(self, tmp_path, capsys):
+        # A moved file of a run kept in the table's "runs" is named as <run>/<file>,
+        # and the table's "runs" entry itself is no file.
+        path = write_config(tmp_path, TINY_RAW)
+        golden = tmp_path / "golden" / "metrics.csv"
+        argv = ["golden", "--config", path, "--golden-path", str(golden)]
+        assert main(argv + ["--write"]) == 0
+        table_path = golden.with_name("artifacts.json")
+        table = json.loads(table_path.read_text())
+        extra = {**TINY_RAW, "train": {"epochs": 1, "iters_per_epoch": 2, "batch_size": 8}}
+        table["runs"] = {"extra": {"config": extra, "files": {}}}
+        table_path.write_text(json.dumps(table))
+        assert main(argv + ["--write"]) == 0
+        table = json.loads(table_path.read_text())
+        table["runs"]["extra"]["files"]["checkpoint.json"] = "0" * 64
+        table_path.write_text(json.dumps(table))
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "golden check FAILED: these differ: extra/checkpoint.json\n"
 
     def test_artifact_fingerprints(self, capsys):
         # Every file of the default seed-0 run and of its re-score under each rule,

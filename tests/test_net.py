@@ -101,9 +101,10 @@ class TestBackward:
     def test_full_objective_matches_finite_differences(self):
         from skipalign.oracles import full_model_gradient_check
         from tape_oracle import full_model_tape_check
-        rel_fd, n_params = full_model_gradient_check(seed=0)
+        # Seed 1: criterion 1 checks seed 0.
+        rel_fd, n_params = full_model_gradient_check(seed=1)
         assert n_params <= 500
-        assert rel_fd <= 1e-5 and full_model_tape_check(seed=0) <= 1e-12
+        assert rel_fd <= 1e-5 and full_model_tape_check(seed=1) <= 1e-12
 
     def test_non_finite_loss_rejected(self):
         params = init_params(TINY)
