@@ -85,8 +85,8 @@ def _build_section(cls, data: dict, path: str, **derived):
                                                f"(the default is {defaults[key]!r})")
         if error := _range_error(value, defaults[key]):
             raise ConfigError(f"{path}.{key}", error)
-        if isinstance(defaults[key], float):  # 1 and 1.0 are one value, and one config
-            data[key] = float(value)
+        if isinstance(defaults[key], float):  # 1 and 1.0, -0.0 and 0.0: one value, one config
+            data[key] = float(value) + 0.0
     try:
         return cls(**data, **derived)
     except (TypeError, ValueError) as err:

@@ -140,16 +140,13 @@ def _forward_ranges(params: ParamState, x: np.ndarray):
 def evaluate(params: ParamState, split: Split, unit_protos: np.ndarray,
              score_rule: str = SCORE_RULES[0]) -> EvalReport:
     """Score the test split of a scenario against a frozen parameter state and the
-    (K, d) unit prototype rows (`PrototypeSet.unit_directions`)."""
+    (K, d) unit prototype rows (`PrototypeSet.unit_directions`). The split has
+    in-distribution test rows: `resolve_config` refuses a scenario without them."""
     n = split.test_x.shape[0]
-    if n == 0:
-        raise ValueError("test split is empty")
     codes = split.test_cluster
     present = np.flatnonzero(np.bincount(codes))  # table positions of clusters with test rows
     coarse = np.array([COARSE_CATEGORIES[kind] for kind, *_ in split.clusters])
     groups = {c: (coarse == c)[codes] for c in dict.fromkeys(coarse[present].tolist())}
-    if "id" not in groups:
-        raise ValueError("test split has no in-distribution rows")
     id_rows = groups["id"]
     true_class = np.array([index for _, index, *_ in split.clusters])[codes]
 

@@ -1,14 +1,15 @@
-"""Gradient oracle: the closed-form gradients against central differences.
+"""The closed-form gradients against central differences: the first oracle.
 
-Central differences (`finite_diff_grad`, here and in the tests) probe the
-production value directly. Three checks, the ones `skipalign gradcheck` runs:
+Central differences (`finite_diff_grad`) probe the production value directly.
+Three checks, which criteria 1 and 3 of the acceptance suite run:
   1. the angular gradient of the unlabeled alignment loss,
   2. the gradient of the training objective through the network, at each
      loss_combo setting of the alignment weights,
   3. the closed-form feature gradient of cross-entropy under a linear head.
 Check 2 runs the step that trains, on a stacked batch; its discrete decisions
 are frozen at the base point, so the finite differences probe a smooth function.
-The tests also hold checks 2 and 3 against the autodiff tape.
+`tape_oracle` holds checks 2 and 3 against the autodiff tape. A helper of the
+tests, not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -18,17 +19,17 @@ from typing import Callable
 
 import numpy as np
 
-from .heads import HeadWeights, classifier, log_softmax, normalize, one_hot
-from .net import NetSpec, ParamState, backward, forward, init_params, param_count
-from .sna import LOSS_COMBOS, SnaWeights, tangential, usna
-from .trainer import Decisions, TrainConfig, freeze_decisions, objective, step_rows
+from skipalign.heads import HeadWeights, classifier, log_softmax, normalize, one_hot
+from skipalign.net import NetSpec, ParamState, backward, forward, init_params, param_count
+from skipalign.sna import LOSS_COMBOS, SnaWeights, tangential, usna
+from skipalign.trainer import Decisions, TrainConfig, freeze_decisions, objective, step_rows
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, step: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar field at a finite 1-D point x, one
     coordinate at a time.
 
-    The oracle against which every analytic gradient in this package is
+    The oracle against which every analytic gradient in skipalign is
     checked; it must stay independent of those implementations.
     """
     if step <= 0:
@@ -123,21 +124,28 @@ def training_gradient_cases(seed: int = 0):
         yield params, inputs, labels, unit_protos, decisions, cfg
 
 
+def objective_fd_error(params: ParamState, inputs: dict, labels: np.ndarray,
+                       unit_protos: np.ndarray, decisions: Decisions, cfg: TrainConfig,
+                       step: float = 1e-5) -> float:
+    """Relative error of the objective's closed-form parameter gradient on the views of
+    `inputs` stacked as `train` stacks them, against central differences of its value."""
+    x = np.concatenate(list(inputs.values()))
+
+    def total(flat):
+        rows = step_rows(forward(ParamState(spec=params.spec, flat=flat), x), len(labels),
+                         cfg.gate_temperature)
+        return objective(rows, labels, unit_protos, decisions, cfg)[0]["total"]
+
+    closed = objective_gradient(params, x, labels, unit_protos, decisions, cfg)
+    return _rel(closed, finite_diff_grad(total, params.flat, step))
+
+
 def full_model_gradient_check(seed: int = 0, step: float = 1e-5) -> tuple[float, int]:
     """The training gradient against central differences of the training value,
     over `training_gradient_cases`: (worst relative error, parameter count)."""
-    worst = 0.0
-    for params, inputs, labels, unit_protos, decisions, cfg in training_gradient_cases(seed):
-        x = np.concatenate(list(inputs.values()))
-
-        def total(flat):
-            rows = step_rows(forward(ParamState(spec=params.spec, flat=flat), x), len(labels),
-                             cfg.gate_temperature)
-            return objective(rows, labels, unit_protos, decisions, cfg)[0]["total"]
-
-        closed = objective_gradient(params, x, labels, unit_protos, decisions, cfg)
-        worst = max(worst, _rel(closed, finite_diff_grad(total, params.flat, step)))
-    return worst, param_count(params.spec)
+    cases = list(training_gradient_cases(seed))
+    return (max(objective_fd_error(*case, step=step) for case in cases),
+            param_count(cases[0][0].spec))
 
 
 def ce_feature_cases(n_configs: int = 20, seed: int = 0):
@@ -165,24 +173,3 @@ def ce_feature_gradient_check(n_configs: int = 20, seed: int = 0) -> float:
     return max(_rel(closed_form, finite_diff_grad(value, f))
                for _, f, _, closed_form, value in ce_feature_cases(n_configs, seed))
 
-
-def run_gradcheck_suite(verbose: bool = False) -> list[tuple[str, bool, str]]:
-    results = []
-
-    rel = usna_gradient_check(n_configs=100)
-    results.append(("usna gradient vs central differences (100 batches)",
-                    rel <= 1e-6, f"max rel err {rel:.3e} (tol 1e-6)"))
-
-    rel, n_params = full_model_gradient_check()
-    results.append((f"training gradient vs central differences ({n_params} params, "
-                    f"{len(LOSS_COMBOS)} loss combos)",
-                    rel <= 1e-5, f"max rel err {rel:.3e} (tol 1e-5)"))
-
-    rel = ce_feature_gradient_check()
-    results.append(("cross-entropy feature gradient vs central differences (linear head)",
-                    rel <= 1e-6, f"max rel err {rel:.3e} (tol 1e-6)"))
-
-    if verbose:
-        for name, passed, detail in results:
-            print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
-    return results

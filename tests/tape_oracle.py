@@ -3,7 +3,7 @@
 The tape (`autodiff`, `tensor_losses`, `net.forward_tensors`) builds the
 training objective operation by operation and differentiates it in reverse
 mode, so it agrees with the closed form to rounding, where central
-differences (`oracles`) agree only to their truncation error. A helper of the
+differences (`fd_oracle`) agree only to their truncation error. A helper of the
 tests, not a test module: pytest does not collect it.
 """
 
@@ -13,9 +13,8 @@ from skipalign import tensor_losses as tl
 from skipalign.autodiff import constant, parameter
 from skipalign.heads import compose
 from skipalign.net import ParamState, forward_tensors
-from skipalign.oracles import (_rel, ce_feature_cases, objective_gradient,
-                               training_gradient_cases)
 from skipalign.trainer import Decisions, TrainConfig
+from fd_oracle import _rel, ce_feature_cases, objective_gradient, training_gradient_cases
 
 
 def tape_objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
@@ -69,13 +68,13 @@ def objective_gradients(params: ParamState, inputs: dict, labels: np.ndarray,
 
 def full_model_tape_check(seed: int = 0) -> float:
     """Worst relative error of the training gradient against the tape, over
-    `oracles.training_gradient_cases`."""
+    `fd_oracle.training_gradient_cases`."""
     return max(_rel(*objective_gradients(*case)) for case in training_gradient_cases(seed))
 
 
 def ce_feature_tape_check(n_configs: int = 20, seed: int = 0) -> float:
     """Max abs deviation of the closed-form CE feature gradient under a linear head,
-    over `oracles.ce_feature_cases`, from the tape gradient."""
+    over `fd_oracle.ce_feature_cases`, from the tape gradient."""
     worst = 0.0
     for weights, f, y, closed_form, _ in ce_feature_cases(n_configs, seed):
         ft = parameter(f[None, :])

@@ -15,13 +15,13 @@ import pytest
 from skipalign.config import config_hash, default_config, resolve_config
 from skipalign.heads import normalize, one_hot
 from skipalign.metrics import EvalReport, auroc, evaluate, write_eval_csv
-from skipalign.oracles import (ce_feature_gradient_check, full_model_gradient_check,
-                               usna_gradient_check)
-from tape_oracle import ce_feature_tape_check, full_model_tape_check
 from skipalign.prototypes import EmbeddingBatch, refresh
 from skipalign.sna import LOSS_COMBOS, tangential, usna
 from skipalign.synthdata import generate
 from skipalign.trainer import train
+from fd_oracle import (ce_feature_gradient_check, full_model_gradient_check,
+                       usna_gradient_check)
+from tape_oracle import ce_feature_tape_check, full_model_tape_check
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

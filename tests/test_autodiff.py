@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skipalign.autodiff import constant, logsumexp, normalize_rows, parameter
-from skipalign.oracles import finite_diff_grad
+from fd_oracle import finite_diff_grad
 
 
 def tape_grad(build, x0: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from skipalign.heads import HeadWeights, normalize
 from skipalign.net import NetSpec, forward, forward_tensors, init_params
 from skipalign.sna import LOSS_COMBOS, SnaWeights
 from skipalign.trainer import TrainConfig, freeze_decisions, objective, step_rows
+from fd_oracle import objective_fd_error
 from tape_oracle import objective_gradients, tape_objective
 
 SPEC = NetSpec(input_dim=5, backbone_widths=(7,), feature_dim=6, proj_hidden=5,
@@ -88,6 +89,16 @@ def test_every_gate_closed():
 
 def test_ia_without_positive_pairs():
     assert_matches_tape(labels=(0, 1, 2))
+
+
+def test_ia_alone():
+    # With usna and pa off, ia's unit-row gradient starts from zeros rather than from
+    # their shared pass: against the tape, and against central differences too.
+    cfg = replace(CFG, sna=replace(CFG.sna, lambda_usna=0.0, lambda_pa=0.0))
+    assert cfg.sna.lambda_ia > 0
+    assert_matches_tape(cfg=cfg)
+    params, inputs, labels, unit_protos, _, decisions = step(cfg=cfg)
+    assert objective_fd_error(params, inputs, labels, unit_protos, decisions, cfg) <= 1e-5
 
 
 def test_unlabeled_batch_of_one():

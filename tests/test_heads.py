@@ -9,8 +9,8 @@ from skipalign.config import ConfigError, resolve_config
 from skipalign import heads
 from skipalign.heads import HeadWeights, compose, log_softmax, negatives, one_hot, two_way
 from skipalign.net import ForwardResult
-from skipalign.oracles import finite_diff_grad
 from skipalign.trainer import TrainConfig, freeze_decisions, objective, step_rows
+from fd_oracle import finite_diff_grad
 
 RNG = np.random.default_rng(0)
 

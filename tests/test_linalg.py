@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from skipalign.heads import log_softmax, normalize
-from skipalign.oracles import finite_diff_grad
 from skipalign.sna import tangential, usna
 from skipalign.trainer import TrainConfig
+from fd_oracle import finite_diff_grad
 
 
 def softmax_rows(logits, temperature: float = 1.0) -> np.ndarray:

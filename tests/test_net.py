@@ -99,7 +99,7 @@ class TestBackward:
         np.testing.assert_allclose(grads, 0.0)
 
     def test_full_objective_matches_finite_differences(self):
-        from skipalign.oracles import full_model_gradient_check
+        from fd_oracle import full_model_gradient_check
         from tape_oracle import full_model_tape_check
         # Seed 1: criterion 1 checks seed 0.
         rel_fd, n_params = full_model_gradient_check(seed=1)

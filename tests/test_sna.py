@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from skipalign.heads import compose, normalize, one_hot
-from skipalign.oracles import finite_diff_grad
 from skipalign.sna import SnaWeights, dual_gate, ia, tangential, usna
 from skipalign.trainer import TrainConfig
+from fd_oracle import finite_diff_grad
 
 
 def orthonormal_protos(k: int, dim: int, seed: int = 0) -> np.ndarray:

@@ -225,13 +225,14 @@ def reference_generate(spec):
 
 
 # Specs at the edges of the cluster table: no OOD clusters, one galaxy (the
-# seen clusters are placed like galaxies), empty parts, and every unseen
-# cluster between the galaxies.
+# seen clusters are placed like galaxies), two (the fewest a seen cluster sits
+# between), empty parts, and every unseen cluster between the galaxies.
 EDGE_SPECS = {
     "closed-set": dataclasses.replace(
         SMALL, seen_ood_clusters=0, unseen_ood_clusters=0, unseen_between_hull=0,
         unlabeled_seen_per_cluster=0, test_seen_per_cluster=0, test_unseen_per_cluster=0),
     "one-class": dataclasses.replace(SMALL, num_classes=1),
+    "two-class": dataclasses.replace(SMALL, num_classes=2),
     "empty-pool": dataclasses.replace(SMALL, unlabeled_id_per_class=0,
                                       unlabeled_seen_per_cluster=0),
     "empty-test": dataclasses.replace(SMALL, test_id_per_class=0, test_seen_per_cluster=0,

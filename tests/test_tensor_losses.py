@@ -6,8 +6,8 @@ import pytest
 import skipalign.tensor_losses as tl
 from skipalign.autodiff import constant, parameter
 from skipalign.heads import normalize, one_hot
-from skipalign.oracles import finite_diff_grad
 from skipalign.sna import ia, tangential, usna
+from fd_oracle import finite_diff_grad
 
 
 def usna_mean(z, unit_protos, phi, pred, temperature) -> tuple[float, np.ndarray]:

@@ -7,6 +7,7 @@ import pytest
 from skipalign.config import resolve_config
 from skipalign.heads import HeadWeights, compose
 from skipalign.net import init_params, sgd_step
+from skipalign.sna import LOSS_COMBOS
 from skipalign.synthdata import generate
 from skipalign.trainer import (MOMENTUM, WEIGHT_DECAY, RunLog, TrainConfig, TrainingDiverged,
                                _batches, gate_detail_dtypes, lr_at, train)
@@ -363,6 +364,15 @@ class TestReducedConfigurations:
             sgd_step(replay, np.zeros_like(replay.flat), lr=record["lr"], momentum=MOMENTUM,
                      weight_decay=WEIGHT_DECAY, velocity=velocity)
         assert np.array_equal(params.flat, replay.flat)
+
+    def test_ia_pa_logs_no_usna(self):
+        # usna's weight is zero in the ia_pa combo: the term is skipped, so every step
+        # logs it as 0.0, while ia and pa are computed.
+        cfg = tiny_config(epochs=1, iters_per_epoch=2, sna=LOSS_COMBOS["ia_pa"])
+        _, runlog = train(generate(cfg.scenario), cfg.net, cfg.train)
+        terms = [record["terms"] for record in runlog.iterations]
+        assert len(terms) == 2
+        assert all(t["usna"] == 0.0 and t["ia"] > 0.0 and t["pa"] > 0.0 for t in terms)
 
 
 class TestDivergenceHandling:
