@@ -2,7 +2,7 @@
 
 A compact, framework-free sandbox: analytic losses with verified gradients,
 a tiny exactly-differentiated network, seeded synthetic open-set scenarios,
-and an experiment runner with sweeps and golden-file regression.
+and an experiment runner with sweeps.
 """
 
 __version__ = "0.1.0"

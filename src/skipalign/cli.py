@@ -4,7 +4,6 @@ Verbs:
   run       train + evaluate one configuration into a fresh run directory
   sweep     repeat a run across one axis (eta_id, r_u, loss_combo, lambda_sna)
   eval      re-score a complete run's checkpoint
-  golden    compare against (or regenerate, with --write) the golden files
 
 Every verb reads its config file through `config.read_raw` (`eval` reads the
 whole manifest with `read_json`), exactly as written; the file and `--seed`
@@ -12,8 +11,8 @@ are a run's only inputs. Run directories are named by the config hash, which
 covers the seed; an existing directory is refused unless --force is given. A
 run's manifest is written first with status "running" and ends "complete",
 "diverged" or "error"; a failed run keeps its directory. Exit codes: 0
-success, 1 the `golden` check failed, 2 invalid config or usage
-(a missing, unreadable or misplaced path included), 3 training diverged.
+success, 2 invalid config or usage (a missing, unreadable or misplaced path
+included), 3 training diverged.
 """
 
 from __future__ import annotations
@@ -21,20 +20,17 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import json
-import re
 import shutil
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, ExperimentConfig, config_hash, default_config, load_config,
-                     read_json, read_raw, resolve_config)
+from .config import (ConfigError, ExperimentConfig, config_hash, load_config, read_json,
+                     read_raw, resolve_config)
 from .heads import normalize
 from .metrics import (SCORE_RULES, EvalReport, evaluate, write_embedding_dump, write_eval_csv,
                       write_eval_json)
@@ -256,52 +252,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _fingerprints(cfg: ExperimentConfig) -> tuple[dict[str, str], bytes]:
-    """The sha256 of each file of a run of cfg and of its re-score under each rule, and
-    its metrics.csv."""
-    with tempfile.TemporaryDirectory() as tmp:
-        run_dir, _ = run_experiment(cfg, Path(tmp))
-        for rule in SCORE_RULES:
-            _rescore(run_dir, rule)
-        files = {path.name: path.read_bytes() for path in sorted(run_dir.iterdir())}
-    wall_clock = rb'"wall_clock_s": [^,\n]*'  # the one value in which equal runs differ
-    files["manifest.json"] = re.sub(wall_clock, b'"wall_clock_s": null', files["manifest.json"])
-    hashes = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
-    return hashes, files["metrics.csv"]
-
-
-def _cmd_golden(args) -> int:
-    golden_path = Path(args.golden_path)
-    table_path = golden_path.with_name("artifacts.json")  # each run file's sha256
-    cfg = load_config(args.config) if args.config else default_config()
-    committed = read_json(table_path) if table_path.exists() else {}
-    table, metrics_csv = _fingerprints(cfg)
-    for name, run in committed.get("runs", {}).items():  # more runs, kept with their configs
-        table.setdefault("runs", {})[name] = {
-            "config": run["config"], "files": _fingerprints(resolve_config(run["config"]))[0]}
-    if args.write:
-        golden_path.parent.mkdir(parents=True, exist_ok=True)
-        golden_path.write_bytes(metrics_csv)
-        table_path.write_text(json.dumps(table, indent=2) + "\n")
-        print(f"golden files written: {golden_path}, {table_path}")
-        return 0
-    if not golden_path.exists() or not table_path.exists():
-        print(f"golden file missing: {golden_path} or {table_path} (run with --write)",
-              file=sys.stderr)
-        return 1
-    got, want = ({**{f"{run}/{name}": sha for run, entry in t.pop("runs", {}).items()
-                     for name, sha in entry["files"].items()}, **t} for t in (table, committed))
-    moved = [name for name in sorted({*got, *want}, key=lambda name: ("/" in name, name))
-             if got.get(name) != want.get(name)]
-    if golden_path.read_bytes() != metrics_csv:
-        moved.insert(0, str(golden_path))
-    if moved:
-        print(f"golden check FAILED: these differ: {', '.join(moved)}", file=sys.stderr)
-        return 1
-    print("golden check passed: metrics and artifact fingerprints identical")
-    return 0
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="skipalign",
@@ -332,11 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--score-rule", default=SCORE_RULES[0], choices=SCORE_RULES)
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_gold = sub.add_parser("golden", help="check or regenerate golden files")
-    p_gold.add_argument("--config", default=None)
-    p_gold.add_argument("--golden-path", default="tests/golden/metrics.csv")
-    p_gold.add_argument("--write", action="store_true")
-    p_gold.set_defaults(func=_cmd_golden)
     return parser
 
 

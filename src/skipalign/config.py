@@ -159,10 +159,6 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     return resolve_config(read_raw(path), seed_override=seed_override)
 
 
-def default_config(seed: int = 0) -> ExperimentConfig:
-    return resolve_config({"seed": seed})
-
-
 def config_hash(cfg: ExperimentConfig) -> str:
     canonical = json.dumps(cfg.resolved_dict(), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -35,8 +35,8 @@ SCORE_RULES = ("ova_id_at_cc_argmax", "max_cc_softmax", "max_ova_id", "feature_n
 FORWARD_CHUNK_ROWS = 1024
 
 
-def ood_score(out: ForwardResult, pred: np.ndarray, rule: str = SCORE_RULES[0],
-              feature_norms: np.ndarray | None = None) -> np.ndarray:
+def ood_score(out: ForwardResult, pred: np.ndarray, rule: str,
+              feature_norms: np.ndarray) -> np.ndarray:
     """Per-row ID-ness score of a forward's rows; higher means more in-distribution.
 
     `pred` is the argmax of `out`'s classifier logits per row. Each rule reads only its
@@ -53,8 +53,6 @@ def ood_score(out: ForwardResult, pred: np.ndarray, rule: str = SCORE_RULES[0],
     if rule == "max_ova_id":
         return _row_max(two_way(out.id_logits, out.ood_logits)[2])
     if rule == "feature_norm":
-        if feature_norms is None:
-            raise ValueError("feature_norm scoring requires feature_norms")
         return feature_norms
     raise ValueError(f"unknown score rule '{rule}'")
 

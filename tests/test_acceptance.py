@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skipalign.config import config_hash, default_config, resolve_config
+from skipalign.config import config_hash, resolve_config
 from skipalign.heads import normalize, one_hot
 from skipalign.metrics import EvalReport, auroc, evaluate, write_eval_csv
 from skipalign.prototypes import EmbeddingBatch, refresh
@@ -54,7 +54,7 @@ def train_and_eval(seed: int, sna_combo: dict | None = None, eta_id: float | Non
 
 @pytest.fixture(scope="module")
 def default_run():
-    return trained(default_config(seed=0))
+    return trained(resolve_config({"seed": 0}))
 
 
 def test_criterion_01_gradient_oracle_suite():
@@ -235,7 +235,8 @@ def test_criterion_08_detector_threshold_sweep():
 
 def test_criterion_09_determinism_regression(default_run, tmp_path):
     golden = GOLDEN_DIR / "metrics.csv"
-    assert golden.exists(), "golden file missing; regenerate via `skipalign golden --write`"
+    assert golden.exists(), ("golden file missing; regenerate it with "
+                             "`PYTHONPATH=src python tests/golden_files.py`")
     fresh_path = tmp_path / "metrics.csv"
     write_eval_csv(default_run, fresh_path)
     assert fresh_path.read_bytes() == golden.read_bytes()

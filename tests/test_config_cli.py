@@ -15,11 +15,11 @@ import pytest
 import skipalign
 from skipalign import metrics, synthdata
 from skipalign.cli import apply_axis, build_parser, main, run_experiment, sweep
-from skipalign.config import (ConfigError, config_hash, default_config, load_config,
-                              resolve_config)
+from skipalign.config import ConfigError, config_hash, load_config, resolve_config
 from skipalign.heads import normalize
 from skipalign.net import load_checkpoint, save_checkpoint
 from skipalign.trainer import TrainingDiverged
+import golden_files
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -162,7 +162,7 @@ class TestConfigResolution:
 
     def test_settable_values_pinned(self):
         # A new option shows up here as a reviewed diff.
-        assert sorted(flatten(default_config().resolved_dict())) == SETTABLE_VALUES
+        assert sorted(flatten(resolve_config({"seed": 0}).resolved_dict())) == SETTABLE_VALUES
 
     def test_modules_pinned(self):
         # A new module shows up here as a reviewed diff.
@@ -760,7 +760,7 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize("case", [
-        "run-config-dir", "sweep-config-dir", "golden-config-dir", "config-not-utf8",
+        "run-config-dir", "sweep-config-dir", "config-not-utf8",
         "out-under-file", "force-onto-file", "eval-run-dir-file"])
     def test_path_exit_code(self, tmp_path, capsys, finished_run, case):
         # A path that is a directory, a file, or unreadable text is a usage
@@ -774,9 +774,6 @@ class TestExitCodes:
         elif case == "sweep-config-dir":
             argv = ["sweep", "--config", str(tmp_path), "--axis", "eta_id", "--values", "0.5",
                     "--out", str(tmp_path / "runs")]
-        elif case == "golden-config-dir":
-            argv = ["golden", "--config", str(tmp_path),
-                    "--golden-path", str(tmp_path / "metrics.csv")]
         elif case == "config-not-utf8":
             named = tmp_path / "latin1.json"
             named.write_bytes(b'{"seed": 0, "note": "caf\xe9"}')
@@ -934,7 +931,7 @@ class TestGateDetail:
         # gate.npz holds each step's gate row: the rule at the manifest's thresholds
         # gives its phi, and each row's accepted count is its runlog line's. Two runs
         # of one config write the same bytes.
-        cfg = default_config()
+        cfg = resolve_config({"seed": 0})
         run_dir, _ = run_experiment(cfg, tmp_path / "a")
         other, _ = run_experiment(cfg, tmp_path / "b")
         assert (run_dir / "gate.npz").read_bytes() == (other / "gate.npz").read_bytes()
@@ -957,71 +954,85 @@ class TestGateDetail:
 
 class TestCliGradcheckAndGolden:
     def test_gradcheck_is_no_verb(self, capsys):
-        # The gradient checks are criteria 1 and 3 of the tests; the command line has
-        # four verbs, and gradcheck is a usage error.
-        assert "{run,sweep,eval,golden}" in build_parser().format_usage()
-        with pytest.raises(SystemExit) as exc:
-            main(["gradcheck"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'gradcheck'" in capsys.readouterr().err
+        # The gradient checks are criteria 1 and 3 of the tests and the golden check is
+        # golden_files: the command line has three verbs, and either name is a usage error.
+        assert "{run,sweep,eval}" in build_parser().format_usage()
+        for verb in ("gradcheck", "golden"):
+            with pytest.raises(SystemExit) as exc:
+                main([verb])
+            assert exc.value.code == 2
+            assert f"invalid choice: '{verb}'" in capsys.readouterr().err
 
     def test_golden_write_then_check(self, tmp_path):
-        path = write_config(tmp_path, TINY_RAW)
-        golden = tmp_path / "golden" / "metrics.csv"
-        assert main(["golden", "--config", path, "--golden-path", str(golden),
-                     "--write"]) == 0
-        assert golden.exists()
-        assert main(["golden", "--config", path, "--golden-path", str(golden)]) == 0
+        cfg = resolve_config(TINY_RAW)
+        golden = tmp_path / "golden"
+        lines = golden_files.write(cfg, golden)
+        assert (golden / "metrics.csv").exists()
+        # A first write moves every value from None: each metrics.csv row, each file.
+        rows = (golden / "metrics.csv").read_text().splitlines()[1:]
+        assert lines[:len(rows)] == [f"metrics.csv {row.replace(',', ': None -> ', 1)}"
+                                     for row in rows]
+        table = json.loads((golden / "artifacts.json").read_text())
+        assert lines[len(rows):] == [f"{name}: None -> {table[name]}" for name in sorted(table)]
+        assert golden_files.check(cfg, golden) == []
+        assert golden_files.write(cfg, golden) == []
 
-    def test_golden_detects_drift(self, tmp_path, capsys):
-        path = write_config(tmp_path, TINY_RAW)
-        golden = tmp_path / "golden" / "metrics.csv"
-        assert main(["golden", "--config", path, "--golden-path", str(golden),
-                     "--write"]) == 0
-        golden.write_text(golden.read_text().replace("accuracy", "accuracyX"))
-        assert main(["golden", "--config", path, "--golden-path", str(golden)]) == 1
-        assert f"these differ: {golden}\n" in capsys.readouterr().err
+    def test_golden_detects_drift(self, tmp_path):
+        cfg = resolve_config(TINY_RAW)
+        golden = tmp_path / "golden"
+        golden_files.write(cfg, golden)
+        metrics_path = golden / "metrics.csv"
+        right = metrics_path.read_text()
+        metrics_path.write_text(right.replace("accuracy,", "accuracy,0"))
+        assert golden_files.check(cfg, golden) == [str(metrics_path)]
         # A fingerprint that moved, or a file the table lacks, is named.
-        table_path = golden.with_name("artifacts.json")
+        table_path = golden / "artifacts.json"
         table = json.loads(table_path.read_text())
+        sha = table["checkpoint.json"]
         table["checkpoint.json"] = "0" * 64
         del table["split.csv"]
         table_path.write_text(json.dumps(table))
-        assert main(["golden", "--config", path, "--golden-path", str(golden)]) == 1
-        assert f"these differ: {golden}, checkpoint.json, split.csv\n" in capsys.readouterr().err
+        assert golden_files.check(cfg, golden) == [
+            str(metrics_path), "checkpoint.json", "split.csv"]
+        # The rewrite says what moved back, old -> new.
+        accuracy = next(line for line in right.splitlines() if line.startswith("accuracy,"))
+        value = accuracy.split(",")[1]
+        assert golden_files.write(cfg, golden) == [
+            f"metrics.csv accuracy: 0{value} -> {value}",
+            f"checkpoint.json: {'0' * 64} -> {sha}",
+            f"split.csv: None -> {json.loads(table_path.read_text())['split.csv']}"]
+        assert metrics_path.read_text() == right
 
-    def test_golden_names_moved_files_of_more_runs(self, tmp_path, capsys):
+    def test_golden_names_moved_files_of_more_runs(self, tmp_path):
         # A moved file of a run kept in the table's "runs" is named as <run>/<file>,
         # and the table's "runs" entry itself is no file.
-        path = write_config(tmp_path, TINY_RAW)
-        golden = tmp_path / "golden" / "metrics.csv"
-        argv = ["golden", "--config", path, "--golden-path", str(golden)]
-        assert main(argv + ["--write"]) == 0
-        table_path = golden.with_name("artifacts.json")
+        cfg = resolve_config(TINY_RAW)
+        golden = tmp_path / "golden"
+        golden_files.write(cfg, golden)
+        table_path = golden / "artifacts.json"
         table = json.loads(table_path.read_text())
         extra = {**TINY_RAW, "train": {"epochs": 1, "iters_per_epoch": 2, "batch_size": 8}}
         table["runs"] = {"extra": {"config": extra, "files": {}}}
         table_path.write_text(json.dumps(table))
-        assert main(argv + ["--write"]) == 0
+        lines = golden_files.write(cfg, golden)
         table = json.loads(table_path.read_text())
+        assert table["runs"]["extra"]["config"] == extra
+        assert lines == [f"extra/{name}: None -> {sha}"
+                         for name, sha in sorted(table["runs"]["extra"]["files"].items())]
         table["runs"]["extra"]["files"]["checkpoint.json"] = "0" * 64
         table_path.write_text(json.dumps(table))
-        capsys.readouterr()
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err == "golden check FAILED: these differ: extra/checkpoint.json\n"
+        assert golden_files.check(cfg, golden) == ["extra/checkpoint.json"]
 
-    def test_artifact_fingerprints(self, capsys):
+    def test_artifact_fingerprints(self):
         # Every file of the default seed-0 run and of its re-score under each rule,
         # byte for byte, and the same for the table's fork-threshold run; a failure
         # names each file that moved.
-        golden = Path(__file__).parent / "golden" / "metrics.csv"
-        assert main(["golden", "--golden-path", str(golden)]) == 0, capsys.readouterr().err
+        assert golden_files.check(resolve_config({"seed": 0})) == []
 
     def test_fork_threshold_run_forks(self):
         # The pinned run's test split is written by forked children on 2 cores
         # (embeddings.csv) and evaluated in more than one row range.
-        table = json.loads((Path(__file__).parent / "golden" / "artifacts.json").read_text())
+        table = json.loads((golden_files.GOLDEN_DIR / "artifacts.json").read_text())
         s = resolve_config(table["runs"]["fork_threshold"]["config"]).scenario
         test_rows = (s.num_classes * s.test_id_per_class
                      + s.seen_ood_clusters * s.test_seen_per_cluster
@@ -1029,10 +1040,14 @@ class TestCliGradcheckAndGolden:
         assert test_rows >= 2 * synthdata.RANGE_CHUNKS * synthdata.CHUNK_ROWS
         assert test_rows > metrics.FORWARD_CHUNK_ROWS
 
-    def test_golden_missing_file(self, tmp_path):
-        path = write_config(tmp_path, TINY_RAW)
-        assert main(["golden", "--config", path,
-                     "--golden-path", str(tmp_path / "nope.csv")]) == 1
+    def test_golden_missing_file(self, tmp_path, monkeypatch):
+        # A missing golden file is reported before any run.
+        monkeypatch.setattr(golden_files, "run_experiment", None)
+        with pytest.raises(FileNotFoundError, match="metrics.csv"):
+            golden_files.check(resolve_config(TINY_RAW), tmp_path)
+        (tmp_path / "metrics.csv").write_text("")
+        with pytest.raises(FileNotFoundError, match="artifacts.json"):
+            golden_files.check(resolve_config(TINY_RAW), tmp_path)
 
 
 def child_env() -> dict:
@@ -1096,7 +1111,7 @@ class TestPortableData:
         assert child.returncode == 0, child.stderr
         (run_dir,) = (tmp_path / "runs").iterdir()
 
-        split = synthdata.generate(default_config().scenario)
+        split = synthdata.generate(resolve_config({"seed": 0}).scenario)
         synthdata.write_split_csv(split, tmp_path / "split.csv")
         assert (run_dir / "split.csv").read_bytes() == (tmp_path / "split.csv").read_bytes()
         manifest = json.loads((run_dir / "manifest.json").read_text())

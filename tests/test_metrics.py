@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import rankdata
 
 from skipalign import metrics
-from skipalign.config import default_config
+from skipalign.config import resolve_config
 from skipalign.heads import normalize
 from skipalign.metrics import (_forward_ranges, auroc, evaluate, ood_score, write_embedding_dump,
                                write_eval_csv)
@@ -170,13 +170,13 @@ class TestOodScore:
     def test_all_one_id_probs(self):
         out = head_logits(np.full((2, 3), 50.0), np.full((2, 3), -50.0))
         for rule in ("ova_id_at_cc_argmax", "max_ova_id"):
-            np.testing.assert_allclose(ood_score(out, np.zeros(2, dtype=np.intp), rule), 1.0,
-                                       atol=1e-12)
+            np.testing.assert_allclose(
+                ood_score(out, np.zeros(2, dtype=np.intp), rule, np.zeros(2)), 1.0, atol=1e-12)
 
     def test_pass_through_at_argmax(self):
         # Equal logits give an ID probability of exactly one half.
         out = head_logits([[0.0, 3.0]], [[0.0, 0.0]])
-        assert ood_score(out, np.array([0]))[0] == 0.5
+        assert ood_score(out, np.array([0]), "ova_id_at_cc_argmax", np.zeros(1))[0] == 0.5
 
     def test_reads_per_sample_argmax_columns(self):
         id_logits, ood_logits = np.array([[2.0, -1.0], [0.5, 1.5]]), np.zeros((2, 2))
@@ -184,30 +184,29 @@ class TestOodScore:
         cc_logits = np.log([[0.9, 0.1], [0.3, 0.7]])
         cc_probs = ref_softmax_rows(cc_logits)
         out = head_logits(id_logits, ood_logits, cc_logits)
-        assert ood_score(out, np.array([0, 1])).tolist() == [ref[0, 0], ref[1, 1]]
+        norms = np.zeros(2)
+        assert ood_score(out, np.array([0, 1]), "ova_id_at_cc_argmax", norms).tolist() == [
+            ref[0, 0], ref[1, 1]]
         # The columns are the given prediction's: the rule takes no argmax of its own.
-        assert ood_score(out, np.array([1, 0])).tolist() == [ref[0, 1], ref[1, 0]]
-        assert ood_score(out, np.array([1, 0]), "max_cc_softmax").tolist() == [
+        assert ood_score(out, np.array([1, 0]), "ova_id_at_cc_argmax", norms).tolist() == [
+            ref[0, 1], ref[1, 0]]
+        assert ood_score(out, np.array([1, 0]), "max_cc_softmax", norms).tolist() == [
             cc_probs[0, 1], cc_probs[1, 0]]
 
     def test_alternative_rules(self):
         id_logits, ood_logits = np.array([[0.0, 2.0]]), np.array([[1.0, 0.0]])
         cc_logits = np.log([[0.6, 0.4]])
         out, pred = head_logits(id_logits, ood_logits, cc_logits), np.array([0])
-        assert ood_score(out, pred, rule="max_cc_softmax")[0] == ref_softmax_rows(
-            cc_logits).max()
-        assert ood_score(out, pred, rule="max_ova_id")[0] == ref_id_probs(
-            id_logits, ood_logits).max()
         norms = np.array([2.5])
-        assert ood_score(out, pred, rule="feature_norm", feature_norms=norms)[0] == 2.5
-
-    def test_feature_norm_requires_norms(self):
-        with pytest.raises(ValueError):
-            ood_score(head_logits([[0.4]], [[0.0]]), np.array([0]), rule="feature_norm")
+        assert ood_score(out, pred, "max_cc_softmax", norms)[0] == ref_softmax_rows(
+            cc_logits).max()
+        assert ood_score(out, pred, "max_ova_id", norms)[0] == ref_id_probs(
+            id_logits, ood_logits).max()
+        assert ood_score(out, pred, "feature_norm", norms)[0] == 2.5
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
-            ood_score(head_logits([[0.4]], [[0.0]]), np.array([0]), rule="entropy")
+            ood_score(head_logits([[0.4]], [[0.0]]), np.array([0]), "entropy", np.zeros(1))
 
     def test_logits_that_exp_ties(self, setup, monkeypatch):
         # exp(0 - 1e-17) rounds to 1, so classes 0 and 1 get one softmax probability,
@@ -217,8 +216,8 @@ class TestOodScore:
         probs = ref_softmax_rows(cc_logits)
         assert probs[0, 0] == probs[0, 1]
         out = head_logits(np.zeros((3, 4)), np.zeros((3, 4)), cc_logits)
-        assert ood_score(out, cc_logits.argmax(axis=1), "max_cc_softmax").tolist() == (
-            probs.max(axis=1).tolist())
+        assert ood_score(out, cc_logits.argmax(axis=1), "max_cc_softmax",
+                         np.zeros(3)).tolist() == probs.max(axis=1).tolist()
         f = np.ones((3, 2))
         report = evaluate_outputs(monkeypatch, setup, ["id:1", "id:1", "seen:0"], f, f,
                                   normalize(np.array([[1.0, 0.0]]))[0], cc_logits=cc_logits)
@@ -328,7 +327,7 @@ class TestGeometryStats:
 
 
 def small_scenario(**counts):
-    cfg = default_config(seed=3)
+    cfg = resolve_config({"seed": 3})
     sizes = dict(labels_per_class=5, unlabeled_id_per_class=5,
                  unlabeled_seen_per_cluster=5, test_id_per_class=6,
                  test_seen_per_cluster=6, test_unseen_per_cluster=6)
@@ -351,7 +350,7 @@ def reference_embedding_dump(out, split, path):
 
 @pytest.fixture(scope="module")
 def setup():
-    cfg = default_config(seed=3)
+    cfg = resolve_config({"seed": 3})
     split = generate(small_scenario())
     params = init_params(cfg.net)
     unit_protos = normalize(np.random.default_rng(0).standard_normal((cfg.net.num_classes,

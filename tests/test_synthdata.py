@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from skipalign import synthdata
-from skipalign.config import default_config
+from skipalign.config import resolve_config
 from skipalign.metrics import write_embedding_dump
 from skipalign.net import forward, init_params
 from skipalign.synthdata import (CHUNK_ROWS, GEOMETRY, MAX_PLACEMENT_TRIES, PlacementError,
@@ -436,7 +436,7 @@ def force_workers(monkeypatch, cores, chunk_rows):
 
 
 def default_params_and_split():
-    cfg = default_config()
+    cfg = resolve_config({"seed": 0})
     return init_params(cfg.net), generate(cfg.scenario)
 
 

@@ -374,6 +374,28 @@ class TestReducedConfigurations:
         assert len(terms) == 2
         assert all(t["usna"] == 0.0 and t["ia"] > 0.0 and t["pa"] > 0.0 for t in terms)
 
+    @pytest.mark.parametrize("combo, rows", [
+        ("none", None), ("ia_pa", 16), ("usna", 32), ("all", 48)])
+    def test_alignment_pass_reads_only_enabled_rows(self, monkeypatch, combo, rows):
+        # At the default batch, 16 labeled and 32 weak unlabeled rows, each step's
+        # alignment pass normalizes, and usna reads, the labeled rows ia and pa read
+        # and the unlabeled rows usna reads; with every alignment weight zero, neither.
+        import skipalign.trainer as trainer_mod
+
+        seen = {"normalize": [], "usna": []}
+
+        def recorded(name):
+            fn = getattr(trainer_mod, name)
+            return lambda a, *args: seen[name].append(len(a)) or fn(a, *args)
+
+        for name in seen:
+            monkeypatch.setattr(trainer_mod, name, recorded(name))
+        cfg = resolve_config({"seed": 0, "train": {
+            "epochs": 1, "iters_per_epoch": 2, "sna": LOSS_COMBOS[combo]}})
+        train(generate(cfg.scenario), cfg.net, cfg.train)
+        want = [] if rows is None else [rows] * 2
+        assert seen == {"normalize": want, "usna": want}
+
 
 class TestDivergenceHandling:
     def test_huge_learning_rate_aborts_with_report(self):

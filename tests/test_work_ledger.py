@@ -16,7 +16,9 @@ count to the number of steps that made it, and per evaluation, by score rule,
 with the Python and numpy versions they were taken on. A change that adds or
 removes work in a step or an evaluation rewrites the table in the same change
 and lists the old and new values. Rewrite it with
-`python tests/test_work_ledger.py`, which prints each entry's old and new counts.
+`PYTHONPATH=src python tests/test_work_ledger.py`, which prints each entry's
+old and new counts; the golden files have their own rewriter,
+`tests/golden_files.py`.
 """
 
 import collections
