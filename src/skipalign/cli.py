@@ -92,7 +92,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: Path, force: bool = False,
         try:
             report = evaluate(params, split, runlog.final_prototypes.unit_directions())
         except ValueError as err:  # trained values that overflow or zero a row
-            raise TrainingDiverged(str(err), last_report=runlog.iterations[-1]) from err
+            raise TrainingDiverged(str(err), runlog) from err
 
         runlog.write_jsonl(run_dir / "runlog.jsonl")
         runlog.write_gate_detail(run_dir / "gate.npz")
@@ -102,7 +102,10 @@ def run_experiment(cfg: ExperimentConfig, out_root: Path, force: bool = False,
         write_eval_csv(report, run_dir / "metrics.csv")
         write_embedding_dump(params, split, run_dir / "embeddings.csv")
     except BaseException as err:
-        # The run directory stays, marked as failed, for inspection.
+        # The run directory stays, marked as failed, for inspection, with a diverged run's steps.
+        if isinstance(err, TrainingDiverged):
+            err.runlog.write_jsonl(run_dir / "runlog.jsonl")
+            err.runlog.write_gate_detail(run_dir / "gate.npz")
         manifest["status"] = "diverged" if isinstance(err, TrainingDiverged) else "error"
         _write_manifest(manifest, run_dir / "manifest.json")
         raise
@@ -301,8 +304,8 @@ def main(argv=None) -> int:
         return 2
     except TrainingDiverged as err:
         print(f"training diverged: {err}", file=sys.stderr)
-        if err.last_report is not None:
-            print(json.dumps(err.last_report), file=sys.stderr)
+        if err.runlog.iterations:
+            print(json.dumps(err.runlog.iterations[-1]), file=sys.stderr)
         return 3
 
 

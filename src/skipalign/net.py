@@ -40,10 +40,11 @@ class NetSpec:
     seed: int = 1
 
     def __post_init__(self):
-        dims = (self.input_dim, self.feature_dim, self.proj_hidden,
-                self.embed_dim, self.num_classes, *self.backbone_widths)
-        if any(d < 1 for d in dims):
-            raise ValueError("all network dimensions must be >= 1")
+        for name in ("input_dim", "feature_dim", "proj_hidden", "embed_dim", "num_classes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if any(w < 1 for w in self.backbone_widths):
+            raise ValueError("backbone_widths entries must be >= 1")
         object.__setattr__(self, "backbone_widths", tuple(int(w) for w in self.backbone_widths))
 
     @functools.cached_property

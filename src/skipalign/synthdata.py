@@ -54,12 +54,11 @@ class ScenarioSpec:
         counts = (self.input_dim, self.num_classes, self.labels_per_class)
         if any(c < 1 for c in counts):
             raise ValueError("input_dim, num_classes, labels_per_class must be >= 1")
-        nonneg = (self.unlabeled_id_per_class, self.unlabeled_seen_per_cluster,
-                  self.test_id_per_class, self.test_seen_per_cluster,
-                  self.test_unseen_per_cluster, self.seen_ood_clusters,
-                  self.unseen_ood_clusters, self.unseen_between_hull)
-        if any(c < 0 for c in nonneg):
-            raise ValueError("counts must be non-negative")
+        for name in ("unlabeled_id_per_class", "unlabeled_seen_per_cluster", "test_id_per_class",
+                     "test_seen_per_cluster", "test_unseen_per_cluster", "seen_ood_clusters",
+                     "unseen_ood_clusters", "unseen_between_hull"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.unseen_between_hull > self.unseen_ood_clusters:
             raise ValueError("unseen_between_hull exceeds unseen_ood_clusters")
         if self.sigma_weak >= self.sigma_strong:

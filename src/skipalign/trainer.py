@@ -35,11 +35,11 @@ MOMENTUM, WEIGHT_DECAY = 0.9, 5e-4  # the SGD step's, the same in every run
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss or an activation goes non-finite."""
+    """Raised when the loss or an activation goes non-finite; carries the run's log."""
 
-    def __init__(self, message: str, last_report: dict | None = None):
+    def __init__(self, message: str, runlog: RunLog):
         super().__init__(message)
-        self.last_report = last_report
+        self.runlog = runlog
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,9 @@ class TrainConfig:
 
 
 def gate_detail_dtypes(num_classes: int) -> dict:
-    """The gate detail a run logs per step: each `GateMask` array, with the dtype it is
-    stored in; a class index takes the smallest unsigned integer holding num_classes - 1."""
-    return {"phi": np.bool_, "cc_conf": np.float64, "od_conf": np.float64,
+    """The gate detail a run logs per step, each `GateMask` array but phi (the thresholds
+    give it) in its stored dtype: a class index in the smallest unsigned type that fits."""
+    return {"cc_conf": np.float64, "od_conf": np.float64,
             "pred_class": np.min_scalar_type(num_classes - 1)}
 
 
@@ -142,11 +142,11 @@ def _batches(pool_size: int, batch: int, rng: np.random.Generator):
 def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState, RunLog]:
     """Run the full loop; deterministic given (split, netspec, cfg).
 
-    A step's record starts as its step, epoch and lr; its closure fills in the rest,
-    and it is logged once the SGD step is taken. A ValueError in the epochs (a
-    non-finite value or a zero row in a step or a prototype refresh) ends the run as
-    TrainingDiverged, reporting the last logged record. Training never reads the test
-    split, the cluster table or a row's cluster code: they are evaluation's.
+    A step's record starts as its step (its epoch and `lr_at` lr follow from it); its
+    closure fills in the rest, and it is logged once the SGD step is taken. A ValueError
+    in the epochs (a non-finite value or a zero row in a step or a refresh) ends the run
+    as TrainingDiverged, carrying the RunLog. Training never reads the test split, the
+    cluster table or a row's cluster code: they are evaluation's.
     """
     params = init_params(netspec)
     total_steps = cfg.epochs * cfg.iters_per_epoch
@@ -170,7 +170,7 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
                 lr = lr_at(step, total_steps, cfg.lr0)
                 li, ui = next(labeled_batches), next(unlabeled_batches)
                 x = augment_views(split.labeled_x[li], split.unlabeled_x[ui], rng, split.scenario)
-                record = {"step": step, "epoch": epoch, "lr": lr}
+                record = {"step": step}
                 closure = _make_closure(cfg, split.labeled_y[li], unit_protos, record, accepted,
                                         runlog.gate_detail)
                 grads = net_mod.backward(params, x, closure)
@@ -183,8 +183,7 @@ def train(split: Split, netspec: NetSpec, cfg: TrainConfig) -> tuple[ParamState,
             runlog.epochs.append({"epoch": epoch,
                                   "prototypes": {"n_unlabeled": protos.n_unlabeled.tolist()}})
     except ValueError as err:
-        last = runlog.iterations[-1] if runlog.iterations else None
-        raise TrainingDiverged(str(err), last_report=last) from err
+        raise TrainingDiverged(str(err), runlog) from err
     return params, runlog
 
 

@@ -21,6 +21,7 @@ from skipalign.synthdata import generate
 from skipalign.trainer import train
 from fd_oracle import (ce_feature_gradient_check, full_model_gradient_check,
                        usna_gradient_check)
+import golden_files
 from tape_oracle import ce_feature_tape_check, full_model_tape_check
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -239,7 +240,7 @@ def test_criterion_09_determinism_regression(default_run, tmp_path):
                              "`PYTHONPATH=src python tests/golden_files.py`")
     fresh_path = tmp_path / "metrics.csv"
     write_eval_csv(default_run, fresh_path)
-    assert fresh_path.read_bytes() == golden.read_bytes()
+    assert fresh_path.read_bytes() == golden.read_bytes(), golden_files.platforms(GOLDEN_DIR)
     print("[PASS] criterion 9: default-config seed-0 metrics reproduce the golden "
           "file byte for byte")
 

@@ -6,10 +6,12 @@ renaming or deleting a traced function in `src/` would break a traced
 benchmark run, and its `COUNTS` read each call's arguments and result, so a
 changed call would miscount. This loads the spans module by path, without
 changing it, resolves every entry against the installed package, and traces
-one small run.
+one small run. Last, it runs the harness's own traced operation, as
+`bench/run.py --trace 1` does, on one default run.
 """
 
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,8 @@ from skipalign.cli import run_experiment
 from skipalign.config import resolve_config
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+# The harness's modules, which import each other by these names.
+HARNESS_MODULES = ("spans", "derive", "workloads", "run")
 
 
 def load_spans() -> dict:
@@ -63,3 +67,32 @@ def test_traced_counts_match_the_run(tmp_path):
     assert sum(counts["prototypes.refresh"]) == trained["accepted"] > 0
     test_rows = 4 * 10 + 2 * 10 + 3 * 10
     assert counts["metrics.evaluate"] == [test_rows]
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    """The harness's modules, importable by their names for one test: nothing is
+    written beside them, and none of them stays in sys.modules after it."""
+    assert not set(HARNESS_MODULES) & set(sys.modules)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(SPANS_PATH.parent))
+    try:
+        yield {name: importlib.import_module(name) for name in HARNESS_MODULES}
+    finally:
+        for name in HARNESS_MODULES:
+            sys.modules.pop(name, None)
+
+
+def test_traced_benchmark_operation(harness, tmp_path):
+    # One operation of `bench/run.py --workload train_default --trace 1`: an untraced
+    # and a traced default run, each checked, compared byte for byte, then derived
+    # into per-layer metrics and checked for span nesting, as the harness's main does.
+    run, derive, spans = harness["run"], harness["derive"], harness["spans"]
+    result = run.measure(harness["workloads"].WORKLOADS["train_default"], 1, 0, True,
+                         tmp_path / "work")
+    assert [(op["traced"], op["failures"]) for op in result["ops"]] == [
+        (False, []), (True, [])]
+    metrics, _ = derive.per_layer(result["full"].spans, result["coarse"].spans,
+                                  result["artifacts"])
+    assert metrics["trainer.steps"]["value"] == 480
+    assert spans.nesting_errors(result["full"].spans) == []

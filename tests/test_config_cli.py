@@ -1,7 +1,9 @@
 import collections
 import csv
+import functools
 import json
 import math
+import operator
 import os
 import shutil
 import subprocess
@@ -287,21 +289,34 @@ class TestCliRun:
             assert main(["run", "--config", path, "--out", str(tmp_path / "runs")]) == 3
             assert "diverged" in capsys.readouterr().err
 
-    def test_diverged_run_leaves_manifest_and_split(self, tmp_path):
+    def test_diverged_run_leaves_manifest_and_split(self, tmp_path, capsys):
         # A diverged run keeps what explains it: its manifest, with the cluster table,
-        # and the split it trained on, as the complete run of the same data writes them.
+        # and the split it trained on, as the complete run of the same data writes them,
+        # and the steps it logged: a runlog line and a gate.npz row each, the last line
+        # the one the command line reports.
         raw = json.loads(json.dumps(TINY_RAW))
         raw["train"].update(lr0=1e6, epochs=3, iters_per_epoch=5)
         complete = write_config(tmp_path, TINY_RAW)
         diverging = write_config(tmp_path, raw, "diverging.json")
         assert main(["run", "--config", complete, "--out", str(tmp_path / "complete")]) == 0
+        capsys.readouterr()
         assert main(["run", "--config", diverging, "--out", str(tmp_path / "diverged")]) == 3
+        message, report = capsys.readouterr().err.splitlines()
         [done], [failed] = (list((tmp_path / out).iterdir()) for out in ("complete", "diverged"))
-        assert sorted(path.name for path in failed.iterdir()) == ["manifest.json", "split.csv"]
+        assert sorted(path.name for path in failed.iterdir()) == [
+            "gate.npz", "manifest.json", "runlog.jsonl", "split.csv"]
         manifest = json.loads((failed / "manifest.json").read_text())
         assert manifest["status"] == "diverged" and manifest["wall_clock_s"] is None
         assert manifest["clusters"] == json.loads((done / "manifest.json").read_text())["clusters"]
         assert (failed / "split.csv").read_bytes() == (done / "split.csv").read_bytes()
+        lines = [json.loads(line) for line in (failed / "runlog.jsonl").read_text().splitlines()]
+        assert message.startswith("training diverged: ")
+        assert [line.pop("type") for line in lines] == ["iteration"] * len(lines)
+        assert [line["step"] for line in lines] == list(range(len(lines)))
+        assert lines and lines[-1] == json.loads(report)
+        with np.load(failed / "gate.npz") as gate:
+            assert {name: gate[name].shape for name in gate} == dict.fromkeys(
+                ("cc_conf", "od_conf", "pred_class"), (len(lines), 16))
 
     @pytest.mark.parametrize("fault, message", [
         ("nan-activation", "non-finite activation in layer 'backbone'"),
@@ -899,6 +914,50 @@ class TestDamagedRunFiles:
         assert not failures, "\n".join(failures)
 
 
+# Each damage a config file's value takes: a wrong type, each non-finite float, values
+# beyond a float64 or an index, negative and zero values, a container, and removal.
+CONFIG_DAMAGES = {"string": "x", "nan": float("nan"), "inf": float("inf"),
+                  "-inf": float("-inf"), "1e300": 1e300, "-1": -1, "-1.5": -1.5,
+                  "empty-list": [], "empty-object": {}, "null": None, "true": True,
+                  "10**30": 10**30, "0": 0, "removed": REMOVE}
+
+
+class TestDamagedConfig:
+    """Generated damage to every value of a two-step run's config file, each entry of
+    a list included: run exits 0, 2 or 3, never 1, and an exit 2 names the damaged
+    key, with no traceback."""
+
+    def test_damage_exits_0_2_or_3(self, tmp_path, capsys):
+        # As a file holds it: backbone_widths a list, whose entry is damaged.
+        config = json.loads(json.dumps(resolve_config(DAMAGE_RAW).resolved_dict()))
+        leaves = [path for path in node_paths(config, set())
+                  if not isinstance(functools.reduce(operator.getitem, path, config),
+                                    (dict, list))]
+        assert len(leaves) == len(SETTABLE_VALUES)
+        assert ("net", "backbone_widths", 0) in leaves
+        config_path = tmp_path / "config.json"
+        argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "runs"), "--force"]
+        failures, codes = [], collections.Counter()
+        for leaf in leaves:
+            key = next(part for part in reversed(leaf) if isinstance(part, str))
+            for label, value in CONFIG_DAMAGES.items():
+                config_path.write_bytes(damaged(config, leaf, value))
+                capsys.readouterr()
+                try:
+                    code = main(argv)
+                except Exception as err:  # the command line would print a traceback, exit 1
+                    code = f"1 ({type(err).__name__}: {err})"
+                codes[code] += 1
+                err = capsys.readouterr().err
+                name = f"{'.'.join(map(str, leaf))}={label}"
+                if code not in (0, 2, 3) or "Traceback" in err:
+                    failures.append(f"{name}: exit {code}")
+                elif code == 2 and key not in err:
+                    failures.append(f"{name}: exit 2 does not name {key}: {err.strip()}")
+        assert not failures, "\n".join(failures)
+        assert set(codes) == {0, 2, 3}  # some damage still trains, some diverges
+
+
 def read_csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -929,7 +988,7 @@ class TestArtifactsJoin:
 class TestGateDetail:
     def test_gate_npz_replays_the_default_run(self, tmp_path):
         # gate.npz holds each step's gate row: the rule at the manifest's thresholds
-        # gives its phi, and each row's accepted count is its runlog line's. Two runs
+        # replays its phi, and each row's accepted count is its runlog line's. Two runs
         # of one config write the same bytes.
         cfg = resolve_config({"seed": 0})
         run_dir, _ = run_experiment(cfg, tmp_path / "a")
@@ -940,16 +999,15 @@ class TestGateDetail:
         records = [line for line in lines if line["type"] == "iteration"]
         assert not any("gate_detail" in record for record in records)
         with np.load(run_dir / "gate.npz") as gate:
-            # The mask as bool, the class index in one byte: the default has 4 classes.
+            # No mask, which the thresholds give; the class index in one byte: the
+            # default has 4 classes.
             assert {name: gate[name].dtype.str for name in gate} == {
-                "phi": "|b1", "cc_conf": "<f8", "od_conf": "<f8", "pred_class": "|u1"}
+                "cc_conf": "<f8", "od_conf": "<f8", "pred_class": "|u1"}
             assert all(gate[name].shape == (480, 32) for name in gate)
             assert gate["pred_class"].max() < cfg.net.num_classes
-            expected = (gate["cc_conf"] > train_cfg["tau_id"]) & (
-                gate["od_conf"] > train_cfg["eta_id"])
-            assert np.array_equal(gate["phi"], expected)
+            phi = (gate["cc_conf"] > train_cfg["tau_id"]) & (gate["od_conf"] > train_cfg["eta_id"])
             assert ([record["gate"]["accepted"] for record in records]
-                    == np.count_nonzero(gate["phi"], axis=1).tolist())
+                    == np.count_nonzero(phi, axis=1).tolist())
 
 
 class TestCliGradcheckAndGolden:
@@ -972,8 +1030,12 @@ class TestCliGradcheckAndGolden:
         rows = (golden / "metrics.csv").read_text().splitlines()[1:]
         assert lines[:len(rows)] == [f"metrics.csv {row.replace(',', ': None -> ', 1)}"
                                      for row in rows]
+        # Then the platform the table records, which is no file.
         table = json.loads((golden / "artifacts.json").read_text())
-        assert lines[len(rows):] == [f"{name}: None -> {table[name]}" for name in sorted(table)]
+        assert table["platform"] == golden_files.platform_record()
+        assert lines[len(rows):] == [f"{name}: None -> {table[name]}"
+                                     for name in sorted(golden_files.flat(table))] + [
+            f"platform: None -> {table['platform']}"]
         assert golden_files.check(cfg, golden) == []
         assert golden_files.write(cfg, golden) == []
 
@@ -1026,8 +1088,10 @@ class TestCliGradcheckAndGolden:
     def test_artifact_fingerprints(self):
         # Every file of the default seed-0 run and of its re-score under each rule,
         # byte for byte, and the same for the table's fork-threshold run; a failure
-        # names each file that moved.
-        assert golden_files.check(resolve_config({"seed": 0})) == []
+        # names each file that moved, and the platform the table was recorded on and
+        # this one.
+        moved = golden_files.check(resolve_config({"seed": 0}))
+        assert moved == [], f"moved: {moved}; {golden_files.platforms()}"
 
     def test_fork_threshold_run_forks(self):
         # The pinned run's test split is written by forked children on 2 cores

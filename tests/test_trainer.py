@@ -12,9 +12,9 @@ from skipalign.synthdata import generate
 from skipalign.trainer import (MOMENTUM, WEIGHT_DECAY, RunLog, TrainConfig, TrainingDiverged,
                                _batches, gate_detail_dtypes, lr_at, train)
 
-# The keys of an iteration record, in the order they are written.
-RECORD_KEYS = ["step", "epoch", "lr", "terms", "total", "batch_labeled", "batch_unlabeled",
-               "gate"]
+# The keys of an iteration record, in the order they are written; its epoch and lr
+# follow from its step and the config.
+RECORD_KEYS = ["step", "terms", "total", "batch_labeled", "batch_unlabeled", "gate"]
 
 
 def tiny_config(seed=0, **train_overrides):
@@ -31,15 +31,12 @@ def tiny_config(seed=0, **train_overrides):
 
 
 def audit_gate_flow(runlog: RunLog, tau_id: float, eta_id: float) -> None:
-    """Check every logged step's pull decisions against the gate rule at the run's
-    thresholds, and its record's accepted count against them."""
+    """Replay every logged step's pull decisions, phi, from its gate row by the gate
+    rule at the run's thresholds, and check its record's accepted count against them."""
     detail = runlog.gate_detail
-    expected = (detail["cc_conf"] > tau_id) & (detail["od_conf"] > eta_id)
+    phi = (detail["cc_conf"] > tau_id) & (detail["od_conf"] > eta_id)
     for record in runlog.iterations:
-        phi = detail["phi"][record["step"]]
-        if not np.array_equal(phi, expected[record["step"]]):
-            raise AssertionError(f"gate mask inconsistent at step {record['step']}")
-        if record["gate"]["accepted"] != np.count_nonzero(phi):
+        if record["gate"]["accepted"] != np.count_nonzero(phi[record["step"]]):
             raise AssertionError(f"accepted count inconsistent at step {record['step']}")
 
 
@@ -110,7 +107,8 @@ class TestTrainConfig:
         cfg = tiny_config(tau_id=0.3, eta_id=0.0)
         _, runlog = train(generate(cfg.scenario), cfg.net, cfg.train)
         for record in runlog.epochs:
-            steps = [it for it in runlog.iterations if it["epoch"] == record["epoch"]]
+            steps = [it for it in runlog.iterations
+                     if it["step"] // cfg.train.iters_per_epoch == record["epoch"]]
             accepted = sum(it["gate"]["accepted"] for it in steps)
             assert 0 < accepted < sum(it["batch_unlabeled"] for it in steps)
             assert sum(record["prototypes"]["n_unlabeled"]) == accepted
@@ -184,12 +182,14 @@ class TestTrainLoop:
         split = generate(cfg.scenario)
         _, runlog = train(split, cfg.net, cfg.train)
         audit_gate_flow(runlog, cfg.train.tau_id, cfg.train.eta_id)
-        # a corrupted mask, or a record whose count disagrees with its mask, must be caught
-        phi = runlog.gate_detail["phi"].copy()
-        phi[0] = ~phi[0]
-        bad = RunLog(iterations=runlog.iterations[:1],
-                     gate_detail={**runlog.gate_detail, "phi": phi})
-        with pytest.raises(AssertionError, match="gate mask inconsistent at step 0"):
+        # a corrupted gate row (every row pulled where the step pulled none, or none
+        # where it pulled some), or a record whose count disagrees with its row, must
+        # be caught
+        confidence = 0.0 if runlog.iterations[0]["gate"]["accepted"] else 1.0
+        corrupted = {name: array.copy() for name, array in runlog.gate_detail.items()}
+        corrupted["cc_conf"][0] = corrupted["od_conf"][0] = confidence
+        bad = RunLog(iterations=runlog.iterations[:1], gate_detail=corrupted)
+        with pytest.raises(AssertionError, match="accepted count inconsistent at step 0"):
             audit_gate_flow(bad, cfg.train.tau_id, cfg.train.eta_id)
         record = json.loads(json.dumps(runlog.iterations[0]))
         record["gate"]["accepted"] += 1
@@ -232,14 +232,16 @@ class TestTrainLoop:
         # an iteration record holds only what changes from step to step.
         cfg = tiny_config()
         _, runlog = train(generate(cfg.scenario), cfg.net, cfg.train)
+        # A step's epoch and lr follow from its step and the config.
         for record in runlog.iterations:
-            assert list(record) == ["step", "epoch", "lr", "terms", "total", "batch_labeled",
+            assert list(record) == ["step", "terms", "total", "batch_labeled",
                                     "batch_unlabeled", "gate"]
-        # The gate detail is one array per GateMask field, a row per step: the mask as
-        # bool, the class index in one byte for the tiny run's 4 classes.
+        # The gate detail is one array per GateMask field but the mask, which the
+        # thresholds give, a row per step: the class index in one byte for the tiny
+        # run's 4 classes.
         steps = cfg.train.epochs * cfg.train.iters_per_epoch
         assert {name: array.dtype.str for name, array in runlog.gate_detail.items()} == {
-            "phi": "|b1", "cc_conf": "<f8", "od_conf": "<f8", "pred_class": "|u1"}
+            "cc_conf": "<f8", "od_conf": "<f8", "pred_class": "|u1"}
         for array in runlog.gate_detail.values():
             assert array.shape == (steps, cfg.train.unlabeled_batch)
 
@@ -360,9 +362,10 @@ class TestReducedConfigurations:
         assert all(r["total"] == 0.0 for r in runlog.iterations)
         replay = init_params(cfg.net)
         velocity = np.zeros_like(replay.flat)
+        steps = tr.epochs * tr.iters_per_epoch
         for record in runlog.iterations:
-            sgd_step(replay, np.zeros_like(replay.flat), lr=record["lr"], momentum=MOMENTUM,
-                     weight_decay=WEIGHT_DECAY, velocity=velocity)
+            sgd_step(replay, np.zeros_like(replay.flat), lr=lr_at(record["step"], steps, tr.lr0),
+                     momentum=MOMENTUM, weight_decay=WEIGHT_DECAY, velocity=velocity)
         assert np.array_equal(params.flat, replay.flat)
 
     def test_ia_pa_logs_no_usna(self):
@@ -406,13 +409,16 @@ class TestDivergenceHandling:
             with np.errstate(over="ignore", invalid="ignore"):  # divergence is the point
                 with pytest.raises(TrainingDiverged) as excinfo:
                     train(split, cfg.net, cfg.train)
-            assert excinfo.value.last_report is not None
-            assert "terms" in excinfo.value.last_report
+            # The error carries the run's log: the steps logged before the failure.
+            iterations = excinfo.value.runlog.iterations
+            assert iterations
+            assert "terms" in iterations[-1]
 
     @pytest.mark.parametrize("k", [0, 1, 5, 6, 7, 11])
     def test_report_is_the_last_complete_record(self, monkeypatch, k):
         # A NaN in the strong view of augment_views call k (step k) fails that step's
-        # forward before its closure fills the record: the report is step k - 1's.
+        # forward before its closure fills the record: the run log the error carries
+        # ends at step k - 1, whose line is the report.
         import skipalign.trainer as trainer_mod
 
         cfg = tiny_config()  # 2 epochs of 6 steps
@@ -432,10 +438,11 @@ class TestDivergenceHandling:
         with pytest.raises(TrainingDiverged, match="non-finite activation") as excinfo:
             train(split, cfg.net, cfg.train)
         assert len(calls) == k + 1
-        report = excinfo.value.last_report
+        iterations = excinfo.value.runlog.iterations
+        assert iterations == clean[:k]
         if k == 0:
-            assert report is None
             return
+        report = iterations[-1]
         assert report["step"] == k - 1
         assert list(report) == RECORD_KEYS
         assert report == clean[k - 1]

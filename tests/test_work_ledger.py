@@ -13,9 +13,10 @@ of EVAL_ROWS rows, which `evaluate` forwards in two row ranges.
 
 The counts are pinned exactly in `golden/ledger.json`: per step, as a map from
 count to the number of steps that made it, and per evaluation, by score rule,
-with the Python and numpy versions they were taken on. A change that adds or
-removes work in a step or an evaluation rewrites the table in the same change
-and lists the old and new values. Rewrite it with
+with the Python and numpy versions they were taken on, which must match, and
+the platform (`golden_files.platform_record`), which is recorded, not compared.
+A change that adds or removes work in a step or an evaluation rewrites the
+table in the same change and lists the old and new values. Rewrite it with
 `PYTHONPATH=src python tests/test_work_ledger.py`, which prints each entry's
 old and new counts; the golden files have their own rewriter,
 `tests/golden_files.py`.
@@ -35,6 +36,7 @@ from skipalign.config import resolve_config
 from skipalign.heads import normalize
 from skipalign.net import init_params
 from skipalign.synthdata import generate
+from golden_files import platform_record
 
 LEDGER_PATH = Path(__file__).parent / "golden" / "ledger.json"
 COUNTERS = ("calls", "python_calls", "ufunc_reduce")
@@ -183,7 +185,7 @@ def changes(old: dict, new: dict) -> list[str]:
 
 if __name__ == "__main__":
     old = json.loads(LEDGER_PATH.read_text()) if LEDGER_PATH.exists() else {}
-    new = {**versions(), **step_ledger(), "evaluate": evaluate_ledger()}
+    new = {**versions(), **platform_record(), **step_ledger(), "evaluate": evaluate_ledger()}
     LEDGER_PATH.write_text(json.dumps(new, indent=2) + "\n")
     print("\n".join(changes(old, new)))
     print(f"ledger written: {LEDGER_PATH}")
