@@ -12,7 +12,7 @@ covers the seed; an existing directory is refused unless --force is given. A
 run's manifest is written first with status "running" and ends "complete",
 "diverged" or "error"; a failed run keeps its directory. Exit codes: 0
 success, 2 invalid config or usage (a missing, unreadable or misplaced path
-included), 3 training diverged.
+included, and a run whose arrays do not fit in memory), 3 training diverged.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def _write_manifest(manifest: dict, path: Path) -> None:
 
 def _write_prototypes(protos: PrototypeSet, path: Path) -> None:
     with open(path, "w") as fh:
-        json.dump({name: array.tolist() for name, array in vars(protos).items()}, fh)
+        json.dump({"mu": protos.mu.tolist(), "mu_unlabeled": protos.mu_unlabeled.tolist()}, fh)
 
 
 def _load_prototypes(path: Path, spec: NetSpec) -> np.ndarray:
@@ -301,6 +301,9 @@ def main(argv=None) -> int:
     except (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
             PermissionError) as err:
         print(str(err), file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"out of memory: {err}", file=sys.stderr)
         return 2
     except TrainingDiverged as err:
         print(f"training diverged: {err}", file=sys.stderr)

@@ -16,11 +16,13 @@ import json
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .heads import HeadWeights
-from .net import NetSpec
+from .net import NetSpec, param_count
 from .sna import SnaWeights
 from .synthdata import ScenarioSpec
-from .trainer import TrainConfig
+from .trainer import TrainConfig, gate_detail_dtypes
 
 
 # Each section's values that derive from another value, not from the file.
@@ -136,6 +138,20 @@ def resolve_config(data: dict, seed_override: int | None = None) -> ExperimentCo
             path = f"train.{name}"
             train_data[name] = _build_section(cls, _section(train_data, name, path), path)
     train = _build_section(TrainConfig, train_data, "train", seed=seed + 2)
+    # numpy sizes no array of more than sys.maxsize bytes: refuse a config that needs one.
+    s, t = scenario, train
+    split_rows = (s.num_classes * (s.labels_per_class + s.test_id_per_class) + s.unlabeled_rows
+                  + s.seen_ood_clusters * s.test_seen_per_cluster
+                  + s.unseen_ood_clusters * s.test_unseen_per_cluster)
+    gate_bytes = sum(np.dtype(d).itemsize for d in gate_detail_dtypes(s.num_classes).values())
+    for section, what, nbytes in (
+            ("scenario", "the split", split_rows * s.input_dim * 8),
+            ("net", "the parameter vector", param_count(net) * 8),
+            ("train", "the gate detail", t.epochs * t.iters_per_epoch * t.unlabeled_batch
+             * gate_bytes)):
+        if nbytes > sys.maxsize:
+            raise ConfigError(section, f"{what} would take {nbytes} bytes; numpy sizes no "
+                                       f"array beyond {sys.maxsize}")
     return ExperimentConfig(seed=seed, scenario=scenario, net=net, train=train)
 
 

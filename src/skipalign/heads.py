@@ -166,8 +166,8 @@ def neg(log_p_ood, p_id, selected, n: int, slope: float) -> tuple[float, np.ndar
 def compose(terms: dict, weights: dict) -> dict:
     """The composites sna, cc and od and the weighted total, from the nine leaves.
 
-    Works on floats (training and log audits) and on tape tensors (the
-    gradient oracle) alike.
+    Works on floats (training, and the replay of a step line's composites and
+    total) and on tape tensors (the gradient oracle) alike.
     """
     w = weights
     sna = (w["lambda_usna"] * terms["usna"] + w["lambda_ia"] * terms["ia"]

@@ -101,10 +101,11 @@ def gate_detail_dtypes(num_classes: int) -> dict:
 @dataclass
 class RunLog:
     """Append-only record of a run's training, serializable at any point: one record
-    per step, one per epoch with its refresh's unlabeled counts, the gate detail (one
-    (steps, unlabeled_batch) array per `gate_detail_dtypes` name, whose row i step i
-    fills), and the last refresh's prototypes, which `cli.run_experiment` evaluates and
-    writes."""
+    per step (its leaves; `heads.compose` replays the composites and the total), one
+    per epoch with its refresh's unlabeled counts, the gate detail (one (steps,
+    unlabeled_batch) array per `gate_detail_dtypes` name, whose row i step i fills),
+    and the last refresh's prototypes, which `cli.run_experiment` evaluates and writes.
+    `write_jsonl` writes each record untagged: a step's has "step", an epoch's "epoch"."""
 
     iterations: list[dict] = field(default_factory=list)
     epochs: list[dict] = field(default_factory=list)
@@ -113,10 +114,8 @@ class RunLog:
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
-            for record in self.iterations:
-                fh.write(json.dumps({"type": "iteration", **record}) + "\n")
-            for record in self.epochs:
-                fh.write(json.dumps({"type": "epoch", **record}) + "\n")
+            for record in self.iterations + self.epochs:
+                fh.write(json.dumps(record) + "\n")
 
     def write_gate_detail(self, path) -> None:
         """The gate detail's rows of the logged steps, one .npy array per name, as .npz."""
@@ -263,8 +262,8 @@ def objective(rows: StepRows, labels: np.ndarray, unit_protos: np.ndarray,
               decisions: Decisions, cfg: TrainConfig) -> tuple[dict, dict]:
     """The training objective in closed form, as (terms, grads).
 
-    `terms` holds the nine leaf values, then the composites sna, cc, od and
-    the total from `compose`. A leaf whose weight is zero is not evaluated
+    `terms` holds the nine leaf values and the total from `compose`, which gives
+    the composites back from the leaves. A leaf whose weight is zero is not evaluated
     and enters as 0.0. grads maps each head output to the total's gradient
     over the whole stack, the form `net.backward` takes. Each head's terms take
     one pass over its rows, each row weighted by its term's slope in the total
@@ -329,15 +328,16 @@ def objective(rows: StepRows, labels: np.ndarray, unit_protos: np.ndarray,
             terms["ia"], g = ia(unit[:b], target[x], t, slopes["ia"])
             g_unit[:b] += g
         g_z[lo:hi] = tangential(g_unit, unit, norms)
-    terms.update(compose(terms, weights))
+    terms["total"] = compose(terms, weights)["total"]
     return terms, {"embeddings": g_z, "cc_logits": g_cc, "id_logits": g_id, "ood_logits": g_ood}
 
 
 def _make_closure(cfg: TrainConfig, labels: np.ndarray, unit_protos: np.ndarray, record: dict,
                   accepted: list[EmbeddingBatch], gate_detail: dict[str, np.ndarray]):
-    """The step's objective for `net.backward`. It fills in the rest of the step's record,
-    writes the gate's arrays into row record["step"] of gate_detail's, and appends the
-    weak unlabeled rows the gate accepted, by predicted class, to accepted."""
+    """The step's objective for `net.backward`. It fills in the rest of the step's record
+    (not the total it returns: the leaves replay it), writes the gate's arrays into row
+    record["step"] of gate_detail's, and appends the weak unlabeled rows the gate
+    accepted, by predicted class, to accepted."""
     def closure(out):
         rows = step_rows(out, len(labels), cfg.gate_temperature)
         decisions = freeze_decisions(rows, cfg)
@@ -345,8 +345,7 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, unit_protos: np.ndarray,
         total = terms.pop("total")
         gate, m = decisions.gate, len(decisions.gate.phi)
         record.update({
-            "terms": terms, "total": total,
-            "batch_labeled": len(labels), "batch_unlabeled": m,
+            "terms": terms, "batch_unlabeled": m,
             "gate": {"accepted": gate.accepted,
                      "negatives": int(np.count_nonzero(decisions.negative[:m].any(axis=1))),
                      "pl_accepted": int(np.count_nonzero(decisions.pl_accept))},

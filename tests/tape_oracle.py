@@ -21,7 +21,7 @@ def tape_objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
                    decisions: Decisions, cfg: TrainConfig) -> dict:
     """`trainer.objective` built on the tape from the loss twins.
 
-    Returns the same terms: nine leaf graphs, then sna, cc, od and total. A
+    Returns its terms, nine leaf graphs and the total, and sna, cc and od too. A
     leaf whose weight is zero is not built and enters as the constant 0.0.
     """
     head, sna_w = cfg.head, cfg.sna

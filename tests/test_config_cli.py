@@ -18,9 +18,9 @@ import skipalign
 from skipalign import metrics, synthdata
 from skipalign.cli import apply_axis, build_parser, main, run_experiment, sweep
 from skipalign.config import ConfigError, config_hash, load_config, resolve_config
-from skipalign.heads import normalize
-from skipalign.net import load_checkpoint, save_checkpoint
-from skipalign.trainer import TrainingDiverged
+from skipalign.heads import compose, normalize
+from skipalign.net import forward, load_checkpoint, save_checkpoint
+from skipalign.trainer import LEAVES, TrainingDiverged, train
 import golden_files
 
 
@@ -204,6 +204,15 @@ class TestConfigResolution:
         assert main(["run", "--config", path, "--dry-run"]) == 0
         assert json.loads(capsys.readouterr().out)["train"]["lr0"] == 0.02
 
+    def test_range_bounds_hold_at_their_edges(self):
+        # The largest float64 is finite, so a float field takes it; the seed's range,
+        # [0, 2**128), takes its last value and refuses the next, naming seed.
+        big = resolve_config({"seed": 0, "train": {"sna": {"temperature": sys.float_info.max}}})
+        assert big.train.sna.temperature == sys.float_info.max
+        assert resolve_config({"seed": 2**128 - 1}).seed == 2**128 - 1
+        with pytest.raises(ConfigError, match=r"^seed: must be an integer in \[0, 2\*\*128\)"):
+            resolve_config({"seed": 2**128})
+
     @pytest.mark.parametrize("raw, field", [
         ({"seed": 0, "train": {"sna": {"temperature": float("nan")}}}, "train.sna.temperature"),
     ], ids=["json-nan"])
@@ -311,12 +320,27 @@ class TestCliRun:
         assert (failed / "split.csv").read_bytes() == (done / "split.csv").read_bytes()
         lines = [json.loads(line) for line in (failed / "runlog.jsonl").read_text().splitlines()]
         assert message.startswith("training diverged: ")
-        assert [line.pop("type") for line in lines] == ["iteration"] * len(lines)
+        # It diverged in its first epoch: every line is a step's, and none an epoch's.
+        assert not any("epoch" in line for line in lines)
         assert [line["step"] for line in lines] == list(range(len(lines)))
         assert lines and lines[-1] == json.loads(report)
         with np.load(failed / "gate.npz") as gate:
             assert {name: gate[name].shape for name in gate} == dict.fromkeys(
                 ("cc_conf", "od_conf", "pred_class"), (len(lines), 16))
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Arrays numpy can size but the host cannot hold: one line, no traceback. The
+        # data's generation raises here as numpy's allocator would on such a request.
+        def generate(spec):
+            raise MemoryError("Unable to allocate 2.73 PiB for an array with shape "
+                              "(480000000000000, 32) and data type float64")
+
+        monkeypatch.setattr("skipalign.cli.generate", generate)
+        argv = ["run", "--config", write_config(tmp_path, TINY_RAW), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "out of memory: Unable to allocate 2.73 PiB for an array with shape "
+            "(480000000000000, 32) and data type float64"]
 
     @pytest.mark.parametrize("fault, message", [
         ("nan-activation", "non-finite activation in layer 'backbone'"),
@@ -644,6 +668,11 @@ class TestExitCodes:
         ("run", {"scenario": {"test_id_per_class": 10**23}}, 2, "scenario.test_id_per_class"),
         ("run", {"net": {"embed_dim": 10**23}}, 2, "net.embed_dim"),
         ("run", {"net": {"backbone_widths": [32, 10**23]}}, 2, "net.backbone_widths"),
+        # Values in range whose arrays numpy refuses to size, at once and allocating nothing.
+        ("run", {"train": {"epochs": 10**15, "iters_per_epoch": 40, "batch_size": 16}}, 2,
+         "train: the gate detail"),
+        ("run", {"scenario": {"labels_per_class": 10**17}}, 2, "scenario: the split"),
+        ("run", {"net": {"backbone_widths": [32, 10**18]}}, 2, "net: the parameter vector"),
         ("run", {"train": {"lr0": 10**400}}, 2, "train.lr0"),
         ("run", {"train": {"sna": {"temperature": 2**70}}}, 0, None),
         ("run", {"scenario": {"sigma_weak": 10**400}}, 2, "scenario.sigma_weak"),
@@ -698,7 +727,10 @@ class TestExitCodes:
         ("eval", ("checkpoint.json", set_literal(("step",), "true")), 0, None),
         ("eval", ("checkpoint.json", set_literal(("step",), "-7")), 0, None),
         ("eval", ("checkpoint.json", wrap_in_list), 2, "checkpoint.json"),
-        ("eval", ("prototypes.json", set_literal(("n_labeled", 0), "1e400")), 0, None),
+        # Older prototypes.json files carry the labeled counts, which the config states:
+        # ignored, whatever their value.
+        ("eval", ("prototypes.json", set_literal(("n_labeled",), "[1e400, 25, 25, 25]")), 0,
+         None),
         ("eval", ("prototypes.json", keep_only_mu), 0, None),
         ("eval", ("checkpoint.json", set_literal(("spec", "backbone_widths"), "[Infinity]")), 2,
          "checkpoint.json"),
@@ -720,6 +752,7 @@ class TestExitCodes:
             "unsatisfiable-separation", "string-epochs", "bool-epochs", "zero-epochs",
             "fractional-input-dim", "huge-input-dim", "huge-labels-per-class",
             "huge-test-id-per-class", "huge-embed-dim", "huge-backbone-width",
+            "gate-detail-beyond-numpy", "split-beyond-numpy", "parameter-vector-beyond-numpy",
             "lr0-beyond-float64", "temperature-beyond-int64", "sigma-weak-beyond-float64",
             "string-flag", "scalar-widths", "string-head-weight", "list-section",
             "gamma-empties-batch", "diverging", "gate-temperature-overflows",
@@ -996,7 +1029,7 @@ class TestGateDetail:
         assert (run_dir / "gate.npz").read_bytes() == (other / "gate.npz").read_bytes()
         train_cfg = json.loads((run_dir / "manifest.json").read_text())["config"]["train"]
         lines = [json.loads(line) for line in (run_dir / "runlog.jsonl").read_text().splitlines()]
-        records = [line for line in lines if line["type"] == "iteration"]
+        records = [line for line in lines if "step" in line]
         assert not any("gate_detail" in record for record in records)
         with np.load(run_dir / "gate.npz") as gate:
             # No mask, which the thresholds give; the class index in one byte: the
@@ -1008,6 +1041,69 @@ class TestGateDetail:
             phi = (gate["cc_conf"] > train_cfg["tau_id"]) & (gate["od_conf"] > train_cfg["eta_id"])
             assert ([record["gate"]["accepted"] for record in records]
                     == np.count_nonzero(phi, axis=1).tolist())
+
+
+# The runs whose files replay every fact they leave out: the default and the golden
+# files' fork-threshold run.
+REPLAY_CONFIGS = {"default": {"seed": 0}, "fork_threshold": json.loads(
+    (golden_files.GOLDEN_DIR / "artifacts.json").read_text())["runs"]["fork_threshold"]["config"]}
+
+
+class TestRunFilesReplay:
+    @pytest.mark.parametrize("name", list(REPLAY_CONFIGS))
+    def test_dropped_facts_replay_bit_for_bit(self, tmp_path, monkeypatch, step_returns, name):
+        # Each fact the run directory leaves out, rebuilt from its files alone and
+        # checked bit for bit against the run that wrote them: each step's total from
+        # its leaves and the manifest's weights against the total its closure returned
+        # (the composites are compose's parts of it), its labeled batch from batch_size
+        # against the rows it forwarded; the labeled means from a forward of
+        # checkpoint.json over the regenerated labeled rows, the labeled counts from
+        # labels_per_class, the unlabeled counts from the last epoch line, and mu from
+        # the fusion, against the final prototypes.
+        trained = []
+        monkeypatch.setattr("skipalign.cli.train",
+                            lambda *args: trained.append(train(*args)) or trained[-1])
+        run_dir, _ = run_experiment(resolve_config(REPLAY_CONFIGS[name]), tmp_path)
+        want = trained[0][1].final_prototypes
+
+        cfg = resolve_config(json.loads((run_dir / "manifest.json").read_text())["config"])
+        lines = [json.loads(line) for line in (run_dir / "runlog.jsonl").read_text().splitlines()]
+        steps = [line for line in lines if "step" in line]
+        epochs = [line for line in lines if "epoch" in line]
+        assert lines == steps + epochs and len(epochs) == cfg.train.epochs
+        assert all(list(line) == ["step", "terms", "batch_unlabeled", "gate"] for line in steps)
+        assert all(list(line["terms"]) == list(LEAVES) for line in steps)
+        weights = cfg.train.weights_and_slopes[0]
+        totals = [compose(line["terms"], weights)["total"] for line in steps]
+        assert np.array(totals).tobytes() == np.array([t for _, t in step_returns]).tobytes()
+        assert [cfg.train.batch_size + 3 * line["batch_unlabeled"] for line in steps] == [
+            rows for rows, _ in step_returns]
+
+        saved = json.loads((run_dir / "prototypes.json").read_text())
+        assert list(saved) == ["mu", "mu_unlabeled"]
+        split = synthdata.generate(cfg.scenario)
+        embeddings = forward(load_checkpoint(run_dir / "checkpoint.json"),
+                             split.labeled_x).embeddings
+        classes = range(cfg.net.num_classes)
+        replayed = {
+            "mu_labeled": np.array([embeddings[split.labeled_y == k].mean(axis=0)
+                                    for k in classes]),
+            "mu_unlabeled": np.array(saved["mu_unlabeled"]),
+            "n_labeled": np.full(cfg.net.num_classes, cfg.scenario.labels_per_class),
+            "n_unlabeled": np.array(epochs[-1]["prototypes"]["n_unlabeled"]),
+        }
+        assert np.bincount(split.labeled_y).tolist() == replayed["n_labeled"].tolist()
+        mu = replayed["mu_labeled"].copy()
+        w_l = cfg.train.gamma * replayed["n_labeled"]
+        w_u = cfg.train.r_u * replayed["n_unlabeled"]
+        for k in np.flatnonzero(w_u):
+            total = w_l[k] + w_u[k]
+            mu[k] = (w_l[k] / total) * mu[k] + (w_u[k] / total) * replayed["mu_unlabeled"][k]
+        replayed["mu"] = np.array(saved["mu"])
+        assert mu.tobytes() == replayed["mu"].tobytes()
+        for field, value in replayed.items():
+            assert value.dtype == getattr(want, field).dtype, field
+            assert value.tobytes() == getattr(want, field).tobytes(), field
 
 
 class TestCliGradcheckAndGolden:

@@ -20,7 +20,9 @@ adopts each deliberate formula change of the one-pass step:
 - the alignment gradients are summed on the sphere and projected once;
 - one ID probability, e_id / (e_id + e_ood), for the losses, the gate and the
   negatives' gradient, and one argmax on the weak rows: the gate's predicted
-  class is the pseudo-label.
+  class is the pseudo-label;
+- the terms are the nine leaves and the total: `compose` gives the composites
+  back from the leaves.
 
 The step that trains computes each per-row quantity once on the stacked arrays
 (`trainer.step_rows`) and writes full-batch head gradients; it must give the
@@ -243,7 +245,7 @@ def ref_objective(outputs, labels, unit_protos, decisions, cfg):
             g_unit["x_w"] = g_unit["x_w"] + g
         for view in sna_views:
             grads[view]["embeddings"] = ref_tangential(g_unit[view], *unit[view])
-    terms.update(compose(terms, weights))
+    terms["total"] = compose(terms, weights)["total"]
     return terms, grads
 
 
@@ -388,7 +390,9 @@ def test_matches_reference_step(case):
     closure = _make_closure(cfg, labels, unit_protos, record, [], gate_detail)
     trained = backward(params, x, closure)
     assert trained.tobytes() == want_flat.tobytes()
-    assert record["total"] == want_terms["total"]
+    # The record logs the leaves alone, and compose replays the total the closure returned.
+    assert list(record["terms"]) == list(LEAVES)
+    assert compose(record["terms"], cfg.weights_and_slopes[0])["total"] == want_terms["total"]
     for name, array in gate_detail.items():
         want = getattr(want_decisions.gate, name)
         assert np.array_equal(array[1], want), name

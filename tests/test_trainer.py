@@ -9,12 +9,13 @@ from skipalign.heads import HeadWeights, compose
 from skipalign.net import init_params, sgd_step
 from skipalign.sna import LOSS_COMBOS
 from skipalign.synthdata import generate
-from skipalign.trainer import (MOMENTUM, WEIGHT_DECAY, RunLog, TrainConfig, TrainingDiverged,
-                               _batches, gate_detail_dtypes, lr_at, train)
+from skipalign.trainer import (LEAVES, MOMENTUM, WEIGHT_DECAY, RunLog, TrainConfig,
+                               TrainingDiverged, _batches, gate_detail_dtypes, lr_at, train)
 
 # The keys of an iteration record, in the order they are written; its epoch and lr
-# follow from its step and the config.
-RECORD_KEYS = ["step", "terms", "total", "batch_labeled", "batch_unlabeled", "gate"]
+# follow from its step and the config, its labeled batch is the config's batch_size,
+# and its composites and total replay from its leaves and the loss weights.
+RECORD_KEYS = ["step", "terms", "batch_unlabeled", "gate"]
 
 
 def tiny_config(seed=0, **train_overrides):
@@ -40,17 +41,16 @@ def audit_gate_flow(runlog: RunLog, tau_id: float, eta_id: float) -> None:
             raise AssertionError(f"accepted count inconsistent at step {record['step']}")
 
 
-def audit_loss_composition(runlog: RunLog, weights: dict, tol: float = 1e-12) -> float:
-    """Max deviation between logged composites and their recomposition under the
-    run's loss weights (`weights_and_slopes[0]` of its config)."""
-    worst = 0.0
+def audit_loss_composition(runlog: RunLog, weights: dict, totals: list) -> None:
+    """Replay every logged step's total from its nine leaves under the run's loss
+    weights (`weights_and_slopes[0]` of its config), and check it bit for bit against
+    the total its closure returned, totals[step]."""
     for record in runlog.iterations:
-        logged = {**record["terms"], "total": record["total"]}
-        for name, value in compose(record["terms"], weights).items():
-            worst = max(worst, abs(value - logged[name]))
-        if worst > tol:
-            raise AssertionError(f"loss composition off by {worst} at step {record['step']}")
-    return worst
+        if list(record["terms"]) != list(LEAVES):
+            raise AssertionError(f"step {record['step']} does not log the nine leaves alone")
+        replayed = compose(record["terms"], weights)["total"]
+        if np.float64(replayed).tobytes() != np.float64(totals[record["step"]]).tobytes():
+            raise AssertionError(f"loss composition off at step {record['step']}")
 
 
 class TestLrSchedule:
@@ -119,14 +119,17 @@ class TestTrainConfig:
 
 
 class TestTrainLoop:
-    def test_batch_composition_every_iteration(self):
+    def test_batch_composition_every_iteration(self, step_returns):
+        # The labeled batch is not logged: the config's batch_size and the logged
+        # unlabeled batch give the rows each step forwarded.
         cfg = tiny_config()
         split = generate(cfg.scenario)
         _, runlog = train(split, cfg.net, cfg.train)
         expected_u = int(round(cfg.train.gamma * cfg.train.batch_size))
         for record in runlog.iterations:
-            assert record["batch_labeled"] == cfg.train.batch_size
             assert record["batch_unlabeled"] == expected_u
+        assert [rows for rows, _ in step_returns] == [
+            cfg.train.batch_size + 3 * record["batch_unlabeled"] for record in runlog.iterations]
 
     def test_seed_determinism_bitwise(self):
         cfg = tiny_config(seed=5)
@@ -164,18 +167,21 @@ class TestTrainLoop:
         p2, _ = train(split, cfg.net, tr2)
         assert not np.array_equal(p1.flat, p2.flat)
 
-    def test_loss_composition_invariant(self):
+    def test_loss_composition_invariant(self, step_returns):
         cfg = tiny_config()
         split = generate(cfg.scenario)
         _, runlog = train(split, cfg.net, cfg.train)
-        worst = audit_loss_composition(runlog, cfg.train.weights_and_slopes[0], tol=1e-12)
-        assert worst <= 1e-12
-        # every composite is audited, not just the total
-        for composite in ("sna", "cc", "od"):
+        weights, totals = cfg.train.weights_and_slopes[0], [total for _, total in step_returns]
+        audit_loss_composition(runlog, weights, totals)
+        # every leaf enters the replayed total, and a logged total is caught
+        for leaf in LEAVES:
             bad = RunLog(iterations=[json.loads(json.dumps(runlog.iterations[-1]))])
-            bad.iterations[0]["terms"][composite] += 1e-6
-            with pytest.raises(AssertionError):
-                audit_loss_composition(bad, cfg.train.weights_and_slopes[0])
+            bad.iterations[0]["terms"][leaf] += 1e-6
+            with pytest.raises(AssertionError, match="loss composition off"):
+                audit_loss_composition(bad, weights, totals)
+        bad.iterations[0]["terms"] = {**runlog.iterations[-1]["terms"], "total": totals[-1]}
+        with pytest.raises(AssertionError, match="nine leaves alone"):
+            audit_loss_composition(bad, weights, totals)
 
     def test_gate_flow_audit(self):
         cfg = tiny_config()
@@ -218,8 +224,9 @@ class TestTrainLoop:
                          gate_detail=runlog.gate_detail)
         partial.write_jsonl(tmp_path / "partial.jsonl")
         lines = (tmp_path / "partial.jsonl").read_text().splitlines()
-        assert len(lines) == 3
-        assert json.loads(lines[0])["type"] == "iteration"
+        # Each record as it is: a step line is told by its "step" key, and needs no tag.
+        assert [json.loads(line) for line in lines] == json.loads(
+            json.dumps(runlog.iterations[:3]))
         # The gate detail's rows of the logged steps only.
         partial.write_gate_detail(tmp_path / "partial.npz")
         with np.load(tmp_path / "partial.npz") as saved:
@@ -232,10 +239,11 @@ class TestTrainLoop:
         # an iteration record holds only what changes from step to step.
         cfg = tiny_config()
         _, runlog = train(generate(cfg.scenario), cfg.net, cfg.train)
-        # A step's epoch and lr follow from its step and the config.
+        # A step's epoch and lr follow from its step and the config, its labeled batch
+        # is batch_size, and its composites and total replay from the nine leaves.
         for record in runlog.iterations:
-            assert list(record) == ["step", "terms", "total", "batch_labeled",
-                                    "batch_unlabeled", "gate"]
+            assert list(record) == RECORD_KEYS
+            assert list(record["terms"]) == list(LEAVES)
         # The gate detail is one array per GateMask field but the mask, which the
         # thresholds give, a row per step: the class index in one byte for the tiny
         # run's 4 classes.
@@ -253,13 +261,15 @@ class TestTrainLoop:
         assert stored == dtype
         assert np.array([num_classes - 1]).astype(stored)[0] == num_classes - 1
 
-    def test_total_matches_weighted_recomposition_from_report(self):
+    def test_total_matches_weighted_recomposition_from_report(self, step_returns):
+        # The last record, the report a diverged run prints, replays the total its
+        # step's closure returned, bit for bit.
         cfg = tiny_config()
         split = generate(cfg.scenario)
         _, runlog = train(split, cfg.net, cfg.train)
         record = runlog.iterations[-1]
         recomposed = compose(record["terms"], cfg.train.weights_and_slopes[0])["total"]
-        assert record["total"] == pytest.approx(recomposed, abs=1e-12)
+        assert np.float64(recomposed).tobytes() == np.float64(step_returns[-1][1]).tobytes()
 
     def test_per_step_work_is_done_once(self, monkeypatch):
         # The per-row quantities once per step, each loss kernel once per step unless
@@ -343,7 +353,8 @@ class TestReducedConfigurations:
         cfg = resolve_config(raw)
         split = generate(cfg.scenario)
         _, runlog = train(split, cfg.net, cfg.train)
-        totals = np.array([r["total"] for r in runlog.iterations])
+        weights = cfg.train.weights_and_slopes[0]
+        totals = np.array([compose(r["terms"], weights)["total"] for r in runlog.iterations])
         assert totals.size == 200
         window = 25
         smoothed = np.convolve(totals, np.ones(window) / window, mode="valid")
@@ -359,7 +370,8 @@ class TestReducedConfigurations:
         tr = dataclasses.replace(cfg.train, head=head)
         split = generate(cfg.scenario)
         params, runlog = train(split, cfg.net, tr)
-        assert all(r["total"] == 0.0 for r in runlog.iterations)
+        weights = tr.weights_and_slopes[0]
+        assert all(compose(r["terms"], weights)["total"] == 0.0 for r in runlog.iterations)
         replay = init_params(cfg.net)
         velocity = np.zeros_like(replay.flat)
         steps = tr.epochs * tr.iters_per_epoch
