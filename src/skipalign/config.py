@@ -122,7 +122,7 @@ def resolve_config(data: dict, seed_override: int | None = None) -> ExperimentCo
 
     scenario = _build_section(ScenarioSpec, _section(data, "scenario", "scenario"), "scenario",
                               seed=seed)
-    if scenario.unlabeled_rows == 0:
+    if scenario.part_rows["unlabeled"] == 0:
         raise ConfigError("scenario.unlabeled_id_per_class", "with unlabeled_seen_per_cluster, "
                           "leaves the unlabeled pool that training needs empty")
     if scenario.test_id_per_class == 0:
@@ -140,12 +140,9 @@ def resolve_config(data: dict, seed_override: int | None = None) -> ExperimentCo
     train = _build_section(TrainConfig, train_data, "train", seed=seed + 2)
     # numpy sizes no array of more than sys.maxsize bytes: refuse a config that needs one.
     s, t = scenario, train
-    split_rows = (s.num_classes * (s.labels_per_class + s.test_id_per_class) + s.unlabeled_rows
-                  + s.seen_ood_clusters * s.test_seen_per_cluster
-                  + s.unseen_ood_clusters * s.test_unseen_per_cluster)
     gate_bytes = sum(np.dtype(d).itemsize for d in gate_detail_dtypes(s.num_classes).values())
     for section, what, nbytes in (
-            ("scenario", "the split", split_rows * s.input_dim * 8),
+            ("scenario", "the split", sum(s.part_rows.values()) * s.input_dim * 8),
             ("net", "the parameter vector", param_count(net) * 8),
             ("train", "the gate detail", t.epochs * t.iters_per_epoch * t.unlabeled_batch
              * gate_bytes)):

@@ -178,11 +178,9 @@ def _result(spec: NetSpec, f, z, cc, od) -> ForwardResult:
     return ForwardResult(f, z, cc, od[:, :k], od[:, k:])
 
 
-def forward(params: ParamState, x) -> ForwardResult:
+def forward(params: ParamState, x: np.ndarray) -> ForwardResult:
     """Deterministic forward pass over a (B, d_in) batch; validates every layer output."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.spec.input_dim:
-        raise ValueError(f"expected (B, {params.spec.input_dim}) inputs, got {x.shape}")
+    # x is a float64 slice of the split, whose width resolve_config gives net.input_dim.
     f, z, cc, od = _forward_core(params.spec, params.views, x, relu=_relu)
     _check_finite(f, z, cc, od)
     return _result(params.spec, f, z, cc, od)

@@ -49,9 +49,9 @@ def refresh(labeled: EmbeddingBatch, unlabeled: EmbeddingBatch | None,
             gamma: float, r_u: float, num_classes: int) -> PrototypeSet:
     """Recompute prototypes from a labeled pool and gate-accepted unlabeled embeddings.
 
-    `unlabeled` holds only the rows the gate accepted, each labeled with its
-    predicted class. A class below num_classes with no labeled samples is an
-    error; a class with no unlabeled contributors keeps its labeled mean exactly.
+    `labeled` has rows of every class below num_classes; `unlabeled` holds only the
+    rows the gate accepted, each labeled with its predicted class. A class with no
+    unlabeled contributors keeps its labeled mean exactly.
     """
     mu_l = np.zeros((num_classes, labeled.vectors.shape[1]))
     mu_u = np.zeros_like(mu_l)
@@ -59,9 +59,8 @@ def refresh(labeled: EmbeddingBatch, unlabeled: EmbeddingBatch | None,
     n_u = np.zeros(num_classes, dtype=np.int64)
     mu = np.empty_like(mu_l)
     for k in range(num_classes):
+        # Not empty: generate draws labels_per_class >= 1 labeled rows of every class.
         rows = labeled.vectors[labeled.labels == k]
-        if rows.shape[0] == 0:
-            raise ValueError(f"prototype undefined: class {k} has no labeled samples")
         mu_l[k] = rows.mean(axis=0)
         n_l[k] = rows.shape[0]
         mu[k] = mu_l[k]  # exact, not a weighted copy, unless unlabeled rows weigh in

@@ -67,9 +67,21 @@ class ScenarioSpec:
             raise ValueError("strong_dropout must lie in [0, 1]")
 
     @property
-    def unlabeled_rows(self) -> int:
-        return (self.num_classes * self.unlabeled_id_per_class
-                + self.seen_ood_clusters * self.unlabeled_seen_per_cluster)
+    def rows_per_cluster(self) -> dict[str, dict[str, int]]:
+        """Each part's rows per cluster, by the cluster's kind; none of a kind not named."""
+        return {"labeled": {"id": self.labels_per_class},
+                "unlabeled": {"id": self.unlabeled_id_per_class,
+                              "seen": self.unlabeled_seen_per_cluster},
+                "test": {"id": self.test_id_per_class, "seen": self.test_seen_per_cluster,
+                         "unseen": self.test_unseen_per_cluster}}
+
+    @property
+    def part_rows(self) -> dict[str, int]:
+        """Each part's row count: its rows per cluster times the clusters of each kind."""
+        clusters = {"id": self.num_classes, "seen": self.seen_ood_clusters,
+                    "unseen": self.unseen_ood_clusters}
+        return {part: sum(n * clusters[kind] for kind, n in per_kind.items())
+                for part, per_kind in self.rows_per_cluster.items()}
 
 
 class PlacementError(ValueError):
@@ -152,21 +164,15 @@ def generate(spec: ScenarioSpec) -> Split:
     """Deterministically generate a labeled/unlabeled/test split.
 
     Each part is one pass over the `_place_means` cluster table, in its order,
-    drawing the part's rows-per-cluster count for the cluster's kind (none for
+    drawing the part's `rows_per_cluster` count for the cluster's kind (none for
     a kind the part lacks) into one preallocated array per part. Ids count up
     through the parts in order; a row's code is its cluster's position in the
     table, and a labeled row's label its code, as the galaxies lead the table.
     """
     rng = np.random.default_rng(spec.seed)
     clusters = _place_means(spec, rng)
-    rows_per_cluster = {
-        "labeled": {"id": spec.labels_per_class},
-        "unlabeled": {"id": spec.unlabeled_id_per_class, "seen": spec.unlabeled_seen_per_cluster},
-        "test": {"id": spec.test_id_per_class, "seen": spec.test_seen_per_cluster,
-                 "unseen": spec.test_unseen_per_cluster},
-    }
     parts, first = [], 0
-    for per_kind in rows_per_cluster.values():
+    for per_kind in spec.rows_per_cluster.values():
         sizes = [per_kind.get(kind, 0) for kind, *_ in clusters]
         rows = sum(sizes)
         x = np.empty((rows, spec.input_dim))

@@ -129,11 +129,15 @@ def lr_at(step: int, total_steps: int, lr0: float) -> float:
 
 
 def _batches(pool_size: int, batch: int, rng: np.random.Generator):
-    """Exact-size batches drawn from reshuffled permutations of a pool."""
+    """Exact-size batches drawn from reshuffled permutations of a pool; a queue that runs
+    short takes the whole permutations the next batch needs in one array, in draw order."""
     queue = np.empty(0, dtype=np.int64)
     while True:
-        while len(queue) < batch:
-            queue = np.concatenate((queue, rng.permutation(pool_size)))
+        if (short := batch - len(queue)) > 0:
+            refill = np.empty(-(-short // pool_size) * pool_size, dtype=np.int64)
+            for row in refill.reshape(-1, pool_size):
+                row[:] = rng.permutation(pool_size)
+            queue = np.concatenate((queue, refill))
         yield queue[:batch]
         queue = queue[batch:]
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import skipalign
-from skipalign import metrics, synthdata
+from skipalign import metrics, synthdata, trainer
 from skipalign.cli import apply_axis, build_parser, main, run_experiment, sweep
 from skipalign.config import ConfigError, config_hash, load_config, resolve_config
 from skipalign.heads import compose, normalize
@@ -224,6 +224,56 @@ class TestConfigResolution:
         assert field in capsys.readouterr().err
 
 
+# Scenarios at the edges of what resolve_config accepts: one labeled row per class, one
+# galaxy and two, no seen and no unseen clusters, every unseen cluster between the
+# galaxies, and no OOD test rows.
+BOUNDARY_SCENARIOS = {
+    "one-label": {"labels_per_class": 1},
+    "one-class": {"num_classes": 1},
+    "two-class": {"num_classes": 2},
+    "no-seen": {"seen_ood_clusters": 0},
+    "no-unseen": {"unseen_ood_clusters": 0, "unseen_between_hull": 0},
+    "all-between": {"unseen_between_hull": 3},
+    "no-test-ood": {"test_seen_per_cluster": 0, "test_unseen_per_cluster": 0},
+}
+
+
+class TestBoundaryGuarantees:
+    """`net.forward`, `metrics.auroc` and `prototypes.refresh` do not check their inputs:
+    what the config and the data generator guarantee makes them well formed."""
+
+    @pytest.mark.parametrize("scenario", BOUNDARY_SCENARIOS.values(),
+                             ids=list(BOUNDARY_SCENARIOS))
+    def test_inputs_behind_the_boundary_are_well_formed(self, monkeypatch, scenario):
+        raw = json.loads(json.dumps(TINY_RAW))
+        raw["scenario"].update(scenario)
+        raw["train"].update(epochs=1, iters_per_epoch=2)
+        cfg = resolve_config(raw)
+        s, k = cfg.scenario, cfg.net.num_classes
+        split = synthdata.generate(s)
+        assert np.array_equal(np.unique(split.labeled_y), np.arange(k))
+        for x in (split.labeled_x, split.unlabeled_x, split.test_x):  # what forward reads
+            assert x.dtype == np.float64 and x.shape[1] == cfg.net.input_dim
+        refreshed, scored = [], []
+        real_refresh, real_auroc = trainer.refresh, metrics.auroc
+        monkeypatch.setattr(trainer, "refresh", lambda *a: refreshed.append(a) or real_refresh(*a))
+        monkeypatch.setattr(metrics, "auroc", lambda *a: scored.append(a) or real_auroc(*a))
+        params, runlog = train(split, cfg.net, cfg.train)
+        report = metrics.evaluate(params, split, runlog.final_prototypes.unit_directions())
+        # Every refresh has labeled rows of every class, and pseudo-labels below K.
+        assert len(refreshed) == 2
+        for labeled, unlabeled, *_ in refreshed:
+            assert np.array_equal(np.unique(labeled.labels), np.arange(k))
+            assert unlabeled is None or np.isin(unlabeled.labels, np.arange(k)).all()
+        # One AUROC per OOD source with test rows, each of two non-empty float64 vectors.
+        sources = (s.seen_ood_clusters * s.test_seen_per_cluster > 0) + (
+            s.unseen_ood_clusters if s.test_unseen_per_cluster else 0)
+        assert len(scored) == len(report.auroc_per_source) == sources
+        for scores in (v for pair in scored for v in pair):
+            assert isinstance(scores, np.ndarray) and scores.dtype == np.float64
+            assert scores.ndim == 1 and scores.size > 0
+
+
 class TestCliRun:
     def test_dry_run_prints_and_touches_nothing(self, tmp_path, capsys):
         path = write_config(tmp_path, TINY_RAW)
@@ -341,6 +391,16 @@ class TestCliRun:
         assert capsys.readouterr().err.splitlines() == [
             "out of memory: Unable to allocate 2.73 PiB for an array with shape "
             "(480000000000000, 32) and data type float64"]
+
+    def test_huge_batch_exits_2_at_once(self, tmp_path, capsys):
+        # A labeled batch of 10**16 rows resolves (its unlabeled batch is one row); the
+        # sampler asks numpy for the batch's index array in one request, which it refuses.
+        raw = {"seed": 0, "train": {"batch_size": 10**16, "gamma": 1e-16}}
+        argv = ["run", "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "runs")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("out of memory: Unable to allocate")
+        [run_dir] = (tmp_path / "runs").iterdir()
+        assert json.loads((run_dir / "manifest.json").read_text())["status"] == "error"
 
     @pytest.mark.parametrize("fault, message", [
         ("nan-activation", "non-finite activation in layer 'backbone'"),
@@ -1009,7 +1069,8 @@ class TestArtifactsJoin:
         spec = resolve_config(manifest["config"]).scenario
         assert dict(collections.Counter(r["split"] for r in split_rows)) == {
             "labeled": spec.num_classes * spec.labels_per_class,
-            "unlabeled": spec.unlabeled_rows,
+            "unlabeled": (spec.num_classes * spec.unlabeled_id_per_class
+                          + spec.seen_ood_clusters * spec.unlabeled_seen_per_cluster),
             "test": (spec.num_classes * spec.test_id_per_class
                      + spec.seen_ood_clusters * spec.test_seen_per_cluster
                      + spec.unseen_ood_clusters * spec.test_unseen_per_cluster)}

@@ -63,20 +63,6 @@ class TestAuroc:
     def test_hand_counted_pairs(self):
         assert auroc([0.9, 0.4], [0.5, 0.1]) == 0.75
 
-    def test_empty_input(self):
-        with pytest.raises(ValueError, match="id_scores"):
-            auroc([], [0.5])
-
-    @pytest.mark.parametrize("id_scores, ood_scores, name", [
-        ([0.5], [], "ood_scores"),
-        ([0.5], [[0.1, 0.2], [0.3, 0.4]], "ood_scores"),
-        ([[0.5, 0.6]], [0.1], "id_scores"),
-        (0.5, [0.1], "id_scores"),
-    ], ids=["empty-ood", "2d-ood", "2d-id", "scalar-id"])
-    def test_rejects_empty_or_non_1d_input(self, id_scores, ood_scores, name):
-        with pytest.raises(ValueError, match=name):
-            auroc(id_scores, ood_scores)
-
     @pytest.mark.parametrize("a, b", [
         ([np.nan, 0.5, 0.2], [0.3, 0.1]),
         ([0.5, 0.2], [np.nan, 0.3, np.nan]),

@@ -205,7 +205,8 @@ def reference_generate(spec):
         ),
         "counts": {
             "labeled": spec.num_classes * spec.labels_per_class,
-            "unlabeled": spec.unlabeled_rows,
+            "unlabeled": (spec.num_classes * spec.unlabeled_id_per_class
+                          + spec.seen_ood_clusters * spec.unlabeled_seen_per_cluster),
             "test": (spec.num_classes * spec.test_id_per_class
                      + spec.seen_ood_clusters * spec.test_seen_per_cluster
                      + spec.unseen_ood_clusters * spec.test_unseen_per_cluster),

@@ -85,7 +85,9 @@ class CyclingReference:
 
 
 class TestBatches:
-    @pytest.mark.parametrize("pool, batch", [(3, 8), (10, 4), (7, 7), (5, 3), (32, 16)])
+    @pytest.mark.parametrize("pool, batch", [
+        (3, 8), (10, 4), (7, 7), (5, 3), (32, 16), (1, 1), (1, 5), (2, 3), (3, 64), (64, 64),
+        (100, 16), (16, 100), (100, 250), (1000, 3)])
     def test_matches_cycling_reference(self, pool, batch):
         for seed in range(3):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
