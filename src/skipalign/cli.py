@@ -90,7 +90,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: Path, force: bool = False,
         write_split_csv(split, run_dir / "split.csv")
         params, runlog = train(split, cfg.net, cfg.train)
         try:
-            report = evaluate(params, split, runlog.final_prototypes.unit_directions())
+            report, z, norms = evaluate(params, split, runlog.final_prototypes.unit_directions())
         except ValueError as err:  # trained values that overflow or zero a row
             raise TrainingDiverged(str(err), runlog) from err
 
@@ -100,7 +100,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: Path, force: bool = False,
         _write_prototypes(runlog.final_prototypes, run_dir / "prototypes.json")
         write_eval_json(report, run_dir / "eval_report.json")
         write_eval_csv(report, run_dir / "metrics.csv")
-        write_embedding_dump(params, split, run_dir / "embeddings.csv")
+        write_embedding_dump(split, z, norms, run_dir / "embeddings.csv")
     except BaseException as err:
         # The run directory stays, marked as failed, for inspection, with a diverged run's steps.
         if isinstance(err, TrainingDiverged):
@@ -243,7 +243,7 @@ def _rescore(run_dir: Path, rule: str) -> str:
         raise ConfigError(str(manifest_path), "net does not match the spec in checkpoint.json")
     unit_protos = _load_artifact(_load_prototypes, run_dir / "prototypes.json", params.spec)
     try:
-        report = evaluate(params, split, unit_protos, score_rule=rule)
+        report = evaluate(params, split, unit_protos, score_rule=rule)[0]
     except ValueError as err:  # parameters that load but overflow or zero a row
         raise ConfigError(str(run_dir / "checkpoint.json"),
                           f"cannot be evaluated: {err}") from err

@@ -9,10 +9,11 @@ through the sorted OOD scores. Each test row's kind and class index are read
 from the split's cluster table through the row's cluster code; rows are grouped
 once, in table order, and every per-category figure reads that grouping, so no
 step is quadratic in the test split and no Python runs per test row. The split
-is forwarded in balanced row ranges of at most FORWARD_CHUNK_ROWS, each reduced
-at once to the per-row figures (prediction, score, feature norm, best prototype
-cosine), so memory is one range's activations plus 1-D arrays over the split,
-and the bytes are those of one forward over all rows.
+is forwarded once, in balanced row ranges of at most FORWARD_CHUNK_ROWS, each
+reduced at once to the per-row figures (prediction, score, feature norm, best
+prototype cosine), so a pass holds one range's activations, the 1-D per-row arrays
+and the (n, embed_dim) embeddings, which the embedding dump writes with the feature
+norms; the bytes are those of one forward over all rows.
 """
 
 from __future__ import annotations
@@ -130,10 +131,11 @@ def _forward_ranges(params: ParamState, x: np.ndarray):
 
 
 def evaluate(params: ParamState, split: Split, unit_protos: np.ndarray,
-             score_rule: str = SCORE_RULES[0]) -> EvalReport:
+             score_rule: str = SCORE_RULES[0]) -> tuple[EvalReport, np.ndarray, np.ndarray]:
     """Score the test split of a scenario against a frozen parameter state and the
-    (K, d) unit prototype rows (`PrototypeSet.unit_directions`). The split has
-    in-distribution test rows: `resolve_config` refuses a scenario without them."""
+    (K, d) unit prototype rows (`PrototypeSet.unit_directions`): the report, the test
+    rows' embeddings and their feature norms. The split has in-distribution test rows:
+    `resolve_config` refuses a scenario without them."""
     n = split.test_x.shape[0]
     codes = split.test_cluster
     present = np.flatnonzero(np.bincount(codes))  # table positions of clusters with test rows
@@ -144,7 +146,9 @@ def evaluate(params: ParamState, split: Split, unit_protos: np.ndarray,
 
     pred = np.empty(n, dtype=np.intp)
     scores, norms, max_cos = np.empty(n), np.empty(n), np.empty(n)
+    z = np.empty((n, unit_protos.shape[1]))  # the prototypes' width is the embeddings'
     for lo, hi, out in _forward_ranges(params, split.test_x):
+        z[lo:hi] = out.embeddings
         pred[lo:hi] = out.cc_logits.argmax(axis=1)
         norms[lo:hi] = norm(out.features)
         scores[lo:hi] = ood_score(out, pred[lo:hi], score_rule, norms[lo:hi])
@@ -162,7 +166,7 @@ def evaluate(params: ParamState, split: Split, unit_protos: np.ndarray,
     seen_auc = sources.get("seen", float("nan"))
     overall = float(np.mean(list(sources.values()))) if sources else float("nan")
 
-    return EvalReport(
+    report = EvalReport(
         accuracy=accuracy, score_rule=score_rule, auroc_per_source=sources,
         seen_auc=seen_auc, unseen_auc=unseen_auc, overall_auc=overall,
         norm_by_category={c: float(norms[rows].mean()) for c, rows in groups.items()},
@@ -170,6 +174,7 @@ def evaluate(params: ParamState, split: Split, unit_protos: np.ndarray,
         counts={c: int(rows.sum()) for c, rows in groups.items()},
         missing_categories=[c for c in COARSE_CATEGORIES.values() if c not in groups],
     )
+    return report, z, norms
 
 
 def write_eval_json(report: EvalReport, path) -> str:
@@ -190,11 +195,9 @@ def write_eval_csv(report: EvalReport, path) -> None:
         writer.writerows(report.csv_rows())
 
 
-def write_embedding_dump(params: ParamState, split: Split, path) -> None:
-    """Per-test-sample rows (id, category, feature_norm, z_0..z_{d-1})."""
-    n = split.test_x.shape[0]
-    z, norms = np.empty((n, params.spec.embed_dim)), np.empty(n)
-    for lo, hi, out in _forward_ranges(params, split.test_x):
-        z[lo:hi], norms[lo:hi] = out.embeddings, norm(out.features)
+def write_embedding_dump(split: Split, embeddings: np.ndarray, feature_norms: np.ndarray,
+                         path) -> None:
+    """Per-test-sample rows (id, category, feature_norm, z_0..z_{d-1}) of `evaluate`'s arrays."""
     write_float_rows(path, ["id", "category", "feature_norm"], "z", [
-        ("{},{},{!r}", (split.test_ids, split.categories(split.test_cluster), norms), z)])
+        ("{},{},{!r}", (split.test_ids, split.categories(split.test_cluster), feature_norms),
+         embeddings)])

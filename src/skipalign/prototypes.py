@@ -32,13 +32,12 @@ class EmbeddingBatch:
 
 @dataclass(frozen=True)
 class PrototypeSet:
-    """One refresh's prototypes and the means and counts behind them. The fusion
-    weights are not kept here: they are the run's train.gamma and train.r_u."""
+    """One refresh's prototypes and the unlabeled means and counts behind them. The
+    labeled class means and counts replay from the labeled rows, and the fusion
+    weights are the run's train.gamma and train.r_u, so neither is kept here."""
 
     mu: np.ndarray            # (K, d) fused prototypes
-    mu_labeled: np.ndarray    # (K, d) labeled class means
     mu_unlabeled: np.ndarray  # (K, d), zero rows where a class had no contributors
-    n_labeled: np.ndarray     # (K,)
     n_unlabeled: np.ndarray   # (K,)
 
     def unit_directions(self) -> np.ndarray:
@@ -53,24 +52,20 @@ def refresh(labeled: EmbeddingBatch, unlabeled: EmbeddingBatch | None,
     rows the gate accepted, each labeled with its predicted class. A class with no
     unlabeled contributors keeps its labeled mean exactly.
     """
-    mu_l = np.zeros((num_classes, labeled.vectors.shape[1]))
-    mu_u = np.zeros_like(mu_l)
-    n_l = np.zeros(num_classes, dtype=np.int64)
+    mu = np.empty((num_classes, labeled.vectors.shape[1]))
+    mu_u = np.zeros_like(mu)
     n_u = np.zeros(num_classes, dtype=np.int64)
-    mu = np.empty_like(mu_l)
     for k in range(num_classes):
         # Not empty: generate draws labels_per_class >= 1 labeled rows of every class.
         rows = labeled.vectors[labeled.labels == k]
-        mu_l[k] = rows.mean(axis=0)
-        n_l[k] = rows.shape[0]
-        mu[k] = mu_l[k]  # exact, not a weighted copy, unless unlabeled rows weigh in
+        mu[k] = rows.mean(axis=0)  # the labeled mean, exact unless unlabeled rows weigh in
         if unlabeled is None or not (selected := unlabeled.labels == k).any():
             continue
         mu_u[k] = unlabeled.vectors[selected].mean(axis=0)
         n_u[k] = int(selected.sum())
-        w_l = gamma * n_l[k]
+        w_l = gamma * rows.shape[0]
         w_u = r_u * n_u[k]
         if w_u != 0.0:
             total = w_l + w_u
-            mu[k] = (w_l / total) * mu_l[k] + (w_u / total) * mu_u[k]
-    return PrototypeSet(mu=mu, mu_labeled=mu_l, mu_unlabeled=mu_u, n_labeled=n_l, n_unlabeled=n_u)
+            mu[k] = (w_l / total) * mu[k] + (w_u / total) * mu_u[k]
+    return PrototypeSet(mu=mu, mu_unlabeled=mu_u, n_unlabeled=n_u)

@@ -39,7 +39,7 @@ def trained(cfg) -> EvalReport:
     if key not in _RUNS:
         split = generate(cfg.scenario)
         params, runlog = train(split, cfg.net, cfg.train)
-        _RUNS[key] = evaluate(params, split, runlog.final_prototypes.unit_directions())
+        _RUNS[key] = evaluate(params, split, runlog.final_prototypes.unit_directions())[0]
     return _RUNS[key]
 
 
@@ -134,16 +134,17 @@ def test_criterion_04_prototype_algebra():
     labels = np.repeat([0, 1, 2], 4)
     lab = EmbeddingBatch(vecs, labels=labels)
     unl = EmbeddingBatch(rng.standard_normal((9, 5)), labels=rng.integers(0, 3, 9))
+    mu_l = np.array([vecs[labels == k].mean(axis=0) for k in range(3)])
     zero_r = refresh(lab, unl, gamma=2.0, r_u=0.0, num_classes=3)
-    assert np.array_equal(zero_r.mu, zero_r.mu_labeled)
+    assert np.array_equal(zero_r.mu, mu_l)
     no_unl = refresh(lab, None, gamma=2.0, r_u=0.5, num_classes=3)
-    assert np.array_equal(no_unl.mu, no_unl.mu_labeled)
+    assert np.array_equal(no_unl.mu, mu_l)
 
     fractions = []
     for r_u in np.linspace(0.0, 1.0, 21):
         p = refresh(lab, unl, gamma=2.0, r_u=float(r_u), num_classes=3)
-        d2 = p.mu_unlabeled[0] - p.mu_labeled[0]
-        fractions.append(np.dot(p.mu[0] - p.mu_labeled[0], d2) / np.dot(d2, d2))
+        d2 = p.mu_unlabeled[0] - mu_l[0]
+        fractions.append(np.dot(p.mu[0] - mu_l[0], d2) / np.dot(d2, d2))
     assert all(b > a for a, b in zip(fractions, fractions[1:]))
     print("[PASS] criterion 4: fusion weights exactly (2/3, 1/3); r_u=0 and empty "
           "unlabeled reduce to labeled means bitwise; influence strictly monotone in r_u")

@@ -67,6 +67,9 @@ def test_traced_counts_match_the_run(tmp_path):
     assert sum(counts["prototypes.refresh"]) == trained["accepted"] > 0
     test_rows = 4 * 10 + 2 * 10 + 3 * 10
     assert counts["metrics.evaluate"] == [test_rows]
+    # The network sees the 100 labeled rows at each refresh, then each test row once:
+    # the embedding dump writes what evaluate forwarded.
+    assert counts["net.forward"] == [100, 100, 100, test_rows]
 
 
 @pytest.fixture

@@ -259,7 +259,7 @@ class TestBoundaryGuarantees:
         monkeypatch.setattr(trainer, "refresh", lambda *a: refreshed.append(a) or real_refresh(*a))
         monkeypatch.setattr(metrics, "auroc", lambda *a: scored.append(a) or real_auroc(*a))
         params, runlog = train(split, cfg.net, cfg.train)
-        report = metrics.evaluate(params, split, runlog.final_prototypes.unit_directions())
+        report = metrics.evaluate(params, split, runlog.final_prototypes.unit_directions())[0]
         # Every refresh has labeled rows of every class, and pseudo-labels below K.
         assert len(refreshed) == 2
         for labeled, unlabeled, *_ in refreshed:
@@ -1120,12 +1120,16 @@ class TestRunFilesReplay:
         # against the rows it forwarded; the labeled means from a forward of
         # checkpoint.json over the regenerated labeled rows, the labeled counts from
         # labels_per_class, the unlabeled counts from the last epoch line, and mu from
-        # the fusion, against the final prototypes.
-        trained = []
+        # the fusion, against the final prototypes and the means and counts of the
+        # labeled rows their refresh took, by refresh's expression.
+        trained, refreshed = [], []
         monkeypatch.setattr("skipalign.cli.train",
                             lambda *args: trained.append(train(*args)) or trained[-1])
+        real_refresh = trainer.refresh
+        monkeypatch.setattr(trainer, "refresh",
+                            lambda *args: refreshed.append(args[0]) or real_refresh(*args))
         run_dir, _ = run_experiment(resolve_config(REPLAY_CONFIGS[name]), tmp_path)
-        want = trained[0][1].final_prototypes
+        final, labeled = trained[0][1].final_prototypes, refreshed[-1]
 
         cfg = resolve_config(json.loads((run_dir / "manifest.json").read_text())["config"])
         lines = [json.loads(line) for line in (run_dir / "runlog.jsonl").read_text().splitlines()]
@@ -1162,9 +1166,14 @@ class TestRunFilesReplay:
             mu[k] = (w_l[k] / total) * mu[k] + (w_u[k] / total) * replayed["mu_unlabeled"][k]
         replayed["mu"] = np.array(saved["mu"])
         assert mu.tobytes() == replayed["mu"].tobytes()
+        want = {"mu_labeled": np.array([labeled.vectors[labeled.labels == k].mean(axis=0)
+                                        for k in classes]),
+                "mu_unlabeled": final.mu_unlabeled,
+                "n_labeled": np.bincount(labeled.labels, minlength=cfg.net.num_classes),
+                "n_unlabeled": final.n_unlabeled, "mu": final.mu}
         for field, value in replayed.items():
-            assert value.dtype == getattr(want, field).dtype, field
-            assert value.tobytes() == getattr(want, field).tobytes(), field
+            assert value.dtype == want[field].dtype, field
+            assert value.tobytes() == want[field].tobytes(), field
 
 
 class TestCliGradcheckAndGolden:
@@ -1360,7 +1369,7 @@ class TestRunExperimentApi:
         if outcome == "diverged":
             raw["train"].update(lr0=1e6, epochs=3, iters_per_epoch=5)
         if outcome == "error":
-            def write_embedding_dump(params, split, path):
+            def write_embedding_dump(split, embeddings, feature_norms, path):
                 manifest = json.loads((path.parent / "manifest.json").read_text())
                 seen_while_running.append(manifest["status"])
                 raise OSError("disk full")

@@ -218,7 +218,7 @@ class TestOodScore:
             raise AssertionError(f"{rule} reads no two-way softmax")
 
         monkeypatch.setattr(metrics, "two_way", two_way)
-        assert evaluate(params, split, unit_protos, rule).score_rule == rule
+        assert evaluate(params, split, unit_protos, rule)[0].score_rule == rule
 
 
 def row_categories(split, codes):
@@ -253,7 +253,7 @@ def evaluate_outputs(monkeypatch, setup, categories, features, embeddings, unit_
     rows = dataclasses.replace(split, test_x=test_x, test_ids=np.arange(n),
                                test_cluster=np.array([code[c] for c in categories]),
                                clusters=clusters)
-    return evaluate(params, rows, unit_protos)
+    return evaluate(params, rows, unit_protos)[0]
 
 
 class TestGeometryStats:
@@ -321,10 +321,16 @@ def small_scenario(**counts):
     return dataclasses.replace(cfg.scenario, **{**sizes, **counts})
 
 
-def reference_embedding_dump(out, split, path):
+def plain_arrays(params, split):
+    """The test rows' embeddings and feature norms from one forward of the whole split,
+    the norms by `np.linalg.norm`."""
+    out = forward(params, split.test_x)
+    return out.embeddings, np.linalg.norm(out.features, axis=1)
+
+
+def reference_embedding_dump(split, embeddings, norms, path):
     """The csv.writer loop the dump writer replaced: the bytes it must keep."""
-    dim = out.embeddings.shape[1]
-    norms = np.linalg.norm(out.features, axis=1)
+    dim = embeddings.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "category", "feature_norm"] + [f"z_{j}" for j in range(dim)])
@@ -332,7 +338,7 @@ def reference_embedding_dump(out, split, path):
         for i in range(split.test_x.shape[0]):
             writer.writerow([int(split.test_ids[i]), category[i],
                              repr(float(norms[i]))]
-                            + [repr(float(v)) for v in out.embeddings[i]])
+                            + [repr(float(v)) for v in embeddings[i]])
 
 
 @pytest.fixture(scope="module")
@@ -349,7 +355,7 @@ class TestEvaluate:
 
     def test_report_structure(self, setup):
         params, split, unit_protos = setup
-        report = evaluate(params, split, unit_protos)
+        report = evaluate(params, split, unit_protos)[0]
         assert report.score_rule == "ova_id_at_cc_argmax"
         assert set(report.auroc_per_source) == {"seen", "unseen_0", "unseen_1", "unseen_2"}
         for v in report.auroc_per_source.values():
@@ -360,34 +366,32 @@ class TestEvaluate:
             np.mean(list(report.auroc_per_source.values())), abs=1e-12)
         assert set(report.norm_by_category) == {"id", "seen_ood", "unseen_ood"}
 
-    def test_csv_and_dump(self, setup, tmp_path, monkeypatch):
+    def test_csv_and_dump(self, setup, tmp_path):
         params, split, unit_protos = setup
-        report = evaluate(params, split, unit_protos)
+        report, z, norms = evaluate(params, split, unit_protos)
         write_eval_csv(report, tmp_path / "metrics.csv")
         lines = (tmp_path / "metrics.csv").read_text().splitlines()
         assert lines[0] == "key,value"
         assert any(line.startswith("overall_auc,") for line in lines)
-        write_embedding_dump(params, split, tmp_path / "emb.csv")
+        write_embedding_dump(split, z, norms, tmp_path / "emb.csv")
         rows = (tmp_path / "emb.csv").read_text().splitlines()
         assert len(rows) == split.test_x.shape[0] + 1
         assert rows[0].startswith("id,category,feature_norm,z_0")
 
-        # The dump's bytes are the csv.writer loop's: on this split, on a split
-        # longer than one writer chunk, and on edge floats in both columns.
+        # The dump's bytes are the csv.writer loop's: of evaluate's arrays against
+        # a plain forward's, on this split and on a split longer than one writer
+        # chunk, and of edge floats in both columns.
         large = generate(small_scenario(test_id_per_class=80))
         assert large.test_x.shape[0] > CHUNK_ROWS
-        out = forward(params, split.test_x)
         edges = [-0.0, 5e-324, 1e-05, 1e16, -1.5e-300]
-        z = out.embeddings.copy()
-        z.flat[:len(edges)] = edges
-        edge_out = SimpleNamespace(features=np.resize(edges, (split.test_x.shape[0], 1)),
-                                   embeddings=z)
-        for case_split, fake_out in ((split, None), (large, None), (split, edge_out)):
-            if fake_out is not None:
-                monkeypatch.setattr("skipalign.metrics.forward", lambda p, x: fake_out)
-            write_embedding_dump(params, case_split, tmp_path / "emb.csv")
-            reference_embedding_dump(fake_out or forward(params, case_split.test_x),
-                                     case_split, tmp_path / "reference.csv")
+        edge_z = z.copy()
+        edge_z.flat[:len(edges)] = edges
+        edge_arrays = (edge_z, np.resize(edges, split.test_x.shape[0]))
+        cases = [(rows, evaluate(params, rows, unit_protos)[1:], plain_arrays(params, rows))
+                 for rows in (split, large)] + [(split, edge_arrays, edge_arrays)]
+        for case_split, dumped, reference in cases:
+            write_embedding_dump(case_split, *dumped, tmp_path / "emb.csv")
+            reference_embedding_dump(case_split, *reference, tmp_path / "reference.csv")
             assert ((tmp_path / "emb.csv").read_bytes()
                     == (tmp_path / "reference.csv").read_bytes())
 
@@ -398,7 +402,7 @@ class TestEvaluate:
         permuted = dataclasses.replace(split, test_x=split.test_x[order],
                                        test_ids=split.test_ids[order],
                                        test_cluster=split.test_cluster[order])
-        report = evaluate(params, permuted, unit_protos)
+        report = evaluate(params, permuted, unit_protos)[0]
 
         out = forward(params, permuted.test_x)
         cc_probs = ref_softmax_rows(out.cc_logits)
@@ -435,7 +439,7 @@ class TestEvaluate:
     def test_reports_categories_without_test_rows(self, setup):
         params, _, unit_protos = setup
         split = generate(small_scenario(test_seen_per_cluster=0))
-        report = evaluate(params, split, unit_protos)
+        report = evaluate(params, split, unit_protos)[0]
         assert report.missing_categories == ["seen_ood"]
         assert "seen" not in report.auroc_per_source
         assert list(report.counts) == ["id", "unseen_ood"]
@@ -465,8 +469,8 @@ def large_split():
 
 
 class TestForwardRanges:
-    """`evaluate` and the embedding dump forward the test split in balanced row
-    ranges; the ranges change neither the report nor the dump's bytes."""
+    """`evaluate` forwards the test split in balanced row ranges; the ranges change
+    neither the report nor the bytes of the dump written from its arrays."""
 
     @pytest.mark.parametrize("chunk", [3, 4, 7, 64, metrics.FORWARD_CHUNK_ROWS])
     def test_ranges_are_balanced_contiguous_and_never_one_row(self, monkeypatch, chunk):
@@ -486,8 +490,8 @@ class TestForwardRanges:
         params, split, unit_protos = setup
         n = split.test_x.shape[0]
         assert n % 2 == 0  # ranges of 2 rows cover it; n - 1 rows leave a (k*c + 1)-row split
-        whole = evaluate(params, split, unit_protos)
-        write_embedding_dump(params, split, tmp_path / "whole.csv")
+        whole, z, norms = evaluate(params, split, unit_protos)
+        write_embedding_dump(split, z, norms, tmp_path / "whole.csv")
 
         chunk = chunk_for(n)
         monkeypatch.setattr(metrics, "FORWARD_CHUNK_ROWS", chunk)
@@ -498,9 +502,10 @@ class TestForwardRanges:
             return forward(p, x)
 
         monkeypatch.setattr("skipalign.metrics.forward", recording)
-        report = evaluate(params, split, unit_protos)
-        write_embedding_dump(params, split, tmp_path / "ranges.csv")
-        assert len(lengths) > 2 and all(2 <= m <= chunk for m in lengths)
+        report, z, norms = evaluate(params, split, unit_protos)
+        write_embedding_dump(split, z, norms, tmp_path / "ranges.csv")
+        assert sum(lengths) == n and len(lengths) > 1  # one pass, in ranges
+        assert all(2 <= m <= chunk for m in lengths)
         # A range's product may round apart from the whole split's under another BLAS
         # kernel: a failure names the platform.
         platform = f"ranged and whole forwards differ on {golden_files.platform_record()}"
@@ -512,24 +517,25 @@ class TestForwardRanges:
     def test_large_split_keeps_report_and_dump_bytes(self, setup, large_split, tmp_path,
                                                      monkeypatch):
         params, _, unit_protos = setup
-        ranged = evaluate(params, large_split, unit_protos)
-        write_embedding_dump(params, large_split, tmp_path / "ranges.csv")
+        ranged, z, norms = evaluate(params, large_split, unit_protos)
+        write_embedding_dump(large_split, z, norms, tmp_path / "ranges.csv")
         monkeypatch.setattr(metrics, "FORWARD_CHUNK_ROWS", large_split.test_x.shape[0])
-        assert evaluate(params, large_split, unit_protos).csv_rows() == ranged.csv_rows()
-        write_embedding_dump(params, large_split, tmp_path / "whole.csv")
+        whole, z, norms = evaluate(params, large_split, unit_protos)
+        assert whole.csv_rows() == ranged.csv_rows()
+        write_embedding_dump(large_split, z, norms, tmp_path / "whole.csv")
         assert (tmp_path / "ranges.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_one_row_split(self, setup, tmp_path):
         params, split, unit_protos = setup
         one = dataclasses.replace(split, test_x=split.test_x[:1], test_ids=split.test_ids[:1],
                                   test_cluster=split.test_cluster[:1])
-        report = evaluate(params, one, unit_protos)
+        report, z, norms = evaluate(params, one, unit_protos)
         out = forward(params, one.test_x)
         assert report.counts == {"id": 1}
         assert report.norm_by_category == {"id": np.linalg.norm(out.features, axis=1)[0]}
         assert report.missing_categories == ["seen_ood", "unseen_ood"]
-        write_embedding_dump(params, one, tmp_path / "emb.csv")
-        reference_embedding_dump(out, one, tmp_path / "reference.csv")
+        write_embedding_dump(one, z, norms, tmp_path / "emb.csv")
+        reference_embedding_dump(one, *plain_arrays(params, one), tmp_path / "reference.csv")
         assert (tmp_path / "emb.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_embeddings_are_checked_for_finite_values_once(self, setup, monkeypatch):
@@ -556,8 +562,9 @@ class TestForwardRanges:
 
 
 class TestEvaluationMemory:
-    """A pass over an 18,000-row split holds one range's activations and 1-D
-    per-row arrays; one forward over all 18,000 rows peaked near 9 MB in either."""
+    """`evaluate` over an 18,000-row split holds one range's activations, 1-D per-row
+    arrays and the (18,000, 8) embeddings, and the dump writer only formats them;
+    one forward over all 18,000 rows peaked near 9 MB."""
 
     def test_evaluate_peak_is_bounded(self, setup, large_split):
         params, split, unit_protos = setup
@@ -565,9 +572,11 @@ class TestEvaluationMemory:
         assert traced_peak(evaluate, params, large_split, unit_protos) < 3_000_000
 
     def test_embedding_dump_peak_is_bounded(self, setup, large_split, tmp_path):
-        params, split, _ = setup
-        write_embedding_dump(params, split, tmp_path / "small.csv")
-        assert traced_peak(write_embedding_dump, params, large_split,
+        params, split, unit_protos = setup
+        write_embedding_dump(split, *evaluate(params, split, unit_protos)[1:],
+                             tmp_path / "small.csv")
+        arrays = evaluate(params, large_split, unit_protos)[1:]
+        assert traced_peak(write_embedding_dump, large_split, *arrays,
                            tmp_path / "emb.csv") < 3_000_000
 
 
@@ -665,6 +674,6 @@ class TestEvaluateKeepsItsBytes:
             assert split.test_x.shape[0] > metrics.FORWARD_CHUNK_ROWS
         elif case == "ties":
             split, unit_protos = tied_outputs(monkeypatch, setup)
-        report = evaluate(params, split, unit_protos, rule)
+        report = evaluate(params, split, unit_protos, rule)[0]
         reference = reference_evaluate(params, split, unit_protos, rule)
         assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())

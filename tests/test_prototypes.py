@@ -14,6 +14,11 @@ def accepted(vectors, pred, phi=None):
     return EmbeddingBatch(np.asarray(vectors)[keep], labels=pred[keep])
 
 
+def labeled_means(labeled, k):
+    """(k, d) class means of the labeled rows, with `refresh`'s expression."""
+    return np.array([labeled.vectors[labeled.labels == c].mean(axis=0) for c in range(k)])
+
+
 def labeled_batch(rng, per_class=4, k=2, dim=3):
     vectors = rng.standard_normal((per_class * k, dim))
     labels = np.repeat(np.arange(k), per_class)
@@ -27,14 +32,14 @@ class TestRefreshWeights:
         unlabeled = accepted(np.tile([[0.0, 1.0]], (8, 1)), np.zeros(8, dtype=int))
         protos = refresh(labeled, unlabeled, gamma=2.0, r_u=0.5, num_classes=1)
         np.testing.assert_allclose(protos.mu[0], [2 / 3, 1 / 3], atol=1e-15)
-        assert protos.n_labeled[0] == 4 and protos.n_unlabeled[0] == 8
+        assert protos.n_unlabeled[0] == 8  # the labeled count 4 gives the weights
 
     def test_r_u_zero_reduces_to_labeled_means_bitwise(self):
         rng = np.random.default_rng(1)
         labeled = labeled_batch(rng)
         unlabeled = accepted(rng.standard_normal((6, 3)), rng.integers(0, 2, 6))
         protos = refresh(labeled, unlabeled, gamma=2.0, r_u=0.0, num_classes=2)
-        assert np.array_equal(protos.mu, protos.mu_labeled)
+        assert np.array_equal(protos.mu, labeled_means(labeled, 2))
 
     def test_empty_unlabeled_class_keeps_labeled_mean_bitwise(self):
         rng = np.random.default_rng(2)
@@ -42,8 +47,9 @@ class TestRefreshWeights:
         # all contributors predicted as class 0; class 1 has none
         unlabeled = accepted(rng.standard_normal((5, 3)), np.zeros(5, dtype=int))
         protos = refresh(labeled, unlabeled, gamma=1.0, r_u=0.5, num_classes=2)
-        assert np.array_equal(protos.mu[1], protos.mu_labeled[1])
-        assert not np.array_equal(protos.mu[0], protos.mu_labeled[0])
+        mu_l = labeled_means(labeled, 2)
+        assert np.array_equal(protos.mu[1], mu_l[1])
+        assert not np.array_equal(protos.mu[0], mu_l[0])
 
     def test_gated_out_rows_do_not_contribute(self):
         rng = np.random.default_rng(3)
@@ -70,14 +76,15 @@ class TestInvariants:
             unlabeled = accepted(rng.standard_normal((9, 4)), rng.integers(0, 3, 9))
             protos = refresh(labeled, unlabeled,
                              gamma=rng.uniform(0.5, 4), r_u=rng.uniform(0, 1), num_classes=3)
+            mu_l = labeled_means(labeled, 3)
             for k in range(3):
-                hi = max(np.linalg.norm(protos.mu_labeled[k]),
+                hi = max(np.linalg.norm(mu_l[k]),
                          np.linalg.norm(protos.mu_unlabeled[k]))
                 assert np.linalg.norm(protos.mu[k]) <= hi + 1e-12
                 # mu lies on the segment: mu - mu_l parallel to mu_u - mu_l
                 if protos.n_unlabeled[k] > 0:
-                    d1 = protos.mu[k] - protos.mu_labeled[k]
-                    d2 = protos.mu_unlabeled[k] - protos.mu_labeled[k]
+                    d1 = protos.mu[k] - mu_l[k]
+                    d2 = protos.mu_unlabeled[k] - mu_l[k]
                     cross = d1 - (np.dot(d1, d2) / max(np.dot(d2, d2), 1e-30)) * d2
                     assert np.linalg.norm(cross) <= 1e-10
 
@@ -85,6 +92,7 @@ class TestInvariants:
         rng = np.random.default_rng(5)
         labeled = labeled_batch(rng, per_class=4, k=2, dim=3)
         unlabeled = accepted(rng.standard_normal((10, 3)) + 2.0, rng.integers(0, 2, 10))
+        mu_l, n_l = labeled_means(labeled, 2), np.bincount(labeled.labels)
         grid = np.linspace(0.0, 1.0, 11)
         prev_weight = -1.0
         for r_u in grid:
@@ -92,12 +100,12 @@ class TestInvariants:
             for k in range(2):
                 if protos.n_unlabeled[k] == 0:
                     continue
-                w_l = 2.0 * protos.n_labeled[k]
+                w_l = 2.0 * n_l[k]
                 w_u = r_u * protos.n_unlabeled[k]
                 weight = w_u / (w_l + w_u)
                 # distance toward the unlabeled mean grows with r_u
-                d2 = protos.mu_unlabeled[k] - protos.mu_labeled[k]
-                t = np.dot(protos.mu[k] - protos.mu_labeled[k], d2) / np.dot(d2, d2)
+                d2 = protos.mu_unlabeled[k] - mu_l[k]
+                t = np.dot(protos.mu[k] - mu_l[k], d2) / np.dot(d2, d2)
                 assert t == pytest.approx(weight, abs=1e-12)
             if r_u > 0:
                 assert weight > prev_weight

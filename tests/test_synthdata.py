@@ -9,11 +9,12 @@ import pytest
 from skipalign import synthdata
 from skipalign.config import resolve_config
 from skipalign.metrics import write_embedding_dump
-from skipalign.net import forward, init_params
+from skipalign.net import init_params
 from skipalign.synthdata import (CHUNK_ROWS, GEOMETRY, MAX_PLACEMENT_TRIES, PlacementError,
                                  ScenarioSpec, Split, augment_views, cluster_manifest, generate,
                                  write_split_csv)
-from test_metrics import reference_embedding_dump, row_categories, small_scenario, traced_peak
+from test_metrics import (plain_arrays, reference_embedding_dump, row_categories,
+                          small_scenario, traced_peak)
 
 SMALL = ScenarioSpec(input_dim=6, num_classes=3, labels_per_class=5,
                      unlabeled_id_per_class=8, unlabeled_seen_per_cluster=6,
@@ -472,17 +473,15 @@ class TestSplitWriter:
         assert (450 in starts) == (cores in (2, 4))
 
         params, split = default_params_and_split()
-        out = forward(params, split.test_x)
-        z = out.embeddings.copy()
-        z.flat[:len(EDGE_FLOATS)] = EDGE_FLOATS
-        norms = np.resize(EDGE_FLOATS, (split.test_x.shape[0], 1))
-        edge_out = dataclasses.replace(out, features=norms, embeddings=z)
+        z, norms = plain_arrays(params, split)
+        edge_z = z.copy()
+        edge_z.flat[:len(EDGE_FLOATS)] = EDGE_FLOATS
+        edge_norms = np.resize(EDGE_FLOATS, split.test_x.shape[0])
         monkeypatch.setattr(synthdata, "CHUNK_ROWS", 8)
-        for case_out in (out, edge_out):
+        for arrays in ((z, norms), (edge_z, edge_norms)):
             starts.clear()
-            monkeypatch.setattr("skipalign.metrics.forward", lambda p, x: case_out)
-            write_embedding_dump(params, split, tmp_path / "emb.csv")
-            reference_embedding_dump(case_out, split, tmp_path / "reference.csv")
+            write_embedding_dump(split, *arrays, tmp_path / "emb.csv")
+            reference_embedding_dump(split, *arrays, tmp_path / "reference.csv")
             assert (tmp_path / "emb.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
             assert len(starts) == cores - 1
 
@@ -545,11 +544,12 @@ class TestSplitWriter:
         write_split_csv(generate(SMALL), tmp_path / "split.csv")
         params, default = default_params_and_split()
         assert default.test_x.shape[0] < 2 * synthdata.RANGE_CHUNKS * CHUNK_ROWS
-        write_embedding_dump(params, default, tmp_path / "emb.csv")
+        z, norms = plain_arrays(params, default)
+        write_embedding_dump(default, z, norms, tmp_path / "emb.csv")
         # 447 test rows are one short of two ranges of RANGE_CHUNKS 28-row chunks.
         monkeypatch.setattr(synthdata, "CHUNK_ROWS", 28)
         rows = 2 * synthdata.RANGE_CHUNKS * 28 - 1
         short = dataclasses.replace(default, test_x=default.test_x[:rows],
                                     test_ids=default.test_ids[:rows],
                                     test_cluster=default.test_cluster[:rows])
-        write_embedding_dump(params, short, tmp_path / "emb.csv")
+        write_embedding_dump(short, z[:rows], norms[:rows], tmp_path / "emb.csv")
