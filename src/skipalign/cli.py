@@ -11,8 +11,9 @@ are a run's only inputs. Run directories are named by the config hash, which
 covers the seed; an existing directory is refused unless --force is given. A
 run's manifest is written first with status "running" and ends "complete",
 "diverged" or "error"; a failed run keeps its directory. Exit codes: 0
-success, 2 invalid config or usage (a missing, unreadable or misplaced path
-included, and a run whose arrays do not fit in memory), 3 training diverged.
+success, 2 invalid config or usage (any OS error on a path, JSON nested too
+deep to decode, and a run whose arrays do not fit in memory included), 3
+training diverged.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, ExperimentConfig, config_hash, load_config, read_json,
-                     read_raw, resolve_config)
+from .config import ConfigError, ExperimentConfig, config_hash, read_json, read_raw, resolve_config
 from .heads import normalize
 from .metrics import (SCORE_RULES, EvalReport, evaluate, write_embedding_dump, write_eval_csv,
                       write_eval_json)
@@ -138,16 +138,16 @@ def _load_prototypes(path: Path, spec: NetSpec) -> np.ndarray:
 
 
 def _load_artifact(load, path: Path, *args):
-    """load(path, *args), with a file that does not parse, or holds bad or overflowing
-    values, reported as usage error naming it."""
+    """load(path, *args), with a file that does not parse (JSON nested too deep included),
+    or holds bad or overflowing values, reported as usage error naming it."""
     try:
         return load(path, *args)
-    except (ValueError, KeyError, TypeError, OverflowError) as err:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as err:
         raise ConfigError(str(path), f"damaged run artifact: {type(err).__name__}: {err}") from err
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
+    cfg = resolve_config(read_raw(args.config), seed_override=args.seed)
     if args.dry_run:
         print(json.dumps(cfg.resolved_dict(), indent=2))
         return 0
@@ -298,8 +298,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError) as err:
+    except OSError as err:  # a path missing, misplaced, unreadable or too long
         print(str(err), file=sys.stderr)
         return 2
     except MemoryError as err:

@@ -139,13 +139,20 @@ def resolve_config(data: dict, seed_override: int | None = None) -> ExperimentCo
             train_data[name] = _build_section(cls, _section(train_data, name, path), path)
     train = _build_section(TrainConfig, train_data, "train", seed=seed + 2)
     # numpy sizes no array of more than sys.maxsize bytes: refuse a config that needs one.
-    s, t = scenario, train
+    s, t, pools = scenario, train, scenario.part_rows
     gate_bytes = sum(np.dtype(d).itemsize for d in gate_detail_dtypes(s.num_classes).values())
     for section, what, nbytes in (
-            ("scenario", "the split", sum(s.part_rows.values()) * s.input_dim * 8),
+            ("scenario", "the split", sum(pools.values()) * s.input_dim * 8),
             ("net", "the parameter vector", param_count(net) * 8),
             ("train", "the gate detail", t.epochs * t.iters_per_epoch * t.unlabeled_batch
-             * gate_bytes)):
+             * gate_bytes),
+            ("train.batch_size", "a step's stacked views",
+             (t.batch_size + 3 * t.unlabeled_batch) * s.input_dim * 8),
+            # A `trainer._batches` refill: the whole pool permutations a batch needs.
+            ("train.batch_size", "the labeled id queue",
+             -(-t.batch_size // pools["labeled"]) * pools["labeled"] * 8),
+            ("train.batch_size", "the unlabeled id queue",
+             -(-t.unlabeled_batch // pools["unlabeled"]) * pools["unlabeled"] * 8)):
         if nbytes > sys.maxsize:
             raise ConfigError(section, f"{what} would take {nbytes} bytes; numpy sizes no "
                                        f"array beyond {sys.maxsize}")
@@ -157,7 +164,7 @@ def read_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as err:  # JSONDecodeError, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as err:  # not JSON, not UTF-8, or nested too deep
         raise ConfigError("<file>", f"invalid JSON in {path}: {err}") from err
 
 
@@ -165,11 +172,6 @@ def read_raw(path):
     """The raw JSON of a config file or of a run manifest (its 'config' key)."""
     data = read_json(path)
     return data["config"] if isinstance(data, dict) and "config" in data else data
-
-
-def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
-    """Resolve a config file or run manifest."""
-    return resolve_config(read_raw(path), seed_override=seed_override)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -25,20 +25,6 @@ _NEG_INF = -1e30
 
 
 @dataclass(frozen=True)
-class GateMask:
-    """Per-sample dual-gate decisions with the scores that produced them."""
-
-    phi: np.ndarray         # (B,) bool, True where the gate pulls
-    cc_conf: np.ndarray     # max classifier probability per sample
-    od_conf: np.ndarray     # detector ID probability at the predicted class
-    pred_class: np.ndarray  # argmax class per sample
-
-    @property
-    def accepted(self) -> int:
-        return int(np.count_nonzero(self.phi))
-
-
-@dataclass(frozen=True)
 class SnaWeights:
     lambda_usna: float = 1.0
     lambda_ia: float = 1.0
@@ -62,8 +48,10 @@ LOSS_COMBOS = {
 }
 
 
-def dual_gate(cc_probs, od_probs, tau_id: float, eta_id: float) -> GateMask:
-    """Mark unlabeled samples confidently in-distribution, from (B, K) probability arrays.
+def dual_gate(cc_probs, od_probs, tau_id: float, eta_id: float) -> tuple[np.ndarray, ...]:
+    """Mark unlabeled samples confidently in-distribution, from (B, K) probability arrays,
+    as (phi, cc_conf, od_conf, pred_class): where the gate pulls, the classifier's
+    confidence, the detector's ID probability at the predicted class, and that class.
 
     A sample passes only if its classifier confidence exceeds tau_id and
     the one-vs-all ID probability at the predicted class exceeds eta_id.
@@ -74,7 +62,7 @@ def dual_gate(cc_probs, od_probs, tau_id: float, eta_id: float) -> GateMask:
     cc_conf = cc_probs[rows, pred]
     od_conf = od_probs[rows, pred]
     phi = (cc_conf > tau_id) & (od_conf > eta_id)
-    return GateMask(phi=phi, cc_conf=cc_conf, od_conf=od_conf, pred_class=pred)
+    return phi, cc_conf, od_conf, pred
 
 
 def tangential(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from .heads import (HeadWeights, classifier, compose, em, log_softmax, neg, nega
                     normalize, ova, socr, two_way)
 from .net import ForwardResult, NetSpec, ParamState, forward, init_params, sgd_step
 from .prototypes import EmbeddingBatch, PrototypeSet, refresh
-from .sna import GateMask, SnaWeights, dual_gate, ia, tangential, usna
+from .sna import SnaWeights, dual_gate, ia, tangential, usna
 from .synthdata import Split, augment_views
 
 MOMENTUM, WEIGHT_DECAY = 0.9, 5e-4  # the SGD step's, the same in every run
@@ -92,7 +92,7 @@ class TrainConfig:
 
 
 def gate_detail_dtypes(num_classes: int) -> dict:
-    """The gate detail a run logs per step, each `GateMask` array but phi (the thresholds
+    """The gate detail a run logs per step, each `dual_gate` array but phi (the thresholds
     give it) in its stored dtype: a class index in the smallest unsigned type that fits."""
     return {"cc_conf": np.float64, "od_conf": np.float64,
             "pred_class": np.min_scalar_type(num_classes - 1)}
@@ -244,8 +244,11 @@ class Decisions:
     Gradients never flow through gates, pseudo-labels or negative masks.
     """
 
-    gate: GateMask          # dual gate on the weak unlabeled view; also picks refresh rows
-    pl_accept: np.ndarray   # where the hard pseudo-label, gate.pred_class, clears tau_pl
+    phi: np.ndarray         # where `dual_gate` pulls a u_w row; also picks refresh rows
+    cc_conf: np.ndarray     # the classifier confidence the gate read per u_w row
+    od_conf: np.ndarray     # the detector's ID probability it read at pred_class
+    pred_class: np.ndarray  # the argmax class per u_w row
+    pl_accept: np.ndarray   # where the hard pseudo-label, pred_class, clears tau_pl
     negative: np.ndarray    # pseudo-negative masks on the u_w, u_w2 and u_s rows; none on u_w2
 
 
@@ -254,12 +257,13 @@ def freeze_decisions(rows: StepRows, cfg: TrainConfig) -> Decisions:
     u, gate_probs = rows.u, rows.gate_probs
     if not np.isfinite(gate_probs).all():
         raise ValueError("non-finite gate probabilities: gate_temperature overflows the logits")
-    gate = dual_gate(gate_probs, rows.p_id[u], cfg.tau_id, cfg.eta_id)
-    m = len(gate.pred_class)
+    phi, cc_conf, od_conf, pred_class = dual_gate(gate_probs, rows.p_id[u], cfg.tau_id,
+                                                  cfg.eta_id)
+    m = len(pred_class)
     negative = negatives(rows.log_p_id[u.start:], cfg.head.log_eta_neg)
     negative[m:2 * m] = 0.0
-    pl_accept = rows.probs[u][np.arange(m), gate.pred_class] > cfg.head.tau_pl
-    return Decisions(gate=gate, pl_accept=pl_accept, negative=negative)
+    pl_accept = rows.probs[u][np.arange(m), pred_class] > cfg.head.tau_pl
+    return Decisions(phi, cc_conf, od_conf, pred_class, pl_accept, negative)
 
 
 def objective(rows: StepRows, labels: np.ndarray, unit_protos: np.ndarray,
@@ -278,15 +282,15 @@ def objective(rows: StepRows, labels: np.ndarray, unit_protos: np.ndarray,
     weights, slopes = cfg.weights_and_slopes
     x, u, u2, s = rows.x, rows.u, rows.u2, rows.s
     b, m, w = x.stop, s.stop - s.start, u.start
-    gate, accept = decisions.gate, decisions.pl_accept
+    pred, accept = decisions.pred_class, decisions.pl_accept
     terms = dict.fromkeys(LEAVES, 0.0)
     # One target row per stacked row, the one-hot of: the label on x_w, the gate's
     # prototype on u_w (zero where the gate is shut), the accepted pseudo-label on
     # u_s (zero where rejected); no term reads u_w2's.
-    classes = np.concatenate((labels, gate.pred_class, gate.pred_class, gate.pred_class))
+    classes = np.concatenate((labels, pred, pred, pred))
     target = np.zeros(rows.log_p.shape)
-    target[np.arange(len(classes)), classes] = np.concatenate((np.ones(b), gate.phi, accept,
-                                                               accept))
+    target[np.arange(len(classes)), classes] = np.concatenate((np.ones(b), decisions.phi,
+                                                               accept, accept))
     scale = np.zeros(len(classes))
     scale[x], scale[s] = slopes["x"] / b, accept * (slopes["u"] / m)
     losses, g_cc = classifier(rows.log_p, rows.probs, target, scale)
@@ -347,18 +351,17 @@ def _make_closure(cfg: TrainConfig, labels: np.ndarray, unit_protos: np.ndarray,
         decisions = freeze_decisions(rows, cfg)
         terms, grads = objective(rows, labels, unit_protos, decisions, cfg)
         total = terms.pop("total")
-        gate, m = decisions.gate, len(decisions.gate.phi)
+        phi, m = decisions.phi, len(decisions.phi)
         record.update({
             "terms": terms, "batch_unlabeled": m,
-            "gate": {"accepted": gate.accepted,
+            "gate": {"accepted": int(np.count_nonzero(phi)),
                      "negatives": int(np.count_nonzero(decisions.negative[:m].any(axis=1))),
                      "pl_accepted": int(np.count_nonzero(decisions.pl_accept))},
         })
         step = record["step"]
         for name, array in gate_detail.items():
-            array[step] = getattr(gate, name)
-        accepted.append(EmbeddingBatch(out.embeddings[rows.u][gate.phi],
-                                       gate.pred_class[gate.phi]))
+            array[step] = getattr(decisions, name)
+        accepted.append(EmbeddingBatch(out.embeddings[rows.u][phi], decisions.pred_class[phi]))
         return total, grads
 
     return closure

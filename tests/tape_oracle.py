@@ -30,7 +30,7 @@ def tape_objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
     zero = tl.constant(0.0)
     terms = {
         "x": tl.ce_graph(xw.cc_logits, labels),
-        "u": (tl.consistency_graph(us.cc_logits, decisions.gate.pred_class, decisions.pl_accept)
+        "u": (tl.consistency_graph(us.cc_logits, decisions.pred_class, decisions.pl_accept)
               if head.lambda_u > 0 else zero),
         "ova": tl.ova_graph(xw.id_logits, xw.ood_logits, labels),
         "em": tl.em_graph(uw.id_logits, uw.ood_logits) if head.lambda_em > 0 else zero,
@@ -38,8 +38,8 @@ def tape_objective(outputs, labels: np.ndarray, unit_protos: np.ndarray,
         "neg": (tl.neg_graph(uw.id_logits, uw.ood_logits, neg_w)
                 + tl.neg_graph(us.id_logits, us.ood_logits, neg_s)
                 if head.lambda_neg > 0 else zero),
-        "usna": (tl.usna_graph(uw.embeddings, unit_protos, decisions.gate.phi,
-                               decisions.gate.pred_class, sna_w.temperature)
+        "usna": (tl.usna_graph(uw.embeddings, unit_protos, decisions.phi,
+                               decisions.pred_class, sna_w.temperature)
                  if sna_w.lambda_usna > 0 else zero),
         "ia": (tl.ia_graph(xw.embeddings, labels, sna_w.temperature)
                if sna_w.lambda_ia > 0 else zero),

@@ -66,7 +66,7 @@ def outputs_on_tape(params, inputs):
 def test_each_loss_combo(combo):
     decisions = assert_matches_tape(
         cfg=replace(CFG, sna=replace(CFG.sna, **LOSS_COMBOS[combo])))
-    for mask in (decisions.gate.phi, decisions.pl_accept,
+    for mask in (decisions.phi, decisions.pl_accept,
                  np.split(decisions.negative, 3)[0].any(axis=1)):
         assert 0 < mask.sum() < mask.size
 
@@ -82,7 +82,7 @@ def test_network_variants(spec):
 def test_every_gate_closed():
     cfg = replace(CFG, tau_id=1.0, head=replace(CFG.head, tau_pl=1.0, eta_neg=1e-12))
     decisions = assert_matches_tape(cfg=cfg)
-    assert decisions.gate.accepted == 0
+    assert not decisions.phi.any()
     assert not decisions.pl_accept.any()
     assert not decisions.negative.any()
 

@@ -13,11 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 import skipalign
 from skipalign import metrics, synthdata, trainer
 from skipalign.cli import apply_axis, build_parser, main, run_experiment, sweep
-from skipalign.config import ConfigError, config_hash, load_config, resolve_config
+from skipalign.config import ConfigError, config_hash, read_raw, resolve_config
 from skipalign.heads import compose, normalize
 from skipalign.net import forward, load_checkpoint, save_checkpoint
 from skipalign.trainer import LEAVES, TrainingDiverged, train
@@ -219,7 +220,7 @@ class TestConfigResolution:
     def test_non_finite_value_rejected(self, tmp_path, capsys, raw, field):
         path = write_config(tmp_path, raw)  # json writes a float NaN as the literal NaN
         with pytest.raises(ConfigError, match=f"{field}: must be finite"):
-            load_config(path)
+            resolve_config(read_raw(path))
         assert main(["run", "--config", path, "--dry-run"]) == 2
         assert field in capsys.readouterr().err
 
@@ -336,7 +337,7 @@ class TestCliRun:
         dirs = sorted(d.name for d in out_dir.iterdir())
         assert len(dirs) == 2
         # A run directory is named by its config's hash, which covers the seed.
-        assert dirs == sorted(config_hash(load_config(path, seed_override=seed))[:12]
+        assert dirs == sorted(config_hash(resolve_config(read_raw(path), seed_override=seed))[:12]
                               for seed in (0, 7))
 
     def test_divergent_training_exits_3(self, tmp_path, capsys):
@@ -692,14 +693,37 @@ def finished_run(tmp_path_factory):
     return run_dir
 
 
-def deny_reading(monkeypatch, path):
-    """Make config reads of path fail as for a file without read permission; a test
-    run as root cannot get that from chmod."""
+def deny_reading(monkeypatch, argv):
+    """Make config reads of the run's config fail as for a file without read
+    permission; a test run as root cannot get that from chmod."""
+    path = argv[2]
+
     def guarded_open(file, *args, **kwargs):
         if str(file) == path:
             raise PermissionError(13, "Permission denied", path)
         return open(file, *args, **kwargs)
     monkeypatch.setattr("skipalign.config.open", guarded_open, raising=False)
+
+
+# A file name longer than the 255 bytes a path component may take.
+LONG_NAME = "n" * 300
+
+
+def rename_long(flag):
+    """A change that gives the path after flag a last component of LONG_NAME."""
+    def change(monkeypatch, argv):
+        at = argv.index(flag) + 1
+        argv[at] = str(Path(argv[at]).parent / LONG_NAME)
+    return change
+
+
+def nest(path, depth=100_000):
+    """Overwrite path with JSON lists nested depth deep, beyond what json decodes."""
+    path.write_text("[" * depth + "]" * depth)
+
+
+def nest_config(monkeypatch, argv):
+    nest(Path(argv[2]))
 
 
 class TestExitCodes:
@@ -750,6 +774,14 @@ class TestExitCodes:
         ("run", {"scenario": {"sigma_weak": 0.5, "sigma_strong": 0.5}}, 2,
          "scenario: sigma_weak must be below sigma_strong"),
         ("run", deny_reading, 2, "config.json"),
+        ("run", rename_long("--config"), 2, LONG_NAME),
+        ("run", rename_long("--out"), 2, LONG_NAME),
+        ("eval", rename_long("--run-dir"), 2, LONG_NAME),
+        ("run", nest_config, 2, "config.json"),
+        ("eval", ("prototypes.json", nest), 2, "prototypes.json"),
+        ("eval", ("checkpoint.json", nest), 2, "checkpoint.json"),
+        # A batch whose step arrays numpy cannot size: refused before training.
+        ("run", {"train": {"batch_size": 2 * 10**18, "gamma": 5e-19}}, 2, "train.batch_size"),
         ("eval", ("checkpoint.json", append_bytes), 2, "checkpoint.json"),
         ("eval", ("prototypes.json", append_bytes), 2, "prototypes.json"),
         ("eval", ("manifest.json", append_bytes), 2, "manifest.json"),
@@ -817,7 +849,9 @@ class TestExitCodes:
             "string-flag", "scalar-widths", "string-head-weight", "list-section",
             "gamma-empties-batch", "diverging", "gate-temperature-overflows",
             "one-iteration-per-epoch", "batch-of-one", "two-classes", "equal-sigmas",
-            "config-unreadable",
+            "config-unreadable", "config-name-too-long", "out-name-too-long",
+            "run-dir-name-too-long", "config-nested-too-deep", "prototypes-nested-too-deep",
+            "checkpoint-nested-too-deep", "batch-beyond-numpy",
             "checkpoint-appended", "prototypes-appended", "manifest-appended",
             "prototypes-key-missing", "prototypes-missing", "prototypes-mu-column-dropped",
             "prototypes-mu-zero-rows", "prototypes-mu-string", "manifest-input-dim",
@@ -841,16 +875,17 @@ class TestExitCodes:
                     raw.setdefault(section, {}).update(value)
                 else:
                     raw[section] = value
-            config = write_config(tmp_path, raw)
-            if callable(change):
-                change(monkeypatch, config)
-            argv = ["run", "--config", config, "--out", str(tmp_path / "runs")]
+            argv = ["run", "--config", write_config(tmp_path, raw), "--out",
+                    str(tmp_path / "runs")]
         else:
             run_dir = tmp_path / "run"
             shutil.copytree(finished_run, run_dir)
-            name, damage = change
-            damage(run_dir / name)
+            if not callable(change):
+                name, damage = change
+                damage(run_dir / name)
             argv = ["eval", "--run-dir", str(run_dir)]
+        if callable(change):  # a change to the command line or to what it reads
+            change(monkeypatch, argv)
         assert main(argv) == code
         if code == 2:
             assert named in capsys.readouterr().err
@@ -1314,10 +1349,6 @@ class TestProductionPath:
 # Most units in the last place a metrics.csv value other than an AUC or the accuracy
 # may move under another BLAS kernel; at seeds 0 to 2 the Haswell kernel moved 1 at most.
 KERNEL_ULPS = 4
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import __cpu_features__
 
 
 def ulps(a: float, b: float) -> int:

@@ -82,7 +82,7 @@ def fixmatch(weak_probs, strong_probs, tau_pl: float) -> tuple[float, int]:
     cfg = TrainConfig(head=HeadWeights(tau_pl=tau_pl))
     strong = np.log(np.asarray(strong_probs, dtype=np.float64))
     decisions = freeze_decisions(unlabeled_rows(np.log(weak_probs), strong), cfg)
-    value, _ = consistency(strong, decisions.gate.pred_class, decisions.pl_accept)
+    value, _ = consistency(strong, decisions.pred_class, decisions.pl_accept)
     return value, int(decisions.pl_accept.sum())
 
 
@@ -383,7 +383,7 @@ class TestNumpyTapeParity:
         strong = rng.standard_normal((6, 4))
         decisions = freeze_decisions(unlabeled_rows(weak, strong),
                                      TrainConfig(head=HeadWeights(tau_pl=0.5)))
-        pseudo, accept = decisions.gate.pred_class, decisions.pl_accept
+        pseudo, accept = decisions.pred_class, decisions.pl_accept
         assert 0 < accept.sum() < 6
         assert_matches_tape(
             consistency(strong, pseudo, accept),

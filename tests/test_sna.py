@@ -57,27 +57,27 @@ def ia_mean(z, labels, temperature: float):
 
 class TestDualGate:
     def test_both_gates_pass(self):
-        mask = dual_gate(np.array([[0.995, 0.005]]), np.array([[0.7, 0.1]]),
-                         tau_id=0.99, eta_id=0.5)
-        assert mask.phi.tolist() == [1]
-        assert mask.pred_class.tolist() == [0]
-        assert mask.cc_conf[0] == pytest.approx(0.995)
-        assert mask.od_conf[0] == pytest.approx(0.7)
+        phi, cc_conf, od_conf, pred_class = dual_gate(
+            np.array([[0.995, 0.005]]), np.array([[0.7, 0.1]]), tau_id=0.99, eta_id=0.5)
+        assert phi.tolist() == [1]
+        assert pred_class.tolist() == [0]
+        assert cc_conf[0] == pytest.approx(0.995)
+        assert od_conf[0] == pytest.approx(0.7)
 
     def test_classifier_gate_fails(self):
-        mask = dual_gate(np.array([[0.6, 0.4]]), np.array([[0.99, 0.0]]),
-                         tau_id=0.99, eta_id=0.5)
-        assert mask.phi.tolist() == [0]
+        phi, *_ = dual_gate(np.array([[0.6, 0.4]]), np.array([[0.99, 0.0]]),
+                            tau_id=0.99, eta_id=0.5)
+        assert phi.tolist() == [0]
 
     def test_detector_gate_fails(self):
-        mask = dual_gate(np.array([[0.995, 0.005]]), np.array([[0.4, 0.1]]),
-                         tau_id=0.99, eta_id=0.5)
-        assert mask.phi.tolist() == [0]
+        phi, *_ = dual_gate(np.array([[0.995, 0.005]]), np.array([[0.4, 0.1]]),
+                            tau_id=0.99, eta_id=0.5)
+        assert phi.tolist() == [0]
 
     def test_argmax_tie_breaks_low(self):
-        mask = dual_gate(np.array([[0.5, 0.5]]), np.array([[0.9, 0.9]]),
-                         tau_id=0.4, eta_id=0.5)
-        assert mask.pred_class.tolist() == [0]
+        *_, pred_class = dual_gate(np.array([[0.5, 0.5]]), np.array([[0.9, 0.9]]),
+                                   tau_id=0.4, eta_id=0.5)
+        assert pred_class.tolist() == [0]
 
     def test_threshold_range_validated(self):
         # The training config owns the gate thresholds.
@@ -99,8 +99,8 @@ class TestDualGate:
                     for e_hi in grid:
                         if e_lo > e_hi:
                             continue
-                        loose = set(np.nonzero(dual_gate(cc, od, t_lo, e_lo).phi)[0])
-                        tight = set(np.nonzero(dual_gate(cc, od, t_hi, e_hi).phi)[0])
+                        loose = set(np.nonzero(dual_gate(cc, od, t_lo, e_lo)[0])[0])
+                        tight = set(np.nonzero(dual_gate(cc, od, t_hi, e_hi)[0])[0])
                         assert tight <= loose
 
 

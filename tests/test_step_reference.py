@@ -154,12 +154,11 @@ def ref_ia(zh, labels, temperature, scale):
 
 def ref_freeze_decisions(uw, uw2, us, cfg):
     gate_probs = ref_softmax_rows(uw.cc_logits, cfg.gate_temperature)
-    gate = dual_gate(gate_probs, ref_two_way_probs(uw.id_logits, uw.ood_logits)[0], cfg.tau_id,
-                     cfg.eta_id)
-    pseudo = gate.pred_class
+    phi, cc_conf, od_conf, pseudo = dual_gate(
+        gate_probs, ref_two_way_probs(uw.id_logits, uw.ood_logits)[0], cfg.tau_id, cfg.eta_id)
     eta_neg = cfg.head.eta_neg
     return Decisions(
-        gate=gate,
+        phi=phi, cc_conf=cc_conf, od_conf=od_conf, pred_class=pseudo,
         pl_accept=ref_softmax_rows(uw.cc_logits)[np.arange(pseudo.size), pseudo]
         > cfg.head.tau_pl,
         negative=np.concatenate([ref_negatives(uw.id_logits, uw.ood_logits, eta_neg),
@@ -173,14 +172,14 @@ def ref_objective(outputs, labels, unit_protos, decisions, cfg):
     views = ("x_w", "u_w", "u_w2", "u_s")
     xw, uw, uw2, us = (outputs[view] for view in views)
     weights, slopes = cfg.weights_and_slopes
-    gate, accept = decisions.gate, decisions.pl_accept
-    b, m, k = len(labels), len(gate.phi), xw.cc_logits.shape[1]
+    phi, pseudo, accept = decisions.phi, decisions.pred_class, decisions.pl_accept
+    b, m, k = len(labels), len(phi), xw.cc_logits.shape[1]
     terms = dict.fromkeys(LEAVES, 0.0)
     grads = {view: {} for view in views}
 
     # The classifier on every view: a target row and a weight per row.
-    pseudo_target = one_hot(gate.pred_class, k) * accept[:, None]
-    targets = {"x_w": one_hot(labels, k), "u_w": one_hot(gate.pred_class, k) * gate.phi[:, None],
+    pseudo_target = one_hot(pseudo, k) * accept[:, None]
+    targets = {"x_w": one_hot(labels, k), "u_w": one_hot(pseudo, k) * phi[:, None],
                "u_w2": pseudo_target, "u_s": pseudo_target}
     scales = {"x_w": np.full(b, slopes["x"] / b), "u_w": np.zeros(m), "u_w2": np.zeros(m),
               "u_s": accept * (slopes["u"] / m)}
@@ -363,7 +362,7 @@ def case_inputs(spec=SPEC, cfg=CFG, labels=(0, 0, 1, 2, 2, 1), unlabeled=8, seed
 
 def assert_same_decisions(got: Decisions, want: Decisions):
     for name in ("phi", "cc_conf", "od_conf", "pred_class"):
-        a, b = getattr(got.gate, name), getattr(want.gate, name)
+        a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     for name in ("pl_accept", "negative"):
         a, b = getattr(got, name), getattr(want, name)
@@ -394,7 +393,7 @@ def test_matches_reference_step(case):
     assert list(record["terms"]) == list(LEAVES)
     assert compose(record["terms"], cfg.weights_and_slopes[0])["total"] == want_terms["total"]
     for name, array in gate_detail.items():
-        want = getattr(want_decisions.gate, name)
+        want = getattr(want_decisions, name)
         assert np.array_equal(array[1], want), name
         assert array[1].tobytes() == want.astype(array.dtype).tobytes(), name
         assert not array[0].any(), name
@@ -405,5 +404,5 @@ def test_thresholds_split_every_decision():
     x = np.concatenate(list(inputs.values()))
     decisions = stacked_step(params, x, labels, unit_protos, cfg)[1]
     neg_w, _, neg_s = np.split(decisions.negative, 3)
-    for mask in (decisions.gate.phi, decisions.pl_accept, neg_w.any(axis=1), neg_s.any(axis=1)):
+    for mask in (decisions.phi, decisions.pl_accept, neg_w.any(axis=1), neg_s.any(axis=1)):
         assert 0 < mask.sum() < mask.size

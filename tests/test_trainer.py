@@ -246,7 +246,7 @@ class TestTrainLoop:
         for record in runlog.iterations:
             assert list(record) == RECORD_KEYS
             assert list(record["terms"]) == list(LEAVES)
-        # The gate detail is one array per GateMask field but the mask, which the
+        # The gate detail is one array per `dual_gate` array but the mask, which the
         # thresholds give, a row per step: the class index in one byte for the tiny
         # run's 4 classes.
         steps = cfg.train.epochs * cfg.train.iters_per_epoch
